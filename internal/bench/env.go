@@ -182,14 +182,17 @@ func NewEnv(ctx context.Context, cfg EnvConfig) (*Env, error) {
 			contact = id
 		}
 	}
-	// Wait for the server roster to converge before admitting clients so
-	// bindings see the full membership.
-	for len(env.Srvs) > 0 && len(env.Srvs[0].ServerRoster()) != cfg.NServers {
-		select {
-		case <-ctx.Done():
-			env.Close()
-			return nil, fmt.Errorf("bench: roster: %w", ctx.Err())
-		case <-time.After(2 * time.Millisecond):
+	// Wait for every server's roster to converge before admitting clients:
+	// a binding learns the membership from whichever server it binds
+	// through, and the newest joiner's roster is the last to fill.
+	for _, srv := range env.Srvs {
+		for len(srv.ServerRoster()) != cfg.NServers {
+			select {
+			case <-ctx.Done():
+				env.Close()
+				return nil, fmt.Errorf("bench: roster: %w", ctx.Err())
+			case <-time.After(2 * time.Millisecond):
+			}
 		}
 	}
 	for i := 0; i < cfg.NClients; i++ {

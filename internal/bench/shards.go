@@ -168,7 +168,7 @@ func runShardsPoint(ctx context.Context, sc Scale, nShards, opsPerShard int) (pt
 	// Shard groups: disjoint replica trios, each serving a shard.Store.
 	specs := make([]core.ShardSpec, 0, nShards)
 	serverTimers := shardsServerTimers()
-	var firstSrv []*core.Server
+	var srvs []*core.Server
 	for s := 0; s < nShards; s++ {
 		name := fmt.Sprintf("kv/s%d", s)
 		var contact ids.ProcessID
@@ -187,14 +187,16 @@ func runShardsPoint(ctx context.Context, sc Scale, nShards, opsPerShard int) (pt
 			if serr != nil {
 				return pt, fmt.Errorf("serve %s replica %d: %w", name, r, serr)
 			}
+			srvs = append(srvs, srv)
 			if r == 0 {
 				contact = svc.ID()
-				firstSrv = append(firstSrv, srv)
 			}
 		}
 		specs = append(specs, core.ShardSpec{Name: name, Group: ids.GroupID(name), Contact: contact})
 	}
-	for _, srv := range firstSrv {
+	// Every replica's roster, not just each shard's founder's: a binding
+	// learns the membership from whichever replica it binds through.
+	for _, srv := range srvs {
 		for len(srv.ServerRoster()) != shardReplicas {
 			select {
 			case <-ctx.Done():

@@ -366,26 +366,24 @@ func (b *Binding) clientLoop() {
 	// membership judgements only start at the fully-formed view observed
 	// by awaitFormation.
 	formedSeq := b.group.View().Seq
-	for ev := range b.group.Events() {
-		if ev.Type == gcs.EventView && ev.View.Seq < formedSeq {
-			continue
-		}
+	consumeEvents(b.group, func(ev gcs.Event) bool {
 		switch ev.Type {
 		case gcs.EventDeliver:
 			if ev.Deliver.Sender == me {
-				continue
+				return true
 			}
-			msg, err := decodePayload(ev.Deliver.Payload)
-			if err != nil {
-				continue
-			}
-			if set, ok := msg.(*invReplySet); ok {
-				b.svc.routeReplySet(set)
+			if msg, err := decodePayload(ev.Deliver.Payload); err == nil {
+				if set, ok := msg.(*invReplySet); ok {
+					b.svc.routeReplySet(set)
+				}
 			}
 		case gcs.EventView:
-			b.onView(ev.View)
+			if ev.View.Seq >= formedSeq {
+				b.onView(ev.View)
+			}
 		}
-	}
+		return true
+	})
 	b.mu.Lock()
 	b.markBrokenLocked()
 	b.mu.Unlock()
@@ -639,7 +637,11 @@ func (b *Binding) InvokeAsync(ctx context.Context, method string, args []byte, o
 	b.svc.metrics.asyncCalls.Inc()
 	b.svc.metrics.asyncInflightHigh.SetMax(int64(len(b.window)))
 
-	w := b.svc.registerWaiter(o.call)
+	directReplies := 0
+	if b.cfg.Style == Closed {
+		directReplies = len(b.sgMembers)
+	}
+	w := b.svc.registerWaiter(o.call, directReplies)
 	// Keep the group's failure detection alive while we wait: an idle
 	// event-driven group would otherwise never notice a request manager
 	// that died after the request stabilised but before replying.
@@ -672,7 +674,7 @@ func (b *Binding) InvokeAsync(ctx context.Context, method string, args []byte, o
 	}
 	if err := b.group.Multicast(ctx, encodeRequest(req)); err != nil {
 		b.group.Unattend()
-		b.svc.dropWaiter(o.call)
+		b.svc.dropWaiter(o.call, w)
 		release()
 		record()
 		b.svc.frRecord(flight.EvCallDone, uint64(o.trace), 1, 0)
@@ -685,7 +687,7 @@ func (b *Binding) InvokeAsync(ctx context.Context, method string, args []byte, o
 	c := newCallFuture(o.call, o.mode, ctx)
 	if o.mode == OneWay {
 		b.group.Unattend()
-		b.svc.dropWaiter(o.call)
+		b.svc.dropWaiter(o.call, w)
 		release()
 		record()
 		b.svc.frRecord(flight.EvCallDone, uint64(o.trace), 0, 0)
@@ -695,7 +697,7 @@ func (b *Binding) InvokeAsync(ctx context.Context, method string, args []byte, o
 	go func() {
 		defer func() {
 			b.group.Unattend()
-			b.svc.dropWaiter(o.call)
+			b.svc.dropWaiter(o.call, w)
 			release()
 		}()
 		var replies []Reply

@@ -89,15 +89,7 @@ func newWorld(t *testing.T, nServers, nClients int) *world {
 			contact = id
 		}
 	}
-	// The server roster converges via hello announcements; wait for it so
-	// bindings observe the full membership.
-	deadline := time.Now().Add(10 * time.Second)
-	for len(w.srvs[0].ServerRoster()) != nServers {
-		if time.Now().After(deadline) {
-			t.Fatalf("roster never converged: %v", w.srvs[0].ServerRoster())
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	awaitRosters(t, w.srvs)
 	for i := 0; i < nClients; i++ {
 		id := ids.ProcessID(fmt.Sprintf("z%02d", i))
 		ep, err := w.net.Endpoint(id, netsim.SiteLAN)
@@ -115,6 +107,24 @@ func newWorld(t *testing.T, nServers, nClients int) *world {
 		}
 	})
 	return w
+}
+
+// awaitRosters waits until every server's roster lists all of srvs. The
+// roster converges via hello announcements, and a binding learns the
+// membership from whichever server it binds through — the newest joiner
+// included, whose roster is the last to fill — so waiting on one server
+// is not enough.
+func awaitRosters(t *testing.T, srvs []*core.Server) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for _, srv := range srvs {
+		for len(srv.ServerRoster()) != len(srvs) {
+			if time.Now().After(deadline) {
+				t.Fatalf("roster never converged: %v", srv.ServerRoster())
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+	}
 }
 
 func (w *world) bindCfg(style core.Style) core.BindConfig {

@@ -76,6 +76,25 @@ func TestRMCrashAtEveryPipelineStage(t *testing.T) {
 	}
 }
 
+// TestProxyThroughNewestReplicaKnowsAllMembers pins the fixture property
+// TestSequentialRMCrashes depends on: a proxy bound through the last
+// joiner must learn the whole server group, or after that replica crashes
+// every rebind goes back to the corpse. newWorld therefore waits for every
+// server's roster, not only the founder's.
+func TestProxyThroughNewestReplicaKnowsAllMembers(t *testing.T) {
+	w := newWorld(t, 3, 1)
+	cfg := w.bindCfg(core.Open)
+	cfg.Contact = "s02"
+	p, err := w.clients[0].NewProxy(ctxT(t, 15*time.Second), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	if got := p.Binding().KnownServers(); len(got) != 3 {
+		t.Fatalf("proxy bound through s02 knows %v, want all 3 servers", got)
+	}
+}
+
 // TestSequentialRMCrashes kills request managers one after another; the
 // proxy keeps rebinding until a single replica remains.
 func TestSequentialRMCrashes(t *testing.T) {

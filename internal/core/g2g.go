@@ -36,9 +36,19 @@ type G2G struct {
 	// sessStamp is this member's session token (newest applied stamp seen
 	// in any aggregated reply); its reads use it as their session floor.
 	sessStamp vclock.Stamp
+	// early retains reply sets that arrived before this member issued the
+	// call they answer. Every member of the client group issues the same
+	// call and the request manager answers the first copy it sees, so the
+	// answer can overtake a slower member's own launch — whose copy of the
+	// request is then filtered as a duplicate and never answered again.
+	early      map[ids.CallID]*invReplySet
+	earlyOrder []ids.CallID
 
 	loopDone chan struct{}
 }
+
+// earlyCap bounds the retained early reply sets.
+const earlyCap = 256
 
 // BindGroupToGroup attaches this member of clientGroup to a server group
 // through a shared client monitor group. Every member of the client group
@@ -154,24 +164,19 @@ func (g *G2G) Close() error {
 func (g *G2G) loop() {
 	defer close(g.loopDone)
 	formedSeq := g.group.View().Seq
-	for ev := range g.group.Events() {
-		if ev.Type == gcs.EventView && ev.View.Seq < formedSeq {
-			continue
-		}
+	consumeEvents(g.group, func(ev gcs.Event) bool {
 		switch ev.Type {
 		case gcs.EventDeliver:
 			if ev.Deliver.Sender != g.rm {
-				continue // sibling members' duplicate requests
+				return true // sibling members' duplicate requests
 			}
-			msg, err := decodePayload(ev.Deliver.Payload)
-			if err != nil {
-				continue
-			}
-			if set, ok := msg.(*invReplySet); ok {
-				g.svc.routeReplySet(set)
+			if msg, err := decodePayload(ev.Deliver.Payload); err == nil {
+				if set, ok := msg.(*invReplySet); ok {
+					g.routeOrRetain(set)
+				}
 			}
 		case gcs.EventView:
-			if !ev.View.Contains(g.rm) {
+			if ev.View.Seq >= formedSeq && !ev.View.Contains(g.rm) {
 				g.mu.Lock()
 				if !g.broken {
 					g.broken = true
@@ -179,6 +184,45 @@ func (g *G2G) loop() {
 				}
 				g.mu.Unlock()
 			}
+		}
+		return true
+	})
+}
+
+// routeOrRetain hands a reply set to the call waiting for it, or keeps it
+// for a call this member has yet to issue. g.mu makes route-or-retain
+// atomic against claimEarly, which runs after the waiter is registered:
+// whichever goes first, the set reaches the waiter.
+func (g *G2G) routeOrRetain(set *invReplySet) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.svc.routeReplySet(set) {
+		return
+	}
+	if _, dup := g.early[set.Call]; dup {
+		return
+	}
+	if g.early == nil {
+		g.early = make(map[ids.CallID]*invReplySet)
+	}
+	g.early[set.Call] = set
+	g.earlyOrder = append(g.earlyOrder, set.Call)
+	if len(g.earlyOrder) > earlyCap {
+		delete(g.early, g.earlyOrder[0])
+		g.earlyOrder = g.earlyOrder[1:]
+	}
+}
+
+// claimEarly delivers to w the answer that overtook this member's launch
+// of call, if there is one.
+func (g *G2G) claimEarly(call ids.CallID, w *callWaiter) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if set, ok := g.early[call]; ok {
+		delete(g.early, call)
+		select {
+		case w.set <- set:
+		default: // a resent copy was routed to w in the meantime
 		}
 	}
 }
@@ -321,7 +365,8 @@ func (g *G2G) InvokeAsync(ctx context.Context, method string, args []byte, opts 
 		o.trace = obs.DeriveTraceID("g2g/"+string(g.group.ID()), call.Number)
 	}
 	g.svc.metrics.asyncCalls.Inc()
-	w := g.svc.registerWaiter(call)
+	w := g.svc.registerWaiter(call, 0)
+	g.claimEarly(call, w)
 	g.group.Attend()
 
 	start := time.Now()
@@ -350,7 +395,7 @@ func (g *G2G) InvokeAsync(ctx context.Context, method string, args []byte, opts 
 	}
 	if err := g.group.Multicast(ctx, encodeRequest(req)); err != nil {
 		g.group.Unattend()
-		g.svc.dropWaiter(call)
+		g.svc.dropWaiter(call, w)
 		record()
 		if errors.Is(err, gcs.ErrLeft) {
 			return nil, ErrBindingBroken
@@ -361,7 +406,7 @@ func (g *G2G) InvokeAsync(ctx context.Context, method string, args []byte, opts 
 	c := newCallFuture(call, o.mode, ctx)
 	if o.mode == OneWay {
 		g.group.Unattend()
-		g.svc.dropWaiter(call)
+		g.svc.dropWaiter(call, w)
 		record()
 		c.complete(nil, nil)
 		return c, nil
@@ -369,7 +414,7 @@ func (g *G2G) InvokeAsync(ctx context.Context, method string, args []byte, opts 
 	go func() {
 		defer func() {
 			g.group.Unattend()
-			g.svc.dropWaiter(call)
+			g.svc.dropWaiter(call, w)
 		}()
 		replies, err := g.awaitSet(c.ctx, w)
 		if errors.Is(err, context.Canceled) {

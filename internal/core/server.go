@@ -72,6 +72,12 @@ type Server struct {
 	seenOrder  []ids.CallID
 	closed     bool
 
+	// A replica's state-transfer prologue (statetransfer.go): while
+	// catching is set, groupLoop parks execution requests in catchBuf.
+	catchMu  sync.Mutex
+	catching bool
+	catchBuf []bufferedReq
+
 	loopDone chan struct{}
 	wg       sync.WaitGroup
 }
@@ -143,12 +149,12 @@ func (s *Service) serve(ctx context.Context, cfg ServeConfig, replica bool) (*Se
 		emitServerStats(emit, string(cfg.Group), srv.Stats())
 	})
 
-	ready := make(chan error, 1)
 	if replica {
-		// A replica first drains the state-transfer prologue from the
-		// Events() channel; it keeps the channel consumption mode for its
-		// lifetime (a group has exactly one consumption mode).
-		go srv.groupLoop(ready)
+		// A replica buffers its deliveries until the snapshot is in, so
+		// it consumes through its own goroutine for its lifetime (a group
+		// has exactly one consumption mode).
+		srv.catching = true
+		go srv.groupLoop()
 	} else {
 		// Plain servers run straight off the dispatch stage: the group's
 		// events are handed to handleGroupEvent by a dispatch worker, in
@@ -162,15 +168,9 @@ func (s *Service) serve(ctx context.Context, cfg ServeConfig, replica bool) (*Se
 	// roster (and, via their re-announcements, we learn them).
 	_ = group.Multicast(ctx, encodeHello()) //lint:ok errdrop best-effort: roster repair re-announces on every membership change
 	if replica {
-		select {
-		case err := <-ready:
-			if err != nil {
-				_ = srv.Close()
-				return nil, err
-			}
-		case <-ctx.Done():
+		if err := srv.transferState(ctx); err != nil {
 			_ = srv.Close()
-			return nil, fmt.Errorf("core: state transfer: %w", ctx.Err())
+			return nil, err
 		}
 	}
 	return srv, nil
@@ -256,27 +256,27 @@ func (srv *Server) Close() error {
 	return nil
 }
 
-// groupLoop consumes a replica's server-group delivery stream: the
-// state-transfer prologue first, then the steady stream. Plain servers
-// skip this goroutine entirely (SetHandler in serve).
-func (srv *Server) groupLoop(ready chan<- error) {
+// groupLoop consumes a replica's server-group delivery stream, parking
+// execution requests while the state transfer runs. Plain servers skip
+// this goroutine entirely (SetHandler in serve).
+func (srv *Server) groupLoop() {
 	defer close(srv.loopDone)
-	ctx, cancel := context.WithTimeout(context.Background(), srv.rmWait)
-	err := srv.drainCatchup(ctx)
-	cancel()
-	ready <- err
-	if err != nil {
-		return
-	}
-	for ev := range srv.group.Events() {
-		srv.handleGroupEvent(ev)
-	}
+	consumeEvents(srv.group, func(ev gcs.Event) bool {
+		if !srv.bufferForCatchup(ev) {
+			srv.handleGroupEvent(ev)
+		}
+		return true
+	})
 }
 
 // handleGroupEvent dispatches one server-group event.
 func (srv *Server) handleGroupEvent(ev gcs.Event) {
 	switch ev.Type {
 	case gcs.EventDeliver:
+		if srv.uncollectedReply(ev.Deliver.Payload) {
+			srv.noteApplied(ev.Deliver.Stamp)
+			return
+		}
 		msg, err := decodePayload(ev.Deliver.Payload)
 		if err == nil {
 			switch m := msg.(type) {
@@ -308,6 +308,21 @@ func (srv *Server) handleGroupEvent(ev gcs.Event) {
 	case gcs.EventView:
 		srv.onGroupView(ev.View)
 	}
+}
+
+// uncollectedReply reports whether payload is a replica's reply to a call
+// this member gathers no replies for. Every member is delivered every
+// reply, but only the call's request manager holds a collector; the others
+// skip the decode.
+func (srv *Server) uncollectedReply(payload []byte) bool {
+	client, number, ok := peekReplyCall(payload)
+	if !ok {
+		return false
+	}
+	srv.mu.Lock()
+	_, collecting := srv.collectors[ids.CallID{Client: ids.ProcessID(client), Number: number}]
+	srv.mu.Unlock()
+	return !collecting
 }
 
 // noteApplied advances the executed-prefix stamp past a consumed,
@@ -503,21 +518,17 @@ func (srv *Server) probeClients(b *gcs.Group, stop <-chan struct{}) {
 // bindingLoop serves one client/server (or client monitor) group.
 func (srv *Server) bindingLoop(b *gcs.Group, bind *bindRequest) {
 	me := srv.svc.ID()
-	for ev := range b.Events() {
+	consumeEvents(b, func(ev gcs.Event) bool {
 		switch ev.Type {
 		case gcs.EventDeliver:
 			if ev.Deliver.Sender == me {
-				continue // our own reply-set multicasts
+				return true // our own reply-set multicasts
 			}
 			msg, err := decodePayload(ev.Deliver.Payload)
 			if err != nil {
-				continue
+				return true
 			}
-			req, ok := msg.(*invRequest)
-			if !ok || req.Forwarded {
-				continue
-			}
-			if bind.Style == Open {
+			if req, ok := msg.(*invRequest); ok && !req.Forwarded && bind.Style == Open {
 				srv.serveAsRM(b, bind, req)
 			}
 		case gcs.EventView:
@@ -525,10 +536,11 @@ func (srv *Server) bindingLoop(b *gcs.Group, bind *bindRequest) {
 			// served its purpose: leave it.
 			if srv.clientsGone(ev.View) {
 				srv.detachBinding(bind.Group, b)
-				return
+				return false
 			}
 		}
-	}
+		return true
+	})
 }
 
 // clientsGone reports whether a binding view contains no process besides

@@ -41,7 +41,7 @@ type Service struct {
 
 // callWaiter receives the replies for one outstanding invocation.
 type callWaiter struct {
-	replies chan invReply     // closed-style per-server replies
+	replies chan invReply     // closed-style per-server replies; nil for open-style calls
 	set     chan *invReplySet // open-style aggregated reply
 }
 
@@ -156,11 +156,14 @@ func (s *Service) newCall() ids.CallID {
 	return ids.CallID{Client: s.ID(), Number: s.nextCall}
 }
 
-// registerWaiter installs the reply sink for one call.
-func (s *Service) registerWaiter(call ids.CallID) *callWaiter {
-	w := &callWaiter{
-		replies: make(chan invReply, 64),
-		set:     make(chan *invReplySet, 1),
+// registerWaiter installs the reply sink for one call. servers is how many
+// direct replies a closed-style call can expect — one per server, so the
+// sink never drops one the call still needs; an open-style call passes 0
+// and gets no direct-reply sink at all (it is answered through set).
+func (s *Service) registerWaiter(call ids.CallID, servers int) *callWaiter {
+	w := &callWaiter{set: make(chan *invReplySet, 1)}
+	if servers > 0 {
+		w.replies = make(chan invReply, servers)
 	}
 	s.mu.Lock()
 	s.waiters[call] = w
@@ -168,10 +171,15 @@ func (s *Service) registerWaiter(call ids.CallID) *callWaiter {
 	return w
 }
 
-// dropWaiter removes the reply sink for one call.
-func (s *Service) dropWaiter(call ids.CallID) {
+// dropWaiter removes w as the reply sink of its call. A retry under the
+// same call identifier may already have installed its own sink (a
+// completed call's goroutine gets here after its caller has moved on);
+// that one stays.
+func (s *Service) dropWaiter(call ids.CallID, w *callWaiter) {
 	s.mu.Lock()
-	delete(s.waiters, call)
+	if s.waiters[call] == w {
+		delete(s.waiters, call)
+	}
 	s.mu.Unlock()
 }
 
@@ -185,21 +193,42 @@ func (s *Service) routeReply(rep invReply) {
 	}
 	select {
 	case w.replies <- rep:
-	default: // waiter saturated; the call already has what it needs
+	default: // no sink (open-style call) or saturated: the call already has what it needs
 	}
 }
 
-// routeReplySet hands an open-style aggregated reply to its waiter.
-func (s *Service) routeReplySet(set *invReplySet) {
+// routeReplySet hands an open-style aggregated reply to its waiter and
+// reports whether the call has one.
+func (s *Service) routeReplySet(set *invReplySet) bool {
 	s.mu.Lock()
 	w := s.waiters[set.Call]
 	s.mu.Unlock()
 	if w == nil {
-		return
+		return false
 	}
 	select {
 	case w.set <- set:
 	default:
+	}
+	return true
+}
+
+// consumeEvents hands g's events to fn in delivery order, one blocking
+// batch pull at a time, until g closes (Leave or node close) or fn returns
+// false. Every group loop of the invocation layer runs on it.
+func consumeEvents(g *gcs.Group, fn func(gcs.Event) bool) {
+	evs := make([]gcs.Event, transport.RecvBurst)
+	for {
+		n, ok := g.Recv(evs)
+		if !ok {
+			return
+		}
+		for _, ev := range evs[:n] {
+			if !fn(ev) {
+				return
+			}
+		}
+		clear(evs[:n]) // an idle loop must not pin the last burst's payloads
 	}
 }
 

@@ -65,6 +65,7 @@ func (w *shardWorld) addShardGroup(name string, nReplicas int) core.ShardSpec {
 	w.t.Helper()
 	gid := ids.GroupID(name)
 	var contact ids.ProcessID
+	var srvs []*core.Server
 	for r := 0; r < nReplicas; r++ {
 		id := ids.ProcessID(fmt.Sprintf("%s-r%d", name, r))
 		ep, err := w.net.Endpoint(id, netsim.SiteLAN)
@@ -76,20 +77,23 @@ func (w *shardWorld) addShardGroup(name string, nReplicas int) core.ShardSpec {
 		w.t.Cleanup(func() { _ = svc.Close() })
 		st := shard.NewStore(name)
 		w.stores[name] = append(w.stores[name], st)
-		if _, err := svc.Serve(w.ctx, core.ServeConfig{
+		srv, err := svc.Serve(w.ctx, core.ServeConfig{
 			Group:    gid,
 			Contact:  contact,
 			Handler:  st.Handle,
 			Snapshot: st.Snapshot,
 			Restore:  st.Restore,
 			GCS:      shardTimers(),
-		}); err != nil {
+		})
+		if err != nil {
 			w.t.Fatalf("serve %s: %v", id, err)
 		}
+		srvs = append(srvs, srv)
 		if r == 0 {
 			contact = id
 		}
 	}
+	awaitRosters(w.t, srvs)
 	return core.ShardSpec{Name: name, Group: gid, Contact: contact}
 }
 

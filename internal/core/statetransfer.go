@@ -118,57 +118,61 @@ func (s *Service) ServeReplica(ctx context.Context, cfg ServeConfig) (*Server, e
 	return s.serve(ctx, cfg, true)
 }
 
-// drainCatchup buffers deliveries until the snapshot is installed, then
-// replays the uncovered suffix. Runs as the prologue of groupLoop.
-func (srv *Server) drainCatchup(ctx context.Context) error {
-	type buffered struct {
-		stamp vclock.Stamp
-		req   *invRequest
+// bufferedReq is one execution request delivered during the prologue.
+type bufferedReq struct {
+	stamp vclock.Stamp
+	req   *invRequest
+}
+
+// bufferForCatchup parks ev if it is an execution request delivered while
+// the snapshot is still being fetched, and reports whether it did.
+// Everything else (hellos, views, replies) flows through the regular
+// machinery so the roster and views stay current.
+func (srv *Server) bufferForCatchup(ev gcs.Event) bool {
+	if ev.Type != gcs.EventDeliver {
+		return false
 	}
-	var buf []buffered
+	srv.catchMu.Lock()
+	defer srv.catchMu.Unlock()
+	if !srv.catching {
+		return false
+	}
+	msg, err := decodePayload(ev.Deliver.Payload)
+	if err != nil {
+		return false
+	}
+	req, ok := msg.(*invRequest)
+	if !ok || !(req.Forwarded || req.Style == Closed) {
+		return false
+	}
+	srv.catchBuf = append(srv.catchBuf, bufferedReq{stamp: ev.Deliver.Stamp, req: req})
+	return true
+}
 
-	// Buffer deliveries while fetching the snapshot concurrently; the
-	// fetch is an ORB call and must not block the delivery stream (the
-	// donor may need our flush participation to make progress).
-	snapDone := make(chan error, 1)
-	go func() { snapDone <- srv.catchUp(ctx, srv.cfg.Contact) }()
-
-	for {
-		select {
-		case err := <-snapDone:
-			if err != nil {
-				return err
-			}
-			// Replay the suffix not covered by the snapshot, in order.
-			srv.execMu.Lock()
-			cover := srv.lastExec
-			srv.execMu.Unlock()
-			for _, e := range buf {
-				if !cover.Less(e.stamp) {
-					continue // already inside the snapshot
-				}
-				srv.applyDelivered(e.req, e.stamp)
-			}
-			return nil
-		case ev, ok := <-srv.group.Events():
-			if !ok {
-				return ErrClosed
-			}
-			if ev.Type == gcs.EventDeliver {
-				if msg, err := decodePayload(ev.Deliver.Payload); err == nil {
-					if req, okReq := msg.(*invRequest); okReq && (req.Forwarded || req.Style == Closed) {
-						buf = append(buf, buffered{stamp: ev.Deliver.Stamp, req: req})
-						continue
-					}
-				}
-			}
-			// Everything else (hellos, views, replies) flows through the
-			// regular machinery so the roster and views stay current.
-			srv.handleGroupEvent(ev)
-		case <-ctx.Done():
-			return fmt.Errorf("core: state transfer: %w", ctx.Err())
+// transferState fetches and installs the snapshot while groupLoop keeps
+// consuming — the fetch is an ORB call and must not block the delivery
+// stream (the donor may need our flush participation to make progress) —
+// then replays the buffered suffix the snapshot does not cover, in order,
+// and lets executions through.
+func (srv *Server) transferState(ctx context.Context) error {
+	ctx, cancel := context.WithTimeout(ctx, srv.rmWait)
+	defer cancel()
+	if err := srv.catchUp(ctx, srv.cfg.Contact); err != nil {
+		return err
+	}
+	srv.catchMu.Lock()
+	defer srv.catchMu.Unlock()
+	srv.execMu.Lock()
+	cover := srv.lastExec
+	srv.execMu.Unlock()
+	for _, e := range srv.catchBuf {
+		if cover.Less(e.stamp) { // not already inside the snapshot
+			srv.applyDelivered(e.req, e.stamp)
 		}
 	}
+	srv.catchBuf = nil
+	srv.catching = false
+	return nil
 }
 
 // applyDelivered executes one buffered or live request with full

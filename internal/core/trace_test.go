@@ -54,13 +54,7 @@ func newTracedWorld(t *testing.T, nServers, nClients int) *tracedWorld {
 			contact = id
 		}
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for len(w.srvs[0].ServerRoster()) != nServers {
-		if time.Now().After(deadline) {
-			t.Fatalf("roster never converged: %v", w.srvs[0].ServerRoster())
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	awaitRosters(t, w.srvs)
 	for i := 0; i < nClients; i++ {
 		id := ids.ProcessID(fmt.Sprintf("z%02d", i))
 		ep, err := w.net.Endpoint(id, netsim.SiteLAN)

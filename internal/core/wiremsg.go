@@ -135,6 +135,20 @@ func getReply(r *wire.Reader) invReply {
 	}
 }
 
+// peekReplyCall reads just the head of a payload: whether it is a replica's
+// reply, and to which call. It decodes nothing else and allocates nothing;
+// client aliases b.
+func peekReplyCall(b []byte) (client []byte, number uint64, ok bool) {
+	var r wire.Reader
+	r.Reset(b)
+	if r.Byte() != payloadReply {
+		return nil, 0, false
+	}
+	client = r.BlobRef() // a string on the wire: same length-prefixed layout
+	number = r.Uvarint()
+	return client, number, r.Err() == nil
+}
+
 func putStamp(w *wire.Writer, s vclock.Stamp) {
 	w.Uvarint(s.Time)
 	w.String(string(s.Sender))

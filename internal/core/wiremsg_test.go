@@ -284,3 +284,44 @@ func TestReplyCacheEviction(t *testing.T) {
 		t.Fatal("put must not overwrite the retained reply")
 	}
 }
+
+// TestPeekReplyCall checks the head peek against the full decode: it must
+// name the same call for a reply and decline every other payload kind.
+func TestPeekReplyCall(t *testing.T) {
+	rep := invReply{Call: ids.CallID{Client: "z00", Number: 77}, Server: "s01", Payload: []byte("v")}
+	client, number, ok := peekReplyCall(encodeReply(rep))
+	if !ok || string(client) != "z00" || number != 77 {
+		t.Fatalf("peek = %q, %d, %v; want z00, 77, true", client, number, ok)
+	}
+	for name, b := range map[string][]byte{
+		"request":   encodeRequest(&invRequest{Call: rep.Call, Method: "m"}),
+		"hello":     encodeHello(),
+		"reply set": encodeReplySet(&invReplySet{Call: rep.Call}),
+		"empty":     nil,
+		"truncated": encodeReply(rep)[:3],
+	} {
+		if _, _, ok := peekReplyCall(b); ok {
+			t.Errorf("peek accepted a %s payload as a reply", name)
+		}
+	}
+}
+
+// TestAllocGuardUncollectedReply budgets what every replica that is not a
+// call's request manager pays per delivered reply: the head peek and the
+// collector lookup, with no decode and no allocation.
+func TestAllocGuardUncollectedReply(t *testing.T) {
+	srv := &Server{collectors: map[ids.CallID]*collector{{Client: "z01", Number: 1}: nil}}
+	payload := encodeReply(invReply{Call: ids.CallID{Client: "z00", Number: 77}, Server: "s01", Payload: make([]byte, 100)})
+	avg := testing.AllocsPerRun(200, func() {
+		if !srv.uncollectedReply(payload) {
+			t.Fatal("a reply with no collector must be skipped")
+		}
+	})
+	if avg != 0 {
+		t.Fatalf("skipping an uncollected reply allocates %.1f/op, budget 0", avg)
+	}
+	srv.collectors[ids.CallID{Client: "z00", Number: 77}] = nil
+	if srv.uncollectedReply(payload) {
+		t.Fatal("a reply whose call has a collector must be decoded")
+	}
+}

@@ -31,9 +31,16 @@ func newNullEP(id ids.ProcessID) *nullEP {
 	return &nullEP{id: id, in: make(chan transport.Inbound)}
 }
 
-func (e *nullEP) ID() ids.ProcessID                        { return e.id }
+func (e *nullEP) ID() ids.ProcessID                           { return e.id }
 func (e *nullEP) Send(to ids.ProcessID, payload []byte) error { return nil }
-func (e *nullEP) Inbound() <-chan transport.Inbound        { return e.in }
+func (e *nullEP) Inbound() <-chan transport.Inbound           { return e.in }
+
+// Recv parks the node's receive loop until Close.
+func (e *nullEP) Recv([]transport.Inbound) (int, bool) {
+	<-e.in
+	return 0, false
+}
+
 func (e *nullEP) Close() error {
 	select {
 	case <-e.in:
@@ -200,5 +207,49 @@ func TestAllocGuardDecode(t *testing.T) {
 	const budget = 7 // measured 5.0 after the overhaul (15.0 on the seed)
 	if avg > budget {
 		t.Fatalf("decode allocates %.1f/op, budget %d", avg, budget)
+	}
+}
+
+// TestAllocGuardMuxedBroadcast pins the headroom framing: over a Mux
+// channel the encoded buffer is the wire frame, so a broadcast allocates
+// that one buffer however many destinations it has. (Before, the channel
+// copied the frame once per destination to prepend its protocol byte.)
+func TestAllocGuardMuxedBroadcast(t *testing.T) {
+	mux := transport.NewMux(newNullEP("b/me"))
+	defer mux.Close()
+	n := NewNode(mux.Channel(transport.ProtoGCS))
+	defer n.Close()
+	g, err := n.Create("alloc", quiescentConfig(OrderSequencer))
+	if err != nil {
+		t.Fatal(err)
+	}
+	peers := []ids.ProcessID{"a/p", "c/q", "d/r", "e/s", "f/t", "g/u"}
+	g.mu.Lock()
+	g.installViewLocked(View{Seq: 2, Installer: "b/me", Members: ids.SortProcesses(append([]ids.ProcessID{"b/me"}, peers...))})
+	g.mu.Unlock()
+	m := &dataMsg{
+		Group:         "alloc",
+		ViewSeq:       2,
+		ViewInstaller: "b/me",
+		Sender:        "b/me",
+		Seq:           1,
+		Lamport:       1,
+		VC:            make([]uint64, 7),
+		Acks:          make([]uint64, 7),
+		Payload:       make([]byte, 64),
+	}
+	broadcast := func() {
+		g.mu.Lock()
+		g.broadcastLocked(m)
+		g.mu.Unlock()
+	}
+	for i := 0; i < 16; i++ {
+		broadcast() // per-link metric slots are created on first contact
+	}
+	avg := testing.AllocsPerRun(200, broadcast)
+	t.Logf("broadcast to %d destinations over a mux channel: %.1f allocs/op", len(peers), avg)
+	const budget = 1 // the detached frame; 7 with the per-destination copy
+	if avg > budget {
+		t.Fatalf("muxed broadcast allocates %.1f/op, budget %d", avg, budget)
 	}
 }

@@ -29,6 +29,7 @@ func TestAllocCrossCheckStaticVsRuntime(t *testing.T) {
 	var pkgs []*lint.Package
 	for _, path := range []string{
 		"newtop/internal/gcs",
+		"newtop/internal/transport",
 		"newtop/internal/transport/tcpnet",
 		"newtop/internal/obs/flight",
 		"newtop/internal/core",
@@ -53,7 +54,7 @@ func TestAllocCrossCheckStaticVsRuntime(t *testing.T) {
 		runtime int
 	}{
 		{"newtop/internal/gcs.(*Group).Multicast", 8},        // multicast→deliver budget
-		{"newtop/internal/gcs.encodeMessage", 2},             // encode budget
+		{"newtop/internal/gcs.encodeFramed", 2},              // encode budget
 		{"newtop/internal/gcs.decodeMessage", 7},             // decode budget
 		{"newtop/internal/gcs.(*Node).dispatch", 7},          // ingest ≥ decode budget
 		{"newtop/internal/core.(*Server).serveReadLocal", 8}, // leased-read budget

@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"newtop/internal/ids"
+	"newtop/internal/transport"
 	"newtop/internal/vclock"
 )
 
@@ -201,8 +202,16 @@ func MergeDomain(groups ...*Group) <-chan Event {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for ev := range g.Events() {
-				merged <- ev
+			evs := make([]Event, transport.RecvBurst)
+			for {
+				n, ok := g.Recv(evs)
+				if !ok {
+					return
+				}
+				for _, ev := range evs[:n] {
+					merged <- ev
+				}
+				clear(evs[:n]) // an idle loop must not pin the last burst's payloads
 			}
 		}()
 	}

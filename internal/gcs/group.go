@@ -265,9 +265,17 @@ func (g *Group) Me() ids.ProcessID { return g.me }
 // Config returns the group configuration (with defaults applied).
 func (g *Group) Config() GroupConfig { return g.cfg }
 
-// Events returns the ordered stream of deliveries and view changes. The
-// channel closes after Leave (or node close).
+// Events returns the ordered stream of deliveries and view changes as a
+// channel, which closes after Leave (or node close). It is the
+// application-facing adaptor over the queue Recv pulls from; a group has
+// exactly one consumption mode (Events, Recv or SetHandler).
 func (g *Group) Events() <-chan Event { return g.events.Out() }
+
+// Recv blocks until at least one event is queued, then moves up to
+// len(dst) of them into dst in delivery order. ok is false after Leave
+// (or node close); events still queued then are dropped, as on the
+// channel. The invocation layer's group loops consume through it.
+func (g *Group) Recv(dst []Event) (n int, ok bool) { return g.events.PopBatch(dst) }
 
 // View returns the currently installed view (zero View while joining).
 func (g *Group) View() View {
@@ -348,7 +356,7 @@ func (g *Group) Suspect(p ids.ProcessID) {
 	g.unparkLocked()
 	g.suspects[p] = true
 	if coord := g.actingCoordinator(); coord != g.me {
-		g.sendLocked(coord, encodeMessage(&suspectMsg{Group: g.id, Accused: p}))
+		g.sendLocked(coord, g.node.encode(&suspectMsg{Group: g.id, Accused: p}))
 		return
 	}
 	g.maybeStartFlushLocked()
@@ -523,9 +531,9 @@ func (g *Group) flushBatchLocked() {
 	}
 	var enc []byte
 	if len(msgs) == 1 {
-		enc = encodeMessage(msgs[0])
+		enc = g.node.encode(msgs[0])
 	} else {
-		enc = encodeMessage(&batchMsg{Group: g.id, Msgs: msgs})
+		enc = g.node.encode(&batchMsg{Group: g.id, Msgs: msgs})
 	}
 	DebugCounters.Batches.Add(1)
 	g.frRecord(flight.EvBatchFlush, g.midx.me, msgs[0].Seq, uint64(len(msgs)), 0)
@@ -549,7 +557,7 @@ func (g *Group) flushBatchLocked() {
 
 // broadcastLocked transmits an encoded message to every other view member.
 func (g *Group) broadcastLocked(m *dataMsg) {
-	enc := encodeMessage(m)
+	enc := g.node.encode(m)
 	for _, p := range g.view.Members {
 		if p != g.me {
 			g.sendLocked(p, enc) // best-effort; resend machinery recovers
@@ -560,10 +568,11 @@ func (g *Group) broadcastLocked(m *dataMsg) {
 // sendLocked transmits one encoded protocol message, counting the bytes
 // against the group's wire totals.
 func (g *Group) sendLocked(to ids.ProcessID, enc []byte) {
-	g.stats.BytesSent += uint64(len(enc))
-	g.metrics.bytesSent.Add(uint64(len(enc)))
+	size := uint64(len(enc) - len(g.node.hdr))
+	g.stats.BytesSent += size
+	g.metrics.bytesSent.Add(size)
 	//lint:ok lockblock endpoints are non-blocking by contract (netsim queues, loopback drops); holding g.mu here keeps send order = ingest order
-	_ = g.node.ep.Send(to, enc) //lint:ok errdrop best-effort: the resend machinery in tick.go recovers lost protocol messages
+	_ = g.node.out.SendFrame(to, enc) //lint:ok errdrop best-effort: the resend machinery in tick.go recovers lost protocol messages
 }
 
 // sendVCLocked snapshots the causal context of a new send into the
@@ -1383,11 +1392,11 @@ func (g *Group) installViewLocked(v View) {
 	// requesters retry.
 	if coord := g.actingCoordinator(); coord != g.me {
 		for p := range g.pendingJoins {
-			g.sendLocked(coord, encodeMessage(&joinMsg{Group: g.id, Joiner: p}))
+			g.sendLocked(coord, g.node.encode(&joinMsg{Group: g.id, Joiner: p}))
 		}
 		g.pendingJoins = make(map[ids.ProcessID]bool)
 		for p := range g.pendingLeaves {
-			g.sendLocked(coord, encodeMessage(&leaveMsg{Group: g.id, Leaver: p}))
+			g.sendLocked(coord, g.node.encode(&leaveMsg{Group: g.id, Leaver: p}))
 		}
 		g.pendingLeaves = make(map[ids.ProcessID]bool)
 	} else if len(g.pendingJoins)+len(g.pendingLeaves) > 0 {
@@ -1406,7 +1415,7 @@ func (g *Group) Leave() error {
 	}
 	coord := g.actingCoordinator()
 	me := g.me
-	enc := encodeMessage(&leaveMsg{Group: g.id, Leaver: me})
+	enc := g.node.encode(&leaveMsg{Group: g.id, Leaver: me})
 	// Push any batched messages onto the wire before departing; the
 	// remaining members would otherwise only recover them through resends
 	// directed at a process that is gone.

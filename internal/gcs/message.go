@@ -370,11 +370,15 @@ func (d *decoder) getDataList(r *wire.Reader) []*dataMsg {
 	return out
 }
 
-// encodeMessage serialises any of the GCS message structs. The writer is
-// pooled: the returned slice is a detached exact-size copy, safe to hand
-// to the transport (which retains payloads by reference).
-func encodeMessage(msg any) []byte {
+// encodeFramed serialises msg behind the node's frame header (see
+// transport.Framing). The writer is pooled: the returned slice is a
+// detached exact-size copy, safe to hand to the transport (which retains
+// payloads by reference).
+func encodeFramed(hdr []byte, msg any) []byte {
 	w := wire.GetWriter()
+	for _, b := range hdr {
+		w.Byte(b)
+	}
 	switch m := msg.(type) {
 	case *dataMsg:
 		w.Byte(kindData)

@@ -10,6 +10,11 @@ import (
 )
 
 // randomData builds an arbitrary dataMsg from a rand source.
+// encodeMessage serialises msg unframed, as a node on a bare endpoint
+// does. Product code encodes through Node.encode only: a frame without
+// the node's header would be refused by a Mux channel.
+func encodeMessage(msg any) []byte { return encodeFramed(nil, msg) }
+
 func randomData(r *rand.Rand) *dataMsg {
 	procs := []ids.ProcessID{"a", "b", "c", "d"}
 	m := &dataMsg{

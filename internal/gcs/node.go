@@ -39,7 +39,13 @@ func (c NodeConfig) withDefaults() NodeConfig {
 // endpoint, and all of its groups share one Lamport clock — the property
 // that preserves causality across overlapping groups (paper fig. 7).
 type Node struct {
-	ep      transport.Endpoint
+	ep transport.Endpoint
+	// Every frame the node encodes starts with hdr and leaves through out
+	// (transport.Framing): over a Mux channel the encoded buffer is the
+	// wire frame, shared by every destination of a multicast.
+	out transport.FrameSender
+	hdr []byte
+
 	cfg     NodeConfig
 	clock   *vclock.Lamport
 	dom     *domainRegistry
@@ -92,11 +98,16 @@ func NewNodeCfg(ep transport.Endpoint, o *obs.Obs, cfg NodeConfig) *Node {
 		groups:   make(map[ids.GroupID]*Group),
 		recvDone: make(chan struct{}),
 	}
+	n.out = transport.Framing(ep)
+	n.hdr = n.out.FrameHeader()
 	n.wheel = newWheel(o)
 	n.disp = newDispatcher(cfg.DispatchWorkers, o)
 	go n.recvLoop()
 	return n
 }
+
+// encode serialises one protocol message as a frame for out.
+func (n *Node) encode(msg any) []byte { return encodeFramed(n.hdr, msg) }
 
 // WheelStats exposes the shared timer wheel's instantaneous depth and
 // cumulative sweep cost (for the manygroups scale bench and tests).
@@ -162,7 +173,7 @@ func (n *Node) Join(ctx context.Context, id ids.GroupID, contact ids.ProcessID, 
 	n.groups[id] = g
 	n.mu.Unlock()
 
-	join := encodeMessage(&joinMsg{Group: id, Joiner: n.ID()})
+	join := n.encode(&joinMsg{Group: id, Joiner: n.ID()})
 	// Join requests are idempotent, so retry briskly: a request can race a
 	// concurrent view change and be parked or dropped.
 	retry := cfg.FlushTimeout / 2
@@ -173,7 +184,7 @@ func (n *Node) Join(ctx context.Context, id ids.GroupID, contact ids.ProcessID, 
 		retry = 50 * time.Millisecond
 	}
 	for {
-		_ = n.ep.Send(contact, join) //lint:ok errdrop best-effort: this loop resends the join until accepted or the context ends
+		_ = n.out.SendFrame(contact, join) //lint:ok errdrop best-effort: this loop resends the join until accepted or the context ends
 
 		deadline := time.NewTimer(retry)
 		select {
@@ -258,12 +269,6 @@ func (n *Node) Close() error {
 	return err
 }
 
-// recvBurst caps how many already-queued inbound frames one receive pass
-// drains before processing. Bursts only form when the transport outruns
-// the event loop; the cap bounds how long the first frame of a burst
-// waits behind its successors' decode step.
-const recvBurst = 64
-
 // inFrame is one decoded inbound frame awaiting dispatch.
 type inFrame struct {
 	from ids.ProcessID
@@ -272,44 +277,32 @@ type inFrame struct {
 	size int
 }
 
-// recvLoop drains the endpoint. Frames are taken in opportunistic bursts:
-// one blocking receive, then whatever else is already queued (up to
-// recvBurst). Consecutive data-carrying frames for the same group are
-// ingested under one lock hold with a single post-ingest tail
-// (Group.handleBurst); everything else — membership, flush, suspicion
-// traffic — is handled one frame at a time exactly as before, and runs of
+// recvLoop drains the endpoint one batch pull at a time: whatever the
+// transport queued since the last pull (up to transport.RecvBurst frames)
+// is decoded and dispatched together. Consecutive data-carrying frames
+// for the same group are ingested under one lock hold with a single
+// post-ingest tail (Group.handleBurst); everything else — membership,
+// flush, suspicion traffic — is handled one frame at a time, and runs of
 // different groups' frames stay in arrival order, preserving the
 // transport's per-link FIFO processing.
 func (n *Node) recvLoop() {
 	defer close(n.recvDone)
-	inCh := n.ep.Inbound()
-	frames := make([]inFrame, 0, recvBurst)
-	run := make([]any, 0, recvBurst)
-	for in := range inCh {
-		frames = frames[:0]
-		if f, ok := n.decodeFrame(in); ok {
-			frames = append(frames, f)
-		}
-		open := true
-	drain:
-		for open && len(frames) < recvBurst {
-			select {
-			case more, chOpen := <-inCh:
-				if !chOpen {
-					open = false
-					break drain
-				}
-				if f, ok := n.decodeFrame(more); ok {
-					frames = append(frames, f)
-				}
-			default:
-				break drain
-			}
-		}
-		n.dispatch(frames, &run)
-		if !open {
+	in := make([]transport.Inbound, transport.RecvBurst)
+	frames := make([]inFrame, 0, transport.RecvBurst)
+	run := make([]any, 0, transport.RecvBurst)
+	for {
+		got, ok := transport.Recv(n.ep, in)
+		if !ok {
 			return
 		}
+		frames = frames[:0]
+		for i := range in[:got] {
+			if f, ok := n.decodeFrame(in[i]); ok {
+				frames = append(frames, f)
+			}
+		}
+		clear(in[:got]) // an idle loop must not pin the last burst's frames
+		n.dispatch(frames, &run)
 	}
 }
 

@@ -85,7 +85,7 @@ func (g *Group) tick(now time.Time) {
 			if now.Sub(g.lastHeard[q]) > g.cfg.SuspectTimeout {
 				g.suspects[q] = true
 				if coord := g.actingCoordinator(); coord != g.me {
-					enc := encodeMessage(&suspectMsg{Group: g.id, Accused: q})
+					enc := g.node.encode(&suspectMsg{Group: g.id, Accused: q})
 					g.sendLocked(coord, enc)
 				}
 			}
@@ -246,7 +246,7 @@ func (g *Group) resendLocked(now time.Time) {
 			if !ok {
 				continue
 			}
-			g.sendLocked(q, encodeMessage(m))
+			g.sendLocked(q, g.node.encode(m))
 		}
 	}
 }

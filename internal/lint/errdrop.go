@@ -7,7 +7,8 @@ import (
 )
 
 // ErrDrop flags discarded error returns on the send paths: calls to
-// transport.Endpoint.Send and gcs.Group.Multicast whose error result is
+// transport.Endpoint.Send, transport.FrameSender.SendFrame and
+// gcs.Group.Multicast whose error result is
 // thrown away, either by a bare expression statement or by assigning
 // every result to the blank identifier. The
 // protocol tolerates lost messages (the resend machinery recovers), so
@@ -95,8 +96,8 @@ func sendPathCallee(fn *types.Func) string {
 		rname = n.Obj().Name()
 	}
 	switch {
-	case hasPathSuffix(rpkg, "internal/transport") && fn.Name() == "Send":
-		return "(" + rname + ").Send"
+	case hasPathSuffix(rpkg, "internal/transport") && (fn.Name() == "Send" || fn.Name() == "SendFrame"):
+		return "(" + rname + ")." + fn.Name()
 	case hasPathSuffix(rpkg, "internal/gcs") && rname == "Group" && fn.Name() == "Multicast":
 		return "(gcs.Group).Multicast"
 	}

@@ -9,11 +9,12 @@ import (
 // GoOrphan flags `go` statements that spawn an unstoppable goroutine: one
 // whose body (followed through same-package static calls) contains an
 // unconditional `for` loop but no stop signal — no channel receive or
-// select, no range over a channel, no context.Context, and no
-// sync.WaitGroup accounting. Every pump in this codebase (transport
-// receive loops, gcs tick loops, ORB collectors) must be reapable by
-// Stop/Close, or netsim worlds and long-running nodes leak goroutines;
-// the leakcheck test helper is the runtime twin of this rule.
+// select, no range over a channel, no context.Context, no sync.WaitGroup
+// accounting, and no batch pull (queue.FIFO.PopBatch, Endpoint.Recv,
+// gcs.Group.Recv) whose ok result ends the loop. Every pump in this
+// codebase (transport receive loops, gcs tick loops, ORB collectors) must
+// be reapable by Stop/Close, or netsim worlds and long-running nodes leak
+// goroutines; the leakcheck test helper is the runtime twin of this rule.
 //
 // Goroutines that run bounded work and exit are fine without a stop
 // signal; the rule only fires when an infinite loop is reachable.
@@ -60,7 +61,7 @@ func runGoOrphan(p *Package) []Diagnostic {
 			if body == nil {
 				return true // dynamic or cross-package target: not analyzable
 			}
-			g := &orphanScan{p: p, decls: decls, seen: map[*ast.BlockStmt]bool{}}
+			g := &orphanScan{p: p, decls: decls, seen: map[*ast.BlockStmt]bool{}, pullOK: map[types.Object]bool{}}
 			g.scan(body)
 			if g.infiniteLoop && !g.stopSignal {
 				diags = append(diags, Diagnostic{
@@ -84,6 +85,10 @@ type orphanScan struct {
 
 	infiniteLoop bool
 	stopSignal   bool
+	// pullOK holds the ok results of batch pulls seen so far: closing the
+	// pull's source turns ok false, so a loop that leaves on !ok is
+	// reapable by Close.
+	pullOK map[types.Object]bool
 }
 
 func (g *orphanScan) scan(body *ast.BlockStmt) {
@@ -99,6 +104,15 @@ func (g *orphanScan) scan(body *ast.BlockStmt) {
 			}
 		case *ast.SelectStmt:
 			g.stopSignal = true
+		case *ast.AssignStmt:
+			g.notePull(node)
+		case *ast.IfStmt:
+			if init, ok := node.Init.(*ast.AssignStmt); ok {
+				g.notePull(init)
+			}
+			if g.leavesOnPullClosed(node) {
+				g.stopSignal = true
+			}
 		case *ast.UnaryExpr:
 			if node.Op == token.ARROW {
 				g.stopSignal = true
@@ -131,4 +145,57 @@ func (g *orphanScan) scan(body *ast.BlockStmt) {
 		}
 		return true
 	})
+}
+
+// notePull records the ok variable of `n, ok := <batch pull>(...)`.
+func (g *orphanScan) notePull(as *ast.AssignStmt) {
+	if len(as.Lhs) != 2 || len(as.Rhs) != 1 {
+		return
+	}
+	call, ok := ast.Unparen(as.Rhs[0]).(*ast.CallExpr)
+	if !ok {
+		return
+	}
+	if fn := calleeOf(g.p.Info, call); fn == nil || batchPull(fn) == "" {
+		return
+	}
+	id, ok := as.Lhs[1].(*ast.Ident)
+	if !ok || id.Name == "_" {
+		return
+	}
+	obj := g.p.Info.Defs[id]
+	if obj == nil {
+		obj = g.p.Info.Uses[id]
+	}
+	if obj != nil {
+		g.pullOK[obj] = true
+	}
+}
+
+// leavesOnPullClosed reports whether st is `if !ok { ... return/break }`
+// for the ok of a batch pull.
+func (g *orphanScan) leavesOnPullClosed(st *ast.IfStmt) bool {
+	not, ok := ast.Unparen(st.Cond).(*ast.UnaryExpr)
+	if !ok || not.Op != token.NOT {
+		return false
+	}
+	id, ok := ast.Unparen(not.X).(*ast.Ident)
+	if !ok || !g.pullOK[g.p.Info.Uses[id]] {
+		return false
+	}
+	leaves := false
+	ast.Inspect(st.Body, func(n ast.Node) bool {
+		switch s := n.(type) {
+		case *ast.ReturnStmt:
+			leaves = true
+		case *ast.BranchStmt:
+			if s.Tok == token.BREAK {
+				leaves = true
+			}
+		case *ast.FuncLit:
+			return false
+		}
+		return !leaves
+	})
+	return leaves
 }

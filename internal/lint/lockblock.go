@@ -11,8 +11,9 @@ import (
 // LockBlock flags operations that can block while a sync.Mutex/RWMutex
 // may be held: channel sends and receives, selects without a default,
 // ranging over a channel, time.Sleep, sync.Cond/WaitGroup waits, network
-// I/O (transport.Endpoint.Send, package net), the blocking gcs entry
-// points (Group.Multicast/Leave, Node.Join/Close) and the blocking core
+// I/O (transport.Endpoint.Send, package net), the blocking batch pulls
+// (queue.FIFO.PopBatch, Endpoint.Recv, gcs.Group.Recv), the blocking gcs
+// entry points (Group.Multicast/Leave, Node.Join/Close) and the blocking core
 // invocation surface (Binding/Proxy/G2G Call/Read/Invoke/InvokeCall wait for
 // replies, InvokeAsync blocks on a full call window, Call.Await parks
 // until the future completes). Every gcs event-loop method runs under the
@@ -422,12 +423,15 @@ func blockingCallee(fn *types.Func) string {
 	case "net":
 		return "net." + fn.Name() + " (network I/O)"
 	}
+	if pull := batchPull(fn); pull != "" {
+		return pull + " (parks until an item arrives or its source closes)"
+	}
 	rt := recvTypeOf(fn)
 	if rt == nil {
 		return ""
 	}
 	rpkg := pkgPathOf(rt)
-	if hasPathSuffix(rpkg, "internal/transport") && fn.Name() == "Send" {
+	if hasPathSuffix(rpkg, "internal/transport") && (fn.Name() == "Send" || fn.Name() == "SendFrame") {
 		return "transport send (network I/O)"
 	}
 	if hasPathSuffix(rpkg, "internal/gcs") {
@@ -456,6 +460,31 @@ func blockingCallee(fn *types.Func) string {
 				return "core." + n + ".InvokeAsync (blocks on a full call window)"
 			}
 		}
+	}
+	return ""
+}
+
+// batchPull names fn when it is one of the blocking batch pulls every
+// product receive loop is built on — queue.FIFO.PopBatch, an endpoint's
+// Recv (or the transport.Recv helper) and gcs.Group.Recv — "" otherwise.
+// Each parks its caller until an item arrives and reports ok=false once
+// its source is closed, which is the loop's stop signal (see goorphan).
+func batchPull(fn *types.Func) string {
+	rt := recvTypeOf(fn)
+	if rt == nil {
+		if fn.Pkg() != nil && hasPathSuffix(fn.Pkg().Path(), "internal/transport") && fn.Name() == "Recv" {
+			return "transport.Recv"
+		}
+		return ""
+	}
+	rpkg := pkgPathOf(rt)
+	switch {
+	case hasPathSuffix(rpkg, "internal/queue") && fn.Name() == "PopBatch":
+		return "queue.FIFO.PopBatch"
+	case hasPathSuffix(rpkg, "internal/transport") && fn.Name() == "Recv":
+		return "transport Recv"
+	case hasPathSuffix(rpkg, "internal/gcs") && fn.Name() == "Recv" && namedOrigin(rt).Obj().Name() == "Group":
+		return "gcs.Group.Recv"
 	}
 	return ""
 }

@@ -3,7 +3,11 @@
 // `// want` comments.
 package goorphan
 
-import "context"
+import (
+	"context"
+
+	"newtop/internal/queue"
+)
 
 type pump struct {
 	stop chan struct{}
@@ -141,6 +145,73 @@ func (p *pump) badFuturePoll(f *future) {
 				return
 			}
 			step()
+		}
+	}()
+}
+
+// --- Batch-pull loops (the receive path between socket and group) ---
+
+func handle(int) {}
+
+// A loop that leaves when its batch pull reports the source closed is
+// reapable: Close turns ok false. This is the shape of every converted
+// receive loop (Mux.pump, Node.recvLoop, ORB.recvLoop, core's group loops).
+func (p *pump) okBatchPull(f *queue.FIFO[int]) {
+	go func() {
+		dst := make([]int, 8)
+		for {
+			n, ok := f.PopBatch(dst)
+			if !ok {
+				return
+			}
+			for _, v := range dst[:n] {
+				handle(v)
+			}
+		}
+	}()
+}
+
+// The same loop through a helper, with break as the exit.
+func (p *pump) okBatchPullNamed(f *queue.FIFO[int]) {
+	go p.drain(f)
+}
+
+func (p *pump) drain(f *queue.FIFO[int]) {
+	dst := make([]int, 8)
+	for {
+		if n, ok := f.PopBatch(dst); !ok {
+			break
+		} else if n > 0 {
+			handle(dst[0])
+		}
+	}
+}
+
+// Ignoring ok spins forever on a closed FIFO: nothing stops it.
+func (p *pump) badBatchPullIgnoresClose(f *queue.FIFO[int]) {
+	go func() { // want goorphan "no stop signal"
+		dst := make([]int, 8)
+		for {
+			n, _ := f.PopBatch(dst)
+			for _, v := range dst[:n] {
+				handle(v)
+			}
+		}
+	}()
+}
+
+// Testing ok without leaving the loop is no stop signal either.
+func (p *pump) badBatchPullNeverLeaves(f *queue.FIFO[int]) {
+	go func() { // want goorphan "no stop signal"
+		dst := make([]int, 8)
+		for {
+			n, ok := f.PopBatch(dst)
+			if !ok {
+				step()
+			}
+			for _, v := range dst[:n] {
+				handle(v)
+			}
 		}
 	}()
 }

@@ -9,6 +9,9 @@ import (
 	"time"
 
 	"newtop/internal/core"
+	"newtop/internal/gcs"
+	"newtop/internal/queue"
+	"newtop/internal/transport"
 )
 
 type loop struct {
@@ -143,4 +146,38 @@ func (l *loop) launchThenAwait(b *core.Binding) {
 		return
 	}
 	_, _ = c.Await(context.Background())
+}
+
+// --- the batch pulls park until an item arrives or their source closes ---
+
+func (l *loop) popBatchHeld(f *queue.FIFO[int]) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	_, _ = f.PopBatch(make([]int, 4)) // want lockblock "queue.FIFO.PopBatch"
+}
+
+func (l *loop) endpointRecvHeld(ep transport.Endpoint, r transport.BatchReceiver) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	dst := make([]transport.Inbound, 4)
+	_, _ = r.Recv(dst)             // want lockblock "transport Recv"
+	_, _ = transport.Recv(ep, dst) // want lockblock "transport.Recv"
+}
+
+func (l *loop) groupRecvHeld(g *gcs.Group) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	_, _ = g.Recv(make([]gcs.Event, 4)) // want lockblock "gcs.Group.Recv"
+}
+
+// Pulling first and taking the lock per item is the correct shape.
+func (l *loop) pullThenLock(g *gcs.Group) {
+	evs := make([]gcs.Event, 4)
+	n, ok := g.Recv(evs)
+	if !ok {
+		return
+	}
+	l.mu.Lock()
+	_ = evs[:n]
+	l.mu.Unlock()
 }

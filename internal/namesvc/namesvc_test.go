@@ -50,14 +50,27 @@ func setup(t *testing.T) (*world, *namesvc.Client, *core.Service) {
 
 	// Naming group, two replicas.
 	var contact ids.ProcessID
+	var reps []*rsm.Replica
 	for i := 0; i < 2; i++ {
 		id := ids.ProcessID(fmt.Sprintf("ns%d", i))
 		svc := w.service(t, id)
-		if _, err := rsm.Serve(ctx, svc, rsm.Config{Group: "naming", Contact: contact, GCS: timers()}, namesvc.NewRegistry()); err != nil {
+		rep, err := rsm.Serve(ctx, svc, rsm.Config{Group: "naming", Contact: contact, GCS: timers()}, namesvc.NewRegistry())
+		if err != nil {
 			t.Fatalf("naming replica %d: %v", i, err)
 		}
+		reps = append(reps, rep)
 		if i == 0 {
 			contact = id
+		}
+	}
+	// A client learns the membership from the replica it dials; wait until
+	// every replica's roster is complete, not just the founder's.
+	for _, rep := range reps {
+		for len(rep.Roster()) != len(reps) {
+			if ctx.Err() != nil {
+				t.Fatalf("roster never converged: %v", rep.Roster())
+			}
+			time.Sleep(2 * time.Millisecond)
 		}
 	}
 

@@ -70,6 +70,11 @@ type response struct {
 // ORB is one process's object request broker.
 type ORB struct {
 	ep transport.Endpoint
+	// Every frame the ORB encodes starts with hdr and leaves through out
+	// (transport.Framing): over a Mux channel the encoded buffer is the
+	// wire frame, with no copy to make room for the protocol byte.
+	out transport.FrameSender
+	hdr []byte
 
 	// requests counts inbound invocations dispatched to servants;
 	// dispatch is the servant execution latency; inflightHigh is the
@@ -104,8 +109,20 @@ func NewObs(ep transport.Endpoint, ob *obs.Obs) *ORB {
 		calls:        make(map[uint64]chan response),
 		recvDone:     make(chan struct{}),
 	}
+	o.out = transport.Framing(ep)
+	o.hdr = o.out.FrameHeader()
 	go o.recvLoop()
 	return o
+}
+
+// newFrame returns a pooled writer holding the frame header and kind.
+func (o *ORB) newFrame(kind byte) *wire.Writer {
+	w := wire.GetWriter()
+	for _, b := range o.hdr {
+		w.Byte(b)
+	}
+	w.Byte(kind)
+	return w
 }
 
 // ID returns the hosting process identifier.
@@ -148,8 +165,7 @@ func (o *ORB) Invoke(ctx context.Context, ref Ref, method string, args []byte) (
 		o.mu.Unlock()
 	}()
 
-	w := wire.GetWriter()
-	w.Byte(kindRequest)
+	w := o.newFrame(kindRequest)
 	w.Uvarint(reqID)
 	w.String(ref.Object)
 	w.String(method)
@@ -157,7 +173,7 @@ func (o *ORB) Invoke(ctx context.Context, ref Ref, method string, args []byte) (
 	// Transports retain the frame by reference, so detach before recycling.
 	frame := w.Detach()
 	wire.PutWriter(w)
-	if err := o.ep.Send(ref.Target, frame); err != nil {
+	if err := o.out.SendFrame(ref.Target, frame); err != nil {
 		return nil, fmt.Errorf("invoke %s: %w", ref, err)
 	}
 
@@ -179,15 +195,14 @@ func (o *ORB) InvokeOneWay(ref Ref, method string, args []byte) error {
 	}
 	o.mu.Unlock()
 
-	w := wire.GetWriter()
-	w.Byte(kindOneWay)
+	w := o.newFrame(kindOneWay)
 	w.Uvarint(0)
 	w.String(ref.Object)
 	w.String(method)
 	w.Blob(args)
 	frame := w.Detach()
 	wire.PutWriter(w)
-	if err := o.ep.Send(ref.Target, frame); err != nil {
+	if err := o.out.SendFrame(ref.Target, frame); err != nil {
 		return fmt.Errorf("invoke oneway %s: %w", ref, err)
 	}
 	return nil
@@ -217,8 +232,16 @@ func (o *ORB) Close() error {
 
 func (o *ORB) recvLoop() {
 	defer close(o.recvDone)
-	for in := range o.ep.Inbound() {
-		o.dispatch(in)
+	batch := make([]transport.Inbound, transport.RecvBurst)
+	for {
+		n, ok := transport.Recv(o.ep, batch)
+		if !ok {
+			return
+		}
+		for _, in := range batch[:n] {
+			o.dispatch(in)
+		}
+		clear(batch[:n]) // an idle loop must not pin the last burst's frames
 	}
 }
 
@@ -286,8 +309,7 @@ func (o *ORB) serve(from ids.ProcessID, kind byte, reqID uint64, object string, 
 	if kind == kindOneWay {
 		return
 	}
-	w := wire.GetWriter()
-	w.Byte(kindReply)
+	w := o.newFrame(kindReply)
 	w.Uvarint(reqID)
 	if err != nil {
 		w.Byte(statusError)
@@ -300,5 +322,5 @@ func (o *ORB) serve(from ids.ProcessID, kind byte, reqID uint64, object string, 
 	}
 	frame := w.Detach()
 	wire.PutWriter(w)
-	_ = o.ep.Send(from, frame) //lint:ok errdrop best-effort: a lost reply looks like a lost request, and the client retries
+	_ = o.out.SendFrame(from, frame) //lint:ok errdrop best-effort: a lost reply looks like a lost request, and the client retries
 }

@@ -1,14 +1,20 @@
 // Package queue provides an unbounded, order-preserving FIFO that bridges
 // producers that must never block (network delivery paths, protocol state
-// machines) and consumers reading from a channel. It is the backpressure
-// boundary used by every layer of the system.
+// machines) and one consumer. It is the backpressure boundary used by
+// every layer of the system.
 package queue
 
 import "sync"
 
-// FIFO is an unbounded buffer with a channel-based consumer side. The zero
-// value is not usable; create with New. Closing discards pending items,
-// mirroring a socket close.
+// FIFO is an unbounded buffer. The zero value is not usable; create with
+// New. Closing discards pending items, mirroring a socket close.
+//
+// A FIFO has one consumption mode for its lifetime: the blocking batch
+// pull (PopBatch — what every product loop uses: one wake-up and one lock
+// hold move a whole burst, and no goroutine or channel rendezvous sits
+// between producer and consumer), the Out channel (a pump goroutine, one
+// rendezvous per item — the adaptor kept for applications and tests), or
+// TryPop alone.
 //
 // The buffer is a sliding window over one backing array: head indexes the
 // front element and pops advance it in place, so steady-state traffic
@@ -29,9 +35,9 @@ type FIFO[T any] struct {
 }
 
 // New returns a FIFO. The pump goroutine that feeds the Out channel is
-// started lazily by the first Out() call, so a FIFO consumed only through
-// TryPop — or never consumed at all, as with handler-mode gcs groups —
-// costs no goroutine. Call Close to stop it.
+// started lazily by the first Out() call, so a FIFO consumed through
+// PopBatch or TryPop — or never consumed at all, as with handler-mode gcs
+// groups — costs no goroutine. Call Close to stop it.
 func New[T any]() *FIFO[T] {
 	f := &FIFO[T]{
 		out:     make(chan T),
@@ -113,6 +119,29 @@ func (f *FIFO[T]) TryPop() (T, bool) {
 	return v, true
 }
 
+// PopBatch blocks until at least one item is buffered, then moves up to
+// len(dst) items into dst, front first, under a single lock hold. It
+// reports ok=false once the FIFO is closed; like the Out channel, it does
+// not hand out items still buffered at Close.
+func (f *FIFO[T]) PopBatch(dst []T) (n int, ok bool) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for len(f.buf) == f.head && !f.closed {
+		f.cond.Wait()
+	}
+	if f.closed {
+		return 0, false
+	}
+	n = copy(dst, f.buf[f.head:])
+	clear(f.buf[f.head : f.head+n]) // release the references for GC
+	f.head += n
+	if f.head == len(f.buf) {
+		f.buf = f.buf[:0]
+		f.head = 0
+	}
+	return n, true
+}
+
 // Len returns the number of buffered (not yet consumed) items.
 func (f *FIFO[T]) Len() int {
 	f.mu.Lock()
@@ -120,14 +149,15 @@ func (f *FIFO[T]) Len() int {
 	return len(f.buf) - f.head
 }
 
-// Close stops the pump and closes the output channel. It is idempotent and
-// waits for the pump goroutine (if one ever started) to exit.
+// Close wakes every blocked PopBatch, stops the pump and closes the output
+// channel. It is idempotent and waits for the pump goroutine (if one ever
+// started) to exit.
 func (f *FIFO[T]) Close() {
 	f.mu.Lock()
 	if !f.closed {
 		f.closed = true
 		close(f.closeCh)
-		f.cond.Signal()
+		f.cond.Broadcast()
 		if !f.started {
 			// No pump to close the channels; do it here so Out() readers
 			// and Close() callers see the same shutdown either way.

@@ -120,3 +120,146 @@ func TestFIFOManyProducers(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+func TestPopBatchBlocksUntilPush(t *testing.T) {
+	f := queue.New[int]()
+	defer f.Close()
+	type result struct {
+		n  int
+		ok bool
+		v  int
+	}
+	got := make(chan result, 1)
+	go func() {
+		dst := make([]int, 4)
+		n, ok := f.PopBatch(dst)
+		got <- result{n, ok, dst[0]}
+	}()
+	select {
+	case r := <-got:
+		t.Fatalf("PopBatch returned %+v on an empty FIFO", r)
+	case <-time.After(20 * time.Millisecond):
+	}
+	f.Push(7)
+	select {
+	case r := <-got:
+		if r.n != 1 || !r.ok || r.v != 7 {
+			t.Fatalf("PopBatch = %+v, want one item, 7", r)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Push did not wake PopBatch")
+	}
+}
+
+func TestPopBatchRespectsLenDst(t *testing.T) {
+	f := queue.New[int]()
+	defer f.Close()
+	for i := 0; i < 10; i++ {
+		f.Push(i)
+	}
+	dst := make([]int, 4)
+	next := 0
+	for _, want := range []int{4, 4, 2} {
+		n, ok := f.PopBatch(dst)
+		if !ok || n != want {
+			t.Fatalf("PopBatch = %d, %v; want %d, true", n, ok, want)
+		}
+		for _, v := range dst[:n] {
+			if v != next {
+				t.Fatalf("popped %d, want %d", v, next)
+			}
+			next++
+		}
+	}
+	if f.Len() != 0 {
+		t.Fatalf("Len = %d after draining", f.Len())
+	}
+}
+
+func TestPopBatchInterleavesWithTryPop(t *testing.T) {
+	f := queue.New[int]()
+	defer f.Close()
+	for i := 0; i < 6; i++ {
+		f.Push(i)
+	}
+	dst := make([]int, 2)
+	var order []int
+	for len(order) < 6 {
+		v, ok := f.TryPop()
+		if !ok {
+			t.Fatal("TryPop found nothing with items queued")
+		}
+		order = append(order, v)
+		n, ok := f.PopBatch(dst)
+		if !ok {
+			t.Fatal("PopBatch reported closed")
+		}
+		order = append(order, dst[:n]...)
+	}
+	for i, v := range order {
+		if v != i {
+			t.Fatalf("order = %v", order)
+		}
+	}
+}
+
+func TestCloseWakesBlockedPopBatch(t *testing.T) {
+	f := queue.New[int]()
+	const waiters = 3
+	done := make(chan bool, waiters)
+	for i := 0; i < waiters; i++ {
+		go func() {
+			_, ok := f.PopBatch(make([]int, 1))
+			done <- ok
+		}()
+	}
+	time.Sleep(10 * time.Millisecond) // let them park
+	f.Close()
+	for i := 0; i < waiters; i++ {
+		select {
+		case ok := <-done:
+			if ok {
+				t.Fatal("PopBatch reported ok after Close")
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("Close left a PopBatch blocked")
+		}
+	}
+}
+
+// Items still queued at Close are dropped, as on the Out channel.
+func TestPopBatchAfterCloseDropsQueued(t *testing.T) {
+	f := queue.New[int]()
+	f.Push(1)
+	f.Push(2)
+	f.Close()
+	if n, ok := f.PopBatch(make([]int, 4)); ok || n != 0 {
+		t.Fatalf("PopBatch after Close = %d, %v; want 0, false", n, ok)
+	}
+}
+
+// One producer, one batch consumer, under the race detector.
+func TestPopBatchConcurrentOrder(t *testing.T) {
+	f := queue.New[int]()
+	defer f.Close()
+	const n = 20000
+	go func() {
+		for i := 0; i < n; i++ {
+			f.Push(i)
+		}
+	}()
+	dst := make([]int, 64)
+	next := 0
+	for next < n {
+		got, ok := f.PopBatch(dst)
+		if !ok {
+			t.Fatal("closed")
+		}
+		for _, v := range dst[:got] {
+			if v != next {
+				t.Fatalf("popped %d, want %d", v, next)
+			}
+			next++
+		}
+	}
+}

@@ -95,6 +95,17 @@ func newFixture(t *testing.T, replicas int) *fixture {
 			contact = id
 		}
 	}
+	// A client learns the membership from the replica it dials; wait until
+	// every replica's roster is complete, not just the founder's.
+	deadline := time.Now().Add(10 * time.Second)
+	for _, rep := range f.replicas {
+		for len(rep.Roster()) != replicas {
+			if time.Now().After(deadline) {
+				t.Fatalf("roster never converged: %v", rep.Roster())
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+	}
 	return f
 }
 

@@ -99,13 +99,19 @@ func (e *Endpoint) charge(cost time.Duration) time.Duration {
 	return e.busyUntil.Sub(now)
 }
 
-var _ transport.Endpoint = (*Endpoint)(nil)
+var (
+	_ transport.Endpoint      = (*Endpoint)(nil)
+	_ transport.BatchReceiver = (*Endpoint)(nil)
+)
 
 // ID implements transport.Endpoint.
 func (e *Endpoint) ID() ids.ProcessID { return e.id }
 
 // Inbound implements transport.Endpoint.
 func (e *Endpoint) Inbound() <-chan transport.Inbound { return e.fifo.Out() }
+
+// Recv implements transport.BatchReceiver.
+func (e *Endpoint) Recv(dst []transport.Inbound) (int, bool) { return e.fifo.PopBatch(dst) }
 
 // Send implements transport.Endpoint. The sender is charged SendCPU
 // synchronously; propagation and receiver-side cost happen asynchronously

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"errors"
 	"sync"
 
 	"newtop/internal/ids"
@@ -13,6 +14,34 @@ const (
 	ProtoGCS byte = 1 // group communication service traffic
 	ProtoORB byte = 2 // mini-ORB request/response traffic
 )
+
+// FrameSender sends frames its caller encoded behind FrameHeader. A Mux
+// channel tags every payload with its protocol byte, and Send has to copy
+// the payload to make room for it, once per destination; a layer that
+// encodes its own frames starts each with FrameHeader() instead and hands
+// the whole buffer to SendFrame, so one encoded buffer serves every
+// destination of a multicast.
+type FrameSender interface {
+	FrameHeader() []byte
+	SendFrame(to ids.ProcessID, frame []byte) error
+}
+
+var errUntagged = errors.New("transport: frame does not start with the channel's header")
+
+// Framing returns how a protocol layer sends through ep: ep itself when
+// it is a FrameSender, otherwise an empty header and ep's Send.
+func Framing(ep Endpoint) FrameSender {
+	if fs, ok := ep.(FrameSender); ok {
+		return fs
+	}
+	return unframed{ep}
+}
+
+type unframed struct{ ep Endpoint }
+
+func (u unframed) FrameHeader() []byte { return nil }
+
+func (u unframed) SendFrame(to ids.ProcessID, frame []byte) error { return u.ep.Send(to, frame) }
 
 // Mux shares one Endpoint between independent protocol layers. Each layer
 // obtains its own sub-Endpoint via Channel; the first byte of every wire
@@ -87,19 +116,27 @@ func (m *Mux) Close() error {
 
 func (m *Mux) pump() {
 	defer close(m.done)
-	for in := range m.ep.Inbound() {
-		if len(in.Payload) == 0 {
-			continue
+	batch := make([]Inbound, RecvBurst)
+	for {
+		n, ok := Recv(m.ep, batch)
+		if !ok {
+			return
 		}
-		proto := in.Payload[0]
-		m.metrics.received(in.From, len(in.Payload))
-		m.mu.Lock()
-		sub := m.subs[proto]
-		m.mu.Unlock()
-		if sub == nil {
-			continue
+		for _, in := range batch[:n] {
+			if len(in.Payload) == 0 {
+				continue
+			}
+			proto := in.Payload[0]
+			m.metrics.received(in.From, len(in.Payload))
+			m.mu.Lock()
+			sub := m.subs[proto]
+			m.mu.Unlock()
+			if sub == nil {
+				continue
+			}
+			sub.fifo.Push(Inbound{From: in.From, Payload: in.Payload[1:]})
 		}
-		sub.fifo.Push(Inbound{From: in.From, Payload: in.Payload[1:]})
+		clear(batch[:n]) // an idle pump must not pin the last burst's frames
 	}
 }
 
@@ -110,24 +147,41 @@ type muxChannel struct {
 	fifo  *FIFO
 }
 
-var _ Endpoint = (*muxChannel)(nil)
+var (
+	_ Endpoint      = (*muxChannel)(nil)
+	_ BatchReceiver = (*muxChannel)(nil)
+	_ FrameSender   = (*muxChannel)(nil)
+)
 
 func (c *muxChannel) ID() ids.ProcessID { return c.mux.ep.ID() }
 
+// Send copies payload behind the protocol byte. The protocol layers avoid
+// the copy through SendFrame.
 func (c *muxChannel) Send(to ids.ProcessID, payload []byte) error {
 	framed := make([]byte, 1+len(payload))
 	framed[0] = c.proto
 	copy(framed[1:], payload)
-	err := c.mux.ep.Send(to, framed)
+	return c.SendFrame(to, framed)
+}
+
+func (c *muxChannel) FrameHeader() []byte { return []byte{c.proto} }
+
+func (c *muxChannel) SendFrame(to ids.ProcessID, frame []byte) error {
+	if len(frame) == 0 || frame[0] != c.proto {
+		return errUntagged
+	}
+	err := c.mux.ep.Send(to, frame)
 	if err != nil {
 		c.mux.metrics.dropped()
 		return err
 	}
-	c.mux.metrics.sent(to, len(framed))
+	c.mux.metrics.sent(to, len(frame))
 	return nil
 }
 
 func (c *muxChannel) Inbound() <-chan Inbound { return c.fifo.Out() }
+
+func (c *muxChannel) Recv(dst []Inbound) (int, bool) { return c.fifo.PopBatch(dst) }
 
 // Close closes only this sub-channel; the underlying endpoint stays up for
 // other protocols until Mux.Close.

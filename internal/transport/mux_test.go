@@ -20,7 +20,10 @@ type pipeEndpoint struct {
 	closed bool
 }
 
-var _ transport.Endpoint = (*pipeEndpoint)(nil)
+var (
+	_ transport.Endpoint      = (*pipeEndpoint)(nil)
+	_ transport.BatchReceiver = (*pipeEndpoint)(nil)
+)
 
 func newPipe(idA, idB ids.ProcessID) (*pipeEndpoint, *pipeEndpoint) {
 	a := &pipeEndpoint{id: idA, fifo: transport.NewFIFO(), peers: map[ids.ProcessID]*pipeEndpoint{}}
@@ -50,6 +53,8 @@ func (p *pipeEndpoint) Send(to ids.ProcessID, payload []byte) error {
 }
 
 func (p *pipeEndpoint) Inbound() <-chan transport.Inbound { return p.fifo.Out() }
+
+func (p *pipeEndpoint) Recv(dst []transport.Inbound) (int, bool) { return p.fifo.PopBatch(dst) }
 
 func (p *pipeEndpoint) Close() error {
 	p.mu.Lock()

@@ -139,16 +139,19 @@ type Endpoint struct {
 	readers sync.Pool
 
 	mu     sync.Mutex
-	peers  map[ids.ProcessID]string    // address book
-	pipes  map[ids.ProcessID]*pipe     // outbound writer pipelines
-	inConn map[ids.ProcessID]net.Conn  // handshaken inbound connections
-	anon   map[net.Conn]struct{}       // accepted, handshake pending
+	peers  map[ids.ProcessID]string   // address book
+	pipes  map[ids.ProcessID]*pipe    // outbound writer pipelines
+	inConn map[ids.ProcessID]net.Conn // handshaken inbound connections
+	anon   map[net.Conn]struct{}      // accepted, handshake pending
 	closed bool
 
 	wg sync.WaitGroup
 }
 
-var _ transport.Endpoint = (*Endpoint)(nil)
+var (
+	_ transport.Endpoint      = (*Endpoint)(nil)
+	_ transport.BatchReceiver = (*Endpoint)(nil)
+)
 
 // Listen starts an endpoint for process id on addr (e.g. ":7001" or
 // "127.0.0.1:0") with default configuration. Peers must be registered
@@ -230,6 +233,9 @@ func (e *Endpoint) ID() ids.ProcessID { return e.id }
 
 // Inbound implements transport.Endpoint.
 func (e *Endpoint) Inbound() <-chan transport.Inbound { return e.fifo.Out() }
+
+// Recv implements transport.BatchReceiver.
+func (e *Endpoint) Recv(dst []transport.Inbound) (int, bool) { return e.fifo.PopBatch(dst) }
 
 // Send implements transport.Endpoint. It enqueues the frame onto the
 // peer's outbound pipeline and returns immediately; it never dials and
