@@ -53,6 +53,10 @@ go test ./...
 # up in a benchmark.
 echo "== alloc budgets =="
 go test -run AllocGuard ./internal/gcs/ ./internal/core/ ./internal/wire/ ./internal/transport/tcpnet/ ./internal/obs/flight/
+# The two structural guards of the sequence windows ride along: the
+# sequencer's ordering table stays bounded by the in-flight window, and
+# stability collection costs what it collects, not what is retained.
+go test -run 'OrderTableBounded|CompactionCost' ./internal/gcs/
 
 if [ "${CI_SHORT:-0}" = "1" ]; then
 	echo "ci: CI_SHORT=1, skipping the race pass"

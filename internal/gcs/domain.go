@@ -168,15 +168,7 @@ func (g *Group) frontierLocked() vclock.Stamp {
 			frontier = st
 		}
 	}
-	for _, m := range g.pending {
-		if m.Null {
-			continue
-		}
-		if st := m.stamp(); st.Less(frontier) {
-			frontier = st
-		}
-	}
-	return frontier
+	return g.pendingAppFloorLocked(frontier)
 }
 
 // publishFrontierLocked pushes the current frontier to the domain.

@@ -1,7 +1,8 @@
 package gcs
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 
 	"newtop/internal/ids"
@@ -151,17 +152,13 @@ func (g *Group) makeFlushAckLocked(p *proposeMsg) *flushAckMsg {
 	if ack.Joining {
 		return ack
 	}
-	ack.Unstable = make([]*dataMsg, 0, len(g.store))
-	for _, m := range g.store {
-		ack.Unstable = append(ack.Unstable, m)
-	}
-	sort.Slice(ack.Unstable, func(i, j int) bool {
-		a, b := ack.Unstable[i], ack.Unstable[j]
-		if a.Sender != b.Sender {
-			return a.Sender.Less(b.Sender)
+	// Positions follow the sorted membership: sender-then-sequence order.
+	ack.Unstable = make([]*dataMsg, 0, g.nstore)
+	for s := range g.win {
+		for seq := g.win[s].rel + 1; seq <= g.recvContig[s]; seq++ {
+			ack.Unstable = append(ack.Unstable, g.win[s].get(seq).m)
 		}
-		return a.Seq < b.Seq
-	})
+	}
 	ack.Assigns = g.assignSnapshotLocked()
 	g.fr.Record(flight.Event{Type: flight.EvFlushAck, Proc: g.frProc, Group: g.frGroup,
 		Sender: flight.NoSender, View: uint32(p.NewSeq), A: uint64(len(ack.Unstable))})
@@ -247,18 +244,26 @@ func (g *Group) acceptFlushAckLocked(a *flushAckMsg) {
 // commitFlushLocked builds the cut from all acks and installs the view.
 func (g *Group) commitFlushLocked() {
 	fl := g.fl
-	cut := make(map[ids.MsgID]*dataMsg)
-	assignSet := make(map[ids.MsgID]uint64)
+	// Cut and table are unions over the acks: concatenate, sort, drop the
+	// duplicates (copies of a decision carry the same global, so they sort
+	// next to each other).
+	var cut []*dataMsg
+	var assigns []assign
 	for _, ack := range fl.acks {
 		for _, m := range ack.Unstable {
 			if m.ViewSeq == g.view.Seq && m.ViewInstaller == g.view.Installer {
-				cut[m.msgID()] = m
+				cut = append(cut, m)
 			}
 		}
-		for _, as := range ack.Assigns {
-			assignSet[as.msgID()] = as.Global
-		}
+		assigns = append(assigns, ack.Assigns...)
 	}
+	slices.SortFunc(cut, func(a, b *dataMsg) int {
+		return cmp.Or(cmp.Compare(a.Sender, b.Sender), cmp.Compare(a.Seq, b.Seq))
+	})
+	cut = slices.CompactFunc(cut, func(a, b *dataMsg) bool { return a.Sender == b.Sender && a.Seq == b.Seq })
+	slices.SortFunc(assigns, func(a, b assign) int {
+		return cmp.Or(cmp.Compare(a.Global, b.Global), cmp.Compare(a.Sender, b.Sender), cmp.Compare(a.Seq, b.Seq))
+	})
 	commit := &commitMsg{
 		Group:    g.id,
 		NewSeq:   fl.seq,
@@ -267,23 +272,9 @@ func (g *Group) commitFlushLocked() {
 		Order:    g.cfg.Order,
 		Liveness: g.cfg.Liveness,
 		Leader:   g.cfg.Leader,
+		Cut:      cut,
+		Assigns:  slices.Compact(assigns),
 	}
-	commit.Cut = make([]*dataMsg, 0, len(cut))
-	for _, m := range cut {
-		commit.Cut = append(commit.Cut, m)
-	}
-	sort.Slice(commit.Cut, func(i, j int) bool {
-		a, b := commit.Cut[i], commit.Cut[j]
-		if a.Sender != b.Sender {
-			return a.Sender.Less(b.Sender)
-		}
-		return a.Seq < b.Seq
-	})
-	commit.Assigns = make([]assign, 0, len(assignSet))
-	for id, global := range assignSet {
-		commit.Assigns = append(commit.Assigns, assign{Sender: id.Sender, Seq: id.Seq, Global: global})
-	}
-	sort.Slice(commit.Assigns, func(i, j int) bool { return commit.Assigns[i].Global < commit.Assigns[j].Global })
 
 	enc := g.node.encode(commit)
 	for _, p := range fl.members {
@@ -325,7 +316,7 @@ func (g *Group) applyCommitLocked(c *commitMsg) {
 		Sender: flight.NoSender, View: uint32(c.NewSeq), A: uint64(len(c.Cut))})
 	if g.state != stateJoining {
 		g.mergeAssignsLocked(c.Assigns)
-		g.deliverCutLocked(c.Cut)
+		g.deliverCutLocked(c.Cut, c.Assigns)
 	}
 	g.installViewLocked(View{Seq: c.NewSeq, Installer: c.Proposer, Members: c.Members})
 }
@@ -335,55 +326,41 @@ func (g *Group) applyCommitLocked(c *commitMsg) {
 // ordered messages first (by global sequence), everything else by stamp.
 // Pending messages outside the cut are discarded — they were received by
 // no surviving ack and count as "delivered by none".
-func (g *Group) deliverCutLocked(cut []*dataMsg) {
-	// Cut messages arrive decoded off the wire (no local sender index),
-	// and when concurrent membership rounds raced, a cut can even name
-	// senders outside the locally installed view; a spill map catches
-	// those so their delivered floor is still tracked for this pass.
-	var spill map[ids.ProcessID]uint64
-	deliveredOf := func(m *dataMsg) uint64 {
-		if si := g.midx.posOf(m.Sender); si >= 0 {
-			return g.delivered[si]
-		}
-		return spill[m.Sender]
+func (g *Group) deliverCutLocked(cut []*dataMsg, assigns []assign) {
+	// When concurrent membership rounds raced, a cut can name senders
+	// outside the locally installed view: those have no delivered floor to
+	// advance and no window, so their decisions come from the commit's table.
+	type cutMsg struct {
+		m      *dataMsg
+		pos    int
+		global uint64 // 0: unordered (nulls never carry assignments)
 	}
-	advance := func(m *dataMsg) {
-		if si := g.midx.posOf(m.Sender); si >= 0 {
-			g.delivered[si] = m.Seq
-			return
-		}
-		if spill == nil {
-			spill = make(map[ids.ProcessID]uint64)
-		}
-		spill[m.Sender] = m.Seq
-	}
-	todo := make([]*dataMsg, 0, len(cut))
+	todo := make([]cutMsg, 0, len(cut))
 	for _, m := range cut {
-		if m.Seq > deliveredOf(m) {
-			todo = append(todo, m)
+		c := cutMsg{m: m, pos: g.midx.posOf(m.Sender)}
+		if c.pos >= 0 {
+			if m.Seq <= g.delivered[c.pos] {
+				continue
+			}
+			c.global = g.win[c.pos].get(m.Seq).global
+		} else if i := slices.IndexFunc(assigns, func(a assign) bool { return a.Sender == m.Sender && a.Seq == m.Seq }); i >= 0 {
+			c.global = assigns[i].Global
 		}
+		todo = append(todo, c)
 	}
-	sort.Slice(todo, func(i, j int) bool {
-		gi, iOK := g.assigns[todo[i].msgID()]
-		gj, jOK := g.assigns[todo[j].msgID()]
-		// Nulls never carry assignments; order them with the unassigned.
-		switch {
-		case iOK && jOK:
-			return gi < gj
-		case iOK:
-			return true
-		case jOK:
-			return false
-		default:
-			return todo[i].stamp().Less(todo[j].stamp())
-		}
+	// Sequencer-ordered messages first, by global (0-1 wraps an unordered
+	// message past every global); everything else by stamp.
+	slices.SortFunc(todo, func(a, b cutMsg) int {
+		return cmp.Or(cmp.Compare(a.global-1, b.global-1),
+			cmp.Compare(a.m.Lamport, b.m.Lamport), cmp.Compare(a.m.Sender, b.m.Sender))
 	})
-	for _, m := range todo {
-		if m.Seq > deliveredOf(m) {
-			advance(m)
+	for _, c := range todo {
+		m := c.m
+		if c.pos >= 0 && m.Seq > g.delivered[c.pos] {
+			g.delivered[c.pos] = m.Seq
 		}
 		if !m.Null {
-			g.frRecord(flight.EvCutDeliver, g.midx.posOf(m.Sender), m.Seq, m.Lamport, 0)
+			g.frRecord(flight.EvCutDeliver, c.pos, m.Seq, m.Lamport, 0)
 			g.stats.AppDelivered++
 			g.stats.CutDelivered++
 			g.metrics.appDelivered.Inc()
@@ -393,7 +370,7 @@ func (g *Group) deliverCutLocked(cut []*dataMsg) {
 				Payload: m.Payload,
 				Stamp:   m.stamp(),
 				ViewSeq: m.ViewSeq,
-			}}, g.midx.posOf(m.Sender), m.Seq, uint32(m.ViewSeq))
+			}}, c.pos, m.Seq, uint32(m.ViewSeq))
 		}
 	}
 }

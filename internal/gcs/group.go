@@ -52,27 +52,26 @@ type Group struct {
 	// index (see mindex.go): every member derives the same position
 	// table from the sorted membership, so positions are meaningful on
 	// the wire and a counter read is an array load, not a map probe.
+	// Messages and ordering decisions live in the per-position sequence
+	// windows (window.go), their state given by these cursors.
 	sendSeq       uint64
-	midx          *memberIndex           // position table of the installed view (nil while joining)
-	delivered     []uint64               // contiguous delivered per member position
-	recvContig    []uint64               // contiguous ingested per member position
-	stash         []map[uint64]*dataMsg  // out-of-order buffer per member position
-	pending       map[ids.MsgID]*dataMsg // ingested, not yet delivered
-	lastStamp     []vclock.Stamp         // greatest contiguously-ingested stamp per position
-	assigns       map[ids.MsgID]uint64   // sequencer order: msg -> global seq
-	ring          globalRing             // inverse of assigns, indexed by global seq
-	nextGlobal    uint64                 // sequencer only: next global to hand out
-	delGlobal     uint64                 // last delivered global seq
-	assignHigh    uint64                 // sequencer only: highest global assigned
-	announcedHigh uint64                 // sequencer only: highest global put on the wire
-	announceSeq   map[ids.MsgID]uint64   // sequencer only: own seq that first carried each assign
-	ackMat        []uint64               // n×n acknowledgement matrix, row-major [from][sender]
-	store         map[ids.MsgID]*dataMsg // unstable messages retained for flush/resend
-	stableSeq     []uint64               // per-position stability floor (min over ackMat columns)
-	sweepLow      []uint64               // per-position collection floor at the last store sweep
-	sweepStableMe uint64                 // own stability floor at the last store sweep
-	maxAppStamp   vclock.Stamp           // greatest application stamp ingested from others
-	seqLeader     bool                   // this member is the view's sequencer (OrderSequencer only)
+	midx          *memberIndex   // position table of the installed view (nil while joining)
+	delivered     []uint64       // contiguous delivered per member position
+	recvContig    []uint64       // contiguous ingested per member position
+	win           []seqWindow    // messages and ordering decisions per member position
+	npending      int            // ingested, not yet delivered: Σ recvContig − delivered
+	nstore        int            // unstable messages retained for flush/resend
+	nappStore     int            // application messages among them (activeLocked)
+	lastStamp     []vclock.Stamp // greatest contiguously-ingested stamp per position
+	ring          globalRing     // inverse of the windows' decisions, indexed by global seq
+	delGlobal     uint64         // last delivered global seq
+	assignHigh    uint64         // sequencer only: highest global assigned
+	announcedHigh uint64         // sequencer only: highest global put on the wire
+	ackMat        []uint64       // n×n acknowledgement matrix, row-major [from][sender]
+	stableSeq     []uint64       // per-position stability floor (min over ackMat columns)
+	collectVisits uint64         // slots examined by compactStableLocked (cost tests)
+	maxAppStamp   vclock.Stamp   // greatest application stamp ingested from others
+	seqLeader     bool           // this member is the view's sequencer (OrderSequencer only)
 
 	// Read-lease machinery (cfg.LeaseTicks > 0; see lease.go). Every
 	// expiry decision compares counts of the group's own deterministic
@@ -468,7 +467,7 @@ func (g *Group) emitDataLocked(null bool, payload []byte) {
 	g.frRecord(flight.EvMulticast, g.midx.me, m.Seq, m.Lamport, isNull)
 	if g.seqLeader {
 		if !null {
-			g.assignLocked(m.msgID())
+			g.assignLocked(m.senderIdx, m.Seq)
 		}
 		m.Assigns = g.assignDeltaLocked(m.Seq)
 		g.announcedHigh = g.assignHigh
@@ -488,7 +487,6 @@ func (g *Group) emitDataLocked(null bool, payload []byte) {
 	// message advertises its own receipt; without that, a sender's first
 	// and only message can never stabilise at the other members.
 	m.Acks = g.ackSnapshotLocked(m)
-	g.store[m.msgID()] = m
 	if g.batchingLocked() {
 		g.queueBatchLocked(m)
 	} else {
@@ -608,18 +606,12 @@ func (g *Group) ackSnapshotLocked(m *dataMsg) []uint64 {
 }
 
 // assignLocked hands the next global sequence number to a message
-// (sequencer only).
-func (g *Group) assignLocked(id ids.MsgID) {
-	if _, ok := g.assigns[id]; ok {
-		return
-	}
-	g.assigns[id] = g.nextGlobal
-	g.ring.set(g.nextGlobal, id)
-	g.frRecord(flight.EvAssign, g.midx.posOf(id.Sender), id.Seq, g.nextGlobal, 0)
-	if g.nextGlobal > g.assignHigh {
-		g.assignHigh = g.nextGlobal
-	}
-	g.nextGlobal++
+// (sequencer only). The slot may be created here, ahead of the message.
+func (g *Group) assignLocked(pos int, seq uint64) {
+	g.assignHigh++
+	g.win[pos].ensure(seq).global = g.assignHigh
+	g.ring.set(g.assignHigh, msgRef{pos: pos, seq: seq})
+	g.frRecord(flight.EvAssign, pos, seq, g.assignHigh, 0)
 }
 
 // assignSnapshotLocked lists every live (un-GCed) ordering decision, in
@@ -627,12 +619,11 @@ func (g *Group) assignLocked(id ids.MsgID) {
 // the commit's recovery cut must carry the full table so every surviving
 // member can place the unstable messages, however little each one heard.
 func (g *Group) assignSnapshotLocked() []assign {
-	if g.ring.live == 0 {
-		return nil
-	}
 	out := make([]assign, 0, g.ring.live)
-	g.ring.each(func(global uint64, id ids.MsgID) {
-		out = append(out, assign{Sender: id.Sender, Seq: id.Seq, Global: global})
+	g.ring.each(func(global uint64, ref *msgRef) {
+		if ref.seq != 0 {
+			out = append(out, assign{Sender: g.midx.members[ref.pos], Seq: ref.seq, Global: global})
+		}
 	})
 	return out
 }
@@ -643,25 +634,24 @@ func (g *Group) assignSnapshotLocked() []assign {
 // ingest a sender's messages contiguously (losses are repaired by resend,
 // and view changes recover the full table through the flush), so the
 // first carry is the only one that can ever inform anyone. The carrying
-// sequence number is recorded so the decision is not garbage-collected
-// before that message has stabilised everywhere (seq is the sequence
-// number the caller is about to send). This is the paper's explicit ORDER
-// multicast: new decisions only, not a rolling table — announcing the
-// whole live table made every message O(unstable-window) to encode and
-// decode, which is what melted the sequencer under pipelined load.
+// sequence number (seq, the one the caller is about to send) is recorded
+// in the slot so the decision outlives that message's stabilisation. This
+// is the paper's explicit ORDER multicast: new decisions only — announcing
+// the whole live table made every message O(unstable-window) to encode and
+// decode, which melted the sequencer under pipelined load.
 func (g *Group) assignDeltaLocked(seq uint64) []assign {
 	if g.assignHigh <= g.announcedHigh {
 		return nil
 	}
 	out := make([]assign, 0, g.assignHigh-g.announcedHigh)
 	for global := g.announcedHigh + 1; global <= g.assignHigh; global++ {
-		id, ok := g.ring.get(global)
-		if !ok {
+		ref := g.ring.get(global)
+		if ref.seq == 0 {
 			continue
 		}
-		out = append(out, assign{Sender: id.Sender, Seq: id.Seq, Global: global})
-		if _, announced := g.announceSeq[id]; !announced {
-			g.announceSeq[id] = seq
+		out = append(out, assign{Sender: g.midx.members[ref.pos], Seq: ref.seq, Global: global})
+		if sl := g.win[ref.pos].at(ref.seq); sl.aseq == 0 {
+			sl.aseq = seq
 		}
 	}
 	return out
@@ -744,8 +734,14 @@ func (g *Group) handleBurst(msgs []any, bytes int) {
 	if accepted {
 		g.postIngestLocked()
 	}
-	g.metrics.pendingHigh.SetMax(int64(len(g.pending)))
-	g.metrics.storeHigh.SetMax(int64(len(g.store)))
+	g.noteDepthsLocked()
+}
+
+// noteDepthsLocked folds the queue depths into their high-water gauges.
+func (g *Group) noteDepthsLocked() {
+	g.metrics.pendingHigh.SetMax(int64(g.npending))
+	g.metrics.storeHigh.SetMax(int64(g.nstore))
+	g.metrics.orderHigh.SetMax(int64(g.ring.live))
 }
 
 // acceptDataLocked runs the per-message half of data handling: state and
@@ -804,23 +800,14 @@ func (g *Group) acceptDataLocked(m *dataMsg, charge bool) bool {
 		g.frRecord(flight.EvDupDrop, si, m.Seq, m.Lamport, 0)
 	case m.Seq == g.recvContig[si]+1:
 		g.ingestContiguousLocked(m)
-		g.store[m.msgID()] = m
 		// Drain any stashed successors.
-		for {
-			next, ok := g.stash[si][g.recvContig[si]+1]
-			if !ok {
-				break
-			}
-			delete(g.stash[si], next.Seq)
+		for next := g.win[si].get(m.Seq + 1).m; next != nil; next = g.win[si].get(next.Seq + 1).m {
 			g.ingestContiguousLocked(next)
-			g.store[next.msgID()] = next
 		}
 	default:
+		// Out of order: the slot ahead of recvContig is the stash.
 		g.frRecord(flight.EvStash, si, m.Seq, m.Lamport, 0)
-		if g.stash[si] == nil {
-			g.stash[si] = make(map[uint64]*dataMsg)
-		}
-		g.stash[si][m.Seq] = m
+		g.win[si].ensure(m.Seq).m = m
 	}
 	return true
 }
@@ -860,9 +847,9 @@ func (g *Group) needAckLocked() bool {
 }
 
 // ingestContiguousLocked accepts the next in-sequence message from a
-// sender into the pending set, advances the ordering bookkeeping and
-// enqueues the message on the delivery (or assignment) queue it will be
-// popped from.
+// sender into its window slot — retained and pending from here on —
+// advances the ordering bookkeeping and enqueues the message on the
+// delivery (or assignment) queue it will be popped from.
 func (g *Group) ingestContiguousLocked(m *dataMsg) {
 	si := m.senderIdx
 	var isNull uint64
@@ -871,7 +858,12 @@ func (g *Group) ingestContiguousLocked(m *dataMsg) {
 	}
 	g.frRecord(flight.EvIngest, si, m.Seq, m.Lamport, isNull)
 	g.recvContig[si] = m.Seq
-	g.pending[m.msgID()] = m
+	g.win[si].ensure(m.Seq).m = m
+	g.npending++
+	g.nstore++
+	if !m.Null {
+		g.nappStore++
+	}
 	if st := m.stamp(); g.lastStamp[si].Less(st) {
 		g.lastStamp[si] = st
 	}
@@ -900,87 +892,67 @@ func (g *Group) mergeAcksLocked(from int, acks []uint64) {
 	}
 }
 
-// mergeAssignsLocked folds sequencer decisions into the local table.
+// mergeAssignsLocked folds sequencer decisions into the windows. It runs
+// at accept time, before the contiguity check, so a decision may create
+// its slot ahead of its message. One for a collected sequence number
+// duplicates a decision already acted on; no other is ever dropped.
 func (g *Group) mergeAssignsLocked(as []assign) {
 	for _, a := range as {
-		id := a.msgID()
-		if _, ok := g.assigns[id]; !ok {
-			g.assigns[id] = a.Global
-			g.ring.set(a.Global, id)
+		pos := g.midx.posOf(a.Sender)
+		if pos < 0 || a.Seq <= g.win[pos].floor || a.Global == 0 {
+			continue
+		}
+		if sl := g.win[pos].ensure(a.Seq); sl.global == 0 {
+			sl.global = a.Global
+			g.ring.set(a.Global, msgRef{pos: pos, seq: a.Seq})
 		}
 	}
 }
 
-// compactStableLocked recomputes per-sender stability and garbage-collects
-// the retained-message store and the ordering table. The store sweep costs
-// a full map iteration, so it only runs when a collection floor — the
-// per-sender min of stability and local delivery — has moved since the
-// last sweep; recomputing the floors themselves is cheap and happens on
-// every call. This runs once per ingested frame, and without the gate it
-// is quadratic in the in-flight backlog (the profile's top protocol cost
-// on a loaded peer group).
+// compactStableLocked recomputes per-sender stability and collects the
+// windows from the front: a message is released once stable and locally
+// delivered, and its slot, with the ordering decision, pops with it. The
+// cost is the slots collected, not the slots retained, so it runs after
+// every ingested frame and every delivery. The sequencer leader holds a
+// released message's decision until a message of ours that announced it
+// has been received by everyone — or the others would never learn its
+// place in the total order — re-examining the held front on every call.
 func (g *Group) compactStableLocked() {
 	n := g.midx.n()
-	sweep := false
 	for s := 0; s < n; s++ {
-		min := g.ackMat[s]
+		low := g.ackMat[s]
 		for q := 1; q < n; q++ {
-			if got := g.ackMat[q*n+s]; got < min {
-				min = got
+			low = min(low, g.ackMat[q*n+s])
+		}
+		if low > g.stableSeq[s] {
+			g.frRecord(flight.EvStable, s, low, 0, 0)
+		}
+		g.stableSeq[s] = low
+	}
+	stableMe := g.stableSeq[g.midx.me]
+	for s := range g.win {
+		w := &g.win[s]
+		lo := min(g.stableSeq[s], g.delivered[s])
+		for w.rel < lo {
+			g.collectVisits++
+			w.rel++
+			sl := w.at(w.rel)
+			g.nstore--
+			if !sl.m.Null {
+				g.nappStore--
 			}
+			sl.m = nil
 		}
-		if min > g.stableSeq[s] {
-			g.frRecord(flight.EvStable, s, min, 0, 0)
-		}
-		g.stableSeq[s] = min
-		if d := g.delivered[s]; d < min {
-			min = d
-		}
-		if min > g.sweepLow[s] {
-			sweep = true
-		}
-	}
-	// The leader also defers collection on its own announcements becoming
-	// stable (the announceSeq gate below), so its own stability floor
-	// moving must trigger a sweep even when no collection floor did.
-	if g.seqLeader && g.stableSeq[g.midx.me] > g.sweepStableMe {
-		sweep = true
-	}
-	if !sweep {
-		g.ring.compact(g.delGlobal)
-		return
-	}
-	for s := 0; s < n; s++ {
-		lo := g.stableSeq[s]
-		if d := g.delivered[s]; d < lo {
-			lo = d
-		}
-		g.sweepLow[s] = lo
-	}
-	g.sweepStableMe = g.stableSeq[g.midx.me]
-	for id, m := range g.store {
-		si := m.senderIdx
-		if si < 0 || id.Seq > g.stableSeq[si] || id.Seq > g.delivered[si] {
-			continue
-		}
-		delete(g.store, id)
-		global, ok := g.assigns[id]
-		if !ok {
-			continue
-		}
-		if g.seqLeader {
-			// The ordering decision must outlive the message: drop it
-			// only once a message of ours that announced it has been
-			// received by everyone, or the other members would never
-			// learn the message's position in the total order.
-			aseq, announced := g.announceSeq[id]
-			if !announced || aseq > g.stableSeq[g.midx.me] {
-				continue
+		for w.floor < w.rel {
+			g.collectVisits++
+			if sl := w.at(w.floor + 1); sl.global != 0 {
+				if g.seqLeader && (sl.aseq == 0 || sl.aseq > stableMe) {
+					break
+				}
+				g.ring.del(sl.global)
 			}
-			delete(g.announceSeq, id)
+			w.popFront()
 		}
-		delete(g.assigns, id)
-		g.ring.del(global)
 	}
 	g.ring.compact(g.delGlobal)
 }
@@ -1023,7 +995,9 @@ func (g *Group) tryDeliverLocked() {
 			testOrderChoice(g, m)
 		}
 		if m == nil {
-			if g.unannouncedAssignsLocked() {
+			if g.seqLeader && g.assignHigh > g.announcedHigh {
+				// Decisions about other members' messages are not on the
+				// wire yet (our own carry theirs at send time).
 				// emitDataLocked advances announcedHigh, so this branch
 				// runs at most once per batch of new decisions.
 				DebugCounters.OrderNull.Add(1)
@@ -1036,40 +1010,30 @@ func (g *Group) tryDeliverLocked() {
 	}
 }
 
-// unannouncedAssignsLocked reports whether the sequencer holds ordering
-// decisions for messages sent by other members that it has not yet put on
-// the wire (its own messages carry their assignment at send time).
-func (g *Group) unannouncedAssignsLocked() bool {
-	return g.seqLeader && g.assignHigh > g.announcedHigh
-}
-
 // sequenceLocked is the sequencer's ordering step: assign global sequence
 // numbers, in stamp order, to causally-deliverable unassigned application
-// messages. Returns whether any new assignment was made.
-func (g *Group) sequenceLocked() bool {
-	if !g.seqLeader || g.assignQ.len() == 0 {
-		return false
+// messages.
+func (g *Group) sequenceLocked() {
+	if !g.seqLeader {
+		return
 	}
 	// Pop the waiting application messages in stamp order. Causal
 	// readiness cannot change mid-pass (nothing is delivered here), so
 	// each causally-deliverable message gets the next global as it is
 	// popped — the same stamp-ordered assignment the old full scan made —
 	// and the blocked rest go back on the queue for the next pass.
-	made := false
 	for g.assignQ.len() > 0 {
 		m := g.assignQ.pop()
-		if _, ok := g.assigns[m.msgID()]; ok {
+		if g.win[m.senderIdx].get(m.Seq).global != 0 {
 			continue // assigned while queued (own send, or a merged decision)
 		}
 		if g.causalOKLocked(m) {
-			g.assignLocked(m.msgID())
-			made = true
+			g.assignLocked(m.senderIdx, m.Seq)
 			continue
 		}
 		g.scratch = append(g.scratch, m)
 	}
 	g.pushBackLocked(&g.assignQ)
-	return made
 }
 
 // nextDeliverableLocked picks the unique next message to deliver, or nil.
@@ -1140,8 +1104,10 @@ func (g *Group) popSymmetricLocked() *dataMsg {
 // re-sorted the whole pending set to find both.
 func (g *Group) popSequencerLocked() *dataMsg {
 	var next *dataMsg
-	if id, ok := g.ring.get(g.delGlobal + 1); ok {
-		if m := g.pending[id]; m != nil && g.causalOKLocked(m) && g.allHeardPastLocked(m) {
+	if ref := g.ring.get(g.delGlobal + 1); ref.seq != 0 {
+		// Causal readiness implies pending: the sender's next undelivered
+		// sequence number cannot sit in the stash past a gap.
+		if m := g.win[ref.pos].get(ref.seq).m; m != nil && g.causalOKLocked(m) && g.allHeardPastLocked(m) {
 			// NewTop is block-based: besides the sequencer's ordering
 			// decision, delivery requires traffic from every member past
 			// the message, which is what keeps all functioning members
@@ -1171,6 +1137,19 @@ func (g *Group) popSequencerLocked() *dataMsg {
 	}
 	g.pushBackLocked(&g.deliverQ)
 	return chosen
+}
+
+// pendingAppFloorLocked lowers bound to the least stamp of a pending
+// application message, if one is lower.
+func (g *Group) pendingAppFloorLocked(bound vclock.Stamp) vclock.Stamp {
+	for s := range g.win {
+		for seq := g.delivered[s] + 1; seq <= g.recvContig[s]; seq++ {
+			if m := g.win[s].get(seq).m; !m.Null && m.stamp().Less(bound) {
+				bound = m.stamp()
+			}
+		}
+	}
+	return bound
 }
 
 // pushBackLocked returns the scratch buffer's messages to a queue and
@@ -1203,21 +1182,16 @@ func (g *Group) allHeardPastLocked(m *dataMsg) bool {
 
 // deliverLocked finalises delivery of one message.
 func (g *Group) deliverLocked(m *dataMsg) {
-	id := m.msgID()
-	delete(g.pending, id)
+	g.npending--
 	g.delivered[m.senderIdx] = m.Seq
-	global, hasGlobal := g.assigns[id]
-	if hasGlobal && !m.Null {
-		if global == g.delGlobal+1 {
-			g.delGlobal = global
-		} else if global > g.delGlobal {
-			g.delGlobal = global // cut delivery can skip ahead deterministically
-		}
-	}
+	global := g.win[m.senderIdx].get(m.Seq).global
 	if !m.Null {
+		if global > g.delGlobal {
+			g.delGlobal = global
+		}
 		// Journal B is global+1 so "unordered" (causal mode) stays distinguishable.
 		var gplus uint64
-		if hasGlobal {
+		if global != 0 {
 			gplus = global + 1
 		}
 		g.frRecord(flight.EvDeliver, m.senderIdx, m.Seq, m.Lamport, gplus)
@@ -1284,15 +1258,7 @@ func (g *Group) activeLocked() bool {
 		// expire between requests.
 		return true
 	}
-	if len(g.pending) > 0 || g.state == stateFlushing || g.fl != nil || g.attention > 0 {
-		return true
-	}
-	for _, m := range g.store {
-		if !m.Null {
-			return true
-		}
-	}
-	return false
+	return g.npending > 0 || g.nappStore > 0 || g.state == stateFlushing || g.fl != nil || g.attention > 0
 }
 
 // installViewLocked resets all per-view state and emits the view event.
@@ -1314,21 +1280,19 @@ func (g *Group) installViewLocked(v View) {
 	g.frRecord(flight.EvViewInstall, int(flight.NoSender), 0, uint64(n), uint64(g.cfg.Order))
 	g.delivered = make([]uint64, n)
 	g.recvContig = make([]uint64, n)
-	g.stash = make([]map[uint64]*dataMsg, n)
-	g.pending = make(map[ids.MsgID]*dataMsg)
+	for i := range g.win {
+		g.win[i].reset() // releases the old view's messages, keeps the capacity
+	}
+	for len(g.win) < n {
+		g.win = append(g.win, seqWindow{})
+	}
+	g.win = g.win[:n]
+	g.npending, g.nstore, g.nappStore = 0, 0, 0
 	g.lastStamp = make([]vclock.Stamp, n)
-	g.assigns = make(map[ids.MsgID]uint64)
 	g.ring.reset()
-	g.nextGlobal = 1
-	g.delGlobal = 0
-	g.assignHigh = 0
-	g.announcedHigh = 0
-	g.announceSeq = make(map[ids.MsgID]uint64)
+	g.delGlobal, g.assignHigh, g.announcedHigh = 0, 0, 0
 	g.ackMat = make([]uint64, n*n)
-	g.store = make(map[ids.MsgID]*dataMsg)
 	g.stableSeq = make([]uint64, n)
-	g.sweepLow = make([]uint64, n)
-	g.sweepStableMe = 0
 	g.maxAppStamp = vclock.Stamp{}
 	g.seqLeader = g.cfg.Order == OrderSequencer && g.leaderOf(g.view.Members) == g.me
 	// View changes revoke read leases: the grant state resets and the
@@ -1463,10 +1427,7 @@ func (g *Group) handle(from ids.ProcessID, msg any, size int) {
 	g.unparkLocked()
 	g.stats.BytesReceived += uint64(size)
 	g.metrics.bytesRecv.Add(uint64(size))
-	defer func() {
-		g.metrics.pendingHigh.SetMax(int64(len(g.pending)))
-		g.metrics.storeHigh.SetMax(int64(len(g.store)))
-	}()
+	defer g.noteDepthsLocked()
 	switch m := msg.(type) {
 	case *dataMsg:
 		g.handleData(m)
@@ -1484,8 +1445,6 @@ func (g *Group) handle(from ids.ProcessID, msg any, size int) {
 		g.handleFlushAck(m)
 	case *commitMsg:
 		g.handleCommit(m)
-	default:
-		_ = fmt.Sprintf("gcs: unhandled message %T from %s", m, from)
 	}
 }
 
@@ -1493,31 +1452,31 @@ func (g *Group) handle(from ids.ProcessID, msg any, size int) {
 func (g *Group) DebugDump() string {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	s := fmt.Sprintf("%s@%s state=%d view=%v delGlobal=%d nextGlobal=%d pending=%d store=%d\n",
-		g.id, g.me, g.state, g.view.Members, g.delGlobal, g.nextGlobal, len(g.pending), len(g.store))
+	s := fmt.Sprintf("%s@%s state=%d view=%v delGlobal=%d assignHigh=%d pending=%d store=%d order=%d\n",
+		g.id, g.me, g.state, g.view.Members, g.delGlobal, g.assignHigh, g.npending, g.nstore, g.ring.live)
 	if g.midx == nil {
 		return s // joining: no per-view state yet
 	}
-	s += fmt.Sprintf("  delivered=%v\n  recvContig=%v\n", g.delivered, g.recvContig)
-	for q, st := range g.stash {
-		if len(st) > 0 {
-			s += fmt.Sprintf("  stash[%s]=%d\n", g.midx.members[q], len(st))
-		}
+	stash := make([]int, len(g.win)) // messages held out of order, per position
+	for q := range g.win {
+		g.win[q].each(func(seq uint64, sl *seqSlot) {
+			if sl.m != nil && seq > g.recvContig[q] {
+				stash[q]++
+			}
+		})
 	}
+	s += fmt.Sprintf("  delivered=%v\n  recvContig=%v\n  stash=%v\n", g.delivered, g.recvContig, stash)
 	byG := make([]string, 0, 8)
 	for global := g.delGlobal + 1; global <= g.delGlobal+4; global++ {
-		id, ok := g.ring.get(global)
-		if !ok {
+		ref := g.ring.get(global)
+		if ref.seq == 0 {
 			byG = append(byG, fmt.Sprintf("g%d=?", global))
 			continue
 		}
-		m := g.pending[id]
-		if m == nil {
-			del := uint64(0)
-			if si := g.midx.posOf(id.Sender); si >= 0 {
-				del = g.delivered[si]
-			}
-			byG = append(byG, fmt.Sprintf("g%d=%v(not-pending,del=%d)", global, id, del))
+		id := ids.MsgID{Sender: g.midx.members[ref.pos], Seq: ref.seq}
+		m := g.win[ref.pos].get(ref.seq).m
+		if m == nil || ref.seq <= g.delivered[ref.pos] {
+			byG = append(byG, fmt.Sprintf("g%d=%v(not-pending,del=%d)", global, id, g.delivered[ref.pos]))
 			continue
 		}
 		byG = append(byG, fmt.Sprintf("g%d=%v causal=%v heard=%v vc=%v", global, id, g.causalOKLocked(m), g.allHeardPastLocked(m), m.VC))

@@ -269,12 +269,7 @@ func (g *Group) frontierPassedLocked(st vclock.Stamp) bool {
 			return false
 		}
 	}
-	for _, m := range g.pending {
-		if !m.Null && m.stamp().Less(st) {
-			return false
-		}
-	}
-	return true
+	return !g.pendingAppFloorLocked(st).Less(st)
 }
 
 // waitFrontierLocked parks on the group's condition variable until done()

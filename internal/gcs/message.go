@@ -29,8 +29,6 @@ type assign struct {
 	Global uint64
 }
 
-func (a assign) msgID() ids.MsgID { return ids.MsgID{Sender: a.Sender, Seq: a.Seq} }
-
 // dataMsg is an application or null (time-silence / order-carrier)
 // multicast. Null messages run through the full reliability and ordering
 // machinery but are not surfaced to the application.
@@ -83,8 +81,6 @@ type dataMsg struct {
 // evaluation tops out at 9-member groups; 10 keeps that span
 // allocation-free with headroom).
 const maxInlineMembers = 10
-
-func (m *dataMsg) msgID() ids.MsgID { return ids.MsgID{Sender: m.Sender, Seq: m.Seq} }
 
 func (m *dataMsg) stamp() vclock.Stamp { return vclock.Stamp{Time: m.Lamport, Sender: m.Sender} }
 

@@ -1,14 +1,15 @@
 package gcs
 
 import (
+	"slices"
+
 	"newtop/internal/ids"
 )
 
 // This file holds the hot-path data structures behind the ordering
 // machinery: the per-view member index that turns process identifiers
-// into dense array positions, the stamp-ordered min-heap the delivery
-// loop pops from, and the global-sequence ring the sequencer protocol
-// indexes instead of scanning.
+// into dense array positions, and the stamp-ordered min-heap the delivery
+// loop pops from (window.go holds the sequence windows and the ring).
 //
 // Views are identified by (Seq, Installer) and carry a sorted membership,
 // so every member of a view derives the *same* index; that is what makes
@@ -18,32 +19,23 @@ import (
 
 // memberIndex is the stable position table of one installed view.
 type memberIndex struct {
-	members []ids.ProcessID       // the view's sorted membership
-	pos     map[ids.ProcessID]int // inverse: member -> position
-	me      int                   // the local member's position (-1 while joining)
+	members []ids.ProcessID // the view's sorted membership
+	me      int             // the local member's position (-1 while joining)
 }
 
 func buildMemberIndex(members []ids.ProcessID, me ids.ProcessID) *memberIndex {
-	idx := &memberIndex{
-		members: members,
-		pos:     make(map[ids.ProcessID]int, len(members)),
-		me:      -1,
-	}
-	for i, p := range members {
-		idx.pos[p] = i
-		if p == me {
-			idx.me = i
-		}
-	}
+	idx := &memberIndex{members: members}
+	idx.me = idx.posOf(me)
 	return idx
 }
 
 // n returns the view size.
 func (idx *memberIndex) n() int { return len(idx.members) }
 
-// posOf returns the dense position of p, or -1 when p is not a member.
+// posOf returns the dense position of p, or -1 when p is not a member: a
+// binary search of the sorted membership.
 func (idx *memberIndex) posOf(p ids.ProcessID) int {
-	if i, ok := idx.pos[p]; ok {
+	if i, ok := slices.BinarySearch(idx.members, p); ok {
 		return i
 	}
 	return -1
@@ -60,9 +52,7 @@ type stampHeap struct {
 func (h *stampHeap) len() int { return len(h.ms) }
 
 func (h *stampHeap) reset() {
-	for i := range h.ms {
-		h.ms[i] = nil // release old-view messages for GC
-	}
+	clear(h.ms) // release old-view messages for GC
 	h.ms = h.ms[:0]
 }
 
@@ -107,101 +97,5 @@ func (h *stampHeap) siftDown(i int) {
 		}
 		h.ms[i], h.ms[small] = h.ms[small], h.ms[i]
 		i = small
-	}
-}
-
-// globalRing maps global sequence numbers to message identifiers with
-// O(1) indexed access (the sequencer's delivery check is a single slot
-// load instead of a map probe per attempt). Globals are handed out
-// densely from 1, delivered in order and garbage-collected from the
-// bottom, so a base-offset slice stays compact; compact() slides the
-// window forward past freed slots.
-type globalRing struct {
-	base uint64      // global sequence number of slot 0
-	slot []ids.MsgID // zero Sender marks a free slot
-	live int         // occupied slot count
-}
-
-func (r *globalRing) reset() {
-	r.base = 1
-	r.slot = r.slot[:0]
-	r.live = 0
-}
-
-// set records global -> id. Globals below base (already compacted away)
-// are ignored — they were stable before the decision arrived again.
-func (r *globalRing) set(global uint64, id ids.MsgID) {
-	if r.base == 0 {
-		r.base = 1
-	}
-	if global < r.base {
-		return
-	}
-	i := int(global - r.base)
-	for i >= len(r.slot) {
-		r.slot = append(r.slot, ids.MsgID{})
-	}
-	if r.slot[i].Sender == "" {
-		r.live++
-	}
-	r.slot[i] = id
-}
-
-// get returns the message holding the given global position.
-func (r *globalRing) get(global uint64) (ids.MsgID, bool) {
-	if global < r.base {
-		return ids.MsgID{}, false
-	}
-	i := int(global - r.base)
-	if i >= len(r.slot) || r.slot[i].Sender == "" {
-		return ids.MsgID{}, false
-	}
-	return r.slot[i], true
-}
-
-// del frees the slot of a garbage-collected ordering decision.
-func (r *globalRing) del(global uint64) {
-	if global < r.base {
-		return
-	}
-	i := int(global - r.base)
-	if i < len(r.slot) && r.slot[i].Sender != "" {
-		r.slot[i] = ids.MsgID{}
-		r.live--
-	}
-}
-
-// compact slides the window past freed bottom slots so the ring's memory
-// tracks the live decisions, not the all-time high. It must never slide
-// past a global that has not been delivered yet: an empty bottom slot
-// above the delivery point is not garbage but a decision still in flight
-// (announcements merge at accept time, so a stashed out-of-order leader
-// message can populate later slots while an earlier announcement is lost
-// awaiting resend) — sliding past it would make set() discard the
-// decision when the resend finally lands. Below the delivery point an
-// empty slot really is garbage: delivery reads its slot, so the slot was
-// occupied and only garbage collection empties it.
-func (r *globalRing) compact(delivered uint64) {
-	i := 0
-	for i < len(r.slot) && r.slot[i].Sender == "" && r.base+uint64(i) <= delivered {
-		i++
-	}
-	if i == 0 {
-		return
-	}
-	n := copy(r.slot, r.slot[i:])
-	for j := n; j < len(r.slot); j++ {
-		r.slot[j] = ids.MsgID{}
-	}
-	r.slot = r.slot[:n]
-	r.base += uint64(i)
-}
-
-// each visits the live decisions in ascending global order.
-func (r *globalRing) each(fn func(global uint64, id ids.MsgID)) {
-	for i, id := range r.slot {
-		if id.Sender != "" {
-			fn(r.base+uint64(i), id)
-		}
 	}
 }

@@ -51,8 +51,41 @@ func (o *orderOracle) shouldCheck(g *Group) bool {
 	o.step[g]++
 	tick := o.step[g]
 	o.mu.Unlock()
-	return len(g.pending) <= 64 || tick%16 == 0
+	return g.npending <= 64 || tick%16 == 0
 }
+
+// The oracle reads the group's pending set and ordering table through
+// these two accessors only, so its scan-and-sort reference logic stays
+// independent of how the group stores them (the sequence windows).
+
+// oraclePending lists the pending set: ingested, not yet delivered.
+func oraclePending(g *Group) []*dataMsg {
+	out := make([]*dataMsg, 0, g.npending)
+	for s := range g.win {
+		for seq := g.delivered[s] + 1; seq <= g.recvContig[s]; seq++ {
+			out = append(out, g.win[s].get(seq).m)
+		}
+	}
+	return out
+}
+
+// oracleGlobal returns the global position decided for a message, if any.
+func oracleGlobal(g *Group, id ids.MsgID) (uint64, bool) {
+	pos := g.midx.posOf(id.Sender)
+	if pos < 0 {
+		return 0, false
+	}
+	global := g.win[pos].get(id.Seq).global
+	return global, global != 0
+}
+
+// oracleIsPending reports whether m itself is in the pending set.
+func oracleIsPending(g *Group, m *dataMsg) bool {
+	si := m.senderIdx
+	return m.Seq > g.delivered[si] && m.Seq <= g.recvContig[si] && g.win[si].get(m.Seq).m == m
+}
+
+func (m *dataMsg) msgID() ids.MsgID { return ids.MsgID{Sender: m.Sender, Seq: m.Seq} }
 
 func (o *orderOracle) violatef(format string, args ...any) {
 	o.mu.Lock()
@@ -92,18 +125,18 @@ func (o *orderOracle) preStep(g *Group) {
 		o.mu.Unlock()
 		return
 	}
-	cands := make([]*dataMsg, 0, len(g.pending))
-	for _, m := range g.pending {
+	cands := make([]*dataMsg, 0, g.npending)
+	for _, m := range oraclePending(g) {
 		if m.Null {
 			continue
 		}
-		if _, ok := g.assigns[m.msgID()]; ok {
+		if _, ok := oracleGlobal(g, m.msgID()); ok {
 			continue
 		}
 		cands = append(cands, m)
 	}
 	sort.Slice(cands, func(i, j int) bool { return cands[i].stamp().Less(cands[j].stamp()) })
-	exp := assignExpect{checked: true, base: g.nextGlobal}
+	exp := assignExpect{checked: true, base: g.assignHigh + 1}
 	for _, m := range cands {
 		if g.causalOKLocked(m) {
 			exp.ids = append(exp.ids, m.msgID())
@@ -134,33 +167,37 @@ func (o *orderOracle) choice(g *Group, chosen *dataMsg) {
 		return
 	}
 	for i, id := range exp.ids {
-		if got, found := g.assigns[id]; !found || got != exp.base+uint64(i) {
+		if got, found := oracleGlobal(g, id); !found || got != exp.base+uint64(i) {
 			o.violatef("%s: oracle expected %v assigned global %d, got %d (found=%v)",
 				g.me, id, exp.base+uint64(i), got, found)
 		}
 	}
-	if want := exp.base + uint64(len(exp.ids)); g.nextGlobal != want {
-		o.violatef("%s: nextGlobal %d after sequencing, oracle expects %d", g.me, g.nextGlobal, want)
+	if want := exp.base + uint64(len(exp.ids)); g.assignHigh+1 != want {
+		o.violatef("%s: next global %d after sequencing, oracle expects %d", g.me, g.assignHigh+1, want)
 	}
 }
 
 // checkQueuesLocked verifies the delivery queues and the ring against the
-// maps they index: same membership, no strays, nothing missing.
+// state they index: same membership, no strays, nothing missing.
 func (o *orderOracle) checkQueuesLocked(g *Group) {
+	pending := oraclePending(g)
+	if len(pending) != g.npending {
+		o.violatef("%s: pending counter %d, windows hold %d", g.me, g.npending, len(pending))
+	}
 	switch g.cfg.Order {
 	case OrderCausal, OrderSymmetric:
-		if g.deliverQ.len() != len(g.pending) {
-			o.violatef("%s: deliverQ holds %d messages, pending holds %d", g.me, g.deliverQ.len(), len(g.pending))
+		if g.deliverQ.len() != len(pending) {
+			o.violatef("%s: deliverQ holds %d messages, pending holds %d", g.me, g.deliverQ.len(), len(pending))
 			return
 		}
 		for _, m := range g.deliverQ.ms {
-			if g.pending[m.msgID()] != m {
+			if !oracleIsPending(g, m) {
 				o.violatef("%s: deliverQ holds %v which is not pending", g.me, m.msgID())
 			}
 		}
 	case OrderSequencer:
 		nulls := 0
-		for _, m := range g.pending {
+		for _, m := range pending {
 			if m.Null {
 				nulls++
 			}
@@ -169,42 +206,48 @@ func (o *orderOracle) checkQueuesLocked(g *Group) {
 			o.violatef("%s: deliverQ holds %d nulls, pending holds %d", g.me, g.deliverQ.len(), nulls)
 		}
 		for _, m := range g.deliverQ.ms {
-			if !m.Null || g.pending[m.msgID()] != m {
+			if !m.Null || !oracleIsPending(g, m) {
 				o.violatef("%s: deliverQ holds stray %v", g.me, m.msgID())
 			}
 		}
 		if g.seqLeader {
 			queued := make(map[ids.MsgID]bool, g.assignQ.len())
 			for _, m := range g.assignQ.ms {
-				if m.Null || g.pending[m.msgID()] != m {
+				if m.Null || !oracleIsPending(g, m) {
 					o.violatef("%s: assignQ holds stray %v", g.me, m.msgID())
 				}
 				queued[m.msgID()] = true
 			}
-			for id, m := range g.pending {
+			for _, m := range pending {
 				if m.Null {
 					continue
 				}
-				if _, assigned := g.assigns[id]; !assigned && !queued[id] {
+				id := m.msgID()
+				if _, assigned := oracleGlobal(g, id); !assigned && !queued[id] {
 					o.violatef("%s: unassigned pending %v missing from assignQ", g.me, id)
 				}
 			}
 		}
 	}
-	g.ring.each(func(global uint64, id ids.MsgID) {
-		if got, ok := g.assigns[id]; !ok || got != global {
-			o.violatef("%s: ring slot g%d=%v disagrees with assigns (%d, %v)", g.me, global, id, got, ok)
+	live := 0
+	g.ring.each(func(global uint64, ref *msgRef) {
+		if ref.seq == 0 {
+			return
+		}
+		live++
+		if got := g.win[ref.pos].get(ref.seq).global; got != global {
+			o.violatef("%s: ring slot g%d=%d#%d disagrees with its window slot (%d)", g.me, global, ref.pos, ref.seq, got)
 		}
 	})
+	if live != g.ring.live {
+		o.violatef("%s: ring counts %d live decisions, holds %d", g.me, g.ring.live, live)
+	}
 }
 
 // oracleNextDeliverable is the pre-index algorithm, verbatim: collect the
 // whole pending set, sort by stamp, scan.
 func oracleNextDeliverable(g *Group) *dataMsg {
-	candidates := make([]*dataMsg, 0, len(g.pending))
-	for _, m := range g.pending {
-		candidates = append(candidates, m)
-	}
+	candidates := oraclePending(g)
 	sort.Slice(candidates, func(i, j int) bool { return candidates[i].stamp().Less(candidates[j].stamp()) })
 
 	switch g.cfg.Order {
@@ -241,7 +284,7 @@ func oracleNextDeliverable(g *Group) *dataMsg {
 			if m.Null {
 				return m
 			}
-			if global, ok := g.assigns[m.msgID()]; ok && global == g.delGlobal+1 &&
+			if global, ok := oracleGlobal(g, m.msgID()); ok && global == g.delGlobal+1 &&
 				g.allHeardPastLocked(m) {
 				return m
 			}

@@ -26,19 +26,20 @@ type Stats struct {
 	ViewsInstalled uint64
 	// CutDelivered counts messages force-delivered by view-change cuts.
 	CutDelivered uint64
-	// Pending and StoreSize are instantaneous queue depths.
-	Pending   int
-	StoreSize int
+	// Pending, StoreSize and OrderTable (live sequencer decisions) are instantaneous depths.
+	Pending    int
+	StoreSize  int
+	OrderTable int
 	// Members is the current view size.
 	Members int
 }
 
 // String renders a compact one-line summary.
 func (s Stats) String() string {
-	return fmt.Sprintf("sent=%d nulls=%d delivered=%d resent=%d batches=%d batched=%d bytesOut=%d bytesIn=%d views=%d cut=%d pending=%d store=%d members=%d",
+	return fmt.Sprintf("sent=%d nulls=%d delivered=%d resent=%d batches=%d batched=%d bytesOut=%d bytesIn=%d views=%d cut=%d pending=%d store=%d order=%d members=%d",
 		s.AppSent, s.NullSent, s.AppDelivered, s.Resent, s.BatchesSent, s.BatchedMsgs,
 		s.BytesSent, s.BytesReceived,
-		s.ViewsInstalled, s.CutDelivered, s.Pending, s.StoreSize, s.Members)
+		s.ViewsInstalled, s.CutDelivered, s.Pending, s.StoreSize, s.OrderTable, s.Members)
 }
 
 // Plus returns the field-wise sum of two snapshots (instantaneous depths
@@ -58,6 +59,7 @@ func (s Stats) Plus(t Stats) Stats {
 		CutDelivered:   s.CutDelivered + t.CutDelivered,
 		Pending:        s.Pending + t.Pending,
 		StoreSize:      s.StoreSize + t.StoreSize,
+		OrderTable:     s.OrderTable + t.OrderTable,
 		Members:        s.Members + t.Members,
 	}
 }
@@ -67,8 +69,9 @@ func (g *Group) Stats() Stats {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	s := g.stats
-	s.Pending = len(g.pending)
-	s.StoreSize = len(g.store)
+	s.Pending = g.npending
+	s.StoreSize = g.nstore
+	s.OrderTable = g.ring.live
 	s.Members = len(g.view.Members)
 	return s
 }

@@ -3,7 +3,6 @@ package gcs
 import (
 	"time"
 
-	"newtop/internal/ids"
 	"newtop/internal/obs/flight"
 )
 
@@ -242,11 +241,9 @@ func (g *Group) resendLocked(now time.Time) {
 			DebugCounters.Resend.Add(1)
 			g.stats.Resent++
 			g.metrics.resent.Inc()
-			m, ok := g.store[ids.MsgID{Sender: g.me, Seq: seq}]
-			if !ok {
-				continue
+			if m := g.win[g.midx.me].get(seq).m; m != nil {
+				g.sendLocked(q, g.node.encode(m))
 			}
-			g.sendLocked(q, g.node.encode(m))
 		}
 	}
 }

@@ -29,8 +29,8 @@ type AllocBudget struct {
 // DefaultAllocBudgets returns the manifest for the real module.
 func DefaultAllocBudgets() []AllocBudget {
 	return []AllocBudget{
-		{Entry: "newtop/internal/gcs.(*Group).Multicast", Max: 40, Note: "application send path: batch, emit, encode, transport handoff"},
-		{Entry: "newtop/internal/gcs.(*Node).dispatch", Max: 120, Note: "ingest path: decode, accept, order, deliver tail"},
+		{Entry: "newtop/internal/gcs.(*Group).Multicast", Max: 39, Note: "application send path: batch, emit, encode, transport handoff"},
+		{Entry: "newtop/internal/gcs.(*Node).dispatch", Max: 102, Note: "ingest path: decode, accept, order, deliver tail"},
 		{Entry: "newtop/internal/gcs.encodeFramed", Max: 8, Note: "wire encode of one protocol envelope behind the node's frame header"},
 		{Entry: "newtop/internal/gcs.decodeMessage", Max: 28, Note: "wire decode of one protocol envelope"},
 		{Entry: "newtop/internal/transport.(*muxChannel).SendFrame", Max: 3, Note: "mux send of a pre-framed buffer: no copy, no allocation per destination"},

@@ -374,23 +374,28 @@ func hasPathSuffix(path, suffix string) bool {
 // calleeOf resolves the called function object of a call expression, or
 // nil for dynamic calls (function values, type conversions, builtins).
 func calleeOf(info *types.Info, call *ast.CallExpr) *types.Func {
+	var obj types.Object
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
-		if fn, ok := info.Uses[fun].(*types.Func); ok {
-			return fn
+		obj = info.Uses[fun]
+	case *ast.IndexExpr: // explicit instantiation: f[T](…)
+		if id, ok := fun.X.(*ast.Ident); ok {
+			obj = info.Uses[id]
 		}
 	case *ast.SelectorExpr:
 		if sel, ok := info.Selections[fun]; ok {
-			if fn, ok := sel.Obj().(*types.Func); ok {
-				return fn
-			}
-			return nil
+			obj = sel.Obj()
+		} else {
+			// Package-qualified call (time.Sleep): the Sel ident resolves
+			// directly.
+			obj = info.Uses[fun.Sel]
 		}
-		// Package-qualified call (time.Sleep): the Sel ident resolves
-		// directly.
-		if fn, ok := info.Uses[fun.Sel].(*types.Func); ok {
-			return fn
-		}
+	}
+	if fn, ok := obj.(*types.Func); ok {
+		// A method of an instantiated generic type resolves to a per-
+		// instance object; the declaration the call graph knows is its
+		// origin.
+		return fn.Origin()
 	}
 	return nil
 }
