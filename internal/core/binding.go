@@ -93,7 +93,6 @@ type Binding struct {
 	view     gcs.View
 	broken   bool
 	brokenCh chan struct{}
-	viewCh   chan struct{}
 	closed   bool
 
 	// sessStamp is the session token: the newest applied stamp observed
@@ -169,7 +168,6 @@ func (s *Service) Bind(ctx context.Context, cfg BindConfig) (*Binding, error) {
 		rm:        rm,
 		sgMembers: members,
 		brokenCh:  make(chan struct{}),
-		viewCh:    make(chan struct{}, 1),
 		window:    make(chan struct{}, windowOf(cfg)),
 		loopDone:  make(chan struct{}),
 	}
@@ -217,7 +215,6 @@ func (s *Service) bindClosed(ctx context.Context, cfg BindConfig, members []ids.
 		sgMembers: members,
 		servers:   members,
 		brokenCh:  make(chan struct{}),
-		viewCh:    make(chan struct{}, 1),
 		window:    make(chan struct{}, windowOf(cfg)),
 		loopDone:  make(chan struct{}),
 	}
@@ -326,6 +323,20 @@ func (b *Binding) Servers() []ids.ProcessID {
 	return out
 }
 
+// liveServers is len(Servers()) of a closed binding, without the slice.
+func (b *Binding) liveServers() int {
+	me := b.svc.ID()
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	n := 0
+	for _, m := range b.sgMembers {
+		if m != me && b.view.Contains(m) {
+			n++
+		}
+	}
+	return n
+}
+
 // Broken reports whether the binding has lost its request manager (open)
 // or all of its servers (closed).
 func (b *Binding) Broken() bool {
@@ -395,7 +406,6 @@ func (b *Binding) clientLoop() {
 // mid-transition (the rebind race the view cache exists to close).
 func (b *Binding) onView(v *gcs.View) {
 	b.mu.Lock()
-	defer b.mu.Unlock()
 	b.view = v.Clone()
 	switch b.cfg.Style {
 	case Open:
@@ -417,9 +427,9 @@ func (b *Binding) onView(v *gcs.View) {
 			b.markBrokenLocked()
 		}
 	}
-	select {
-	case b.viewCh <- struct{}{}:
-	default:
+	b.mu.Unlock()
+	if b.cfg.Style == Closed {
+		b.svc.recheckDirect(b) // the quorum is over the live servers
 	}
 }
 
@@ -637,11 +647,11 @@ func (b *Binding) InvokeAsync(ctx context.Context, method string, args []byte, o
 	b.svc.metrics.asyncCalls.Inc()
 	b.svc.metrics.asyncInflightHigh.SetMax(int64(len(b.window)))
 
-	directReplies := 0
+	var direct *Binding // a closed call gathers the servers' replies itself
 	if b.cfg.Style == Closed {
-		directReplies = len(b.sgMembers)
+		direct = b
 	}
-	w := b.svc.registerWaiter(o.call, directReplies)
+	w := b.svc.registerWaiter(o.call, o.mode, direct)
 	// Keep the group's failure detection alive while we wait: an idle
 	// event-driven group would otherwise never notice a request manager
 	// that died after the request stabilised but before replying.
@@ -700,13 +710,7 @@ func (b *Binding) InvokeAsync(ctx context.Context, method string, args []byte, o
 			b.svc.dropWaiter(o.call, w)
 			release()
 		}()
-		var replies []Reply
-		var err error
-		if b.cfg.Style == Open {
-			replies, err = b.awaitReplySet(c.ctx, w)
-		} else {
-			replies, err = b.awaitDirectReplies(c.ctx, w, o.mode)
-		}
+		replies, err := awaitReplySet(c.ctx, w, b.brokenCh, b)
 		if errors.Is(err, context.Canceled) {
 			b.svc.metrics.asyncCancelled.Inc()
 		}
@@ -721,8 +725,11 @@ func (b *Binding) InvokeAsync(ctx context.Context, method string, args []byte, o
 	return c, nil
 }
 
-// awaitReplySet waits for the request manager's aggregated answer.
-func (b *Binding) awaitReplySet(ctx context.Context, w *callWaiter) ([]Reply, error) {
+// awaitReplySet waits for a call's answer — the request manager's
+// aggregate or, closed style, the direct replies that met the quorum — and
+// folds the replies' stamps into the caller's session. broken fires when
+// the binding the call went through breaks.
+func awaitReplySet(ctx context.Context, w *callWaiter, broken <-chan struct{}, session interface{ noteStamp(vclock.Stamp) }) ([]Reply, error) {
 	select {
 	case set := <-w.set:
 		if set.Err != "" {
@@ -730,50 +737,16 @@ func (b *Binding) awaitReplySet(ctx context.Context, w *callWaiter) ([]Reply, er
 		}
 		out := make([]Reply, 0, len(set.Replies))
 		for _, rep := range set.Replies {
-			b.noteStamp(rep.Stamp)
+			session.noteStamp(rep.Stamp)
 			out = append(out, rep.toReply())
 		}
 		if len(out) == 0 {
 			return nil, errors.New("core: empty reply set")
 		}
 		return out, nil
-	case <-b.brokenCh:
+	case <-broken:
 		return nil, ErrBindingBroken
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
-}
-
-// awaitDirectReplies gathers closed-style per-server replies until the
-// mode's quorum against the live membership is met.
-func (b *Binding) awaitDirectReplies(ctx context.Context, w *callWaiter, mode ReplyMode) ([]Reply, error) {
-	got := make(map[ids.ProcessID]invReply)
-	for {
-		if len(got) >= mode.need(len(b.Servers())) && len(got) > 0 {
-			out := make([]Reply, 0, len(got))
-			for _, srv := range ids.SortProcesses(keysOf(got)) {
-				out = append(out, got[srv].toReply())
-			}
-			return out, nil
-		}
-		select {
-		case rep := <-w.replies:
-			b.noteStamp(rep.Stamp)
-			got[rep.Server] = rep
-		case <-b.viewCh:
-			// membership changed: quorum size re-evaluates
-		case <-b.brokenCh:
-			return nil, ErrBindingBroken
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-}
-
-func keysOf(m map[ids.ProcessID]invReply) []ids.ProcessID {
-	out := make([]ids.ProcessID, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	return out
 }

@@ -36,9 +36,29 @@ type world struct {
 	srvs    []*core.Server
 	clients []*core.Service
 	calls   map[ids.ProcessID]*atomic.Int64 // execution counters per server
+	taps    map[ids.ProcessID]*tap          // every process's send-side fault hook
+}
+
+// endpoint creates id's endpoint behind a tap.
+func (w *world) endpoint(id ids.ProcessID) *tap {
+	w.t.Helper()
+	ep, err := w.net.Endpoint(id, netsim.SiteLAN)
+	if err != nil {
+		w.t.Fatalf("endpoint: %v", err)
+	}
+	tp := &tap{Endpoint: ep}
+	w.taps[id] = tp
+	return tp
 }
 
 func newWorld(t *testing.T, nServers, nClients int) *world {
+	t.Helper()
+	return newWorldTimers(t, nServers, nClients, testTimers())
+}
+
+// newWorldTimers is newWorld with the server group's gcs timers chosen by
+// the test.
+func newWorldTimers(t *testing.T, nServers, nClients int, timers gcs.GroupConfig) *world {
 	t.Helper()
 	// Registered before the service-closing cleanup, so it runs after it
 	// (cleanups are LIFO): Close must reap every pump the services started.
@@ -47,6 +67,7 @@ func newWorld(t *testing.T, nServers, nClients int) *world {
 		t:     t,
 		net:   memnet.New(netsim.New(netsim.FastProfile(), 42)),
 		calls: make(map[ids.ProcessID]*atomic.Int64),
+		taps:  make(map[ids.ProcessID]*tap),
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
@@ -54,11 +75,7 @@ func newWorld(t *testing.T, nServers, nClients int) *world {
 	var contact ids.ProcessID
 	for i := 0; i < nServers; i++ {
 		id := ids.ProcessID(fmt.Sprintf("s%02d", i))
-		ep, err := w.net.Endpoint(id, netsim.SiteLAN)
-		if err != nil {
-			t.Fatalf("endpoint: %v", err)
-		}
-		svc := core.NewService(ep)
+		svc := core.NewService(w.endpoint(id))
 		w.servers = append(w.servers, svc)
 
 		count := new(atomic.Int64)
@@ -78,7 +95,7 @@ func newWorld(t *testing.T, nServers, nClients int) *world {
 			Group:       "sg",
 			Contact:     contact,
 			Handler:     handler,
-			GCS:         testTimers(),
+			GCS:         timers,
 			ClientProbe: 200 * time.Millisecond,
 		})
 		if err != nil {
@@ -92,11 +109,7 @@ func newWorld(t *testing.T, nServers, nClients int) *world {
 	awaitRosters(t, w.srvs)
 	for i := 0; i < nClients; i++ {
 		id := ids.ProcessID(fmt.Sprintf("z%02d", i))
-		ep, err := w.net.Endpoint(id, netsim.SiteLAN)
-		if err != nil {
-			t.Fatalf("endpoint: %v", err)
-		}
-		w.clients = append(w.clients, core.NewService(ep))
+		w.clients = append(w.clients, core.NewService(w.endpoint(id)))
 	}
 	t.Cleanup(func() {
 		for _, c := range w.clients {

@@ -1,0 +1,83 @@
+package core
+
+import (
+	"testing"
+	"time"
+
+	"newtop/internal/ids"
+	"newtop/internal/vclock"
+)
+
+// TestAllocGuardForwardedReply budgets a replica's half of the reply fan-in
+// (run by ci.sh's AllocGuard stage; internal/lint/allocbudget.go pins the
+// same entry point statically): execute a forwarded request once, retain the
+// reply, answer the request manager with one ORB one-way. What is left is
+// the execution span's note, the reply envelope and the ORB frame around it.
+func TestAllocGuardForwardedReply(t *testing.T) {
+	_, srv := soloServer(t, "replica")
+	req := &invRequest{Mode: Majority, Method: "put", Args: []byte("k=v"), Forwarded: true, Style: Open}
+	next := uint64(0)
+	serve := func() {
+		next++
+		req.Call = ids.CallID{Client: "z00", Number: next}
+		srv.execute(req, "rm", vclock.Stamp{Time: next, Sender: "rm"})
+	}
+	for i := 0; i < 64; i++ {
+		serve()
+	}
+	avg := testing.AllocsPerRun(500, serve)
+	t.Logf("forwarded request → direct reply: %.1f allocs/op", avg)
+	const budget = 5 // measured 4.0
+	if avg > budget && !raceEnabled {
+		t.Fatalf("executing and answering a forwarded request allocates %.1f/op, budget %d", avg, budget)
+	}
+}
+
+// TestAllocGuardCollectReply budgets the request manager's half: filing one
+// direct reply, and — for the reply that completes the quorum — building the
+// reply set, retaining it and multicasting it in the client group, all on
+// the arrival path. No goroutine, no timer, no map and no sort per call: the
+// set, its envelope and the multicast are what remains. (The single member
+// stands in for the client group; delivering the set to itself is part of
+// the count.)
+func TestAllocGuardCollectReply(t *testing.T) {
+	_, srv := soloServer(t, "rm")
+	const runs = 500
+	srv.mu.Lock()
+	for n := uint64(1); n <= runs+65; n++ {
+		c := &collection{call: ids.CallID{Client: "z00", Number: n}, b: srv.group, start: time.Now()}
+		c.mode = Majority
+		c.replies = make([]invReply, 0, 3)
+		c.deadline = time.NewTimer(time.Hour)
+		srv.collectors[c.call] = c
+		srv.group.Attend()
+		srv.group.Attend() // answer releases the server group and the client group
+	}
+	srv.roster["s01"], srv.roster["s02"] = true, true
+	srv.mu.Unlock()
+
+	payload := make([]byte, 100)
+	next := uint64(0)
+	collect := func() {
+		next++
+		call := ids.CallID{Client: "z00", Number: next}
+		srv.collectReply(invReply{Call: call, Server: "s01", Payload: payload})
+		srv.collectReply(invReply{Call: call, Server: "rm", Payload: payload})
+		srv.collectReply(invReply{Call: call, Server: "s02", Payload: payload}) // late: dropped
+	}
+	for i := 0; i < 64; i++ {
+		collect()
+	}
+	avg := testing.AllocsPerRun(runs, collect)
+	t.Logf("three direct replies → one reply set: %.1f allocs/op", avg)
+	srv.mu.Lock()
+	open, kept := len(srv.collectors), len(srv.sets)
+	srv.mu.Unlock()
+	if open != 0 || kept != runs+65 {
+		t.Fatalf("%d collections still open, %d reply sets retained; want 0 and %d", open, kept, runs+65)
+	}
+	const budget = 6 // measured 5.0
+	if avg > budget && !raceEnabled {
+		t.Fatalf("collecting a call's replies allocates %.1f/op, budget %d", avg, budget)
+	}
+}

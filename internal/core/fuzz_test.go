@@ -13,7 +13,7 @@ func callIDSeed() ids.CallID { return ids.CallID{Client: "c", Number: 7} }
 // decoder. Run with `go test -fuzz=FuzzDecodePayload ./internal/core`.
 func FuzzDecodePayload(f *testing.F) {
 	f.Add(encodeRequest(&invRequest{Call: callIDSeed(), Method: "m", Args: []byte("a"), Style: Open}))
-	f.Add(encodeReply(invReply{Call: callIDSeed(), Server: "s", Payload: []byte("p")}))
+	f.Add(encodeReply("sg", invReply{Call: callIDSeed(), Server: "s", Payload: []byte("p")}))
 	f.Add(encodeReplySet(&invReplySet{Call: callIDSeed()}))
 	f.Add(encodeHello())
 	f.Add([]byte{})
@@ -26,7 +26,7 @@ func FuzzDecodePayload(f *testing.F) {
 	f.Add(encodeRequest(fullReq))
 	var fullRep invReply
 	wiretest.Fill(&fullRep)
-	f.Add(encodeReply(fullRep))
+	f.Add(encodeReply("sg", fullRep))
 	fullSet := &invReplySet{}
 	wiretest.Fill(fullSet)
 	f.Add(encodeReplySet(fullSet))
@@ -42,6 +42,7 @@ func FuzzDecodePayload(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		_, _ = decodePayload(data)
+		_, _, _ = decodeReply(data)
 		_, _ = decodeBindRequest(data)
 		_, _ = decodeStateSnapshot(data)
 		_, _ = DecodeGroupRef(data)

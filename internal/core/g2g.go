@@ -365,7 +365,7 @@ func (g *G2G) InvokeAsync(ctx context.Context, method string, args []byte, opts 
 		o.trace = obs.DeriveTraceID("g2g/"+string(g.group.ID()), call.Number)
 	}
 	g.svc.metrics.asyncCalls.Inc()
-	w := g.svc.registerWaiter(call, 0)
+	w := g.svc.registerWaiter(call, o.mode, nil)
 	g.claimEarly(call, w)
 	g.group.Attend()
 
@@ -416,7 +416,7 @@ func (g *G2G) InvokeAsync(ctx context.Context, method string, args []byte, opts 
 			g.group.Unattend()
 			g.svc.dropWaiter(call, w)
 		}()
-		replies, err := g.awaitSet(c.ctx, w)
+		replies, err := awaitReplySet(c.ctx, w, g.brokenCh, g)
 		if errors.Is(err, context.Canceled) {
 			g.svc.metrics.asyncCancelled.Inc()
 		}
@@ -424,27 +424,4 @@ func (g *G2G) InvokeAsync(ctx context.Context, method string, args []byte, opts 
 		c.complete(replies, err)
 	}()
 	return c, nil
-}
-
-// awaitSet waits for the request manager's aggregated answer.
-func (g *G2G) awaitSet(ctx context.Context, w *callWaiter) ([]Reply, error) {
-	select {
-	case set := <-w.set:
-		if set.Err != "" {
-			return nil, fmt.Errorf("core: request manager: %s", set.Err)
-		}
-		out := make([]Reply, 0, len(set.Replies))
-		for _, rep := range set.Replies {
-			g.noteStamp(rep.Stamp)
-			out = append(out, rep.toReply())
-		}
-		if len(out) == 0 {
-			return nil, errors.New("core: empty reply set")
-		}
-		return out, nil
-	case <-g.brokenCh:
-		return nil, ErrBindingBroken
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
 }

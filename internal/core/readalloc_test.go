@@ -6,30 +6,23 @@ import (
 	"time"
 
 	"newtop/internal/gcs"
+	"newtop/internal/ids"
 	"newtop/internal/netsim"
 	"newtop/internal/transport/memnet"
 )
 
-// TestAllocGuardLeasedRead budgets the leased-read hot path (run by ci.sh's
-// AllocGuard stage): lease check, session-floor fast path, handler run and
-// reply construction. The request is pre-built and the handler returns a
-// preallocated value, so the measurement covers serveReadLocal itself —
-// the path the static allocation budget (internal/lint/allocbudget.go)
-// also pins at the SSA level.
-//
-// A single-member group keeps the measurement deterministic: the lone
-// member is its own sequencer with a majority-of-one, so the lease is
-// permanently valid with every protocol timer parked on hour-long
-// quiescent values (no background ticks to pollute AllocsPerRun, which
-// counts process-wide).
-func TestAllocGuardLeasedRead(t *testing.T) {
+// soloServer founds the single-member server group "alloc" the AllocGuard
+// tests measure on; its servant returns one preallocated value. See
+// TestAllocGuardLeasedRead for why one member and hour-long timers.
+func soloServer(t *testing.T, id ids.ProcessID) (*Service, *Server) {
+	t.Helper()
 	net := memnet.New(netsim.New(netsim.FastProfile(), 1))
-	ep, err := net.Endpoint("solo", netsim.SiteLAN)
+	ep, err := net.Endpoint(id, netsim.SiteLAN)
 	if err != nil {
 		t.Fatalf("endpoint: %v", err)
 	}
 	svc := NewService(ep)
-	defer svc.Close()
+	t.Cleanup(func() { _ = svc.Close() })
 
 	value := []byte("42")
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -52,6 +45,23 @@ func TestAllocGuardLeasedRead(t *testing.T) {
 	if err != nil {
 		t.Fatalf("serve: %v", err)
 	}
+	return svc, srv
+}
+
+// TestAllocGuardLeasedRead budgets the leased-read hot path (run by ci.sh's
+// AllocGuard stage): lease check, session-floor fast path, handler run and
+// reply construction. The request is pre-built and the handler returns a
+// preallocated value, so the measurement covers serveReadLocal itself —
+// the path the static allocation budget (internal/lint/allocbudget.go)
+// also pins at the SSA level.
+//
+// A single-member group keeps the measurement deterministic: the lone
+// member is its own sequencer with a majority-of-one, so the lease is
+// permanently valid with every protocol timer parked on hour-long
+// quiescent values (no background ticks to pollute AllocsPerRun, which
+// counts process-wide).
+func TestAllocGuardLeasedRead(t *testing.T) {
+	_, srv := soloServer(t, "solo")
 
 	req := &readRequest{Group: "alloc", Method: "get", Consistency: Leased}
 	// Warm the path (lazy metric state, reply pooling) before measuring.

@@ -91,11 +91,7 @@ func (srv *Server) serveReadLinearizable(req *readRequest) *readReply {
 	if err != nil {
 		return readRefusal(err, 0, 0)
 	}
-	floor := frontier
-	if floor.Less(req.MinStamp) {
-		floor = req.MinStamp
-	}
-	if !srv.waitMinStamp(floor) {
+	if !srv.waitMinStamp(frontier) || !srv.waitMinStamp(req.MinStamp) {
 		return &readReply{Code: readErrMinStamp, Err: "executed prefix behind the delivery frontier"}
 	}
 	return srv.execRead(req, 0, 0)
@@ -160,7 +156,7 @@ func readRefusal(err error, age, bound uint64) *readReply {
 // session reading where it wrote — is one lock and one compare.
 func (srv *Server) waitMinStamp(min vclock.Stamp) bool {
 	srv.execMu.Lock()
-	ok := !srv.lastExec.Less(min)
+	ok := srv.coversLocked(min)
 	srv.execMu.Unlock()
 	if ok {
 		return true
@@ -177,7 +173,7 @@ func (srv *Server) waitMinStampSlow(min vclock.Stamp) bool {
 	for {
 		time.Sleep(200 * time.Microsecond)
 		srv.execMu.Lock()
-		ok := !srv.lastExec.Less(min)
+		ok := srv.coversLocked(min)
 		srv.execMu.Unlock()
 		if ok {
 			return true

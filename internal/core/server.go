@@ -2,8 +2,9 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -57,14 +58,20 @@ type Server struct {
 
 	// execMu serializes handler executions (and the forwards that must
 	// mirror their order) so replica state evolves deterministically.
-	execMu   sync.Mutex
-	replies  *replyCache  // executed calls: exactly-once across retries
-	lastExec vclock.Stamp // total-order position of the last execution
+	execMu  sync.Mutex
+	replies *replyCache // executed calls: exactly-once across retries
+	// The executed prefix. applied is, per sender, the Lamport time of its
+	// newest delivery applied here; lastExec is the newest applied delivery
+	// of all, which names this member's position in the total order; view is
+	// the membership as the delivery stream last showed it.
+	applied  map[ids.ProcessID]uint64
+	lastExec vclock.Stamp
+	view     gcs.View
 
 	mu         sync.Mutex
 	roster     map[ids.ProcessID]bool // fellow servers (hello ∩ view)
 	lastView   int                    // size of the previously observed view
-	collectors map[ids.CallID]*collector
+	collectors map[ids.CallID]*collection
 	sets       map[ids.CallID]*invReplySet // request-manager answers, for retries
 	setOrder   []ids.CallID
 	bindings   map[ids.GroupID]*gcs.Group
@@ -123,8 +130,9 @@ func (s *Service) serve(ctx context.Context, cfg ServeConfig, replica bool) (*Se
 		group:      group,
 		rmWait:     cfg.RMWait,
 		replies:    newReplyCache(cacheCap),
+		applied:    make(map[ids.ProcessID]uint64),
 		roster:     map[ids.ProcessID]bool{s.ID(): true},
-		collectors: make(map[ids.CallID]*collector),
+		collectors: make(map[ids.CallID]*collection),
 		sets:       make(map[ids.CallID]*invReplySet),
 		bindings:   make(map[ids.GroupID]*gcs.Group),
 		seen:       make(map[ids.CallID]bool),
@@ -238,7 +246,9 @@ func (srv *Server) Close() error {
 		bindings = append(bindings, b)
 	}
 	for _, c := range srv.collectors {
-		c.cancel()
+		if c.settle(0, true) { // nobody is left to answer
+			c.deadline.Stop()
+		}
 	}
 	srv.mu.Unlock()
 
@@ -273,25 +283,13 @@ func (srv *Server) groupLoop() {
 func (srv *Server) handleGroupEvent(ev gcs.Event) {
 	switch ev.Type {
 	case gcs.EventDeliver:
-		if srv.uncollectedReply(ev.Deliver.Payload) {
-			srv.noteApplied(ev.Deliver.Stamp)
-			return
-		}
 		msg, err := decodePayload(ev.Deliver.Payload)
 		if err == nil {
 			switch m := msg.(type) {
 			case *invRequest:
-				switch {
-				case m.Forwarded:
-					srv.serveForwarded(m, ev.Deliver.Stamp)
-				case m.Style == Closed:
-					// A closed-bound client (a fellow group member)
-					// multicast this request; execute and reply straight
-					// to it (fig. 3(i)).
-					srv.serveClosed(m, ev.Deliver.Stamp)
+				if srv.execute(m, ev.Deliver.Sender, ev.Deliver.Stamp) {
+					return
 				}
-			case *invReply:
-				srv.collectReply(*m)
 			case helloMsg:
 				srv.mu.Lock()
 				srv.roster[ev.Deliver.Sender] = true
@@ -299,53 +297,75 @@ func (srv *Server) handleGroupEvent(ev gcs.Event) {
 			}
 		}
 		// Every delivered position is applied once handled: requests by
-		// executeOnce above, everything else (gathered replies, roster
-		// hellos, unparseable payloads) vacuously. Reads wait on delivery
-		// stamps (session floors, read-index frontiers), so the executed
-		// frontier must cover non-request traffic too or a read could
-		// stall on a stamp no execution will ever carry.
+		// executeOnce (the return above), everything else (roster hellos,
+		// unparseable payloads) vacuously. Reads wait on delivery stamps (session
+		// floors, read-index frontiers), so the executed frontier must
+		// cover non-request traffic too or a read could stall on a stamp
+		// no execution will ever carry.
 		srv.noteApplied(ev.Deliver.Stamp)
 	case gcs.EventView:
 		srv.onGroupView(ev.View)
 	}
 }
 
-// uncollectedReply reports whether payload is a replica's reply to a call
-// this member gathers no replies for. Every member is delivered every
-// reply, but only the call's request manager holds a collector; the others
-// skip the decode.
-func (srv *Server) uncollectedReply(payload []byte) bool {
-	client, number, ok := peekReplyCall(payload)
-	if !ok {
+// execute runs one request delivered in the server group — a request
+// manager's forward (paper fig. 4(ii)→(iii)) or a closed-bound client's own
+// multicast (fig. 3(i)) — exactly once, in the same total order at every
+// member, and answers whoever gathers its replies point-to-point over the
+// ORB (a retried call gets the retained reply again, §4.1): the client, or
+// the request manager that forwarded it, which thereby stays the only member
+// multicasting in the server group — what the restricted group of §4.2 is
+// built on. It reports false for a request that is neither, which executes
+// nothing.
+func (srv *Server) execute(req *invRequest, sender ids.ProcessID, stamp vclock.Stamp) bool {
+	if !req.Forwarded && req.Style != Closed {
 		return false
 	}
-	srv.mu.Lock()
-	_, collecting := srv.collectors[ids.CallID{Client: ids.ProcessID(client), Number: number}]
-	srv.mu.Unlock()
-	return !collecting
+	rep, _ := srv.executeOnce(req.Call, req.Method, req.Args, stamp, req.Trace)
+	switch {
+	case req.AsyncFwd || req.Mode == OneWay: // nobody gathers replies
+	case !req.Forwarded:
+		srv.svc.sendDirectReply(req.Client, "", rep)
+	case sender == srv.svc.ID():
+		srv.collectReply(rep) // our own execution: no envelope, no frame
+	default:
+		srv.svc.sendDirectReply(sender, srv.cfg.Group, rep)
+	}
+	return true
 }
 
-// noteApplied advances the executed-prefix stamp past a consumed,
-// state-neutral delivery.
+// noteApplied advances the executed prefix past a consumed, state-neutral
+// delivery.
 func (srv *Server) noteApplied(stamp vclock.Stamp) {
 	srv.execMu.Lock()
-	if srv.lastExec.Less(stamp) {
-		srv.lastExec = stamp
-	}
+	srv.applyLocked(stamp)
 	srv.execMu.Unlock()
 }
 
-// serveForwarded executes a request distributed through the server group
-// (paper fig. 4(ii)→(iii)): every member executes it in the same total
-// order and, unless the optimised asynchronous-forwarding path or one-way
-// mode suppresses replies, multicasts its reply within the group.
-func (srv *Server) serveForwarded(req *invRequest, stamp vclock.Stamp) {
-	rep, fresh := srv.executeOnce(req.Call, req.Method, req.Args, stamp, req.Trace)
-	if req.AsyncFwd || req.Mode == OneWay {
-		return
+// applyLocked advances the executed prefix past the delivery stamped stamp.
+func (srv *Server) applyLocked(stamp vclock.Stamp) {
+	if stamp.Time > srv.applied[stamp.Sender] {
+		srv.applied[stamp.Sender] = stamp.Time
+		srv.lastExec = stamp
 	}
-	_ = fresh                                                       // a retried call re-multicasts the retained reply (§4.1)
-	_ = srv.group.Multicast(context.Background(), encodeReply(rep)) //lint:ok errdrop best-effort: the client retries and gets the retained reply
+}
+
+// coversLocked reports whether the executed prefix includes the delivery
+// stamped s — and with it, the total order being one, everything any member
+// had applied before s. One sender's deliveries arrive in its send order
+// with growing Lamport times under either ordering protocol, so the test is
+// per sender. Comparing whole stamps is right only under the symmetric
+// protocol: the sequencer may order a later-stamped message of one sender
+// before an earlier-stamped one of another, and a member that has applied
+// just the first would claim the second.
+func (srv *Server) coversLocked(s vclock.Stamp) bool {
+	if t, ok := srv.applied[s.Sender]; ok {
+		return t >= s.Time
+	}
+	// Nothing applied from s.Sender since it was last in a view: all it sent
+	// was delivered before it left — here, or into the snapshot this member
+	// started from.
+	return !srv.view.Contains(s.Sender)
 }
 
 // executeOnce runs the handler for a call exactly once; retries get the
@@ -353,6 +373,12 @@ func (srv *Server) serveForwarded(req *invRequest, stamp vclock.Stamp) {
 func (srv *Server) executeOnce(call ids.CallID, method string, args []byte, stamp vclock.Stamp, trace uint64) (invReply, bool) {
 	srv.execMu.Lock()
 	defer srv.execMu.Unlock()
+	return srv.executeLocked(call, method, args, stamp, trace)
+}
+
+// executeLocked is executeOnce for a caller that holds execMu.
+func (srv *Server) executeLocked(call ids.CallID, method string, args []byte, stamp vclock.Stamp, trace uint64) (invReply, bool) {
+	srv.applyLocked(stamp) // a retry's delivery is a position too
 	if rep, ok := srv.replies.get(call); ok {
 		rep.Trace = trace
 		return rep, false
@@ -365,9 +391,6 @@ func (srv *Server) executeOnce(call ids.CallID, method string, args []byte, stam
 		rep.Err = err.Error()
 	}
 	srv.replies.put(call, rep)
-	if srv.lastExec.Less(stamp) {
-		srv.lastExec = stamp
-	}
 	srv.svc.metrics.execLatency.Observe(d)
 	srv.svc.obs.Tracer.Record(obs.Span{
 		Trace: obs.TraceID(trace),
@@ -381,7 +404,10 @@ func (srv *Server) executeOnce(call ids.CallID, method string, args []byte, stam
 	return rep, true
 }
 
-// collectReply routes a server-group reply to the collector gathering it.
+// collectReply files one replica's reply with the call's collection, if
+// this member is still gathering for it, and answers the client when it
+// completes the quorum (the live server roster; closed clients in the view
+// never reply).
 func (srv *Server) collectReply(rep invReply) {
 	// Reconstruct the remote replica's execution span from the envelope's
 	// self-reported duration (our own executions are recorded locally with
@@ -401,25 +427,25 @@ func (srv *Server) collectReply(rep invReply) {
 	}
 	srv.mu.Lock()
 	c := srv.collectors[rep.Call]
+	servers := len(srv.roster)
 	srv.mu.Unlock()
-	if c != nil {
-		c.add(rep, srv.need(c.mode))
+	if c != nil && c.add(rep, servers) {
+		srv.answer(c)
 	}
-}
-
-// need computes the reply quorum for a mode against the live server
-// roster (closed clients in the view never reply).
-func (srv *Server) need(mode ReplyMode) int {
-	srv.mu.Lock()
-	n := len(srv.roster)
-	srv.mu.Unlock()
-	return mode.need(n)
 }
 
 // onGroupView intersects the roster with the new view, re-announces when
 // newcomers appear (so late joiners learn the roster), and re-evaluates
 // pending collectors (e.g. wait-for-all with a crashed member).
 func (srv *Server) onGroupView(v *gcs.View) {
+	srv.execMu.Lock()
+	srv.view = v.Clone()
+	for p := range srv.applied {
+		if !v.Contains(p) {
+			delete(srv.applied, p) // see coversLocked
+		}
+	}
+	srv.execMu.Unlock()
 	srv.mu.Lock()
 	for p := range srv.roster {
 		if !v.Contains(p) {
@@ -428,7 +454,8 @@ func (srv *Server) onGroupView(v *gcs.View) {
 	}
 	grew := len(v.Members) > srv.lastView
 	srv.lastView = len(v.Members)
-	cs := make([]*collector, 0, len(srv.collectors))
+	servers := len(srv.roster)
+	cs := make([]*collection, 0, len(srv.collectors))
 	for _, c := range srv.collectors {
 		cs = append(cs, c)
 	}
@@ -439,7 +466,9 @@ func (srv *Server) onGroupView(v *gcs.View) {
 		_ = srv.group.Multicast(context.Background(), encodeHello()) //lint:ok errdrop best-effort: roster repair re-announces on every membership change
 	}
 	for _, c := range cs {
-		c.recheck(srv.need(c.mode))
+		if c.settle(servers, false) {
+			srv.answer(c)
+		}
 	}
 }
 
@@ -566,16 +595,6 @@ func (srv *Server) detachBinding(gid ids.GroupID, b *gcs.Group) {
 	_ = b.Leave()
 }
 
-// serveClosed handles a request delivered in a closed client/server
-// group: execute and reply straight to the client (paper fig. 3(i)).
-func (srv *Server) serveClosed(req *invRequest, stamp vclock.Stamp) {
-	rep, _ := srv.executeOnce(req.Call, req.Method, req.Args, stamp, req.Trace)
-	if req.Mode == OneWay {
-		return
-	}
-	srv.svc.sendDirectReply(req.Client, rep)
-}
-
 // serveAsRM handles a request delivered in an open client/server or
 // client monitor group, acting as the request manager (paper fig. 4).
 func (srv *Server) serveAsRM(b *gcs.Group, bind *bindRequest, req *invRequest) {
@@ -605,8 +624,13 @@ func (srv *Server) serveAsRM(b *gcs.Group, bind *bindRequest, req *invRequest) {
 		}
 		return
 	}
-	if _, inFlight := srv.collectors[req.Call]; inFlight {
+	if _, gathering := srv.collectors[req.Call]; gathering {
+		// Retried while still gathering: a direct reply may have been lost
+		// (it rides no reliable multicast). Forward again — every replica
+		// answers a call it has executed from its retained reply, so the
+		// missing one arrives and nothing executes twice.
 		srv.mu.Unlock()
+		srv.forward(req)
 		return
 	}
 	srv.mu.Unlock()
@@ -614,11 +638,7 @@ func (srv *Server) serveAsRM(b *gcs.Group, bind *bindRequest, req *invRequest) {
 	srv.recordRMReceive(req)
 
 	if req.Mode == OneWay {
-		// Distribute and return: nobody is waiting.
-		fwd := *req
-		fwd.Forwarded = true
-		srv.svc.metrics.rmRelays.Inc()
-		_ = srv.group.Multicast(context.Background(), encodeRequest(&fwd)) //lint:ok errdrop best-effort: one-way semantics promise no delivery guarantee to the caller
+		srv.forward(req) // distribute and return: nobody is waiting
 		return
 	}
 	// Stay audible in the client/server group while serving: the waiting
@@ -643,7 +663,10 @@ func (srv *Server) recordRMReceive(req *invRequest) {
 	}
 	now := time.Now()
 	tid := obs.TraceID(req.Trace)
-	if req.SentAt > 0 {
+	var note string
+	if req.SentAt <= 0 {
+		note = "mode=" + req.Mode.String()
+	} else {
 		sent := time.Unix(0, req.SentAt)
 		srv.svc.obs.Tracer.Record(obs.Span{
 			Trace: tid,
@@ -653,15 +676,7 @@ func (srv *Server) recordRMReceive(req *invRequest) {
 			Start: sent,
 			Note:  "reported by envelope",
 		})
-		srv.svc.obs.Tracer.Record(obs.Span{
-			Trace: tid,
-			Stage: "rm.receive",
-			Proc:  string(srv.svc.ID()),
-			Depth: 1,
-			Start: now,
-			Note:  "mode=" + req.Mode.String() + " transit≈" + now.Sub(sent).Round(time.Microsecond).String(),
-		})
-		return
+		note = "mode=" + req.Mode.String() + " transit≈" + now.Sub(sent).Round(time.Microsecond).String()
 	}
 	srv.svc.obs.Tracer.Record(obs.Span{
 		Trace: tid,
@@ -669,7 +684,7 @@ func (srv *Server) recordRMReceive(req *invRequest) {
 		Proc:  string(srv.svc.ID()),
 		Depth: 1,
 		Start: now,
-		Note:  "mode=" + req.Mode.String(),
+		Note:  note,
 	})
 }
 
@@ -679,38 +694,18 @@ func (srv *Server) recordRMReceive(req *invRequest) {
 // members to apply.
 func (srv *Server) serveAsyncForward(b *gcs.Group, req *invRequest) {
 	srv.execMu.Lock()
-	rep, fresh := func() (invReply, bool) {
-		if r, ok := srv.replies.get(req.Call); ok {
-			r.Trace = req.Trace
-			return r, false
-		}
-		start := time.Now()
-		payload, err := srv.cfg.Handler(req.Method, req.Args)
-		d := time.Since(start)
-		r := invReply{Call: req.Call, Server: srv.svc.ID(), Payload: payload, Trace: req.Trace, ExecNanos: int64(d), Stamp: srv.lastExec}
-		if err != nil {
-			r.Err = err.Error()
-		}
-		srv.replies.put(req.Call, r)
-		srv.svc.metrics.execLatency.Observe(d)
-		srv.svc.obs.Tracer.Record(obs.Span{
-			Trace: obs.TraceID(req.Trace),
-			Stage: "replica.execute",
-			Proc:  string(srv.svc.ID()),
-			Depth: 3,
-			Start: start,
-			Dur:   d,
-			Note:  "method=" + req.Method,
-		})
-		return r, true
-	}()
+	// The primary executes outside the group order: the reply carries the
+	// newest stamp applied so far.
+	rep, fresh := srv.executeLocked(req.Call, req.Method, req.Args, srv.lastExec, req.Trace)
 	// The client's reply leaves before the one-way forwarding starts —
 	// the forwarding is what must not sit on the critical path (that is
 	// the whole point of the optimisation, §4.2). Both stay under execMu
 	// so the backups apply requests in exactly the primary's execution
 	// order.
 	set := &invReplySet{Call: req.Call, Replies: []invReply{rep}, Trace: req.Trace}
-	srv.storeSet(set)
+	srv.mu.Lock()
+	srv.retainSetLocked(set)
+	srv.mu.Unlock()
 	replyStart := time.Now()
 	//lint:ok lockblock deliberate: both multicasts stay under execMu so backups see the primary's execution order (§4.2)
 	_ = b.Multicast(context.Background(), encodeReplySet(set)) //lint:ok errdrop best-effort: the client retries and gets the retained reply set
@@ -744,53 +739,101 @@ func (srv *Server) recordRMSpan(trace uint64, stage string, start time.Time, not
 	})
 }
 
+// forward distributes a client's request in the server group.
+func (srv *Server) forward(req *invRequest) {
+	fwd := *req
+	fwd.Forwarded = true
+	srv.svc.metrics.rmRelays.Inc()
+	start := time.Now()
+	_ = srv.group.Multicast(context.Background(), encodeRequest(&fwd)) //lint:ok errdrop best-effort: the collection times out and answers with whatever replies arrive; one-way promises nothing
+	srv.recordRMSpan(req.Trace, "rm.forward", start, "server-group multicast")
+}
+
+// collection is one call this request manager is gathering replies for.
+type collection struct {
+	collector
+	call     ids.CallID
+	trace    uint64
+	b        *gcs.Group // the client/server group the answer goes to
+	start    time.Time
+	deadline *time.Timer // answers with what has arrived after RMWait
+}
+
 // serveCollected is the standard open-group path: distribute the request
-// in the server group, gather replies per the reply mode, return the
-// aggregate to the client group.
+// in the server group, gather the replicas' direct replies per the reply
+// mode, return the aggregate to the client group. Nothing waits in between:
+// whichever of the completing reply, a view change that shrinks the quorum
+// and the deadline comes first answers the client (answer).
 func (srv *Server) serveCollected(b *gcs.Group, req *invRequest) {
-	c := newCollector(req.Call, req.Mode)
+	c := &collection{call: req.Call, trace: req.Trace, b: b, start: time.Now()}
+	c.mode = req.Mode
+	// Hold the server group's attention while gathering: a replica that
+	// dies after receiving the forwarded request but before replying must
+	// be suspected so the quorum shrinks.
+	srv.group.Attend()
 	srv.mu.Lock()
 	if srv.closed {
 		srv.mu.Unlock()
 		return
 	}
+	c.replies = make([]invReply, 0, len(srv.roster))
+	c.deadline = time.AfterFunc(srv.rmWait, func() {
+		if c.settle(0, true) {
+			srv.answer(c)
+		}
+	})
 	srv.collectors[req.Call] = c
 	srv.mu.Unlock()
-
-	fwd := *req
-	fwd.Forwarded = true
-	// Hold the server group's attention while gathering: a replica that
-	// dies after receiving the forwarded request but before replying must
-	// be suspected so the quorum shrinks.
-	srv.group.Attend()
-	srv.svc.metrics.rmRelays.Inc()
-	fwdStart := time.Now()
-	_ = srv.group.Multicast(context.Background(), encodeRequest(&fwd)) //lint:ok errdrop best-effort: the collector times out and aggregates whatever replies arrive
-	srv.recordRMSpan(req.Trace, "rm.forward", fwdStart, "server-group multicast")
-
-	srv.wg.Add(1)
-	go func() {
-		defer srv.wg.Done()
-		defer srv.group.Unattend()
-		defer b.Unattend()
-		collectStart := time.Now()
-		set := c.wait(srv.rmWait)
-		srv.recordRMSpan(req.Trace, "rm.collect", collectStart, fmt.Sprintf("replies=%d", len(set.Replies)))
-		srv.mu.Lock()
-		delete(srv.collectors, req.Call)
-		srv.mu.Unlock()
-		set.Trace = req.Trace
-		srv.storeSet(set)
-		replyStart := time.Now()
-		_ = b.Multicast(context.Background(), encodeReplySet(set)) //lint:ok errdrop best-effort: the client retries and gets the retained reply set
-		srv.recordRMSpan(req.Trace, "rm.reply", replyStart, "client-group multicast")
-	}()
+	srv.forward(req)
 }
 
-// storeSet retains an aggregated reply for retries.
-func (srv *Server) storeSet(set *invReplySet) {
+// answer multicasts a settled collection's reply set in the client group
+// and retains it for retries. It runs on the path of whatever settled the
+// collection — the ORB's receive loop, a dispatch worker, the deadline.
+func (srv *Server) answer(c *collection) {
+	srv.recordRMSpan(c.trace, "rm.collect", c.start, "replies="+strconv.Itoa(len(c.replies)))
+	set := &invReplySet{Call: c.call, Replies: c.replies, Trace: c.trace}
+	if len(set.Replies) == 0 {
+		set.Err = "request manager: no replies before deadline"
+	}
 	srv.mu.Lock()
-	defer srv.mu.Unlock()
+	c.deadline.Stop()
+	delete(srv.collectors, c.call)
+	srv.retainSetLocked(set)
+	srv.mu.Unlock()
+
+	// Multicast only waits when the group is installing a view, and that
+	// wait must not park the receive loop or a dispatch worker: a spent
+	// context declines it, and a goroutine of its own takes the send.
+	payload := encodeReplySet(set)
+	start := time.Now()
+	//lint:ok lockblock under the spent context Multicast sends or returns at once; it never waits
+	if err := c.b.Multicast(spentCtx, payload); errors.Is(err, context.Canceled) {
+		srv.mu.Lock()
+		if !srv.closed {
+			srv.wg.Add(1)
+			go func() {
+				defer srv.wg.Done()
+				_ = c.b.Multicast(context.Background(), payload) //lint:ok errdrop best-effort: the client retries and gets the retained reply set
+			}()
+		}
+		srv.mu.Unlock()
+	}
+	srv.recordRMSpan(c.trace, "rm.reply", start, "client-group multicast")
+	srv.group.Unattend()
+	c.b.Unattend()
+}
+
+// spentCtx is an already-cancelled context: Multicast under it sends if the
+// group is in its normal state and returns at once if not.
+var spentCtx = func() context.Context {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	return ctx
+}()
+
+// retainSetLocked retains an aggregated reply for retries.
+func (srv *Server) retainSetLocked(set *invReplySet) {
 	if _, ok := srv.sets[set.Call]; ok {
 		return
 	}
@@ -802,80 +845,51 @@ func (srv *Server) storeSet(set *invReplySet) {
 	}
 }
 
-// collector gathers server replies for one request-managed call.
+// collector gathers the servers' point-to-point replies to one call — at
+// the request manager of an open call, at the client of a closed one —
+// until the reply mode's quorum over the live servers is met. Whoever
+// settles it (add and settle report true exactly once between them) owns
+// the replies from then on; later arrivals are dropped.
 type collector struct {
-	call ids.CallID
 	mode ReplyMode
 
 	mu      sync.Mutex
-	replies map[ids.ProcessID]invReply
-	done    chan struct{}
-	closed  bool
+	replies []invReply // ordered by server
+	settled bool
 }
 
-func newCollector(call ids.CallID, mode ReplyMode) *collector {
-	return &collector{
-		call:    call,
-		mode:    mode,
-		replies: make(map[ids.ProcessID]invReply),
-		done:    make(chan struct{}),
-	}
-}
-
-func (c *collector) add(rep invReply, need int) {
+// add files one server's reply — a retry's copy replaces the original —
+// and reports whether it completed the quorum of mode over servers.
+func (c *collector) add(rep invReply, servers int) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed {
-		return
+	if c.settled {
+		return false
 	}
-	c.replies[rep.Server] = rep
-	if len(c.replies) >= need {
-		c.closed = true
-		close(c.done)
+	i := 0
+	for i < len(c.replies) && c.replies[i].Server.Less(rep.Server) {
+		i++
 	}
+	if i == len(c.replies) || c.replies[i].Server != rep.Server {
+		c.replies = append(c.replies, invReply{})
+		copy(c.replies[i+1:], c.replies[i:])
+	}
+	c.replies[i] = rep
+	c.settled = len(c.replies) >= c.mode.need(servers)
+	return c.settled
 }
 
-func (c *collector) recheck(need int) {
+// settle ends the collection if the replies already in meet the quorum over
+// servers — a membership change shrank it: wait-for-all with a crashed
+// member — or, with force, whatever has arrived (the deadline).
+func (c *collector) settle(servers int, force bool) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if !c.closed && len(c.replies) >= need {
-		c.closed = true
-		close(c.done)
+	if c.settled || !force && len(c.replies) < c.mode.need(servers) {
+		return false
 	}
-}
-
-func (c *collector) cancel() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.closed {
-		c.closed = true
-		close(c.done)
-	}
-}
-
-// wait blocks for completion (or the deadline) and snapshots the result.
-func (c *collector) wait(timeout time.Duration) *invReplySet {
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	timedOut := false
-	select {
-	case <-c.done:
-	case <-timer.C:
-		timedOut = true
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	set := &invReplySet{Call: c.call, Replies: make([]invReply, 0, len(c.replies))}
-	for _, rep := range c.replies {
-		set.Replies = append(set.Replies, rep)
-	}
-	sort.Slice(set.Replies, func(i, j int) bool {
-		return set.Replies[i].Server.Less(set.Replies[j].Server)
-	})
-	if timedOut && len(set.Replies) == 0 {
-		set.Err = "request manager: no replies before deadline"
-	}
-	return set
+	c.settled = true
+	return true
 }
 
 // replyCache retains executed replies for exactly-once retry semantics.

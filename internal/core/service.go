@@ -15,8 +15,8 @@ import (
 )
 
 // controlObject is the ORB servant every Service registers; clients use it
-// to discover server-group membership, to pull servers into client/server
-// groups, and to deliver closed-style direct replies.
+// to discover server-group membership and to pull servers into client/server
+// groups, and servers to deliver their direct replies.
 const controlObject = "newtop"
 
 // Service is one process's NewTop service object (NSO). It owns the
@@ -39,10 +39,15 @@ type Service struct {
 	closed   bool
 }
 
-// callWaiter receives the replies for one outstanding invocation.
+// callWaiter receives the answer to one outstanding invocation: the
+// request manager's reply set (open style), or the servers' direct replies
+// once they meet the call's quorum (closed style).
 type callWaiter struct {
-	replies chan invReply     // closed-style per-server replies; nil for open-style calls
-	set     chan *invReplySet // open-style aggregated reply
+	set chan *invReplySet
+	// direct is the closed binding whose live servers the quorum is taken
+	// over; nil for an open-style call, which gathers nothing itself.
+	direct *Binding
+	collector
 }
 
 // NewService starts an NSO on the endpoint. The service owns the
@@ -73,6 +78,7 @@ func NewServiceCfg(ep transport.Endpoint, o *obs.Obs, nc gcs.NodeConfig) *Servic
 		waiters: make(map[ids.CallID]*callWaiter),
 	}
 	s.orb.Register(controlObject, s.control)
+	s.orb.HandleOneWay(controlObject, "reply", s.routeReply)
 	// The cross-group aggregate: every server role this service hosts,
 	// summed field-wise and emitted as group="_total". On a sharded node
 	// (one server group per shard) this is the fabric-wide view next to
@@ -156,14 +162,14 @@ func (s *Service) newCall() ids.CallID {
 	return ids.CallID{Client: s.ID(), Number: s.nextCall}
 }
 
-// registerWaiter installs the reply sink for one call. servers is how many
-// direct replies a closed-style call can expect — one per server, so the
-// sink never drops one the call still needs; an open-style call passes 0
-// and gets no direct-reply sink at all (it is answered through set).
-func (s *Service) registerWaiter(call ids.CallID, servers int) *callWaiter {
-	w := &callWaiter{set: make(chan *invReplySet, 1)}
-	if servers > 0 {
-		w.replies = make(chan invReply, servers)
+// registerWaiter installs the reply sink for one call. direct is the
+// binding a closed-style call gathers its servers' replies against; an
+// open-style call passes nil and is answered through set alone.
+func (s *Service) registerWaiter(call ids.CallID, mode ReplyMode, direct *Binding) *callWaiter {
+	w := &callWaiter{set: make(chan *invReplySet, 1), direct: direct}
+	w.mode = mode
+	if direct != nil {
+		w.replies = make([]invReply, 0, len(direct.sgMembers))
 	}
 	s.mu.Lock()
 	s.waiters[call] = w
@@ -183,17 +189,49 @@ func (s *Service) dropWaiter(call ids.CallID, w *callWaiter) {
 	s.mu.Unlock()
 }
 
-// routeReply hands a closed-style direct reply to its waiter.
-func (s *Service) routeReply(rep invReply) {
+// routeReply is the sink of the "reply" one-way, the single fan-in of
+// point-to-point replies: a reply that names a server group is one of its
+// replicas answering this process as request manager; any other answers a
+// closed-style call of this process. It runs on the ORB's receive loop.
+func (s *Service) routeReply(args []byte) {
+	rmOf, rep, err := decodeReply(args)
+	if err != nil {
+		return
+	}
+	if rmOf != "" {
+		if srv := s.serverFor(rmOf); srv != nil {
+			srv.collectReply(rep)
+		}
+		return
+	}
 	s.mu.Lock()
 	w := s.waiters[rep.Call]
 	s.mu.Unlock()
-	if w == nil {
-		return // late reply after the caller completed or gave up
+	// A late reply finds no waiter; an open-style waiter of the same call
+	// identifier (a retry through another binding) gathers no replies.
+	if w != nil && w.direct != nil && w.add(rep, w.direct.liveServers()) {
+		w.deliverDirect(rep.Call)
 	}
+}
+
+// deliverDirect completes a closed-style call with its settled replies.
+func (w *callWaiter) deliverDirect(call ids.CallID) {
 	select {
-	case w.replies <- rep:
-	default: // no sink (open-style call) or saturated: the call already has what it needs
+	case w.set <- &invReplySet{Call: call, Replies: w.replies}:
+	default:
+	}
+}
+
+// recheckDirect re-evaluates the quorum of b's outstanding closed-style
+// calls after a membership change (wait-for-all with a crashed server).
+func (s *Service) recheckDirect(b *Binding) {
+	servers := b.liveServers()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for call, w := range s.waiters {
+		if w.direct == b && w.settle(servers, false) {
+			w.deliverDirect(call)
+		}
 	}
 }
 
@@ -279,29 +317,9 @@ func (s *Service) control(method string, args []byte) ([]byte, error) {
 		return encodeReadReply(srv.serveRead(req)), nil
 	case "ping":
 		return []byte("pong"), nil
-	case "reply":
-		r := wireReplyFromBytes(args)
-		if r != nil {
-			s.routeReply(*r)
-		}
-		return nil, nil
 	default:
 		return nil, fmt.Errorf("core: unknown control method %q", method)
 	}
-}
-
-// wireReplyFromBytes decodes a direct reply delivered over the control
-// object.
-func wireReplyFromBytes(b []byte) *invReply {
-	msg, err := decodePayload(b)
-	if err != nil {
-		return nil
-	}
-	rep, ok := msg.(*invReply)
-	if !ok {
-		return nil
-	}
-	return rep
 }
 
 // handleBind joins this server into a client/server (or client monitor)
@@ -314,10 +332,13 @@ func (s *Service) handleBind(req *bindRequest) error {
 	return srv.joinBindingGroup(req)
 }
 
-// sendDirectReply delivers a closed-style reply straight to the client's
-// NSO (the paper's m5: one CORBA invocation from server to client).
-func (s *Service) sendDirectReply(client ids.ProcessID, rep invReply) {
-	_ = s.orb.InvokeOneWay(orb.Ref{Target: client, Object: controlObject}, "reply", encodeReply(rep))
+// sendDirectReply delivers one server's reply straight to the NSO gathering
+// it — a closed-bound client, or (rmOf set) the request manager of that
+// server group — as the paper's m5: one CORBA invocation, no multicast.
+// Best-effort: a lost reply is repaired by the client's retry, which every
+// server answers from its retained reply.
+func (s *Service) sendDirectReply(to ids.ProcessID, rmOf ids.GroupID, rep invReply) {
+	_ = s.orb.InvokeOneWay(orb.Ref{Target: to, Object: controlObject}, "reply", encodeReply(rmOf, rep))
 }
 
 // invokeControl performs a control call on a remote NSO.

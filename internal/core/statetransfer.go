@@ -36,6 +36,9 @@ type stateSnapshot struct {
 	// Stamp is the total-order position of the last request executed
 	// into the snapshot (zero if none yet).
 	Stamp vclock.Stamp
+	// Applied is the donor's executed prefix: per sender, the stamp of its
+	// newest delivery executed into the snapshot (see Server.coversLocked).
+	Applied []vclock.Stamp
 	// Data is the application snapshot.
 	Data []byte
 }
@@ -43,8 +46,11 @@ type stateSnapshot struct {
 func encodeStateSnapshot(s *stateSnapshot) []byte {
 	w := wire.GetWriter()
 	w.Bool(s.HasState)
-	w.Uvarint(s.Stamp.Time)
-	w.String(string(s.Stamp.Sender))
+	putStamp(w, s.Stamp)
+	w.Uvarint(uint64(len(s.Applied)))
+	for _, a := range s.Applied {
+		putStamp(w, a)
+	}
 	w.Blob(s.Data)
 	out := w.Detach()
 	wire.PutWriter(w)
@@ -53,11 +59,14 @@ func encodeStateSnapshot(s *stateSnapshot) []byte {
 
 func decodeStateSnapshot(b []byte) (*stateSnapshot, error) {
 	r := wire.NewReader(b)
-	s := &stateSnapshot{
-		HasState: r.Bool(),
-		Stamp:    vclock.Stamp{Time: r.Uvarint(), Sender: ids.ProcessID(r.String())},
-		Data:     r.Blob(),
+	s := &stateSnapshot{HasState: r.Bool(), Stamp: getStamp(r)}
+	if n := r.Uvarint(); r.Err() == nil && n <= uint64(r.Remaining()) {
+		s.Applied = make([]vclock.Stamp, 0, n)
+		for i := uint64(0); i < n; i++ {
+			s.Applied = append(s.Applied, getStamp(r))
+		}
 	}
+	s.Data = r.Blob()
 	if err := r.Done(); err != nil {
 		return nil, err
 	}
@@ -76,31 +85,40 @@ func (srv *Server) takeSnapshot() (*stateSnapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &stateSnapshot{HasState: true, Stamp: srv.lastExec, Data: data}, nil
+	snap := &stateSnapshot{HasState: true, Stamp: srv.lastExec, Data: data}
+	for p, t := range srv.applied {
+		snap.Applied = append(snap.Applied, vclock.Stamp{Time: t, Sender: p})
+	}
+	return snap, nil
 }
 
-// catchUp pulls a snapshot from the donor and installs it. Called before
-// the group loop starts executing, so no execMu interleaving is possible
-// yet.
-func (srv *Server) catchUp(ctx context.Context, donor ids.ProcessID) error {
+// catchUp pulls a snapshot from the donor and installs it, returning what
+// the snapshot covers: per sender, the time of its newest delivery executed
+// into it. Only state-neutral deliveries have been applied here so far.
+func (srv *Server) catchUp(ctx context.Context, donor ids.ProcessID) (map[ids.ProcessID]uint64, error) {
 	raw, err := srv.svc.invokeControl(ctx, donor, "state", []byte(srv.cfg.Group))
 	if err != nil {
-		return fmt.Errorf("core: fetch state from %s: %w", donor, err)
+		return nil, fmt.Errorf("core: fetch state from %s: %w", donor, err)
 	}
 	snap, err := decodeStateSnapshot(raw)
 	if err != nil {
-		return fmt.Errorf("core: decode state: %w", err)
+		return nil, fmt.Errorf("core: decode state: %w", err)
 	}
 	if !snap.HasState {
-		return errors.New("core: donor has no snapshot support")
+		return nil, errors.New("core: donor has no snapshot support")
 	}
 	if err := srv.cfg.Restore(snap.Data); err != nil {
-		return fmt.Errorf("core: restore: %w", err)
+		return nil, fmt.Errorf("core: restore: %w", err)
 	}
+	cover := make(map[ids.ProcessID]uint64, len(snap.Applied))
 	srv.execMu.Lock()
+	for _, a := range snap.Applied {
+		cover[a.Sender] = a.Time
+		srv.applyLocked(a)
+	}
 	srv.lastExec = snap.Stamp
 	srv.execMu.Unlock()
-	return nil
+	return cover, nil
 }
 
 // ServeReplica joins a running server group with state transfer: the
@@ -120,8 +138,9 @@ func (s *Service) ServeReplica(ctx context.Context, cfg ServeConfig) (*Server, e
 
 // bufferedReq is one execution request delivered during the prologue.
 type bufferedReq struct {
-	stamp vclock.Stamp
-	req   *invRequest
+	stamp  vclock.Stamp
+	sender ids.ProcessID
+	req    *invRequest
 }
 
 // bufferForCatchup parks ev if it is an execution request delivered while
@@ -145,52 +164,40 @@ func (srv *Server) bufferForCatchup(ev gcs.Event) bool {
 	if !ok || !(req.Forwarded || req.Style == Closed) {
 		return false
 	}
-	srv.catchBuf = append(srv.catchBuf, bufferedReq{stamp: ev.Deliver.Stamp, req: req})
+	srv.catchBuf = append(srv.catchBuf, bufferedReq{stamp: ev.Deliver.Stamp, sender: ev.Deliver.Sender, req: req})
 	return true
 }
 
 // transferState fetches and installs the snapshot while groupLoop keeps
 // consuming — the fetch is an ORB call and must not block the delivery
 // stream (the donor may need our flush participation to make progress) —
-// then replays the buffered suffix the snapshot does not cover, in order,
-// and lets executions through.
+// then works through the buffered requests in order and lets executions
+// through. Each was delivered in a view that has this member in it, so its
+// request manager (or closed client) may be counting on this member's
+// answer: a request the snapshot does not cover executes here and is
+// answered as if it had just been delivered; one the snapshot covers took
+// effect at the donor, whose result this member does not have — it retains
+// and answers that fact, so that neither the original nor a retry can
+// execute it a second time on top of the restored state.
 func (srv *Server) transferState(ctx context.Context) error {
 	ctx, cancel := context.WithTimeout(ctx, srv.rmWait)
 	defer cancel()
-	if err := srv.catchUp(ctx, srv.cfg.Contact); err != nil {
+	cover, err := srv.catchUp(ctx, srv.cfg.Contact)
+	if err != nil {
 		return err
 	}
 	srv.catchMu.Lock()
 	defer srv.catchMu.Unlock()
-	srv.execMu.Lock()
-	cover := srv.lastExec
-	srv.execMu.Unlock()
 	for _, e := range srv.catchBuf {
-		if cover.Less(e.stamp) { // not already inside the snapshot
-			srv.applyDelivered(e.req, e.stamp)
+		if cover[e.stamp.Sender] >= e.stamp.Time { // already inside the snapshot
+			srv.execMu.Lock()
+			srv.replies.put(e.req.Call, invReply{Call: e.req.Call, Server: srv.svc.ID(), Stamp: e.stamp,
+				Err: "executed before this replica's state transfer; its result stayed with the donor"})
+			srv.execMu.Unlock()
 		}
+		srv.execute(e.req, e.sender, e.stamp)
 	}
 	srv.catchBuf = nil
 	srv.catching = false
 	return nil
-}
-
-// applyDelivered executes one buffered or live request with full
-// bookkeeping (reply suppressed during replay: the original members
-// already answered it).
-func (srv *Server) applyDelivered(req *invRequest, stamp vclock.Stamp) {
-	srv.execMu.Lock()
-	defer srv.execMu.Unlock()
-	if _, ok := srv.replies.get(req.Call); ok {
-		return
-	}
-	payload, err := srv.cfg.Handler(req.Method, req.Args)
-	rep := invReply{Call: req.Call, Server: srv.svc.ID(), Payload: payload}
-	if err != nil {
-		rep.Err = err.Error()
-	}
-	srv.replies.put(req.Call, rep)
-	if srv.lastExec.Less(stamp) {
-		srv.lastExec = stamp
-	}
 }

@@ -14,8 +14,8 @@ import (
 func TestDropWaiterLeavesRetrySink(t *testing.T) {
 	s := &Service{waiters: make(map[ids.CallID]*callWaiter)}
 	call := ids.CallID{Client: "z00", Number: 1}
-	first := s.registerWaiter(call, 0)
-	retry := s.registerWaiter(call, 0)
+	first := s.registerWaiter(call, First, nil)
+	retry := s.registerWaiter(call, First, nil)
 	s.dropWaiter(call, first)
 
 	s.routeReplySet(&invReplySet{Call: call})
@@ -41,7 +41,7 @@ func TestG2GRetainsReplySetThatOvertakesTheCall(t *testing.T) {
 	set := &invReplySet{Call: call}
 
 	g.routeOrRetain(set) // no waiter yet
-	w := g.svc.registerWaiter(call, 0)
+	w := g.svc.registerWaiter(call, First, nil)
 	g.claimEarly(call, w)
 	select {
 	case got := <-w.set:

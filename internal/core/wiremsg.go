@@ -14,7 +14,6 @@ import (
 // groups.
 const (
 	payloadRequest byte = iota + 1
-	payloadReply
 	payloadReplySet
 	payloadHello
 )
@@ -54,9 +53,11 @@ type invRequest struct {
 	SentAt int64
 }
 
-// invReply is one server's reply, multicast inside the server group (open
-// style, for the request manager to gather) or sent point-to-point to the
-// client (closed style).
+// invReply is one server's reply, sent point-to-point to whoever gathers
+// the call's replies: the request manager (open style) or the client
+// (closed style). Servers retain one per executed call in a map whose values
+// Go stores inline only up to 128 bytes; a field more costs every execution
+// an allocation (TestReplyCacheHoldsRepliesInline).
 type invReply struct {
 	Call    ids.CallID
 	Server  ids.ProcessID
@@ -135,20 +136,6 @@ func getReply(r *wire.Reader) invReply {
 	}
 }
 
-// peekReplyCall reads just the head of a payload: whether it is a replica's
-// reply, and to which call. It decodes nothing else and allocates nothing;
-// client aliases b.
-func peekReplyCall(b []byte) (client []byte, number uint64, ok bool) {
-	var r wire.Reader
-	r.Reset(b)
-	if r.Byte() != payloadReply {
-		return nil, 0, false
-	}
-	client = r.BlobRef() // a string on the wire: same length-prefixed layout
-	number = r.Uvarint()
-	return client, number, r.Err() == nil
-}
-
 func putStamp(w *wire.Writer, s vclock.Stamp) {
 	w.Uvarint(s.Time)
 	w.String(string(s.Sender))
@@ -158,13 +145,24 @@ func getStamp(r *wire.Reader) vclock.Stamp {
 	return vclock.Stamp{Time: r.Uvarint(), Sender: ids.ProcessID(r.String())}
 }
 
-func encodeReply(m invReply) []byte {
+// encodeReply builds the argument of the "reply" one-way: one server's
+// reply and what it is for. rmOf names the server group whose request
+// manager the addressee is gathering as; it is empty on a reply to a
+// closed-bound client.
+func encodeReply(rmOf ids.GroupID, m invReply) []byte {
 	w := wire.GetWriter()
-	w.Byte(payloadReply)
+	w.String(string(rmOf))
 	putReply(w, m)
 	out := w.Detach()
 	wire.PutWriter(w)
 	return out
+}
+
+func decodeReply(b []byte) (rmOf ids.GroupID, m invReply, err error) {
+	r := wire.NewReader(b)
+	rmOf = ids.GroupID(r.String())
+	m = getReply(r)
+	return rmOf, m, r.Done()
 }
 
 func encodeReplySet(m *invReplySet) []byte {
@@ -202,9 +200,6 @@ func decodePayload(b []byte) (any, error) {
 			Trace:     r.Uvarint(),
 			SentAt:    r.Varint(),
 		}
-	case payloadReply:
-		rep := getReply(r)
-		msg = &rep
 	case payloadHello:
 		msg = helloMsg{}
 	case payloadReplySet:

@@ -39,6 +39,8 @@ func DefaultAllocBudgets() []AllocBudget {
 		{Entry: "newtop/internal/transport/tcpnet.(*Endpoint).readLoop", Max: 22, Note: "reader: frame split, arena carve, inbound handoff"},
 		{Entry: "newtop/internal/obs/flight.(*Recorder).Record", Max: 3, Note: "flight-recorder event append"},
 		{Entry: "newtop/internal/core.(*Server).serveReadLocal", Max: 20, Note: "leased local read: lease check, session floor, handler run, reply"},
+		{Entry: "newtop/internal/core.(*Server).execute", Max: 61, Note: "replica's half of the reply fan-in: execute once, answer the request manager with one ORB one-way"},
+		{Entry: "newtop/internal/core.(*Server).collectReply", Max: 52, Note: "request manager's half: file one direct reply; the one that completes the quorum builds and multicasts the reply set"},
 		{Entry: "newtop/internal/shard.(*Ring).OwnerBytes", Max: 0, Note: "sharded routing: per-invocation key->shard lookup must not allocate"},
 	}
 }

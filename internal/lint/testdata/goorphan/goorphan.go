@@ -110,7 +110,7 @@ type future struct {
 }
 
 // await parks in a select until completion or cancellation — the shape of
-// core's awaitReplySet/awaitDirectReplies/awaitSet helpers.
+// core's awaitReplySet helper.
 func (f *future) await() bool {
 	select {
 	case <-f.replies:

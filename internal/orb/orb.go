@@ -3,7 +3,8 @@
 // synchronous request/reply invocation with correlation, one-way
 // (asynchronous) invocation, and multithreaded dispatch (one goroutine per
 // inbound request, exactly the measure the paper describes for obtaining
-// parallelism from a synchronous-only ORB).
+// parallelism from a synchronous-only ORB). One-way sinks (HandleOneWay)
+// are the exception: they run on the receive loop itself.
 package orb
 
 import (
@@ -62,6 +63,9 @@ const (
 	statusError
 )
 
+// sinkKey names one one-way sink: a method of an object.
+type sinkKey struct{ object, method string }
+
 type response struct {
 	payload []byte
 	err     error
@@ -85,6 +89,7 @@ type ORB struct {
 
 	mu       sync.Mutex
 	servants map[string]Handler
+	sinks    map[sinkKey]func(args []byte)
 	calls    map[uint64]chan response
 	nextReq  uint64
 	closed   bool
@@ -106,6 +111,7 @@ func NewObs(ep transport.Endpoint, ob *obs.Obs) *ORB {
 		dispatchLat:  ob.Reg.Histogram("orb_dispatch_latency"),
 		inflightHigh: ob.Reg.Gauge("orb_inflight_highwater"),
 		servants:     make(map[string]Handler),
+		sinks:        make(map[sinkKey]func(args []byte)),
 		calls:        make(map[uint64]chan response),
 		recvDone:     make(chan struct{}),
 	}
@@ -133,6 +139,18 @@ func (o *ORB) Register(object string, h Handler) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	o.servants[object] = h
+}
+
+// HandleOneWay installs the sink for one-way invocations of one method of
+// an object. Unlike a servant, a sink runs on the ORB's receive loop, in
+// arrival order, with no goroutine per invocation — so it must not block:
+// every frame behind it waits. It is for the hand-off kind of one-way (look
+// the addressee up, pass the message on); args alias the inbound frame.
+// Two-way invocations of the same method still reach the object's servant.
+func (o *ORB) HandleOneWay(object, method string, sink func(args []byte)) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.sinks[sinkKey{object, method}] = sink
 }
 
 // Unregister removes a servant.
@@ -251,22 +269,33 @@ func (o *ORB) dispatch(in transport.Inbound) {
 	reqID := r.Uvarint()
 	switch kind {
 	case kindRequest, kindOneWay:
-		object := r.String()
-		method := r.String()
-		// Zero-copy: args alias the inbound frame, which is per-message
-		// and stays alive as long as the servant holds the slice.
+		// Zero-copy: names and args alias the inbound frame, which is
+		// per-message and stays alive as long as the servant holds a slice.
+		objectRef := r.BlobRef()
+		methodRef := r.BlobRef()
 		args := r.BlobRef()
 		if r.Done() != nil {
 			return
 		}
 		o.mu.Lock()
-		h := o.servants[object]
+		var sink func(args []byte)
+		if kind == kindOneWay {
+			sink = o.sinks[sinkKey{string(objectRef), string(methodRef)}]
+		}
+		h := o.servants[string(objectRef)]
 		closed := o.closed
 		o.mu.Unlock()
 		if closed {
 			return
 		}
 		o.requests.Inc()
+		if sink != nil {
+			start := time.Now()
+			sink(args)
+			o.dispatchLat.Observe(time.Since(start))
+			return
+		}
+		object, method := string(objectRef), string(methodRef)
 		o.wg.Add(1)
 		go func() {
 			defer o.wg.Done()

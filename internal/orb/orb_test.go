@@ -231,3 +231,58 @@ func TestRefString(t *testing.T) {
 		t.Fatalf("Ref.String = %q", r.String())
 	}
 }
+
+// A one-way sink runs on the receive loop: invocations reach it one at a
+// time and in arrival order (a servant's goroutine-per-request promises
+// neither), and it claims only one-way invocations of its own method.
+func TestOneWaySinkRunsInArrivalOrder(t *testing.T) {
+	a, b := twoORBs(t)
+	const n = 200
+	var got []byte // unsynchronised on purpose: the race pass checks "one at a time"
+	done := make(chan struct{})
+	b.HandleOneWay("o", "note", func(args []byte) {
+		got = append(got, args[0])
+		if len(got) == n {
+			close(done)
+		}
+	})
+	var servant atomic.Int64
+	b.Register("o", func(method string, _ []byte) ([]byte, error) {
+		servant.Add(1)
+		return []byte(method), nil
+	})
+	ref := orb.Ref{Target: "b", Object: "o"}
+	for i := 0; i < n; i++ {
+		if err := a.InvokeOneWay(ref, "note", []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("sink saw %d of %d one-ways", len(got), n)
+	}
+	for i, v := range got {
+		if v != byte(i) {
+			t.Fatalf("one-way %d reached the sink in position %d", v, i)
+		}
+	}
+
+	// The same method invoked two-way, and another method invoked one-way,
+	// still go to the object's servant.
+	if out, err := a.Invoke(ctxT(t, 5*time.Second), ref, "note", nil); err != nil || string(out) != "note" {
+		t.Fatalf("two-way note: %q, %v", out, err)
+	}
+	if err := a.InvokeOneWay(ref, "other", nil); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); servant.Load() != 2; {
+		if time.Now().After(deadline) {
+			t.Fatalf("servant ran %d times, want 2", servant.Load())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if len(got) != n {
+		t.Fatalf("sink ran %d times, want %d", len(got), n)
+	}
+}
