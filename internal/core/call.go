@@ -3,47 +3,69 @@ package core
 import (
 	"context"
 	"sync"
+	"time"
 
 	"newtop/internal/ids"
+	"newtop/internal/obs"
 )
 
 // Call is the future of one asynchronous invocation (InvokeAsync). The
 // request is already on the wire when the future is handed out; the
 // replies (or the terminal error) arrive through it. A Call completes
-// exactly once — when the reply quorum is met, the binding breaks, or
-// the call is cancelled — and its result is immutable afterwards.
+// exactly once — when the reply quorum is met, the binding breaks, the
+// call is cancelled or the context it was launched under expires — and its
+// result is immutable afterwards.
+//
+// The future is also the entry of its attachment's table of outstanding
+// calls: whatever ends the call calls finish, and there is no other waiter.
 type Call struct {
 	id   ids.CallID
 	mode ReplyMode
 
-	// ctx governs the in-flight wait; cancel completes the call early
-	// with context.Canceled. Derived from the InvokeAsync context, so
-	// cancelling the parent cancels the call too.
-	ctx    context.Context
-	cancel context.CancelFunc
+	// eng is the attachment the call is outstanding on; nil for a Proxy's
+	// future, which no table holds (each of its attempts is a call of the
+	// binding of the moment). trace and start feed the epilogue's records.
+	eng   *engine
+	trace obs.TraceID
+	start time.Time
+	// gather collects the servers' direct replies (closed style).
+	gather collector
+	// stop releases what the future holds outside the table: the hook on
+	// the launching context, or a Proxy's retry loop.
+	stop func() bool
 
 	done chan struct{}
 
-	mu      sync.Mutex
-	replies []Reply
-	err     error
+	mu       sync.Mutex
+	finished bool
+	replies  []Reply
+	err      error
 }
 
-// newCallFuture builds a pending future whose in-flight wait is bounded
-// by the parent context.
-func newCallFuture(id ids.CallID, mode ReplyMode, parent context.Context) *Call {
-	cctx, cancel := context.WithCancel(parent)
-	return &Call{id: id, mode: mode, ctx: cctx, cancel: cancel, done: make(chan struct{})}
+// newCallFuture builds a pending future.
+func newCallFuture(id ids.CallID, mode ReplyMode) *Call {
+	return &Call{id: id, mode: mode, done: make(chan struct{})}
 }
 
-// complete records the terminal result and releases every waiter. It
-// must be called exactly once.
-func (c *Call) complete(replies []Reply, err error) {
+// finish completes the call with its terminal result, runs the epilogue
+// of the attachment it was outstanding on and releases every waiter. The
+// first finish wins; the rest are no-ops.
+func (c *Call) finish(replies []Reply, err error) {
 	c.mu.Lock()
+	if c.finished {
+		c.mu.Unlock()
+		return
+	}
+	c.finished = true
 	c.replies, c.err = replies, err
 	c.mu.Unlock()
+	if c.eng != nil {
+		c.eng.retire(c, err)
+	}
+	if c.stop != nil {
+		c.stop()
+	}
 	close(c.done)
-	c.cancel()
 }
 
 // ID returns the invocation's call identifier.
@@ -60,7 +82,7 @@ func (c *Call) Done() <-chan struct{} { return c.done }
 // context.Canceled (unless it already completed). The request may still
 // execute at the servers — cancellation releases the client's wait, it
 // does not recall the multicast.
-func (c *Call) Cancel() { c.cancel() }
+func (c *Call) Cancel() { c.finish(nil, context.Canceled) }
 
 // Await blocks until the call completes or ctx expires.
 func (c *Call) Await(ctx context.Context) ([]Reply, error) {

@@ -71,7 +71,7 @@ func TestAllocGuardCollectReply(t *testing.T) {
 	avg := testing.AllocsPerRun(runs, collect)
 	t.Logf("three direct replies → one reply set: %.1f allocs/op", avg)
 	srv.mu.Lock()
-	open, kept := len(srv.collectors), len(srv.sets)
+	open, kept := len(srv.collectors), len(srv.sets.m)
 	srv.mu.Unlock()
 	if open != 0 || kept != runs+65 {
 		t.Fatalf("%d collections still open, %d reply sets retained; want 0 and %d", open, kept, runs+65)

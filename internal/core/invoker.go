@@ -11,11 +11,15 @@ import (
 	"newtop/internal/vclock"
 )
 
-// Invoker is the single invocation surface shared by every client-side
-// shape of the layer — Binding (one client/server group), Proxy (the
-// self-rebinding smart proxy) and G2G (group-to-group through a client
-// monitor group). The paper presents these as one facility with three
-// configurations; the interface makes the code say the same thing, so a
+// Invoker is the single invocation surface of the layer's four client-side
+// shapes: Binding (one client/server group, closed or open), G2G
+// (group-to-group through a client monitor group), Proxy (the self-rebinding
+// smart proxy around a Binding) and ShardedBinding (a key→Binding router).
+// The paper presents closed, open and group-to-group invocation as one
+// facility with three parameters — who multicasts the request, who gathers
+// the replies, how many to wait for — and one engine (engine.go) implements
+// them: Binding and G2G embed it and differ in a policy fixed at bind time,
+// Proxy and ShardedBinding choose which Binding's engine a call runs on. A
 // caller can be handed "something invokable" without caring which group
 // topology sits underneath.
 //
@@ -39,8 +43,8 @@ type Invoker interface {
 	// servers); the replies arrive through the future.
 	InvokeAsync(ctx context.Context, method string, args []byte, opts ...CallOption) (*Call, error)
 	// Read serves one read-only invocation outside the ordering layer,
-	// at the consistency selected by WithConsistency (the binding's
-	// default, normally Leased, when unspecified). The method must not
+	// at the consistency selected by WithConsistency (Leased when
+	// unspecified). The method must not
 	// mutate servant state — the call may execute at a single replica
 	// and is never recorded in the group's total order.
 	Read(ctx context.Context, method string, args []byte, opts ...CallOption) ([]byte, error)
@@ -52,6 +56,7 @@ var (
 	_ Invoker = (*Binding)(nil)
 	_ Invoker = (*Proxy)(nil)
 	_ Invoker = (*G2G)(nil)
+	_ Invoker = (*ShardedBinding)(nil)
 )
 
 // ErrNeedCallNumber is returned by G2G invocations issued without
@@ -62,7 +67,7 @@ var ErrNeedCallNumber = errors.New("core: group-to-group calls need WithCallID (
 
 // Consistency selects what a Read is allowed to return; it is the read
 // axis of the paper's per-invocation flexibility. The zero value means
-// "use the binding's configured default".
+// the default, Leased.
 type Consistency int
 
 const (
@@ -141,7 +146,7 @@ func WithTrace(t obs.TraceID) CallOption {
 }
 
 // WithConsistency selects the consistency of one Read (Linearizable,
-// Leased or Stale), overriding the binding's configured default.
+// Leased or Stale) instead of the default, Leased.
 func WithConsistency(c Consistency) CallOption {
 	return func(o *callOpts) { o.consistency = c }
 }

@@ -18,6 +18,11 @@
 //   - call numbering with retained replies so retries after a request
 //     manager failure never re-execute (§4.1), plus a smart proxy that
 //     rebinds automatically.
+//
+// The client side is four shapes behind one Invoker surface — Binding, G2G,
+// Proxy, ShardedBinding — over one engine (engine.go): closed, open and
+// group-to-group calls are launched, completed and read through the same
+// code, and differ in a policy fixed at bind time.
 package core
 
 import (

@@ -64,8 +64,16 @@ func (p *Proxy) Close() error {
 // with the same call number whenever the binding breaks under it — the
 // retained replies at the servers make the retry idempotent.
 func (p *Proxy) Call(ctx context.Context, method string, args []byte, opts ...CallOption) ([]Reply, error) {
-	o := p.resolveProxyOpts(opts)
-	return p.callResolved(ctx, method, args, o)
+	return p.call(ctx, method, args, p.resolve(opts))
+}
+
+// call is Call with the options resolved.
+func (p *Proxy) call(ctx context.Context, method string, args []byte, o callOpts) (replies []Reply, err error) {
+	err = p.withBinding(ctx, func(b *Binding) (err error) {
+		replies, err = b.call(ctx, method, args, o)
+		return err
+	})
+	return replies, err
 }
 
 // InvokeAsync launches one invocation and returns its future; the
@@ -73,29 +81,31 @@ func (p *Proxy) Call(ctx context.Context, method string, args []byte, opts ...Ca
 // of its own — each attempt occupies a slot of the current underlying
 // binding's window.
 func (p *Proxy) InvokeAsync(ctx context.Context, method string, args []byte, opts ...CallOption) (*Call, error) {
-	o := p.resolveProxyOpts(opts)
+	o := p.resolve(opts)
 	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
+	closed := p.closed
+	p.mu.Unlock()
+	if closed {
 		return nil, ErrClosed
 	}
-	p.mu.Unlock()
 	p.svc.metrics.asyncCalls.Inc()
-	c := newCallFuture(o.call, o.mode, ctx)
+	ctx, cancel := context.WithCancel(ctx)
+	c := newCallFuture(o.call, o.mode)
+	c.stop = func() bool { cancel(); return true } // Cancel ends the loop
 	go func() {
-		replies, err := p.callResolved(c.ctx, method, args, o)
+		replies, err := p.call(ctx, method, args, o)
 		if errors.Is(err, context.Canceled) {
 			p.svc.metrics.asyncCancelled.Inc()
 		}
-		c.complete(replies, err)
+		c.finish(replies, err)
 	}()
 	return c, nil
 }
 
-// resolveProxyOpts fills the options a retry loop must keep stable: the
-// call identifier (idempotent retries) and the trace (every attempt of
-// one logical call lands in one trace).
-func (p *Proxy) resolveProxyOpts(opts []CallOption) callOpts {
+// resolve fills the options a retry loop must keep stable: the call
+// identifier (idempotent retries) and the trace (every attempt of one
+// logical call lands in one trace).
+func (p *Proxy) resolve(opts []CallOption) callOpts {
 	o := resolveCallOpts(opts)
 	if !o.hasCall {
 		o.call = p.svc.newCall()
@@ -107,63 +117,32 @@ func (p *Proxy) resolveProxyOpts(opts []CallOption) callOpts {
 	return o
 }
 
-// callResolved drives the rebind-and-retry loop for one invocation.
-func (p *Proxy) callResolved(ctx context.Context, method string, args []byte, o callOpts) ([]Reply, error) {
-	var lastErr error
-	for attempt := 0; attempt <= maxRebinds; attempt++ {
-		p.mu.Lock()
-		if p.closed {
-			p.mu.Unlock()
-			return nil, ErrClosed
-		}
-		b := p.binding
-		p.mu.Unlock()
-
-		if b == nil || b.Broken() {
-			var avoid ids.ProcessID
-			if b != nil {
-				avoid = b.RequestManager()
-			}
-			if err := p.rebind(ctx, avoid); err != nil {
-				lastErr = err
-				if ctx.Err() != nil {
-					return nil, ctx.Err()
-				}
-				continue
-			}
-			continue
-		}
-
-		replies, err := b.Call(ctx, method, args,
-			WithCallID(o.call), WithMode(o.mode), WithTrace(o.trace))
-		if err == nil {
-			return replies, nil
-		}
-		lastErr = err
-		if !errors.Is(err, ErrBindingBroken) {
-			return nil, err
-		}
-	}
-	return nil, fmt.Errorf("core: proxy exhausted rebinds: %w", lastErr)
-}
-
 // Read serves one read-only invocation through the current binding
 // (Invoker surface), rebinding and retrying when the binding breaks.
 // Reads carry no call number — they never execute as ordered requests, so
 // there is nothing to retain — but the session token survives the rebind:
 // the replacement binding inherits the old one's stamp, so read-your-writes
 // holds across a request manager failure.
-func (p *Proxy) Read(ctx context.Context, method string, args []byte, opts ...CallOption) ([]byte, error) {
+func (p *Proxy) Read(ctx context.Context, method string, args []byte, opts ...CallOption) (payload []byte, err error) {
+	o := resolveCallOpts(opts)
+	err = p.withBinding(ctx, func(b *Binding) (err error) {
+		payload, err = b.read(ctx, method, args, o)
+		return err
+	})
+	return payload, err
+}
+
+// withBinding runs one invocation, fn, on the current binding, rebinding
+// and running it again whenever the binding is, or breaks, broken.
+func (p *Proxy) withBinding(ctx context.Context, fn func(*Binding) error) error {
 	var lastErr error
 	for attempt := 0; attempt <= maxRebinds; attempt++ {
 		p.mu.Lock()
-		if p.closed {
-			p.mu.Unlock()
-			return nil, ErrClosed
-		}
-		b := p.binding
+		closed, b := p.closed, p.binding
 		p.mu.Unlock()
-
+		if closed {
+			return ErrClosed
+		}
 		if b == nil || b.Broken() {
 			var avoid ids.ProcessID
 			if b != nil {
@@ -172,23 +151,16 @@ func (p *Proxy) Read(ctx context.Context, method string, args []byte, opts ...Ca
 			if err := p.rebind(ctx, avoid); err != nil {
 				lastErr = err
 				if ctx.Err() != nil {
-					return nil, ctx.Err()
+					return ctx.Err()
 				}
-				continue
 			}
 			continue
 		}
-
-		payload, err := b.Read(ctx, method, args, opts...)
-		if err == nil {
-			return payload, nil
-		}
-		lastErr = err
-		if !errors.Is(err, ErrBindingBroken) {
-			return nil, err
+		if lastErr = fn(b); !errors.Is(lastErr, ErrBindingBroken) {
+			return lastErr
 		}
 	}
-	return nil, fmt.Errorf("core: proxy exhausted rebinds: %w", lastErr)
+	return fmt.Errorf("core: proxy exhausted rebinds: %w", lastErr)
 }
 
 // SessionStamp returns the current binding's session token (zero when the
@@ -208,8 +180,7 @@ func (p *Proxy) rebind(ctx context.Context, avoid ids.ProcessID) error {
 	p.mu.Lock()
 	old := p.binding
 	p.binding = nil
-	candidates := make([]ids.ProcessID, len(p.members))
-	copy(candidates, p.members)
+	candidates := p.members // replaced whole on rebind, never written to
 	p.mu.Unlock()
 	var session vclock.Stamp
 	if old != nil {
@@ -265,9 +236,6 @@ func (p *Proxy) rebind(ctx context.Context, avoid ids.ProcessID) error {
 		p.members = b.KnownServers()
 		p.mu.Unlock()
 		return nil
-	}
-	if lastErr == nil {
-		lastErr = ErrNoServers
 	}
 	return fmt.Errorf("core: rebind: %w", lastErr)
 }

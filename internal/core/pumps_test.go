@@ -9,8 +9,8 @@ import (
 	"newtop/internal/core"
 )
 
-// fifoPumps counts the goroutines running a queue.FIFO channel pump.
-func fifoPumps() int {
+// stackLines counts the lines of every goroutine's stack that match.
+func stackLines(match func(line string) bool) int {
 	buf := make([]byte, 1<<20)
 	for {
 		n := runtime.Stack(buf, true)
@@ -20,13 +20,20 @@ func fifoPumps() int {
 		}
 		buf = make([]byte, 2*len(buf))
 	}
-	pumps := 0
+	lines := 0
 	for _, line := range strings.Split(string(buf), "\n") {
-		if strings.Contains(line, "internal/queue.(*FIFO") && strings.Contains(line, ").pump(") {
-			pumps++
+		if match(line) {
+			lines++
 		}
 	}
-	return pumps
+	return lines
+}
+
+// fifoPumps counts the goroutines running a queue.FIFO channel pump.
+func fifoPumps() int {
+	return stackLines(func(line string) bool {
+		return strings.Contains(line, "internal/queue.(*FIFO") && strings.Contains(line, ").pump(")
+	})
 }
 
 // TestBoundServicesRunNoFIFOPumps pins the batch-pull receive path: every
@@ -54,5 +61,42 @@ func TestBoundServicesRunNoFIFOPumps(t *testing.T) {
 	}
 	if n := fifoPumps(); n != 0 {
 		t.Fatalf("%d FIFO pump goroutines in a bound, idle world; product code must consume through PopBatch", n)
+	}
+}
+
+// TestOutstandingCallsParkNoGoroutines pins the future as the waiter: an
+// outstanding call is an entry in its binding's table, completed by
+// whichever loop receives its answer — the binding's group loop for a reply
+// set, the ORB's receive loop for a closed call's direct replies — so a full
+// window of un-awaited calls leaves no goroutine parked in, or started by,
+// a launch. With a waiter beside the future each call parked one.
+func TestOutstandingCallsParkNoGoroutines(t *testing.T) {
+	w := newWorld(t, 3, 2)
+	for i, style := range []core.Style{core.Open, core.Closed} {
+		cfg := w.bindCfg(style)
+		cfg.Contact = "s01"
+		b, err := w.clients[i].Bind(ctxT(t, 10*time.Second), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer b.Close()
+		w.taps["s02"].set(dropReplies) // no wait-for-all call can complete
+		const n = 8
+		calls := make([]*core.Call, n)
+		for j := range calls {
+			if calls[j], err = b.InvokeAsync(ctxT(t, 20*time.Second), "echo", []byte("x"), core.WithMode(core.All)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		parked := stackLines(func(line string) bool {
+			return strings.Contains(line, "internal/core.") && (strings.Contains(line, ").InvokeAsync") || strings.Contains(line, ").launch"))
+		})
+		if parked != 0 {
+			t.Fatalf("%v: %d stack frames in a launch with %d calls outstanding; a call must not hold a goroutine", style, parked, n)
+		}
+		w.taps["s02"].set(nil)
+		for _, c := range calls {
+			c.Cancel()
+		}
 	}
 }

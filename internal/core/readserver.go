@@ -49,15 +49,7 @@ func (srv *Server) serveRead(req *readRequest) *readReply {
 	if rep.Code == readOK {
 		srv.svc.metrics.readLatency.Observe(time.Since(start))
 		if req.Trace != 0 {
-			srv.svc.obs.Tracer.Record(obs.Span{
-				Trace: obs.TraceID(req.Trace),
-				Stage: "replica.read",
-				Proc:  string(srv.svc.ID()),
-				Depth: 3,
-				Start: start,
-				Dur:   time.Since(start),
-				Note:  "consistency=" + req.Consistency.String(),
-			})
+			srv.svc.span(obs.TraceID(req.Trace), "replica.read", 3, start, time.Since(start), "consistency="+req.Consistency.String())
 		}
 	} else {
 		srv.svc.metrics.readRefused.Inc()
@@ -85,7 +77,7 @@ func (srv *Server) serveReadLocal(req *readRequest) *readReply {
 // handshake, drives the executed prefix up to it, then runs the handler:
 // every write that completed anywhere before this read began is visible.
 func (srv *Server) serveReadLinearizable(req *readRequest) *readReply {
-	ctx, cancel := context.WithTimeout(context.Background(), srv.rmWait)
+	ctx, cancel := context.WithTimeout(context.Background(), rmWait)
 	frontier, err := srv.group.ReadIndex(ctx)
 	cancel()
 	if err != nil {
@@ -169,7 +161,7 @@ func (srv *Server) waitMinStamp(min vclock.Stamp) bool {
 // variable to park on; the poll interval is far below a network RTT, so
 // the added read latency is noise next to the ordered write it waits for.
 func (srv *Server) waitMinStampSlow(min vclock.Stamp) bool {
-	deadline := time.Now().Add(srv.rmWait)
+	deadline := time.Now().Add(rmWait)
 	for {
 		time.Sleep(200 * time.Microsecond)
 		srv.execMu.Lock()

@@ -38,9 +38,6 @@ type ServeConfig struct {
 	// (ordering protocol, liveness, timers). Defaults: sequencer order,
 	// event-driven liveness.
 	GCS gcs.GroupConfig
-	// RMWait bounds how long this member, acting as a request manager,
-	// gathers replies before answering with what it has (default 10s).
-	RMWait time.Duration
 	// ClientProbe is how often a server pings the clients of its
 	// client/server groups to garbage-collect bindings whose client died
 	// while the group was idle (default 30s).
@@ -51,15 +48,14 @@ type ServeConfig struct {
 // through the server group and serves as request manager for any open
 // client/server or client monitor groups it has been pulled into.
 type Server struct {
-	svc    *Service
-	cfg    ServeConfig
-	group  *gcs.Group
-	rmWait time.Duration
+	svc   *Service
+	cfg   ServeConfig
+	group *gcs.Group
 
 	// execMu serializes handler executions (and the forwards that must
 	// mirror their order) so replica state evolves deterministically.
 	execMu  sync.Mutex
-	replies *replyCache // executed calls: exactly-once across retries
+	replies *bounded[ids.CallID, invReply] // executed calls: exactly-once across retries
 	// The executed prefix. applied is, per sender, the Lamport time of its
 	// newest delivery applied here; lastExec is the newest applied delivery
 	// of all, which names this member's position in the total order; view is
@@ -72,11 +68,9 @@ type Server struct {
 	roster     map[ids.ProcessID]bool // fellow servers (hello ∩ view)
 	lastView   int                    // size of the previously observed view
 	collectors map[ids.CallID]*collection
-	sets       map[ids.CallID]*invReplySet // request-manager answers, for retries
-	setOrder   []ids.CallID
+	sets       *bounded[ids.CallID, *invReplySet] // request-manager answers, for retries
 	bindings   map[ids.GroupID]*gcs.Group
-	seen       map[ids.CallID]bool // monitor-group duplicate filter
-	seenOrder  []ids.CallID
+	seen       *bounded[ids.CallID, struct{}] // monitor-group duplicate filter
 	closed     bool
 
 	// A replica's state-transfer prologue (statetransfer.go): while
@@ -93,6 +87,11 @@ type Server struct {
 // caches.
 const cacheCap = 4096
 
+// rmWait bounds what a server waits for on a peer's behalf: a request
+// manager gathering replies before it answers with what it has, a
+// linearizable read's frontier, a read's session floor, a state transfer.
+const rmWait = 10 * time.Second
+
 // Serve creates (or joins) a server group and starts serving it with the
 // given handler. Joining a group that already processed traffic without
 // state transfer yields a replica whose state starts empty; use
@@ -106,9 +105,6 @@ func (s *Service) serve(ctx context.Context, cfg ServeConfig, replica bool) (*Se
 		return nil, fmt.Errorf("core: serve %q: nil handler", cfg.Group)
 	}
 	cfg.GCS = requestReplyDefaults(cfg.GCS)
-	if cfg.RMWait <= 0 {
-		cfg.RMWait = defaultRMWait
-	}
 	if cfg.ClientProbe <= 0 {
 		cfg.ClientProbe = 30 * time.Second
 	}
@@ -128,14 +124,13 @@ func (s *Service) serve(ctx context.Context, cfg ServeConfig, replica bool) (*Se
 		svc:        s,
 		cfg:        cfg,
 		group:      group,
-		rmWait:     cfg.RMWait,
 		replies:    newReplyCache(cacheCap),
 		applied:    make(map[ids.ProcessID]uint64),
 		roster:     map[ids.ProcessID]bool{s.ID(): true},
 		collectors: make(map[ids.CallID]*collection),
-		sets:       make(map[ids.CallID]*invReplySet),
+		sets:       newBounded[ids.CallID, *invReplySet](cacheCap),
 		bindings:   make(map[ids.GroupID]*gcs.Group),
-		seen:       make(map[ids.CallID]bool),
+		seen:       newBounded[ids.CallID, struct{}](cacheCap),
 		loopDone:   make(chan struct{}),
 	}
 	s.mu.Lock()
@@ -392,15 +387,7 @@ func (srv *Server) executeLocked(call ids.CallID, method string, args []byte, st
 	}
 	srv.replies.put(call, rep)
 	srv.svc.metrics.execLatency.Observe(d)
-	srv.svc.obs.Tracer.Record(obs.Span{
-		Trace: obs.TraceID(trace),
-		Stage: "replica.execute",
-		Proc:  string(srv.svc.ID()),
-		Depth: 3,
-		Start: start,
-		Dur:   d,
-		Note:  "method=" + method,
-	})
+	srv.svc.span(obs.TraceID(trace), "replica.execute", 3, start, d, "method="+method)
 	return rep, true
 }
 
@@ -602,19 +589,13 @@ func (srv *Server) serveAsRM(b *gcs.Group, bind *bindRequest, req *invRequest) {
 	if bind.Monitor {
 		// Filter the duplicate requests that every client-group member
 		// issues (paper §4.3): first copy wins.
-		if srv.seen[req.Call] {
+		if !srv.seen.put(req.Call, struct{}{}) {
 			srv.mu.Unlock()
 			srv.svc.metrics.monitorDups.Inc()
 			return
 		}
-		srv.seen[req.Call] = true
-		srv.seenOrder = append(srv.seenOrder, req.Call)
-		if len(srv.seenOrder) > cacheCap {
-			delete(srv.seen, srv.seenOrder[0])
-			srv.seenOrder = srv.seenOrder[1:]
-		}
 	}
-	if set, ok := srv.sets[req.Call]; ok {
+	if set, ok := srv.sets.get(req.Call); ok {
 		// Retried call: resend the retained aggregated reply (§4.1).
 		srv.mu.Unlock()
 		if req.Mode != OneWay {
@@ -678,14 +659,7 @@ func (srv *Server) recordRMReceive(req *invRequest) {
 		})
 		note = "mode=" + req.Mode.String() + " transit≈" + now.Sub(sent).Round(time.Microsecond).String()
 	}
-	srv.svc.obs.Tracer.Record(obs.Span{
-		Trace: tid,
-		Stage: "rm.receive",
-		Proc:  string(srv.svc.ID()),
-		Depth: 1,
-		Start: now,
-		Note:  note,
-	})
+	srv.svc.span(tid, "rm.receive", 1, now, 0, note)
 }
 
 // serveAsyncForward is the restricted-group + asynchronous-message-
@@ -704,7 +678,7 @@ func (srv *Server) serveAsyncForward(b *gcs.Group, req *invRequest) {
 	// order.
 	set := &invReplySet{Call: req.Call, Replies: []invReply{rep}, Trace: req.Trace}
 	srv.mu.Lock()
-	srv.retainSetLocked(set)
+	srv.sets.put(set.Call, set) // for retries
 	srv.mu.Unlock()
 	replyStart := time.Now()
 	//lint:ok lockblock deliberate: both multicasts stay under execMu so backups see the primary's execution order (§4.2)
@@ -728,15 +702,7 @@ func (srv *Server) recordRMSpan(trace uint64, stage string, start time.Time, not
 	if trace == 0 {
 		return
 	}
-	srv.svc.obs.Tracer.Record(obs.Span{
-		Trace: obs.TraceID(trace),
-		Stage: stage,
-		Proc:  string(srv.svc.ID()),
-		Depth: 2,
-		Start: start,
-		Dur:   time.Since(start),
-		Note:  note,
-	})
+	srv.svc.span(obs.TraceID(trace), stage, 2, start, time.Since(start), note)
 }
 
 // forward distributes a client's request in the server group.
@@ -756,7 +722,7 @@ type collection struct {
 	trace    uint64
 	b        *gcs.Group // the client/server group the answer goes to
 	start    time.Time
-	deadline *time.Timer // answers with what has arrived after RMWait
+	deadline *time.Timer // answers with what has arrived after rmWait
 }
 
 // serveCollected is the standard open-group path: distribute the request
@@ -777,7 +743,7 @@ func (srv *Server) serveCollected(b *gcs.Group, req *invRequest) {
 		return
 	}
 	c.replies = make([]invReply, 0, len(srv.roster))
-	c.deadline = time.AfterFunc(srv.rmWait, func() {
+	c.deadline = time.AfterFunc(rmWait, func() {
 		if c.settle(0, true) {
 			srv.answer(c)
 		}
@@ -799,7 +765,7 @@ func (srv *Server) answer(c *collection) {
 	srv.mu.Lock()
 	c.deadline.Stop()
 	delete(srv.collectors, c.call)
-	srv.retainSetLocked(set)
+	srv.sets.put(set.Call, set) // for retries
 	srv.mu.Unlock()
 
 	// Multicast only waits when the group is installing a view, and that
@@ -831,19 +797,6 @@ var spentCtx = func() context.Context {
 	cancel()
 	return ctx
 }()
-
-// retainSetLocked retains an aggregated reply for retries.
-func (srv *Server) retainSetLocked(set *invReplySet) {
-	if _, ok := srv.sets[set.Call]; ok {
-		return
-	}
-	srv.sets[set.Call] = set
-	srv.setOrder = append(srv.setOrder, set.Call)
-	if len(srv.setOrder) > cacheCap {
-		delete(srv.sets, srv.setOrder[0])
-		srv.setOrder = srv.setOrder[1:]
-	}
-}
 
 // collector gathers the servers' point-to-point replies to one call — at
 // the request manager of an open call, at the client of a closed one —
@@ -892,32 +845,9 @@ func (c *collector) settle(servers int, force bool) bool {
 	return true
 }
 
-// replyCache retains executed replies for exactly-once retry semantics.
-type replyCache struct {
-	m     map[ids.CallID]invReply
-	order []ids.CallID
-	cap   int
-}
-
-func newReplyCache(capacity int) *replyCache {
-	return &replyCache{m: make(map[ids.CallID]invReply, capacity), cap: capacity}
-}
-
-func (rc *replyCache) get(call ids.CallID) (invReply, bool) {
-	rep, ok := rc.m[call]
-	return rep, ok
-}
-
-func (rc *replyCache) put(call ids.CallID, rep invReply) {
-	if _, ok := rc.m[call]; ok {
-		return
-	}
-	rc.m[call] = rep
-	rc.order = append(rc.order, call)
-	if len(rc.order) > rc.cap {
-		delete(rc.m, rc.order[0])
-		rc.order = rc.order[1:]
-	}
+// newReplyCache retains executed replies for exactly-once retry semantics.
+func newReplyCache(capacity int) *bounded[ids.CallID, invReply] {
+	return newBounded[ids.CallID, invReply](capacity)
 }
 
 // DebugGroup exposes the server group for white-box diagnostics.

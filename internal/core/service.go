@@ -32,22 +32,13 @@ type Service struct {
 	fr      *flight.Recorder
 	frProc  uint16
 
-	mu       sync.Mutex
-	servers  map[ids.GroupID]*Server
-	waiters  map[ids.CallID]*callWaiter
+	mu      sync.Mutex
+	servers map[ids.GroupID]*Server
+	// direct holds the closed-style attachments: their calls gather the
+	// servers' point-to-point replies themselves (routeReply).
+	direct   map[*engine]struct{}
 	nextCall uint64
 	closed   bool
-}
-
-// callWaiter receives the answer to one outstanding invocation: the
-// request manager's reply set (open style), or the servers' direct replies
-// once they meet the call's quorum (closed style).
-type callWaiter struct {
-	set chan *invReplySet
-	// direct is the closed binding whose live servers the quorum is taken
-	// over; nil for an open-style call, which gathers nothing itself.
-	direct *Binding
-	collector
 }
 
 // NewService starts an NSO on the endpoint. The service owns the
@@ -75,7 +66,7 @@ func NewServiceCfg(ep transport.Endpoint, o *obs.Obs, nc gcs.NodeConfig) *Servic
 		fr:      o.Flight,
 		frProc:  o.Flight.Proc(string(ep.ID())),
 		servers: make(map[ids.GroupID]*Server),
-		waiters: make(map[ids.CallID]*callWaiter),
+		direct:  make(map[*engine]struct{}),
 	}
 	s.orb.Register(controlObject, s.control)
 	s.orb.HandleOneWay(controlObject, "reply", s.routeReply)
@@ -120,6 +111,11 @@ func (s *Service) frRecord(t flight.Type, trace, a, b uint64) {
 	s.fr.Record(flight.Event{Type: t, Proc: s.frProc, Sender: flight.NoSender, MsgSeq: trace, A: a, B: b})
 }
 
+// span records one stage this process ran in an invocation's trace.
+func (s *Service) span(trace obs.TraceID, stage string, depth int, start time.Time, d time.Duration, note string) {
+	s.obs.Tracer.Record(obs.Span{Trace: trace, Stage: stage, Proc: string(s.ID()), Depth: depth, Start: start, Dur: d, Note: note})
+}
+
 // ID returns the process identifier.
 func (s *Service) ID() ids.ProcessID { return s.node.ID() }
 
@@ -162,33 +158,6 @@ func (s *Service) newCall() ids.CallID {
 	return ids.CallID{Client: s.ID(), Number: s.nextCall}
 }
 
-// registerWaiter installs the reply sink for one call. direct is the
-// binding a closed-style call gathers its servers' replies against; an
-// open-style call passes nil and is answered through set alone.
-func (s *Service) registerWaiter(call ids.CallID, mode ReplyMode, direct *Binding) *callWaiter {
-	w := &callWaiter{set: make(chan *invReplySet, 1), direct: direct}
-	w.mode = mode
-	if direct != nil {
-		w.replies = make([]invReply, 0, len(direct.sgMembers))
-	}
-	s.mu.Lock()
-	s.waiters[call] = w
-	s.mu.Unlock()
-	return w
-}
-
-// dropWaiter removes w as the reply sink of its call. A retry under the
-// same call identifier may already have installed its own sink (a
-// completed call's goroutine gets here after its caller has moved on);
-// that one stays.
-func (s *Service) dropWaiter(call ids.CallID, w *callWaiter) {
-	s.mu.Lock()
-	if s.waiters[call] == w {
-		delete(s.waiters, call)
-	}
-	s.mu.Unlock()
-}
-
 // routeReply is the sink of the "reply" one-way, the single fan-in of
 // point-to-point replies: a reply that names a server group is one of its
 // replicas answering this process as request manager; any other answers a
@@ -204,51 +173,20 @@ func (s *Service) routeReply(args []byte) {
 		}
 		return
 	}
+	// A late reply finds no call; a retry of the same call identifier
+	// through an open binding gathers no replies and is not looked at.
+	var c *Call
+	servers := 0
 	s.mu.Lock()
-	w := s.waiters[rep.Call]
-	s.mu.Unlock()
-	// A late reply finds no waiter; an open-style waiter of the same call
-	// identifier (a retry through another binding) gathers no replies.
-	if w != nil && w.direct != nil && w.add(rep, w.direct.liveServers()) {
-		w.deliverDirect(rep.Call)
-	}
-}
-
-// deliverDirect completes a closed-style call with its settled replies.
-func (w *callWaiter) deliverDirect(call ids.CallID) {
-	select {
-	case w.set <- &invReplySet{Call: call, Replies: w.replies}:
-	default:
-	}
-}
-
-// recheckDirect re-evaluates the quorum of b's outstanding closed-style
-// calls after a membership change (wait-for-all with a crashed server).
-func (s *Service) recheckDirect(b *Binding) {
-	servers := b.liveServers()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for call, w := range s.waiters {
-		if w.direct == b && w.settle(servers, false) {
-			w.deliverDirect(call)
+	for e := range s.direct {
+		if c, servers = e.directCall(rep.Call); c != nil {
+			break
 		}
 	}
-}
-
-// routeReplySet hands an open-style aggregated reply to its waiter and
-// reports whether the call has one.
-func (s *Service) routeReplySet(set *invReplySet) bool {
-	s.mu.Lock()
-	w := s.waiters[set.Call]
 	s.mu.Unlock()
-	if w == nil {
-		return false
+	if c != nil && c.gather.add(rep, servers) {
+		c.eng.deliver(c, c.gather.replies, "")
 	}
-	select {
-	case w.set <- set:
-	default:
-	}
-	return true
 }
 
 // consumeEvents hands g's events to fn in delivery order, one blocking
@@ -291,7 +229,11 @@ func (s *Service) control(method string, args []byte) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		return nil, s.handleBind(req)
+		srv := s.serverFor(req.ServerGroup)
+		if srv == nil {
+			return nil, fmt.Errorf("core: not serving group %q", req.ServerGroup)
+		}
+		return nil, srv.joinBindingGroup(req)
 	case "state":
 		srv := s.serverFor(ids.GroupID(args))
 		if srv == nil {
@@ -322,16 +264,6 @@ func (s *Service) control(method string, args []byte) ([]byte, error) {
 	}
 }
 
-// handleBind joins this server into a client/server (or client monitor)
-// group and starts serving it.
-func (s *Service) handleBind(req *bindRequest) error {
-	srv := s.serverFor(req.ServerGroup)
-	if srv == nil {
-		return fmt.Errorf("core: not serving group %q", req.ServerGroup)
-	}
-	return srv.joinBindingGroup(req)
-}
-
 // sendDirectReply delivers one server's reply straight to the NSO gathering
 // it — a closed-bound client, or (rmOf set) the request manager of that
 // server group — as the paper's m5: one CORBA invocation, no multicast.
@@ -355,10 +287,6 @@ func (s *Service) ServerGroupMembers(ctx context.Context, contact ids.ProcessID,
 	}
 	return decodeProcs(b)
 }
-
-// defaultRMWait bounds how long a request manager gathers replies before
-// answering with what it has.
-const defaultRMWait = 10 * time.Second
 
 // ensure the gcs config template carries the right defaults for
 // request-reply groups: event-driven liveness unless the caller chose.

@@ -70,8 +70,6 @@ type ShardedBinding struct {
 	closed   bool
 }
 
-var _ Invoker = (*ShardedBinding)(nil)
-
 // defaultKeyOf routes on args up to the first '=' — the Store's argument
 // convention ("put k=v", "get k") — falling back to the whole args.
 func defaultKeyOf(method string, args []byte) []byte {
@@ -168,13 +166,14 @@ func (sb *ShardedBinding) Shard(name string) *Binding {
 	return sb.bindings[name]
 }
 
-// route resolves one invocation to the owning shard's binding.
-func (sb *ShardedBinding) route(method string, args []byte, o callOpts) (*Binding, string, error) {
+// route resolves one invocation's options and the owning shard's binding.
+func (sb *ShardedBinding) route(method string, args []byte, opts []CallOption) (*Binding, callOpts, error) {
+	o := resolveCallOpts(opts)
 	var owner string
 	sb.mu.Lock()
 	if sb.closed {
 		sb.mu.Unlock()
-		return nil, "", ErrClosed
+		return nil, o, ErrClosed
 	}
 	if o.hasKey {
 		owner = sb.ring.Owner(o.key)
@@ -184,19 +183,19 @@ func (sb *ShardedBinding) route(method string, args []byte, o callOpts) (*Bindin
 	b := sb.bindings[owner]
 	sb.mu.Unlock()
 	if b == nil {
-		return nil, owner, fmt.Errorf("%w (key owner %q)", ErrNoShard, owner)
+		return nil, o, fmt.Errorf("%w (key owner %q)", ErrNoShard, owner)
 	}
-	return b, owner, nil
+	return b, o, nil
 }
 
 // Call routes one blocking invocation to the shard owning its key
 // (Invoker surface). Ordering holds within the owning shard's group only.
 func (sb *ShardedBinding) Call(ctx context.Context, method string, args []byte, opts ...CallOption) ([]Reply, error) {
-	b, _, err := sb.route(method, args, resolveCallOpts(opts))
+	b, o, err := sb.route(method, args, opts)
 	if err != nil {
 		return nil, err
 	}
-	return b.Call(ctx, method, args, opts...)
+	return b.call(ctx, method, args, o)
 }
 
 // InvokeAsync routes one pipelined invocation to the shard owning its key
@@ -204,11 +203,11 @@ func (sb *ShardedBinding) Call(ctx context.Context, method string, args []byte, 
 // its own outstanding-call window, so a slow shard only stalls its own
 // keys.
 func (sb *ShardedBinding) InvokeAsync(ctx context.Context, method string, args []byte, opts ...CallOption) (*Call, error) {
-	b, _, err := sb.route(method, args, resolveCallOpts(opts))
+	b, o, err := sb.route(method, args, opts)
 	if err != nil {
 		return nil, err
 	}
-	return b.InvokeAsync(ctx, method, args, opts...)
+	return b.launch(ctx, method, args, o, true)
 }
 
 // Read routes one read to the shard owning its key (Invoker surface).
@@ -216,11 +215,11 @@ func (sb *ShardedBinding) InvokeAsync(ctx context.Context, method string, args [
 // the owning shard's own stamp, which is exactly read-your-writes for
 // keys of that shard.
 func (sb *ShardedBinding) Read(ctx context.Context, method string, args []byte, opts ...CallOption) ([]byte, error) {
-	b, _, err := sb.route(method, args, resolveCallOpts(opts))
+	b, o, err := sb.route(method, args, opts)
 	if err != nil {
 		return nil, err
 	}
-	return b.Read(ctx, method, args, opts...)
+	return b.read(ctx, method, args, o)
 }
 
 // CallAll performs one invocation on EVERY shard (administration and
@@ -238,6 +237,7 @@ func (sb *ShardedBinding) CallAll(ctx context.Context, method string, args []byt
 	if closed {
 		return nil, ErrClosed
 	}
+	o := resolveCallOpts(opts)
 	var (
 		mu      sync.Mutex
 		wg      sync.WaitGroup
@@ -249,7 +249,7 @@ func (sb *ShardedBinding) CallAll(ctx context.Context, method string, args []byt
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			replies, err := b.Call(ctx, method, args, opts...)
+			replies, err := b.call(ctx, method, args, o)
 			mu.Lock()
 			defer mu.Unlock()
 			if err != nil {

@@ -180,7 +180,7 @@ func (srv *Server) bufferForCatchup(ev gcs.Event) bool {
 // and answers that fact, so that neither the original nor a retry can
 // execute it a second time on top of the restored state.
 func (srv *Server) transferState(ctx context.Context) error {
-	ctx, cancel := context.WithTimeout(ctx, srv.rmWait)
+	ctx, cancel := context.WithTimeout(ctx, rmWait)
 	defer cancel()
 	cover, err := srv.catchUp(ctx, srv.cfg.Contact)
 	if err != nil {

@@ -363,7 +363,16 @@ func (w *lockWalker) call(call *ast.CallExpr) {
 	if w.lockTransition(call, fn) {
 		return
 	}
-	if what := blockingCallee(fn); what != "" {
+	// The operand of a method call is what a promoted method was selected
+	// through: core's Binding and G2G take their surface from an embedded
+	// engine, and the finding names the type the caller holds.
+	var through types.Type
+	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
+		if s := w.p.Info.Selections[sel]; s != nil {
+			through = s.Recv()
+		}
+	}
+	if what := blockingCallee(fn, through); what != "" {
 		w.add(call.Pos(), what)
 	}
 }
@@ -402,7 +411,9 @@ func (w *lockWalker) isUnlock(call *ast.CallExpr) bool {
 }
 
 // blockingCallee classifies callees that block the calling goroutine.
-func blockingCallee(fn *types.Func) string {
+// through is the type of the operand fn was selected on, when it is a method
+// called as x.fn().
+func blockingCallee(fn *types.Func, through types.Type) string {
 	pkg := ""
 	if fn.Pkg() != nil {
 		pkg = fn.Pkg().Path()
@@ -444,6 +455,9 @@ func blockingCallee(fn *types.Func) string {
 		}
 	}
 	if hasPathSuffix(rpkg, "internal/core") {
+		if namedOrigin(through) != nil {
+			rt = through
+		}
 		n := namedOrigin(rt).Obj().Name()
 		switch {
 		case n == "Call" && fn.Name() == "Await":
