@@ -19,23 +19,28 @@ func EnableFlightJournal(capacity int) {
 	obs.Default().Flight = flight.New(capacity)
 }
 
-// journalRun brackets one measured run's slice of the process journal:
-// open before the run, finish after it to analyze only that run's events.
+// journalRun brackets one measured run's slice of a journal: open before the
+// run, with no call outstanding, and finish after it, every call awaited, to
+// analyze only that run's events.
 type journalRun struct {
 	rec   *flight.Recorder
 	start uint64
 }
 
-func beginJournal() *journalRun {
-	rec := obs.Default().Flight
+func beginJournal() *journalRun { return beginJournalOf(obs.Default().Flight) }
+
+// beginJournalOf brackets a run that journals into a domain of its own.
+func beginJournalOf(rec *flight.Recorder) *journalRun {
 	return &journalRun{rec: rec, start: rec.Cursor()}
 }
 
 // finish decomposes the run's journal window into per-stage latency and,
-// when check is set, verifies it: any stall diagnosis or delivery-order
-// violation becomes an error (ci.sh's journal-invariants stage runs the
-// quick hotpath bench with check on and fails on findings). Gap checking
-// is strict only when the ring kept every event of the window.
+// when check is set, verifies it: any stall diagnosis, delivery-order
+// violation, leased read served past its staleness bound or breach of call
+// conservation becomes an error (ci.sh's journal-invariants stage runs the
+// quick hotpath bench with check on and fails on findings). Gap checking and
+// the launch a completion belongs to are strict only when the ring kept every
+// event of the window.
 func (j *journalRun) finish(label string, check bool) (flight.Decomposition, error) {
 	return j.finishWith(label, check, flight.StallConfig{})
 }
@@ -58,6 +63,16 @@ func (j *journalRun) finishWith(label string, check bool, stallCfg flight.StallC
 	}
 	for _, v := range flight.CheckOrder(events, m, dropped == 0) {
 		findings = append(findings, "order violation: "+v)
+	}
+	for _, l := range flight.CheckLeases(events) {
+		findings = append(findings, "lease violation: "+l)
+	}
+	inFlight, calls := flight.CheckCalls(events, dropped == 0)
+	for _, c := range calls {
+		findings = append(findings, "call conservation: "+c)
+	}
+	if inFlight > 0 {
+		findings = append(findings, fmt.Sprintf("call conservation: %d calls launched in the window never completed", inFlight))
 	}
 	if len(findings) > 0 {
 		msg := fmt.Sprintf("journal check %s: %d findings over %d events", label, len(findings), len(events))

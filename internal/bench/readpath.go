@@ -152,7 +152,7 @@ func runReadPathPoint(ctx context.Context, cfg readPathConfig, leasedReads bool)
 		}
 	}
 
-	journalStart := env.Obs.Flight.Cursor()
+	jr := beginJournalOf(env.Obs.Flight)
 	var (
 		mu                sync.Mutex
 		readDur, writeDur time.Duration
@@ -206,12 +206,14 @@ func runReadPathPoint(ctx context.Context, cfg readPathConfig, leasedReads bool)
 		return readPathPoint{}, fmt.Errorf("degenerate mix: %d reads, %d writes", reads, writes)
 	}
 
-	// The staleness invariant over exactly this run's journal window: a
-	// leased read served past its bound fails the experiment outright.
-	events, _ := env.Obs.Flight.Since(journalStart)
-	if probs := flight.CheckLeases(events); len(probs) > 0 {
-		return readPathPoint{}, fmt.Errorf("lease invariant violated: %s (+%d more)", probs[0], len(probs)-1)
+	// The journal invariants over exactly this run's window: a leased read
+	// served past its bound, or a call launched and never completed (or
+	// completed twice), fails the experiment outright. The stall floor is
+	// the evaluation time scale's, as for the shards experiment.
+	if _, err := jr.finishWith("readpath", true, flight.StallConfig{MinAge: 3 * time.Second}); err != nil {
+		return readPathPoint{}, err
 	}
+	events, _ := jr.rec.Since(jr.start)
 	return readPathPoint{
 		readPerSec: float64(reads) / elapsed.Seconds(),
 		readLat:    readDur / time.Duration(reads),

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -14,7 +15,7 @@ import (
 // coalesce/unpack round trip: each request still reaches the request
 // manager and the replicas under its own trace.
 func TestTracePropagationBatchedEnvelope(t *testing.T) {
-	w := newTracedWorld(t, 2, 1)
+	w := newTracedWorld(t, 2, 1, nil)
 	client := w.clients[0]
 
 	// Batch on the client's side of the binding group only (batching is
@@ -70,17 +71,17 @@ func TestTracePropagationBatchedEnvelope(t *testing.T) {
 	}
 
 	// Every call's trace crossed the envelope boundary intact: the request
-	// manager processed each one and attributes every replica's execution
-	// to it.
-	rmSvc := w.serverByID(b.RequestManager())
-	if rmSvc == nil {
+	// manager processed each one and every replica executed it under it.
+	if w.serverByID(b.RequestManager()) == nil {
 		t.Fatalf("request manager %s is not a server", b.RequestManager())
 	}
 	for i, tid := range traces {
-		got := stagesAt(t, rmSvc.Obs(), tid, "rm.receive", "replica.execute")
 		for _, s := range w.servers {
-			if !got["replica.execute"][string(s.ID())] {
-				t.Errorf("call %d: trace %s lacks replica.execute from %s", i, tid, s.ID())
+			who := fmt.Sprintf("call %d: %s", i, s.ID())
+			if s.ID() == b.RequestManager() {
+				wantJournal(t, who, s.Obs(), tid, rmStages...)
+			} else {
+				wantJournal(t, who, s.Obs(), tid, "replica.execute")
 			}
 		}
 	}

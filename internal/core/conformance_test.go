@@ -33,7 +33,7 @@ type confWorld struct {
 	timers  gcs.GroupConfig
 	contact ids.ProcessID // whom the shapes bind through
 	servers []*core.Service
-	obs     *obs.Obs // the clients' registry, tracer and journal
+	obs     *obs.Obs // the clients' registry and journal
 	clients int
 
 	gate    atomic.Pointer[chan struct{}]
@@ -467,40 +467,44 @@ func confJournal(t *testing.T, w *confWorld, s subject) {
 	if _, err := s.inv.Call(ctxT(t, 10*time.Second), "put", []byte("k=journal"), s.with(core.WithMode(core.Majority), core.WithTrace(trace))...); err != nil {
 		t.Fatal(err)
 	}
-	events, _ := w.obs.Flight.Since(cursor)
-	var starts, dones int
+	events, dropped := w.obs.Flight.Since(cursor)
+	var starts, invokes int
 	for _, ev := range events {
 		if ev.MsgSeq != uint64(trace) {
 			continue
 		}
-		switch ev.Type {
-		case flight.EvCallStart:
+		switch st, detail := ev.Stage(); {
+		case ev.Type == flight.EvCallStart:
 			starts++
 			if core.ReplyMode(ev.A) != core.Majority {
 				t.Fatalf("EvCallStart carries mode %d, want %d", ev.A, core.Majority)
 			}
-		case flight.EvCallDone:
-			dones++
-			if ev.A != 0 {
-				t.Fatal("EvCallDone marks the successful call failed")
+		case ev.Type == flight.EvStage && st == flight.StClientInvoke:
+			invokes++
+			if core.ReplyMode(detail&0xf) != core.Majority || detail&flight.StageFailed != 0 {
+				t.Fatalf("client.invoke carries detail %#x, want mode %d and no failed bit", detail, core.Majority)
 			}
 		}
 	}
-	if starts != 1 || dones != 1 {
-		t.Fatalf("journal holds %d EvCallStart and %d EvCallDone for the call, want one each", starts, dones)
+	if starts != 1 || invokes != 1 {
+		t.Fatalf("journal holds %d EvCallStart and %d client.invoke for the call, want one each", starts, invokes)
 	}
-	if tr := w.obs.Tracer.Lookup(trace); tr == nil || !hasStage(tr, "client.invoke") {
-		t.Fatal("no client.invoke span in the call's trace")
+	if inFlight, probs := flight.CheckCalls(events, dropped == 0); inFlight != 0 || len(probs) > 0 {
+		t.Fatalf("call conservation: %d in flight after the call returned, %v", inFlight, probs)
 	}
 }
 
-func hasStage(tr *obs.Trace, stage string) bool {
-	for _, sp := range tr.Spans {
-		if sp.Stage == stage {
-			return true
+// stageDetails returns the details of the stage events journalled for stage
+// under trace.
+func stageDetails(o *obs.Obs, trace obs.TraceID, stage flight.CallStage) []uint64 {
+	events, _ := o.Flight.Since(0)
+	var out []uint64
+	for _, ev := range events {
+		if st, detail := ev.Stage(); ev.Type == flight.EvStage && ev.MsgSeq == uint64(trace) && st == stage {
+			out = append(out, detail)
 		}
 	}
-	return false
+	return out
 }
 
 func confRead(t *testing.T, w *confWorld, s subject) {
@@ -520,8 +524,8 @@ func confRead(t *testing.T, w *confWorld, s subject) {
 		if cons != core.Stale && string(got) != "read" {
 			t.Fatalf("%v read returned %q, want the session's own write", cons, got)
 		}
-		if tr := w.obs.Tracer.Lookup(trace); tr == nil || !hasStage(tr, "client.read") {
-			t.Fatalf("%v read: no client.read span in its trace", cons)
+		if len(stageDetails(w.obs, trace, flight.StClientRead)) != 1 {
+			t.Fatalf("%v read: no client.read stage journalled under its trace", cons)
 		}
 	}
 	if _, err := s.inv.Read(ctxT(t, 10*time.Second), "nope", []byte("k")); err == nil || errors.Is(err, core.ErrLeaseExpired) {
@@ -533,7 +537,8 @@ func confRead(t *testing.T, w *confWorld, s subject) {
 // served linearizably at the ordering authority instead. The lease here is
 // every replica's own, held against a staleness bound of one tick, which
 // the heartbeat period alone exceeds every few milliseconds; the servers'
-// replica.read span says at which consistency a read was served in the end.
+// replica.read stage event says at which consistency a read was served in the
+// end.
 func confReadEscalation(t *testing.T, w *confWorld, s subject) {
 	for i := 0; i < 5000; i++ {
 		trace := obs.NewTraceID()
@@ -541,11 +546,9 @@ func confReadEscalation(t *testing.T, w *confWorld, s subject) {
 		if err != nil || string(got) != "read" {
 			t.Fatalf("read %d: %q, %v", i, got, err)
 		}
-		if tr := obs.Default().Tracer.Lookup(trace); tr != nil {
-			for _, sp := range tr.Spans {
-				if sp.Stage == "replica.read" && sp.Note == "consistency="+core.Linearizable.String() {
-					return
-				}
+		for _, served := range stageDetails(obs.Default(), trace, flight.StReplicaRead) {
+			if core.Consistency(served) == core.Linearizable {
+				return
 			}
 		}
 		time.Sleep(300 * time.Microsecond)

@@ -453,7 +453,6 @@ func (e *engine) launch(ctx context.Context, method string, args []byte, o callO
 		Client: e.svc.ID(),
 		Style:  e.style,
 		Trace:  uint64(c.trace),
-		SentAt: c.start.UnixNano(),
 	}))
 	switch {
 	case err != nil:
@@ -515,18 +514,17 @@ func (e *engine) retire(c *Call, err error) {
 	if errors.Is(err, context.Canceled) {
 		e.svc.metrics.asyncCancelled.Inc()
 	}
-	style := e.style.String()
+	style := uint64(e.style)
 	if e.groupClient != "" {
-		style = "g2g"
+		style = 3 // group-to-group, see flight.StClientInvoke
+	}
+	detail := uint64(c.mode) | style<<4
+	if err != nil {
+		detail |= flight.StageFailed
 	}
 	d := time.Since(c.start)
 	e.svc.metrics.invokeHist(c.mode).Observe(d)
-	e.svc.span(c.trace, "client.invoke", 0, c.start, d, "mode="+c.mode.String()+" style="+style)
-	var failed uint64
-	if err != nil {
-		failed = 1
-	}
-	e.svc.frRecord(flight.EvCallDone, uint64(c.trace), failed, 0)
+	e.svc.span(uint64(c.trace), flight.StClientInvoke, detail, d)
 }
 
 // Read serves one read-only invocation outside the ordering layer (Invoker
@@ -567,7 +565,7 @@ func (e *engine) read(ctx context.Context, method string, args []byte, o callOpt
 	if err != nil && !final && cons == Leased {
 		payload, _, err = e.readOnce(ctx, Linearizable, method, args, min, 0, uint64(o.trace))
 	}
-	e.svc.span(o.trace, "client.read", 0, start, time.Since(start), "consistency="+cons.String())
+	e.svc.span(uint64(o.trace), flight.StClientRead, uint64(cons), time.Since(start))
 	return payload, err
 }
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"newtop/internal/gcs"
 	"newtop/internal/ids"
 	"newtop/internal/vclock"
 )
@@ -27,7 +28,7 @@ func TestAllocGuardForwardedReply(t *testing.T) {
 	}
 	avg := testing.AllocsPerRun(500, serve)
 	t.Logf("forwarded request → direct reply: %.1f allocs/op", avg)
-	const budget = 5 // measured 4.0
+	const budget = 3 // measured 2.0
 	if avg > budget && !raceEnabled {
 		t.Fatalf("executing and answering a forwarded request allocates %.1f/op, budget %d", avg, budget)
 	}
@@ -37,21 +38,29 @@ func TestAllocGuardForwardedReply(t *testing.T) {
 // direct reply, and — for the reply that completes the quorum — building the
 // reply set, retaining it and multicasting it in the client group, all on
 // the arrival path. No goroutine, no timer, no map and no sort per call: the
-// set, its envelope and the multicast are what remains. (The single member
-// stands in for the client group; delivering the set to itself is part of
-// the count.)
+// set, its envelope and the multicast are what remains. A second
+// single-member group stands in for the client group: the set's delivery in
+// it is part of the count, a client's decoding of it is not — answered in
+// the server group itself, the member's own group loop decoded each set it
+// delivered, on its own goroutine, and whether that fell inside the
+// measurement was the scheduler's choice (4.0 allocs/op, now and then 7.0).
 func TestAllocGuardCollectReply(t *testing.T) {
-	_, srv := soloServer(t, "rm")
+	svc, srv := soloServer(t, "rm")
+	cs, err := svc.node.Create("cs", srv.group.Config()) // the same parked timers
+	if err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	go consumeEvents(cs, func(gcs.Event) bool { return true })
 	const runs = 500
 	srv.mu.Lock()
 	for n := uint64(1); n <= runs+65; n++ {
-		c := &collection{call: ids.CallID{Client: "z00", Number: n}, b: srv.group, start: time.Now()}
+		c := &collection{call: ids.CallID{Client: "z00", Number: n}, b: cs, start: time.Now()}
 		c.mode = Majority
 		c.replies = make([]invReply, 0, 3)
 		c.deadline = time.NewTimer(time.Hour)
 		srv.collectors[c.call] = c
-		srv.group.Attend()
 		srv.group.Attend() // answer releases the server group and the client group
+		cs.Attend()
 	}
 	srv.roster["s01"], srv.roster["s02"] = true, true
 	srv.mu.Unlock()
@@ -76,7 +85,7 @@ func TestAllocGuardCollectReply(t *testing.T) {
 	if open != 0 || kept != runs+65 {
 		t.Fatalf("%d collections still open, %d reply sets retained; want 0 and %d", open, kept, runs+65)
 	}
-	const budget = 6 // measured 5.0
+	const budget = 5 // measured 4.0
 	if avg > budget && !raceEnabled {
 		t.Fatalf("collecting a call's replies allocates %.1f/op, budget %d", avg, budget)
 	}

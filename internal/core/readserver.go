@@ -6,7 +6,7 @@ import (
 	"time"
 
 	"newtop/internal/gcs"
-	"newtop/internal/obs"
+	"newtop/internal/obs/flight"
 	"newtop/internal/vclock"
 )
 
@@ -47,10 +47,9 @@ func (srv *Server) serveRead(req *readRequest) *readReply {
 		rep = srv.serveReadLocal(req)
 	}
 	if rep.Code == readOK {
-		srv.svc.metrics.readLatency.Observe(time.Since(start))
-		if req.Trace != 0 {
-			srv.svc.span(obs.TraceID(req.Trace), "replica.read", 3, start, time.Since(start), "consistency="+req.Consistency.String())
-		}
+		d := time.Since(start)
+		srv.svc.metrics.readLatency.Observe(d)
+		srv.svc.span(req.Trace, flight.StReplicaRead, uint64(req.Consistency), d)
 	} else {
 		srv.svc.metrics.readRefused.Inc()
 	}

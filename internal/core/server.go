@@ -4,13 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strconv"
 	"sync"
 	"time"
 
 	"newtop/internal/gcs"
 	"newtop/internal/ids"
 	"newtop/internal/obs"
+	"newtop/internal/obs/flight"
 	"newtop/internal/vclock"
 )
 
@@ -375,19 +375,18 @@ func (srv *Server) executeOnce(call ids.CallID, method string, args []byte, stam
 func (srv *Server) executeLocked(call ids.CallID, method string, args []byte, stamp vclock.Stamp, trace uint64) (invReply, bool) {
 	srv.applyLocked(stamp) // a retry's delivery is a position too
 	if rep, ok := srv.replies.get(call); ok {
-		rep.Trace = trace
 		return rep, false
 	}
 	start := time.Now()
 	payload, err := srv.cfg.Handler(method, args)
 	d := time.Since(start)
-	rep := invReply{Call: call, Server: srv.svc.ID(), Payload: payload, Trace: trace, ExecNanos: int64(d), Stamp: stamp}
+	rep := invReply{Call: call, Server: srv.svc.ID(), Payload: payload, Stamp: stamp}
 	if err != nil {
 		rep.Err = err.Error()
 	}
 	srv.replies.put(call, rep)
 	srv.svc.metrics.execLatency.Observe(d)
-	srv.svc.span(obs.TraceID(trace), "replica.execute", 3, start, d, "method="+method)
+	srv.svc.span(trace, flight.StReplicaExecute, 0, d)
 	return rep, true
 }
 
@@ -396,22 +395,6 @@ func (srv *Server) executeLocked(call ids.CallID, method string, args []byte, st
 // completes the quorum (the live server roster; closed clients in the view
 // never reply).
 func (srv *Server) collectReply(rep invReply) {
-	// Reconstruct the remote replica's execution span from the envelope's
-	// self-reported duration (our own executions are recorded locally with
-	// true wall-clock positions, so skip those). Anchoring at receipt time
-	// keeps the span clock-skew-free at the cost of a small transit shift.
-	if rep.Trace != 0 && rep.Server != srv.svc.ID() && rep.ExecNanos > 0 {
-		d := time.Duration(rep.ExecNanos)
-		srv.svc.obs.Tracer.Record(obs.Span{
-			Trace: obs.TraceID(rep.Trace),
-			Stage: "replica.execute",
-			Proc:  string(rep.Server),
-			Depth: 3,
-			Start: time.Now().Add(-d),
-			Dur:   d,
-			Note:  "reported by envelope",
-		})
-	}
 	srv.mu.Lock()
 	c := srv.collectors[rep.Call]
 	servers := len(srv.roster)
@@ -599,9 +582,7 @@ func (srv *Server) serveAsRM(b *gcs.Group, bind *bindRequest, req *invRequest) {
 		// Retried call: resend the retained aggregated reply (§4.1).
 		srv.mu.Unlock()
 		if req.Mode != OneWay {
-			resend := *set
-			resend.Trace = req.Trace
-			_ = b.Multicast(context.Background(), encodeReplySet(&resend)) //lint:ok errdrop best-effort: a lost resend just triggers another client retry
+			_ = b.Multicast(context.Background(), encodeReplySet(set)) //lint:ok errdrop best-effort: a lost resend just triggers another client retry
 		}
 		return
 	}
@@ -616,7 +597,7 @@ func (srv *Server) serveAsRM(b *gcs.Group, bind *bindRequest, req *invRequest) {
 	}
 	srv.mu.Unlock()
 
-	srv.recordRMReceive(req)
+	srv.svc.span(req.Trace, flight.StRMReceive, uint64(req.Mode), 0)
 
 	if req.Mode == OneWay {
 		srv.forward(req) // distribute and return: nobody is waiting
@@ -634,34 +615,6 @@ func (srv *Server) serveAsRM(b *gcs.Group, bind *bindRequest, req *invRequest) {
 	srv.serveCollected(b, req)
 }
 
-// recordRMReceive stitches the request manager's end of the trace: a
-// synthesized client.send span from the envelope's departure timestamp
-// (clients and request manager may disagree on clocks — the span is
-// labelled as reported) and the rm.receive marker itself.
-func (srv *Server) recordRMReceive(req *invRequest) {
-	if req.Trace == 0 {
-		return
-	}
-	now := time.Now()
-	tid := obs.TraceID(req.Trace)
-	var note string
-	if req.SentAt <= 0 {
-		note = "mode=" + req.Mode.String()
-	} else {
-		sent := time.Unix(0, req.SentAt)
-		srv.svc.obs.Tracer.Record(obs.Span{
-			Trace: tid,
-			Stage: "client.send",
-			Proc:  string(req.Client),
-			Depth: 0,
-			Start: sent,
-			Note:  "reported by envelope",
-		})
-		note = "mode=" + req.Mode.String() + " transit≈" + now.Sub(sent).Round(time.Microsecond).String()
-	}
-	srv.svc.span(tid, "rm.receive", 1, now, 0, note)
-}
-
 // serveAsyncForward is the restricted-group + asynchronous-message-
 // forwarding optimisation (§4.2): the request manager executes and
 // replies immediately, forwarding the request one-way for the other
@@ -676,14 +629,14 @@ func (srv *Server) serveAsyncForward(b *gcs.Group, req *invRequest) {
 	// the whole point of the optimisation, §4.2). Both stay under execMu
 	// so the backups apply requests in exactly the primary's execution
 	// order.
-	set := &invReplySet{Call: req.Call, Replies: []invReply{rep}, Trace: req.Trace}
+	set := &invReplySet{Call: req.Call, Replies: []invReply{rep}}
 	srv.mu.Lock()
 	srv.sets.put(set.Call, set) // for retries
 	srv.mu.Unlock()
 	replyStart := time.Now()
 	//lint:ok lockblock deliberate: both multicasts stay under execMu so backups see the primary's execution order (§4.2)
 	_ = b.Multicast(context.Background(), encodeReplySet(set)) //lint:ok errdrop best-effort: the client retries and gets the retained reply set
-	srv.recordRMSpan(req.Trace, "rm.reply", replyStart, "async-forward")
+	srv.svc.span(req.Trace, flight.StRMReply, 0, time.Since(replyStart))
 	if fresh {
 		fwd := *req
 		fwd.Forwarded = true
@@ -692,17 +645,9 @@ func (srv *Server) serveAsyncForward(b *gcs.Group, req *invRequest) {
 		fwdStart := time.Now()
 		//lint:ok lockblock deliberate: both multicasts stay under execMu so backups see the primary's execution order (§4.2)
 		_ = srv.group.Multicast(context.Background(), encodeRequest(&fwd)) //lint:ok errdrop best-effort: backups only lose a state refresh, the reply already left
-		srv.recordRMSpan(req.Trace, "rm.forward", fwdStart, "one-way")
+		srv.svc.span(req.Trace, flight.StRMForward, 0, time.Since(fwdStart))
 	}
 	srv.execMu.Unlock()
-}
-
-// recordRMSpan records one request-manager stage span.
-func (srv *Server) recordRMSpan(trace uint64, stage string, start time.Time, note string) {
-	if trace == 0 {
-		return
-	}
-	srv.svc.span(obs.TraceID(trace), stage, 2, start, time.Since(start), note)
 }
 
 // forward distributes a client's request in the server group.
@@ -712,7 +657,7 @@ func (srv *Server) forward(req *invRequest) {
 	srv.svc.metrics.rmRelays.Inc()
 	start := time.Now()
 	_ = srv.group.Multicast(context.Background(), encodeRequest(&fwd)) //lint:ok errdrop best-effort: the collection times out and answers with whatever replies arrive; one-way promises nothing
-	srv.recordRMSpan(req.Trace, "rm.forward", start, "server-group multicast")
+	srv.svc.span(req.Trace, flight.StRMForward, 0, time.Since(start))
 }
 
 // collection is one call this request manager is gathering replies for.
@@ -757,8 +702,8 @@ func (srv *Server) serveCollected(b *gcs.Group, req *invRequest) {
 // and retains it for retries. It runs on the path of whatever settled the
 // collection — the ORB's receive loop, a dispatch worker, the deadline.
 func (srv *Server) answer(c *collection) {
-	srv.recordRMSpan(c.trace, "rm.collect", c.start, "replies="+strconv.Itoa(len(c.replies)))
-	set := &invReplySet{Call: c.call, Replies: c.replies, Trace: c.trace}
+	srv.svc.span(c.trace, flight.StRMCollect, uint64(len(c.replies)), time.Since(c.start))
+	set := &invReplySet{Call: c.call, Replies: c.replies}
 	if len(set.Replies) == 0 {
 		set.Err = "request manager: no replies before deadline"
 	}
@@ -785,7 +730,7 @@ func (srv *Server) answer(c *collection) {
 		}
 		srv.mu.Unlock()
 	}
-	srv.recordRMSpan(c.trace, "rm.reply", start, "client-group multicast")
+	srv.svc.span(c.trace, flight.StRMReply, 0, time.Since(start))
 	srv.group.Unattend()
 	c.b.Unattend()
 }

@@ -102,18 +102,21 @@ func (s *Service) StatsTotal() gcs.Stats {
 	return st
 }
 
-// Obs returns the service's observability domain (registry + tracer).
+// Obs returns the service's observability domain (registry + journal).
 func (s *Service) Obs() *obs.Obs { return s.obs }
 
-// frRecord notes an invocation-layer flight event. MsgSeq carries the
-// trace ID so journal entries join against the tracer's spans.
+// frRecord journals an invocation-layer event under its call's trace ID.
 func (s *Service) frRecord(t flight.Type, trace, a, b uint64) {
 	s.fr.Record(flight.Event{Type: t, Proc: s.frProc, Sender: flight.NoSender, MsgSeq: trace, A: a, B: b})
 }
 
-// span records one stage this process ran in an invocation's trace.
-func (s *Service) span(trace obs.TraceID, stage string, depth int, start time.Time, d time.Duration, note string) {
-	s.obs.Tracer.Record(obs.Span{Trace: trace, Stage: stage, Proc: string(s.ID()), Depth: depth, Start: start, Dur: d, Note: note})
+// span journals one stage this process ran in an invocation's trace, ended
+// just now after d. Each process journals its own stages; the call's tree is
+// the merge of the journals (flight.Traces).
+func (s *Service) span(trace uint64, stage flight.CallStage, detail uint64, d time.Duration) {
+	if trace != 0 {
+		s.frRecord(flight.EvStage, trace, flight.StageWord(stage, detail), uint64(d))
+	}
 }
 
 // ID returns the process identifier.

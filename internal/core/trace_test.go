@@ -2,6 +2,11 @@ package core_test
 
 import (
 	"fmt"
+	"io"
+	"net/http/httptest"
+	"slices"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -11,12 +16,15 @@ import (
 	"newtop/internal/ids"
 	"newtop/internal/netsim"
 	"newtop/internal/obs"
+	"newtop/internal/obs/flight"
 	"newtop/internal/transport/memnet"
 )
 
 // tracedWorld mirrors the core fixture but gives every process its own
-// observability domain, the production shape, so trace propagation can be
-// asserted per node.
+// observability domain, the production shape: each process's journal holds
+// the stages it ran under the wire-carried trace ID, and a call's full tree
+// is the union over the processes. With shared set, they all journal into
+// that one domain instead, and its /traces shows the union.
 type tracedWorld struct {
 	net     *memnet.Net
 	servers []*core.Service
@@ -24,8 +32,14 @@ type tracedWorld struct {
 	clients []*core.Service
 }
 
-func newTracedWorld(t *testing.T, nServers, nClients int) *tracedWorld {
+func newTracedWorld(t *testing.T, nServers, nClients int, shared *obs.Obs) *tracedWorld {
 	t.Helper()
+	domain := func() *obs.Obs {
+		if shared != nil {
+			return shared
+		}
+		return obs.New()
+	}
 	w := &tracedWorld{net: memnet.New(netsim.New(netsim.FastProfile(), 17))}
 	ctx := ctxT(t, 20*time.Second)
 
@@ -36,7 +50,7 @@ func newTracedWorld(t *testing.T, nServers, nClients int) *tracedWorld {
 		if err != nil {
 			t.Fatalf("endpoint: %v", err)
 		}
-		svc := core.NewServiceObs(ep, obs.New())
+		svc := core.NewServiceObs(ep, domain())
 		w.servers = append(w.servers, svc)
 		srv, err := svc.Serve(ctx, core.ServeConfig{
 			Group:   "sg",
@@ -61,7 +75,7 @@ func newTracedWorld(t *testing.T, nServers, nClients int) *tracedWorld {
 		if err != nil {
 			t.Fatalf("endpoint: %v", err)
 		}
-		w.clients = append(w.clients, core.NewServiceObs(ep, obs.New()))
+		w.clients = append(w.clients, core.NewServiceObs(ep, domain()))
 	}
 	t.Cleanup(func() {
 		for _, c := range w.clients {
@@ -84,66 +98,69 @@ func (w *tracedWorld) serverByID(id ids.ProcessID) *core.Service {
 	return nil
 }
 
-// soleTrace waits for the domain's tracer to hold exactly one trace and
-// returns its identifier.
+// journalled lists, sorted, the invocation-level events one domain's journal
+// holds under trace tid: "call-start" for the launch marker, the stage's name
+// for a stage event.
+func journalled(o *obs.Obs, tid obs.TraceID) []string {
+	events, _ := o.Flight.Since(0)
+	var names []string
+	for _, e := range events {
+		switch st, _ := e.Stage(); {
+		case e.MsgSeq != uint64(tid):
+		case e.Type == flight.EvCallStart:
+			names = append(names, "call-start")
+		case e.Type == flight.EvStage:
+			names = append(names, st.String())
+		}
+	}
+	sort.Strings(names)
+	return names
+}
+
+// soleTrace waits for the domain's journal to hold the stages of exactly
+// one trace and returns its identifier.
 func soleTrace(t *testing.T, o *obs.Obs) obs.TraceID {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if trs := o.Tracer.Recent(2); len(trs) == 1 {
-			return trs[0].ID
+		events, _ := o.Flight.Since(0)
+		if trs := flight.Traces(events); len(trs) == 1 {
+			return obs.TraceID(trs[0].ID)
 		} else if len(trs) > 1 {
 			t.Fatalf("expected one trace, got %d", len(trs))
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("no trace recorded")
+			t.Fatal("no trace journalled")
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
 }
 
-// stagesAt waits until the node's trace tid contains every wanted stage
-// and returns stage -> processes that reported it.
-func stagesAt(t *testing.T, o *obs.Obs, tid obs.TraceID, want ...string) map[string]map[string]bool {
+// wantJournal waits until the domain's journal holds, under tid, exactly the
+// wanted invocation-level events — each process journals the stages it ran
+// and no other's — and fails on anything more or, at the deadline, less.
+func wantJournal(t *testing.T, who string, o *obs.Obs, tid obs.TraceID, want ...string) {
 	t.Helper()
+	sort.Strings(want)
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		got := make(map[string]map[string]bool)
-		if tr := o.Tracer.Lookup(tid); tr != nil {
-			for _, s := range tr.Spans {
-				if got[s.Stage] == nil {
-					got[s.Stage] = make(map[string]bool)
-				}
-				got[s.Stage][s.Proc] = true
-			}
+		got := journalled(o, tid)
+		if slices.Equal(got, want) {
+			return
 		}
-		missing := false
-		for _, stage := range want {
-			if len(got[stage]) == 0 {
-				missing = true
-				break
-			}
-		}
-		if !missing {
-			return got
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("trace %s missing stages: have %v, want %v", tid, keys(got), want)
+		if len(got) > len(want) || time.Now().After(deadline) {
+			t.Fatalf("%s journalled %v under trace %s, want %v", who, got, tid, want)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
 }
 
-func keys(m map[string]map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	return out
-}
+// rmStages is what a request manager journals for a call it collects
+// replies for, its own execution included.
+var rmStages = []string{"rm.receive", "rm.forward", "rm.collect", "rm.reply", "replica.execute"}
 
 func TestTracePropagationOpenBinding(t *testing.T) {
-	w := newTracedWorld(t, 3, 1)
+	w := newTracedWorld(t, 3, 1, nil)
 	client := w.clients[0]
 	b, err := client.Bind(ctxT(t, 10*time.Second), core.BindConfig{
 		ServerGroup: "sg",
@@ -160,34 +177,98 @@ func TestTracePropagationOpenBinding(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The client records exactly one trace: its own invoke span.
+	// The client journals exactly one trace: the launch and its completion.
 	tid := soleTrace(t, client.Obs())
-	stagesAt(t, client.Obs(), tid, "client.invoke")
+	wantJournal(t, "the client", client.Obs(), tid, "call-start", "client.invoke")
 
-	// The request manager holds the complete span tree for the same trace:
-	// the synthesized client.send, its own receive/forward/collect/reply
-	// stages, and a replica.execute span from every server (its own local
-	// one plus the envelope-reported remote ones).
-	rmSvc := w.serverByID(b.RequestManager())
-	if rmSvc == nil {
+	// The request manager journals its own receive/forward/collect/reply
+	// stages and its own execution under the same trace; every other
+	// replica journals its execution and nothing else. The union is the
+	// call's full tree.
+	if w.serverByID(b.RequestManager()) == nil {
 		t.Fatalf("request manager %s is not a server", b.RequestManager())
 	}
-	got := stagesAt(t, rmSvc.Obs(), tid,
-		"client.send", "rm.receive", "rm.forward", "rm.collect", "rm.reply", "replica.execute")
 	for _, s := range w.servers {
-		if !got["replica.execute"][string(s.ID())] {
-			t.Errorf("request manager trace lacks replica.execute from %s", s.ID())
+		if s.ID() == b.RequestManager() {
+			wantJournal(t, "the request manager", s.Obs(), tid, rmStages...)
+		} else {
+			wantJournal(t, string(s.ID()), s.Obs(), tid, "replica.execute")
 		}
 	}
+}
 
-	// Every replica recorded its own execution under the same trace.
-	for _, s := range w.servers {
-		stagesAt(t, s.Obs(), tid, "replica.execute")
+// TestOneEventPerFact: with every process journalling into one domain, a
+// successful open wait-for-majority call against three replicas leaves
+// exactly one invocation-level event per fact under its trace, and /traces
+// renders them as the call's tree.
+func TestOneEventPerFact(t *testing.T) {
+	o := obs.New()
+	w := newTracedWorld(t, 3, 1, o)
+	b, err := w.clients[0].Bind(ctxT(t, 10*time.Second), core.BindConfig{
+		ServerGroup: "sg",
+		Contact:     w.servers[0].ID(),
+		Style:       core.Open,
+		GCS:         testTimers(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	tid := obs.NewTraceID()
+	if _, err := b.Call(ctxT(t, 10*time.Second), "echo", []byte("x"), core.WithMode(core.Majority), core.WithTrace(tid)); err != nil {
+		t.Fatal(err)
+	}
+	wantJournal(t, "the world", o, tid, "call-start", "client.invoke", "rm.receive", "rm.forward", "rm.collect", "rm.reply",
+		"replica.execute", "replica.execute", "replica.execute")
+
+	srv := httptest.NewServer(obs.Handler(o))
+	defer srv.Close()
+	resp, err := srv.Client().Get(srv.URL + "/traces?n=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	lines := strings.Split(strings.TrimRight(string(body), "\n"), "\n")
+	if len(lines) != 11 {
+		t.Fatalf("/traces?n=1 has %d lines, want header, blank, trace and 8 stages:\n%s", len(lines), body)
+	}
+	var cursor, events, dropped, capacity int
+	if _, err := fmt.Sscanf(lines[0], "traces cursor=%d events=%d dropped=%d cap=%d", &cursor, &events, &dropped, &capacity); err != nil ||
+		cursor == 0 || events == 0 || dropped != 0 || capacity != o.Flight.Cap() {
+		t.Fatalf("header %q (%v): want the journal's cursor, events, dropped and cap", lines[0], err)
+	}
+	if want := fmt.Sprintf("trace %s  stages=8", tid); lines[2] != want {
+		t.Fatalf("trace line %q, want %q", lines[2], want)
+	}
+	// Stage order (by start) and indentation (by depth). The majority is
+	// answered once two replicas have, so the third execution may begin
+	// on either side of rm.reply.
+	stageAt := func(i int) string {
+		_, rest, _ := strings.Cut(strings.TrimLeft(lines[3+i], " "), "  ") // past the offset column
+		return rest[:strings.Index(rest, "proc=")]
+	}
+	for i, want := range []string{
+		"client.invoke     ",
+		"  rm.receive        ",
+		"    rm.collect        ",
+		"    rm.forward        ",
+		"      replica.execute   ",
+		"      replica.execute   ",
+	} {
+		if got := stageAt(i); got != want {
+			t.Fatalf("stage line %d is %q, want %q:\n%s", i, got, want, body)
+		}
+	}
+	rest := []string{stageAt(6), stageAt(7)}
+	sort.Strings(rest)
+	if want := []string{"      replica.execute   ", "    rm.reply          "}; !slices.Equal(rest, want) {
+		t.Fatalf("last two stage lines %q, want %q in either order:\n%s", rest, want, body)
 	}
 }
 
 func TestTracePropagationClosedBinding(t *testing.T) {
-	w := newTracedWorld(t, 3, 1)
+	w := newTracedWorld(t, 3, 1, nil)
 	client := w.clients[0]
 	b, err := client.Bind(ctxT(t, 10*time.Second), core.BindConfig{
 		ServerGroup: "sg",
@@ -205,14 +286,11 @@ func TestTracePropagationClosedBinding(t *testing.T) {
 	}
 
 	tid := soleTrace(t, client.Obs())
-	stagesAt(t, client.Obs(), tid, "client.invoke")
+	wantJournal(t, "the client", client.Obs(), tid, "call-start", "client.invoke")
 	// Closed style has no request manager: each server executes the
 	// client's own multicast directly under the same trace.
 	for _, s := range w.servers {
-		got := stagesAt(t, s.Obs(), tid, "replica.execute")
-		if !got["replica.execute"][string(s.ID())] {
-			t.Errorf("server %s did not record its own execution", s.ID())
-		}
+		wantJournal(t, string(s.ID()), s.Obs(), tid, "replica.execute")
 	}
 }
 
@@ -325,22 +403,15 @@ func TestTracePropagationGroupToGroup(t *testing.T) {
 		if tid != want {
 			t.Fatalf("worker %d trace %s, want %s", i, tid, want)
 		}
-		stagesAt(t, svcs[i].Obs(), tid, "client.invoke")
+		wantJournal(t, fmt.Sprintf("worker %d", i), svcs[i].Obs(), tid, "call-start", "client.invoke")
 	}
 	// The request manager filtered the duplicates into one processing of
-	// that same trace, with every replica's execution attributed to it.
-	rmSvc := servers[0]
-	if g2gs[0].RequestManager() != rmSvc.ID() {
-		for _, s := range servers {
-			if s.ID() == g2gs[0].RequestManager() {
-				rmSvc = s
-			}
-		}
-	}
-	got := stagesAt(t, rmSvc.Obs(), want, "rm.receive", "rm.forward", "rm.collect", "rm.reply", "replica.execute")
+	// that same trace; the other replica executed under it once.
 	for _, s := range servers {
-		if !got["replica.execute"][string(s.ID())] {
-			t.Errorf("request manager trace lacks replica.execute from %s", s.ID())
+		if s.ID() == g2gs[0].RequestManager() {
+			wantJournal(t, "the request manager", s.Obs(), want, rmStages...)
+		} else {
+			wantJournal(t, string(s.ID()), s.Obs(), want, "replica.execute")
 		}
 	}
 }

@@ -44,13 +44,9 @@ type invRequest struct {
 	// state continuity but do not multicast replies.
 	AsyncFwd bool
 	// Trace is the end-to-end trace identifier stamped by the invoking
-	// client (zero = untraced); every process touched by the call records
-	// its protocol-stage spans under it.
+	// client (zero = untraced); every process touched by the call journals
+	// the stages it ran under it.
 	Trace uint64
-	// SentAt is the client's send time (UnixNano) so the receiving side
-	// can annotate transit time. Comparable only within one process (the
-	// simulated networks) or between skew-synchronised hosts.
-	SentAt int64
 }
 
 // invReply is one server's reply, sent point-to-point to whoever gathers
@@ -63,12 +59,6 @@ type invReply struct {
 	Server  ids.ProcessID
 	Payload []byte
 	Err     string
-	// Trace echoes the request's trace identifier.
-	Trace uint64
-	// ExecNanos is how long the servant ran on this server, reported so
-	// the request manager can reconstruct remote execution spans without
-	// cross-host clock comparisons.
-	ExecNanos int64
 	// Stamp is the total-order stamp of this call as applied at the
 	// server — the session token the client's binding remembers for
 	// read-your-writes (see Reply.Stamp).
@@ -82,8 +72,6 @@ type invReplySet struct {
 	Replies []invReply
 	// Err reports a request-manager-level failure (e.g. no servers).
 	Err string
-	// Trace echoes the request's trace identifier.
-	Trace uint64
 }
 
 func (r invReply) toReply() Reply {
@@ -107,7 +95,6 @@ func encodeRequest(m *invRequest) []byte {
 	w.Bool(m.Forwarded)
 	w.Bool(m.AsyncFwd)
 	w.Uvarint(m.Trace)
-	w.Varint(m.SentAt)
 	out := w.Detach()
 	wire.PutWriter(w)
 	return out
@@ -119,20 +106,16 @@ func putReply(w *wire.Writer, m invReply) {
 	w.String(string(m.Server))
 	w.Blob(m.Payload)
 	w.String(m.Err)
-	w.Uvarint(m.Trace)
-	w.Varint(m.ExecNanos)
 	putStamp(w, m.Stamp)
 }
 
 func getReply(r *wire.Reader) invReply {
 	return invReply{
-		Call:      ids.CallID{Client: ids.ProcessID(r.String()), Number: r.Uvarint()},
-		Server:    ids.ProcessID(r.String()),
-		Payload:   r.BlobRef(),
-		Err:       r.String(),
-		Trace:     r.Uvarint(),
-		ExecNanos: r.Varint(),
-		Stamp:     getStamp(r),
+		Call:    ids.CallID{Client: ids.ProcessID(r.String()), Number: r.Uvarint()},
+		Server:  ids.ProcessID(r.String()),
+		Payload: r.BlobRef(),
+		Err:     r.String(),
+		Stamp:   getStamp(r),
 	}
 }
 
@@ -175,7 +158,6 @@ func encodeReplySet(m *invReplySet) []byte {
 		putReply(w, rep)
 	}
 	w.String(m.Err)
-	w.Uvarint(m.Trace)
 	out := w.Detach()
 	wire.PutWriter(w)
 	return out
@@ -198,7 +180,6 @@ func decodePayload(b []byte) (any, error) {
 			Forwarded: r.Bool(),
 			AsyncFwd:  r.Bool(),
 			Trace:     r.Uvarint(),
-			SentAt:    r.Varint(),
 		}
 	case payloadHello:
 		msg = helloMsg{}
@@ -214,7 +195,6 @@ func decodePayload(b []byte) (any, error) {
 			}
 		}
 		set.Err = r.String()
-		set.Trace = r.Uvarint()
 		msg = set
 	default:
 		return nil, fmt.Errorf("core: unknown payload kind %d", kind)

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"newtop/internal/ids"
@@ -175,11 +174,6 @@ type Group struct {
 	evFlush    bool // forward the FIFO backlog to a fresh handler
 	evClosed   bool
 	handler    func(Event)
-}
-
-// DebugCounters tallies protocol traffic for diagnostics (package-wide).
-var DebugCounters struct {
-	App, Null, OrderNull, AckNull, TimeSilenceNull, Resend, Batches atomic.Int64
 }
 
 // Test-only instrumentation of the delivery loop (nil in production).
@@ -435,11 +429,9 @@ func (g *Group) sendDataLocked(null bool, payload []byte) {
 func (g *Group) emitDataLocked(null bool, payload []byte) {
 	g.unparkLocked()
 	if null {
-		DebugCounters.Null.Add(1)
 		g.stats.NullSent++
 		g.metrics.nullsSent.Inc()
 	} else {
-		DebugCounters.App.Add(1)
 		g.stats.AppSent++
 		g.metrics.appSent.Inc()
 	}
@@ -533,7 +525,6 @@ func (g *Group) flushBatchLocked() {
 	} else {
 		enc = g.node.encode(&batchMsg{Group: g.id, Msgs: msgs})
 	}
-	DebugCounters.Batches.Add(1)
 	g.frRecord(flight.EvBatchFlush, g.midx.me, msgs[0].Seq, uint64(len(msgs)), 0)
 	g.stats.BatchesSent++
 	g.stats.BatchedMsgs += uint64(len(msgs))
@@ -825,7 +816,6 @@ func (g *Group) postIngestLocked() {
 	// them, speak up now (one null acknowledges everything pending).
 	// This is the paper's "protocol specific" message exchange.
 	if g.state == stateNormal && g.cfg.Order.Total() && g.needAckLocked() {
-		DebugCounters.AckNull.Add(1)
 		g.sendDataLocked(true, nil)
 	}
 	if g.frontierWaiters > 0 {
@@ -1000,7 +990,6 @@ func (g *Group) tryDeliverLocked() {
 				// wire yet (our own carry theirs at send time).
 				// emitDataLocked advances announcedHigh, so this branch
 				// runs at most once per batch of new decisions.
-				DebugCounters.OrderNull.Add(1)
 				g.emitDataLocked(true, nil)
 				continue // the null itself may now be deliverable
 			}

@@ -60,7 +60,6 @@ func (g *Group) tick(now time.Time) {
 		// message waits on the total order would melt large groups.
 		promptAck := g.cfg.Order.Total() && g.needAckLocked() && quiet >= g.cfg.Tick
 		if quiet >= g.cfg.TimeSilence || promptAck {
-			DebugCounters.TimeSilenceNull.Add(1)
 			g.sendDataLocked(true, nil)
 		}
 	}
@@ -238,7 +237,6 @@ func (g *Group) resendLocked(now time.Time) {
 		}
 		g.frRecord(flight.EvResend, qi, known+1, end, g.sendSeq)
 		for seq := known + 1; seq <= end; seq++ {
-			DebugCounters.Resend.Add(1)
 			g.stats.Resent++
 			g.metrics.resent.Inc()
 			if m := g.win[g.midx.me].get(seq).m; m != nil {

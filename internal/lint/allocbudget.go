@@ -39,10 +39,10 @@ func DefaultAllocBudgets() []AllocBudget {
 		{Entry: "newtop/internal/transport/tcpnet.(*Endpoint).readLoop", Max: 22, Note: "reader: frame split, arena carve, inbound handoff"},
 		{Entry: "newtop/internal/obs/flight.(*Recorder).Record", Max: 3, Note: "flight-recorder event append"},
 		{Entry: "newtop/internal/core.(*Server).serveReadLocal", Max: 20, Note: "leased local read: lease check, session floor, handler run, reply"},
-		{Entry: "newtop/internal/core.(*Server).execute", Max: 61, Note: "replica's half of the reply fan-in: execute once, answer the request manager with one ORB one-way"},
-		{Entry: "newtop/internal/core.(*Server).collectReply", Max: 52, Note: "request manager's half: file one direct reply; the one that completes the quorum builds and multicasts the reply set"},
-		{Entry: "newtop/internal/core.(*engine).launch", Max: 73, Note: "client's half of a call, every shape: admit, file in the table, encode and multicast the request (with the completions it can run itself); was 81 from (*Binding).InvokeAsync plus 78 from its copy (*G2G).InvokeAsync"},
-		{Entry: "newtop/internal/core.(*Call).finish", Max: 14, Note: "completing a call: the one epilogue (table, window slot, attention, histogram, span, journal); was spread over each InvokeAsync's goroutine and counted above"},
+		{Entry: "newtop/internal/core.(*Server).execute", Max: 51, Note: "replica's half of the reply fan-in: execute once, answer the request manager with one ORB one-way"},
+		{Entry: "newtop/internal/core.(*Server).collectReply", Max: 44, Note: "request manager's half: file one direct reply; the one that completes the quorum builds and multicasts the reply set"},
+		{Entry: "newtop/internal/core.(*engine).launch", Max: 62, Note: "client's half of a call, every shape: admit, file in the table, encode and multicast the request (with the completions it can run itself); was 73 with the span tracer's store and note strings behind every completion"},
+		{Entry: "newtop/internal/core.(*Call).finish", Max: 2, Note: "completing a call: the one epilogue (table, window slot, attention, histogram, the client.invoke stage event); was 14 with the span tracer"},
 		{Entry: "newtop/internal/shard.(*Ring).OwnerBytes", Max: 0, Note: "sharded routing: per-invocation key->shard lookup must not allocate"},
 	}
 }

@@ -6,9 +6,10 @@
 //
 // The model is pure bookkeeping: it answers "what does delivering this
 // message cost?"; the in-memory transport (internal/transport/memnet) turns
-// those answers into actual delays. Latencies are scaled down roughly 4x
-// from the paper's 1999-era numbers so full evaluation sweeps run in
-// seconds while preserving every LAN/WAN ratio the paper reports.
+// those answers into actual delays. The evaluation profile's times are
+// scaled up ~2x from the paper's 1999-era numbers so every modeled duration
+// clears the host kernel's sleep granularity, preserving every LAN/WAN ratio
+// the paper reports (see EvalProfile).
 package netsim
 
 import (

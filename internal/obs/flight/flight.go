@@ -4,8 +4,9 @@
 // how fast on average", the journal answers "what happened to message X":
 // every protocol transition — multicast enqueue, batch flush, transport
 // flush, ingest, ORDER assign, deliver, resend, drop, flush-cut phase,
-// view install — is one fixed-size timestamped slot keyed by small
-// integer IDs instead of strings.
+// view install, and each stage of an invocation as the process that ran
+// it saw it — is one fixed-size timestamped slot keyed by small integer IDs
+// instead of strings.
 //
 // Writers claim a slot with one atomic add and publish it seqlock-style:
 // the slot's mark is zeroed, the payload words are stored, then the mark
@@ -18,8 +19,9 @@
 // On top of the raw journal sit the lifecycle analyzer (analyze.go),
 // which joins events by (group, view, sender, seq) into per-message
 // timelines and decomposes latency into queue-wait / wire / ordering-wait
-// / delivery stages, and the stall detector (stall.go), which turns event
-// patterns into human-readable diagnoses.
+// / delivery stages, the stall detector (stall.go), which turns event
+// patterns into human-readable diagnoses, and the per-invocation view
+// (trace.go): stage events grouped by trace ID into the tree at /traces.
 package flight
 
 import (
@@ -96,10 +98,13 @@ const (
 	// EvTCPConnect: a peer connection was established. Sender=peer proc
 	// ID, B=1 when this side dialed.
 	EvTCPConnect
-	// EvCallStart: the invocation layer launched a call. MsgSeq=trace ID.
+	// EvCallStart: the invocation layer launched a call. MsgSeq=trace ID,
+	// A=reply mode.
 	EvCallStart
-	// EvCallDone: an invocation completed. MsgSeq=trace ID, A=1 on error.
-	EvCallDone
+	// EvStage: this process ran one stage of an invocation, ending now.
+	// MsgSeq=trace ID, A=CallStage | detail<<8, B=duration in nanoseconds
+	// (see StageWord and the CallStage constants in trace.go).
+	EvStage
 	// EvLeaseGrant: the member's read lease became valid. A=lease age in
 	// ticks at the transition, B=configured bound in ticks.
 	EvLeaseGrant
@@ -149,7 +154,7 @@ var typeNames = [evMax]string{
 	EvTCPDropConn:   "tcp-drop-conn",
 	EvTCPConnect:    "tcp-connect",
 	EvCallStart:     "call-start",
-	EvCallDone:      "call-done",
+	EvStage:         "stage",
 	EvLeaseGrant:    "lease-grant",
 	EvLeaseExpire:   "lease-expire",
 	EvLocalRead:     "local-read",

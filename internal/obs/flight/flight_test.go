@@ -115,6 +115,14 @@ func TestAllocGuardRecord(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("Record allocates %.1f per event, budget is 0", allocs)
 	}
+	// An invocation stage is one more such event: packing it allocates
+	// nothing either.
+	allocs = testing.AllocsPerRun(2000, func() {
+		r.Record(Event{Type: EvStage, Proc: 3, Sender: NoSender, MsgSeq: 99, A: StageWord(StRMCollect, 3), B: 1500})
+	})
+	if allocs != 0 {
+		t.Fatalf("a stage event allocates %.1f, budget is 0", allocs)
+	}
 }
 
 func TestFormatIncludesNames(t *testing.T) {

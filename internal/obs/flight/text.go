@@ -88,11 +88,9 @@ func (e Event) detail(m *Meta) string {
 		return fmt.Sprintf("peer=%s accepted", peer())
 	case EvCallStart:
 		return fmt.Sprintf("trace=%016x", e.MsgSeq)
-	case EvCallDone:
-		if e.A == 1 {
-			return fmt.Sprintf("trace=%016x err", e.MsgSeq)
-		}
-		return fmt.Sprintf("trace=%016x ok", e.MsgSeq)
+	case EvStage:
+		st, detail := e.Stage()
+		return fmt.Sprintf("trace=%016x %s dur=%s%s", e.MsgSeq, st, rd(time.Duration(e.B)), st.note(detail))
 	}
 	return fmt.Sprintf("msg=%d a=%d b=%d", e.MsgSeq, e.A, e.B)
 }

@@ -13,7 +13,8 @@ import (
 //
 //	GET /metrics              snapshot of every instrument, text format
 //	GET /metrics?format=prom  the same in Prometheus text exposition
-//	GET /traces?n=16          span trees of the n most recent traces
+//	GET /traces?n=16          stage trees of the n most recent invocations
+//	                          in the journal
 //	GET /journal?since=<c>    flight-recorder events newer than cursor c
 //	GET /journal?group=<g>    only events scoped to group g (composable
 //	                          with since; on a sharded node, one shard)
@@ -41,8 +42,18 @@ func Handler(o *Obs) http.Handler {
 				n = v
 			}
 		}
+		events, dropped := o.Flight.Since(0)
+		m := o.Flight.Meta()
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		o.Tracer.WriteText(w, n)
+		fmt.Fprintf(w, "traces cursor=%d events=%d dropped=%d cap=%d\n",
+			o.Flight.Cursor(), len(events), dropped, o.Flight.Cap())
+		for i, tr := range flight.Traces(events) {
+			if i == n {
+				break
+			}
+			fmt.Fprintln(w)
+			tr.WriteText(w, m)
+		}
 	})
 	mux.HandleFunc("/journal", func(w http.ResponseWriter, r *http.Request) {
 		since := uint64(0)

@@ -15,7 +15,10 @@ func TestHandlerMetricsAndTraces(t *testing.T) {
 	o := New()
 	o.Reg.Counter("transport_msgs_sent").Add(5)
 	o.Reg.Histogram("core_invoke_latency_first").Observe(700 * time.Microsecond)
-	o.Tracer.Record(Span{Trace: 0x42, Stage: "client.invoke", Proc: "c1", Start: time.Unix(10, 0), Dur: time.Millisecond})
+	c1 := o.Flight.Proc("c1")
+	o.Flight.Record(flight.Event{Type: flight.EvCallStart, Proc: c1, Sender: flight.NoSender, MsgSeq: 0x42})
+	o.Flight.Record(flight.Event{Type: flight.EvStage, Proc: c1, Sender: flight.NoSender, MsgSeq: 0x42,
+		A: flight.StageWord(flight.StClientInvoke, 3|2<<4), B: uint64(time.Millisecond)})
 
 	srv := httptest.NewServer(Handler(o))
 	defer srv.Close()
@@ -39,9 +42,17 @@ func TestHandlerMetricsAndTraces(t *testing.T) {
 		t.Fatalf("bad /metrics body:\n%s", metrics)
 	}
 
+	// /traces is a view of the journal and says, as /journal does, how
+	// much of it the view was derived from.
 	traces := get("/traces?n=4")
-	if !strings.Contains(traces, "trace 0000000000000042") || !strings.Contains(traces, "client.invoke") {
-		t.Fatalf("bad /traces body:\n%s", traces)
+	for _, want := range []string{
+		"traces cursor=2 events=2 dropped=0 cap=4096\n",
+		"trace 0000000000000042  stages=1\n",
+		"client.invoke     proc=c1  dur=1ms mode=3 style=2\n",
+	} {
+		if !strings.Contains(traces, want) {
+			t.Fatalf("/traces missing %q:\n%s", want, traces)
+		}
 	}
 }
 

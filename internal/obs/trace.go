@@ -4,17 +4,14 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
-	"sort"
-	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 )
 
 // TraceID identifies one end-to-end invocation. It is allocated by the
 // invoking client and carried in the invocation-layer wire envelope, so
-// every process touched by the call records its spans under the same
-// identifier. Zero means "untraced".
+// every process touched by the call journals the stages it ran under the
+// same identifier (flight.EvStage). Zero means "untraced".
 type TraceID uint64
 
 // String renders the canonical 16-hex-digit form.
@@ -53,140 +50,4 @@ func DeriveTraceID(scope string, n uint64) TraceID {
 		id = 1
 	}
 	return TraceID(id)
-}
-
-// Span is one protocol stage of a traced invocation. Depth is the span's
-// indentation in the rendered tree (the protocol stages form a fixed
-// hierarchy: client.invoke → rm.receive → rm.forward → replica.execute →
-// rm.collect → rm.reply).
-type Span struct {
-	Trace TraceID
-	// Stage names the protocol stage, e.g. "replica.execute".
-	Stage string
-	// Proc is the process the stage ran on (which may be a remote process
-	// whose timing was reported in the wire envelope, e.g. a replica's
-	// execution time carried in its reply).
-	Proc string
-	// Depth is the tree depth used by the renderer.
-	Depth int
-	Start time.Time
-	Dur   time.Duration
-	// Note carries free-form detail ("mode=wait-for-all", "transit=1.2ms").
-	Note string
-}
-
-// Trace is the recorded span set of one invocation.
-type Trace struct {
-	ID    TraceID
-	First time.Time
-	Spans []Span
-}
-
-// DefaultTraceCap is the ring capacity used by New/Default.
-const DefaultTraceCap = 128
-
-// Tracer retains the spans of the most recent traces in a ring buffer.
-// Recording is cheap (one mutex, no I/O) but not free: the invocation
-// layer records a handful of spans per call, never one per message.
-type Tracer struct {
-	mu     sync.Mutex
-	cap    int
-	traces map[TraceID]*Trace
-	order  []TraceID // insertion order, for eviction and "recent" listing
-}
-
-// NewTracer returns a tracer retaining the last capacity traces.
-func NewTracer(capacity int) *Tracer {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Tracer{cap: capacity, traces: make(map[TraceID]*Trace)}
-}
-
-// Record appends one span to its trace, starting (and, at capacity,
-// evicting the oldest) trace as needed. Spans with a zero trace ID are
-// dropped.
-func (t *Tracer) Record(s Span) {
-	if s.Trace == 0 {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	tr, ok := t.traces[s.Trace]
-	if !ok {
-		if len(t.order) >= t.cap {
-			oldest := t.order[0]
-			t.order = t.order[1:]
-			delete(t.traces, oldest)
-		}
-		tr = &Trace{ID: s.Trace, First: s.Start}
-		t.traces[s.Trace] = tr
-		t.order = append(t.order, s.Trace)
-	}
-	if s.Start.Before(tr.First) {
-		tr.First = s.Start
-	}
-	tr.Spans = append(tr.Spans, s)
-}
-
-// Lookup returns a copy of one trace, or nil if it has been evicted (or
-// never seen).
-func (t *Tracer) Lookup(id TraceID) *Trace {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	tr, ok := t.traces[id]
-	if !ok {
-		return nil
-	}
-	cp := &Trace{ID: tr.ID, First: tr.First, Spans: append([]Span(nil), tr.Spans...)}
-	return cp
-}
-
-// Recent returns copies of up to n most recently started traces, newest
-// first.
-func (t *Tracer) Recent(n int) []*Trace {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if n <= 0 || n > len(t.order) {
-		n = len(t.order)
-	}
-	out := make([]*Trace, 0, n)
-	for i := len(t.order) - 1; i >= 0 && len(out) < n; i-- {
-		tr := t.traces[t.order[i]]
-		out = append(out, &Trace{ID: tr.ID, First: tr.First, Spans: append([]Span(nil), tr.Spans...)})
-	}
-	return out
-}
-
-// WriteText renders up to n recent traces as indented span trees, the
-// format served at /traces.
-func (t *Tracer) WriteText(w io.Writer, n int) {
-	for _, tr := range t.Recent(n) {
-		tr.WriteText(w)
-		fmt.Fprintln(w)
-	}
-}
-
-// WriteText renders one trace: spans sorted by start time, indented by
-// stage depth, with offsets relative to the trace's first span.
-func (tr *Trace) WriteText(w io.Writer) {
-	spans := append([]Span(nil), tr.Spans...)
-	sort.SliceStable(spans, func(i, j int) bool { return spans[i].Start.Before(spans[j].Start) })
-	fmt.Fprintf(w, "trace %s  spans=%d\n", tr.ID, len(spans))
-	for _, s := range spans {
-		note := s.Note
-		if note != "" {
-			note = "  (" + note + ")"
-		}
-		fmt.Fprintf(w, "  %8s  %s%-16s  proc=%s  dur=%s%s\n",
-			fmtOffset(s.Start.Sub(tr.First)), strings.Repeat("  ", s.Depth), s.Stage, s.Proc,
-			s.Dur.Round(time.Microsecond), note)
-	}
-}
-
-func fmtOffset(d time.Duration) string {
-	if d < 0 {
-		d = 0
-	}
-	return "+" + d.Round(time.Microsecond).String()
 }
