@@ -58,6 +58,13 @@ go test -run AllocGuard ./internal/gcs/ ./internal/core/ ./internal/wire/ ./inte
 # stability collection costs what it collects, not what is retained.
 go test -run 'OrderTableBounded|CompactionCost' ./internal/gcs/
 
+# The server half of an invocation, ten times over: the request manager's
+# one path under every policy with its crash sweep, state transfer, the
+# retry repairs, the session floor wait and the stage journal. A test here
+# that fails one run in ten is a protocol bug until shown otherwise.
+echo "== server path repeats =="
+go test -count=10 -run 'RMCrashAtEveryPipelineStage|Joiner|LostDirectReply|RMCrashMidCollect|SessionReadsOwnWrites|OneEventPerFact' ./internal/core/
+
 if [ "${CI_SHORT:-0}" = "1" ]; then
 	echo "ci: CI_SHORT=1, skipping the race pass"
 else

@@ -3,6 +3,7 @@ package core_test
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -12,6 +13,8 @@ import (
 	"newtop/internal/ids"
 	"newtop/internal/lint/leakcheck"
 	"newtop/internal/netsim"
+	"newtop/internal/obs"
+	"newtop/internal/obs/flight"
 	"newtop/internal/transport/memnet"
 )
 
@@ -255,6 +258,37 @@ func TestAsyncForwardOptimisation(t *testing.T) {
 	}
 	if len(replies) != 1 || replies[0].Server != "s00" {
 		t.Fatalf("async-forward reply should come from the primary, got %+v", replies)
+	}
+}
+
+// Under asynchronous forwarding the primary answers before it forwards, and
+// collects nothing: its journal holds rm.reply ahead of rm.forward and no
+// rm.collect.
+func TestAsyncForwardAnswersBeforeItForwards(t *testing.T) {
+	w := newTracedWorld(t, 3, 1, nil)
+	b, err := w.clients[0].Bind(ctxT(t, 10*time.Second), core.BindConfig{
+		ServerGroup: "sg", Contact: w.servers[0].ID(), Style: core.Open,
+		Restricted: true, AsyncForward: true, GCS: testTimers(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	tid := obs.NewTraceID()
+	if _, err := b.Call(ctxT(t, 10*time.Second), "echo", []byte("x"), core.WithMode(core.First), core.WithTrace(tid)); err != nil {
+		t.Fatal(err)
+	}
+	rm := w.serverByID(b.RequestManager())
+	wantJournal(t, "the primary", rm.Obs(), tid, "rm.receive", "replica.execute", "rm.reply", "rm.forward")
+	events, _ := rm.Obs().Flight.Since(0)
+	var order []string
+	for _, ev := range events {
+		if st, _ := ev.Stage(); ev.Type == flight.EvStage && ev.MsgSeq == uint64(tid) {
+			order = append(order, st.String())
+		}
+	}
+	if want := []string{"rm.receive", "replica.execute", "rm.reply", "rm.forward"}; !slices.Equal(order, want) {
+		t.Fatalf("the primary journalled %v, want %v", order, want)
 	}
 }
 

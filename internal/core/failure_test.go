@@ -1,20 +1,163 @@
 package core_test
 
 import (
+	"context"
+	"errors"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
 	"newtop/internal/core"
+	"newtop/internal/gcs"
+	"newtop/internal/ids"
 )
 
-// TestRMCrashAtEveryPipelineStage crashes the request manager at a sweep
-// of instants relative to an in-flight invocation, covering the stages of
-// fig. 4 — receiving the client request (i), distributing it (ii),
-// gathering replies (iii) and returning them (iv) — and verifies the
-// smart proxy recovers every time with exactly-once execution at the
-// survivors.
+// rmInvoker is a client of one request-manager policy, as the crash sweep
+// drives it: call runs one call under a fixed call identifier to completion,
+// rebinding and retrying under that identifier whenever the attachment
+// breaks under it.
+type rmInvoker interface {
+	call(ctx context.Context, number uint64, mode core.ReplyMode) error
+	rm() ids.ProcessID
+}
+
+// proxyInvoker is an open binding behind the smart proxy, which rebinds and
+// retries by itself.
+type proxyInvoker struct {
+	p      *core.Proxy
+	client ids.ProcessID
+}
+
+func (c proxyInvoker) call(ctx context.Context, number uint64, mode core.ReplyMode) error {
+	replies, err := c.p.Call(ctx, "echo", []byte("x"), core.WithMode(mode), core.WithCallID(ids.CallID{Client: c.client, Number: number}))
+	for _, r := range replies {
+		if err == nil {
+			err = r.Err
+		}
+	}
+	return err
+}
+
+func (c proxyInvoker) rm() ids.ProcessID { return c.p.Binding().RequestManager() }
+
+// g2gInvoker is a client group of two whose members both issue every call
+// through their client monitor group, so the request manager filters one
+// copy as a duplicate (§4.3). A broken attachment is replaced through a
+// surviving server, and the call issued again under its shared number.
+type g2gInvoker struct {
+	t    *testing.T
+	w    *world
+	gx   [2]*gcs.Group
+	att  [2]*core.G2G
+	dead ids.ProcessID
+}
+
+func newG2GInvoker(t *testing.T, w *world, contact ids.ProcessID) *g2gInvoker {
+	c := &g2gInvoker{t: t, w: w}
+	ctx := ctxT(t, 10*time.Second)
+	var err error
+	if c.gx[0], err = w.clients[0].Node().Create("gx", testTimers()); err != nil {
+		t.Fatal(err)
+	}
+	if c.gx[1], err = w.clients[1].Node().Join(ctx, "gx", w.clients[0].ID(), testTimers()); err != nil {
+		t.Fatal(err)
+	}
+	for len(c.gx[0].View().Members) != 2 {
+		time.Sleep(time.Millisecond)
+	}
+	c.bind(contact)
+	t.Cleanup(func() {
+		for _, a := range c.att {
+			_ = a.Close()
+		}
+	})
+	return c
+}
+
+func (c *g2gInvoker) bind(contact ids.ProcessID) {
+	c.t.Helper()
+	var wg sync.WaitGroup
+	for i := range c.att {
+		if c.att[i] != nil {
+			_ = c.att[i].Close()
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			cfg := c.w.bindCfg(core.Open)
+			cfg.Contact = contact
+			a, err := c.w.clients[i].BindGroupToGroup(ctxT(c.t, 10*time.Second), c.gx[i], cfg)
+			if err != nil {
+				c.t.Errorf("member %d through %s: %v", i, contact, err)
+			}
+			c.att[i] = a
+		}()
+	}
+	wg.Wait()
+	if c.t.Failed() {
+		c.t.FailNow()
+	}
+}
+
+func (c *g2gInvoker) call(ctx context.Context, number uint64, mode core.ReplyMode) error {
+	for attempt := 0; ; attempt++ {
+		errs := make([]error, len(c.att))
+		var wg sync.WaitGroup
+		for i, a := range c.att {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				_, errs[i] = a.Call(ctx, "echo", []byte("x"), core.WithMode(mode), core.WithCallID(ids.CallID{Number: number}))
+			}()
+		}
+		wg.Wait()
+		broken := false
+		for _, err := range errs {
+			broken = broken || errors.Is(err, core.ErrBindingBroken)
+		}
+		if !broken || attempt == 2 {
+			return errors.Join(errs...)
+		}
+		c.bind("s00") // the survivor that stays the server group's leader
+	}
+}
+
+func (c *g2gInvoker) rm() ids.ProcessID { return c.att[0].RequestManager() }
+
+// TestRMCrashAtEveryPipelineStage is the server-side twin of
+// TestInvokerConformance: for every policy the request manager serves a call
+// under, it crashes the manager at a sweep of instants relative to an
+// in-flight call, covering the stages of fig. 4 — receiving the client
+// request (i), distributing it (ii), gathering replies (iii) and returning
+// them (iv) — and verifies that the client recovers with at most one
+// execution per surviving replica, and that the system keeps working.
 func TestRMCrashAtEveryPipelineStage(t *testing.T) {
+	proxy := func(restricted bool) func(t *testing.T, w *world) rmInvoker {
+		return func(t *testing.T, w *world) rmInvoker {
+			cfg := w.bindCfg(core.Open)
+			cfg.Contact = "s01" // non-leader RM so survivors keep a coordinator
+			cfg.Restricted, cfg.AsyncForward = restricted, restricted
+			p, err := w.clients[0].NewProxy(ctxT(t, 15*time.Second), cfg)
+			if err != nil {
+				t.Fatalf("proxy: %v", err)
+			}
+			t.Cleanup(func() { _ = p.Close() })
+			return proxyInvoker{p: p, client: w.clients[0].ID()}
+		}
+	}
+	policies := []struct {
+		name   string
+		mode   core.ReplyMode // of the call the manager dies serving
+		attach func(t *testing.T, w *world) rmInvoker
+	}{
+		{"collect-majority", core.Majority, proxy(false)},
+		{"collect-all", core.All, proxy(false)},
+		// Restricted: the manager is the leader, which executes first.
+		{"primary-first", core.First, proxy(true)},
+		{"oneway", core.OneWay, proxy(false)},
+		{"g2g-monitor", core.All, func(t *testing.T, w *world) rmInvoker { return newG2GInvoker(t, w, "s01") }},
+	}
 	delays := []time.Duration{
 		0,                      // before the request reaches the manager (i)
 		200 * time.Microsecond, // around distribution (ii)
@@ -22,55 +165,45 @@ func TestRMCrashAtEveryPipelineStage(t *testing.T) {
 		3 * time.Millisecond,   // around returning the replies (iv)
 	}
 	for _, delay := range delays {
-		delay := delay
 		t.Run(delay.String(), func(t *testing.T) {
-			w := newWorld(t, 3, 1)
-			cfg := w.bindCfg(core.Open)
-			cfg.Contact = "s01" // non-leader RM so survivors keep a coordinator
-			p, err := w.clients[0].NewProxy(ctxT(t, 15*time.Second), cfg)
-			if err != nil {
-				t.Fatalf("proxy: %v", err)
-			}
-			defer p.Close()
-			rm := p.Binding().RequestManager()
-
-			// Warm call so the pipeline is steady.
-			if _, err := p.Call(ctxT(t, 10*time.Second), "echo", []byte("w"), core.WithMode(core.All)); err != nil {
-				t.Fatalf("warm-up: %v", err)
-			}
-
-			crashed := make(chan struct{})
-			go func() {
-				time.Sleep(delay)
-				w.net.Sim().Crash(rm)
-				close(crashed)
-			}()
-			replies, err := p.Call(ctxT(t, 30*time.Second), "echo", []byte("x"), core.WithMode(core.All))
-			<-crashed
-			if err != nil {
-				t.Fatalf("invoke with crash at +%v: %v", delay, err)
-			}
-			for _, r := range replies {
-				if r.Err != nil {
-					t.Fatalf("reply error: %v", r.Err)
-				}
-			}
-
-			// Exactly-once at the survivors: warm + crash call = 2 calls,
-			// so no surviving replica may have executed more than twice
-			// (the dead manager's count is irrelevant).
-			for id, c := range w.calls {
-				if id == rm {
-					continue
-				}
-				if got := c.Load(); got > 2 {
-					t.Fatalf("server %s executed %d times for 2 calls", id, got)
-				}
-			}
-
-			// And the system keeps working afterwards.
-			if _, err := p.Call(ctxT(t, 20*time.Second), "echo", []byte("post"), core.WithMode(core.Majority)); err != nil {
-				t.Fatalf("post-crash invoke: %v", err)
+			for _, pol := range policies {
+				t.Run(pol.name, func(t *testing.T) {
+					w := newWorld(t, 3, 2)
+					inv := pol.attach(t, w)
+					// Warm call so the pipeline is steady.
+					if err := inv.call(ctxT(t, 10*time.Second), 1, core.All); err != nil {
+						t.Fatalf("warm-up: %v", err)
+					}
+					rm := inv.rm()
+					crashed := make(chan struct{})
+					go func() {
+						time.Sleep(delay)
+						w.net.Sim().Crash(rm)
+						close(crashed)
+					}()
+					err := inv.call(ctxT(t, 30*time.Second), 2, pol.mode)
+					<-crashed
+					if err != nil {
+						t.Fatalf("invoke with crash at +%v: %v", delay, err)
+					}
+					// At most once per call at the survivors (the dead
+					// manager's count is irrelevant): the warm-up and the
+					// crash call now, and one more after the next call — a
+					// late duplicate of the crash call would show there.
+					atMost := func(n int64) {
+						t.Helper()
+						for id, c := range w.calls {
+							if got := c.Load(); id != rm && got > n {
+								t.Fatalf("server %s executed %d times for %d calls", id, got, n)
+							}
+						}
+					}
+					atMost(2)
+					if err := inv.call(ctxT(t, 20*time.Second), 3, core.Majority); err != nil {
+						t.Fatalf("post-crash invoke: %v", err)
+					}
+					atMost(3)
+				})
 			}
 		})
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -15,6 +16,7 @@ import (
 	"newtop/internal/netsim"
 	"newtop/internal/transport"
 	"newtop/internal/transport/memnet"
+	"newtop/internal/vclock"
 )
 
 // tap is a memnet endpoint whose sends a test can count, drop or hold.
@@ -293,13 +295,14 @@ func (r *kvReplica) config(contact ids.ProcessID) core.ServeConfig {
 			return r.state.snapshot()
 		},
 		Restore: r.state.restore,
-		GCS:     testTimers(),
+		GCS:     leaseTimers(), // the read path on: the joiner tests read at the joiner
 	}
 }
 
 // joinWorld is two founding replicas r0 and r1, a client bound through r0,
 // and a third replica r9 about to join with r1 as its donor.
 type joinWorld struct {
+	net        *memnet.Net
 	r0, r1, r9 *kvReplica
 	srv0       *core.Server
 	client     *core.Service
@@ -310,7 +313,7 @@ func newJoinWorld(t *testing.T, seed int64) *joinWorld {
 	t.Helper()
 	net := memnet.New(netsim.New(netsim.FastProfile(), seed))
 	ctx := ctxT(t, 30*time.Second)
-	w := &joinWorld{r0: newKVReplica(t, net, "r0"), r1: newKVReplica(t, net, "r1"), r9: newKVReplica(t, net, "r9")}
+	w := &joinWorld{net: net, r0: newKVReplica(t, net, "r0"), r1: newKVReplica(t, net, "r1"), r9: newKVReplica(t, net, "r9")}
 	srv0, err := w.r0.svc.Serve(ctx, w.r0.config(""))
 	if err != nil {
 		t.Fatal(err)
@@ -472,6 +475,86 @@ func TestJoinerNeverReexecutesWhatItsSnapshotCovers(t *testing.T) {
 	}
 	if a, b, c := w.r0.execs.Load(), w.r1.execs.Load(), w.r9.execs.Load(); a != 1 || b != 1 || c != 0 {
 		t.Errorf("executions r0=%d r1=%d r9=%d, want 1, 1 and 0: the joiner got the write inside its snapshot", a, b, c)
+	}
+}
+
+// A joiner is a member of the server group — its lease can be granted, its
+// server answers read calls — from before its snapshot is in. It must refuse
+// every read until then, or a sessionless leased or stale read returns the
+// empty state it started from.
+func TestJoinerRefusesReadsUntilItsStateIsIn(t *testing.T) {
+	w := newJoinWorld(t, 34)
+	if _, err := w.b.Call(ctxT(t, 10*time.Second), "put", []byte("k=v"), core.WithMode(core.All)); err != nil {
+		t.Fatal(err)
+	}
+	snapping, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	w.r1.onSnapshot = func() {
+		once.Do(func() { close(snapping) })
+		<-release
+	}
+	joined := w.join(t)
+	<-snapping
+	for _, cons := range []core.Consistency{core.Leased, core.Stale, core.Linearizable} {
+		if got, err := w.client.ReadAt(ctxT(t, 10*time.Second), "r9", "kv", "get", []byte("k"), cons, vclock.Stamp{}); err == nil {
+			t.Errorf("%v read at the joiner mid-transfer returned %q; it must refuse", cons, got)
+		}
+	}
+	close(release)
+	if err := <-joined; err != nil {
+		t.Fatalf("join: %v", err)
+	}
+	if got, err := w.client.ReadAt(ctxT(t, 10*time.Second), "r9", "kv", "get", []byte("k"), core.Stale, vclock.Stamp{}); err != nil || string(got) != "v" {
+		t.Fatalf("stale read at the caught-up joiner: %q, %v; want v", got, err)
+	}
+}
+
+// A sender leaves the group while a joiner's snapshot is being cut. The
+// joiner has seen it go, so its entry in the donor's executed prefix must not
+// come back with the snapshot: the not-in-view rule already covers every
+// stamp it sent, and the entry would outlive it until some later view change.
+func TestJoinerDropsSenderThatLeftMidTransfer(t *testing.T) {
+	w := newJoinWorld(t, 35)
+	if _, err := w.b.Call(ctxT(t, 10*time.Second), "put", []byte("k=v"), core.WithMode(core.All)); err != nil {
+		t.Fatal(err)
+	}
+	floor := w.b.SessionStamp() // the request manager r0's forward
+	if floor.Sender != "r0" {
+		t.Fatalf("session stamp %v, want one of r0's", floor)
+	}
+	snapping, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	w.r1.onSnapshot = func() {
+		once.Do(func() { close(snapping) })
+		<-release
+	}
+	joined := w.join(t)
+	<-snapping
+	w.net.Sim().Crash("r0")
+	for _, r := range []*kvReplica{w.r1, w.r9} {
+		r.svc.Node().Group("kv").Suspect("r0") // an idle group suspects nobody by itself
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		if v, _, ok := w.r9.svc.ExecutedPrefix("kv"); ok && v.Seq > 0 && !v.Contains("r0") {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the joiner never saw r0 leave")
+		}
+	}
+	close(release)
+	if err := <-joined; err != nil {
+		t.Fatalf("join: %v", err)
+	}
+	if _, senders, _ := w.r9.svc.ExecutedPrefix("kv"); slices.Contains(senders, "r0") {
+		t.Fatalf("the joiner's executed prefix holds departed r0: %v", senders)
+	}
+	start := time.Now()
+	if got, err := w.client.ReadAt(ctxT(t, 10*time.Second), "r9", "kv", "get", []byte("k"), core.Stale, floor); err != nil || string(got) != "v" {
+		t.Fatalf("read floored at r0's last stamp: %q, %v; want v", got, err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("read floored at a departed sender's stamp took %v; it is covered", d)
 	}
 }
 

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -88,5 +90,64 @@ func TestAllocGuardCollectReply(t *testing.T) {
 	const budget = 5 // measured 4.0
 	if avg > budget && !raceEnabled {
 		t.Fatalf("collecting a call's replies allocates %.1f/op, budget %d", avg, budget)
+	}
+}
+
+// TestAllocGuardRequestManager budgets the request manager's whole part in
+// an open wait-for-majority call (run by ci.sh's AllocGuard stage;
+// internal/lint/allocbudget.go pins serveAsRM statically): receive the
+// request, forward it into the server group, execute it there as one of
+// the replicas, file that and a stub replica's direct reply, answer in the
+// client group. The operation waits for the answer's delivery, so the
+// asynchronous half — the forward's delivery and execution on a dispatch
+// worker — falls inside the measurement.
+func TestAllocGuardRequestManager(t *testing.T) {
+	svc, srv := soloServer(t, "rm")
+	cs, err := svc.node.Create("cs", srv.group.Config()) // the same parked timers
+	if err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	var answered atomic.Uint64
+	go consumeEvents(cs, func(ev gcs.Event) bool {
+		if ev.Type == gcs.EventDeliver {
+			answered.Add(1)
+		}
+		return true
+	})
+	// The stub joins the roster once the founding view, which would prune
+	// it, has been handled: the member's own hello follows it in the stream.
+	for applied := false; !applied; runtime.Gosched() {
+		srv.execMu.Lock()
+		_, applied = srv.applied["rm"]
+		srv.execMu.Unlock()
+	}
+	srv.mu.Lock()
+	srv.roster["s01"] = true // the stub; the manager's own execution is the majority's other half
+	srv.mu.Unlock()
+
+	bind := &bindRequest{Group: "cs", Style: Open}
+	req := &invRequest{Mode: Majority, Method: "put", Args: []byte("k=v"), Client: "z00", Style: Open, Trace: 7}
+	payload := make([]byte, 100)
+	next := uint64(0)
+	call := func() {
+		next++
+		req.Call = ids.CallID{Client: "z00", Number: next}
+		srv.serveAsRM(cs, bind, req)
+		srv.collectReply(invReply{Call: req.Call, Server: "s01", Payload: payload})
+		for answered.Load() < next {
+			runtime.Gosched()
+		}
+	}
+	for i := 0; i < 64; i++ {
+		call()
+	}
+	avg := testing.AllocsPerRun(500, call)
+	t.Logf("open majority call at the request manager: %.1f allocs/op", avg)
+	if set, ok := srv.sets.get(req.Call); !ok || len(set.Replies) != 2 {
+		t.Fatalf("last call's reply set %+v retained %v; want the manager's and the stub's replies", set, ok)
+	}
+	const budget = 15 // measured 15.0, the same with one function per policy
+	if avg > budget && !raceEnabled {
+		t.Fatalf("an open majority call allocates %.1f/op at the request manager, budget %d", avg, budget)
 	}
 }

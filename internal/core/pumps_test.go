@@ -38,7 +38,9 @@ func fifoPumps() int {
 
 // TestBoundServicesRunNoFIFOPumps pins the batch-pull receive path: every
 // product loop between the socket and the group consumes its FIFO through
-// PopBatch, so a served, bound, idle world runs no channel pump at all.
+// PopBatch, so a served, bound, idle world runs no channel pump at all —
+// and every server, a replica that joined with state transfer included,
+// consumes its group off the dispatch stage.
 // With the channel path each service paid one pump for its endpoint, two
 // for its Mux channels and one per channel-consumed group (a client's
 // binding group, a request manager's client/server group): 15 here.
@@ -61,6 +63,24 @@ func TestBoundServicesRunNoFIFOPumps(t *testing.T) {
 	}
 	if n := fifoPumps(); n != 0 {
 		t.Fatalf("%d FIFO pump goroutines in a bound, idle world; product code must consume through PopBatch", n)
+	}
+
+	// A replica that joined with state transfer runs off the dispatch stage
+	// like every server: once caught up it adds no goroutine of its own, as
+	// an idle plain server adds none.
+	jw := newJoinWorld(t, 36)
+	serverFrames := func() int {
+		return stackLines(func(line string) bool { return strings.Contains(line, "internal/core.(*Server)") })
+	}
+	before := serverFrames()
+	if _, err := jw.r9.svc.ServeReplica(ctxT(t, 10*time.Second), jw.r9.config("r1")); err != nil {
+		t.Fatal(err)
+	}
+	if n := serverFrames() - before; n != 0 {
+		t.Fatalf("a caught-up replica runs %d more server stack frames than before it joined; want none", n)
+	}
+	if n := fifoPumps(); n != 0 {
+		t.Fatalf("%d FIFO pump goroutines with a caught-up replica", n)
 	}
 }
 

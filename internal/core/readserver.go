@@ -23,10 +23,12 @@ import (
 //   - Stale: no freshness check; the session floor is still honoured when
 //     the client sent one.
 //
-// Delivery and execution are decoupled (the group loop drains deliveries
+// Delivery and execution are decoupled (the dispatch stage runs deliveries
 // into the handler), so every fresh-read guarantee is anchored on the
 // *executed* prefix: waitMinStamp closes the delivered-but-not-yet-
-// executed window that a frontier check alone would leave open.
+// executed window that a frontier check alone would leave open, parked on
+// the signal every advance of the prefix raises. A replica still inside its
+// state transfer has no prefix to anchor on and refuses every read.
 
 // serveRead answers one read control call; the error return is reserved
 // for encode-level failures (the reply carries application and lease
@@ -38,10 +40,12 @@ func (srv *Server) serveRead(req *readRequest) *readReply {
 	}
 	start := time.Now()
 	var rep *readReply
-	switch req.Consistency {
-	case Linearizable:
+	switch {
+	case srv.catching.Load():
+		rep = &readReply{Code: readErrRetry, Err: "state transfer in progress"}
+	case req.Consistency == Linearizable:
 		rep = srv.serveReadLinearizable(req)
-	case Stale:
+	case req.Consistency == Stale:
 		rep = srv.serveReadStale(req)
 	default:
 		rep = srv.serveReadLocal(req)
@@ -144,32 +148,30 @@ func readRefusal(err error, age, bound uint64) *readReply {
 // waitMinStamp blocks until the executed prefix covers min (a session
 // floor or a read-index frontier), bounded by the request-manager wait
 // budget. The fast path — floor already covered, the common case for a
-// session reading where it wrote — is one lock and one compare.
+// session reading where it wrote — is one lock and one compare; otherwise
+// the read parks on srv.advanced until the prefix moves.
 func (srv *Server) waitMinStamp(min vclock.Stamp) bool {
-	srv.execMu.Lock()
-	ok := srv.coversLocked(min)
-	srv.execMu.Unlock()
-	if ok {
-		return true
-	}
-	return srv.waitMinStampSlow(min)
-}
-
-// waitMinStampSlow polls the executed prefix. Execution progress is
-// driven by the group loop's delivery stream, which has no condition
-// variable to park on; the poll interval is far below a network RTT, so
-// the added read latency is noise next to the ordered write it waits for.
-func (srv *Server) waitMinStampSlow(min vclock.Stamp) bool {
-	deadline := time.Now().Add(rmWait)
+	var deadline *time.Timer
 	for {
-		time.Sleep(200 * time.Microsecond)
 		srv.execMu.Lock()
-		ok := srv.coversLocked(min)
-		srv.execMu.Unlock()
-		if ok {
+		if srv.coversLocked(min) {
+			srv.execMu.Unlock()
+			if deadline != nil {
+				deadline.Stop()
+			}
 			return true
 		}
-		if !time.Now().Before(deadline) {
+		if srv.advanced == nil {
+			srv.advanced = make(chan struct{})
+		}
+		advanced := srv.advanced
+		srv.execMu.Unlock()
+		if deadline == nil {
+			deadline = time.NewTimer(rmWait)
+		}
+		select {
+		case <-advanced:
+		case <-deadline.C:
 			return false
 		}
 	}

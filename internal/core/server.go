@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"newtop/internal/gcs"
@@ -59,10 +60,12 @@ type Server struct {
 	// The executed prefix. applied is, per sender, the Lamport time of its
 	// newest delivery applied here; lastExec is the newest applied delivery
 	// of all, which names this member's position in the total order; view is
-	// the membership as the delivery stream last showed it.
+	// the membership as the delivery stream last showed it. advanced is
+	// closed by the next change to them, if a read waits (waitMinStamp).
 	applied  map[ids.ProcessID]uint64
 	lastExec vclock.Stamp
 	view     gcs.View
+	advanced chan struct{}
 
 	mu         sync.Mutex
 	roster     map[ids.ProcessID]bool // fellow servers (hello ∩ view)
@@ -74,13 +77,13 @@ type Server struct {
 	closed     bool
 
 	// A replica's state-transfer prologue (statetransfer.go): while
-	// catching is set, groupLoop parks execution requests in catchBuf.
+	// catching is set, execution requests park in catchBuf (under catchMu)
+	// and reads are refused.
+	catching atomic.Bool
 	catchMu  sync.Mutex
-	catching bool
 	catchBuf []bufferedReq
 
-	loopDone chan struct{}
-	wg       sync.WaitGroup
+	wg sync.WaitGroup
 }
 
 // cacheCap bounds the retained-reply, reply-set and duplicate-filter
@@ -124,15 +127,15 @@ func (s *Service) serve(ctx context.Context, cfg ServeConfig, replica bool) (*Se
 		svc:        s,
 		cfg:        cfg,
 		group:      group,
-		replies:    newReplyCache(cacheCap),
+		replies:    newBounded[ids.CallID, invReply](cacheCap),
 		applied:    make(map[ids.ProcessID]uint64),
 		roster:     map[ids.ProcessID]bool{s.ID(): true},
 		collectors: make(map[ids.CallID]*collection),
 		sets:       newBounded[ids.CallID, *invReplySet](cacheCap),
 		bindings:   make(map[ids.GroupID]*gcs.Group),
 		seen:       newBounded[ids.CallID, struct{}](cacheCap),
-		loopDone:   make(chan struct{}),
 	}
+	srv.catching.Store(replica)
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -152,21 +155,11 @@ func (s *Service) serve(ctx context.Context, cfg ServeConfig, replica bool) (*Se
 		emitServerStats(emit, string(cfg.Group), srv.Stats())
 	})
 
-	if replica {
-		// A replica buffers its deliveries until the snapshot is in, so
-		// it consumes through its own goroutine for its lifetime (a group
-		// has exactly one consumption mode).
-		srv.catching = true
-		go srv.groupLoop()
-	} else {
-		// Plain servers run straight off the dispatch stage: the group's
-		// events are handed to handleGroupEvent by a dispatch worker, in
-		// delivery order, with no per-server consumer goroutine or channel
-		// hop. Leave() quiesces the dispatch queue, so no handler call
-		// survives Close.
-		close(srv.loopDone)
-		srv.group.SetHandler(srv.handleGroupEvent)
-	}
+	// Every server, a joining replica too, runs straight off the dispatch
+	// stage: a dispatch worker hands the group's events to handleGroupEvent
+	// in delivery order, with no consumer goroutine or channel hop. Leave()
+	// quiesces the dispatch queue, so no handler call survives Close.
+	srv.group.SetHandler(srv.handleGroupEvent)
 	// Announce ourselves so the existing members add us to the server
 	// roster (and, via their re-announcements, we learn them).
 	_ = group.Multicast(ctx, encodeHello()) //lint:ok errdrop best-effort: roster repair re-announces on every membership change
@@ -256,22 +249,8 @@ func (srv *Server) Close() error {
 		_ = b.Leave()
 	}
 	_ = srv.group.Leave()
-	<-srv.loopDone
 	srv.wg.Wait()
 	return nil
-}
-
-// groupLoop consumes a replica's server-group delivery stream, parking
-// execution requests while the state transfer runs. Plain servers skip
-// this goroutine entirely (SetHandler in serve).
-func (srv *Server) groupLoop() {
-	defer close(srv.loopDone)
-	consumeEvents(srv.group, func(ev gcs.Event) bool {
-		if !srv.bufferForCatchup(ev) {
-			srv.handleGroupEvent(ev)
-		}
-		return true
-	})
 }
 
 // handleGroupEvent dispatches one server-group event.
@@ -282,7 +261,8 @@ func (srv *Server) handleGroupEvent(ev gcs.Event) {
 		if err == nil {
 			switch m := msg.(type) {
 			case *invRequest:
-				if srv.execute(m, ev.Deliver.Sender, ev.Deliver.Stamp) {
+				if srv.bufferForCatchup(m, ev.Deliver.Sender, ev.Deliver.Stamp) ||
+					srv.execute(m, ev.Deliver.Sender, ev.Deliver.Stamp) {
 					return
 				}
 			case helloMsg:
@@ -313,7 +293,7 @@ func (srv *Server) handleGroupEvent(ev gcs.Event) {
 // built on. It reports false for a request that is neither, which executes
 // nothing.
 func (srv *Server) execute(req *invRequest, sender ids.ProcessID, stamp vclock.Stamp) bool {
-	if !req.Forwarded && req.Style != Closed {
+	if !req.executes() {
 		return false
 	}
 	rep, _ := srv.executeOnce(req.Call, req.Method, req.Args, stamp, req.Trace)
@@ -329,6 +309,10 @@ func (srv *Server) execute(req *invRequest, sender ids.ProcessID, stamp vclock.S
 	return true
 }
 
+// executes reports whether req asks the server group's members to execute
+// it: a request manager's forward, or a closed-bound client's own.
+func (req *invRequest) executes() bool { return req.Forwarded || req.Style == Closed }
+
 // noteApplied advances the executed prefix past a consumed, state-neutral
 // delivery.
 func (srv *Server) noteApplied(stamp vclock.Stamp) {
@@ -342,6 +326,15 @@ func (srv *Server) applyLocked(stamp vclock.Stamp) {
 	if stamp.Time > srv.applied[stamp.Sender] {
 		srv.applied[stamp.Sender] = stamp.Time
 		srv.lastExec = stamp
+		srv.advanceLocked()
+	}
+}
+
+// advanceLocked wakes the reads waiting for the executed prefix, if any.
+func (srv *Server) advanceLocked() {
+	if srv.advanced != nil {
+		close(srv.advanced)
+		srv.advanced = nil
 	}
 }
 
@@ -400,7 +393,7 @@ func (srv *Server) collectReply(rep invReply) {
 	servers := len(srv.roster)
 	srv.mu.Unlock()
 	if c != nil && c.add(rep, servers) {
-		srv.answer(c)
+		srv.conclude(c)
 	}
 }
 
@@ -415,6 +408,7 @@ func (srv *Server) onGroupView(v *gcs.View) {
 			delete(srv.applied, p) // see coversLocked
 		}
 	}
+	srv.advanceLocked() // a departed sender's deliveries are all covered now
 	srv.execMu.Unlock()
 	srv.mu.Lock()
 	for p := range srv.roster {
@@ -437,7 +431,7 @@ func (srv *Server) onGroupView(v *gcs.View) {
 	}
 	for _, c := range cs {
 		if c.settle(servers, false) {
-			srv.answer(c)
+			srv.conclude(c)
 		}
 	}
 }
@@ -565,98 +559,113 @@ func (srv *Server) detachBinding(gid ids.GroupID, b *gcs.Group) {
 	_ = b.Leave()
 }
 
-// serveAsRM handles a request delivered in an open client/server or
-// client monitor group, acting as the request manager (paper fig. 4).
+// rmPolicy is how the request manager serves one call (fig. 4, §4.2): who
+// executes first, when the client is answered, whom that waits for.
+type rmPolicy uint8
+
+const (
+	rmCollect rmPolicy = iota // group order first; answer on the mode's quorum over the roster
+	rmPrimary                 // this member first, outside the order; answer at once, then forward (§4.2)
+	rmOneWay                  // group order; nobody answered or waited for
+)
+
+func rmPolicyOf(bind *bindRequest, req *invRequest) rmPolicy {
+	switch {
+	case req.Mode == OneWay:
+		return rmOneWay
+	case bind.AsyncFwd && req.Mode == First:
+		return rmPrimary
+	}
+	return rmCollect
+}
+
+// serveAsRM is the request manager (paper fig. 4): the one path of every
+// request delivered in an open client/server or client monitor group.
 func (srv *Server) serveAsRM(b *gcs.Group, bind *bindRequest, req *invRequest) {
 	srv.mu.Lock()
-	if bind.Monitor {
+	if bind.Monitor && !srv.seen.put(req.Call, struct{}{}) {
 		// Filter the duplicate requests that every client-group member
 		// issues (paper §4.3): first copy wins.
-		if !srv.seen.put(req.Call, struct{}{}) {
-			srv.mu.Unlock()
-			srv.svc.metrics.monitorDups.Inc()
-			return
-		}
-	}
-	if set, ok := srv.sets.get(req.Call); ok {
-		// Retried call: resend the retained aggregated reply (§4.1).
 		srv.mu.Unlock()
-		if req.Mode != OneWay {
-			_ = b.Multicast(context.Background(), encodeReplySet(set)) //lint:ok errdrop best-effort: a lost resend just triggers another client retry
-		}
+		srv.svc.metrics.monitorDups.Inc()
 		return
 	}
-	if _, gathering := srv.collectors[req.Call]; gathering {
+	set, answered := srv.sets.get(req.Call)
+	_, gathering := srv.collectors[req.Call]
+	srv.mu.Unlock()
+	switch {
+	case answered:
+		// Retried call: resend the retained aggregated reply (§4.1).
+		if req.Mode != OneWay {
+			srv.answer(b, set, 0)
+		}
+		return
+	case gathering:
 		// Retried while still gathering: a direct reply may have been lost
 		// (it rides no reliable multicast). Forward again — every replica
 		// answers a call it has executed from its retained reply, so the
 		// missing one arrives and nothing executes twice.
-		srv.mu.Unlock()
-		srv.forward(req)
+		srv.relay(req, false)
 		return
 	}
-	srv.mu.Unlock()
-
 	srv.svc.span(req.Trace, flight.StRMReceive, uint64(req.Mode), 0)
 
-	if req.Mode == OneWay {
-		srv.forward(req) // distribute and return: nobody is waiting
+	pol := rmPolicyOf(bind, req)
+	if pol == rmOneWay {
+		srv.relay(req, false)
 		return
 	}
 	// Stay audible in the client/server group while serving: the waiting
 	// client holds the group's attention and would suspect a silent
 	// manager whose reply is delayed by server-group work.
 	b.Attend()
-	if bind.AsyncFwd && req.Mode == First {
-		defer b.Unattend()
-		srv.serveAsyncForward(b, req)
+	if pol == rmPrimary {
+		// The reply carries the newest stamp applied so far. It leaves before
+		// the forward, which is what must stay off the critical path (§4.2);
+		// the forward stays under execMu so the backups apply requests in
+		// exactly the primary's execution order.
+		srv.execMu.Lock()
+		rep, fresh := srv.executeLocked(req.Call, req.Method, req.Args, srv.lastExec, req.Trace)
+		srv.answer(b, &invReplySet{Call: req.Call, Replies: []invReply{rep}}, req.Trace)
+		if fresh {
+			srv.relay(req, true)
+		}
+		srv.execMu.Unlock()
+		b.Unattend()
 		return
 	}
-	srv.serveCollected(b, req)
-}
-
-// serveAsyncForward is the restricted-group + asynchronous-message-
-// forwarding optimisation (§4.2): the request manager executes and
-// replies immediately, forwarding the request one-way for the other
-// members to apply.
-func (srv *Server) serveAsyncForward(b *gcs.Group, req *invRequest) {
-	srv.execMu.Lock()
-	// The primary executes outside the group order: the reply carries the
-	// newest stamp applied so far.
-	rep, fresh := srv.executeLocked(req.Call, req.Method, req.Args, srv.lastExec, req.Trace)
-	// The client's reply leaves before the one-way forwarding starts —
-	// the forwarding is what must not sit on the critical path (that is
-	// the whole point of the optimisation, §4.2). Both stay under execMu
-	// so the backups apply requests in exactly the primary's execution
-	// order.
-	set := &invReplySet{Call: req.Call, Replies: []invReply{rep}}
+	// Gather the direct replies: the completing one, a view change that
+	// shrinks the quorum or the deadline concludes. Hold the server group's
+	// attention meanwhile: a replica that dies before replying must be
+	// suspected so the quorum shrinks.
+	c := &collection{call: req.Call, trace: req.Trace, b: b, start: time.Now()}
+	c.mode = req.Mode
+	srv.group.Attend()
 	srv.mu.Lock()
-	srv.sets.put(set.Call, set) // for retries
-	srv.mu.Unlock()
-	replyStart := time.Now()
-	//lint:ok lockblock deliberate: both multicasts stay under execMu so backups see the primary's execution order (§4.2)
-	_ = b.Multicast(context.Background(), encodeReplySet(set)) //lint:ok errdrop best-effort: the client retries and gets the retained reply set
-	srv.svc.span(req.Trace, flight.StRMReply, 0, time.Since(replyStart))
-	if fresh {
-		fwd := *req
-		fwd.Forwarded = true
-		fwd.AsyncFwd = true
-		srv.svc.metrics.rmRelays.Inc()
-		fwdStart := time.Now()
-		//lint:ok lockblock deliberate: both multicasts stay under execMu so backups see the primary's execution order (§4.2)
-		_ = srv.group.Multicast(context.Background(), encodeRequest(&fwd)) //lint:ok errdrop best-effort: backups only lose a state refresh, the reply already left
-		srv.svc.span(req.Trace, flight.StRMForward, 0, time.Since(fwdStart))
+	if srv.closed {
+		srv.mu.Unlock()
+		return
 	}
-	srv.execMu.Unlock()
+	c.replies = make([]invReply, 0, len(srv.roster))
+	c.deadline = time.AfterFunc(rmWait, func() {
+		if c.settle(0, true) {
+			srv.conclude(c)
+		}
+	})
+	srv.collectors[req.Call] = c
+	srv.mu.Unlock()
+	srv.relay(req, false)
 }
 
-// forward distributes a client's request in the server group.
-func (srv *Server) forward(req *invRequest) {
+// relay forwards a client's request into the server group (fig. 4(ii)),
+// marked as the primary's when it executed first.
+func (srv *Server) relay(req *invRequest, primary bool) {
 	fwd := *req
-	fwd.Forwarded = true
+	fwd.Forwarded, fwd.AsyncFwd = true, primary
 	srv.svc.metrics.rmRelays.Inc()
 	start := time.Now()
-	_ = srv.group.Multicast(context.Background(), encodeRequest(&fwd)) //lint:ok errdrop best-effort: the collection times out and answers with whatever replies arrive; one-way promises nothing
+	//lint:ok lockblock deliberate: the primary forwards under execMu so backups see its execution order (§4.2)
+	_ = srv.group.Multicast(context.Background(), encodeRequest(&fwd)) //lint:ok errdrop best-effort: a collection answers with what arrives by its deadline, a primary's client has its reply, one-way promises nothing
 	srv.svc.span(req.Trace, flight.StRMForward, 0, time.Since(start))
 }
 
@@ -667,72 +676,48 @@ type collection struct {
 	trace    uint64
 	b        *gcs.Group // the client/server group the answer goes to
 	start    time.Time
-	deadline *time.Timer // answers with what has arrived after rmWait
+	deadline *time.Timer // concludes with what has arrived after rmWait
 }
 
-// serveCollected is the standard open-group path: distribute the request
-// in the server group, gather the replicas' direct replies per the reply
-// mode, return the aggregate to the client group. Nothing waits in between:
-// whichever of the completing reply, a view change that shrinks the quorum
-// and the deadline comes first answers the client (answer).
-func (srv *Server) serveCollected(b *gcs.Group, req *invRequest) {
-	c := &collection{call: req.Call, trace: req.Trace, b: b, start: time.Now()}
-	c.mode = req.Mode
-	// Hold the server group's attention while gathering: a replica that
-	// dies after receiving the forwarded request but before replying must
-	// be suspected so the quorum shrinks.
-	srv.group.Attend()
-	srv.mu.Lock()
-	if srv.closed {
-		srv.mu.Unlock()
-		return
-	}
-	c.replies = make([]invReply, 0, len(srv.roster))
-	c.deadline = time.AfterFunc(rmWait, func() {
-		if c.settle(0, true) {
-			srv.answer(c)
-		}
-	})
-	srv.collectors[req.Call] = c
-	srv.mu.Unlock()
-	srv.forward(req)
-}
-
-// answer multicasts a settled collection's reply set in the client group
-// and retains it for retries. It runs on the path of whatever settled the
-// collection — the ORB's receive loop, a dispatch worker, the deadline.
-func (srv *Server) answer(c *collection) {
+// conclude answers a settled collection with the replies it gathered.
+func (srv *Server) conclude(c *collection) {
+	c.deadline.Stop()
 	srv.svc.span(c.trace, flight.StRMCollect, uint64(len(c.replies)), time.Since(c.start))
 	set := &invReplySet{Call: c.call, Replies: c.replies}
 	if len(set.Replies) == 0 {
 		set.Err = "request manager: no replies before deadline"
 	}
+	srv.answer(c.b, set, c.trace)
+	srv.group.Unattend()
+	c.b.Unattend()
+}
+
+// answer retains a call's reply set for retries and multicasts it in the
+// client group b (a resend passes trace zero: no journal). It runs on
+// whatever completed the set — the ORB's receive loop, a dispatch worker,
+// the deadline, the primary — so it must not wait for a view install: a
+// spent context declines that, and a goroutine takes the send.
+func (srv *Server) answer(b *gcs.Group, set *invReplySet, trace uint64) {
 	srv.mu.Lock()
-	c.deadline.Stop()
-	delete(srv.collectors, c.call)
-	srv.sets.put(set.Call, set) // for retries
+	delete(srv.collectors, set.Call)
+	srv.sets.put(set.Call, set)
 	srv.mu.Unlock()
 
-	// Multicast only waits when the group is installing a view, and that
-	// wait must not park the receive loop or a dispatch worker: a spent
-	// context declines it, and a goroutine of its own takes the send.
 	payload := encodeReplySet(set)
 	start := time.Now()
 	//lint:ok lockblock under the spent context Multicast sends or returns at once; it never waits
-	if err := c.b.Multicast(spentCtx, payload); errors.Is(err, context.Canceled) {
+	if err := b.Multicast(spentCtx, payload); errors.Is(err, context.Canceled) {
 		srv.mu.Lock()
 		if !srv.closed {
 			srv.wg.Add(1)
 			go func() {
 				defer srv.wg.Done()
-				_ = c.b.Multicast(context.Background(), payload) //lint:ok errdrop best-effort: the client retries and gets the retained reply set
+				_ = b.Multicast(context.Background(), payload) //lint:ok errdrop best-effort: the client retries and gets the retained reply set
 			}()
 		}
 		srv.mu.Unlock()
 	}
-	srv.svc.span(c.trace, flight.StRMReply, 0, time.Since(start))
-	srv.group.Unattend()
-	c.b.Unattend()
+	srv.svc.span(trace, flight.StRMReply, 0, time.Since(start))
 }
 
 // spentCtx is an already-cancelled context: Multicast under it sends if the
@@ -788,11 +773,6 @@ func (c *collector) settle(servers int, force bool) bool {
 	}
 	c.settled = true
 	return true
-}
-
-// newReplyCache retains executed replies for exactly-once retry semantics.
-func newReplyCache(capacity int) *bounded[ids.CallID, invReply] {
-	return newBounded[ids.CallID, invReply](capacity)
 }
 
 // DebugGroup exposes the server group for white-box diagnostics.

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 
-	"newtop/internal/gcs"
 	"newtop/internal/ids"
 	"newtop/internal/vclock"
 	"newtop/internal/wire"
@@ -14,20 +13,22 @@ import (
 // State transfer (paper §2.2): "in order to support passive replication,
 // some form of state transfer facility would have to be implemented". A
 // server group member configured with Snapshot/Restore hooks can admit
-// new replicas into a running group: the joiner buffers its deliveries,
-// pulls a snapshot from an existing member, discards the buffered
-// requests the snapshot already covers (the snapshot carries the stamp of
-// the last request executed into it; stamps totally order executions at
-// every member), replays the rest, and only then starts serving.
+// new replicas into a running group: the joiner parks the execution
+// requests delivered to it, pulls a snapshot from an existing member,
+// discards the parked requests the snapshot already covers, replays the
+// rest, and only then starts serving — reads included.
 //
-// The mechanism relies on the group's total order: the donor's snapshot
-// corresponds to a prefix of the common execution sequence, and the
-// joiner's buffered deliveries are a suffix of it, so the stamp comparison
-// splices them exactly. It covers the standard execution paths (closed
-// requests and open-group forwarded requests); under the asynchronous-
-// forwarding optimisation the primary executes outside the group order,
-// so a *backup* must act as donor — any contact other than the group
-// leader satisfies that.
+// The splice is the donor's executed prefix, the per-sender Applied vector
+// (see Server.coversLocked): one sender's deliveries reach every member in
+// its send order with growing Lamport times, so a parked request is inside
+// the snapshot exactly when its stamp's time is at most what Applied holds
+// for its sender. The donor's snapshot corresponds to a prefix of the
+// common execution sequence and the joiner's parked deliveries to a suffix
+// of it. It covers the standard execution paths (closed requests and
+// open-group forwarded requests); under the asynchronous-forwarding
+// optimisation the primary executes outside the group order, so a *backup*
+// must act as donor — any contact other than the group leader satisfies
+// that.
 
 // stateSnapshot is the control-call answer carrying the donor's state.
 type stateSnapshot struct {
@@ -73,8 +74,8 @@ func decodeStateSnapshot(b []byte) (*stateSnapshot, error) {
 	return s, nil
 }
 
-// snapshotLocked captures the application state under execMu, pairing it
-// with the stamp of the last executed request.
+// takeSnapshot captures the application state under execMu, paired with
+// the executed prefix it reflects.
 func (srv *Server) takeSnapshot() (*stateSnapshot, error) {
 	if srv.cfg.Snapshot == nil {
 		return &stateSnapshot{}, nil
@@ -107,17 +108,21 @@ func (srv *Server) catchUp(ctx context.Context, donor ids.ProcessID) (map[ids.Pr
 	if !snap.HasState {
 		return nil, errors.New("core: donor has no snapshot support")
 	}
+	srv.execMu.Lock() // a read runs the handler under it too
+	defer srv.execMu.Unlock()
 	if err := srv.cfg.Restore(snap.Data); err != nil {
 		return nil, fmt.Errorf("core: restore: %w", err)
 	}
 	cover := make(map[ids.ProcessID]uint64, len(snap.Applied))
-	srv.execMu.Lock()
 	for _, a := range snap.Applied {
 		cover[a.Sender] = a.Time
-		srv.applyLocked(a)
+		// A sender seen leaving stays out: coversLocked's not-in-view rule
+		// covers it, and an entry would outlive it until a later view.
+		if srv.view.Contains(a.Sender) {
+			srv.applyLocked(a)
+		}
 	}
 	srv.lastExec = snap.Stamp
-	srv.execMu.Unlock()
 	return cover, nil
 }
 
@@ -143,33 +148,25 @@ type bufferedReq struct {
 	req    *invRequest
 }
 
-// bufferForCatchup parks ev if it is an execution request delivered while
-// the snapshot is still being fetched, and reports whether it did.
-// Everything else (hellos, views, replies) flows through the regular
-// machinery so the roster and views stay current.
-func (srv *Server) bufferForCatchup(ev gcs.Event) bool {
-	if ev.Type != gcs.EventDeliver {
+// bufferForCatchup parks req, delivered from sender at stamp, if it is an
+// execution request delivered while the snapshot is still being fetched,
+// and reports whether it did. Everything else (hellos, views, replies) flows
+// through the regular machinery so the roster and views stay current.
+func (srv *Server) bufferForCatchup(req *invRequest, sender ids.ProcessID, stamp vclock.Stamp) bool {
+	if !srv.catching.Load() || !req.executes() {
 		return false
 	}
 	srv.catchMu.Lock()
 	defer srv.catchMu.Unlock()
-	if !srv.catching {
+	if !srv.catching.Load() { // the replay ended while we waited for it
 		return false
 	}
-	msg, err := decodePayload(ev.Deliver.Payload)
-	if err != nil {
-		return false
-	}
-	req, ok := msg.(*invRequest)
-	if !ok || !(req.Forwarded || req.Style == Closed) {
-		return false
-	}
-	srv.catchBuf = append(srv.catchBuf, bufferedReq{stamp: ev.Deliver.Stamp, sender: ev.Deliver.Sender, req: req})
+	srv.catchBuf = append(srv.catchBuf, bufferedReq{stamp: stamp, sender: sender, req: req})
 	return true
 }
 
-// transferState fetches and installs the snapshot while groupLoop keeps
-// consuming — the fetch is an ORB call and must not block the delivery
+// transferState fetches and installs the snapshot while the dispatch stage
+// keeps consuming — the fetch is an ORB call and must not block the delivery
 // stream (the donor may need our flush participation to make progress) —
 // then works through the buffered requests in order and lets executions
 // through. Each was delivered in a view that has this member in it, so its
@@ -198,6 +195,6 @@ func (srv *Server) transferState(ctx context.Context) error {
 		srv.execute(e.req, e.sender, e.stamp)
 	}
 	srv.catchBuf = nil
-	srv.catching = false
+	srv.catching.Store(false)
 	return nil
 }

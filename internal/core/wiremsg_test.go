@@ -260,7 +260,7 @@ func TestModeAndStyleStrings(t *testing.T) {
 }
 
 func TestReplyCacheEviction(t *testing.T) {
-	rc := newReplyCache(3)
+	rc := newBounded[ids.CallID, invReply](3)
 	for i := uint64(1); i <= 5; i++ {
 		rc.put(ids.CallID{Client: "c", Number: i}, invReply{Server: "s"})
 	}
