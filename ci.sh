@@ -1,7 +1,7 @@
 #!/bin/sh
 # ci.sh — the checks a change must pass before merging.
 #
-#   ./ci.sh              # vet, lint, build, tests, then the same tests under -race
+#   ./ci.sh              # gofmt, vet, lint, build, tests, then the same tests under -race
 #   CI_SHORT=1 ./ci.sh   # skip the race pass (quick pre-push loop)
 #
 # The race pass is the slow half; it exists because every layer of this
@@ -15,6 +15,14 @@
 set -eu
 
 cd "$(dirname "$0")"
+
+echo "== gofmt =="
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+	echo "gofmt: these files need formatting (run gofmt -w):"
+	echo "$unformatted"
+	exit 1
+fi
 
 echo "== go vet =="
 go vet ./...
@@ -60,10 +68,12 @@ go test -run 'OrderTableBounded|CompactionCost' ./internal/gcs/
 
 # The server half of an invocation, ten times over: the request manager's
 # one path under every policy with its crash sweep, state transfer, the
-# retry repairs, the session floor wait and the stage journal. A test here
-# that fails one run in ten is a protocol bug until shown otherwise.
+# retry repairs of a lost reply and a lost answer, the reply fan-in's
+# routing and message counts, the session floor wait and the stage journal.
+# A test here that fails one run in ten is a protocol bug until shown
+# otherwise.
 echo "== server path repeats =="
-go test -count=10 -run 'RMCrashAtEveryPipelineStage|Joiner|LostDirectReply|RMCrashMidCollect|SessionReadsOwnWrites|OneEventPerFact' ./internal/core/
+go test -count=10 -run 'RMCrashAtEveryPipelineStage|Joiner|LostDirectReply|LostAnswer|RouteByRole|OpenCallCosts|RMCrashMidCollect|SessionReadsOwnWrites|OneEventPerFact' ./internal/core/
 
 if [ "${CI_SHORT:-0}" = "1" ]; then
 	echo "ci: CI_SHORT=1, skipping the race pass"

@@ -25,8 +25,8 @@ import (
 // whatever ends it — the reply set, the direct reply that meets the quorum,
 // the attachment breaking, Cancel, the launching context expiring — calls
 // its finish, which runs retire, the one epilogue. Nothing parks a
-// goroutine per call: reply sets complete calls on the group loop, direct
-// replies on the ORB's receive loop.
+// goroutine per call: answers complete calls on the ORB's receive loop, and
+// group-to-group reply sets on the group loop.
 type engine struct {
 	svc         *Service
 	group       *gcs.Group // the client/server group, or the client monitor group
@@ -145,11 +145,9 @@ func (e *engine) start(ctx context.Context) error {
 		}
 	}
 	e.setViewLocked(e.group.View()) // seed the cache; onView keeps it current
-	if e.style == Closed {
-		e.svc.mu.Lock()
-		e.svc.direct[e] = struct{}{}
-		e.svc.mu.Unlock()
-	}
+	e.svc.mu.Lock()
+	e.svc.attached[e.group.ID()] = e
+	e.svc.mu.Unlock()
 	go e.loop()
 	return nil
 }
@@ -217,21 +215,20 @@ func failAll(doomed map[ids.CallID]*Call) {
 	}
 }
 
-// loop consumes the group's delivery stream, completing calls with the
-// reply sets that answer them and watching the membership.
+// loop consumes the group's delivery stream, watching the membership and,
+// group-to-group, completing calls with the reply sets that answer them.
 func (e *engine) loop() {
 	defer close(e.loopDone)
-	me := e.svc.ID()
 	// The event stream replays history from the founding singleton view;
 	// membership judgements only start at the fully-formed view start saw.
 	formedSeq := e.group.View().Seq
 	consumeEvents(e.group, func(ev gcs.Event) bool {
 		switch ev.Type {
 		case gcs.EventDeliver:
-			// No reply set travels in a server group (closed style), and in
-			// a monitor group the siblings' multicasts are duplicate requests.
-			from := ev.Deliver.Sender
-			if e.style == Closed || from == me || e.groupClient != "" && from != e.rm {
+			// Reply sets travel in a client monitor group only, from its
+			// request manager; the siblings' multicasts there are duplicate
+			// requests. Everywhere else answers arrive point-to-point.
+			if e.groupClient == "" || ev.Deliver.Sender != e.rm {
 				return true
 			}
 			if msg, err := decodePayload(ev.Deliver.Payload); err == nil {
@@ -251,7 +248,9 @@ func (e *engine) loop() {
 	e.mu.Unlock()
 	failAll(doomed)
 	e.svc.mu.Lock()
-	delete(e.svc.direct, e)
+	if e.svc.attached[e.group.ID()] == e {
+		delete(e.svc.attached, e.group.ID())
+	}
 	e.svc.mu.Unlock()
 }
 
@@ -320,12 +319,16 @@ func (e *engine) liveLocked(dst []ids.ProcessID) []ids.ProcessID {
 	return dst
 }
 
-// directCall returns the outstanding call id names, if this attachment has
-// one, and the number of live servers its quorum is over.
-func (e *engine) directCall(id ids.CallID) (*Call, int) {
+// onDirectReply files one server's reply with the closed call it answers, if
+// that is still outstanding, and completes the call if the reply meets its
+// quorum over the live servers.
+func (e *engine) onDirectReply(rep invReply) {
 	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.calls[id], e.live
+	c, servers := e.calls[rep.Call], e.live
+	e.mu.Unlock()
+	if c != nil && c.gather.add(rep, servers) {
+		e.deliver(c, c.gather.replies, "")
+	}
 }
 
 // SessionStamp returns the session token: the newest applied stamp observed

@@ -43,9 +43,7 @@ func soloEngineOn(t *testing.T, net *memnet.Net, style Style, servers ...ids.Pro
 	go consumeEvents(group, func(gcs.Event) bool { return true })
 	e := svc.newEngine(group, BindConfig{ServerGroup: "sg"}, style, servers[0], servers)
 	e.setViewLocked(gcs.View{Seq: 1, Members: append([]ids.ProcessID{"z00"}, servers...)})
-	if style == Closed {
-		svc.direct[e] = struct{}{}
-	}
+	svc.attached[group.ID()] = e
 	return e
 }
 
@@ -217,7 +215,7 @@ func TestAllocGuardInvoke(t *testing.T) {
 		e := soloEngine(t, Closed, "s00", "s01", "s02")
 		var frames [][]byte
 		for _, s := range e.servers {
-			frames = append(frames, encodeReply("", invReply{Call: id, Server: s, Payload: payload}))
+			frames = append(frames, encodeReplyMsg(replyMsg{To: toClosed, Group: []byte(e.group.ID()), Reply: invReply{Call: id, Server: s, Payload: payload}}))
 		}
 		opts := []CallOption{WithMode(All), WithCallID(id)}
 		check(t, "closed All", 18, func() { // measured 17.0

@@ -131,7 +131,11 @@ func (c *g2gInvoker) rm() ids.ProcessID { return c.att[0].RequestManager() }
 // in-flight call, covering the stages of fig. 4 — receiving the client
 // request (i), distributing it (ii), gathering replies (iii) and returning
 // them (iv) — and verifies that the client recovers with at most one
-// execution per surviving replica, and that the system keeps working.
+// execution per surviving replica, and that the system keeps working. The
+// last point is the answer sent but not yet received: it travels outside the
+// client/server group's view-synchronous stream, so it is held until the
+// manager has crashed and the client's view change has landed, and only then
+// delivered, late.
 func TestRMCrashAtEveryPipelineStage(t *testing.T) {
 	proxy := func(restricted bool) func(t *testing.T, w *world) rmInvoker {
 		return func(t *testing.T, w *world) rmInvoker {
@@ -150,23 +154,35 @@ func TestRMCrashAtEveryPipelineStage(t *testing.T) {
 		name   string
 		mode   core.ReplyMode // of the call the manager dies serving
 		attach func(t *testing.T, w *world) rmInvoker
+		answer bool // the client is answered point-to-point
 	}{
-		{"collect-majority", core.Majority, proxy(false)},
-		{"collect-all", core.All, proxy(false)},
+		{"collect-majority", core.Majority, proxy(false), true},
+		{"collect-all", core.All, proxy(false), true},
 		// Restricted: the manager is the leader, which executes first.
-		{"primary-first", core.First, proxy(true)},
-		{"oneway", core.OneWay, proxy(false)},
-		{"g2g-monitor", core.All, func(t *testing.T, w *world) rmInvoker { return newG2GInvoker(t, w, "s01") }},
+		{"primary-first", core.First, proxy(true), true},
+		{"oneway", core.OneWay, proxy(false), false},
+		{"g2g-monitor", core.All, func(t *testing.T, w *world) rmInvoker { return newG2GInvoker(t, w, "s01") }, false},
 	}
-	delays := []time.Duration{
-		0,                      // before the request reaches the manager (i)
-		200 * time.Microsecond, // around distribution (ii)
-		time.Millisecond,       // around reply gathering (iii)
-		3 * time.Millisecond,   // around returning the replies (iv)
+	points := []struct {
+		name  string
+		delay time.Duration // crash this long after the call is issued ...
+		held  bool          // ... or once the manager has sent its answer
+	}{
+		{delay: 0},                      // before the request reaches the manager (i)
+		{delay: 200 * time.Microsecond}, // around distribution (ii)
+		{delay: time.Millisecond},       // around reply gathering (iii)
+		{delay: 3 * time.Millisecond},   // around returning the replies (iv)
+		{name: "answer-held", held: true},
 	}
-	for _, delay := range delays {
-		t.Run(delay.String(), func(t *testing.T) {
+	for _, pt := range points {
+		if pt.name == "" {
+			pt.name = pt.delay.String()
+		}
+		t.Run(pt.name, func(t *testing.T) {
 			for _, pol := range policies {
+				if pt.held && !pol.answer {
+					continue
+				}
 				t.Run(pol.name, func(t *testing.T) {
 					w := newWorld(t, 3, 2)
 					inv := pol.attach(t, w)
@@ -175,16 +191,22 @@ func TestRMCrashAtEveryPipelineStage(t *testing.T) {
 						t.Fatalf("warm-up: %v", err)
 					}
 					rm := inv.rm()
-					crashed := make(chan struct{})
-					go func() {
-						time.Sleep(delay)
-						w.net.Sim().Crash(rm)
-						close(crashed)
-					}()
+					var crashed <-chan struct{}
+					if pt.held {
+						crashed = crashWithAnswerHeld(t, w, inv.(proxyInvoker), rm)
+					} else {
+						done := make(chan struct{})
+						go func() {
+							time.Sleep(pt.delay)
+							w.net.Sim().Crash(rm)
+							close(done)
+						}()
+						crashed = done
+					}
 					err := inv.call(ctxT(t, 30*time.Second), 2, pol.mode)
 					<-crashed
 					if err != nil {
-						t.Fatalf("invoke with crash at +%v: %v", delay, err)
+						t.Fatalf("invoke with crash at %s: %v", pt.name, err)
 					}
 					// At most once per call at the survivors (the dead
 					// manager's count is irrelevant): the warm-up and the
@@ -207,6 +229,49 @@ func TestRMCrashAtEveryPipelineStage(t *testing.T) {
 			}
 		})
 	}
+}
+
+// crashWithAnswerHeld takes the request manager's next answer to the client
+// off the wire, crashes the manager, waits until the client's view change
+// has broken the binding it was sent on, and only then delivers the answer —
+// through a survivor's endpoint, since nothing leaves a crashed process. The
+// returned channel closes once the late answer is in flight.
+func crashWithAnswerHeld(t *testing.T, w *world, inv proxyInvoker, rm ids.ProcessID) <-chan struct{} {
+	old := inv.p.Binding()
+	held := make(chan []byte, 1)
+	var once sync.Once
+	w.taps[rm].set(func(to ids.ProcessID, frame []byte) bool {
+		if to != inv.client || !orbFrame(frame, orbOneWay) {
+			return false
+		}
+		once.Do(func() { held <- append([]byte(nil), frame...) })
+		return true
+	})
+	crashed := make(chan struct{})
+	go func() {
+		defer close(crashed)
+		var answer []byte
+		select {
+		case answer = <-held:
+		case <-time.After(10 * time.Second):
+			t.Error("the request manager never answered")
+			return
+		}
+		w.net.Sim().Crash(rm)
+		for deadline := time.Now().Add(10 * time.Second); !old.Broken(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Error("the client never saw its request manager go")
+				return
+			}
+		}
+		for _, survivor := range w.servers {
+			if survivor.ID() != rm {
+				_ = w.taps[survivor.ID()].Endpoint.Send(inv.client, answer)
+				return
+			}
+		}
+	}()
+	return crashed
 }
 
 // TestProxyThroughNewestReplicaKnowsAllMembers pins the fixture property

@@ -46,7 +46,8 @@ func (e *tap) Send(to ids.ProcessID, frame []byte) error {
 }
 
 // The ORB's frame kinds, as the byte after the mux's protocol byte. The
-// invocation layer's only one-way is a server's direct reply.
+// invocation layer's one-ways are the answers of the "reply" fan-in: a
+// server's direct reply, and a request manager's reply set.
 const (
 	orbRequest byte = 1
 	orbOneWay  byte = 2
@@ -92,13 +93,18 @@ func repliers(replies []core.Reply) string {
 	return strings.Join(names, ",")
 }
 
-// One majority call through an open binding puts exactly one application
-// multicast into the server group — the request manager's forward — and the
-// two other replicas answer it with one ORB one-way each: nobody but the
-// request manager multicasts there (§4.2).
+// One majority call through an open binding puts exactly two application
+// multicasts on the wire, both ordered where order is needed: the client's
+// request in its client/server group and the request manager's forward in
+// the server group. Everything else is point-to-point: the two other
+// replicas answer the request manager with one ORB one-way each, and the
+// request manager answers the client with one more (fig. 4(iv)); nobody but
+// the request manager multicasts in the server group (§4.2), and it
+// multicasts nothing in the client/server group.
 func TestOpenCallCostsOneServerGroupMulticast(t *testing.T) {
 	w := newWorld(t, 3, 1)
 	b := w.bindOpen("s00")
+	rmSide := w.servers[0].Node().Group(b.Group().ID())
 	var oneWays atomic.Int64
 	for _, tp := range w.taps {
 		tp.set(func(_ ids.ProcessID, frame []byte) bool {
@@ -112,7 +118,7 @@ func TestOpenCallCostsOneServerGroupMulticast(t *testing.T) {
 		t.Helper()
 		for deadline := time.Now().Add(5 * time.Second); oneWays.Load() < n; {
 			if time.Now().After(deadline) {
-				t.Fatalf("%d direct replies sent, want %d", oneWays.Load(), n)
+				t.Fatalf("%d ORB one-ways sent, want %d", oneWays.Load(), n)
 			}
 			time.Sleep(time.Millisecond)
 		}
@@ -131,17 +137,71 @@ func TestOpenCallCostsOneServerGroupMulticast(t *testing.T) {
 		}
 	}
 	call() // warm-up; the reply that arrives after the quorum is sent too
-	awaitOneWays(2)
+	awaitOneWays(3)
 
-	before := appSent()
+	before, requests := appSent(), b.Group().Stats().AppSent
 	call()
-	awaitOneWays(4)
+	awaitOneWays(6)
 	time.Sleep(20 * time.Millisecond) // anything further would be in flight by now
 	if got := appSent() - before; got != 1 {
 		t.Errorf("%d application multicasts in the server group for one call, want 1", got)
 	}
-	if got := oneWays.Load() - 2; got != 2 {
-		t.Errorf("%d ORB one-ways for one call, want 2", got)
+	if got := b.Group().Stats().AppSent - requests; got != 1 {
+		t.Errorf("the client multicast %d times in its client/server group for one call, want 1", got)
+	}
+	if got := rmSide.Stats().AppSent; got != 0 {
+		t.Errorf("the request manager multicast %d times in the client/server group over two calls, want 0", got)
+	}
+	if got := oneWays.Load() - 3; got != 3 {
+		t.Errorf("%d ORB one-ways for one call, want 3: two replica replies and the answer", got)
+	}
+}
+
+// The request manager's answer rides no reliable multicast either. When it
+// is lost, the call cannot complete by itself; the client's retry under the
+// same call identifier is answered from the retained reply set, and nothing
+// executes twice.
+func TestLostAnswerIsRepairedByTheRetry(t *testing.T) {
+	w := newWorld(t, 3, 1)
+	// The client holds its group's attention while the call is outstanding
+	// and would suspect the request manager, silent once it has answered,
+	// before the first attempt gives up. Keep that out of this test's way.
+	cfg := w.bindCfg(core.Open)
+	cfg.GCS.SuspectTimeout = 5 * time.Second
+	b, err := w.clients[0].Bind(ctxT(t, 10*time.Second), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	client := w.clients[0].ID()
+	var answers atomic.Int64
+	w.taps[b.RequestManager()].set(func(to ids.ProcessID, frame []byte) bool {
+		return to == client && orbFrame(frame, orbOneWay) && answers.Add(1) == 1 // lose the first answer only
+	})
+	call := w.clients[0].DebugNewCall()
+	opts := []core.CallOption{core.WithMode(core.All), core.WithCallID(call)}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
+	defer cancel()
+	if first, err := b.Call(ctx, "echo", []byte("x"), opts...); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("call whose answer was lost: answered by %q, %v; want a deadline", repliers(first), err)
+	}
+	w.awaitExecs(1, "s00", "s01", "s02")
+	start := time.Now()
+	replies, err := b.Call(ctxT(t, 8*time.Second), "echo", []byte("x"), opts...)
+	if err != nil || len(replies) != 3 {
+		t.Fatalf("retry: replies from %q, %v; want all three", repliers(replies), err)
+	}
+	if d := time.Since(start); d > 3*time.Second {
+		t.Errorf("retry took %v: it was not answered from the retained set", d)
+	}
+	if n := answers.Load(); n != 2 {
+		t.Errorf("%d answers sent, want 2: the lost one and the retry's resend", n)
+	}
+	for id, n := range w.calls {
+		if n.Load() != 1 {
+			t.Errorf("%s executed the call %d times, want 1", id, n.Load())
+		}
 	}
 }
 
@@ -558,10 +618,12 @@ func TestJoinerDropsSenderThatLeftMidTransfer(t *testing.T) {
 	}
 }
 
-// One process is a closed client of group "a" and a request manager of
-// group "b" at once, and — the worst case — both calls carry the same call
-// identifier. Both kinds of reply arrive over the same "reply" one-way; each
-// must reach the collection it is for.
+// One process holds all three roles of the "reply" fan-in at once: closed
+// client of group "a", request manager of group "b", and open client of
+// group "c" — and, the worst case, all three calls carry the same call
+// identifier. Every answer arrives over the same "reply" one-way: the
+// replicas' replies to the closed call and to the request manager, and the
+// reply set of c's request manager. Each must reach the role it is for.
 func TestDirectRepliesRouteByRole(t *testing.T) {
 	net := memnet.New(netsim.New(netsim.FastProfile(), 33))
 	ctx := ctxT(t, 30*time.Second)
@@ -588,36 +650,51 @@ func TestDirectRepliesRouteByRole(t *testing.T) {
 		}
 		return srv
 	}
-	a0, a1, p, b1, z := mk("a0"), mk("a1"), mk("p"), mk("b1"), mk("z")
+	a0, a1, p, b1, c0, c1, z := mk("a0"), mk("a1"), mk("p"), mk("b1"), mk("c0"), mk("c1"), mk("z")
 	awaitRosters(t, []*core.Server{serve(a0, "a", ""), serve(a1, "a", "a0")})
 	awaitRosters(t, []*core.Server{serve(b1, "b", ""), serve(p, "b", "b1")})
+	awaitRosters(t, []*core.Server{serve(c0, "c", ""), serve(c1, "c", "c0")})
 
 	closed, err := p.Bind(ctx, core.BindConfig{ServerGroup: "a", Contact: "a0", Style: core.Closed, GCS: testTimers()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer closed.Close()
-	open, err := z.Bind(ctx, core.BindConfig{ServerGroup: "b", Contact: "p", Style: core.Open, GCS: testTimers()})
+	asClient, err := p.Bind(ctx, core.BindConfig{ServerGroup: "c", Contact: "c0", Style: core.Open, GCS: testTimers()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer open.Close()
-	if open.RequestManager() != "p" {
-		t.Fatalf("request manager %s, want p", open.RequestManager())
+	defer asClient.Close()
+	asRM, err := z.Bind(ctx, core.BindConfig{ServerGroup: "b", Contact: "p", Style: core.Open, GCS: testTimers()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer asRM.Close()
+	if asRM.RequestManager() != "p" || asClient.RequestManager() != "c0" {
+		t.Fatalf("request managers %s and %s, want p and c0", asRM.RequestManager(), asClient.RequestManager())
 	}
 
-	// Keep p's closed call outstanding (a1's reply is held back) while p
-	// gathers, as request manager, for a call with the same identifier.
-	release := make(chan struct{})
+	// Keep p's closed call outstanding (a1's reply is held back), and its
+	// open call on c too (c0's answer is held back), while p gathers, as
+	// request manager, for a call with the same identifier.
+	releaseA, releaseC, answerHeld := make(chan struct{}), make(chan struct{}), make(chan struct{})
 	taps["a1"].set(func(_ ids.ProcessID, frame []byte) bool {
 		if orbFrame(frame, orbOneWay) {
-			<-release
+			<-releaseA
+		}
+		return false
+	})
+	var held sync.Once
+	taps["c0"].set(func(to ids.ProcessID, frame []byte) bool {
+		if to == "p" && orbFrame(frame, orbOneWay) {
+			held.Do(func() { close(answerHeld) })
+			<-releaseC
 		}
 		return false
 	})
 	call := p.DebugNewCall()
 	opts := []core.CallOption{core.WithMode(core.All), core.WithCallID(call)}
-	closedDone := make(chan []core.Reply, 1)
+	closedDone, openDone := make(chan []core.Reply, 1), make(chan []core.Reply, 1)
 	go func() {
 		replies, err := closed.Call(ctxT(t, 20*time.Second), "m", nil, opts...)
 		if err != nil {
@@ -625,28 +702,34 @@ func TestDirectRepliesRouteByRole(t *testing.T) {
 		}
 		closedDone <- replies
 	}()
+	go func() {
+		replies, err := asClient.Call(ctxT(t, 20*time.Second), "m", nil, opts...)
+		if err != nil {
+			t.Errorf("open call on c through c0: %v", err)
+		}
+		openDone <- replies
+	}()
+	<-answerHeld
 	time.Sleep(50 * time.Millisecond) // a0's reply is in, a1's is held
 
-	replies, err := open.Call(ctxT(t, 10*time.Second), "m", nil, opts...)
+	check := func(role string, group string, replies []core.Reply, want string) {
+		t.Helper()
+		if got := repliers(replies); got != want {
+			t.Errorf("%s answered by %q, want %s", role, got, want)
+		}
+		for _, r := range replies {
+			if want := group + "@" + string(r.Server); string(r.Payload) != want {
+				t.Errorf("%s: %s answered %q, want %q", role, r.Server, r.Payload, want)
+			}
+		}
+	}
+	replies, err := asRM.Call(ctxT(t, 10*time.Second), "m", nil, opts...)
 	if err != nil {
 		t.Fatalf("open call on b through p: %v", err)
 	}
-	if got := repliers(replies); got != "b1,p" {
-		t.Errorf("open call on b answered by %q, want b1,p", got)
-	}
-	for _, r := range replies {
-		if want := "b@" + string(r.Server); string(r.Payload) != want {
-			t.Errorf("open call: %s answered %q, want %q", r.Server, r.Payload, want)
-		}
-	}
-	close(release)
-	replies = <-closedDone
-	if got := repliers(replies); got != "a0,a1" {
-		t.Errorf("closed call on a answered by %q, want a0,a1", got)
-	}
-	for _, r := range replies {
-		if want := "a@" + string(r.Server); string(r.Payload) != want {
-			t.Errorf("closed call: %s answered %q, want %q", r.Server, r.Payload, want)
-		}
-	}
+	check("open call on b through p", "b", replies, "b1,p")
+	close(releaseC)
+	check("p's open call on c", "c", <-openDone, "c0,c1")
+	close(releaseA)
+	check("p's closed call on a", "a", <-closedDone, "a0,a1")
 }

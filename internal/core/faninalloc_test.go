@@ -6,8 +6,9 @@ import (
 	"testing"
 	"time"
 
-	"newtop/internal/gcs"
 	"newtop/internal/ids"
+	"newtop/internal/netsim"
+	"newtop/internal/transport/memnet"
 	"newtop/internal/vclock"
 )
 
@@ -15,7 +16,7 @@ import (
 // (run by ci.sh's AllocGuard stage; internal/lint/allocbudget.go pins the
 // same entry point statically): execute a forwarded request once, retain the
 // reply, answer the request manager with one ORB one-way. What is left is
-// the execution span's note, the reply envelope and the ORB frame around it.
+// the ORB frame, with the reply envelope written straight into it.
 func TestAllocGuardForwardedReply(t *testing.T) {
 	_, srv := soloServer(t, "replica")
 	req := &invRequest{Mode: Majority, Method: "put", Args: []byte("k=v"), Forwarded: true, Style: Open}
@@ -30,38 +31,54 @@ func TestAllocGuardForwardedReply(t *testing.T) {
 	}
 	avg := testing.AllocsPerRun(500, serve)
 	t.Logf("forwarded request → direct reply: %.1f allocs/op", avg)
-	const budget = 3 // measured 2.0
+	const budget = 1 // measured 1.0
 	if avg > budget && !raceEnabled {
 		t.Fatalf("executing and answering a forwarded request allocates %.1f/op, budget %d", avg, budget)
 	}
 }
 
+// answerSink puts a stub client on net whose "reply" sink counts the
+// one-ways it receives and decodes nothing: what a request manager's answer
+// costs the client is TestAllocGuardInvoke's business.
+func answerSink(t *testing.T, net *memnet.Net, id ids.ProcessID) *atomic.Uint64 {
+	t.Helper()
+	var answered atomic.Uint64
+	soloService(t, net, id).orb.HandleOneWay(controlObject, "reply", func([]byte) { answered.Add(1) })
+	return &answered
+}
+
+// awaitAnswers spins until n answers have arrived, so the sink's half of
+// every operation falls inside the measurement, not at the scheduler's whim.
+func awaitAnswers(answered *atomic.Uint64, n uint64) {
+	for answered.Load() < n {
+		runtime.Gosched()
+	}
+}
+
 // TestAllocGuardCollectReply budgets the request manager's half: filing one
 // direct reply, and — for the reply that completes the quorum — building the
-// reply set, retaining it and multicasting it in the client group, all on
-// the arrival path. No goroutine, no timer, no map and no sort per call: the
-// set, its envelope and the multicast are what remains. A second
-// single-member group stands in for the client group: the set's delivery in
-// it is part of the count, a client's decoding of it is not — answered in
-// the server group itself, the member's own group loop decoded each set it
-// delivered, on its own goroutine, and whether that fell inside the
-// measurement was the scheduler's choice (4.0 allocs/op, now and then 7.0).
+// reply set, retaining it and answering the client with one ORB one-way, all
+// on the arrival path. No goroutine, no timer, no map and no sort per call:
+// the set, the one-way's frame and the in-memory link's queue entry for it
+// are what remains. The operation ends when the stub client's sink has the
+// answer.
 func TestAllocGuardCollectReply(t *testing.T) {
-	svc, srv := soloServer(t, "rm")
+	net := memnet.New(netsim.New(netsim.FastProfile(), 1))
+	svc, srv := soloServerOn(t, net, "rm")
+	answered := answerSink(t, net, "z00")
 	cs, err := svc.node.Create("cs", srv.group.Config()) // the same parked timers
 	if err != nil {
 		t.Fatalf("create: %v", err)
 	}
-	go consumeEvents(cs, func(gcs.Event) bool { return true })
 	const runs = 500
 	srv.mu.Lock()
 	for n := uint64(1); n <= runs+65; n++ {
-		c := &collection{call: ids.CallID{Client: "z00", Number: n}, b: cs, start: time.Now()}
+		c := &collection{call: ids.CallID{Client: "z00", Number: n}, b: cs, client: "z00", start: time.Now()}
 		c.mode = Majority
 		c.replies = make([]invReply, 0, 3)
 		c.deadline = time.NewTimer(time.Hour)
 		srv.collectors[c.call] = c
-		srv.group.Attend() // answer releases the server group and the client group
+		srv.group.Attend() // conclude releases the server group and the client group
 		cs.Attend()
 	}
 	srv.roster["s01"], srv.roster["s02"] = true, true
@@ -75,6 +92,7 @@ func TestAllocGuardCollectReply(t *testing.T) {
 		srv.collectReply(invReply{Call: call, Server: "s01", Payload: payload})
 		srv.collectReply(invReply{Call: call, Server: "rm", Payload: payload})
 		srv.collectReply(invReply{Call: call, Server: "s02", Payload: payload}) // late: dropped
+		awaitAnswers(answered, next)
 	}
 	for i := 0; i < 64; i++ {
 		collect()
@@ -87,7 +105,7 @@ func TestAllocGuardCollectReply(t *testing.T) {
 	if open != 0 || kept != runs+65 {
 		t.Fatalf("%d collections still open, %d reply sets retained; want 0 and %d", open, kept, runs+65)
 	}
-	const budget = 5 // measured 4.0
+	const budget = 3 // measured 3.0
 	if avg > budget && !raceEnabled {
 		t.Fatalf("collecting a call's replies allocates %.1f/op, budget %d", avg, budget)
 	}
@@ -97,23 +115,19 @@ func TestAllocGuardCollectReply(t *testing.T) {
 // an open wait-for-majority call (run by ci.sh's AllocGuard stage;
 // internal/lint/allocbudget.go pins serveAsRM statically): receive the
 // request, forward it into the server group, execute it there as one of
-// the replicas, file that and a stub replica's direct reply, answer in the
-// client group. The operation waits for the answer's delivery, so the
-// asynchronous half — the forward's delivery and execution on a dispatch
-// worker — falls inside the measurement.
+// the replicas, file that and a stub replica's direct reply, answer the
+// stub client with one ORB one-way. The operation waits for the answer's
+// arrival at the client's sink, so the asynchronous half — the forward's
+// delivery and execution on a dispatch worker — falls inside the
+// measurement.
 func TestAllocGuardRequestManager(t *testing.T) {
-	svc, srv := soloServer(t, "rm")
+	net := memnet.New(netsim.New(netsim.FastProfile(), 1))
+	svc, srv := soloServerOn(t, net, "rm")
+	answered := answerSink(t, net, "z00")
 	cs, err := svc.node.Create("cs", srv.group.Config()) // the same parked timers
 	if err != nil {
 		t.Fatalf("create: %v", err)
 	}
-	var answered atomic.Uint64
-	go consumeEvents(cs, func(ev gcs.Event) bool {
-		if ev.Type == gcs.EventDeliver {
-			answered.Add(1)
-		}
-		return true
-	})
 	// The stub joins the roster once the founding view, which would prune
 	// it, has been handled: the member's own hello follows it in the stream.
 	for applied := false; !applied; runtime.Gosched() {
@@ -134,9 +148,7 @@ func TestAllocGuardRequestManager(t *testing.T) {
 		req.Call = ids.CallID{Client: "z00", Number: next}
 		srv.serveAsRM(cs, bind, req)
 		srv.collectReply(invReply{Call: req.Call, Server: "s01", Payload: payload})
-		for answered.Load() < next {
-			runtime.Gosched()
-		}
+		awaitAnswers(answered, next)
 	}
 	for i := 0; i < 64; i++ {
 		call()
@@ -146,7 +158,7 @@ func TestAllocGuardRequestManager(t *testing.T) {
 	if set, ok := srv.sets.get(req.Call); !ok || len(set.Replies) != 2 {
 		t.Fatalf("last call's reply set %+v retained %v; want the manager's and the stub's replies", set, ok)
 	}
-	const budget = 15 // measured 15.0, the same with one function per policy
+	const budget = 14 // measured 14.0
 	if avg > budget && !raceEnabled {
 		t.Fatalf("an open majority call allocates %.1f/op at the request manager, budget %d", avg, budget)
 	}

@@ -13,7 +13,8 @@ func callIDSeed() ids.CallID { return ids.CallID{Client: "c", Number: 7} }
 // decoder. Run with `go test -fuzz=FuzzDecodePayload ./internal/core`.
 func FuzzDecodePayload(f *testing.F) {
 	f.Add(encodeRequest(&invRequest{Call: callIDSeed(), Method: "m", Args: []byte("a"), Style: Open}))
-	f.Add(encodeReply("sg", invReply{Call: callIDSeed(), Server: "s", Payload: []byte("p")}))
+	f.Add(encodeReplyMsg(replyMsg{To: toRM, Group: []byte("sg"), Reply: invReply{Call: callIDSeed(), Server: "s", Payload: []byte("p")}}))
+	f.Add(encodeReplyMsg(replyMsg{To: toOpen, Group: []byte("cs"), Set: &invReplySet{Call: callIDSeed()}}))
 	f.Add(encodeReplySet(&invReplySet{Call: callIDSeed()}))
 	f.Add(encodeHello())
 	f.Add([]byte{})
@@ -26,10 +27,11 @@ func FuzzDecodePayload(f *testing.F) {
 	f.Add(encodeRequest(fullReq))
 	var fullRep invReply
 	wiretest.Fill(&fullRep)
-	f.Add(encodeReply("sg", fullRep))
+	f.Add(encodeReplyMsg(replyMsg{To: toClosed, Group: []byte("sg"), Reply: fullRep}))
 	fullSet := &invReplySet{}
 	wiretest.Fill(fullSet)
 	f.Add(encodeReplySet(fullSet))
+	f.Add(encodeReplyMsg(replyMsg{To: toOpen, Group: []byte("cs"), Set: fullSet}))
 	fullBind := &bindRequest{}
 	wiretest.Fill(fullBind, bindLocalFields...)
 	f.Add(encodeBindRequest(fullBind))
@@ -42,7 +44,7 @@ func FuzzDecodePayload(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		_, _ = decodePayload(data)
-		_, _, _ = decodeReply(data)
+		_, _ = decodeReplyMsg(data)
 		_, _ = decodeBindRequest(data)
 		_, _ = decodeStateSnapshot(data)
 		_, _ = DecodeGroupRef(data)

@@ -165,6 +165,7 @@ func TestGroupToGroupFiltersDuplicates(t *testing.T) {
 	// Server group gy with 2 replicas counting executions.
 	var execs sync.Map // job name -> *atomic.Int64
 	var contact ids.ProcessID
+	var rm *core.Service
 	for i := 0; i < 2; i++ {
 		id := ids.ProcessID(fmt.Sprintf("y%d", i))
 		ep, err := net.Endpoint(id, netsim.SiteLAN)
@@ -187,7 +188,7 @@ func TestGroupToGroupFiltersDuplicates(t *testing.T) {
 			t.Fatal(err)
 		}
 		if i == 0 {
-			contact = id
+			contact, rm = id, svc
 		}
 	}
 
@@ -288,6 +289,12 @@ func TestGroupToGroupFiltersDuplicates(t *testing.T) {
 		}
 		return true
 	})
+	// Every member of gx must see each answer, so the request manager
+	// multicasts it in the monitor group: once per call, whatever the number
+	// of copies it filtered.
+	if got := rm.Node().Group(g2gs[0].Group().ID()).Stats().AppSent; got != 3 {
+		t.Errorf("the request manager multicast %d times in the monitor group for 3 calls, want 3 reply sets", got)
+	}
 }
 
 func TestOpenAndClosedCoexist(t *testing.T) {

@@ -16,13 +16,13 @@ import (
 // TestAllocGuardLeasedRead for why one member and hour-long timers.
 func soloServer(t *testing.T, id ids.ProcessID) (*Service, *Server) {
 	t.Helper()
-	net := memnet.New(netsim.New(netsim.FastProfile(), 1))
-	ep, err := net.Endpoint(id, netsim.SiteLAN)
-	if err != nil {
-		t.Fatalf("endpoint: %v", err)
-	}
-	svc := NewService(ep)
-	t.Cleanup(func() { _ = svc.Close() })
+	return soloServerOn(t, memnet.New(netsim.New(netsim.FastProfile(), 1)), id)
+}
+
+// soloServerOn is soloServer on a network the test can put stub peers on.
+func soloServerOn(t *testing.T, net *memnet.Net, id ids.ProcessID) (*Service, *Server) {
+	t.Helper()
+	svc := soloService(t, net, id)
 
 	value := []byte("42")
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)

@@ -300,11 +300,11 @@ func (srv *Server) execute(req *invRequest, sender ids.ProcessID, stamp vclock.S
 	switch {
 	case req.AsyncFwd || req.Mode == OneWay: // nobody gathers replies
 	case !req.Forwarded:
-		srv.svc.sendDirectReply(req.Client, "", rep)
+		srv.svc.sendReply(req.Client, srv.cfg.Group, replyMsg{To: toClosed, Reply: rep})
 	case sender == srv.svc.ID():
 		srv.collectReply(rep) // our own execution: no envelope, no frame
 	default:
-		srv.svc.sendDirectReply(sender, srv.cfg.Group, rep)
+		srv.svc.sendReply(sender, srv.cfg.Group, replyMsg{To: toRM, Reply: rep})
 	}
 	return true
 }
@@ -515,7 +515,7 @@ func (srv *Server) bindingLoop(b *gcs.Group, bind *bindRequest) {
 		switch ev.Type {
 		case gcs.EventDeliver:
 			if ev.Deliver.Sender == me {
-				return true // our own reply-set multicasts
+				return true // our own reply-set multicasts (client monitor groups)
 			}
 			msg, err := decodePayload(ev.Deliver.Payload)
 			if err != nil {
@@ -593,11 +593,16 @@ func (srv *Server) serveAsRM(b *gcs.Group, bind *bindRequest, req *invRequest) {
 	set, answered := srv.sets.get(req.Call)
 	_, gathering := srv.collectors[req.Call]
 	srv.mu.Unlock()
+	client := req.Client
+	if bind.Monitor {
+		client = "" // every member of the client group must see the set: multicast it
+	}
 	switch {
 	case answered:
-		// Retried call: resend the retained aggregated reply (§4.1).
+		// Retried call: resend the retained aggregated reply (§4.1). This is
+		// also what repairs a lost or late answer.
 		if req.Mode != OneWay {
-			srv.answer(b, set, 0)
+			srv.answer(b, client, set, 0)
 		}
 		return
 	case gathering:
@@ -626,7 +631,7 @@ func (srv *Server) serveAsRM(b *gcs.Group, bind *bindRequest, req *invRequest) {
 		// exactly the primary's execution order.
 		srv.execMu.Lock()
 		rep, fresh := srv.executeLocked(req.Call, req.Method, req.Args, srv.lastExec, req.Trace)
-		srv.answer(b, &invReplySet{Call: req.Call, Replies: []invReply{rep}}, req.Trace)
+		srv.answer(b, client, &invReplySet{Call: req.Call, Replies: []invReply{rep}}, req.Trace)
 		if fresh {
 			srv.relay(req, true)
 		}
@@ -638,7 +643,7 @@ func (srv *Server) serveAsRM(b *gcs.Group, bind *bindRequest, req *invRequest) {
 	// shrinks the quorum or the deadline concludes. Hold the server group's
 	// attention meanwhile: a replica that dies before replying must be
 	// suspected so the quorum shrinks.
-	c := &collection{call: req.Call, trace: req.Trace, b: b, start: time.Now()}
+	c := &collection{call: req.Call, trace: req.Trace, b: b, client: client, start: time.Now()}
 	c.mode = req.Mode
 	srv.group.Attend()
 	srv.mu.Lock()
@@ -674,7 +679,8 @@ type collection struct {
 	collector
 	call     ids.CallID
 	trace    uint64
-	b        *gcs.Group // the client/server group the answer goes to
+	b        *gcs.Group    // the client/server or client monitor group of the call
+	client   ids.ProcessID // whom the answer goes to (see answer)
 	start    time.Time
 	deadline *time.Timer // concludes with what has arrived after rmWait
 }
@@ -687,24 +693,39 @@ func (srv *Server) conclude(c *collection) {
 	if len(set.Replies) == 0 {
 		set.Err = "request manager: no replies before deadline"
 	}
-	srv.answer(c.b, set, c.trace)
+	srv.answer(c.b, c.client, set, c.trace)
 	srv.group.Unattend()
 	c.b.Unattend()
 }
 
-// answer retains a call's reply set for retries and multicasts it in the
-// client group b (a resend passes trace zero: no journal). It runs on
-// whatever completed the set — the ORB's receive loop, a dispatch worker,
-// the deadline, the primary — so it must not wait for a view install: a
-// spent context declines that, and a goroutine takes the send.
-func (srv *Server) answer(b *gcs.Group, set *invReplySet, trace uint64) {
+// answer retains a call's reply set for retries and returns it to the
+// client of b (a resend passes trace zero: no journal). An open binding's
+// client gets it point-to-point, with one ORB one-way (fig. 4(iv)): b stays
+// where its request is ordered and its request manager's failure detected,
+// and a lost or late answer is repaired by the retry's resend of the
+// retained set. In a client monitor group (client empty) every member of the
+// client group must see the set, so it is multicast in b.
+func (srv *Server) answer(b *gcs.Group, client ids.ProcessID, set *invReplySet, trace uint64) {
 	srv.mu.Lock()
 	delete(srv.collectors, set.Call)
 	srv.sets.put(set.Call, set)
 	srv.mu.Unlock()
 
-	payload := encodeReplySet(set)
 	start := time.Now()
+	if client != "" {
+		srv.svc.sendReply(client, b.ID(), replyMsg{To: toOpen, Set: set})
+	} else {
+		srv.multicastSet(b, set)
+	}
+	srv.svc.span(trace, flight.StRMReply, 0, time.Since(start))
+}
+
+// multicastSet multicasts a reply set in a client monitor group. It runs on
+// whatever completed the set — the ORB's receive loop, a dispatch worker,
+// the deadline, the primary — so it must not wait for a view install: a
+// spent context declines that, and a goroutine takes the send.
+func (srv *Server) multicastSet(b *gcs.Group, set *invReplySet) {
+	payload := encodeReplySet(set)
 	//lint:ok lockblock under the spent context Multicast sends or returns at once; it never waits
 	if err := b.Multicast(spentCtx, payload); errors.Is(err, context.Canceled) {
 		srv.mu.Lock()
@@ -712,12 +733,11 @@ func (srv *Server) answer(b *gcs.Group, set *invReplySet, trace uint64) {
 			srv.wg.Add(1)
 			go func() {
 				defer srv.wg.Done()
-				_ = b.Multicast(context.Background(), payload) //lint:ok errdrop best-effort: the client retries and gets the retained reply set
+				_ = b.Multicast(context.Background(), payload) //lint:ok errdrop best-effort: it fails only once b is left, which breaks every member's attachment
 			}()
 		}
 		srv.mu.Unlock()
 	}
-	srv.svc.span(trace, flight.StRMReply, 0, time.Since(start))
 }
 
 // spentCtx is an already-cancelled context: Multicast under it sends if the

@@ -16,7 +16,7 @@ import (
 
 // controlObject is the ORB servant every Service registers; clients use it
 // to discover server-group membership and to pull servers into client/server
-// groups, and servers to deliver their direct replies.
+// groups, and servers to deliver their point-to-point answers.
 const controlObject = "newtop"
 
 // Service is one process's NewTop service object (NSO). It owns the
@@ -34,9 +34,10 @@ type Service struct {
 
 	mu      sync.Mutex
 	servers map[ids.GroupID]*Server
-	// direct holds the closed-style attachments: their calls gather the
-	// servers' point-to-point replies themselves (routeReply).
-	direct   map[*engine]struct{}
+	// attached holds the client-side attachments by the group they formed —
+	// a closed binding's server group, an open binding's client/server group
+	// — which is what a "reply" one-way for them names (routeReply).
+	attached map[ids.GroupID]*engine
 	nextCall uint64
 	closed   bool
 }
@@ -58,15 +59,15 @@ func NewServiceObs(ep transport.Endpoint, o *obs.Obs) *Service {
 func NewServiceCfg(ep transport.Endpoint, o *obs.Obs, nc gcs.NodeConfig) *Service {
 	mux := transport.NewMuxObs(ep, o)
 	s := &Service{
-		mux:     mux,
-		node:    gcs.NewNodeCfg(mux.Channel(transport.ProtoGCS), o, nc),
-		orb:     orb.NewObs(mux.Channel(transport.ProtoORB), o),
-		obs:     o,
-		metrics: newCoreMetrics(o),
-		fr:      o.Flight,
-		frProc:  o.Flight.Proc(string(ep.ID())),
-		servers: make(map[ids.GroupID]*Server),
-		direct:  make(map[*engine]struct{}),
+		mux:      mux,
+		node:     gcs.NewNodeCfg(mux.Channel(transport.ProtoGCS), o, nc),
+		orb:      orb.NewObs(mux.Channel(transport.ProtoORB), o),
+		obs:      o,
+		metrics:  newCoreMetrics(o),
+		fr:       o.Flight,
+		frProc:   o.Flight.Proc(string(ep.ID())),
+		servers:  make(map[ids.GroupID]*Server),
+		attached: make(map[ids.GroupID]*engine),
 	}
 	s.orb.Register(controlObject, s.control)
 	s.orb.HandleOneWay(controlObject, "reply", s.routeReply)
@@ -162,33 +163,36 @@ func (s *Service) newCall() ids.CallID {
 }
 
 // routeReply is the sink of the "reply" one-way, the single fan-in of
-// point-to-point replies: a reply that names a server group is one of its
-// replicas answering this process as request manager; any other answers a
-// closed-style call of this process. It runs on the ORB's receive loop.
+// point-to-point answers. The envelope names the group an answer is for, and
+// one map lookup finds its addressee: a replica's reply to this process as
+// request manager of that server group, a replica's reply to this process's
+// closed binding to it, or a request manager's reply set for this process's
+// open binding through that client/server group. It runs on the ORB's
+// receive loop. An answer whose addressee is gone — a late one, after the
+// view change that broke its attachment — finds nothing and is dropped; the
+// retry that replaced it is answered afresh.
 func (s *Service) routeReply(args []byte) {
-	rmOf, rep, err := decodeReply(args)
+	m, err := decodeReplyMsg(args)
 	if err != nil {
 		return
 	}
-	if rmOf != "" {
-		if srv := s.serverFor(rmOf); srv != nil {
-			srv.collectReply(rep)
-		}
-		return
-	}
-	// A late reply finds no call; a retry of the same call identifier
-	// through an open binding gathers no replies and is not looked at.
-	var c *Call
-	servers := 0
+	var srv *Server
+	var e *engine
 	s.mu.Lock()
-	for e := range s.direct {
-		if c, servers = e.directCall(rep.Call); c != nil {
-			break
-		}
+	if m.To == toRM {
+		srv = s.servers[ids.GroupID(m.Group)]
+	} else {
+		e = s.attached[ids.GroupID(m.Group)]
 	}
 	s.mu.Unlock()
-	if c != nil && c.gather.add(rep, servers) {
-		c.eng.deliver(c, c.gather.replies, "")
+	switch {
+	case srv != nil:
+		srv.collectReply(m.Reply)
+	case e == nil:
+	case m.To == toOpen:
+		e.onReplySet(m.Set)
+	default:
+		e.onDirectReply(m.Reply)
 	}
 }
 
@@ -267,13 +271,17 @@ func (s *Service) control(method string, args []byte) ([]byte, error) {
 	}
 }
 
-// sendDirectReply delivers one server's reply straight to the NSO gathering
-// it — a closed-bound client, or (rmOf set) the request manager of that
-// server group — as the paper's m5: one CORBA invocation, no multicast.
-// Best-effort: a lost reply is repaired by the client's retry, which every
-// server answers from its retained reply.
-func (s *Service) sendDirectReply(to ids.ProcessID, rmOf ids.GroupID, rep invReply) {
-	_ = s.orb.InvokeOneWay(orb.Ref{Target: to, Object: controlObject}, "reply", encodeReply(rmOf, rep))
+// sendReply answers whoever gathers a call's replies point-to-point — a
+// replica's reply to the request manager or a closed-bound client (the
+// paper's m5), a request manager's reply set to an open binding's client —
+// with one "reply" one-way: one CORBA invocation, no multicast, the envelope
+// written straight into the ORB frame; it names group, the group m is for.
+// Best-effort: a lost answer is repaired by the client's retry, which every
+// server answers from its retained reply and a request manager from its
+// retained reply set.
+func (s *Service) sendReply(to ids.ProcessID, group ids.GroupID, m replyMsg) {
+	m.Group = []byte(group)
+	_ = s.orb.InvokeOneWay(orb.Ref{Target: to, Object: controlObject}, "reply", m.put)
 }
 
 // invokeControl performs a control call on a remote NSO.

@@ -65,8 +65,9 @@ type invReply struct {
 	Stamp vclock.Stamp
 }
 
-// invReplySet is the request manager's aggregated answer, multicast in the
-// client/server (or client monitor) group.
+// invReplySet is the request manager's aggregated answer: sent to the
+// client of an open binding with one ORB one-way, or multicast in a client
+// monitor group.
 type invReplySet struct {
 	Call    ids.CallID
 	Replies []invReply
@@ -128,29 +129,61 @@ func getStamp(r *wire.Reader) vclock.Stamp {
 	return vclock.Stamp{Time: r.Uvarint(), Sender: ids.ProcessID(r.String())}
 }
 
-// encodeReply builds the argument of the "reply" one-way: one server's
-// reply and what it is for. rmOf names the server group whose request
-// manager the addressee is gathering as; it is empty on a reply to a
-// closed-bound client.
-func encodeReply(rmOf ids.GroupID, m invReply) []byte {
-	w := wire.GetWriter()
-	w.String(string(rmOf))
-	putReply(w, m)
-	out := w.Detach()
-	wire.PutWriter(w)
-	return out
+// The addressees of the "reply" one-way (Service.routeReply). Each names the
+// group it is for, so a process holding several roles under one call
+// identifier routes every answer to its own.
+const (
+	toRM     byte = iota + 1 // a replica's reply, to the request manager of Group (a server group)
+	toClosed                 // a replica's reply, to the closed binding to Group (a server group)
+	toOpen                   // a request manager's reply set, to the open binding through Group (its client/server group)
+)
+
+// replyMsg is the argument of the "reply" one-way: one server's reply, or a
+// request manager's reply set, and whom it is for. Group is bytes, and a
+// decoded one aliases the frame, so that routing looks it up in place
+// (map[ids.GroupID(Group)]) and allocates no string for it.
+type replyMsg struct {
+	To    byte
+	Group []byte
+	Reply invReply     // toRM, toClosed
+	Set   *invReplySet // toOpen
 }
 
-func decodeReply(b []byte) (rmOf ids.GroupID, m invReply, err error) {
+// put writes m as the args of the one-way frame being built in w.
+func (m *replyMsg) put(w *wire.Writer) {
+	w.Byte(m.To)
+	w.Blob(m.Group)
+	if m.To == toOpen {
+		putReplySet(w, m.Set)
+	} else {
+		putReply(w, m.Reply)
+	}
+}
+
+func decodeReplyMsg(b []byte) (replyMsg, error) {
 	r := wire.NewReader(b)
-	rmOf = ids.GroupID(r.String())
-	m = getReply(r)
-	return rmOf, m, r.Done()
+	m := replyMsg{To: r.Byte(), Group: r.BlobRef()}
+	switch m.To {
+	case toRM, toClosed:
+		m.Reply = getReply(r)
+	case toOpen:
+		m.Set = getReplySet(r)
+	default:
+		return m, fmt.Errorf("core: unknown reply addressee %d", m.To)
+	}
+	return m, r.Done()
 }
 
 func encodeReplySet(m *invReplySet) []byte {
 	w := wire.GetWriter()
 	w.Byte(payloadReplySet)
+	putReplySet(w, m)
+	out := w.Detach()
+	wire.PutWriter(w)
+	return out
+}
+
+func putReplySet(w *wire.Writer, m *invReplySet) {
 	w.String(string(m.Call.Client))
 	w.Uvarint(m.Call.Number)
 	w.Uvarint(uint64(len(m.Replies)))
@@ -158,9 +191,21 @@ func encodeReplySet(m *invReplySet) []byte {
 		putReply(w, rep)
 	}
 	w.String(m.Err)
-	out := w.Detach()
-	wire.PutWriter(w)
-	return out
+}
+
+func getReplySet(r *wire.Reader) *invReplySet {
+	set := &invReplySet{
+		Call: ids.CallID{Client: ids.ProcessID(r.String()), Number: r.Uvarint()},
+	}
+	n := r.Uvarint()
+	if r.Err() == nil && n <= uint64(r.Remaining()) {
+		set.Replies = make([]invReply, 0, n)
+		for i := uint64(0); i < n; i++ {
+			set.Replies = append(set.Replies, getReply(r))
+		}
+	}
+	set.Err = r.String()
+	return set
 }
 
 // decodePayload parses one invocation-layer multicast payload.
@@ -184,18 +229,7 @@ func decodePayload(b []byte) (any, error) {
 	case payloadHello:
 		msg = helloMsg{}
 	case payloadReplySet:
-		set := &invReplySet{
-			Call: ids.CallID{Client: ids.ProcessID(r.String()), Number: r.Uvarint()},
-		}
-		n := r.Uvarint()
-		if r.Err() == nil && n <= uint64(r.Remaining()) {
-			set.Replies = make([]invReply, 0, n)
-			for i := uint64(0); i < n; i++ {
-				set.Replies = append(set.Replies, getReply(r))
-			}
-		}
-		set.Err = r.String()
-		msg = set
+		msg = getReplySet(r)
 	default:
 		return nil, fmt.Errorf("core: unknown payload kind %d", kind)
 	}

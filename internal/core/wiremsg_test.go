@@ -10,6 +10,7 @@ import (
 	"newtop/internal/gcs"
 	"newtop/internal/ids"
 	"newtop/internal/vclock"
+	"newtop/internal/wire"
 	"newtop/internal/wire/wiretest"
 )
 
@@ -46,12 +47,14 @@ func TestReplyAndSetRoundTrip(t *testing.T) {
 		Err:     "partial failure",
 		Stamp:   vclock.Stamp{Time: 42, Sender: "s0"},
 	}
-	rmOf, got, err := decodeReply(encodeReply("sg", rep))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rmOf != "sg" || !reflect.DeepEqual(got, rep) {
-		t.Fatalf("reply mismatch: for %q, %+v", rmOf, got)
+	for _, to := range []byte{toRM, toClosed} {
+		got, err := decodeReplyMsg(encodeReplyMsg(replyMsg{To: to, Group: []byte("sg"), Reply: rep}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.To != to || string(got.Group) != "sg" || got.Set != nil || !reflect.DeepEqual(got.Reply, rep) {
+			t.Fatalf("reply to %d mismatch: %+v", to, got)
+		}
 	}
 
 	set := &invReplySet{
@@ -68,6 +71,23 @@ func TestReplyAndSetRoundTrip(t *testing.T) {
 		!reflect.DeepEqual(gotSet.Replies[0], rep) {
 		t.Fatalf("set mismatch: %+v", gotSet)
 	}
+	answer, err := decodeReplyMsg(encodeReplyMsg(replyMsg{To: toOpen, Group: []byte("cs/sg/c/1"), Set: set}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if answer.To != toOpen || string(answer.Group) != "cs/sg/c/1" || !reflect.DeepEqual(answer.Set, gotSet) {
+		t.Fatalf("answer mismatch: %+v", answer)
+	}
+	if _, err := decodeReplyMsg(encodeReplyMsg(replyMsg{To: 9, Group: []byte("sg")})); err == nil {
+		t.Fatal("a reply to an unknown addressee decoded")
+	}
+}
+
+// encodeReplyMsg is a "reply" one-way's args as its ORB frame carries them.
+func encodeReplyMsg(m replyMsg) []byte {
+	w := wire.NewWriter()
+	m.put(w)
+	return w.Bytes()
 }
 
 func TestHelloRoundTrip(t *testing.T) {
@@ -143,12 +163,12 @@ func TestReflectionRoundTrips(t *testing.T) {
 		if z := wiretest.Unfilled(&rep); len(z) != 0 {
 			t.Fatalf("filler left fields zero: %v", z)
 		}
-		rmOf, got, err := decodeReply(encodeReply("sg", rep))
+		got, err := decodeReplyMsg(encodeReplyMsg(replyMsg{To: toRM, Group: []byte("sg"), Reply: rep}))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rmOf != "sg" || !reflect.DeepEqual(got, rep) {
-			t.Fatalf("encode/decode asymmetry (for %q):\n%s", rmOf, wiretest.Diff(rep, got))
+		if string(got.Group) != "sg" || !reflect.DeepEqual(got.Reply, rep) {
+			t.Fatalf("encode/decode asymmetry (for %q):\n%s", got.Group, wiretest.Diff(rep, got.Reply))
 		}
 	})
 	t.Run("replyset", func(t *testing.T) {
@@ -167,6 +187,13 @@ func TestReflectionRoundTrips(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, set) {
 			t.Fatalf("encode/decode asymmetry:\n%s", wiretest.Diff(*set, *got))
+		}
+		answer, err := decodeReplyMsg(encodeReplyMsg(replyMsg{To: toOpen, Group: []byte("cs"), Set: set}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(answer.Set, set) {
+			t.Fatalf("answer encode/decode asymmetry:\n%s", wiretest.Diff(*set, *answer.Set))
 		}
 	})
 	t.Run("bind", func(t *testing.T) {
@@ -218,6 +245,7 @@ func TestPayloadDecodeGarbageNeverPanics(t *testing.T) {
 		_, _ = decodePayload(b)
 		_, _ = decodeBindRequest(b)
 		_, _ = decodeProcs(b)
+		_, _ = decodeReplyMsg(b)
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 3000}); err != nil {

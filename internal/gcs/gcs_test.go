@@ -71,9 +71,9 @@ func (h *harness) close() {
 
 func testConfig(order gcs.OrderMode) gcs.GroupConfig {
 	return gcs.GroupConfig{
-		Order:          order,
-		Liveness:       gcs.Lively,
-		TimeSilence:    5 * time.Millisecond,
+		Order:       order,
+		Liveness:    gcs.Lively,
+		TimeSilence: 5 * time.Millisecond,
 		// Large enough that a GC pause or scheduler hiccup on a loaded
 		// single-core CI box does not read as member silence and evict a
 		// healthy member mid-test; still ~60× smaller than the slowest

@@ -40,8 +40,8 @@ func DefaultAllocBudgets() []AllocBudget {
 		{Entry: "newtop/internal/obs/flight.(*Recorder).Record", Max: 3, Note: "flight-recorder event append"},
 		{Entry: "newtop/internal/core.(*Server).serveReadLocal", Max: 20, Note: "leased local read: lease check, session floor, handler run, reply"},
 		{Entry: "newtop/internal/core.(*Server).execute", Max: 51, Note: "replica's half of the reply fan-in: execute once, answer the request manager with one ORB one-way"},
-		{Entry: "newtop/internal/core.(*Server).collectReply", Max: 44, Note: "request manager's half: file one direct reply; the one that completes the quorum builds and multicasts the reply set"},
-		{Entry: "newtop/internal/core.(*Server).serveAsRM", Max: 56, Note: "request manager, every policy: retry filters, receive, relay into the server group, gather or execute first, answer the client group (59 with one function per policy)"},
+		{Entry: "newtop/internal/core.(*Server).collectReply", Max: 47, Note: "request manager's half: file one direct reply; the one that completes the quorum builds the reply set and answers it, one-way to an open binding's client or multicast in a monitor group (44 with the multicast alone: +3 for the one-way branch's group-name bytes, frame send and args writer)"},
+		{Entry: "newtop/internal/core.(*Server).serveAsRM", Max: 59, Note: "request manager, every policy: retry filters, receive, relay into the server group, gather or execute first, answer one-way or, in a monitor group, by multicast (56 with the multicast alone: +3 for the one-way branch, as collectReply)"},
 		{Entry: "newtop/internal/core.(*engine).launch", Max: 62, Note: "client's half of a call, every shape: admit, file in the table, encode and multicast the request (with the completions it can run itself); was 73 with the span tracer's store and note strings behind every completion"},
 		{Entry: "newtop/internal/core.(*Call).finish", Max: 2, Note: "completing a call: the one epilogue (table, window slot, attention, histogram, the client.invoke stage event); was 14 with the span tracer"},
 		{Entry: "newtop/internal/shard.(*Ring).OwnerBytes", Max: 0, Note: "sharded routing: per-invocation key->shard lookup must not allocate"},

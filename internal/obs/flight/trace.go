@@ -29,8 +29,9 @@ const (
 	StRMForward
 	// StRMCollect: forward to settled reply quorum. Detail: reply count.
 	StRMCollect
-	// StRMReply: the multicast of the reply set in the client group (it
-	// precedes rm.forward under asynchronous forwarding).
+	// StRMReply: the answer of the reply set to the client — one ORB
+	// one-way, or in a client monitor group a multicast (it precedes
+	// rm.forward under asynchronous forwarding).
 	StRMReply
 	// StReplicaExecute: one servant execution of a call.
 	StReplicaExecute

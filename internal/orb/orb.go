@@ -5,6 +5,11 @@
 // inbound request, exactly the measure the paper describes for obtaining
 // parallelism from a synchronous-only ORB). One-way sinks (HandleOneWay)
 // are the exception: they run on the receive loop itself.
+//
+// A one-way's args are the remainder of its frame, with no length prefix:
+// the invoker writes them straight into the pooled frame (InvokeOneWay), so
+// they are encoded once, and the receiver hands them on as a slice of the
+// inbound frame.
 package orb
 
 import (
@@ -145,7 +150,8 @@ func (o *ORB) Register(object string, h Handler) {
 // an object. Unlike a servant, a sink runs on the ORB's receive loop, in
 // arrival order, with no goroutine per invocation — so it must not block:
 // every frame behind it waits. It is for the hand-off kind of one-way (look
-// the addressee up, pass the message on); args alias the inbound frame.
+// the addressee up, pass the message on); args are the inbound frame's
+// remainder, not a copy.
 // Two-way invocations of the same method still reach the object's servant.
 func (o *ORB) HandleOneWay(object, method string, sink func(args []byte)) {
 	o.mu.Lock()
@@ -204,8 +210,9 @@ func (o *ORB) Invoke(ctx context.Context, ref Ref, method string, args []byte) (
 }
 
 // InvokeOneWay performs an asynchronous invocation: no reply is generated
-// and delivery is best-effort.
-func (o *ORB) InvokeOneWay(ref Ref, method string, args []byte) error {
+// and delivery is best-effort. put writes the args straight into the frame,
+// as its remainder (nil sends none); it must not keep w.
+func (o *ORB) InvokeOneWay(ref Ref, method string, put func(w *wire.Writer)) error {
 	o.mu.Lock()
 	if o.closed {
 		o.mu.Unlock()
@@ -217,11 +224,13 @@ func (o *ORB) InvokeOneWay(ref Ref, method string, args []byte) error {
 	w.Uvarint(0)
 	w.String(ref.Object)
 	w.String(method)
-	w.Blob(args)
+	if put != nil {
+		put(w)
+	}
 	frame := w.Detach()
 	wire.PutWriter(w)
 	if err := o.out.SendFrame(ref.Target, frame); err != nil {
-		return fmt.Errorf("invoke oneway %s: %w", ref, err)
+		return fmt.Errorf("invoke oneway %s: %w", ref, err) //lint:ok allocflow cold: only a failed send gets here
 	}
 	return nil
 }
@@ -273,7 +282,12 @@ func (o *ORB) dispatch(in transport.Inbound) {
 		// per-message and stays alive as long as the servant holds a slice.
 		objectRef := r.BlobRef()
 		methodRef := r.BlobRef()
-		args := r.BlobRef()
+		var args []byte
+		if kind == kindOneWay {
+			args = r.Rest()
+		} else {
+			args = r.BlobRef()
+		}
 		if r.Done() != nil {
 			return
 		}

@@ -13,6 +13,7 @@ import (
 	"newtop/internal/netsim"
 	"newtop/internal/orb"
 	"newtop/internal/transport/memnet"
+	"newtop/internal/wire"
 )
 
 func twoORBs(t *testing.T) (*orb.ORB, *orb.ORB) {
@@ -234,13 +235,18 @@ func TestRefString(t *testing.T) {
 
 // A one-way sink runs on the receive loop: invocations reach it one at a
 // time and in arrival order (a servant's goroutine-per-request promises
-// neither), and it claims only one-way invocations of its own method.
+// neither), and it claims only one-way invocations of its own method. Its
+// args are exactly what the invoker wrote into the frame.
 func TestOneWaySinkRunsInArrivalOrder(t *testing.T) {
 	a, b := twoORBs(t)
 	const n = 200
 	var got []byte // unsynchronised on purpose: the race pass checks "one at a time"
 	done := make(chan struct{})
 	b.HandleOneWay("o", "note", func(args []byte) {
+		if len(args) != 1 {
+			t.Errorf("one-way args %q, want the one byte written", args)
+			return
+		}
 		got = append(got, args[0])
 		if len(got) == n {
 			close(done)
@@ -253,7 +259,7 @@ func TestOneWaySinkRunsInArrivalOrder(t *testing.T) {
 	})
 	ref := orb.Ref{Target: "b", Object: "o"}
 	for i := 0; i < n; i++ {
-		if err := a.InvokeOneWay(ref, "note", []byte{byte(i)}); err != nil {
+		if err := a.InvokeOneWay(ref, "note", func(w *wire.Writer) { w.Byte(byte(i)) }); err != nil {
 			t.Fatal(err)
 		}
 	}

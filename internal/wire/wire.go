@@ -238,6 +238,19 @@ func (r *Reader) BlobRef() []byte {
 	return out
 }
 
+// Rest consumes the unread remainder of the input without copying: the
+// result aliases the reader's input buffer, as BlobRef's does. It is for a
+// message whose last field runs to the end of the frame and so needs no
+// length prefix.
+func (r *Reader) Rest() []byte {
+	if r.err != nil {
+		return nil
+	}
+	out := r.buf[r.pos:len(r.buf):len(r.buf)]
+	r.pos = len(r.buf)
+	return out
+}
+
 // String reads a length-prefixed string.
 func (r *Reader) String() string {
 	n := r.Uvarint()

@@ -236,3 +236,22 @@ func TestBlobIsACopy(t *testing.T) {
 		t.Fatalf("Blob aliases the input: %q", got)
 	}
 }
+
+// Rest hands back the unread remainder in place, consumes it, and leaves no
+// room to append over whatever follows it in the buffer.
+func TestRestAliasesTheRemainder(t *testing.T) {
+	buf := append(make([]byte, 0, 16), 'k', 'a', 'b', 'c')
+	r := wire.NewReader(buf)
+	r.Byte()
+	rest := r.Rest()
+	if string(rest) != "abc" || cap(rest) != len(rest) {
+		t.Fatalf("Rest = %q (cap %d), want abc with no spare capacity", rest, cap(rest))
+	}
+	buf[1] = 'X'
+	if string(rest) != "Xbc" {
+		t.Fatalf("Rest copied the input: %q", rest)
+	}
+	if err := r.Done(); err != nil || len(r.Rest()) != 0 {
+		t.Fatalf("after Rest: Done %v, a second Rest %q; want nil and empty", err, r.Rest())
+	}
+}
