@@ -69,11 +69,19 @@ go test -run 'OrderTableBounded|CompactionCost' ./internal/gcs/
 # The server half of an invocation, ten times over: the request manager's
 # one path under every policy with its crash sweep, state transfer, the
 # retry repairs of a lost reply and a lost answer, the reply fan-in's
-# routing and message counts, the session floor wait and the stage journal.
-# A test here that fails one run in ten is a protocol bug until shown
-# otherwise.
+# routing and message counts, the session floor wait, the stage journal,
+# a binding's zero goroutine cost and its release when the client crashes,
+# and the dispatch stage's consumer contract. A test here that fails one
+# run in ten is a protocol bug until shown otherwise.
 echo "== server path repeats =="
-go test -count=10 -run 'RMCrashAtEveryPipelineStage|Joiner|LostDirectReply|LostAnswer|RouteByRole|OpenCallCosts|RMCrashMidCollect|SessionReadsOwnWrites|OneEventPerFact' ./internal/core/
+go test -count=10 -run 'RMCrashAtEveryPipelineStage|Joiner|LostDirectReply|LostAnswer|RouteByRole|OpenCallCosts|RMCrashMidCollect|SessionReadsOwnWrites|OneEventPerFact|BindingsCostNoGoroutine|LateConsumer|ClientCrashReleases' ./internal/core/ ./internal/gcs/
+
+# Every group is consumed on the dispatch stage, so the handoffs between
+# an ordering decision, its worker and the invocation layer cross
+# goroutines: the race detector sees them even when the full race pass
+# below is skipped.
+echo "== dispatch handoffs under -race =="
+go test -race -count=5 -run 'DispatchPool|LateConsumer|BindingsCostNoGoroutine|InvokerConformance|RMCrashAtEveryPipelineStage' ./internal/gcs/ ./internal/core/
 
 if [ "${CI_SHORT:-0}" = "1" ]; then
 	echo "ci: CI_SHORT=1, skipping the race pass"

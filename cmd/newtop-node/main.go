@@ -87,7 +87,6 @@ func run(args []string) error {
 
 		shards   = fs.Int("shards", 0, "shard the fabric: serve hosts <group>/s0..N-1 as N independent ordered groups; invoke/read route by key over a consistent-hash ring (0 = unsharded)")
 		ringSeed = fs.Uint64("ring-seed", 0, "consistent-hash placement seed; every router and migration driver of one fabric must agree on it")
-		workers  = fs.Int("dispatch-workers", 0, "delivery-engine dispatch pool size: how many groups run servant execution / delivery fan-out concurrently (0 = GOMAXPROCS, capped at 8)")
 
 		advertise  = fs.String("advertise", "", "address peers should dial back (required when -listen binds a wildcard behind NAT/containers)")
 		sendQueue  = fs.Int("send-queue", 0, "per-peer send queue depth in frames (0 = transport default)")
@@ -128,19 +127,18 @@ func run(args []string) error {
 	}
 
 	gcfg := gcs.GroupConfig{Order: parseOrder(*order), Batch: *batch, LeaseTicks: *leases}
-	ncfg := gcs.NodeConfig{DispatchWorkers: *workers}
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()
 
 	switch cmd {
 	case "serve":
-		return serveCmd(ctx, ep, *group, ids.ProcessID(*contact), gcfg, ncfg, *metrics, *statsEv, *pprofOn, *shards)
+		return serveCmd(ctx, ep, *group, ids.ProcessID(*contact), gcfg, *metrics, *statsEv, *pprofOn, *shards)
 	case "invoke":
-		return invokeCmd(ctx, ep, *group, ids.ProcessID(*contact), gcfg, ncfg, *style, *method, *cargs, *mode, *shards, *ringSeed)
+		return invokeCmd(ctx, ep, *group, ids.ProcessID(*contact), gcfg, *style, *method, *cargs, *mode, *shards, *ringSeed)
 	case "read":
-		return readCmd(ctx, ep, *group, ids.ProcessID(*contact), gcfg, ncfg, *method, *cargs, *cons, *shards, *ringSeed)
+		return readCmd(ctx, ep, *group, ids.ProcessID(*contact), gcfg, *method, *cargs, *cons, *shards, *ringSeed)
 	case "peer":
-		return peerCmd(ep, *group, ids.ProcessID(*contact), gcfg, ncfg)
+		return peerCmd(ep, *group, ids.ProcessID(*contact), gcfg)
 	default:
 		return fmt.Errorf("unknown subcommand %q", cmd)
 	}
@@ -184,8 +182,8 @@ func shardGroups(group string, shards int) []string {
 // serveCmd hosts one replica of a simple echo/uppercase service, or — with
 // -shards N — one replica of each of the fabric's N shard groups, each
 // backed by a shard.Store (put/get/del/len plus the migration protocol).
-func serveCmd(ctx context.Context, ep *tcpnet.Endpoint, group string, contact ids.ProcessID, gcfg gcs.GroupConfig, ncfg gcs.NodeConfig, metricsAddr string, statsEvery time.Duration, pprofOn bool, shards int) error {
-	svc := core.NewServiceCfg(ep, obs.Default(), ncfg)
+func serveCmd(ctx context.Context, ep *tcpnet.Endpoint, group string, contact ids.ProcessID, gcfg gcs.GroupConfig, metricsAddr string, statsEvery time.Duration, pprofOn bool, shards int) error {
+	svc := core.NewServiceObs(ep, obs.Default())
 	defer svc.Close()
 	me := svc.ID()
 
@@ -310,8 +308,8 @@ func shardedConfig(group string, shards int, ringSeed uint64, contact ids.Proces
 // invokeCmd binds and performs one invocation. With -shards N it binds the
 // whole fabric and routes the call by key ("put k=v" / "get k" route on
 // k), printing which shard the ring resolved.
-func invokeCmd(ctx context.Context, ep *tcpnet.Endpoint, group string, contact ids.ProcessID, gcfg gcs.GroupConfig, ncfg gcs.NodeConfig, style, method, args, mode string, shards int, ringSeed uint64) error {
-	svc := core.NewServiceCfg(ep, obs.Default(), ncfg)
+func invokeCmd(ctx context.Context, ep *tcpnet.Endpoint, group string, contact ids.ProcessID, gcfg gcs.GroupConfig, style, method, args, mode string, shards int, ringSeed uint64) error {
+	svc := core.NewServiceObs(ep, obs.Default())
 	defer svc.Close()
 	bc := core.BindConfig{
 		Contact: contact,
@@ -365,8 +363,8 @@ func invokeCmd(ctx context.Context, ep *tcpnet.Endpoint, group string, contact i
 // readCmd binds and performs one read through the lease-based read path
 // (DESIGN.md §14). The server group must be serving with -lease-ticks set
 // or the read is refused with ErrReadDisabled.
-func readCmd(ctx context.Context, ep *tcpnet.Endpoint, group string, contact ids.ProcessID, gcfg gcs.GroupConfig, ncfg gcs.NodeConfig, method, args, cons string, shards int, ringSeed uint64) error {
-	svc := core.NewServiceCfg(ep, obs.Default(), ncfg)
+func readCmd(ctx context.Context, ep *tcpnet.Endpoint, group string, contact ids.ProcessID, gcfg gcs.GroupConfig, method, args, cons string, shards int, ringSeed uint64) error {
+	svc := core.NewServiceObs(ep, obs.Default())
 	defer svc.Close()
 	bc := core.BindConfig{Contact: contact, Style: core.Open, GCS: gcfg}
 
@@ -415,8 +413,8 @@ func parseConsistency(s string) core.Consistency {
 }
 
 // peerCmd joins (or creates) a lively peer group and relays stdin lines.
-func peerCmd(ep *tcpnet.Endpoint, group string, contact ids.ProcessID, gcfg gcs.GroupConfig, ncfg gcs.NodeConfig) error {
-	node := gcs.NewNodeCfg(ep, obs.Default(), ncfg)
+func peerCmd(ep *tcpnet.Endpoint, group string, contact ids.ProcessID, gcfg gcs.GroupConfig) error {
+	node := gcs.NewNodeObs(ep, obs.Default())
 	defer node.Close()
 	gcfg.Liveness = gcs.Lively
 

@@ -25,8 +25,9 @@ import (
 // whatever ends it — the reply set, the direct reply that meets the quorum,
 // the attachment breaking, Cancel, the launching context expiring — calls
 // its finish, which runs retire, the one epilogue. Nothing parks a
-// goroutine per call: answers complete calls on the ORB's receive loop, and
-// group-to-group reply sets on the group loop.
+// goroutine per call, and none runs per attachment: answers complete calls
+// on the ORB's receive loop, and group-to-group reply sets on the dispatch
+// worker that delivers them to the engine's handler (onEvent).
 type engine struct {
 	svc         *Service
 	group       *gcs.Group // the client/server group, or the client monitor group
@@ -53,9 +54,9 @@ type engine struct {
 	servers []ids.ProcessID
 
 	mu sync.Mutex
-	// view is the group's view as the loop last observed it, cached so that
-	// Servers and Broken answer from the same instant: onView installs the
-	// new view and the broken judgement in one critical section, where
+	// view is the group's view as the handler last observed it, cached so
+	// that Servers and Broken answer from the same instant: onView installs
+	// the new view and the broken judgement in one critical section, where
 	// reading the group's live view would race the membership callback
 	// during a rebind.
 	view gcs.View
@@ -83,8 +84,11 @@ type engine struct {
 
 	// window is the outstanding-call semaphore: one slot per call in the
 	// table, capacity BindConfig.Window.
-	window   chan struct{}
-	loopDone chan struct{}
+	window chan struct{}
+	// formed is closed by the handler at the view that forms the attachment
+	// (see onEvent); isFormed is the handler's own record of it.
+	formed   chan struct{}
+	isFormed bool
 }
 
 // defaultWindow is the pipelining depth when BindConfig.Window is unset.
@@ -117,7 +121,7 @@ func (s *Service) newEngine(group *gcs.Group, cfg BindConfig, style Style, rm id
 		brokenCh:    make(chan struct{}),
 		calls:       make(map[ids.CallID]*Call),
 		window:      make(chan struct{}, cfg.Window),
-		loopDone:    make(chan struct{}),
+		formed:      make(chan struct{}),
 	}
 }
 
@@ -132,23 +136,25 @@ func (e *engine) pullRM(ctx context.Context, req *bindRequest) error {
 	return e.start(ctx)
 }
 
-// start waits for the request manager an open attachment has pulled in to
-// appear in the group's view, then runs the group loop. On failure the group
-// is left.
+// start installs the engine as its group's handler, waits for the view that
+// forms the attachment and files it for routeReply. On failure the group is
+// left.
 func (e *engine) start(ctx context.Context) error {
-	for e.style == Open && !e.group.View().Contains(e.rm) {
-		select {
-		case <-ctx.Done():
-			_ = e.group.Leave()
-			return fmt.Errorf("core: binding group formation: %w", ctx.Err())
-		case <-time.After(time.Millisecond):
-		}
+	e.group.SetHandler(e.onEvent)
+	select {
+	case <-e.formed:
+	case <-ctx.Done():
+		_ = e.group.Leave()
+		return fmt.Errorf("core: binding group formation: %w", ctx.Err())
 	}
-	e.setViewLocked(e.group.View()) // seed the cache; onView keeps it current
 	e.svc.mu.Lock()
+	if e.svc.closed {
+		e.svc.mu.Unlock()
+		_ = e.group.Leave()
+		return ErrClosed
+	}
 	e.svc.attached[e.group.ID()] = e
 	e.svc.mu.Unlock()
-	go e.loop()
 	return nil
 }
 
@@ -181,7 +187,11 @@ func (e *engine) Close() error {
 	}
 	failAll(doomed)
 	err := e.group.Leave()
-	<-e.loopDone
+	e.svc.mu.Lock()
+	if e.svc.attached[e.group.ID()] == e {
+		delete(e.svc.attached, e.group.ID())
+	}
+	e.svc.mu.Unlock()
 	return err
 }
 
@@ -215,43 +225,37 @@ func failAll(doomed map[ids.CallID]*Call) {
 	}
 }
 
-// loop consumes the group's delivery stream, watching the membership and,
-// group-to-group, completing calls with the reply sets that answer them.
-func (e *engine) loop() {
-	defer close(e.loopDone)
-	// The event stream replays history from the founding singleton view;
-	// membership judgements only start at the fully-formed view start saw.
-	formedSeq := e.group.View().Seq
-	consumeEvents(e.group, func(ev gcs.Event) bool {
-		switch ev.Type {
-		case gcs.EventDeliver:
-			// Reply sets travel in a client monitor group only, from its
-			// request manager; the siblings' multicasts there are duplicate
-			// requests. Everywhere else answers arrive point-to-point.
-			if e.groupClient == "" || ev.Deliver.Sender != e.rm {
-				return true
-			}
-			if msg, err := decodePayload(ev.Deliver.Payload); err == nil {
-				if set, ok := msg.(*invReplySet); ok {
-					e.onReplySet(set)
-				}
-			}
-		case gcs.EventView:
-			if ev.View.Seq >= formedSeq {
-				e.onView(ev.View)
+// onEvent is the engine's handler, run on a dispatch worker: it watches the
+// membership and, group-to-group, completes calls with the reply sets that
+// answer them.
+func (e *engine) onEvent(ev gcs.Event) {
+	switch ev.Type {
+	case gcs.EventDeliver:
+		// Reply sets travel in a client monitor group only, from its request
+		// manager; the siblings' multicasts there are duplicate requests.
+		// Everywhere else answers arrive point-to-point.
+		if e.groupClient == "" || ev.Deliver.Sender != e.rm {
+			return
+		}
+		if msg, err := decodePayload(ev.Deliver.Payload); err == nil {
+			if set, ok := msg.(*invReplySet); ok {
+				e.onReplySet(set)
 			}
 		}
-		return true
-	})
-	e.mu.Lock()
-	doomed := e.breakLocked()
-	e.mu.Unlock()
-	failAll(doomed)
-	e.svc.mu.Lock()
-	if e.svc.attached[e.group.ID()] == e {
-		delete(e.svc.attached, e.group.ID())
+	case gcs.EventView:
+		// The stream replays history from the founding singleton view:
+		// membership judgements start at the view that forms the attachment
+		// (an open one's first to hold its request manager), which releases
+		// start.
+		if !e.isFormed {
+			if e.style == Open && !ev.View.Contains(e.rm) {
+				return
+			}
+			e.isFormed = true
+			defer close(e.formed)
+		}
+		e.onView(ev.View)
 	}
-	e.svc.mu.Unlock()
 }
 
 // onReplySet completes the call a reply set answers or, group-to-group,
@@ -371,7 +375,7 @@ func (e *engine) call(ctx context.Context, method string, args []byte, o callOpt
 // InvokeAsync launches one invocation and returns its future (Invoker
 // surface). The request is multicast synchronously, so a pipelining
 // client's issue order is its per-sender FIFO order on the wire; the replies
-// complete the future from the loop that receives them. A full
+// complete the future where they are received. A full
 // outstanding-call window blocks here until a slot frees — that is the
 // pipelining backpressure.
 func (e *engine) InvokeAsync(ctx context.Context, method string, args []byte, opts ...CallOption) (*Call, error) {

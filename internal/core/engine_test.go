@@ -19,8 +19,8 @@ import (
 // member, with every protocol timer parked (see TestAllocGuardLeasedRead),
 // and whose peers are the test: it plays the request manager by handing
 // reply sets to onReplySet and the servers by handing replies to the
-// service's routeReply. The group's events are drained, not looped over —
-// the founding view holds no server, which the loop would call broken.
+// service's routeReply. The group's events are drained, not handed to the
+// engine — the founding view holds no server, which it would call broken.
 func soloEngine(t *testing.T, style Style, servers ...ids.ProcessID) *engine {
 	t.Helper()
 	return soloEngineOn(t, memnet.New(netsim.New(netsim.FastProfile(), 1)), style, servers...)
@@ -40,7 +40,7 @@ func soloEngineOn(t *testing.T, net *memnet.Net, style Style, servers ...ids.Pro
 	if err != nil {
 		t.Fatalf("create: %v", err)
 	}
-	go consumeEvents(group, func(gcs.Event) bool { return true })
+	group.SetHandler(func(gcs.Event) {})
 	e := svc.newEngine(group, BindConfig{ServerGroup: "sg"}, style, servers[0], servers)
 	e.setViewLocked(gcs.View{Seq: 1, Members: append([]ids.ProcessID{"z00"}, servers...)})
 	svc.attached[group.ID()] = e

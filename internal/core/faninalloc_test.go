@@ -128,13 +128,6 @@ func TestAllocGuardRequestManager(t *testing.T) {
 	if err != nil {
 		t.Fatalf("create: %v", err)
 	}
-	// The stub joins the roster once the founding view, which would prune
-	// it, has been handled: the member's own hello follows it in the stream.
-	for applied := false; !applied; runtime.Gosched() {
-		srv.execMu.Lock()
-		_, applied = srv.applied["rm"]
-		srv.execMu.Unlock()
-	}
 	srv.mu.Lock()
 	srv.roster["s01"] = true // the stub; the manager's own execution is the majority's other half
 	srv.mu.Unlock()

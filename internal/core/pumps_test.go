@@ -9,19 +9,22 @@ import (
 	"newtop/internal/core"
 )
 
-// stackLines counts the lines of every goroutine's stack that match.
-func stackLines(match func(line string) bool) int {
+// allStacks returns every goroutine's stack, one block per goroutine.
+func allStacks() string {
 	buf := make([]byte, 1<<20)
 	for {
 		n := runtime.Stack(buf, true)
 		if n < len(buf) {
-			buf = buf[:n]
-			break
+			return string(buf[:n])
 		}
 		buf = make([]byte, 2*len(buf))
 	}
+}
+
+// stackLines counts the lines of every goroutine's stack that match.
+func stackLines(match func(line string) bool) int {
 	lines := 0
-	for _, line := range strings.Split(string(buf), "\n") {
+	for _, line := range strings.Split(allStacks(), "\n") {
 		if match(line) {
 			lines++
 		}
@@ -67,10 +70,25 @@ func TestBoundServicesRunNoFIFOPumps(t *testing.T) {
 
 	// A replica that joined with state transfer runs off the dispatch stage
 	// like every server: once caught up it adds no goroutine of its own, as
-	// an idle plain server adds none.
+	// an idle plain server adds none — and, serving no binding, it starts no
+	// client prober either.
 	jw := newJoinWorld(t, 36)
+	// The lowest of a series of samples, the first a moment after the
+	// caller's last step (a prober just started may not show yet): the first
+	// world's prober runs a round every 200ms, and a round's frames come and
+	// go.
 	serverFrames := func() int {
-		return stackLines(func(line string) bool { return strings.Contains(line, "internal/core.(*Server)") })
+		low := -1
+		for i := 0; i < 20; i++ {
+			time.Sleep(10 * time.Millisecond)
+			n := stackLines(func(line string) bool {
+				return strings.Contains(line, "internal/core.(*Server)") || strings.Contains(line, "internal/core.(*Service).probeClients(")
+			})
+			if low < 0 || n < low {
+				low = n
+			}
+		}
+		return low
 	}
 	before := serverFrames()
 	if _, err := jw.r9.svc.ServeReplica(ctxT(t, 10*time.Second), jw.r9.config("r1")); err != nil {
@@ -84,10 +102,72 @@ func TestBoundServicesRunNoFIFOPumps(t *testing.T) {
 	}
 }
 
+// settledGoroutines counts the process's goroutines once it is idle: the
+// lowest of a series of samples, less the in-memory network's link pumps.
+// memnet runs one pump per directed link a frame has crossed, so those grow
+// with who has talked to whom; and a client probe's ping briefly runs an
+// ORB request goroutine, which a low sample misses.
+func settledGoroutines() int {
+	time.Sleep(200 * time.Millisecond)
+	low := -1
+	for i := 0; i < 20; i++ {
+		n := 0
+		for _, g := range strings.Split(allStacks(), "\n\n") {
+			if !strings.Contains(g, "memnet.(*link).run") {
+				n++
+			}
+		}
+		if low < 0 || n < low {
+			low = n
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	return low
+}
+
+// TestBindingsCostNoGoroutine pins what an attachment costs in goroutines:
+// none, at either end. Every group a binding forms — the client's, the
+// request manager's client/server group, a closed client's membership of
+// the server group — is consumed off the dispatch stage, and one client
+// prober per service serves every binding group. So an idle world with
+// every call answered runs as many goroutines with 8 open and 8 closed
+// bindings as with one of each. With a consumer goroutine per group, each
+// open binding cost 3 (the client's loop, the request manager's loop and
+// its prober) and each closed binding 1.
+func TestBindingsCostNoGoroutine(t *testing.T) {
+	const each = 8
+	w := newWorld(t, 2, 2*each)
+	bind := func(i int) {
+		t.Helper()
+		style := core.Open
+		if i%2 == 1 {
+			style = core.Closed
+		}
+		b, err := w.clients[i].Bind(ctxT(t, 10*time.Second), w.bindCfg(style))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = b.Close() })
+		if _, err := b.Call(ctxT(t, 10*time.Second), "echo", []byte("x"), core.WithMode(core.All)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bind(0)
+	bind(1)
+	one := settledGoroutines()
+	for i := 2; i < 2*each; i++ {
+		bind(i)
+	}
+	if many := settledGoroutines(); many != one {
+		t.Fatalf("%d goroutines with %d open + %d closed bindings, %d with one of each; a binding must cost none",
+			many, each, each, one)
+	}
+}
+
 // TestOutstandingCallsParkNoGoroutines pins the future as the waiter: an
-// outstanding call is an entry in its binding's table, completed by
-// whichever loop receives its answer — the binding's group loop for a reply
-// set, the ORB's receive loop for a closed call's direct replies — so a full
+// outstanding call is an entry in its binding's table, completed wherever
+// its answer is received — the ORB's receive loop for a reply set or a
+// closed call's direct replies — so a full
 // window of un-awaited calls leaves no goroutine parked in, or started by,
 // a launch. With a waiter beside the future each call parked one.
 func TestOutstandingCallsParkNoGoroutines(t *testing.T) {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"runtime"
 	"testing"
 	"time"
 
@@ -44,6 +45,14 @@ func soloServerOn(t *testing.T, net *memnet.Net, id ids.ProcessID) (*Service, *S
 	})
 	if err != nil {
 		t.Fatalf("serve: %v", err)
+	}
+	// The founding view and the member's own hello reach the server off the
+	// dispatch stage, after Serve returns: wait them out, so a test's own
+	// view or roster entries are not overwritten behind its back.
+	for applied := false; !applied; runtime.Gosched() {
+		srv.execMu.Lock()
+		_, applied = srv.applied[id]
+		srv.execMu.Unlock()
 	}
 	return svc, srv
 }

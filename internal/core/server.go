@@ -41,7 +41,8 @@ type ServeConfig struct {
 	GCS gcs.GroupConfig
 	// ClientProbe is how often a server pings the clients of its
 	// client/server groups to garbage-collect bindings whose client died
-	// while the group was idle (default 30s).
+	// while the group was idle (default 30s; a Service probes for all its
+	// servers at the shortest of theirs).
 	ClientProbe time.Duration
 }
 
@@ -83,8 +84,15 @@ type Server struct {
 	catchMu  sync.Mutex
 	catchBuf []bufferedReq
 
-	wg sync.WaitGroup
+	// ctx is cancelled by Close before it leaves any group, so a binding
+	// handler parked in relay never holds up the Leave of its own group.
+	ctx    context.Context
+	cancel context.CancelFunc
+	wg     sync.WaitGroup
 }
+
+// defaultClientProbe is ServeConfig.ClientProbe's default.
+const defaultClientProbe = 30 * time.Second
 
 // cacheCap bounds the retained-reply, reply-set and duplicate-filter
 // caches.
@@ -109,7 +117,7 @@ func (s *Service) serve(ctx context.Context, cfg ServeConfig, replica bool) (*Se
 	}
 	cfg.GCS = requestReplyDefaults(cfg.GCS)
 	if cfg.ClientProbe <= 0 {
-		cfg.ClientProbe = 30 * time.Second
+		cfg.ClientProbe = defaultClientProbe
 	}
 
 	var group *gcs.Group
@@ -135,10 +143,12 @@ func (s *Service) serve(ctx context.Context, cfg ServeConfig, replica bool) (*Se
 		bindings:   make(map[ids.GroupID]*gcs.Group),
 		seen:       newBounded[ids.CallID, struct{}](cacheCap),
 	}
+	srv.ctx, srv.cancel = context.WithCancel(s.ctx)
 	srv.catching.Store(replica)
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
+		srv.cancel()
 		_ = group.Leave()
 		return nil, ErrClosed
 	}
@@ -208,31 +218,32 @@ func (srv *Server) GroupView() gcs.View { return srv.group.View() }
 // currently serves. The serve loop's periodic stats line and the /metrics
 // collector both read it.
 func (srv *Server) Stats() gcs.Stats {
-	srv.mu.Lock()
-	bindings := make([]*gcs.Group, 0, len(srv.bindings))
-	for _, b := range srv.bindings {
-		bindings = append(bindings, b)
-	}
-	srv.mu.Unlock()
 	st := srv.group.Stats()
-	for _, b := range bindings {
+	for _, b := range srv.bindingList() {
 		st = st.Plus(b.Stats())
 	}
 	return st
 }
 
-// Close leaves the server group and every binding group.
+// bindingList returns the binding groups this server serves.
+func (srv *Server) bindingList() []*gcs.Group {
+	srv.mu.Lock()
+	defer srv.mu.Unlock()
+	bindings := make([]*gcs.Group, 0, len(srv.bindings))
+	for _, b := range srv.bindings {
+		bindings = append(bindings, b)
+	}
+	return bindings
+}
+
+// Close leaves every binding group, then the server group.
 func (srv *Server) Close() error {
 	srv.mu.Lock()
 	if srv.closed {
 		srv.mu.Unlock()
 		return nil
 	}
-	srv.closed = true
-	bindings := make([]*gcs.Group, 0, len(srv.bindings))
-	for _, b := range srv.bindings {
-		bindings = append(bindings, b)
-	}
+	srv.closed = true // from here on detachBinding leaves the bindings to us
 	for _, c := range srv.collectors {
 		if c.settle(0, true) { // nobody is left to answer
 			c.deadline.Stop()
@@ -245,7 +256,8 @@ func (srv *Server) Close() error {
 	srv.svc.mu.Unlock()
 	srv.svc.obs.Reg.DropCollector("core_server_" + obs.Sanitize(string(srv.cfg.Group)) + "_")
 
-	for _, b := range bindings {
+	srv.cancel()
+	for _, b := range srv.bindingList() {
 		_ = b.Leave()
 	}
 	_ = srv.group.Leave()
@@ -465,75 +477,66 @@ func (srv *Server) joinBindingGroup(req *bindRequest) error {
 	}
 	srv.bindings[req.Group] = b
 	srv.mu.Unlock()
-
-	probeStop := make(chan struct{})
-	srv.wg.Add(2)
-	go func() {
-		defer srv.wg.Done()
-		defer close(probeStop)
-		srv.bindingLoop(b, req)
-	}()
-	go func() {
-		defer srv.wg.Done()
-		srv.probeClients(b, probeStop)
-	}()
+	b.SetHandler(srv.bindingHandler(b, req))
+	srv.svc.startProbing()
 	return nil
 }
 
-// probeClients periodically pings the client members of a binding group;
-// a client that stopped answering is reported to the membership service
-// so the group disbands even if it was idle when the client died (an
-// idle event-driven group runs no suspector of its own).
-func (srv *Server) probeClients(b *gcs.Group, stop <-chan struct{}) {
-	ticker := time.NewTicker(srv.cfg.ClientProbe)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-ticker.C:
-		}
-		sg := srv.group.View()
-		for _, m := range b.View().Members {
-			if m == srv.svc.ID() || sg.Contains(m) {
-				continue // ourselves or fellow servers
-			}
-			ctx, cancel := context.WithTimeout(context.Background(), srv.cfg.ClientProbe/2)
-			_, err := srv.svc.invokeControl(ctx, m, "ping", nil)
-			cancel()
-			if err != nil {
-				b.Suspect(m)
-			}
-		}
-	}
-}
-
-// bindingLoop serves one client/server (or client monitor) group.
-func (srv *Server) bindingLoop(b *gcs.Group, bind *bindRequest) {
+// bindingHandler returns the consumer of one client/server (or client
+// monitor) group, run off the dispatch stage like the server group's: the
+// request manager serves each client request on the worker that delivers
+// it, and the view that shows every client gone detaches the binding.
+func (srv *Server) bindingHandler(b *gcs.Group, bind *bindRequest) func(gcs.Event) {
 	me := srv.svc.ID()
-	consumeEvents(b, func(ev gcs.Event) bool {
-		switch ev.Type {
-		case gcs.EventDeliver:
+	detached := false // handler calls are serialised
+	return func(ev gcs.Event) {
+		switch {
+		case detached:
+		case ev.Type == gcs.EventDeliver:
 			if ev.Deliver.Sender == me {
-				return true // our own reply-set multicasts (client monitor groups)
+				return // our own reply-set multicasts (client monitor groups)
 			}
 			msg, err := decodePayload(ev.Deliver.Payload)
 			if err != nil {
-				return true
+				return
 			}
 			if req, ok := msg.(*invRequest); ok && !req.Forwarded && bind.Style == Open {
 				srv.serveAsRM(b, bind, req)
 			}
-		case gcs.EventView:
-			// When every client has gone, the client/server group has
-			// served its purpose: leave it.
-			if srv.clientsGone(ev.View) {
-				srv.detachBinding(bind.Group, b)
-				return false
-			}
+		case ev.Type == gcs.EventView && srv.clientsGone(ev.View):
+			// Every client has gone: the group has served its purpose.
+			detached = true
+			srv.detachBinding(bind.Group, b)
 		}
-		return true
-	})
+	}
+}
+
+// probeClients pings the client members of every binding group this server
+// serves, one goroutine per group for the round; a client that stopped
+// answering is reported to the membership service so the group disbands
+// even if it was idle when the client died (an idle event-driven group runs
+// no suspector of its own).
+func (srv *Server) probeClients() {
+	sg := srv.group.View()
+	var round sync.WaitGroup
+	for _, b := range srv.bindingList() {
+		round.Add(1)
+		go func() {
+			defer round.Done()
+			for _, m := range b.View().Members {
+				if m == srv.svc.ID() || sg.Contains(m) {
+					continue // ourselves or fellow servers
+				}
+				ctx, cancel := context.WithTimeout(srv.ctx, srv.cfg.ClientProbe/2)
+				_, err := srv.svc.invokeControl(ctx, m, "ping", nil)
+				cancel()
+				if err != nil && srv.ctx.Err() == nil {
+					b.Suspect(m)
+				}
+			}
+		}()
+	}
+	round.Wait()
 }
 
 // clientsGone reports whether a binding view contains no process besides
@@ -551,12 +554,22 @@ func (srv *Server) clientsGone(v *gcs.View) bool {
 	return true
 }
 
-// detachBinding removes and leaves a binding group.
+// detachBinding forgets a binding group and leaves it. It runs in the
+// group's own handler, which cannot Leave — Leave waits out the running
+// drain — so one goroutine takes the Leave; once Close has begun, Close
+// leaves the group instead.
 func (srv *Server) detachBinding(gid ids.GroupID, b *gcs.Group) {
 	srv.mu.Lock()
+	defer srv.mu.Unlock()
+	if srv.closed || srv.bindings[gid] != b {
+		return
+	}
 	delete(srv.bindings, gid)
-	srv.mu.Unlock()
-	_ = b.Leave()
+	srv.wg.Add(1)
+	go func() {
+		defer srv.wg.Done()
+		_ = b.Leave()
+	}()
 }
 
 // rmPolicy is how the request manager serves one call (fig. 4, §4.2): who
@@ -670,7 +683,7 @@ func (srv *Server) relay(req *invRequest, primary bool) {
 	srv.svc.metrics.rmRelays.Inc()
 	start := time.Now()
 	//lint:ok lockblock deliberate: the primary forwards under execMu so backups see its execution order (§4.2)
-	_ = srv.group.Multicast(context.Background(), encodeRequest(&fwd)) //lint:ok errdrop best-effort: a collection answers with what arrives by its deadline, a primary's client has its reply, one-way promises nothing
+	_ = srv.group.Multicast(srv.ctx, encodeRequest(&fwd)) //lint:ok errdrop best-effort: a collection answers with what arrives by its deadline, a primary's client has its reply, one-way promises nothing
 	srv.svc.span(req.Trace, flight.StRMForward, 0, time.Since(start))
 }
 

@@ -40,6 +40,13 @@ type Service struct {
 	attached map[ids.GroupID]*engine
 	nextCall uint64
 	closed   bool
+	probing  bool // probeClients is running
+
+	// ctx is cancelled by Close; it ends the client prober and parents the
+	// servers' contexts.
+	ctx    context.Context
+	cancel context.CancelFunc
+	wg     sync.WaitGroup
 }
 
 // NewService starts an NSO on the endpoint. The service owns the
@@ -50,17 +57,10 @@ func NewService(ep transport.Endpoint) *Service { return NewServiceObs(ep, obs.D
 // NewServiceObs is NewService with an explicit observability domain (the
 // bench harness gives each experiment world its own).
 func NewServiceObs(ep transport.Endpoint, o *obs.Obs) *Service {
-	return NewServiceCfg(ep, o, gcs.NodeConfig{})
-}
-
-// NewServiceCfg is NewServiceObs with an explicit delivery-engine
-// configuration for the underlying gcs node (newtop-node threads its
-// -dispatch-workers flag through here).
-func NewServiceCfg(ep transport.Endpoint, o *obs.Obs, nc gcs.NodeConfig) *Service {
 	mux := transport.NewMuxObs(ep, o)
 	s := &Service{
 		mux:      mux,
-		node:     gcs.NewNodeCfg(mux.Channel(transport.ProtoGCS), o, nc),
+		node:     gcs.NewNodeObs(mux.Channel(transport.ProtoGCS), o),
 		orb:      orb.NewObs(mux.Channel(transport.ProtoORB), o),
 		obs:      o,
 		metrics:  newCoreMetrics(o),
@@ -69,6 +69,7 @@ func NewServiceCfg(ep transport.Endpoint, o *obs.Obs, nc gcs.NodeConfig) *Servic
 		servers:  make(map[ids.GroupID]*Server),
 		attached: make(map[ids.GroupID]*engine),
 	}
+	s.ctx, s.cancel = context.WithCancel(context.Background())
 	s.orb.Register(controlObject, s.control)
 	s.orb.HandleOneWay(controlObject, "reply", s.routeReply)
 	// The cross-group aggregate: every server role this service hosts,
@@ -90,14 +91,8 @@ func (s *Service) aggCollectorKey() string {
 // StatsTotal aggregates the group-communication counters of every server
 // role this service currently hosts.
 func (s *Service) StatsTotal() gcs.Stats {
-	s.mu.Lock()
-	servers := make([]*Server, 0, len(s.servers))
-	for _, srv := range s.servers {
-		servers = append(servers, srv)
-	}
-	s.mu.Unlock()
 	var st gcs.Stats
-	for _, srv := range servers {
+	for _, srv := range s.serverList() {
 		st = st.Plus(srv.Stats())
 	}
 	return st
@@ -139,17 +134,27 @@ func (s *Service) Close() error {
 		return nil
 	}
 	s.closed = true
-	servers := make([]*Server, 0, len(s.servers))
-	for _, srv := range s.servers {
-		servers = append(servers, srv)
-	}
 	s.mu.Unlock()
 
+	s.cancel()
 	s.obs.Reg.DropCollector(s.aggCollectorKey())
-	for _, srv := range servers {
+	for _, srv := range s.serverList() {
 		_ = srv.Close()
 	}
+	s.wg.Wait()
 	_ = s.node.Close()
+	// The node has left every group, so no view will break the attachments
+	// still held: break them here.
+	s.mu.Lock()
+	attached := s.attached
+	s.attached = make(map[ids.GroupID]*engine)
+	s.mu.Unlock()
+	for _, e := range attached {
+		e.mu.Lock()
+		doomed := e.breakLocked()
+		e.mu.Unlock()
+		failAll(doomed)
+	}
 	_ = s.orb.Close()
 	return s.mux.Close()
 }
@@ -196,23 +201,53 @@ func (s *Service) routeReply(args []byte) {
 	}
 }
 
-// consumeEvents hands g's events to fn in delivery order, one blocking
-// batch pull at a time, until g closes (Leave or node close) or fn returns
-// false. Every group loop of the invocation layer runs on it.
-func consumeEvents(g *gcs.Group, fn func(gcs.Event) bool) {
-	evs := make([]gcs.Event, transport.RecvBurst)
+// startProbing starts the service's client prober, once: the first binding
+// group any of its servers joins starts it.
+func (s *Service) startProbing() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.probing || s.closed {
+		return
+	}
+	s.probing = true
+	s.wg.Add(1)
+	go s.probeClients()
+}
+
+// probeClients is the service's one client prober: each round, the shortest
+// ClientProbe of its servers after the last, every server pings the clients
+// of its binding groups.
+func (s *Service) probeClients() {
+	defer s.wg.Done()
 	for {
-		n, ok := g.Recv(evs)
-		if !ok {
-			return
-		}
-		for _, ev := range evs[:n] {
-			if !fn(ev) {
-				return
+		every := defaultClientProbe
+		for i, srv := range s.serverList() {
+			if i == 0 || srv.cfg.ClientProbe < every {
+				every = srv.cfg.ClientProbe
 			}
 		}
-		clear(evs[:n]) // an idle loop must not pin the last burst's payloads
+		t := time.NewTimer(every)
+		select {
+		case <-s.ctx.Done():
+			t.Stop()
+			return
+		case <-t.C:
+		}
+		for _, srv := range s.serverList() {
+			srv.probeClients()
+		}
 	}
+}
+
+// serverList returns the server roles this service hosts.
+func (s *Service) serverList() []*Server {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	servers := make([]*Server, 0, len(s.servers))
+	for _, srv := range s.servers {
+		servers = append(servers, srv)
+	}
+	return servers
 }
 
 // serverFor returns the local server role for a group.

@@ -1,33 +1,40 @@
 package gcs
 
 import (
+	"runtime"
 	"sync"
 
 	"newtop/internal/obs"
 	"newtop/internal/obs/flight"
+	"newtop/internal/queue"
 )
 
 // The post-order dispatch stage. Ordering (everything under g.mu) ends at
-// deliverLocked; from there, handing the Delivery to the application used
-// to happen inline — a FIFO push (mutex + pump signal) paid under the
-// group lock, and servant execution serialized behind the consumer
-// channel. Now deliverLocked only appends to a per-group event queue; a
-// node-wide worker pool drains the queues and runs the fan-out — the
-// registered handler (SetHandler) or the Events() channel push — off
-// g.mu. One group is drained by at most one worker at a time (a
+// deliverLocked, which only appends to the group's event queue; a
+// node-wide worker pool drains the queues and hands each event to the
+// group's one consumer, its handler (SetHandler; Events is an adaptor over
+// it), off g.mu. One group is drained by at most one worker at a time (a
 // single-writer state machine), so per-group delivery order is preserved
 // by construction, while independent groups dispatch on different cores
-// and ingest of message N+1 overlaps servant execution of message N.
+// and ingest of message N+1 overlaps servant execution of message N. The
+// queue is the only one between an ordering decision and its consumer.
 //
-// The workers are pure consumers: no protocol progress ever depends on a
-// dispatch completing, so a handler that blocks can delay other groups'
-// fan-out (pool exhaustion) but can never deadlock the protocol.
+// No protocol progress depends on a dispatch completing: ordering, flush
+// and failure detection run on the receive loop and the wheel. A handler
+// that blocks delays its own group and, by holding a worker, other groups'
+// fan-out (pool exhaustion), but cannot stall the protocol.
 
 // dispatchBatch bounds how many queued events one scheduling round
 // processes before the group re-queues behind its peers — the fairness
-// bound of the per-group FIFO (memory stays bounded by the consumer
-// keeping up, as with the unbounded Events() buffer it replaces).
+// bound of the per-group queue (memory stays bounded by the consumer
+// keeping up).
 const dispatchBatch = 256
+
+// dispatchWorkers sizes the pool: GOMAXPROCS, capped at 8. Per-group
+// delivery order holds at any size (single-writer per group).
+func dispatchWorkers() int {
+	return min(runtime.GOMAXPROCS(0), 8)
+}
 
 // dispItem is one queued consumer event, carrying the flight-journal
 // identity of the message it came from (deliveries only) so the dispatch
@@ -120,35 +127,69 @@ func (d *dispatcher) close() {
 	d.done.Wait()
 }
 
-// SetHandler installs a direct consumer: each event is handed to fn from
-// a dispatch worker, in delivery order, instead of being buffered for the
-// Events() channel. Do not combine with Events(): a group has exactly one
-// consumption mode. Events produced before the handler was installed
-// (e.g. the founding view) are forwarded to it first, in order, by the
-// next drain. The invocation layer uses this to run servant execution
-// straight off the dispatch stage, without a channel hop or a per-group
-// consumer goroutine.
+// SetHandler installs the group's consumer: each event is handed to fn from
+// a dispatch worker, in delivery order, with no consumer goroutine or
+// channel hop. It is the one way a group is consumed (Events is an adaptor
+// over it) and is installed once. Events produced before it — the founding
+// view, deliveries that overtook the caller — wait in the dispatch queue
+// and reach fn first, in order, then live traffic.
+//
+// fn may send, and may park: Leave wakes a Multicast parked on the group's
+// own view change, and a wait on another group must run under a context its
+// owner cancels before it leaves this one. It must not Leave its own group:
+// closeDispatch waits out the running drain, so it would wait for itself.
 func (g *Group) SetHandler(fn func(Event)) {
 	g.evmu.Lock()
-	if g.evClosed {
-		g.evmu.Unlock()
-		return
-	}
-	g.handler = fn
-	g.evFlush = true
-	sched := !g.evActive
-	if sched {
-		g.evActive = true
-	}
+	sched := g.setHandlerLocked(fn)
 	g.evmu.Unlock()
 	if sched {
 		g.node.disp.ready(g)
 	}
 }
 
+// setHandlerLocked installs fn (g.evmu held) and reports whether the caller
+// must schedule the drain of the backlog.
+func (g *Group) setHandlerLocked(fn func(Event)) bool {
+	if g.evClosed {
+		return false
+	}
+	g.handler = fn
+	sched := !g.evActive && len(g.evq) > 0
+	if sched {
+		g.evActive = true
+	}
+	return sched
+}
+
+// Events returns the ordered stream of deliveries and view changes as a
+// channel, which closes after Leave (or node close). It is the adaptor over
+// SetHandler kept for applications and tests: the first call installs a
+// FIFO's Push as the handler (the FIFO's pump feeds the channel), later
+// calls return the same channel, and a call after Leave returns a closed
+// one. Do not combine with SetHandler.
+func (g *Group) Events() <-chan Event {
+	g.evmu.Lock()
+	f, sched := g.events, false
+	if f == nil {
+		f = queue.New[Event]()
+		g.events = f
+		if g.evClosed {
+			f.Close() // never started: returns at once
+		} else {
+			sched = g.setHandlerLocked(f.Push)
+		}
+	}
+	g.evmu.Unlock()
+	if sched {
+		g.node.disp.ready(g)
+	}
+	return f.Out()
+}
+
 // pushEventLocked queues one consumer event (g.mu held). sender/seq/view
 // identify the originating message for the flight journal; non-delivery
-// events pass flight.NoSender.
+// events pass flight.NoSender. Until a handler is installed the event only
+// waits in the queue.
 func (g *Group) pushEventLocked(ev Event, sender int, seq uint64, view uint32) {
 	g.evmu.Lock()
 	if g.evClosed {
@@ -157,7 +198,7 @@ func (g *Group) pushEventLocked(ev Event, sender int, seq uint64, view uint32) {
 	}
 	g.evq = append(g.evq, dispItem{ev: ev, sender: int16(sender), seq: seq, view: view})
 	depth := len(g.evq)
-	sched := !g.evActive
+	sched := g.handler != nil && !g.evActive
 	if sched {
 		g.evActive = true
 	}
@@ -191,49 +232,39 @@ func (g *Group) kickDispatch() {
 
 // drainDispatch is the worker-side drain: swap out the queued batch, run
 // it, and either go idle or re-queue behind the other ready groups. Only
-// one worker runs this per group at a time (evActive handoff).
+// one worker runs this per group at a time (evActive handoff). Without a
+// handler only a domain kick runs; the events stay queued for the handler.
 func (g *Group) drainDispatch() {
 	g.evmu.Lock()
 	kick := g.evKick
 	g.evKick = false
-	flush := g.evFlush
-	g.evFlush = false
-	batch := g.evq
-	if len(batch) > dispatchBatch {
-		// Fairness bound: leave the tail queued for the next round (the
-		// spill is copied so the prefix's backing array can be reused, and
-		// the copied-from slots are zeroed so nothing stays pinned).
-		spill := batch[dispatchBatch:]
-		batch = batch[:dispatchBatch]
-		g.evq = append(g.evScratch[:0], spill...)
-		for i := range spill {
-			spill[i] = dispItem{}
+	h := g.handler
+	var batch []dispItem
+	if h != nil {
+		batch = g.evq
+		if len(batch) > dispatchBatch {
+			// Fairness bound: leave the tail queued for the next round (the
+			// spill is copied so the prefix's backing array can be reused, and
+			// the copied-from slots are zeroed so nothing stays pinned).
+			spill := batch[dispatchBatch:]
+			batch = batch[:dispatchBatch]
+			g.evq = append(g.evScratch[:0], spill...)
+			for i := range spill {
+				spill[i] = dispItem{}
+			}
+		} else {
+			g.evq = g.evScratch[:0]
 		}
-	} else {
-		g.evq = g.evScratch[:0]
+		g.evScratch = batch[:0]
 	}
-	g.evScratch = batch[:0]
-	if len(batch) == 0 && !kick && !flush {
+	if len(batch) == 0 && !kick {
 		g.evActive = false
 		g.evmu.Unlock()
 		return
 	}
 	g.evDraining = true
-	h := g.handler
 	g.evmu.Unlock()
 
-	if flush && h != nil {
-		// Handler installed after events were buffered for the channel
-		// path: forward the backlog first, preserving order (everything
-		// still in evq is newer than everything in the FIFO).
-		for {
-			ev, ok := g.events.TryPop()
-			if !ok {
-				break
-			}
-			h(ev)
-		}
-	}
 	if kick {
 		g.mu.Lock()
 		g.tryDeliverLocked()
@@ -246,11 +277,7 @@ func (g *Group) drainDispatch() {
 		if deliver {
 			g.frDispatch(flight.EvDispatchStart, it)
 		}
-		if h != nil {
-			h(it.ev)
-		} else {
-			g.events.Push(it.ev)
-		}
+		h(it.ev)
 		if deliver {
 			g.frDispatch(flight.EvDispatchDone, it)
 		}
@@ -262,7 +289,7 @@ func (g *Group) drainDispatch() {
 	if g.evClosed {
 		g.evCond.Broadcast() // closeDispatch may be waiting out this drain
 	}
-	more := len(g.evq) > 0 || g.evKick || g.evFlush
+	more := g.evKick || g.handler != nil && len(g.evq) > 0
 	if !more {
 		g.evActive = false
 	}
@@ -285,10 +312,10 @@ func (g *Group) frDispatch(t flight.Type, it *dispItem) {
 }
 
 // closeDispatch shuts the group's dispatch queue: drops queued events,
-// refuses new ones, and waits out an in-flight drain so no handler call
-// survives the close. Must not be called from inside the group's own
-// handler (the drain cannot wait for itself); the Events() channel path
-// has no such caller.
+// refuses new ones, waits out an in-flight drain so no handler call
+// survives the close, and closes the Events channel if there is one. Must
+// not be called from inside the group's own handler (the drain cannot wait
+// for itself).
 func (g *Group) closeDispatch() {
 	g.evmu.Lock()
 	g.evClosed = true
@@ -297,5 +324,9 @@ func (g *Group) closeDispatch() {
 	for g.evDraining {
 		g.evCond.Wait() //lint:ok lockblock Cond.Wait atomically releases g.evmu while waiting out the in-flight drain; the worker re-takes it to finish
 	}
+	events := g.events
 	g.evmu.Unlock()
+	if events != nil {
+		events.Close()
+	}
 }

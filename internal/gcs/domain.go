@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"newtop/internal/ids"
-	"newtop/internal/transport"
 	"newtop/internal/vclock"
 )
 
@@ -194,16 +193,8 @@ func MergeDomain(groups ...*Group) <-chan Event {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			evs := make([]Event, transport.RecvBurst)
-			for {
-				n, ok := g.Recv(evs)
-				if !ok {
-					return
-				}
-				for _, ev := range evs[:n] {
-					merged <- ev
-				}
-				clear(evs[:n]) // an idle loop must not pin the last burst's payloads
+			for ev := range g.Events() {
+				merged <- ev
 			}
 		}()
 	}

@@ -140,8 +140,6 @@ type Group struct {
 
 	joinErr error
 
-	events *queue.FIFO[Event]
-
 	stats   Stats
 	metrics *gcsMetrics
 
@@ -171,9 +169,9 @@ type Group struct {
 	evActive   bool // queued on, or being drained by, the worker pool
 	evDraining bool // a worker is mid-batch
 	evKick     bool // coalesced domain kick pending
-	evFlush    bool // forward the FIFO backlog to a fresh handler
 	evClosed   bool
 	handler    func(Event)
+	events     *queue.FIFO[Event] // the Events() adaptor's buffer, if it was called
 }
 
 // Test-only instrumentation of the delivery loop (nil in production).
@@ -215,11 +213,9 @@ func newGroup(n *Node, id ids.GroupID, cfg GroupConfig, st groupState) *Group {
 		suspects:      make(map[ids.ProcessID]bool),
 		pendingJoins:  make(map[ids.ProcessID]bool),
 		pendingLeaves: make(map[ids.ProcessID]bool),
-		events:        queue.New[Event](),
 	}
 	g.cond = sync.NewCond(&g.mu)
 	g.evCond = sync.NewCond(&g.evmu)
-	g.events.OnDepth(func(n int) { g.metrics.eventsHigh.SetMax(int64(n)) })
 	if cfg.Domain != "" {
 		g.domain = n.dom.state(cfg.Domain)
 		g.domain.register(id, g)
@@ -257,18 +253,6 @@ func (g *Group) Me() ids.ProcessID { return g.me }
 
 // Config returns the group configuration (with defaults applied).
 func (g *Group) Config() GroupConfig { return g.cfg }
-
-// Events returns the ordered stream of deliveries and view changes as a
-// channel, which closes after Leave (or node close). It is the
-// application-facing adaptor over the queue Recv pulls from; a group has
-// exactly one consumption mode (Events, Recv or SetHandler).
-func (g *Group) Events() <-chan Event { return g.events.Out() }
-
-// Recv blocks until at least one event is queued, then moves up to
-// len(dst) of them into dst in delivery order. ok is false after Leave
-// (or node close); events still queued then are dropped, as on the
-// channel. The invocation layer's group loops consume through it.
-func (g *Group) Recv(dst []Event) (n int, ok bool) { return g.events.PopBatch(dst) }
 
 // View returns the currently installed view (zero View while joining).
 func (g *Group) View() View {
@@ -1358,8 +1342,8 @@ func (g *Group) installViewLocked(v View) {
 }
 
 // Leave departs the group: the coordinator is informed so the remaining
-// members install a view without us, and the local handle shuts down (the
-// events channel closes).
+// members install a view without us, and the local handle shuts down (no
+// handler call survives it; the Events channel closes).
 func (g *Group) Leave() error {
 	g.mu.Lock()
 	if g.state == stateLeft {
@@ -1381,7 +1365,6 @@ func (g *Group) Leave() error {
 	}
 	g.node.dropGroup(g.id)
 	g.closeDispatch()
-	g.events.Close()
 	return nil
 }
 

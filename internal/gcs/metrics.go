@@ -38,9 +38,9 @@ type gcsMetrics struct {
 	// viewChange: flush proposal seen → new view installed.
 	viewChange *obs.Histogram
 
-	// High-water marks of the delivery and retention queues, the ordering
-	// table, and the consumer-facing event queue.
-	pendingHigh, storeHigh, orderHigh, eventsHigh *obs.Gauge
+	// High-water marks of the delivery and retention queues and the
+	// ordering table (the consumer-facing queue's is the dispatcher's).
+	pendingHigh, storeHigh, orderHigh *obs.Gauge
 
 	// groupsActive / groupsIdle partition the node's groups by whether
 	// they hold a wheel entry: a parked (idle event-driven) group costs
@@ -71,7 +71,6 @@ func newGCSMetrics(o *obs.Obs) *gcsMetrics {
 		pendingHigh:     o.Reg.Gauge("gcs_pending_highwater"),
 		storeHigh:       o.Reg.Gauge("gcs_store_highwater"),
 		orderHigh:       o.Reg.Gauge("gcs_order_table_highwater"),
-		eventsHigh:      o.Reg.Gauge("gcs_events_queue_highwater"),
 		groupsActive:    o.Reg.Gauge("gcs_groups_active"),
 		groupsIdle:      o.Reg.Gauge("gcs_groups_idle"),
 	}

@@ -3,7 +3,6 @@ package gcs
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
@@ -13,26 +12,6 @@ import (
 	"newtop/internal/transport"
 	"newtop/internal/vclock"
 )
-
-// NodeConfig tunes the node-wide delivery engine. The zero value selects
-// sensible defaults, so NewNode/NewNodeObs need no configuration.
-type NodeConfig struct {
-	// DispatchWorkers sizes the post-order dispatch pool (dispatch.go):
-	// how many groups can run servant execution / delivery fan-out
-	// concurrently. Per-group delivery order is preserved at any setting
-	// (single-writer per group). 0 selects GOMAXPROCS, capped at 8.
-	DispatchWorkers int
-}
-
-func (c NodeConfig) withDefaults() NodeConfig {
-	if c.DispatchWorkers <= 0 {
-		c.DispatchWorkers = runtime.GOMAXPROCS(0)
-		if c.DispatchWorkers > 8 {
-			c.DispatchWorkers = 8
-		}
-	}
-	return c
-}
 
 // Node is one process's attachment to the group communication service. A
 // node participates in any number of groups over a single transport
@@ -46,7 +25,6 @@ type Node struct {
 	out transport.FrameSender
 	hdr []byte
 
-	cfg     NodeConfig
 	clock   *vclock.Lamport
 	dom     *domainRegistry
 	obs     *obs.Obs
@@ -79,15 +57,13 @@ func NewNode(ep transport.Endpoint) *Node { return NewNodeObs(ep, obs.Default())
 // NewNodeObs is NewNode with an explicit observability domain (the bench
 // harness gives each experiment world its own).
 func NewNodeObs(ep transport.Endpoint, o *obs.Obs) *Node {
-	return NewNodeCfg(ep, o, NodeConfig{})
+	return newNode(ep, o, dispatchWorkers())
 }
 
-// NewNodeCfg is NewNodeObs with an explicit delivery-engine configuration.
-func NewNodeCfg(ep transport.Endpoint, o *obs.Obs, cfg NodeConfig) *Node {
-	cfg = cfg.withDefaults()
+// newNode is NewNodeObs with the dispatch pool's size.
+func newNode(ep transport.Endpoint, o *obs.Obs, workers int) *Node {
 	n := &Node{
 		ep:       ep,
-		cfg:      cfg,
 		clock:    vclock.NewLamport(),
 		dom:      newDomainRegistry(),
 		obs:      o,
@@ -101,7 +77,7 @@ func NewNodeCfg(ep transport.Endpoint, o *obs.Obs, cfg NodeConfig) *Node {
 	n.out = transport.Framing(ep)
 	n.hdr = n.out.FrameHeader()
 	n.wheel = newWheel(o)
-	n.disp = newDispatcher(cfg.DispatchWorkers, o)
+	n.disp = newDispatcher(workers, o)
 	go n.recvLoop()
 	return n
 }
@@ -206,9 +182,8 @@ func (n *Node) Join(ctx context.Context, id ids.GroupID, contact ids.ProcessID, 
 			n.dropGroup(id)
 			// Full teardown, as in abandonJoin: a rejected join (config
 			// mismatch, remote shutdown) must also quiesce the dispatch
-			// queue and the events pump, or every failed join leaks state.
+			// queue, or every failed join leaks state.
 			g.closeDispatch()
-			g.events.Close()
 			if err == nil {
 				err = ErrLeft
 			}
@@ -226,7 +201,6 @@ func (n *Node) abandonJoin(g *Group) {
 	g.mu.Unlock()
 	n.dropGroup(g.id)
 	g.closeDispatch()
-	g.events.Close()
 }
 
 // Group returns the local handle for a group, or nil if not a member.

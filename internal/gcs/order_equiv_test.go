@@ -339,7 +339,7 @@ func runOrderEquiv(t *testing.T, opts equivOpts) [][]string {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n := NewNodeCfg(ep, obs.Default(), NodeConfig{DispatchWorkers: opts.workers})
+		n := NewNodeWorkers(ep, obs.Default(), opts.workers)
 		nodes = append(nodes, n)
 		var g *Group
 		if i == 0 {
@@ -530,7 +530,7 @@ func TestOrderEquivSequencerBatchLoss(t *testing.T) {
 
 // Multi-worker dispatch must not reorder deliveries: the pool hands each
 // group to at most one worker at a time (single-writer), so the
-// byte-identical total order must survive DispatchWorkers > 1 exactly as
+// byte-identical total order must survive more than one dispatch worker exactly as
 // it holds at 1. These runs exercise the engine's concurrency across
 // groups while pinning order within each.
 

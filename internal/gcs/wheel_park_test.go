@@ -200,8 +200,8 @@ func TestDispatchPoolManyGroups(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	na := gcs.NewNodeCfg(epA, obs.New(), gcs.NodeConfig{DispatchWorkers: 4})
-	nb := gcs.NewNodeCfg(epB, obs.New(), gcs.NodeConfig{DispatchWorkers: 4})
+	na := gcs.NewNodeWorkers(epA, obs.New(), 4)
+	nb := gcs.NewNodeWorkers(epB, obs.New(), 4)
 	t.Cleanup(func() {
 		_ = nb.Close()
 		_ = na.Close()

@@ -362,7 +362,7 @@ func TestSequencerOrderTableBounded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n := NewNodeCfg(ep, obs.Default(), NodeConfig{})
+		n := NewNodeObs(ep, obs.Default())
 		defer n.Close()
 		var g *Group
 		if i == 0 {

@@ -10,8 +10,8 @@ import (
 // whose body (followed through same-package static calls) contains an
 // unconditional `for` loop but no stop signal — no channel receive or
 // select, no range over a channel, no context.Context, no sync.WaitGroup
-// accounting, and no batch pull (queue.FIFO.PopBatch, Endpoint.Recv,
-// gcs.Group.Recv) whose ok result ends the loop. Every pump in this
+// accounting, and no batch pull (queue.FIFO.PopBatch, Endpoint.Recv)
+// whose ok result ends the loop. Every pump in this
 // codebase (transport receive loops, gcs tick loops, ORB collectors) must
 // be reapable by Stop/Close, or netsim worlds and long-running nodes leak
 // goroutines; the leakcheck test helper is the runtime twin of this rule.

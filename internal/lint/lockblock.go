@@ -12,7 +12,7 @@ import (
 // may be held: channel sends and receives, selects without a default,
 // ranging over a channel, time.Sleep, sync.Cond/WaitGroup waits, network
 // I/O (transport.Endpoint.Send, package net), the blocking batch pulls
-// (queue.FIFO.PopBatch, Endpoint.Recv, gcs.Group.Recv), the blocking gcs
+// (queue.FIFO.PopBatch, Endpoint.Recv), the blocking gcs
 // entry points (Group.Multicast/Leave, Node.Join/Close) and the blocking core
 // invocation surface (Binding/Proxy/G2G Call/Read/Invoke/InvokeCall wait for
 // replies, InvokeAsync blocks on a full call window, Call.Await parks
@@ -479,8 +479,8 @@ func blockingCallee(fn *types.Func, through types.Type) string {
 }
 
 // batchPull names fn when it is one of the blocking batch pulls every
-// product receive loop is built on — queue.FIFO.PopBatch, an endpoint's
-// Recv (or the transport.Recv helper) and gcs.Group.Recv — "" otherwise.
+// product receive loop is built on — queue.FIFO.PopBatch and an endpoint's
+// Recv (or the transport.Recv helper) — "" otherwise.
 // Each parks its caller until an item arrives and reports ok=false once
 // its source is closed, which is the loop's stop signal (see goorphan).
 func batchPull(fn *types.Func) string {
@@ -497,8 +497,6 @@ func batchPull(fn *types.Func) string {
 		return "queue.FIFO.PopBatch"
 	case hasPathSuffix(rpkg, "internal/transport") && fn.Name() == "Recv":
 		return "transport Recv"
-	case hasPathSuffix(rpkg, "internal/gcs") && fn.Name() == "Recv" && namedOrigin(rt).Obj().Name() == "Group":
-		return "gcs.Group.Recv"
 	}
 	return ""
 }

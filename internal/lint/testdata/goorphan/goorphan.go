@@ -155,7 +155,7 @@ func handle(int) {}
 
 // A loop that leaves when its batch pull reports the source closed is
 // reapable: Close turns ok false. This is the shape of every converted
-// receive loop (Mux.pump, Node.recvLoop, ORB.recvLoop, core's group loops).
+// receive loop (Mux.pump, Node.recvLoop, ORB.recvLoop).
 func (p *pump) okBatchPull(f *queue.FIFO[int]) {
 	go func() {
 		dst := make([]int, 8)

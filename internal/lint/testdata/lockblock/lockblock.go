@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"newtop/internal/core"
-	"newtop/internal/gcs"
 	"newtop/internal/queue"
 	"newtop/internal/transport"
 )
@@ -164,20 +163,14 @@ func (l *loop) endpointRecvHeld(ep transport.Endpoint, r transport.BatchReceiver
 	_, _ = transport.Recv(ep, dst) // want lockblock "transport.Recv"
 }
 
-func (l *loop) groupRecvHeld(g *gcs.Group) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	_, _ = g.Recv(make([]gcs.Event, 4)) // want lockblock "gcs.Group.Recv"
-}
-
 // Pulling first and taking the lock per item is the correct shape.
-func (l *loop) pullThenLock(g *gcs.Group) {
-	evs := make([]gcs.Event, 4)
-	n, ok := g.Recv(evs)
+func (l *loop) pullThenLock(f *queue.FIFO[int]) {
+	items := make([]int, 4)
+	n, ok := f.PopBatch(items)
 	if !ok {
 		return
 	}
 	l.mu.Lock()
-	_ = evs[:n]
+	_ = items[:n]
 	l.mu.Unlock()
 }

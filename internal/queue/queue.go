@@ -1,7 +1,9 @@
 // Package queue provides an unbounded, order-preserving FIFO that bridges
-// producers that must never block (network delivery paths, protocol state
-// machines) and one consumer. It is the backpressure boundary used by
-// every layer of the system.
+// producers that must never block and one consumer. The transport's
+// endpoints and mux channels queue inbound frames in one (consumed by
+// PopBatch), and a gcs group's Events adaptor buffers the group's stream in
+// one (consumed through Out); a group's own consumer runs off the dispatch
+// stage and needs none.
 package queue
 
 import "sync"
@@ -9,12 +11,11 @@ import "sync"
 // FIFO is an unbounded buffer. The zero value is not usable; create with
 // New. Closing discards pending items, mirroring a socket close.
 //
-// A FIFO has one consumption mode for its lifetime: the blocking batch
-// pull (PopBatch — what every product loop uses: one wake-up and one lock
-// hold move a whole burst, and no goroutine or channel rendezvous sits
-// between producer and consumer), the Out channel (a pump goroutine, one
-// rendezvous per item — the adaptor kept for applications and tests), or
-// TryPop alone.
+// A FIFO has one of two consumption modes for its lifetime: the blocking
+// batch pull (PopBatch — what every product loop uses: one wake-up and one
+// lock hold move a whole burst, and no goroutine or channel rendezvous sits
+// between producer and consumer), or the Out channel (a pump goroutine, one
+// rendezvous per item — the adaptor kept for applications and tests).
 //
 // The buffer is a sliding window over one backing array: head indexes the
 // front element and pops advance it in place, so steady-state traffic
@@ -26,7 +27,6 @@ type FIFO[T any] struct {
 	cond    *sync.Cond
 	buf     []T
 	head    int // index of the front element; len(buf)-head items queued
-	depth   func(int)
 	closed  bool
 	started bool // pump goroutine running (first Out() call starts it)
 	closeCh chan struct{}
@@ -36,8 +36,7 @@ type FIFO[T any] struct {
 
 // New returns a FIFO. The pump goroutine that feeds the Out channel is
 // started lazily by the first Out() call, so a FIFO consumed through
-// PopBatch or TryPop — or never consumed at all, as with handler-mode gcs
-// groups — costs no goroutine. Call Close to stop it.
+// PopBatch costs no goroutine. Call Close to stop it.
 func New[T any]() *FIFO[T] {
 	f := &FIFO[T]{
 		out:     make(chan T),
@@ -69,20 +68,7 @@ func (f *FIFO[T]) Push(v T) {
 		f.head = 0
 	}
 	f.buf = append(f.buf, v)
-	if f.depth != nil {
-		f.depth(len(f.buf) - f.head)
-	}
 	f.cond.Signal()
-}
-
-// OnDepth installs a callback invoked with the buffered length after
-// every Push (under the FIFO's lock — keep it cheap and reentrancy-free).
-// The observability layer uses it to feed occupancy gauges; the queue
-// itself stays dependency-free.
-func (f *FIFO[T]) OnDepth(fn func(int)) {
-	f.mu.Lock()
-	f.depth = fn
-	f.mu.Unlock()
 }
 
 // Out returns the consumer channel; it is closed when the FIFO closes.
@@ -95,28 +81,6 @@ func (f *FIFO[T]) Out() <-chan T {
 	}
 	f.mu.Unlock()
 	return f.out
-}
-
-// TryPop removes and returns the front buffered item without blocking.
-// It reports false when nothing is buffered. Safe to mix with the pump:
-// the pump and TryPop contend on the same lock and each item goes to
-// exactly one of them (the gcs dispatch stage uses TryPop to forward a
-// pre-handler backlog without ever starting the pump).
-func (f *FIFO[T]) TryPop() (T, bool) {
-	var zero T
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if len(f.buf) == f.head {
-		return zero, false
-	}
-	v := f.buf[f.head]
-	f.buf[f.head] = zero
-	f.head++
-	if f.head == len(f.buf) {
-		f.buf = f.buf[:0]
-		f.head = 0
-	}
-	return v, true
 }
 
 // PopBatch blocks until at least one item is buffered, then moves up to

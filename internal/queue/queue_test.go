@@ -176,33 +176,6 @@ func TestPopBatchRespectsLenDst(t *testing.T) {
 	}
 }
 
-func TestPopBatchInterleavesWithTryPop(t *testing.T) {
-	f := queue.New[int]()
-	defer f.Close()
-	for i := 0; i < 6; i++ {
-		f.Push(i)
-	}
-	dst := make([]int, 2)
-	var order []int
-	for len(order) < 6 {
-		v, ok := f.TryPop()
-		if !ok {
-			t.Fatal("TryPop found nothing with items queued")
-		}
-		order = append(order, v)
-		n, ok := f.PopBatch(dst)
-		if !ok {
-			t.Fatal("PopBatch reported closed")
-		}
-		order = append(order, dst[:n]...)
-	}
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("order = %v", order)
-		}
-	}
-}
-
 func TestCloseWakesBlockedPopBatch(t *testing.T) {
 	f := queue.New[int]()
 	const waiters = 3

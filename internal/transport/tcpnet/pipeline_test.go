@@ -244,10 +244,7 @@ func TestInboundRedialClosesStaleConn(t *testing.T) {
 // hundreds of sends to a blackhole with live sends must still deliver all
 // the live frames promptly.
 func TestUnreachablePeerDoesNotStallLiveTraffic(t *testing.T) {
-	a, err := tcpnet.ListenConfig("a", "127.0.0.1:0", tcpnet.Config{
-		DialTimeout: 500 * time.Millisecond,
-		Obs:         obs.New(),
-	})
+	a, err := tcpnet.ListenConfig("a", "127.0.0.1:0", tcpnet.Config{Obs: obs.New()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,9 +284,8 @@ func TestUnreachablePeerDoesNotStallLiveTraffic(t *testing.T) {
 // of blocking the caller — datagram semantics under backpressure.
 func TestQueueFullDrops(t *testing.T) {
 	a, err := tcpnet.ListenConfig("a", "127.0.0.1:0", tcpnet.Config{
-		QueueLen:    8,
-		DialTimeout: 500 * time.Millisecond,
-		Obs:         obs.New(),
+		QueueLen: 8,
+		Obs:      obs.New(),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -18,7 +18,7 @@
 //
 // The read side buffers each connection with a pooled bufio.Reader and
 // carves inbound frame payloads out of large arena chunks, so a busy
-// connection pays roughly one allocation per ReadChunk bytes of traffic
+// connection pays roughly one allocation per readChunk bytes of traffic
 // instead of one per frame. Chunks are deliberately left to the garbage
 // collector once a frame has been carved from them: receivers decode with
 // wire.Reader.BlobRef and may retain slices of a frame indefinitely (the
@@ -53,6 +53,22 @@ import (
 // huge allocations.
 const maxFrame = 16 << 20
 
+// Connection timing and read buffering are fixed.
+const (
+	// dialTimeout bounds one background connect attempt.
+	dialTimeout = 3 * time.Second
+	// redialMin and redialMax bound the exponential backoff between
+	// connect attempts to an unreachable peer.
+	redialMin, redialMax = 50 * time.Millisecond, 3 * time.Second
+	// writeTimeout bounds one coalesced write; a peer that stalls its
+	// receive window longer than this loses the connection (the writer
+	// redials in the background).
+	writeTimeout = 10 * time.Second
+	// readChunk is the arena chunk size inbound frame payloads are carved
+	// from.
+	readChunk = 64 << 10
+)
+
 // Config tunes an endpoint. The zero value gives sane defaults.
 type Config struct {
 	// AdvertiseAddr is the listen address handed to peers in the
@@ -75,18 +91,6 @@ type Config struct {
 	// fuller vectored writes — worthwhile when syscall overhead, not
 	// propagation, bounds throughput.
 	FlushDelay time.Duration
-	// DialTimeout bounds one background connect attempt. Default 3s.
-	DialTimeout time.Duration
-	// RedialMin and RedialMax bound the exponential backoff between
-	// connect attempts to an unreachable peer. Defaults 50ms and 3s.
-	RedialMin, RedialMax time.Duration
-	// WriteTimeout bounds one coalesced write; a peer that stalls its
-	// receive window longer than this loses the connection (the writer
-	// redials in the background). Default 10s.
-	WriteTimeout time.Duration
-	// ReadChunk is the arena chunk size inbound frame payloads are
-	// carved from. Default 64KiB.
-	ReadChunk int
 	// Obs is the observability domain the endpoint's instruments
 	// register in; nil uses the process-wide default.
 	Obs *obs.Obs
@@ -98,21 +102,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.FlushBatch <= 0 {
 		c.FlushBatch = 128
-	}
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = 3 * time.Second
-	}
-	if c.RedialMin <= 0 {
-		c.RedialMin = 50 * time.Millisecond
-	}
-	if c.RedialMax <= 0 {
-		c.RedialMax = 3 * time.Second
-	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = 10 * time.Second
-	}
-	if c.ReadChunk <= 0 {
-		c.ReadChunk = 64 << 10
 	}
 	if c.Obs == nil {
 		c.Obs = obs.Default()
@@ -182,7 +171,7 @@ func ListenConfig(id ids.ProcessID, addr string, cfg Config) (*Endpoint, error) 
 		inConn: make(map[ids.ProcessID]net.Conn),
 		anon:   make(map[net.Conn]struct{}),
 	}
-	e.readers.New = func() any { return bufio.NewReaderSize(nil, cfg.ReadChunk) }
+	e.readers.New = func() any { return bufio.NewReaderSize(nil, readChunk) }
 	if e.adv == "" {
 		e.adv = defaultAdvertise(lis.Addr().String())
 	}
@@ -458,7 +447,7 @@ func (p *pipe) run() {
 		p.connMu.Unlock()
 	}()
 
-	backoff := p.e.cfg.RedialMin
+	backoff := redialMin
 	batch := make([][]byte, 0, p.e.cfg.FlushBatch)
 	bufs := make(net.Buffers, 0, 2*p.e.cfg.FlushBatch)
 	hdrs := make([]byte, 0, 4*p.e.cfg.FlushBatch)
@@ -517,7 +506,7 @@ func (p *pipe) run() {
 				bufs = append(bufs, hdrs[4*i:4*i+4], f)
 			}
 
-			_ = conn.SetWriteDeadline(time.Now().Add(p.e.cfg.WriteTimeout))
+			_ = conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 			wb = bufs
 			_, err := wb.WriteTo(conn)
 			for i := range bufs {
@@ -571,7 +560,7 @@ func (p *pipe) ensure(backoff *time.Duration) net.Conn {
 			}
 			p.conn = conn
 			p.connMu.Unlock()
-			*backoff = p.e.cfg.RedialMin
+			*backoff = redialMin
 			p.e.met.connects.Inc()
 			p.e.frRecord(flight.EvTCPConnect, p.frPeer, p.attempts, 1)
 			return conn
@@ -584,8 +573,8 @@ func (p *pipe) ensure(backoff *time.Duration) net.Conn {
 		case <-time.After(*backoff):
 		}
 		*backoff *= 2
-		if *backoff > p.e.cfg.RedialMax {
-			*backoff = p.e.cfg.RedialMax
+		if *backoff > redialMax {
+			*backoff = redialMax
 		}
 	}
 }
@@ -598,7 +587,7 @@ func (p *pipe) dialOnce() (net.Conn, error) {
 	if addr == "" {
 		return nil, fmt.Errorf("tcpnet: no address for %s", p.to)
 	}
-	ctx, cancel := context.WithTimeout(p.ctx, p.e.cfg.DialTimeout)
+	ctx, cancel := context.WithTimeout(p.ctx, dialTimeout)
 	defer cancel()
 	var d net.Dialer
 	conn, err := d.DialContext(ctx, "tcp", addr)
@@ -613,7 +602,7 @@ func (p *pipe) dialOnce() (net.Conn, error) {
 	frame := make([]byte, 0, 4+len(hello))
 	frame = binary.BigEndian.AppendUint32(frame, uint32(len(hello)))
 	frame = append(frame, hello...)
-	_ = conn.SetWriteDeadline(time.Now().Add(p.e.cfg.WriteTimeout))
+	_ = conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 	if _, err := conn.Write(frame); err != nil {
 		conn.Close()
 		return nil, err
@@ -690,7 +679,7 @@ func (e *Endpoint) readLoop(conn net.Conn) {
 		e.mu.Unlock()
 	}()
 
-	ar := arena{size: e.cfg.ReadChunk}
+	ar := arena{size: readChunk}
 	var hdr [4]byte
 	for {
 		if _, err := io.ReadFull(br, hdr[:]); err != nil {

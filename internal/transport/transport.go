@@ -27,9 +27,9 @@ type Inbound struct {
 	Payload []byte
 }
 
-// RecvBurst is how many inbound frames (or group events) one batch pull
-// asks for. Bursts only form when a producer outruns its consumer; the
-// cap bounds how long the first item of a burst waits behind the rest.
+// RecvBurst is how many inbound frames one batch pull asks for. Bursts
+// only form when a producer outruns its consumer; the cap bounds how long
+// the first item of a burst waits behind the rest.
 const RecvBurst = 64
 
 // Endpoint is a bidirectional, per-link-FIFO, best-effort message channel
