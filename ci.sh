@@ -66,6 +66,14 @@ go test -run AllocGuard ./internal/gcs/ ./internal/core/ ./internal/wire/ ./inte
 # stability collection costs what it collects, not what is retained.
 go test -run 'OrderTableBounded|CompactionCost' ./internal/gcs/
 
+# The two decoders every inbound frame meets, under the fuzzer: no input may
+# panic them, and a list count the frame cannot hold must fail the decode
+# (the seeds include such frames). Ten seconds each on top of the seed
+# corpus that go test runs anyway.
+echo "== decoder fuzz =="
+go test -run '^$' -fuzz '^FuzzDecodeMessage$' -fuzztime=10s ./internal/gcs/
+go test -run '^$' -fuzz '^FuzzDecodePayload$' -fuzztime=10s ./internal/core/
+
 # The server half of an invocation, ten times over: the request manager's
 # one path under every policy with its crash sweep, state transfer, the
 # retry repairs of a lost reply and a lost answer, the reply fan-in's
@@ -78,10 +86,11 @@ go test -count=10 -run 'RMCrashAtEveryPipelineStage|Joiner|LostDirectReply|LostA
 
 # Every group is consumed on the dispatch stage, so the handoffs between
 # an ordering decision, its worker and the invocation layer cross
-# goroutines: the race detector sees them even when the full race pass
-# below is skipped.
+# goroutines, and every worker decodes through its service's one intern
+# table: the race detector sees them even when the full race pass below
+# is skipped.
 echo "== dispatch handoffs under -race =="
-go test -race -count=5 -run 'DispatchPool|LateConsumer|BindingsCostNoGoroutine|InvokerConformance|RMCrashAtEveryPipelineStage' ./internal/gcs/ ./internal/core/
+go test -race -count=5 -run 'DispatchPool|LateConsumer|BindingsCostNoGoroutine|InvokerConformance|RMCrashAtEveryPipelineStage|InternTable' ./internal/gcs/ ./internal/core/
 
 if [ "${CI_SHORT:-0}" = "1" ]; then
 	echo "ci: CI_SHORT=1, skipping the race pass"

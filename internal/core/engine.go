@@ -72,7 +72,7 @@ type engine struct {
 	// answers the first copy of a call it sees, so the answer can overtake a
 	// slower member's own launch — whose copy is then filtered as a
 	// duplicate and never answered again.
-	early *bounded[ids.CallID, *invReplySet]
+	early *bounded[ids.CallID, answer]
 	// sessStamp is the session token: the newest applied stamp observed in
 	// any reply (writes and reads both advance it). Reads default their
 	// session floor to it — that is read-your-writes across replicas.
@@ -237,10 +237,9 @@ func (e *engine) onEvent(ev gcs.Event) {
 		if e.groupClient == "" || ev.Deliver.Sender != e.rm {
 			return
 		}
-		if msg, err := decodePayload(ev.Deliver.Payload); err == nil {
-			if set, ok := msg.(*invReplySet); ok {
-				e.onReplySet(set)
-			}
+		var p payload
+		if decodePayload(ev.Deliver.Payload, &e.svc.strs, &p) == nil && p.Kind == payloadReplySet {
+			e.onReplySet(p.Set)
 		}
 	case gcs.EventView:
 		// The stream replays history from the founding singleton view:
@@ -263,7 +262,7 @@ func (e *engine) onEvent(ev gcs.Event) {
 // route-or-retain atomic against launch, which files the call and claims a
 // retained set in one critical section: whichever goes first, the set
 // reaches the call.
-func (e *engine) onReplySet(set *invReplySet) {
+func (e *engine) onReplySet(set answer) {
 	e.mu.Lock()
 	c := e.calls[set.Call]
 	if c == nil && e.early != nil {
@@ -299,7 +298,7 @@ func (e *engine) onView(v *gcs.View) {
 	}
 	e.mu.Unlock()
 	for _, c := range settled {
-		e.deliver(c, c.gather.replies, "")
+		e.deliver(c, replyValues(c.gather.replies), "")
 	}
 	failAll(doomed)
 }
@@ -331,7 +330,7 @@ func (e *engine) onDirectReply(rep invReply) {
 	c, servers := e.calls[rep.Call], e.live
 	e.mu.Unlock()
 	if c != nil && c.gather.add(rep, servers) {
-		e.deliver(c, c.gather.replies, "")
+		e.deliver(c, replyValues(c.gather.replies), "")
 	}
 }
 
@@ -431,11 +430,12 @@ func (e *engine) launch(ctx context.Context, method string, args []byte, o callO
 	}
 	e.mu.Lock()
 	err := e.stateLocked()
-	var early *invReplySet
+	var early answer
+	var isEarly bool
 	if err == nil {
 		e.calls[c.id] = c
 		if e.early != nil {
-			early, _ = e.early.take(c.id)
+			early, isEarly = e.early.take(c.id)
 		}
 		if detached && ctx.Done() != nil {
 			// Set under e.mu, which every completion takes (the table
@@ -468,7 +468,7 @@ func (e *engine) launch(ctx context.Context, method string, args []byte, o callO
 		}
 		c.finish(nil, err)
 		return nil, err
-	case early != nil:
+	case isEarly:
 		e.deliver(c, early.Replies, early.Err)
 	case c.mode == OneWay:
 		c.finish(nil, nil)
@@ -486,7 +486,7 @@ func (e *engine) release() {
 // deliver completes c with the servers' replies — the request manager's
 // aggregate or, closed style, the direct replies that met the quorum — and
 // folds their stamps into the session.
-func (e *engine) deliver(c *Call, replies []invReply, rmErr string) {
+func (e *engine) deliver(c *Call, replies []Reply, rmErr string) {
 	switch {
 	case rmErr != "":
 		c.finish(nil, fmt.Errorf("core: request manager: %s", rmErr))
@@ -495,16 +495,24 @@ func (e *engine) deliver(c *Call, replies []invReply, rmErr string) {
 		c.finish(nil, errors.New("core: empty reply set"))
 		return
 	}
-	out := make([]Reply, len(replies))
 	var newest vclock.Stamp
-	for i, rep := range replies {
-		out[i] = rep.toReply()
+	for _, rep := range replies {
 		if newest.Less(rep.Stamp) {
 			newest = rep.Stamp
 		}
 	}
 	e.noteStamp(newest)
-	c.finish(out, nil)
+	c.finish(replies, nil)
+}
+
+// replyValues converts a closed call's gathered direct replies into the
+// Reply values it hands out.
+func replyValues(reps []invReply) []Reply {
+	out := make([]Reply, len(reps))
+	for i, rep := range reps {
+		out[i] = rep.toReply()
+	}
+	return out
 }
 
 // retire is the epilogue of every call that was admitted, run once by the
@@ -605,8 +613,8 @@ func (e *engine) readOnce(ctx context.Context, cons Consistency, method string, 
 			lastErr = cerr
 			continue
 		}
-		rep, derr := decodeReadReply(raw)
-		if derr != nil {
+		var rep readReply
+		if derr := decodeReadReply(raw, &e.svc.strs, &rep); derr != nil {
 			lastErr = derr
 			continue
 		}

@@ -18,8 +18,8 @@ func (s *Service) ReadAt(ctx context.Context, target ids.ProcessID, group ids.Gr
 	if err != nil {
 		return nil, err
 	}
-	rep, err := decodeReadReply(raw)
-	if err != nil {
+	var rep readReply
+	if err := decodeReadReply(raw, &s.strs, &rep); err != nil {
 		return nil, err
 	}
 	if rep.Code != readOK {

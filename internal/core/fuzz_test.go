@@ -41,10 +41,20 @@ func FuzzDecodePayload(f *testing.F) {
 	fullRef := GroupRef{}
 	wiretest.Fill(&fullRef)
 	f.Add(fullRef.Encode())
+	for _, bad := range impossibleCountFrames() {
+		f.Add(bad.frame)
+	}
 
+	var in interner
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_, _ = decodePayload(data)
-		_, _ = decodeReplyMsg(data)
+		var p payload
+		var m inboundReply
+		_ = decodePayload(data, &in, &p)
+		_ = decodeReplyMsg(data, &in, &m)
+		var req readRequest
+		var rep readReply
+		_ = decodeReadRequest(data, &in, &req)
+		_ = decodeReadReply(data, &in, &rep)
 		_, _ = decodeBindRequest(data)
 		_, _ = decodeStateSnapshot(data)
 		_, _ = DecodeGroupRef(data)

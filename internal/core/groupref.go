@@ -54,10 +54,9 @@ func (r GroupRef) Encode() []byte {
 func DecodeGroupRef(b []byte) (GroupRef, error) {
 	rd := wire.NewReader(b)
 	ref := GroupRef{Group: ids.GroupID(rd.String())}
-	n := rd.Uvarint()
-	if rd.Err() == nil && n <= uint64(rd.Remaining()) {
+	if n := rd.Count(1); rd.Err() == nil {
 		ref.Members = make([]ids.ProcessID, 0, n)
-		for i := uint64(0); i < n; i++ {
+		for i := 0; i < n; i++ {
 			ref.Members = append(ref.Members, ids.ProcessID(rd.String()))
 		}
 	}

@@ -73,19 +73,20 @@ func TestAllocGuardLeasedRead(t *testing.T) {
 	_, srv := soloServer(t, "solo")
 
 	req := &readRequest{Group: "alloc", Method: "get", Consistency: Leased}
+	var rep readReply
 	// Warm the path (lazy metric state, reply pooling) before measuring.
 	for i := 0; i < 64; i++ {
-		if rep := srv.serveRead(req); rep.Code != readOK {
+		if srv.serveRead(req, &rep); rep.Code != readOK {
 			t.Fatalf("warmup read refused: %+v", rep)
 		}
 	}
 	avg := testing.AllocsPerRun(500, func() {
-		if rep := srv.serveRead(req); rep.Code != readOK {
+		if srv.serveRead(req, &rep); rep.Code != readOK {
 			t.Fatalf("read refused: %+v", rep)
 		}
 	})
 	t.Logf("leased read: %.1f allocs/op", avg)
-	const budget = 8
+	const budget = 0 // measured 0.0 (1.0 with the reply on the heap)
 	if avg > budget {
 		t.Fatalf("leased read allocates %.1f/op, budget %d", avg, budget)
 	}

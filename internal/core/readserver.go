@@ -30,25 +30,27 @@ import (
 // the signal every advance of the prefix raises. A replica still inside its
 // state transfer has no prefix to anchor on and refuses every read.
 
-// serveRead answers one read control call; the error return is reserved
-// for encode-level failures (the reply carries application and lease
-// errors in-band so the client can distinguish retryable refusals).
-func (srv *Server) serveRead(req *readRequest) *readReply {
+// serveRead answers one read control call into rep, which the caller owns
+// (the reply carries application and lease errors in-band so the client
+// can distinguish retryable refusals). The path runs on the ORB's
+// per-request goroutine, whose stack starts small, so the reply is passed
+// down rather than returned by value through every level.
+func (srv *Server) serveRead(req *readRequest, rep *readReply) {
 	srv.svc.metrics.reads.Inc()
 	if srv.group.Config().LeaseTicks <= 0 {
-		return &readReply{Code: readErrDisabled, Err: ErrReadDisabled.Error()}
+		*rep = readReply{Code: readErrDisabled, Err: ErrReadDisabled.Error()}
+		return
 	}
 	start := time.Now()
-	var rep *readReply
 	switch {
 	case srv.catching.Load():
-		rep = &readReply{Code: readErrRetry, Err: "state transfer in progress"}
+		*rep = readReply{Code: readErrRetry, Err: "state transfer in progress"}
 	case req.Consistency == Linearizable:
-		rep = srv.serveReadLinearizable(req)
+		srv.serveReadLinearizable(req, rep)
 	case req.Consistency == Stale:
-		rep = srv.serveReadStale(req)
+		srv.serveReadStale(req, rep)
 	default:
-		rep = srv.serveReadLocal(req)
+		srv.serveReadLocal(req, rep)
 	}
 	if rep.Code == readOK {
 		d := time.Since(start)
@@ -57,7 +59,6 @@ func (srv *Server) serveRead(req *readRequest) *readReply {
 	} else {
 		srv.svc.metrics.readRefused.Inc()
 	}
-	return rep
 }
 
 // serveReadLocal is the leased read: the replica's lease is its authority
@@ -65,55 +66,59 @@ func (srv *Server) serveRead(req *readRequest) *readReply {
 // is the path the static allocation budget pins (allocbudget.go) — a
 // lease check, the session-floor fast path and one handler run, with no
 // protocol traffic.
-func (srv *Server) serveReadLocal(req *readRequest) *readReply {
+func (srv *Server) serveReadLocal(req *readRequest, rep *readReply) {
 	age, bound, err := srv.group.LeaseRead(srv.staleTicks(req.MaxStale))
-	if err != nil {
-		return readRefusal(err, age, bound)
+	switch {
+	case err != nil:
+		readRefusal(err, age, bound, rep)
+	case !srv.waitMinStamp(req.MinStamp):
+		*rep = readReply{Code: readErrMinStamp, Err: "session floor not reached", AgeTicks: age, BoundTicks: bound}
+	default:
+		srv.execRead(req, age, bound, rep)
 	}
-	if !srv.waitMinStamp(req.MinStamp) {
-		return &readReply{Code: readErrMinStamp, Err: "session floor not reached", AgeTicks: age, BoundTicks: bound}
-	}
-	return srv.execRead(req, age, bound)
 }
 
 // serveReadLinearizable pins the delivered frontier with the read-index
 // handshake, drives the executed prefix up to it, then runs the handler:
 // every write that completed anywhere before this read began is visible.
-func (srv *Server) serveReadLinearizable(req *readRequest) *readReply {
+func (srv *Server) serveReadLinearizable(req *readRequest, rep *readReply) {
 	ctx, cancel := context.WithTimeout(context.Background(), rmWait)
 	frontier, err := srv.group.ReadIndex(ctx)
 	cancel()
-	if err != nil {
-		return readRefusal(err, 0, 0)
+	switch {
+	case err != nil:
+		readRefusal(err, 0, 0, rep)
+	case !srv.waitMinStamp(frontier) || !srv.waitMinStamp(req.MinStamp):
+		*rep = readReply{Code: readErrMinStamp, Err: "executed prefix behind the delivery frontier"}
+	default:
+		srv.execRead(req, 0, 0, rep)
 	}
-	if !srv.waitMinStamp(frontier) || !srv.waitMinStamp(req.MinStamp) {
-		return &readReply{Code: readErrMinStamp, Err: "executed prefix behind the delivery frontier"}
-	}
-	return srv.execRead(req, 0, 0)
 }
 
 // serveReadStale answers with whatever the local executed prefix holds —
 // no freshness evidence at all; an explicit session floor is still
 // honoured so a session never observes its own writes disappearing.
-func (srv *Server) serveReadStale(req *readRequest) *readReply {
+func (srv *Server) serveReadStale(req *readRequest, rep *readReply) {
 	if !srv.waitMinStamp(req.MinStamp) {
-		return &readReply{Code: readErrMinStamp, Err: "session floor not reached"}
+		*rep = readReply{Code: readErrMinStamp, Err: "session floor not reached"}
+		return
 	}
-	return srv.execRead(req, 0, 0)
+	srv.execRead(req, 0, 0, rep)
 }
 
 // execRead runs the handler under the execution mutex (reads interleave
 // with ordered executions at a replica-consistent point) and stamps the
 // reply with the executed prefix — reads advance the session too.
-func (srv *Server) execRead(req *readRequest, age, bound uint64) *readReply {
+func (srv *Server) execRead(req *readRequest, age, bound uint64, rep *readReply) {
 	srv.execMu.Lock()
 	payload, err := srv.cfg.Handler(req.Method, req.Args)
 	stamp := srv.lastExec
 	srv.execMu.Unlock()
 	if err != nil {
-		return &readReply{Code: readErrApp, Err: err.Error(), Stamp: stamp, AgeTicks: age, BoundTicks: bound}
+		*rep = readReply{Code: readErrApp, Err: err.Error(), Stamp: stamp, AgeTicks: age, BoundTicks: bound}
+		return
 	}
-	return &readReply{Code: readOK, Payload: payload, Stamp: stamp, AgeTicks: age, BoundTicks: bound}
+	*rep = readReply{Code: readOK, Payload: payload, Stamp: stamp, AgeTicks: age, BoundTicks: bound}
 }
 
 // staleTicks converts the client's wall-clock staleness budget to ticks
@@ -132,7 +137,7 @@ func (srv *Server) staleTicks(maxStale int64) uint64 {
 }
 
 // readRefusal maps a gcs read-path error to its wire code.
-func readRefusal(err error, age, bound uint64) *readReply {
+func readRefusal(err error, age, bound uint64, rep *readReply) {
 	code := readErrRetry
 	switch {
 	case errors.Is(err, gcs.ErrLeaseExpired):
@@ -142,7 +147,7 @@ func readRefusal(err error, age, bound uint64) *readReply {
 	case errors.Is(err, gcs.ErrNoLease):
 		code = readErrDisabled
 	}
-	return &readReply{Code: code, Err: err.Error(), AgeTicks: age, BoundTicks: bound}
+	*rep = readReply{Code: code, Err: err.Error(), AgeTicks: age, BoundTicks: bound}
 }
 
 // waitMinStamp blocks until the executed prefix covers min (a session

@@ -245,9 +245,7 @@ func (srv *Server) Close() error {
 	}
 	srv.closed = true // from here on detachBinding leaves the bindings to us
 	for _, c := range srv.collectors {
-		if c.settle(0, true) { // nobody is left to answer
-			c.deadline.Stop()
-		}
+		c.settle(0, true) // nobody is left to answer
 	}
 	srv.mu.Unlock()
 
@@ -269,15 +267,15 @@ func (srv *Server) Close() error {
 func (srv *Server) handleGroupEvent(ev gcs.Event) {
 	switch ev.Type {
 	case gcs.EventDeliver:
-		msg, err := decodePayload(ev.Deliver.Payload)
-		if err == nil {
-			switch m := msg.(type) {
-			case *invRequest:
-				if srv.bufferForCatchup(m, ev.Deliver.Sender, ev.Deliver.Stamp) ||
-					srv.execute(m, ev.Deliver.Sender, ev.Deliver.Stamp) {
+		var p payload
+		if decodePayload(ev.Deliver.Payload, &srv.svc.strs, &p) == nil {
+			switch p.Kind {
+			case payloadRequest:
+				if srv.bufferForCatchup(&p.Req, ev.Deliver.Sender, ev.Deliver.Stamp) ||
+					srv.execute(&p.Req, ev.Deliver.Sender, ev.Deliver.Stamp) {
 					return
 				}
-			case helloMsg:
+			case payloadHello:
 				srv.mu.Lock()
 				srv.roster[ev.Deliver.Sender] = true
 				srv.mu.Unlock()
@@ -496,12 +494,10 @@ func (srv *Server) bindingHandler(b *gcs.Group, bind *bindRequest) func(gcs.Even
 			if ev.Deliver.Sender == me {
 				return // our own reply-set multicasts (client monitor groups)
 			}
-			msg, err := decodePayload(ev.Deliver.Payload)
-			if err != nil {
-				return
-			}
-			if req, ok := msg.(*invRequest); ok && !req.Forwarded && bind.Style == Open {
-				srv.serveAsRM(b, bind, req)
+			var p payload
+			if decodePayload(ev.Deliver.Payload, &srv.svc.strs, &p) == nil &&
+				p.Kind == payloadRequest && !p.Req.Forwarded && bind.Style == Open {
+				srv.serveAsRM(b, bind, &p.Req)
 			}
 		case ev.Type == gcs.EventView && srv.clientsGone(ev.View):
 			// Every client has gone: the group has served its purpose.
@@ -644,7 +640,7 @@ func (srv *Server) serveAsRM(b *gcs.Group, bind *bindRequest, req *invRequest) {
 		// exactly the primary's execution order.
 		srv.execMu.Lock()
 		rep, fresh := srv.executeLocked(req.Call, req.Method, req.Args, srv.lastExec, req.Trace)
-		srv.answer(b, client, &invReplySet{Call: req.Call, Replies: []invReply{rep}}, req.Trace)
+		srv.answer(b, client, primaryAnswer(rep), req.Trace)
 		if fresh {
 			srv.relay(req, true)
 		}
@@ -656,23 +652,34 @@ func (srv *Server) serveAsRM(b *gcs.Group, bind *bindRequest, req *invRequest) {
 	// shrinks the quorum or the deadline concludes. Hold the server group's
 	// attention meanwhile: a replica that dies before replying must be
 	// suspected so the quorum shrinks.
-	c := &collection{call: req.Call, trace: req.Trace, b: b, client: client, start: time.Now()}
-	c.mode = req.Mode
+	c := &collection{trace: req.Trace, b: b, client: client, start: time.Now()}
+	c.set.Call, c.mode = req.Call, req.Mode
 	srv.group.Attend()
 	srv.mu.Lock()
 	if srv.closed {
 		srv.mu.Unlock()
 		return
 	}
-	c.replies = make([]invReply, 0, len(srv.roster))
-	c.deadline = time.AfterFunc(rmWait, func() {
-		if c.settle(0, true) {
-			srv.conclude(c)
-		}
-	})
+	c.replies = c.inline[:0]
+	if need := c.mode.need(len(srv.roster)); need > len(c.inline) {
+		c.replies = make([]invReply, 0, need)
+	}
 	srv.collectors[req.Call] = c
 	srv.mu.Unlock()
 	srv.relay(req, false)
+}
+
+// primarySet is the reply set of a primary's answer (rmPrimary): its one
+// reply rides inline, so the answer is one allocation.
+type primarySet struct {
+	invReplySet
+	one [1]invReply
+}
+
+func primaryAnswer(rep invReply) *invReplySet {
+	p := &primarySet{one: [1]invReply{rep}}
+	p.Call, p.Replies = rep.Call, p.one[:]
+	return &p.invReplySet
 }
 
 // relay forwards a client's request into the server group (fig. 4(ii)),
@@ -687,28 +694,53 @@ func (srv *Server) relay(req *invRequest, primary bool) {
 	srv.svc.span(req.Trace, flight.StRMForward, 0, time.Since(start))
 }
 
-// collection is one call this request manager is gathering replies for.
+// collection is one call this request manager is gathering replies for, in
+// one allocation: the replies ride inline while the mode's quorum fits, and
+// the reply set that answers the call (set, whose Call names it) is part of
+// it. The service's sweep (sweepCollections) is its deadline.
 type collection struct {
 	collector
-	call     ids.CallID
-	trace    uint64
-	b        *gcs.Group    // the client/server or client monitor group of the call
-	client   ids.ProcessID // whom the answer goes to (see answer)
-	start    time.Time
-	deadline *time.Timer // concludes with what has arrived after rmWait
+	set    invReplySet
+	trace  uint64
+	b      *gcs.Group    // the client/server or client monitor group of the call
+	client ids.ProcessID // whom the answer goes to (see answer)
+	start  time.Time
+	inline [inlineReplies]invReply
 }
+
+// inlineReplies is how many replies a collection holds without a separate
+// allocation: the quorum of any mode over three replicas, a majority of
+// five.
+const inlineReplies = 3
 
 // conclude answers a settled collection with the replies it gathered.
 func (srv *Server) conclude(c *collection) {
-	c.deadline.Stop()
 	srv.svc.span(c.trace, flight.StRMCollect, uint64(len(c.replies)), time.Since(c.start))
-	set := &invReplySet{Call: c.call, Replies: c.replies}
-	if len(set.Replies) == 0 {
-		set.Err = "request manager: no replies before deadline"
+	c.set.Replies = c.replies
+	if len(c.replies) == 0 {
+		c.set.Err = "request manager: no replies before deadline"
 	}
-	srv.answer(c.b, c.client, set, c.trace)
+	srv.answer(c.b, c.client, &c.set, c.trace)
 	srv.group.Unattend()
 	c.b.Unattend()
+}
+
+// concludeOlder concludes, with whatever has arrived, the collections begun
+// before cutoff: the request manager's deadline, run by the service's sweep.
+func (srv *Server) concludeOlder(cutoff time.Time) {
+	srv.mu.Lock()
+	var due []*collection
+	for _, c := range srv.collectors {
+		if c.start.Before(cutoff) {
+			due = append(due, c)
+		}
+	}
+	srv.mu.Unlock()
+	for _, c := range due {
+		if c.settle(0, true) {
+			srv.conclude(c)
+		}
+	}
 }
 
 // answer retains a call's reply set for retries and returns it to the

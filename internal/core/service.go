@@ -31,6 +31,8 @@ type Service struct {
 	metrics *coreMetrics
 	fr      *flight.Recorder
 	frProc  uint16
+	// strs interns the identifiers every decoded envelope names.
+	strs interner
 
 	mu      sync.Mutex
 	servers map[ids.GroupID]*Server
@@ -40,10 +42,10 @@ type Service struct {
 	attached map[ids.GroupID]*engine
 	nextCall uint64
 	closed   bool
-	probing  bool // probeClients is running
+	probing  bool // probeClients and sweepCollections are running
 
-	// ctx is cancelled by Close; it ends the client prober and parents the
-	// servers' contexts.
+	// ctx is cancelled by Close; it ends the client prober and the
+	// collection sweep and parents the servers' contexts.
 	ctx    context.Context
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
@@ -177,8 +179,8 @@ func (s *Service) newCall() ids.CallID {
 // view change that broke its attachment — finds nothing and is dropped; the
 // retry that replaced it is answered afresh.
 func (s *Service) routeReply(args []byte) {
-	m, err := decodeReplyMsg(args)
-	if err != nil {
+	var m inboundReply
+	if decodeReplyMsg(args, &s.strs, &m) != nil {
 		return
 	}
 	var srv *Server
@@ -195,14 +197,15 @@ func (s *Service) routeReply(args []byte) {
 		srv.collectReply(m.Reply)
 	case e == nil:
 	case m.To == toOpen:
-		e.onReplySet(m.Set)
+		e.onReplySet(m.Answer)
 	default:
 		e.onDirectReply(m.Reply)
 	}
 }
 
-// startProbing starts the service's client prober, once: the first binding
-// group any of its servers joins starts it.
+// startProbing starts the service's client prober and its collection
+// sweep, once: the first binding group any of its servers joins starts
+// them, and only a binding brings a request manager calls to collect.
 func (s *Service) startProbing() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -210,8 +213,33 @@ func (s *Service) startProbing() {
 		return
 	}
 	s.probing = true
-	s.wg.Add(1)
+	s.wg.Add(2)
 	go s.probeClients()
+	go s.sweepCollections()
+}
+
+// sweepsPerWait is how many collection sweeps run per rmWait: a collection
+// that hears too little concludes between rmWait and rmWait plus one sweep
+// period after it began.
+const sweepsPerWait = 10
+
+// sweepCollections is the one deadline of every collection its servers
+// hold, so that a call costs no timer: each sweep concludes, with whatever
+// has arrived, the collections older than rmWait.
+func (s *Service) sweepCollections() {
+	defer s.wg.Done()
+	t := time.NewTicker(rmWait / sweepsPerWait)
+	defer t.Stop()
+	for {
+		select {
+		case <-s.ctx.Done():
+			return
+		case now := <-t.C:
+			for _, srv := range s.serverList() {
+				srv.concludeOlder(now.Add(-rmWait))
+			}
+		}
+	}
 }
 
 // probeClients is the service's one client prober: each round, the shortest
@@ -290,15 +318,17 @@ func (s *Service) control(method string, args []byte) ([]byte, error) {
 		// The read path: a point-to-point read served outside the
 		// ordering layer (see readserver.go). Refusals travel in-band in
 		// the readReply code so the client can try another replica.
-		req, err := decodeReadRequest(args)
-		if err != nil {
+		var req readRequest
+		if err := decodeReadRequest(args, &s.strs, &req); err != nil {
 			return nil, err
 		}
 		srv := s.serverFor(req.Group)
 		if srv == nil {
 			return nil, fmt.Errorf("core: not serving group %q", req.Group)
 		}
-		return encodeReadReply(srv.serveRead(req)), nil
+		var rep readReply
+		srv.serveRead(&req, &rep)
+		return encodeReadReply(&rep), nil
 	case "ping":
 		return []byte("pong"), nil
 	default:

@@ -60,11 +60,11 @@ func encodeStateSnapshot(s *stateSnapshot) []byte {
 
 func decodeStateSnapshot(b []byte) (*stateSnapshot, error) {
 	r := wire.NewReader(b)
-	s := &stateSnapshot{HasState: r.Bool(), Stamp: getStamp(r)}
-	if n := r.Uvarint(); r.Err() == nil && n <= uint64(r.Remaining()) {
+	s := &stateSnapshot{HasState: r.Bool(), Stamp: getStamp(r, nil)}
+	if n := r.Count(2); r.Err() == nil { // a stamp is two fields
 		s.Applied = make([]vclock.Stamp, 0, n)
-		for i := uint64(0); i < n; i++ {
-			s.Applied = append(s.Applied, getStamp(r))
+		for i := 0; i < n; i++ {
+			s.Applied = append(s.Applied, getStamp(r, nil))
 		}
 	}
 	s.Data = r.Blob()
@@ -145,13 +145,14 @@ func (s *Service) ServeReplica(ctx context.Context, cfg ServeConfig) (*Server, e
 type bufferedReq struct {
 	stamp  vclock.Stamp
 	sender ids.ProcessID
-	req    *invRequest
+	req    invRequest
 }
 
-// bufferForCatchup parks req, delivered from sender at stamp, if it is an
-// execution request delivered while the snapshot is still being fetched,
-// and reports whether it did. Everything else (hellos, views, replies) flows
-// through the regular machinery so the roster and views stay current.
+// bufferForCatchup parks a copy of req, delivered from sender at stamp, if
+// it is an execution request delivered while the snapshot is still being
+// fetched, and reports whether it did. Everything else (hellos, views,
+// replies) flows through the regular machinery so the roster and views stay
+// current.
 func (srv *Server) bufferForCatchup(req *invRequest, sender ids.ProcessID, stamp vclock.Stamp) bool {
 	if !srv.catching.Load() || !req.executes() {
 		return false
@@ -161,7 +162,7 @@ func (srv *Server) bufferForCatchup(req *invRequest, sender ids.ProcessID, stamp
 	if !srv.catching.Load() { // the replay ended while we waited for it
 		return false
 	}
-	srv.catchBuf = append(srv.catchBuf, bufferedReq{stamp: stamp, sender: sender, req: req})
+	srv.catchBuf = append(srv.catchBuf, bufferedReq{stamp: stamp, sender: sender, req: *req})
 	return true
 }
 
@@ -192,7 +193,7 @@ func (srv *Server) transferState(ctx context.Context) error {
 				Err: "executed before this replica's state transfer; its result stayed with the donor"})
 			srv.execMu.Unlock()
 		}
-		srv.execute(e.req, e.sender, e.stamp)
+		srv.execute(&e.req, e.sender, e.stamp)
 	}
 	srv.catchBuf = nil
 	srv.catching.Store(false)

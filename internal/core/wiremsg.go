@@ -67,12 +67,20 @@ type invReply struct {
 
 // invReplySet is the request manager's aggregated answer: sent to the
 // client of an open binding with one ORB one-way, or multicast in a client
-// monitor group.
+// monitor group. The client decodes it as an answer.
 type invReplySet struct {
 	Call    ids.CallID
 	Replies []invReply
 	// Err reports a request-manager-level failure (e.g. no servers).
 	Err string
+}
+
+// answer is a reply set as its client decodes it: the replies go straight
+// into the Reply values the call hands out, with no invReplySet between.
+type answer struct {
+	Call    ids.CallID
+	Replies []Reply
+	Err     string
 }
 
 func (r invReply) toReply() Reply {
@@ -110,14 +118,22 @@ func putReply(w *wire.Writer, m invReply) {
 	putStamp(w, m.Stamp)
 }
 
-func getReply(r *wire.Reader) invReply {
+// minReplySize is the fewest bytes one encoded reply takes: its seven
+// fields are a byte or more each (wire.Reader.Count).
+const minReplySize = 7
+
+func getReply(r *wire.Reader, in *interner) invReply {
 	return invReply{
-		Call:    ids.CallID{Client: ids.ProcessID(r.String()), Number: r.Uvarint()},
-		Server:  ids.ProcessID(r.String()),
+		Call:    getCallID(r, in),
+		Server:  in.proc(r),
 		Payload: r.BlobRef(),
 		Err:     r.String(),
-		Stamp:   getStamp(r),
+		Stamp:   getStamp(r, in),
 	}
+}
+
+func getCallID(r *wire.Reader, in *interner) ids.CallID {
+	return ids.CallID{Client: in.proc(r), Number: r.Uvarint()}
 }
 
 func putStamp(w *wire.Writer, s vclock.Stamp) {
@@ -125,8 +141,8 @@ func putStamp(w *wire.Writer, s vclock.Stamp) {
 	w.String(string(s.Sender))
 }
 
-func getStamp(r *wire.Reader) vclock.Stamp {
-	return vclock.Stamp{Time: r.Uvarint(), Sender: ids.ProcessID(r.String())}
+func getStamp(r *wire.Reader, in *interner) vclock.Stamp {
+	return vclock.Stamp{Time: r.Uvarint(), Sender: in.proc(r)}
 }
 
 // The addressees of the "reply" one-way (Service.routeReply). Each names the
@@ -139,14 +155,24 @@ const (
 )
 
 // replyMsg is the argument of the "reply" one-way: one server's reply, or a
-// request manager's reply set, and whom it is for. Group is bytes, and a
-// decoded one aliases the frame, so that routing looks it up in place
-// (map[ids.GroupID(Group)]) and allocates no string for it.
+// request manager's reply set, and whom it is for. Its addressee decodes it
+// as an inboundReply.
 type replyMsg struct {
 	To    byte
 	Group []byte
 	Reply invReply     // toRM, toClosed
 	Set   *invReplySet // toOpen
+}
+
+// inboundReply is a "reply" one-way as its addressee decodes it, into a
+// value the caller owns: a reply set arrives as the answer its client hands
+// out. Group aliases the frame, so that routing looks it up in place
+// (map[ids.GroupID(Group)]) and allocates no string for it.
+type inboundReply struct {
+	To     byte
+	Group  []byte
+	Reply  invReply // toRM, toClosed
+	Answer answer   // toOpen
 }
 
 // put writes m as the args of the one-way frame being built in w.
@@ -160,18 +186,18 @@ func (m *replyMsg) put(w *wire.Writer) {
 	}
 }
 
-func decodeReplyMsg(b []byte) (replyMsg, error) {
+func decodeReplyMsg(b []byte, in *interner, m *inboundReply) error {
 	r := wire.NewReader(b)
-	m := replyMsg{To: r.Byte(), Group: r.BlobRef()}
+	m.To, m.Group = r.Byte(), r.BlobRef()
 	switch m.To {
 	case toRM, toClosed:
-		m.Reply = getReply(r)
+		m.Reply = getReply(r, in)
 	case toOpen:
-		m.Set = getReplySet(r)
+		getAnswer(r, in, &m.Answer)
 	default:
-		return m, fmt.Errorf("core: unknown reply addressee %d", m.To)
+		return fmt.Errorf("core: unknown reply addressee %d", m.To)
 	}
-	return m, r.Done()
+	return r.Done()
 }
 
 func encodeReplySet(m *invReplySet) []byte {
@@ -193,54 +219,52 @@ func putReplySet(w *wire.Writer, m *invReplySet) {
 	w.String(m.Err)
 }
 
-func getReplySet(r *wire.Reader) *invReplySet {
-	set := &invReplySet{
-		Call: ids.CallID{Client: ids.ProcessID(r.String()), Number: r.Uvarint()},
-	}
-	n := r.Uvarint()
-	if r.Err() == nil && n <= uint64(r.Remaining()) {
-		set.Replies = make([]invReply, 0, n)
-		for i := uint64(0); i < n; i++ {
-			set.Replies = append(set.Replies, getReply(r))
+// getAnswer decodes a reply set into a, each reply straight into the Reply
+// its call hands out.
+func getAnswer(r *wire.Reader, in *interner, a *answer) {
+	a.Call = getCallID(r, in)
+	if n := r.Count(minReplySize); n > 0 {
+		a.Replies = make([]Reply, n)
+		for i := range a.Replies {
+			a.Replies[i] = getReply(r, in).toReply()
 		}
 	}
-	set.Err = r.String()
-	return set
+	a.Err = r.String()
 }
 
-// decodePayload parses one invocation-layer multicast payload.
-func decodePayload(b []byte) (any, error) {
+// payload is one invocation-layer multicast payload, decoded into storage
+// its receiver owns: Kind says which field holds it (a hello is its kind
+// alone). Whatever keeps a request past the handler copies it.
+type payload struct {
+	Kind byte
+	Req  invRequest // payloadRequest
+	Set  answer     // payloadReplySet
+}
+
+// decodePayload parses one invocation-layer multicast payload into p.
+func decodePayload(b []byte, in *interner, p *payload) error {
 	r := wire.NewReader(b)
-	kind := r.Byte()
-	var msg any
-	switch kind {
+	p.Kind = r.Byte()
+	switch p.Kind {
 	case payloadRequest:
-		msg = &invRequest{
-			Call:      ids.CallID{Client: ids.ProcessID(r.String()), Number: r.Uvarint()},
-			Mode:      ReplyMode(r.Uvarint()),
-			Method:    r.String(),
-			Args:      r.BlobRef(),
-			Client:    ids.ProcessID(r.String()),
-			Style:     Style(r.Uvarint()),
-			Forwarded: r.Bool(),
-			AsyncFwd:  r.Bool(),
-			Trace:     r.Uvarint(),
-		}
+		m := &p.Req
+		m.Call = getCallID(r, in)
+		m.Mode = ReplyMode(r.Uvarint())
+		m.Method = in.str(r)
+		m.Args = r.BlobRef()
+		m.Client = in.proc(r)
+		m.Style = Style(r.Uvarint())
+		m.Forwarded = r.Bool()
+		m.AsyncFwd = r.Bool()
+		m.Trace = r.Uvarint()
 	case payloadHello:
-		msg = helloMsg{}
 	case payloadReplySet:
-		msg = getReplySet(r)
+		getAnswer(r, in, &p.Set)
 	default:
-		return nil, fmt.Errorf("core: unknown payload kind %d", kind)
+		return fmt.Errorf("core: unknown payload kind %d", p.Kind)
 	}
-	if err := r.Done(); err != nil {
-		return nil, err
-	}
-	return msg, nil
+	return r.Done()
 }
-
-// helloMsg is the decoded form of a server announcement.
-type helloMsg struct{}
 
 // bindRequest is the control call ("newtop.bind") a client makes on a
 // server's NSO to have it join a client/server or client monitor group.
@@ -393,21 +417,16 @@ func encodeReadRequest(m *readRequest) []byte {
 	return out
 }
 
-func decodeReadRequest(b []byte) (*readRequest, error) {
+func decodeReadRequest(b []byte, in *interner, m *readRequest) error {
 	r := wire.NewReader(b)
-	m := &readRequest{
-		Group:       ids.GroupID(r.String()),
-		Method:      r.String(),
-		Args:        r.BlobRef(),
-		Consistency: Consistency(r.Uvarint()),
-		MaxStale:    r.Varint(),
-		MinStamp:    getStamp(r),
-		Trace:       r.Uvarint(),
-	}
-	if err := r.Done(); err != nil {
-		return nil, err
-	}
-	return m, nil
+	m.Group = ids.GroupID(in.str(r))
+	m.Method = in.str(r)
+	m.Args = r.BlobRef()
+	m.Consistency = Consistency(r.Uvarint())
+	m.MaxStale = r.Varint()
+	m.MinStamp = getStamp(r, in)
+	m.Trace = r.Uvarint()
+	return r.Done()
 }
 
 func encodeReadReply(m *readReply) []byte {
@@ -423,20 +442,15 @@ func encodeReadReply(m *readReply) []byte {
 	return out
 }
 
-func decodeReadReply(b []byte) (*readReply, error) {
+func decodeReadReply(b []byte, in *interner, m *readReply) error {
 	r := wire.NewReader(b)
-	m := &readReply{
-		Code:       r.Byte(),
-		Payload:    r.BlobRef(),
-		Err:        r.String(),
-		Stamp:      getStamp(r),
-		AgeTicks:   r.Uvarint(),
-		BoundTicks: r.Uvarint(),
-	}
-	if err := r.Done(); err != nil {
-		return nil, err
-	}
-	return m, nil
+	m.Code = r.Byte()
+	m.Payload = r.BlobRef()
+	m.Err = r.String()
+	m.Stamp = getStamp(r, in)
+	m.AgeTicks = r.Uvarint()
+	m.BoundTicks = r.Uvarint()
+	return r.Done()
 }
 
 // encodeProcs/decodeProcs carry member lists in ORB control replies.
@@ -453,12 +467,12 @@ func encodeProcs(ps []ids.ProcessID) []byte {
 
 func decodeProcs(b []byte) ([]ids.ProcessID, error) {
 	r := wire.NewReader(b)
-	n := r.Uvarint()
-	if r.Err() != nil || n > uint64(r.Remaining()) {
-		return nil, wire.ErrTooLarge
+	n := r.Count(1)
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
 	out := make([]ids.ProcessID, 0, n)
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		out = append(out, ids.ProcessID(r.String()))
 	}
 	if err := r.Done(); err != nil {

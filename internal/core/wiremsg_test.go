@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -26,11 +28,11 @@ func TestRequestRoundTrip(t *testing.T) {
 		AsyncFwd:  true,
 		Trace:     0xdeadbeefcafe,
 	}
-	msg, err := decodePayload(encodeRequest(req))
-	if err != nil {
-		t.Fatal(err)
+	var p payload
+	if err := decodePayload(encodeRequest(req), nil, &p); err != nil || p.Kind != payloadRequest {
+		t.Fatalf("kind %d, err %v", p.Kind, err)
 	}
-	got := msg.(*invRequest)
+	got := &p.Req
 	if got.Call != req.Call || got.Mode != req.Mode || got.Method != req.Method ||
 		string(got.Args) != string(req.Args) || got.Client != req.Client ||
 		got.Style != req.Style || got.Forwarded != req.Forwarded || got.AsyncFwd != req.AsyncFwd ||
@@ -48,11 +50,11 @@ func TestReplyAndSetRoundTrip(t *testing.T) {
 		Stamp:   vclock.Stamp{Time: 42, Sender: "s0"},
 	}
 	for _, to := range []byte{toRM, toClosed} {
-		got, err := decodeReplyMsg(encodeReplyMsg(replyMsg{To: to, Group: []byte("sg"), Reply: rep}))
-		if err != nil {
+		var got inboundReply
+		if err := decodeReplyMsg(encodeReplyMsg(replyMsg{To: to, Group: []byte("sg"), Reply: rep}), nil, &got); err != nil {
 			t.Fatal(err)
 		}
-		if got.To != to || string(got.Group) != "sg" || got.Set != nil || !reflect.DeepEqual(got.Reply, rep) {
+		if got.To != to || string(got.Group) != "sg" || got.Answer.Replies != nil || !reflect.DeepEqual(got.Reply, rep) {
 			t.Fatalf("reply to %d mismatch: %+v", to, got)
 		}
 	}
@@ -62,25 +64,34 @@ func TestReplyAndSetRoundTrip(t *testing.T) {
 		Replies: []invReply{rep, {Call: rep.Call, Server: "s2", Payload: []byte("x")}},
 		Err:     "",
 	}
-	msg, err := decodePayload(encodeReplySet(set))
-	if err != nil {
-		t.Fatal(err)
+	var p payload
+	if err := decodePayload(encodeReplySet(set), nil, &p); err != nil || p.Kind != payloadReplySet {
+		t.Fatalf("kind %d, err %v", p.Kind, err)
 	}
-	gotSet := msg.(*invReplySet)
+	gotSet := p.Set
 	if gotSet.Call != set.Call || len(gotSet.Replies) != 2 || gotSet.Replies[1].Server != "s2" ||
-		!reflect.DeepEqual(gotSet.Replies[0], rep) {
+		!reflect.DeepEqual(gotSet.Replies[0], rep.toReply()) {
 		t.Fatalf("set mismatch: %+v", gotSet)
 	}
-	answer, err := decodeReplyMsg(encodeReplyMsg(replyMsg{To: toOpen, Group: []byte("cs/sg/c/1"), Set: set}))
-	if err != nil {
+	var answer inboundReply
+	if err := decodeReplyMsg(encodeReplyMsg(replyMsg{To: toOpen, Group: []byte("cs/sg/c/1"), Set: set}), nil, &answer); err != nil {
 		t.Fatal(err)
 	}
-	if answer.To != toOpen || string(answer.Group) != "cs/sg/c/1" || !reflect.DeepEqual(answer.Set, gotSet) {
+	if answer.To != toOpen || string(answer.Group) != "cs/sg/c/1" || !reflect.DeepEqual(answer.Answer, gotSet) {
 		t.Fatalf("answer mismatch: %+v", answer)
 	}
-	if _, err := decodeReplyMsg(encodeReplyMsg(replyMsg{To: 9, Group: []byte("sg")})); err == nil {
+	if err := decodeReplyMsg(encodeReplyMsg(replyMsg{To: 9, Group: []byte("sg")}), nil, &answer); err == nil {
 		t.Fatal("a reply to an unknown addressee decoded")
 	}
+}
+
+// asAnswer is set as its client decodes it.
+func asAnswer(set *invReplySet) answer {
+	a := answer{Call: set.Call, Err: set.Err}
+	if len(set.Replies) > 0 {
+		a.Replies = replyValues(set.Replies)
+	}
+	return a
 }
 
 // encodeReplyMsg is a "reply" one-way's args as its ORB frame carries them.
@@ -91,12 +102,12 @@ func encodeReplyMsg(m replyMsg) []byte {
 }
 
 func TestHelloRoundTrip(t *testing.T) {
-	msg, err := decodePayload(encodeHello())
-	if err != nil {
+	var p payload
+	if err := decodePayload(encodeHello(), nil, &p); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := msg.(helloMsg); !ok {
-		t.Fatalf("hello decoded as %T", msg)
+	if p.Kind != payloadHello {
+		t.Fatalf("hello decoded as kind %d", p.Kind)
 	}
 }
 
@@ -145,16 +156,15 @@ func TestReflectionRoundTrips(t *testing.T) {
 		if z := wiretest.Unfilled(req); len(z) != 0 {
 			t.Fatalf("filler left fields zero (extend wiretest.Fill): %v", z)
 		}
-		msg, err := decodePayload(encodeRequest(req))
-		if err != nil {
+		var p payload
+		if err := decodePayload(encodeRequest(req), nil, &p); err != nil {
 			t.Fatal(err)
 		}
-		got, ok := msg.(*invRequest)
-		if !ok {
-			t.Fatalf("decoded as %T", msg)
+		if p.Kind != payloadRequest {
+			t.Fatalf("decoded as kind %d", p.Kind)
 		}
-		if !reflect.DeepEqual(got, req) {
-			t.Fatalf("encode/decode asymmetry:\n%s", wiretest.Diff(*req, *got))
+		if !reflect.DeepEqual(p.Req, *req) {
+			t.Fatalf("encode/decode asymmetry:\n%s", wiretest.Diff(*req, p.Req))
 		}
 	})
 	t.Run("reply", func(t *testing.T) {
@@ -163,8 +173,8 @@ func TestReflectionRoundTrips(t *testing.T) {
 		if z := wiretest.Unfilled(&rep); len(z) != 0 {
 			t.Fatalf("filler left fields zero: %v", z)
 		}
-		got, err := decodeReplyMsg(encodeReplyMsg(replyMsg{To: toRM, Group: []byte("sg"), Reply: rep}))
-		if err != nil {
+		var got inboundReply
+		if err := decodeReplyMsg(encodeReplyMsg(replyMsg{To: toRM, Group: []byte("sg"), Reply: rep}), nil, &got); err != nil {
 			t.Fatal(err)
 		}
 		if string(got.Group) != "sg" || !reflect.DeepEqual(got.Reply, rep) {
@@ -177,23 +187,23 @@ func TestReflectionRoundTrips(t *testing.T) {
 		if z := wiretest.Unfilled(set); len(z) != 0 {
 			t.Fatalf("filler left fields zero: %v", z)
 		}
-		msg, err := decodePayload(encodeReplySet(set))
-		if err != nil {
+		want := asAnswer(set)
+		var p payload
+		if err := decodePayload(encodeReplySet(set), nil, &p); err != nil {
 			t.Fatal(err)
 		}
-		got, ok := msg.(*invReplySet)
-		if !ok {
-			t.Fatalf("decoded as %T", msg)
+		if p.Kind != payloadReplySet {
+			t.Fatalf("decoded as kind %d", p.Kind)
 		}
-		if !reflect.DeepEqual(got, set) {
-			t.Fatalf("encode/decode asymmetry:\n%s", wiretest.Diff(*set, *got))
+		if !reflect.DeepEqual(p.Set, want) {
+			t.Fatalf("encode/decode asymmetry:\n%s", wiretest.Diff(want, p.Set))
 		}
-		answer, err := decodeReplyMsg(encodeReplyMsg(replyMsg{To: toOpen, Group: []byte("cs"), Set: set}))
-		if err != nil {
+		var got inboundReply
+		if err := decodeReplyMsg(encodeReplyMsg(replyMsg{To: toOpen, Group: []byte("cs"), Set: set}), nil, &got); err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(answer.Set, set) {
-			t.Fatalf("answer encode/decode asymmetry:\n%s", wiretest.Diff(*set, *answer.Set))
+		if !reflect.DeepEqual(got.Answer, want) {
+			t.Fatalf("answer encode/decode asymmetry:\n%s", wiretest.Diff(want, got.Answer))
 		}
 	})
 	t.Run("bind", func(t *testing.T) {
@@ -241,11 +251,14 @@ func TestReflectionRoundTrips(t *testing.T) {
 }
 
 func TestPayloadDecodeGarbageNeverPanics(t *testing.T) {
+	var in interner
 	f := func(b []byte) bool {
-		_, _ = decodePayload(b)
+		var p payload
+		var m inboundReply
+		_ = decodePayload(b, &in, &p)
 		_, _ = decodeBindRequest(b)
 		_, _ = decodeProcs(b)
-		_, _ = decodeReplyMsg(b)
+		_ = decodeReplyMsg(b, &in, &m)
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 3000}); err != nil {
@@ -312,5 +325,143 @@ func TestReplyCacheEviction(t *testing.T) {
 func TestReplyCacheHoldsRepliesInline(t *testing.T) {
 	if size := unsafe.Sizeof(invReply{}); size > 128 {
 		t.Fatalf("invReply is %d bytes: over 128 the reply cache allocates per execution", size)
+	}
+}
+
+// impossibleCountFrames are envelopes whose list counts promise more
+// elements than the rest of the frame can hold, each with the decoder that
+// must refuse it. Each used to decode without error, the list silently
+// dropped and the bytes after the count read as the following fields.
+func impossibleCountFrames() []namedFrame {
+	set := func(w *wire.Writer) {
+		w.String("c")
+		w.Uvarint(1) // call number
+		w.Uvarint(1000)
+		w.String("") // the set's error
+	}
+	w := wire.NewWriter()
+	w.Byte(payloadReplySet)
+	set(w)
+	replySet := w.Detach()
+
+	w.Reset()
+	w.Byte(toOpen)
+	w.String("cs")
+	set(w)
+	answer := w.Detach()
+
+	w.Reset()
+	w.String("sg")
+	w.Uvarint(1000)
+	ref := w.Detach()
+
+	w.Reset()
+	w.Bool(true)
+	w.Uvarint(5)
+	w.String("s")
+	w.Uvarint(1000)
+	w.Blob(nil)
+	snap := w.Detach()
+
+	return []namedFrame{
+		{"reply set of 1000 replies", replySet, func(b []byte) error {
+			var p payload
+			return decodePayload(b, nil, &p)
+		}},
+		{"answer of 1000 replies", answer, func(b []byte) error {
+			var m inboundReply
+			return decodeReplyMsg(b, nil, &m)
+		}},
+		{"group ref of 1000 members", ref, func(b []byte) error {
+			_, err := DecodeGroupRef(b)
+			return err
+		}},
+		{"snapshot of 1000 applied stamps", snap, func(b []byte) error {
+			_, err := decodeStateSnapshot(b)
+			return err
+		}},
+	}
+}
+
+type namedFrame struct {
+	name   string
+	frame  []byte
+	decode func([]byte) error
+}
+
+func TestDecodeRejectsImpossibleCounts(t *testing.T) {
+	for _, f := range impossibleCountFrames() {
+		if err := f.decode(f.frame); err == nil {
+			t.Errorf("%s: decoded, want an error", f.name)
+		}
+	}
+}
+
+// The intern table is bounded: a stream of more unique client and server
+// identifiers than it holds stops growing it at the cap, and every decoded
+// value stays what was sent, whether it came from the table or not.
+func TestInternTableIsBounded(t *testing.T) {
+	var in interner
+	for i := 0; i < internCap+1000; i++ {
+		rep := invReply{
+			Call:    ids.CallID{Client: ids.ProcessID(fmt.Sprintf("client-%d", i)), Number: uint64(i)},
+			Server:  ids.ProcessID(fmt.Sprintf("server-%d", i)),
+			Payload: []byte("p"),
+			Stamp:   vclock.Stamp{Time: 1, Sender: ids.ProcessID(fmt.Sprintf("server-%d", i))},
+		}
+		var got inboundReply
+		if err := decodeReplyMsg(encodeReplyMsg(replyMsg{To: toRM, Group: []byte("sg"), Reply: rep}), &in, &got); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Reply, rep) {
+			t.Fatalf("reply %d decoded as %+v, want %+v", i, got.Reply, rep)
+		}
+	}
+	if n := in.size(); n != internCap {
+		t.Fatalf("the table holds %d identifiers after the stream, want its cap %d", n, internCap)
+	}
+	// What it holds is still handed out, the same string every time; past
+	// the cap, identifiers are converted afresh.
+	same := func(id string) bool {
+		return unsafe.StringData(in.intern([]byte(id))) == unsafe.StringData(in.intern([]byte(id)))
+	}
+	if !same("client-0") || same(fmt.Sprintf("client-%d", internCap+999)) {
+		t.Fatal("the table does not hand out what it holds, or holds more than its cap")
+	}
+}
+
+// size is how many identifiers the table holds.
+func (t *interner) size() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	n := len(t.dirty)
+	if m := t.read.Load(); m != nil {
+		n += len(*m)
+	}
+	return n
+}
+
+// Dispatch workers and the ORB receive loop decode at once: the table
+// hands every one of them the identifier it was given while misses file
+// and publish under their feet (run under -race by ci.sh).
+func TestInternTableConcurrent(t *testing.T) {
+	var in interner
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 2000; i++ {
+				id := fmt.Sprintf("p%d", (i*7+g)%600)
+				if got := in.intern([]byte(id)); got != id {
+					t.Errorf("interned %q as %q", id, got)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := in.size(); n != 600 {
+		t.Fatalf("the table holds %d identifiers, want the 600 streamed", n)
 	}
 }

@@ -1,6 +1,7 @@
 package gcs
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -184,8 +185,11 @@ func TestAllocGuardEncode(t *testing.T) {
 	}
 }
 
-// TestAllocGuardDecode budgets the wire decoding of a typical data
-// message.
+// TestAllocGuardDecode budgets the wire decoding of a typical data message
+// from the sequencer, ordering decisions included, by a long-lived decoder
+// as the node's receive loop runs it: identifiers interned, counters and
+// decisions in the message's inline blocks, the envelope carved from a
+// chunk.
 func TestAllocGuardDecode(t *testing.T) {
 	enc := encodeMessage(&dataMsg{
 		Group:         "alloc",
@@ -197,14 +201,16 @@ func TestAllocGuardDecode(t *testing.T) {
 		VC:            []uint64{4, 9, 7},
 		Payload:       make([]byte, 64),
 		Acks:          []uint64{4, 9, 7},
+		Assigns:       []assign{{Sender: "a/p", Seq: 3, Global: 11}, {Sender: "b/me", Seq: 9, Global: 12}},
 	})
+	d := newDecoder()
 	avg := testing.AllocsPerRun(500, func() {
-		if _, err := decodeMessage(enc); err != nil {
+		if _, err := d.decode(enc); err != nil {
 			t.Fatal(err)
 		}
 	})
 	t.Logf("decode dataMsg: %.1f allocs/op", avg)
-	const budget = 7 // measured 5.0 after the overhaul (15.0 on the seed)
+	const budget = 0 // measured 0.0 (1.0 with the decisions on the heap; 15.0 one-shot on the seed)
 	if avg > budget {
 		t.Fatalf("decode allocates %.1f/op, budget %d", avg, budget)
 	}
@@ -251,5 +257,85 @@ func TestAllocGuardMuxedBroadcast(t *testing.T) {
 	const budget = 1 // the detached frame; 7 with the per-destination copy
 	if avg > budget {
 		t.Fatalf("muxed broadcast allocates %.1f/op, budget %d", avg, budget)
+	}
+}
+
+// TestAllocGuardSequencerDeliver budgets the multicast→deliver cycle under
+// the sequencer order, where ordering decisions ride on data messages (the
+// paper's ORDER multicast). As the leader, this member assigns its own
+// message a global position and announces the decision on that message; as
+// a follower, it multicasts and then ingests the leader's null that carries
+// the decision for it. The peers' frames go through the node's decoder and
+// its dispatch, as the receive loop's would, so the decisions are decoded
+// too. Either way the decisions live in the message's inline block: with a
+// heap slice per announcement and per decode each cycle cost one more.
+func TestAllocGuardSequencerDeliver(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		peers  []ids.ProcessID
+		leader ids.ProcessID // whose nulls carry the decisions; "" = this member's sends do
+		budget float64
+	}{
+		{"leader", []ids.ProcessID{"c/q", "d/r"}, "", 1},      // measured 1.0 (2.0 with the decisions on the heap)
+		{"follower", []ids.ProcessID{"a/p", "c/q"}, "a/p", 1}, // measured 1.0 (2.0 with the decisions on the heap)
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n, g := allocGroup(t, OrderSequencer, tc.peers...)
+			defer n.Close()
+			members := ids.SortProcesses(append([]ids.ProcessID{"b/me"}, tc.peers...))
+			const warm, runs = 64, 200
+			total := warm + runs + 8
+			frames := make([][]transport.Inbound, total)
+			for i := range frames {
+				seq := uint64(i) + 1
+				for k, p := range tc.peers {
+					m := &dataMsg{
+						Group:         "alloc",
+						ViewSeq:       2,
+						ViewInstaller: "b/me",
+						Sender:        p,
+						Seq:           seq,
+						Lamport:       10*seq + uint64(k) + 1,
+						Null:          true,
+						VC:            peerVC(slices.Index(members, p), seq),
+						Acks:          peerAcks(seq),
+					}
+					if p == tc.leader {
+						m.Assigns = []assign{{Sender: "b/me", Seq: seq, Global: seq}}
+					}
+					frames[i] = append(frames[i], transport.Inbound{From: p, Payload: encodeMessage(m)})
+				}
+			}
+			payload := make([]byte, 64)
+			decoded := make([]inFrame, 0, len(tc.peers))
+			run := make([]any, 0, len(tc.peers))
+			iter := 0
+			cycle := func() {
+				if err := g.Multicast(nil, payload); err != nil {
+					t.Fatal(err)
+				}
+				decoded = decoded[:0]
+				for _, in := range frames[iter] {
+					f, ok := n.decodeFrame(in)
+					if !ok {
+						t.Fatal("peer frame did not decode")
+					}
+					decoded = append(decoded, f)
+				}
+				n.dispatch(decoded, &run)
+				iter++
+				if ev := <-g.Events(); ev.Type != EventDeliver {
+					t.Fatalf("expected delivery, got %+v", ev)
+				}
+			}
+			for i := 0; i < warm; i++ {
+				cycle()
+			}
+			avg := testing.AllocsPerRun(runs, cycle)
+			t.Logf("multicast→deliver (sequencer, %s): %.1f allocs/op", tc.name, avg)
+			if avg > tc.budget {
+				t.Fatalf("multicast→deliver allocates %.1f/op, budget %.0f", avg, tc.budget)
+			}
+		})
 	}
 }

@@ -55,9 +55,9 @@ func TestAllocCrossCheckStaticVsRuntime(t *testing.T) {
 	}{
 		{"newtop/internal/gcs.(*Group).Multicast", 8},        // multicast→deliver budget
 		{"newtop/internal/gcs.encodeFramed", 2},              // encode budget
-		{"newtop/internal/gcs.decodeMessage", 7},             // decode budget
-		{"newtop/internal/gcs.(*Node).dispatch", 7},          // ingest ≥ decode budget
-		{"newtop/internal/core.(*Server).serveReadLocal", 8}, // leased-read budget
+		{"newtop/internal/gcs.decodeMessage", 0},             // decode budget
+		{"newtop/internal/gcs.(*Node).dispatch", 1},          // sequencer multicast→deliver budget, decode and ingest included
+		{"newtop/internal/core.(*Server).serveReadLocal", 0}, // leased-read budget
 	}
 	for _, cc := range crossChecks {
 		static, ok := counts[cc.entry]

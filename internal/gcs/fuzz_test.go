@@ -17,6 +17,9 @@ func FuzzDecodeMessage(f *testing.F) {
 	f.Add(encodeMessage(&batchMsg{Group: "g", Msgs: []*dataMsg{randomData(r), randomData(r)}}))
 	f.Add(encodeMessage(&commitMsg{Group: "g", NewSeq: 3, Proposer: "p", Order: OrderSymmetric}))
 	f.Add([]byte{})
+	for _, bad := range impossibleCountFrames() {
+		f.Add(bad.frame)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		msg, err := decodeMessage(data)

@@ -445,7 +445,7 @@ func (g *Group) emitDataLocked(null bool, payload []byte) {
 		if !null {
 			g.assignLocked(m.senderIdx, m.Seq)
 		}
-		m.Assigns = g.assignDeltaLocked(m.Seq)
+		m.Assigns = g.assignDeltaLocked(m)
 		g.announcedHigh = g.assignHigh
 		// Read-lease grant: piggybacked on whatever the sequencer was
 		// sending anyway, but only while it can itself hear a majority —
@@ -609,16 +609,22 @@ func (g *Group) assignSnapshotLocked() []assign {
 // ingest a sender's messages contiguously (losses are repaired by resend,
 // and view changes recover the full table through the flush), so the
 // first carry is the only one that can ever inform anyone. The carrying
-// sequence number (seq, the one the caller is about to send) is recorded
-// in the slot so the decision outlives that message's stabilisation. This
-// is the paper's explicit ORDER multicast: new decisions only — announcing
-// the whole live table made every message O(unstable-window) to encode and
-// decode, which melted the sequencer under pipelined load.
-func (g *Group) assignDeltaLocked(seq uint64) []assign {
+// sequence number (that of m, the message the caller is about to send) is
+// recorded in the slot so the decision outlives that message's
+// stabilisation. This is the paper's explicit ORDER multicast: new
+// decisions only — announcing the whole live table made every message
+// O(unstable-window) to encode and decode, which melted the sequencer under
+// pipelined load. The list is built in m's inline block, spilling to the
+// heap only past maxInlineAssigns decisions.
+func (g *Group) assignDeltaLocked(m *dataMsg) []assign {
 	if g.assignHigh <= g.announcedHigh {
 		return nil
 	}
-	out := make([]assign, 0, g.assignHigh-g.announcedHigh)
+	seq := m.Seq
+	out := m.asgn[:0]
+	if n := g.assignHigh - g.announcedHigh; n > maxInlineAssigns {
+		out = make([]assign, 0, n)
+	}
 	for global := g.announcedHigh + 1; global <= g.assignHigh; global++ {
 		ref := g.ring.get(global)
 		if ref.seq == 0 {

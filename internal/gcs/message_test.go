@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"newtop/internal/ids"
+	"newtop/internal/wire"
 )
 
 // randomData builds an arbitrary dataMsg from a rand source.
@@ -193,5 +194,69 @@ func TestGroupOf(t *testing.T) {
 	}
 	if groupOf(42) != "" {
 		t.Error("groupOf(unknown) should be empty")
+	}
+}
+
+// impossibleCountFrames are frames whose list counts promise more elements
+// than the rest of the frame can hold. Each used to decode without error,
+// the list silently dropped and the bytes after the count read as the
+// following fields.
+func impossibleCountFrames() []namedFrame {
+	data := func(vcCount, assignCount uint64) []byte {
+		w := wire.NewWriter()
+		w.Byte(kindData)
+		w.String("g")
+		w.Uvarint(2)  // view seq
+		w.String("a") // installer
+		w.String("b") // sender
+		w.Uvarint(1)  // seq
+		w.Uvarint(5)  // lamport
+		w.Uvarint(vcCount)
+		w.Bool(false) // null
+		w.Blob(nil)   // payload
+		w.Uvarint(0)  // acks
+		w.Uvarint(assignCount)
+		w.Uvarint(7) // lease
+		return w.Bytes()
+	}
+	list := func(kind byte, count uint64) []byte {
+		w := wire.NewWriter()
+		w.Byte(kind)
+		w.String("g")
+		switch kind {
+		case kindPropose:
+			w.Uvarint(3)
+			w.String("a")
+		case kindFlushAck:
+			w.Uvarint(3)
+			w.String("a")
+			w.String("b")
+			w.Bool(false)
+		}
+		w.Uvarint(count)
+		if kind == kindFlushAck {
+			w.Uvarint(0) // assigns
+		}
+		return w.Bytes()
+	}
+	return []namedFrame{
+		{"vc count 1000, no counters", data(1000, 0)},
+		{"assigns count 300, a lease", data(0, 300)},
+		{"batch of 50 messages", list(kindBatch, 50)},
+		{"propose of 100 members", list(kindPropose, 100)},
+		{"flush ack of 40 unstable", list(kindFlushAck, 40)},
+	}
+}
+
+type namedFrame struct {
+	name  string
+	frame []byte
+}
+
+func TestDecodeRejectsImpossibleCounts(t *testing.T) {
+	for _, f := range impossibleCountFrames() {
+		if msg, err := decodeMessage(f.frame); err == nil {
+			t.Errorf("%s: decoded as %+v, want an error", f.name, msg)
+		}
 	}
 }

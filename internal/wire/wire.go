@@ -189,6 +189,22 @@ func (r *Reader) Uvarint() uint64 {
 	return v
 }
 
+// Count reads the length prefix of a list whose every element takes at
+// least minSize bytes on the wire. A count the unread input cannot hold
+// fails the reader with ErrTooLarge and reads as zero, so a corrupt or
+// hostile frame is rejected instead of decoding with its list dropped.
+func (r *Reader) Count(minSize int) int {
+	n := r.Uvarint()
+	if r.err != nil {
+		return 0
+	}
+	if n > uint64(r.Remaining()/minSize) {
+		r.fail(ErrTooLarge)
+		return 0
+	}
+	return int(n)
+}
+
 // Varint reads a signed varint.
 func (r *Reader) Varint() int64 {
 	if r.err != nil {

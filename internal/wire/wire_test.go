@@ -11,6 +11,27 @@ import (
 	"newtop/internal/wire/wiretest"
 )
 
+// A list count the unread input cannot hold fails the reader: a decoder
+// must never carry on past it as if the list were empty.
+func TestCountRejectsWhatTheInputCannotHold(t *testing.T) {
+	w := wire.NewWriter()
+	w.Uvarint(2)
+	w.Uvarint(7)
+	w.Uvarint(8)
+	if r := wire.NewReader(w.Bytes()); r.Count(1) != 2 || r.Err() != nil {
+		t.Fatalf("two one-byte elements: err %v", r.Err())
+	}
+	r := wire.NewReader(w.Bytes())
+	if n := r.Count(2); n != 0 || r.Err() != wire.ErrTooLarge {
+		t.Fatalf("two two-byte elements in two bytes: Count %d, err %v", n, r.Err())
+	}
+	w.Reset()
+	w.Uvarint(1000)
+	if r := wire.NewReader(w.Bytes()); r.Count(1) != 0 || r.Err() != wire.ErrTooLarge {
+		t.Fatalf("a count of 1000 with nothing after it: err %v", r.Err())
+	}
+}
+
 func TestRoundTripPrimitives(t *testing.T) {
 	w := wire.NewWriter()
 	w.Byte(0xAB)
