@@ -79,18 +79,23 @@ go test -run '^$' -fuzz '^FuzzDecodePayload$' -fuzztime=10s ./internal/core/
 # retry repairs of a lost reply and a lost answer, the reply fan-in's
 # routing and message counts, the session floor wait, the stage journal,
 # a binding's zero goroutine cost and its release when the client crashes,
-# and the dispatch stage's consumer contract. A test here that fails one
+# the dispatch stage's consumer contract, and the view changes that
+# group-to-group invocation rides on (a proposal that overtakes the
+# previous view's commit is resent, not lost). A test here that fails one
 # run in ten is a protocol bug until shown otherwise.
 echo "== server path repeats =="
-go test -count=10 -run 'RMCrashAtEveryPipelineStage|Joiner|LostDirectReply|LostAnswer|RouteByRole|OpenCallCosts|RMCrashMidCollect|SessionReadsOwnWrites|OneEventPerFact|BindingsCostNoGoroutine|LateConsumer|ClientCrashReleases' ./internal/core/ ./internal/gcs/
+go test -count=10 -run 'RMCrashAtEveryPipelineStage|Joiner|LostDirectReply|LostAnswer|RouteByRole|OpenCallCosts|RMCrashMidCollect|SessionReadsOwnWrites|OneEventPerFact|BindingsCostNoGoroutine|LateConsumer|ClientCrashReleases|GroupToGroupFiltersDuplicates|TracePropagationGroupToGroup|ProposalThatOvertakesTheCommit' ./internal/core/ ./internal/gcs/
 
 # Every group is consumed on the dispatch stage, so the handoffs between
 # an ordering decision, its worker and the invocation layer cross
 # goroutines, and every worker decodes through its service's one intern
 # table: the race detector sees them even when the full race pass below
-# is skipped.
+# is skipped. The outbound ownership contract rides along: every transport
+# and Multicast copy what they keep, so a sender recycles its buffer while
+# the bytes are still in flight, and the race detector would see a send
+# that kept the caller's buffer instead.
 echo "== dispatch handoffs under -race =="
-go test -race -count=5 -run 'DispatchPool|LateConsumer|BindingsCostNoGoroutine|InvokerConformance|RMCrashAtEveryPipelineStage|InternTable' ./internal/gcs/ ./internal/core/
+go test -race -count=5 -run 'DispatchPool|LateConsumer|BindingsCostNoGoroutine|InvokerConformance|RMCrashAtEveryPipelineStage|InternTable|SendCopiesPayload|MulticastCopiesPayload' ./internal/gcs/ ./internal/core/ ./internal/transport/
 
 if [ "${CI_SHORT:-0}" = "1" ]; then
 	echo "ci: CI_SHORT=1, skipping the race pass"
@@ -111,7 +116,7 @@ go run ./cmd/newtop-bench -experiment pipeline -quick
 
 # Smoke the real-socket transport the same way: a loopback TCP peer group
 # over the writer-pipeline transport. Catches anything the in-memory
-# transports can't — framing, redial, vectored-write batching.
+# transports can't — framing, redial, write batching.
 echo "== tcpnet smoke =="
 go run ./cmd/newtop-bench -experiment tcpnet -quick
 

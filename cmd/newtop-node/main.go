@@ -90,7 +90,6 @@ func run(args []string) error {
 
 		advertise  = fs.String("advertise", "", "address peers should dial back (required when -listen binds a wildcard behind NAT/containers)")
 		sendQueue  = fs.Int("send-queue", 0, "per-peer send queue depth in frames (0 = transport default)")
-		flushBatch = fs.Int("flush-batch", 0, "max frames coalesced into one vectored write (0 = transport default)")
 		flushDelay = fs.Duration("flush-delay", 0, "wait this long for more frames before flushing (0 = flush immediately; trades latency for fewer syscalls)")
 	)
 	if err := fs.Parse(rest); err != nil {
@@ -108,7 +107,6 @@ func run(args []string) error {
 	ep, err := tcpnet.ListenConfig(ids.ProcessID(*id), *listen, tcpnet.Config{
 		AdvertiseAddr: *advertise,
 		QueueLen:      *sendQueue,
-		FlushBatch:    *flushBatch,
 		FlushDelay:    *flushDelay,
 	})
 	if err != nil {

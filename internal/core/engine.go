@@ -12,6 +12,7 @@ import (
 	"newtop/internal/obs"
 	"newtop/internal/obs/flight"
 	"newtop/internal/vclock"
+	"newtop/internal/wire"
 )
 
 // engine is the client side of one attachment to a server group: everything
@@ -452,7 +453,8 @@ func (e *engine) launch(ctx context.Context, method string, args []byte, o callO
 	e.svc.metrics.asyncInflightHigh.SetMax(int64(len(e.window)))
 	e.svc.frRecord(flight.EvCallStart, uint64(c.trace), uint64(c.mode), 0)
 
-	err = e.group.Multicast(ctx, encodeRequest(&invRequest{
+	w := wire.GetWriter()
+	putRequest(w, &invRequest{
 		Call:   c.id,
 		Mode:   c.mode,
 		Method: method,
@@ -460,7 +462,9 @@ func (e *engine) launch(ctx context.Context, method string, args []byte, o callO
 		Client: e.svc.ID(),
 		Style:  e.style,
 		Trace:  uint64(c.trace),
-	}))
+	})
+	err = e.group.Multicast(ctx, w.Bytes())
+	wire.PutWriter(w)
 	switch {
 	case err != nil:
 		if errors.Is(err, gcs.ErrLeft) {
@@ -590,7 +594,9 @@ func (e *engine) read(ctx context.Context, method string, args []byte, o callOpt
 // context); everything else — lease refusals, session floors out of
 // reach, transport failures — leaves escalation open to the caller.
 func (e *engine) readOnce(ctx context.Context, cons Consistency, method string, args []byte, min vclock.Stamp, maxStale time.Duration, trace uint64) (payload []byte, final bool, err error) {
-	req := encodeReadRequest(&readRequest{
+	w := wire.GetWriter()
+	defer wire.PutWriter(w)
+	putReadRequest(w, &readRequest{
 		Group:       e.serverGroup,
 		Method:      method,
 		Args:        args,
@@ -599,12 +605,14 @@ func (e *engine) readOnce(ctx context.Context, cons Consistency, method string, 
 		MinStamp:    min,
 		Trace:       trace,
 	})
+	req := w.Bytes()
 	// refusal is what every replica turning the read away amounts to: an
 	// expired lease anywhere outranks a replica that is not the ordering
 	// authority.
 	var refusal error
 	lastErr := error(ErrNoServers)
-	for _, t := range e.readTargets(cons) {
+	var targets [readTargetsInline]ids.ProcessID
+	for _, t := range e.readTargets(cons, targets[:0]) {
 		raw, cerr := e.svc.invokeControl(ctx, t, "read", req)
 		if cerr != nil {
 			if ctx.Err() != nil {
@@ -649,11 +657,13 @@ func (e *engine) readOnce(ctx context.Context, cons Consistency, method string, 
 // closed style, the servers the view has lost. Linearizable reads go
 // lowest-identifier first (that member is the sequencer, the only replica
 // that can serve them without a redirect); leased and stale reads rotate,
-// advancing the favourite every readRenew.
-func (e *engine) readTargets(cons Consistency) []ids.ProcessID {
+// advancing the favourite every readRenew. The order is built in dst's
+// spare capacity, which allocates nothing while it holds the pool twice
+// over (see readTargetsInline).
+func (e *engine) readTargets(cons Consistency, dst []ids.ProcessID) []ids.ProcessID {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	pool := make([]ids.ProcessID, 0, len(e.servers))
+	pool := dst
 	if e.style == Closed {
 		pool = e.liveLocked(pool)
 	}
@@ -667,6 +677,12 @@ func (e *engine) readTargets(cons Consistency) []ids.ProcessID {
 		e.readIdx++
 		e.readPickAt = now
 	}
+	// Rotate through the spare capacity: the members before first go again
+	// after the end, and the order starts at first.
 	first := e.readIdx % len(pool)
-	return append(pool[first:], pool[:first]...)
+	return append(pool, pool[:first]...)[first:]
 }
+
+// readTargetsInline sizes the buffer a read orders its replicas in: a
+// rotation of up to half as many replicas needs no allocation.
+const readTargetsInline = 16

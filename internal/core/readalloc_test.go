@@ -91,3 +91,31 @@ func TestAllocGuardLeasedRead(t *testing.T) {
 		t.Fatalf("leased read allocates %.1f/op, budget %d", avg, budget)
 	}
 }
+
+// TestAllocGuardReadTargets is the leased read's client-side twin: ordering
+// the replicas for one read, the rotation included, fills the caller's
+// stack buffer and allocates nothing. (A fresh pool per read and a rotated
+// copy of it cost read_mix about 1.5 allocations per operation.)
+func TestAllocGuardReadTargets(t *testing.T) {
+	for _, style := range []Style{Open, Closed} {
+		e := soloEngine(t, style, "s00", "s01", "s02")
+		e.readRenew = 0 // advance the favourite on every read
+		firsts := make(map[ids.ProcessID]bool)
+		avg := testing.AllocsPerRun(500, func() {
+			var buf [readTargetsInline]ids.ProcessID
+			targets := e.readTargets(Leased, buf[:0])
+			if len(targets) != 3 {
+				t.Fatalf("%v: %d targets", style, len(targets)) // not targets itself: that would move buf to the heap
+			}
+			firsts[targets[0]] = true
+		})
+		t.Logf("%v read targets: %.1f allocs/op", style, avg)
+		if len(firsts) != 3 {
+			t.Fatalf("%v: the rotation led with %v only", style, firsts)
+		}
+		const budget = 0 // measured 0.0
+		if avg > budget {
+			t.Fatalf("%v: ordering a read's replicas allocates %.1f/op, budget %d", style, avg, budget)
+		}
+	}
+}

@@ -13,6 +13,7 @@ import (
 	"newtop/internal/obs"
 	"newtop/internal/obs/flight"
 	"newtop/internal/vclock"
+	"newtop/internal/wire"
 )
 
 // Handler implements the replicated application object hosted by a server
@@ -689,8 +690,11 @@ func (srv *Server) relay(req *invRequest, primary bool) {
 	fwd.Forwarded, fwd.AsyncFwd = true, primary
 	srv.svc.metrics.rmRelays.Inc()
 	start := time.Now()
+	w := wire.GetWriter()
+	putRequest(w, &fwd)
 	//lint:ok lockblock deliberate: the primary forwards under execMu so backups see its execution order (§4.2)
-	_ = srv.group.Multicast(srv.ctx, encodeRequest(&fwd)) //lint:ok errdrop best-effort: a collection answers with what arrives by its deadline, a primary's client has its reply, one-way promises nothing
+	_ = srv.group.Multicast(srv.ctx, w.Bytes()) //lint:ok errdrop best-effort: a collection answers with what arrives by its deadline, a primary's client has its reply, one-way promises nothing
+	wire.PutWriter(w)
 	srv.svc.span(req.Trace, flight.StRMForward, 0, time.Since(start))
 }
 

@@ -91,8 +91,9 @@ func (r invReply) toReply() Reply {
 	return out
 }
 
-func encodeRequest(m *invRequest) []byte {
-	w := wire.GetWriter()
+// putRequest encodes m into w, a pooled writer whose bytes the caller
+// multicasts (Multicast copies what it keeps) before recycling it.
+func putRequest(w *wire.Writer, m *invRequest) {
 	w.Byte(payloadRequest)
 	w.String(string(m.Call.Client))
 	w.Uvarint(m.Call.Number)
@@ -104,9 +105,6 @@ func encodeRequest(m *invRequest) []byte {
 	w.Bool(m.Forwarded)
 	w.Bool(m.AsyncFwd)
 	w.Uvarint(m.Trace)
-	out := w.Detach()
-	wire.PutWriter(w)
-	return out
 }
 
 func putReply(w *wire.Writer, m invReply) {
@@ -403,8 +401,9 @@ type readReply struct {
 	AgeTicks, BoundTicks uint64
 }
 
-func encodeReadRequest(m *readRequest) []byte {
-	w := wire.GetWriter()
+// putReadRequest encodes m into w, a pooled writer the caller holds until
+// the read is over (the ORB copies the args into its frame at every try).
+func putReadRequest(w *wire.Writer, m *readRequest) {
 	w.String(string(m.Group))
 	w.String(m.Method)
 	w.Blob(m.Args)
@@ -412,9 +411,6 @@ func encodeReadRequest(m *readRequest) []byte {
 	w.Varint(m.MaxStale)
 	putStamp(w, m.MinStamp)
 	w.Uvarint(m.Trace)
-	out := w.Detach()
-	wire.PutWriter(w)
-	return out
 }
 
 func decodeReadRequest(b []byte, in *interner, m *readRequest) error {

@@ -16,6 +16,25 @@ import (
 	"newtop/internal/wire/wiretest"
 )
 
+// encodeRequest and encodeReadRequest are the detached encodings the codec
+// tests keep; product code encodes into a pooled writer it recycles once
+// the bytes are sent.
+func encodeRequest(m *invRequest) []byte {
+	w := wire.GetWriter()
+	putRequest(w, m)
+	out := w.Detach()
+	wire.PutWriter(w)
+	return out
+}
+
+func encodeReadRequest(m *readRequest) []byte {
+	w := wire.GetWriter()
+	putReadRequest(w, m)
+	out := w.Detach()
+	wire.PutWriter(w)
+	return out
+}
+
 func TestRequestRoundTrip(t *testing.T) {
 	req := &invRequest{
 		Call:      ids.CallID{Client: "c1", Number: 42},

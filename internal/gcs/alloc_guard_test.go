@@ -7,6 +7,7 @@ import (
 
 	"newtop/internal/ids"
 	"newtop/internal/transport"
+	"newtop/internal/wire"
 )
 
 // Allocation-budget guards for the protocol hot paths (run by ci.sh as a
@@ -140,7 +141,7 @@ func TestAllocGuardMulticastDeliver(t *testing.T) {
 	}
 	avg := testing.AllocsPerRun(runs, cycle)
 	t.Logf("multicast→deliver (symmetric, 3 members): %.1f allocs/op", avg)
-	const budget = 8 // measured 6.0 after the overhaul (29.0 on the seed)
+	const budget = 0 // measured 0.0: the frame leaves from a pooled writer and the payload's copy is carved (1.0 with the frame detached; 29.0 on the seed)
 	if avg > budget {
 		t.Fatalf("multicast→deliver allocates %.1f/op, budget %d", avg, budget)
 	}
@@ -176,10 +177,10 @@ func TestAllocGuardEncode(t *testing.T) {
 		Acks:          []uint64{4, 9, 7},
 	}
 	avg := testing.AllocsPerRun(500, func() {
-		_ = encodeMessage(m)
+		wire.PutWriter(encodeFramed(nil, m))
 	})
 	t.Logf("encode dataMsg: %.1f allocs/op", avg)
-	const budget = 2 // measured 1.0 after the overhaul (3.0 on the seed)
+	const budget = 0 // measured 0.0: the frame is sent from the pooled writer (1.0 detached; 3.0 on the seed)
 	if avg > budget {
 		t.Fatalf("encode allocates %.1f/op, budget %d", avg, budget)
 	}
@@ -217,9 +218,10 @@ func TestAllocGuardDecode(t *testing.T) {
 }
 
 // TestAllocGuardMuxedBroadcast pins the headroom framing: over a Mux
-// channel the encoded buffer is the wire frame, so a broadcast allocates
-// that one buffer however many destinations it has. (Before, the channel
-// copied the frame once per destination to prepend its protocol byte.)
+// channel the encoded buffer is the wire frame, so one pooled writer serves
+// every destination of a broadcast and nothing is allocated. (Before, the
+// channel copied the frame once per destination to prepend its protocol
+// byte, and later the frame was detached from the writer once.)
 func TestAllocGuardMuxedBroadcast(t *testing.T) {
 	mux := transport.NewMux(newNullEP("b/me"))
 	defer mux.Close()
@@ -254,7 +256,7 @@ func TestAllocGuardMuxedBroadcast(t *testing.T) {
 	}
 	avg := testing.AllocsPerRun(200, broadcast)
 	t.Logf("broadcast to %d destinations over a mux channel: %.1f allocs/op", len(peers), avg)
-	const budget = 1 // the detached frame; 7 with the per-destination copy
+	const budget = 0 // measured 0.0: every destination is sent the pooled writer's bytes (1.0 with the frame detached, 7 with a copy per destination)
 	if avg > budget {
 		t.Fatalf("muxed broadcast allocates %.1f/op, budget %d", avg, budget)
 	}
@@ -276,8 +278,8 @@ func TestAllocGuardSequencerDeliver(t *testing.T) {
 		leader ids.ProcessID // whose nulls carry the decisions; "" = this member's sends do
 		budget float64
 	}{
-		{"leader", []ids.ProcessID{"c/q", "d/r"}, "", 1},      // measured 1.0 (2.0 with the decisions on the heap)
-		{"follower", []ids.ProcessID{"a/p", "c/q"}, "a/p", 1}, // measured 1.0 (2.0 with the decisions on the heap)
+		{"leader", []ids.ProcessID{"c/q", "d/r"}, "", 0},      // measured 0.0 (1.0 with the frame detached, 2.0 with the decisions on the heap too)
+		{"follower", []ids.ProcessID{"a/p", "c/q"}, "a/p", 0}, // measured 0.0 (1.0 with the frame detached, 2.0 with the decisions on the heap too)
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			n, g := allocGroup(t, OrderSequencer, tc.peers...)

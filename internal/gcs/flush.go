@@ -7,6 +7,7 @@ import (
 
 	"newtop/internal/ids"
 	"newtop/internal/obs/flight"
+	"newtop/internal/wire"
 )
 
 // This file implements the membership machinery: joins, leaves, suspicion
@@ -32,7 +33,7 @@ func (g *Group) handleJoin(m *joinMsg) {
 	}
 	coord := g.actingCoordinator()
 	if coord != g.me {
-		g.sendLocked(coord, g.node.encode(m))
+		g.sendMsgLocked(coord, m)
 		return
 	}
 	if g.view.Contains(m.Joiner) || g.pendingJoins[m.Joiner] {
@@ -53,7 +54,7 @@ func (g *Group) handleLeave(m *leaveMsg) {
 	}
 	coord := g.actingCoordinator()
 	if coord != g.me {
-		g.sendLocked(coord, g.node.encode(m))
+		g.sendMsgLocked(coord, m)
 		return
 	}
 	if !g.view.Contains(m.Leaver) || g.pendingLeaves[m.Leaver] {
@@ -121,23 +122,37 @@ func (g *Group) maybeStartFlushLocked() {
 	g.fl = &flushCoord{
 		seq:       newSeq,
 		members:   target,
+		prop:      prop,
 		acks:      make(map[ids.ProcessID]*flushAckMsg, len(target)),
 		startedAt: time.Now(), //lint:ok detclock observability: view-change latency timer, no ordering decision
 	}
+	g.fl.sentAt = g.fl.startedAt
 	g.state = stateFlushing
 	g.curProposal = prop
 	g.proposalAt = g.fl.startedAt
 	g.fr.Record(flight.Event{Type: flight.EvFlushPropose, Proc: g.frProc, Group: g.frGroup,
 		Sender: flight.NoSender, View: uint32(newSeq), A: uint64(len(target))})
 
-	enc := g.node.encode(prop)
-	for _, p := range target {
-		if p != g.me {
-			g.sendLocked(p, enc)
-		}
-	}
+	g.sendToLocked(target, g.node.encode(prop))
 	// Self-ack with our own unstable state.
 	g.acceptFlushAckLocked(g.makeFlushAckLocked(prop))
+}
+
+// reproposeLocked resends the round's proposal to every member whose ack is
+// still missing (the tick calls it once per Resend until FlushTimeout). A
+// proposal can reach a member before the commit that puts its proposer in
+// that member's view, which drops it then, and a full transport queue can
+// drop it outright; handlePropose re-acks a proposal it already acked, so a
+// resend costs nothing but the frame.
+func (g *Group) reproposeLocked(now time.Time) {
+	g.fl.sentAt = now
+	w := g.node.encode(g.fl.prop)
+	for _, p := range g.fl.members {
+		if _, acked := g.fl.acks[p]; !acked && p != g.me {
+			g.sendLocked(p, w.Bytes())
+		}
+	}
+	wire.PutWriter(w)
 }
 
 // makeFlushAckLocked snapshots this member's unstable state for a flush.
@@ -212,7 +227,7 @@ func (g *Group) handlePropose(p *proposeMsg) {
 		g.acceptFlushAckLocked(ack)
 		return
 	}
-	g.sendLocked(p.Proposer, g.node.encode(ack))
+	g.sendMsgLocked(p.Proposer, ack)
 }
 
 // handleFlushAck processes one member's flush acknowledgement at the
@@ -276,12 +291,7 @@ func (g *Group) commitFlushLocked() {
 		Assigns:  slices.Compact(assigns),
 	}
 
-	enc := g.node.encode(commit)
-	for _, p := range fl.members {
-		if p != g.me {
-			g.sendLocked(p, enc)
-		}
-	}
+	g.sendToLocked(fl.members, g.node.encode(commit))
 	g.applyCommitLocked(commit)
 }
 

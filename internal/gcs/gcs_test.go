@@ -208,3 +208,34 @@ func TestCrashInstallsNewView(t *testing.T) {
 		}
 	}
 }
+
+// TestMulticastCopiesPayload pins Multicast's side of the outbound
+// ownership contract: the group keeps its own copy of a payload (for
+// self-delivery, resends and the flush cut), so the caller may overwrite
+// its buffer the moment Multicast returns, and every member — the sender
+// included — delivers the bytes that were multicast.
+func TestMulticastCopiesPayload(t *testing.T) {
+	h := newHarness(t, 3)
+	groups := h.buildGroup("g", testConfig(gcs.OrderSequencer))
+
+	const perMember = 20
+	buf := make([]byte, 32)
+	for i := 0; i < perMember; i++ {
+		for j, g := range groups {
+			msg := fmt.Sprintf("m-%d-%02d", j, i)
+			n := copy(buf, msg)
+			if err := g.Multicast(context.Background(), buf[:n]); err != nil {
+				t.Fatalf("multicast: %v", err)
+			}
+			copy(buf, "xxxxxxxxxxxxxxxx") // what the next encode into a recycled buffer would leave
+		}
+	}
+	for _, g := range groups {
+		for _, d := range collect(t, g, perMember*len(groups), 15*time.Second) {
+			var j, i int
+			if _, err := fmt.Sscanf(string(d.Payload), "m-%d-%d", &j, &i); err != nil || d.Sender != groups[j].Me() {
+				t.Fatalf("%s delivered %q from %s: the group kept the caller's buffer instead of a copy", g.Me(), d.Payload, d.Sender)
+			}
+		}
+	}
+}

@@ -10,7 +10,9 @@ import (
 	"newtop/internal/ids"
 	"newtop/internal/obs/flight"
 	"newtop/internal/queue"
+	"newtop/internal/transport"
 	"newtop/internal/vclock"
+	"newtop/internal/wire"
 )
 
 // Errors returned by group operations.
@@ -112,6 +114,10 @@ type Group struct {
 	// never reused, so store/pending retention is safe; the GC reclaims a
 	// chunk when its last message dies.
 	msgArena []dataMsg
+	// payArena holds the copies of this member's multicast payloads, which
+	// the group keeps for self-delivery, resends and the flush cut while
+	// the caller reuses its own buffer. Its chunks follow msgArena's rules.
+	payArena transport.Arena
 	// coordScratch is the reusable live-member buffer of actingCoordinator.
 	coordScratch []ids.ProcessID
 
@@ -189,12 +195,18 @@ var (
 // Group.delivArena.
 const deliveryChunk = 64
 
+// payChunk is the size of the chunks Group.payArena carves payload copies
+// from.
+const payChunk = 8 << 10
+
 // flushCoord is the coordinator-side state of one membership change round.
 type flushCoord struct {
 	seq       ids.ViewSeq
 	members   []ids.ProcessID
+	prop      *proposeMsg // resent to the members yet to ack (reproposeLocked)
 	acks      map[ids.ProcessID]*flushAckMsg
 	startedAt time.Time
+	sentAt    time.Time // when the proposal was last sent
 }
 
 func newGroup(n *Node, id ids.GroupID, cfg GroupConfig, st groupState) *Group {
@@ -213,6 +225,7 @@ func newGroup(n *Node, id ids.GroupID, cfg GroupConfig, st groupState) *Group {
 		suspects:      make(map[ids.ProcessID]bool),
 		pendingJoins:  make(map[ids.ProcessID]bool),
 		pendingLeaves: make(map[ids.ProcessID]bool),
+		payArena:      transport.Arena{Size: payChunk},
 	}
 	g.cond = sync.NewCond(&g.mu)
 	g.evCond = sync.NewCond(&g.evmu)
@@ -333,7 +346,7 @@ func (g *Group) Suspect(p ids.ProcessID) {
 	g.unparkLocked()
 	g.suspects[p] = true
 	if coord := g.actingCoordinator(); coord != g.me {
-		g.sendLocked(coord, g.node.encode(&suspectMsg{Group: g.id, Accused: p}))
+		g.sendMsgLocked(coord, &suspectMsg{Group: g.id, Accused: p})
 		return
 	}
 	g.maybeStartFlushLocked()
@@ -342,14 +355,15 @@ func (g *Group) Suspect(p ids.ProcessID) {
 // Multicast sends an application message to the full membership with the
 // group's configured ordering guarantee. It blocks while a view change is
 // in progress (sends are forbidden between flush-ack and view
-// installation).
+// installation). The group keeps a copy of payload, so the caller may
+// reuse or recycle it as soon as Multicast returns.
 func (g *Group) Multicast(ctx context.Context, payload []byte) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if err := g.waitNormalLocked(ctx); err != nil {
 		return err
 	}
-	g.sendDataLocked(false, payload)
+	g.sendDataLocked(false, g.payArena.Copy(payload))
 	return nil
 }
 
@@ -503,11 +517,11 @@ func (g *Group) flushBatchLocked() {
 	if g.cfg.ProcessingCost > 0 {
 		time.Sleep(g.cfg.ProcessingCost) //lint:ok lockblock simulated per-envelope processing cost (amortised across the batch); zero in production configs
 	}
-	var enc []byte
+	var w *wire.Writer
 	if len(msgs) == 1 {
-		enc = g.node.encode(msgs[0])
+		w = g.node.encode(msgs[0])
 	} else {
-		enc = g.node.encode(&batchMsg{Group: g.id, Msgs: msgs})
+		w = g.node.encode(&batchMsg{Group: g.id, Msgs: msgs})
 	}
 	g.frRecord(flight.EvBatchFlush, g.midx.me, msgs[0].Seq, uint64(len(msgs)), 0)
 	g.stats.BatchesSent++
@@ -515,11 +529,7 @@ func (g *Group) flushBatchLocked() {
 	g.metrics.batchesSent.Inc()
 	g.metrics.batchedMsgs.Add(uint64(len(msgs)))
 	g.metrics.batchSizeHigh.SetMax(int64(len(msgs)))
-	for _, p := range g.view.Members {
-		if p != g.me {
-			g.sendLocked(p, enc) // best-effort; resend machinery recovers
-		}
-	}
+	g.sendToLocked(g.view.Members, w)
 	// The messages live on in the store; the buffer's capacity is reused
 	// for the next batch window once its references are released.
 	for i := range msgs {
@@ -528,14 +538,28 @@ func (g *Group) flushBatchLocked() {
 	g.batchBuf = msgs[:0]
 }
 
-// broadcastLocked transmits an encoded message to every other view member.
+// broadcastLocked transmits a data message to every other view member.
 func (g *Group) broadcastLocked(m *dataMsg) {
-	enc := g.node.encode(m)
-	for _, p := range g.view.Members {
+	g.sendToLocked(g.view.Members, g.node.encode(m))
+}
+
+// sendToLocked sends the frame encoded in w to every process of to but
+// this member (best-effort; the resend machinery recovers), then recycles
+// w: every transport copies what it keeps.
+func (g *Group) sendToLocked(to []ids.ProcessID, w *wire.Writer) {
+	for _, p := range to {
 		if p != g.me {
-			g.sendLocked(p, enc) // best-effort; resend machinery recovers
+			g.sendLocked(p, w.Bytes())
 		}
 	}
+	wire.PutWriter(w)
+}
+
+// sendMsgLocked encodes one protocol message and sends it to one process.
+func (g *Group) sendMsgLocked(to ids.ProcessID, msg any) {
+	w := g.node.encode(msg)
+	g.sendLocked(to, w.Bytes())
+	wire.PutWriter(w)
 }
 
 // sendLocked transmits one encoded protocol message, counting the bytes
@@ -1335,11 +1359,11 @@ func (g *Group) installViewLocked(v View) {
 	// requesters retry.
 	if coord := g.actingCoordinator(); coord != g.me {
 		for p := range g.pendingJoins {
-			g.sendLocked(coord, g.node.encode(&joinMsg{Group: g.id, Joiner: p}))
+			g.sendMsgLocked(coord, &joinMsg{Group: g.id, Joiner: p})
 		}
 		g.pendingJoins = make(map[ids.ProcessID]bool)
 		for p := range g.pendingLeaves {
-			g.sendLocked(coord, g.node.encode(&leaveMsg{Group: g.id, Leaver: p}))
+			g.sendMsgLocked(coord, &leaveMsg{Group: g.id, Leaver: p})
 		}
 		g.pendingLeaves = make(map[ids.ProcessID]bool)
 	} else if len(g.pendingJoins)+len(g.pendingLeaves) > 0 {
@@ -1358,7 +1382,6 @@ func (g *Group) Leave() error {
 	}
 	coord := g.actingCoordinator()
 	me := g.me
-	enc := g.node.encode(&leaveMsg{Group: g.id, Leaver: me})
 	// Push any batched messages onto the wire before departing; the
 	// remaining members would otherwise only recover them through resends
 	// directed at a process that is gone.
@@ -1367,7 +1390,7 @@ func (g *Group) Leave() error {
 	g.mu.Unlock()
 
 	if coord != "" && coord != me {
-		g.sendLocked(coord, enc)
+		g.sendMsgLocked(coord, &leaveMsg{Group: g.id, Leaver: me})
 	}
 	g.node.dropGroup(g.id)
 	g.closeDispatch()

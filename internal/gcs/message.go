@@ -393,10 +393,10 @@ func (d *decoder) getDataList(r *wire.Reader) []*dataMsg {
 }
 
 // encodeFramed serialises msg behind the node's frame header (see
-// transport.Framing). The writer is pooled: the returned slice is a
-// detached exact-size copy, safe to hand to the transport (which retains
-// payloads by reference).
-func encodeFramed(hdr []byte, msg any) []byte {
+// transport.Framing) into a pooled writer. The caller sends w.Bytes() —
+// the transport copies what it keeps — and then recycles w with
+// wire.PutWriter.
+func encodeFramed(hdr []byte, msg any) *wire.Writer {
 	w := wire.GetWriter()
 	for _, b := range hdr {
 		w.Byte(b)
@@ -451,9 +451,7 @@ func encodeFramed(hdr []byte, msg any) []byte {
 		// Unreachable by construction; encode nothing decodable.
 		w.Byte(0)
 	}
-	enc := w.Detach()
-	wire.PutWriter(w)
-	return enc
+	return w
 }
 
 // decodeMessage parses one GCS payload, returning one of the message

@@ -14,7 +14,12 @@ import (
 // encodeMessage serialises msg unframed, as a node on a bare endpoint
 // does. Product code encodes through Node.encode only: a frame without
 // the node's header would be refused by a Mux channel.
-func encodeMessage(msg any) []byte { return encodeFramed(nil, msg) }
+func encodeMessage(msg any) []byte {
+	w := encodeFramed(nil, msg)
+	enc := w.Detach()
+	wire.PutWriter(w)
+	return enc
+}
 
 func randomData(r *rand.Rand) *dataMsg {
 	procs := []ids.ProcessID{"a", "b", "c", "d"}

@@ -11,6 +11,7 @@ import (
 	"newtop/internal/obs/flight"
 	"newtop/internal/transport"
 	"newtop/internal/vclock"
+	"newtop/internal/wire"
 )
 
 // Node is one process's attachment to the group communication service. A
@@ -82,8 +83,9 @@ func newNode(ep transport.Endpoint, o *obs.Obs, workers int) *Node {
 	return n
 }
 
-// encode serialises one protocol message as a frame for out.
-func (n *Node) encode(msg any) []byte { return encodeFramed(n.hdr, msg) }
+// encode serialises one protocol message as a frame for out, into a pooled
+// writer the caller recycles once the frame is sent.
+func (n *Node) encode(msg any) *wire.Writer { return encodeFramed(n.hdr, msg) }
 
 // WheelStats exposes the shared timer wheel's instantaneous depth and
 // cumulative sweep cost (for the manygroups scale bench and tests).
@@ -150,6 +152,7 @@ func (n *Node) Join(ctx context.Context, id ids.GroupID, contact ids.ProcessID, 
 	n.mu.Unlock()
 
 	join := n.encode(&joinMsg{Group: id, Joiner: n.ID()})
+	defer wire.PutWriter(join)
 	// Join requests are idempotent, so retry briskly: a request can race a
 	// concurrent view change and be parked or dropped.
 	retry := cfg.FlushTimeout / 2
@@ -160,7 +163,7 @@ func (n *Node) Join(ctx context.Context, id ids.GroupID, contact ids.ProcessID, 
 		retry = 50 * time.Millisecond
 	}
 	for {
-		_ = n.out.SendFrame(contact, join) //lint:ok errdrop best-effort: this loop resends the join until accepted or the context ends
+		_ = n.out.SendFrame(contact, join.Bytes()) //lint:ok errdrop best-effort: this loop resends the join until accepted or the context ends
 
 		deadline := time.NewTimer(retry)
 		select {

@@ -83,8 +83,7 @@ func (g *Group) tick(now time.Time) {
 			if now.Sub(g.lastHeard[q]) > g.cfg.SuspectTimeout {
 				g.suspects[q] = true
 				if coord := g.actingCoordinator(); coord != g.me {
-					enc := g.node.encode(&suspectMsg{Group: g.id, Accused: q})
-					g.sendLocked(coord, enc)
+					g.sendMsgLocked(coord, &suspectMsg{Group: g.id, Accused: q})
 				}
 			}
 		}
@@ -106,6 +105,8 @@ func (g *Group) tick(now time.Time) {
 		}
 		g.fl = nil
 		g.curProposal = nil
+	} else if g.fl != nil && now.Sub(g.fl.sentAt) >= g.cfg.Resend {
+		g.reproposeLocked(now)
 	}
 
 	// Participant flush timeout: the proposer died before committing.
@@ -240,7 +241,7 @@ func (g *Group) resendLocked(now time.Time) {
 			g.stats.Resent++
 			g.metrics.resent.Inc()
 			if m := g.win[g.midx.me].get(seq).m; m != nil {
-				g.sendLocked(q, g.node.encode(m))
+				g.sendMsgLocked(q, m)
 			}
 		}
 	}

@@ -194,10 +194,10 @@ func (o *ORB) Invoke(ctx context.Context, ref Ref, method string, args []byte) (
 	w.String(ref.Object)
 	w.String(method)
 	w.Blob(args)
-	// Transports retain the frame by reference, so detach before recycling.
-	frame := w.Detach()
+	// The transport copies the frame, so the writer is recycled at once.
+	err := o.out.SendFrame(ref.Target, w.Bytes())
 	wire.PutWriter(w)
-	if err := o.out.SendFrame(ref.Target, frame); err != nil {
+	if err != nil {
 		return nil, fmt.Errorf("invoke %s: %w", ref, err)
 	}
 
@@ -227,9 +227,9 @@ func (o *ORB) InvokeOneWay(ref Ref, method string, put func(w *wire.Writer)) err
 	if put != nil {
 		put(w)
 	}
-	frame := w.Detach()
+	err := o.out.SendFrame(ref.Target, w.Bytes())
 	wire.PutWriter(w)
-	if err := o.out.SendFrame(ref.Target, frame); err != nil {
+	if err != nil {
 		return fmt.Errorf("invoke oneway %s: %w", ref, err) //lint:ok allocflow cold: only a failed send gets here
 	}
 	return nil
@@ -363,7 +363,6 @@ func (o *ORB) serve(from ids.ProcessID, kind byte, reqID uint64, object string, 
 		w.Blob(payload)
 		w.String("")
 	}
-	frame := w.Detach()
+	_ = o.out.SendFrame(from, w.Bytes()) //lint:ok errdrop best-effort: a lost reply looks like a lost request, and the client retries
 	wire.PutWriter(w)
-	_ = o.out.SendFrame(from, frame) //lint:ok errdrop best-effort: a lost reply looks like a lost request, and the client retries
 }

@@ -173,3 +173,64 @@ func testRecvCloseDrops(t *testing.T, mk link) {
 		}
 	}
 }
+
+// TestSendCopiesPayload pins the outbound ownership contract: Send, and
+// SendFrame for a layer that frames its own buffers, copy what they keep
+// before they return. The caller overwrites its one buffer right after
+// every send, as a pooled writer's recycling would, and the receiver must
+// still get the bytes that were sent.
+func TestSendCopiesPayload(t *testing.T) {
+	links := map[string]link{"memnet": memnetLink, "tcpnet": tcpnetLink, "mux": muxLink}
+	for name, mk := range links {
+		for _, viaFrame := range []bool{false, true} {
+			mk, via := mk, "Send"
+			if viaFrame {
+				via = "SendFrame"
+			}
+			t.Run(name+"/"+via, func(t *testing.T) { testSendCopies(t, mk, viaFrame) })
+		}
+	}
+}
+
+func testSendCopies(t *testing.T, mk link, viaFrame bool) {
+	a, b := mk(t)
+	var hdr []byte
+	send := func(buf []byte) error { return a.Send(b.ID(), buf) }
+	if viaFrame {
+		fs := transport.Framing(a)
+		hdr = fs.FrameHeader()
+		send = func(buf []byte) error { return fs.SendFrame(b.ID(), buf) }
+	}
+	const frames, size = 200, 64
+	buf := append(append([]byte(nil), hdr...), make([]byte, size)...)
+	body := buf[len(hdr):]
+	for i := 0; i < frames; i++ {
+		for j := range body {
+			body[j] = byte(i)
+		}
+		if err := send(buf); err != nil {
+			t.Fatal(err)
+		}
+		for j := range body {
+			body[j] = 0xff // what the next encode into a recycled buffer would leave
+		}
+	}
+	dst := make([]transport.Inbound, 16)
+	for next := 0; next < frames; {
+		n, ok := recvWithin(t, b, dst)
+		if !ok {
+			t.Fatalf("endpoint closed with %d of %d frames received", next, frames)
+		}
+		for _, in := range dst[:n] {
+			if len(in.Payload) != size {
+				t.Fatalf("frame %d: %d bytes, want %d", next, len(in.Payload), size)
+			}
+			for _, c := range in.Payload {
+				if c != byte(next) {
+					t.Fatalf("frame %d arrived holding byte %#x: the transport kept the caller's buffer instead of a copy", next, c)
+				}
+			}
+			next++
+		}
+	}
+}

@@ -115,7 +115,7 @@ func (e *Endpoint) Recv(dst []transport.Inbound) (int, bool) { return e.fifo.Pop
 
 // Send implements transport.Endpoint. The sender is charged SendCPU
 // synchronously; propagation and receiver-side cost happen asynchronously
-// on the link.
+// on the link, which keeps its own copy of payload.
 func (e *Endpoint) Send(to ids.ProcessID, payload []byte) error {
 	e.mu.Lock()
 	if e.closed {
@@ -140,10 +140,7 @@ func (e *Endpoint) Send(to ids.ProcessID, payload []byte) error {
 		// semantics, not an error.
 		return nil
 	}
-	lnk.push(timedMsg{
-		msg:       transport.Inbound{From: e.id, Payload: payload},
-		deliverAt: time.Now().Add(v.Latency),
-	})
+	lnk.push(e.id, payload, time.Now().Add(v.Latency))
 	return nil
 }
 
@@ -182,6 +179,9 @@ type timedMsg struct {
 	deliverAt time.Time
 }
 
+// linkChunk is the size of the arena chunks a link copies payloads into.
+const linkChunk = 16 << 10
+
 // link is the unidirectional FIFO pipe to one destination. A dedicated
 // goroutine sleeps until each message's delivery time, preserving per-link
 // order even under jitter.
@@ -191,6 +191,7 @@ type link struct {
 
 	mu      sync.Mutex
 	cond    *sync.Cond
+	arena   transport.Arena // the copies of queued payloads, carved as tcpnet's read side carves
 	q       []timedMsg
 	lastAt  time.Time
 	closed  bool
@@ -199,24 +200,28 @@ type link struct {
 }
 
 func newLink(n *Net, to ids.ProcessID) *link {
-	l := &link{net: n, to: to, done: make(chan struct{}), closeCh: make(chan struct{})}
+	l := &link{net: n, to: to, arena: transport.Arena{Size: linkChunk}, done: make(chan struct{}), closeCh: make(chan struct{})}
 	l.cond = sync.NewCond(&l.mu)
 	go l.run()
 	return l
 }
 
-func (l *link) push(m timedMsg) {
+// push queues a copy of payload for delivery at deliverAt.
+func (l *link) push(from ids.ProcessID, payload []byte, deliverAt time.Time) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return
 	}
 	// Clamp to monotone delivery times so jitter cannot reorder a link.
-	if m.deliverAt.Before(l.lastAt) {
-		m.deliverAt = l.lastAt
+	if deliverAt.Before(l.lastAt) {
+		deliverAt = l.lastAt
 	}
-	l.lastAt = m.deliverAt
-	l.q = append(l.q, m)
+	l.lastAt = deliverAt
+	l.q = append(l.q, timedMsg{
+		msg:       transport.Inbound{From: from, Payload: l.arena.Copy(payload)},
+		deliverAt: deliverAt,
+	})
 	l.cond.Signal()
 }
 

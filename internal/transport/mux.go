@@ -6,6 +6,7 @@ import (
 
 	"newtop/internal/ids"
 	"newtop/internal/obs"
+	"newtop/internal/wire"
 )
 
 // Protocol channel identifiers carried in the first payload byte of every
@@ -155,13 +156,16 @@ var (
 
 func (c *muxChannel) ID() ids.ProcessID { return c.mux.ep.ID() }
 
-// Send copies payload behind the protocol byte. The protocol layers avoid
-// the copy through SendFrame.
+// Send frames payload behind the protocol byte in a pooled writer; the
+// underlying endpoint copies the frame, so the writer is recycled at once.
+// The protocol layers avoid even this copy through SendFrame.
 func (c *muxChannel) Send(to ids.ProcessID, payload []byte) error {
-	framed := make([]byte, 1+len(payload))
-	framed[0] = c.proto
-	copy(framed[1:], payload)
-	return c.SendFrame(to, framed)
+	w := wire.GetWriter()
+	w.Byte(c.proto)
+	w.Raw(payload)
+	err := c.SendFrame(to, w.Bytes())
+	wire.PutWriter(w)
+	return err
 }
 
 func (c *muxChannel) FrameHeader() []byte { return []byte{c.proto} }

@@ -8,10 +8,10 @@ package tcpnet_test
 // trips them while noise does not.
 //
 // What the budgets encode:
-//   - send path (enqueue + coalesced flush): the ring slot stores the
-//     caller's payload by reference and the writer reuses its header and
-//     net.Buffers scratch across flushes, so steady state is well under
-//     one allocation per frame.
+//   - send path (enqueue + coalesced flush): Send copies the frame, behind
+//     its length header, onto the end of the peer's queue buffer, and the
+//     writer swaps that buffer with its spare at every flush, so once both
+//     have grown to the burst size the steady state allocates nothing.
 //   - read path: payloads are carved from 64KiB arena chunks (one
 //     allocation amortised over many frames) and handed to the FIFO; the
 //     bufio.Reader is pooled. The dominant per-frame cost is the Inbound
@@ -99,7 +99,7 @@ func TestAllocGuardSendPath(t *testing.T) {
 		send(guardFrames)
 		sent(500 + guardFrames)
 	})
-	const budget = 1.0
+	const budget = 0.05 // measured 0.004 (0.001 with the payload kept by reference, before Send copied it)
 	if got > budget {
 		t.Fatalf("send path allocates %.2f/frame, budget %.2f", got, budget)
 	}

@@ -2,19 +2,18 @@
 // over TCP, for deploying the NewTop service outside the simulator — the
 // role omniORB2's TCP layer plays as the paper's deployment substrate.
 //
-// The transport is non-blocking and pipelined. Send enqueues the frame
-// onto a bounded per-peer queue and returns immediately: a full queue
-// drops the frame (best-effort datagram semantics, exactly like a lost
-// packet on a congested path) and never stalls the caller — the gcs event
-// loop and the ORB never wait on a dial or on a slow peer's TCP
-// backpressure. A dedicated writer goroutine per peer drains the queue,
-// coalescing every pending frame into a single vectored write
-// (net.Buffers: length header + payload gathered, many frames per
-// syscall), and owns connecting and re-connecting in the background with
-// capped exponential backoff, so a dead peer can never block a live
-// multicast. The single writer per connection also serializes frames by
-// construction: concurrent Senders can no longer interleave the two-part
-// header+payload write and corrupt the stream.
+// The transport is non-blocking and pipelined. Send copies the frame,
+// behind its length header, onto the end of a bounded per-peer queue (one
+// growing buffer) and returns immediately: a full queue drops the frame
+// (best-effort datagram semantics, exactly like a lost packet on a
+// congested path) and never stalls the caller — the gcs event loop and the
+// ORB never wait on a dial or on a slow peer's TCP backpressure. A
+// dedicated writer goroutine per peer swaps that buffer for its spare and
+// writes every pending frame with one write, and owns connecting and
+// re-connecting in the background with capped exponential backoff, so a
+// dead peer can never block a live multicast. The single writer per
+// connection also serializes frames by construction: concurrent Senders
+// cannot interleave their frames and corrupt the stream.
 //
 // The read side buffers each connection with a pooled bufio.Reader and
 // carves inbound frame payloads out of large arena chunks, so a busy
@@ -67,6 +66,11 @@ const (
 	// readChunk is the arena chunk size inbound frame payloads are carved
 	// from.
 	readChunk = 64 << 10
+	// maxKeptBuf bounds the outbound buffer a writer keeps for reuse: one
+	// that a burst or a state-transfer snapshot grew past it is left to the
+	// garbage collector once written, so a rare giant frame does not pin
+	// memory for the connection's lifetime.
+	maxKeptBuf = 1 << 20
 )
 
 // Config tunes an endpoint. The zero value gives sane defaults.
@@ -81,15 +85,12 @@ type Config struct {
 	// QueueLen bounds each peer's outbound queue in frames; a Send to a
 	// peer whose queue is full drops the frame. Default 1024.
 	QueueLen int
-	// FlushBatch caps how many frames one vectored write coalesces.
-	// Default 128.
-	FlushBatch int
 	// FlushDelay is how long a writer that just woke up waits for more
 	// frames to accumulate before flushing. Zero (the default) flushes
 	// immediately: lowest latency, least coalescing. A small delay (tens
 	// to hundreds of microseconds) trades a bounded latency hit for fewer,
-	// fuller vectored writes — worthwhile when syscall overhead, not
-	// propagation, bounds throughput.
+	// fuller writes — worthwhile when syscall overhead, not propagation,
+	// bounds throughput.
 	FlushDelay time.Duration
 	// Obs is the observability domain the endpoint's instruments
 	// register in; nil uses the process-wide default.
@@ -99,9 +100,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.QueueLen <= 0 {
 		c.QueueLen = 1024
-	}
-	if c.FlushBatch <= 0 {
-		c.FlushBatch = 128
 	}
 	if c.Obs == nil {
 		c.Obs = obs.Default()
@@ -226,10 +224,10 @@ func (e *Endpoint) Inbound() <-chan transport.Inbound { return e.fifo.Out() }
 // Recv implements transport.BatchReceiver.
 func (e *Endpoint) Recv(dst []transport.Inbound) (int, bool) { return e.fifo.PopBatch(dst) }
 
-// Send implements transport.Endpoint. It enqueues the frame onto the
-// peer's outbound pipeline and returns immediately; it never dials and
-// never writes. A full queue or an unreachable peer drops the frame, like
-// a lost datagram. The payload is retained by reference until written.
+// Send implements transport.Endpoint. It copies the frame onto the peer's
+// outbound queue and returns immediately; it never dials and never writes.
+// A full queue or an unreachable peer drops the frame, like a lost
+// datagram.
 func (e *Endpoint) Send(to ids.ProcessID, payload []byte) error {
 	e.mu.Lock()
 	if e.closed {
@@ -329,9 +327,8 @@ type pipe struct {
 	cancel context.CancelFunc
 
 	mu     sync.Mutex
-	ring   [][]byte // fixed-capacity frame queue
-	head   int
-	count  int
+	buf    []byte // the queued frames, each a 4-byte length header and its payload, wire-ready
+	count  int    // frames in buf; QueueLen bounds it
 	closed bool
 
 	wake chan struct{}
@@ -351,7 +348,6 @@ func newPipe(e *Endpoint, to ids.ProcessID) *pipe {
 		to:     to,
 		ctx:    ctx,
 		cancel: cancel,
-		ring:   make([][]byte, e.cfg.QueueLen),
 		wake:   make(chan struct{}, 1),
 		frPeer: int16(e.fr.Proc(string(to))),
 	}
@@ -362,22 +358,23 @@ func (e *Endpoint) frRecord(t flight.Type, peer int16, a, b uint64) {
 	e.fr.Record(flight.Event{Type: t, Proc: e.frProc, Sender: peer, A: a, B: b})
 }
 
-// enqueue appends one frame; it never blocks. A full queue drops the
-// frame — the bounded queue is what keeps a slow or dead peer from ever
-// propagating backpressure into the caller.
+// enqueue appends one frame, its header and a copy of payload; it never
+// blocks. A full queue drops the frame — the bounded queue is what keeps a
+// slow or dead peer from ever propagating backpressure into the caller.
 func (p *pipe) enqueue(payload []byte) {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
 		return
 	}
-	if p.count == len(p.ring) {
+	if p.count == p.e.cfg.QueueLen {
 		p.mu.Unlock()
 		p.e.met.dropsFull.Inc()
 		p.e.frRecord(flight.EvTCPDropFull, p.frPeer, 0, 0)
 		return
 	}
-	p.ring[(p.head+p.count)%len(p.ring)] = payload
+	p.buf = binary.BigEndian.AppendUint32(p.buf, uint32(len(payload)))
+	p.buf = append(p.buf, payload...)
 	p.count++
 	depth := p.count
 	p.mu.Unlock()
@@ -390,22 +387,14 @@ func (p *pipe) enqueue(payload []byte) {
 	}
 }
 
-// take moves up to FlushBatch queued frames into batch, releasing the
-// queue's references.
-func (p *pipe) take(batch [][]byte) [][]byte {
+// take swaps every queued frame out for spare, emptied, which the queue
+// fills next; it returns the frames and how many there are.
+func (p *pipe) take(spare []byte) ([]byte, int) {
 	p.mu.Lock()
-	n := p.count
-	if max := p.e.cfg.FlushBatch; n > max {
-		n = max
-	}
-	for i := 0; i < n; i++ {
-		batch = append(batch, p.ring[p.head])
-		p.ring[p.head] = nil
-		p.head = (p.head + 1) % len(p.ring)
-	}
-	p.count -= n
+	frames, n := p.buf, p.count
+	p.buf, p.count = spare[:0], 0
 	p.mu.Unlock()
-	return batch
+	return frames, n
 }
 
 func (p *pipe) pending() int {
@@ -435,7 +424,7 @@ func (p *pipe) shutdown() {
 
 // run is the writer goroutine: wait for work, ensure a connection
 // (dialing in the background with capped exponential backoff), and flush
-// every pending frame in as few vectored writes as possible.
+// every pending frame with one write.
 func (p *pipe) run() {
 	defer p.e.wg.Done()
 	defer func() {
@@ -448,16 +437,10 @@ func (p *pipe) run() {
 	}()
 
 	backoff := redialMin
-	batch := make([][]byte, 0, p.e.cfg.FlushBatch)
-	bufs := make(net.Buffers, 0, 2*p.e.cfg.FlushBatch)
-	hdrs := make([]byte, 0, 4*p.e.cfg.FlushBatch)
-	// wb is the throwaway slice header handed to WriteTo, which consumes
-	// its receiver in place: handing it bufs itself would leave the base
-	// pointer advanced past the written entries, shrinking the reusable
-	// capacity to nothing within a few flushes. Declared outside the loop
-	// because the WriteTo call makes it escape — inside the loop that is
-	// one heap allocation per flush.
-	var wb net.Buffers
+	// spare is the buffer the queue fills while the writer writes the
+	// other; the two swap at every flush, so the steady state allocates
+	// nothing.
+	var spare []byte
 
 	var delay *time.Timer
 	for {
@@ -486,49 +469,32 @@ func (p *pipe) run() {
 			if conn == nil {
 				return // shut down while dialing
 			}
-			batch = p.take(batch[:0])
-			if len(batch) == 0 {
+			frames, n := p.take(spare)
+			if n == 0 {
+				spare = frames
 				break
 			}
-
-			// Coalesce the whole batch into one gathered write: a 4-byte
-			// length header and the payload per frame, all submitted in a
-			// single writev. hdrs and bufs are reused across flushes; the
-			// steady-state flush allocates nothing.
-			bufs = bufs[:0]
-			hdrs = hdrs[:0]
-			total := 0
-			for _, f := range batch {
-				hdrs = binary.BigEndian.AppendUint32(hdrs, uint32(len(f)))
-				total += 4 + len(f)
-			}
-			for i, f := range batch {
-				bufs = append(bufs, hdrs[4*i:4*i+4], f)
-			}
-
+			total := len(frames)
 			_ = conn.SetWriteDeadline(time.Now().Add(writeTimeout))
-			wb = bufs
-			_, err := wb.WriteTo(conn)
-			for i := range bufs {
-				bufs[i] = nil // clear the stale frame references
+			_, err := conn.Write(frames)
+			if cap(frames) > maxKeptBuf {
+				frames = nil
 			}
-			for i := range batch {
-				batch[i] = nil
-			}
+			spare = frames
 			if err != nil {
 				// The stream is dead (or the peer stalled past the write
-				// deadline): this batch is lost, like datagrams on a failed
-				// path. Drop the connection; ensure() redials in the
-				// background before the next batch.
+				// deadline): these frames are lost, like datagrams on a
+				// failed path. Drop the connection; ensure() redials in the
+				// background before the next flush.
 				p.dropConn(conn)
-				p.e.met.dropsConn.Add(uint64(len(batch)))
-				p.e.frRecord(flight.EvTCPDropConn, p.frPeer, uint64(len(batch)), 0)
+				p.e.met.dropsConn.Add(uint64(n))
+				p.e.frRecord(flight.EvTCPDropConn, p.frPeer, uint64(n), 0)
 				continue
 			}
 			p.e.met.flushes.Inc()
-			p.e.met.framesSent.Add(uint64(len(batch)))
+			p.e.met.framesSent.Add(uint64(n))
 			p.e.met.bytesSent.Add(uint64(total))
-			p.e.frRecord(flight.EvTCPFlush, p.frPeer, uint64(len(batch)), uint64(total))
+			p.e.frRecord(flight.EvTCPFlush, p.frPeer, uint64(n), uint64(total))
 		}
 	}
 }
@@ -679,7 +645,7 @@ func (e *Endpoint) readLoop(conn net.Conn) {
 		e.mu.Unlock()
 	}()
 
-	ar := arena{size: readChunk}
+	ar := transport.Arena{Size: readChunk}
 	var hdr [4]byte
 	for {
 		if _, err := io.ReadFull(br, hdr[:]); err != nil {
@@ -689,7 +655,7 @@ func (e *Endpoint) readLoop(conn net.Conn) {
 		if n > maxFrame {
 			return // corrupt or hostile stream: drop the connection
 		}
-		payload := ar.carve(int(n))
+		payload := ar.Carve(int(n))
 		if _, err := io.ReadFull(br, payload); err != nil {
 			return
 		}
@@ -744,32 +710,6 @@ func (e *Endpoint) handshake(conn net.Conn, br *bufio.Reader) (ids.ProcessID, bo
 	e.mu.Unlock()
 	e.frRecord(flight.EvTCPConnect, int16(e.fr.Proc(string(from))), 0, 0)
 	return from, true
-}
-
-// arena carves inbound frame payloads out of large chunks, amortizing the
-// per-frame allocation. A chunk is never reused once carved into: frames
-// are handed to receivers that decode them with wire.Reader.BlobRef and
-// may retain aliasing slices indefinitely, so chunks are surrendered to
-// the garbage collector, which reclaims each one when the last frame
-// carved from it dies.
-type arena struct {
-	size  int
-	chunk []byte
-	used  int
-}
-
-func (a *arena) carve(n int) []byte {
-	if n >= a.size {
-		// Oversized frame: a dedicated allocation, no carving.
-		return make([]byte, n)
-	}
-	if len(a.chunk)-a.used < n {
-		a.chunk = make([]byte, a.size)
-		a.used = 0
-	}
-	b := a.chunk[a.used : a.used+n : a.used+n]
-	a.used += n
-	return b
 }
 
 // --- instruments ---

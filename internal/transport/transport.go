@@ -33,8 +33,10 @@ type Inbound struct {
 const RecvBurst = 64
 
 // Endpoint is a bidirectional, per-link-FIFO, best-effort message channel
-// owned by exactly one process. Payload bytes passed to Send must not be
-// mutated afterwards; received payloads are owned by the receiver.
+// owned by exactly one process. Send copies whatever it keeps of the
+// payload before it returns, so the caller may reuse or recycle the bytes
+// at once (a pooled writer's Bytes, say); received payloads are owned by
+// the receiver.
 //
 // An endpoint's inbound stream has one consumer and one consumption mode:
 // every transport in this repository also implements BatchReceiver, and
@@ -43,11 +45,12 @@ const RecvBurst = 64
 type Endpoint interface {
 	// ID returns the owning process identifier.
 	ID() ids.ProcessID
-	// Send queues payload for delivery to the named process. Delivery is
-	// FIFO per (sender, receiver) pair but not reliable: messages to
-	// crashed, partitioned or unknown peers are silently dropped, exactly
-	// like a datagram over a failed path. Send only returns an error for
-	// local conditions (endpoint closed, peer unresolvable).
+	// Send queues a copy of payload for delivery to the named process;
+	// payload is the caller's again once Send returns. Delivery is FIFO
+	// per (sender, receiver) pair but not reliable: messages to crashed,
+	// partitioned or unknown peers are silently dropped, exactly like a
+	// datagram over a failed path. Send only returns an error for local
+	// conditions (endpoint closed, peer unresolvable).
 	Send(to ids.ProcessID, payload []byte) error
 	// Inbound returns the stream of received messages. The channel is
 	// closed when the endpoint closes.

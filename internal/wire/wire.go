@@ -46,9 +46,10 @@ var writerPool = sync.Pool{
 const maxPooledCap = 64 << 10
 
 // GetWriter returns an empty pooled writer. The caller must hand it back
-// with PutWriter once the encoded bytes have been consumed or copied out
-// with Detach; after PutWriter the writer and anything returned by Bytes
-// must not be touched again.
+// with PutWriter once the encoded bytes have been consumed — sent (every
+// transport and gcs.Group.Multicast copy what they keep before returning)
+// or copied out with Detach; after PutWriter the writer and anything
+// returned by Bytes must not be touched again.
 func GetWriter() *Writer {
 	w := writerPool.Get().(*Writer)
 	w.Reset()
@@ -73,8 +74,9 @@ func (w *Writer) Reset() { w.buf = w.buf[:0] }
 func (w *Writer) Bytes() []byte { return w.buf }
 
 // Detach returns an exact-size copy of the encoded message that is safe
-// to retain after the writer is recycled. This is the one allocation a
-// pooled encode pays.
+// to retain after the writer is recycled. Only bytes the encoder's caller
+// keeps need it (a retained reply set, a snapshot); bytes that are sent
+// are sent as Bytes, since the send copies what it keeps.
 func (w *Writer) Detach() []byte {
 	out := make([]byte, len(w.buf))
 	copy(out, w.buf)
@@ -108,6 +110,10 @@ func (w *Writer) Blob(b []byte) {
 	w.Uvarint(uint64(len(b)))
 	w.buf = append(w.buf, b...)
 }
+
+// Raw appends b verbatim, with no length prefix: a last field that runs to
+// the end of the message (Reader.Rest reads it back).
+func (w *Writer) Raw(b []byte) { w.buf = append(w.buf, b...) }
 
 // String appends a length-prefixed string.
 func (w *Writer) String(s string) {
