@@ -5,8 +5,8 @@
 #   CI_SHORT=1 ./ci.sh   # skip the race pass (quick pre-push loop)
 #
 # The race pass is the slow half; it exists because every layer of this
-# stack is concurrent (transport pumps, gcs event loops, per-request ORB
-# goroutines, the metrics registry) and plain tests will happily miss an
+# stack is concurrent (transport pumps, gcs event loops, the ORB's receive
+# loop and its fallback goroutines, the metrics registry) and plain tests will happily miss an
 # unsynchronised counter. newtop-lint is the protocol-aware static pass:
 # wire encode/decode symmetry, no blocking under event-loop mutexes, no
 # wall clock in ordering decisions, no orphaned goroutines, no silently
@@ -55,12 +55,14 @@ go test ./...
 # Allocation budgets for the protocol hot paths: the multicast→deliver
 # cycle, wire encode/decode, the pooled writer, the TCP transport's
 # enqueue/flush and pooled-read paths, the flight recorder (which must
-# journal an event with zero allocations), and the leased local read. A
-# regression back to per-message maps, per-attempt sorting, per-encode
-# buffers or per-frame read buffers fails here long before it would show
-# up in a benchmark.
+# journal an event with zero allocations), the leased local read and its
+# whole round trip, the ORB's inline two-way call, and memnet's idle-link
+# send (so the memnet-based guards measure the product, not the simulator).
+# A regression back to per-message maps, per-attempt sorting, per-encode
+# buffers, per-frame read buffers or a channel and goroutine per call fails
+# here long before it would show up in a benchmark.
 echo "== alloc budgets =="
-go test -run AllocGuard ./internal/gcs/ ./internal/core/ ./internal/wire/ ./internal/transport/tcpnet/ ./internal/obs/flight/
+go test -run AllocGuard ./internal/gcs/ ./internal/core/ ./internal/orb/ ./internal/wire/ ./internal/transport/tcpnet/ ./internal/transport/memnet/ ./internal/obs/flight/
 # The two structural guards of the sequence windows ride along: the
 # sequencer's ordering table stays bounded by the in-flight window, and
 # stability collection costs what it collects, not what is retained.
@@ -93,9 +95,13 @@ go test -count=10 -run 'RMCrashAtEveryPipelineStage|Joiner|LostDirectReply|LostA
 # is skipped. The outbound ownership contract rides along: every transport
 # and Multicast copy what they keep, so a sender recycles its buffer while
 # the bytes are still in flight, and the race detector would see a send
-# that kept the caller's buffer instead.
+# that kept the caller's buffer instead. So does the ORB's: a read answered
+# on the receive loop, one handed back to a goroutine while the execution
+# mutex is held, and the pending-call slots that calls reuse, late replies
+# and Close racing them.
 echo "== dispatch handoffs under -race =="
-go test -race -count=5 -run 'DispatchPool|LateConsumer|BindingsCostNoGoroutine|InvokerConformance|RMCrashAtEveryPipelineStage|InternTable|SendCopiesPayload|MulticastCopiesPayload' ./internal/gcs/ ./internal/core/ ./internal/transport/
+go test -race -count=5 -run 'DispatchPool|LateConsumer|BindingsCostNoGoroutine|InvokerConformance|RMCrashAtEveryPipelineStage|InternTable|SendCopiesPayload|MulticastCopiesPayload|LeasedReadsSpawnNoGoroutine|ReadFallsOffTheLoop' ./internal/gcs/ ./internal/core/ ./internal/transport/
+go test -race -count=5 ./internal/orb/
 
 if [ "${CI_SHORT:-0}" = "1" ]; then
 	echo "ci: CI_SHORT=1, skipping the race pass"

@@ -120,13 +120,14 @@ type callOpts struct {
 }
 
 // CallOption configures one invocation (see WithMode, WithCallID,
-// WithTrace).
-type CallOption func(*callOpts)
+// WithTrace). Options fold by value, so the resolved set stays on the
+// caller's stack.
+type CallOption func(callOpts) callOpts
 
 // WithMode selects the reply mode (one-way, wait-for-first,
 // wait-for-majority, wait-for-all). The default is First.
 func WithMode(m ReplyMode) CallOption {
-	return func(o *callOpts) { o.mode = m }
+	return func(o callOpts) callOpts { o.mode = m; return o }
 }
 
 // WithCallID pins the invocation's call identifier instead of allocating
@@ -136,19 +137,19 @@ func WithMode(m ReplyMode) CallOption {
 // number every client-group member must share; the Client component is
 // overridden with the monitor group's identity.
 func WithCallID(id ids.CallID) CallOption {
-	return func(o *callOpts) { o.call = id; o.hasCall = true }
+	return func(o callOpts) callOpts { o.call = id; o.hasCall = true; return o }
 }
 
 // WithTrace threads an explicit trace identifier through the invocation
 // instead of allocating (Binding/Proxy) or deriving (G2G) one.
 func WithTrace(t obs.TraceID) CallOption {
-	return func(o *callOpts) { o.trace = t }
+	return func(o callOpts) callOpts { o.trace = t; return o }
 }
 
 // WithConsistency selects the consistency of one Read (Linearizable,
 // Leased or Stale) instead of the default, Leased.
 func WithConsistency(c Consistency) CallOption {
-	return func(o *callOpts) { o.consistency = c }
+	return func(o callOpts) callOpts { o.consistency = c; return o }
 }
 
 // WithMaxStaleness tightens a Leased read's staleness bound for this call
@@ -156,7 +157,7 @@ func WithConsistency(c Consistency) CallOption {
 // than d (it can never loosen the configured lease bound). Ignored by
 // Linearizable and Stale reads.
 func WithMaxStaleness(d time.Duration) CallOption {
-	return func(o *callOpts) { o.maxStale = d }
+	return func(o callOpts) callOpts { o.maxStale = d; return o }
 }
 
 // WithKey pins the routing key of one invocation on a sharded binding:
@@ -164,7 +165,7 @@ func WithMaxStaleness(d time.Duration) CallOption {
 // bypassing the binding's configured key extractor. Single-group invokers
 // (Binding, Proxy, G2G) ignore it.
 func WithKey(key string) CallOption {
-	return func(o *callOpts) { o.key = key; o.hasKey = true }
+	return func(o callOpts) callOpts { o.key = key; o.hasKey = true; return o }
 }
 
 // WithMinStamp overrides the read's session floor: the serving replica
@@ -174,14 +175,14 @@ func WithKey(key string) CallOption {
 // read-your-writes across replicas; passing an explicit stamp threads a
 // token between bindings or processes. The zero stamp waives the floor.
 func WithMinStamp(s vclock.Stamp) CallOption {
-	return func(o *callOpts) { o.minStamp = s; o.hasMin = true }
+	return func(o callOpts) callOpts { o.minStamp = s; o.hasMin = true; return o }
 }
 
 // resolveCallOpts folds the options over the defaults.
 func resolveCallOpts(opts []CallOption) callOpts {
 	o := callOpts{mode: First}
 	for _, opt := range opts {
-		opt(&o)
+		o = opt(o)
 	}
 	return o
 }

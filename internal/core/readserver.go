@@ -11,12 +11,17 @@ import (
 )
 
 // This file is the server half of the read path: requests arrive as
-// point-to-point "read" control calls on the NSO (service.go routes them
-// here), never through the ordering layer. Three consistencies:
+// point-to-point "read" control calls on the NSO, never through the
+// ordering layer. The NSO's inline handler (service.go's readInline)
+// answers each one it can on the ORB's receive loop, with no goroutine
+// (tryServeRead); a read that would have to wait goes to the control
+// servant on a goroutine of the ORB's (serveRead). Three consistencies:
 //
-//   - Leased (serveReadLocal, the hot path): one lease check against the
-//     group's tick clock, the session-floor wait, one handler run. No
-//     group traffic at all.
+//   - Leased (the hot path): one lease check against the group's tick
+//     clock, the session floor, one handler run. No group traffic at all.
+//     On the receive loop (serveReadNow) the floor must already be covered
+//     and the execution mutex free; off it (serveReadLocal) the read waits
+//     for both.
 //   - Linearizable: a stability-frontier handshake (gcs.ReadIndex) pins
 //     the delivered frontier, then the executed prefix is driven up to it
 //     before the handler runs. Still no ordered multicast of the read.
@@ -32,40 +37,100 @@ import (
 
 // serveRead answers one read control call into rep, which the caller owns
 // (the reply carries application and lease errors in-band so the client
-// can distinguish retryable refusals). The path runs on the ORB's
-// per-request goroutine, whose stack starts small, so the reply is passed
-// down rather than returned by value through every level.
+// can distinguish retryable refusals). It is the servant's half, run on a
+// goroutine of the ORB's for a read tryServeRead handed back: one that
+// waits for a read-index handshake, a session floor or the execution
+// mutex. That goroutine's stack starts small, so the reply is passed down
+// rather than returned by value through every level.
 func (srv *Server) serveRead(req *readRequest, rep *readReply) {
-	srv.svc.metrics.reads.Inc()
-	if srv.group.Config().LeaseTicks <= 0 {
-		*rep = readReply{Code: readErrDisabled, Err: ErrReadDisabled.Error()}
-		return
-	}
 	start := time.Now()
+	if !srv.refuseRead(rep) {
+		switch req.Consistency {
+		case Linearizable:
+			srv.serveReadLinearizable(req, rep)
+		case Stale:
+			srv.serveReadStale(req, rep)
+		default:
+			srv.serveReadLocal(req, rep)
+		}
+	}
+	srv.readServed(req, rep, start)
+}
+
+// tryServeRead is serveRead on the ORB's receive loop: it answers a read it
+// can answer without waiting and reports false, having answered and
+// counted nothing, for any other.
+func (srv *Server) tryServeRead(req *readRequest, rep *readReply) bool {
+	start := time.Now()
+	if !srv.refuseRead(rep) && (req.Consistency == Linearizable || !srv.serveReadNow(req, rep)) {
+		return false
+	}
+	srv.readServed(req, rep, start)
+	return true
+}
+
+// refuseRead answers a read this replica cannot serve at any consistency —
+// its group has no read path, or it is inside its state transfer — and
+// reports whether it did.
+func (srv *Server) refuseRead(rep *readReply) bool {
 	switch {
+	case srv.group.Config().LeaseTicks <= 0:
+		*rep = readReply{Code: readErrDisabled, Err: ErrReadDisabled.Error()}
 	case srv.catching.Load():
 		*rep = readReply{Code: readErrRetry, Err: "state transfer in progress"}
-	case req.Consistency == Linearizable:
-		srv.serveReadLinearizable(req, rep)
-	case req.Consistency == Stale:
-		srv.serveReadStale(req, rep)
 	default:
-		srv.serveReadLocal(req, rep)
+		return false
 	}
-	if rep.Code == readOK {
+	return true
+}
+
+// readServed counts an answered read, and times and journals a served one.
+func (srv *Server) readServed(req *readRequest, rep *readReply, start time.Time) {
+	srv.svc.metrics.reads.Inc()
+	switch rep.Code {
+	case readOK:
 		d := time.Since(start)
 		srv.svc.metrics.readLatency.Observe(d)
 		srv.svc.span(req.Trace, flight.StReplicaRead, uint64(req.Consistency), d)
-	} else {
+	case readErrDisabled: // not a refusal: the group has no read path to refuse from
+	default:
 		srv.svc.metrics.readRefused.Inc()
 	}
 }
 
+// serveReadNow is a leased or stale read that waits for nothing: it takes
+// the execution mutex only if it is free, needs the session floor already
+// covered, and checks the lease under the mutex. It reports false, having
+// answered nothing, when the read would have to wait. Nearly every read
+// takes this path; the static allocation budget pins it (allocbudget.go)
+// through the NSO's inline handler.
+func (srv *Server) serveReadNow(req *readRequest, rep *readReply) bool {
+	if !srv.execMu.TryLock() {
+		return false
+	}
+	if !srv.coversLocked(req.MinStamp) {
+		srv.execMu.Unlock()
+		return false
+	}
+	var age, bound uint64
+	if req.Consistency != Stale {
+		var err error
+		age, bound, err = srv.group.LeaseRead(srv.staleTicks(req.MaxStale))
+		if err != nil {
+			srv.execMu.Unlock()
+			readRefusal(err, age, bound, rep)
+			return true
+		}
+	}
+	srv.execReadLocked(req, age, bound, rep)
+	srv.execMu.Unlock()
+	return true
+}
+
 // serveReadLocal is the leased read: the replica's lease is its authority
-// to answer from the local executed prefix with bounded staleness. This
-// is the path the static allocation budget pins (allocbudget.go) — a
-// lease check, the session-floor fast path and one handler run, with no
-// protocol traffic.
+// to answer from the local executed prefix with bounded staleness — a
+// lease check, the session-floor wait and one handler run, with no
+// protocol traffic. The static allocation budget pins it (allocbudget.go).
 func (srv *Server) serveReadLocal(req *readRequest, rep *readReply) {
 	age, bound, err := srv.group.LeaseRead(srv.staleTicks(req.MaxStale))
 	switch {
@@ -111,9 +176,14 @@ func (srv *Server) serveReadStale(req *readRequest, rep *readReply) {
 // reply with the executed prefix — reads advance the session too.
 func (srv *Server) execRead(req *readRequest, age, bound uint64, rep *readReply) {
 	srv.execMu.Lock()
+	srv.execReadLocked(req, age, bound, rep)
+	srv.execMu.Unlock()
+}
+
+// execReadLocked is execRead with the execution mutex held.
+func (srv *Server) execReadLocked(req *readRequest, age, bound uint64, rep *readReply) {
 	payload, err := srv.cfg.Handler(req.Method, req.Args)
 	stamp := srv.lastExec
-	srv.execMu.Unlock()
 	if err != nil {
 		*rep = readReply{Code: readErrApp, Err: err.Error(), Stamp: stamp, AgeTicks: age, BoundTicks: bound}
 		return

@@ -18,7 +18,9 @@ import (
 
 // Handler implements the replicated application object hosted by a server
 // group member. Invocations are executed in delivery (total) order, one at
-// a time, so deterministic handlers keep replicas consistent.
+// a time, so deterministic handlers keep replicas consistent. A read runs
+// between them, usually on the ORB's receive loop, so a read method must
+// not block: the process's other ORB traffic waits while it runs.
 type Handler func(method string, args []byte) ([]byte, error)
 
 // ServeConfig configures one member of a server group.

@@ -12,6 +12,7 @@ import (
 	"newtop/internal/obs/flight"
 	"newtop/internal/orb"
 	"newtop/internal/transport"
+	"newtop/internal/wire"
 )
 
 // controlObject is the ORB servant every Service registers; clients use it
@@ -74,6 +75,7 @@ func NewServiceObs(ep transport.Endpoint, o *obs.Obs) *Service {
 	s.ctx, s.cancel = context.WithCancel(context.Background())
 	s.orb.Register(controlObject, s.control)
 	s.orb.HandleOneWay(controlObject, "reply", s.routeReply)
+	s.orb.HandleTwoWay(controlObject, "read", s.readInline)
 	// The cross-group aggregate: every server role this service hosts,
 	// summed field-wise and emitted as group="_total". On a sharded node
 	// (one server group per shard) this is the fabric-wide view next to
@@ -334,6 +336,25 @@ func (s *Service) control(method string, args []byte) ([]byte, error) {
 	default:
 		return nil, fmt.Errorf("core: unknown control method %q", method)
 	}
+}
+
+// readInline is the "read" control call's inline handler: the ORB runs it
+// on its receive loop, and a read it answers there (tryServeRead) costs no
+// goroutine, its reply written straight into the reply frame. Any other
+// read — one that would have to wait, or one control must refuse — goes
+// back to the ORB, which hands it to control on a goroutine of its own.
+func (s *Service) readInline(args []byte, w *wire.Writer) error {
+	var req readRequest
+	if decodeReadRequest(args, &s.strs, &req) != nil {
+		return orb.ErrWouldBlock
+	}
+	srv := s.serverFor(req.Group)
+	var rep readReply
+	if srv == nil || !srv.tryServeRead(&req, &rep) {
+		return orb.ErrWouldBlock
+	}
+	putReadReply(w, &rep)
+	return nil
 }
 
 // sendReply answers whoever gathers a call's replies point-to-point — a

@@ -425,14 +425,22 @@ func decodeReadRequest(b []byte, in *interner, m *readRequest) error {
 	return r.Done()
 }
 
-func encodeReadReply(m *readReply) []byte {
-	w := wire.GetWriter()
+// putReadReply encodes m into w: the reply frame itself, when the read is
+// answered on the ORB's receive loop.
+func putReadReply(w *wire.Writer, m *readReply) {
 	w.Byte(m.Code)
 	w.Blob(m.Payload)
 	w.String(m.Err)
 	putStamp(w, m.Stamp)
 	w.Uvarint(m.AgeTicks)
 	w.Uvarint(m.BoundTicks)
+}
+
+// encodeReadReply is putReadReply into a fresh buffer, for a read the
+// control servant answered off the receive loop.
+func encodeReadReply(m *readReply) []byte {
+	w := wire.GetWriter()
+	putReadReply(w, m)
 	out := w.Detach()
 	wire.PutWriter(w)
 	return out

@@ -33,6 +33,7 @@ func TestAllocCrossCheckStaticVsRuntime(t *testing.T) {
 		"newtop/internal/transport/tcpnet",
 		"newtop/internal/obs/flight",
 		"newtop/internal/core",
+		"newtop/internal/orb",
 		"newtop/internal/shard",
 	} {
 		p, err := ld.Load(path)
@@ -58,6 +59,9 @@ func TestAllocCrossCheckStaticVsRuntime(t *testing.T) {
 		{"newtop/internal/gcs.decodeMessage", 0},             // decode budget
 		{"newtop/internal/gcs.(*Node).dispatch", 0},          // sequencer multicast→deliver budget, decode and ingest included
 		{"newtop/internal/core.(*Server).serveReadLocal", 0}, // leased-read budget
+		{"newtop/internal/core.(*Service).readInline", 0},    // leased-read round-trip budget
+		{"newtop/internal/orb.(*ORB).Invoke", 0},             // inline two-way call budget
+		{"newtop/internal/orb.(*ORB).dispatch", 0},           // inline two-way call budget, the serving half
 	}
 	for _, cc := range crossChecks {
 		static, ok := counts[cc.entry]

@@ -39,6 +39,9 @@ func DefaultAllocBudgets() []AllocBudget {
 		{Entry: "newtop/internal/transport/tcpnet.(*Endpoint).readLoop", Max: 19, Note: "reader: frame split, arena carve, inbound handoff"},
 		{Entry: "newtop/internal/obs/flight.(*Recorder).Record", Max: 3, Note: "flight-recorder event append"},
 		{Entry: "newtop/internal/core.(*Server).serveReadLocal", Max: 9, Note: "leased local read: lease check, session floor, handler run, reply into the caller's storage (13 with the reply on the heap)"},
+		{Entry: "newtop/internal/core.(*Service).readInline", Max: 24, Note: "leased read on the ORB's receive loop: decode (identifiers interned), TryLock, covered floor, lease check, handler run, reply written into the reply frame; TestAllocGuardReadRoundTrip measures the whole round trip at 0.0 allocs/op"},
+		{Entry: "newtop/internal/orb.(*ORB).Invoke", Max: 9, Note: "two-way call: a pending slot from the free list, the request encoded into a pooled frame, the wait (a channel per call before)"},
+		{Entry: "newtop/internal/orb.(*ORB).dispatch", Max: 20, Note: "receive loop: one-way sinks and two-way handlers inline, a servant's goroutine only as the fallback, replies into their callers' slots"},
 		{Entry: "newtop/internal/core.(*Server).execute", Max: 51, Note: "replica's half of the reply fan-in: execute once, answer the request manager with one ORB one-way (51 before the collection became one allocation); +2 for the two chunk refills of the payload arena Multicast copies into, reached through a monitor group's reply-set multicast, while TestAllocGuardForwardedReply fell 1.0 → 0.0 allocs/op with the frames sent from pooled writers"},
 		{Entry: "newtop/internal/core.(*Server).collectReply", Max: 47, Note: "request manager's half: file one direct reply; the one that completes the quorum builds the reply set and answers it, one-way to an open binding's client or multicast in a monitor group (44 with the multicast alone: +3 for the one-way branch's group-name bytes, frame send and args writer); the reply set is the collection's own (47 with it allocated at conclude); +2 for the payload arena's chunk refills behind Multicast, while TestAllocGuardCollectReply fell 2.0 → 1.0 allocs/op"},
 		{Entry: "newtop/internal/core.(*Server).serveAsRM", Max: 55, Note: "request manager, every policy: retry filters, receive, relay into the server group, gather or execute first, answer one-way or, in a monitor group, by multicast (56 with the multicast alone: +3 for the one-way branch, as collectReply); one allocation per collection, no deadline timer or closure, a primary's set with its reply inline (58 before); +2 for the payload arena's chunk refills behind Multicast, while TestAllocGuardRequestManager fell 5.0 → 2.0 allocs/op with the relayed request and every frame sent from pooled writers"},

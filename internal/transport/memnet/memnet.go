@@ -15,6 +15,7 @@ import (
 
 	"newtop/internal/ids"
 	"newtop/internal/netsim"
+	"newtop/internal/queue"
 	"newtop/internal/transport"
 )
 
@@ -184,24 +185,22 @@ const linkChunk = 16 << 10
 
 // link is the unidirectional FIFO pipe to one destination. A dedicated
 // goroutine sleeps until each message's delivery time, preserving per-link
-// order even under jitter.
+// order even under jitter. Its queue recycles one backing array, so a
+// drained link queues its next message without allocating.
 type link struct {
 	net *Net
 	to  ids.ProcessID
+	q   *queue.FIFO[timedMsg]
 
-	mu      sync.Mutex
-	cond    *sync.Cond
+	mu      sync.Mutex      // orders pushes: their clamped times and their place in q
 	arena   transport.Arena // the copies of queued payloads, carved as tcpnet's read side carves
-	q       []timedMsg
 	lastAt  time.Time
-	closed  bool
 	done    chan struct{}
 	closeCh chan struct{}
 }
 
 func newLink(n *Net, to ids.ProcessID) *link {
-	l := &link{net: n, to: to, arena: transport.Arena{Size: linkChunk}, done: make(chan struct{}), closeCh: make(chan struct{})}
-	l.cond = sync.NewCond(&l.mu)
+	l := &link{net: n, to: to, q: queue.New[timedMsg](), arena: transport.Arena{Size: linkChunk}, done: make(chan struct{}), closeCh: make(chan struct{})}
 	go l.run()
 	return l
 }
@@ -210,58 +209,47 @@ func newLink(n *Net, to ids.ProcessID) *link {
 func (l *link) push(from ids.ProcessID, payload []byte, deliverAt time.Time) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return
-	}
 	// Clamp to monotone delivery times so jitter cannot reorder a link.
 	if deliverAt.Before(l.lastAt) {
 		deliverAt = l.lastAt
 	}
 	l.lastAt = deliverAt
-	l.q = append(l.q, timedMsg{
+	l.q.Push(timedMsg{
 		msg:       transport.Inbound{From: from, Payload: l.arena.Copy(payload)},
 		deliverAt: deliverAt,
 	})
-	l.cond.Signal()
 }
 
+// close stops the link; what it still holds is dropped, and later pushes
+// with it. Its endpoint's Close calls it once.
 func (l *link) close() {
-	l.mu.Lock()
-	if !l.closed {
-		l.closed = true
-		close(l.closeCh)
-		l.cond.Signal()
-	}
-	l.mu.Unlock()
+	l.q.Close()
+	close(l.closeCh)
 	<-l.done
 }
 
 func (l *link) run() {
 	defer close(l.done)
+	var burst [transport.RecvBurst]timedMsg
 	for {
-		l.mu.Lock()
-		for len(l.q) == 0 && !l.closed {
-			l.cond.Wait()
-		}
-		if l.closed {
-			l.mu.Unlock()
+		n, ok := l.q.PopBatch(burst[:])
+		if !ok {
 			return
 		}
-		m := l.q[0]
-		l.q = l.q[1:]
-		l.mu.Unlock()
-
-		if wait := time.Until(m.deliverAt); wait > 0 {
-			timer := time.NewTimer(wait)
-			select {
-			case <-timer.C:
-			case <-l.closeCh:
-				timer.Stop()
-				return
+		for _, m := range burst[:n] {
+			if wait := time.Until(m.deliverAt); wait > 0 {
+				timer := time.NewTimer(wait)
+				select {
+				case <-timer.C:
+				case <-l.closeCh:
+					timer.Stop()
+					return
+				}
+			}
+			if dst := l.net.lookup(l.to); dst != nil && !l.net.sim.Crashed(l.to) {
+				dst.deliver(m.msg)
 			}
 		}
-		if dst := l.net.lookup(l.to); dst != nil && !l.net.sim.Crashed(l.to) {
-			dst.deliver(m.msg)
-		}
+		clear(burst[:n]) // an idle link must not pin the last burst's payloads
 	}
 }
