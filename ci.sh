@@ -83,10 +83,16 @@ go test -run '^$' -fuzz '^FuzzDecodePayload$' -fuzztime=10s ./internal/core/
 # a binding's zero goroutine cost and its release when the client crashes,
 # the dispatch stage's consumer contract, and the view changes that
 # group-to-group invocation rides on (a proposal that overtakes the
-# previous view's commit is resent, not lost). A test here that fails one
-# run in ten is a protocol bug until shown otherwise.
+# previous view's commit is held, or resent, not lost), the joins and binds
+# that return when their view installs, and the traffic of a new view held
+# until it installs. A test here that fails one run in ten is a protocol
+# bug until shown otherwise.
 echo "== server path repeats =="
-go test -count=10 -run 'RMCrashAtEveryPipelineStage|Joiner|LostDirectReply|LostAnswer|RouteByRole|OpenCallCosts|RMCrashMidCollect|SessionReadsOwnWrites|OneEventPerFact|BindingsCostNoGoroutine|LateConsumer|ClientCrashReleases|GroupToGroupFiltersDuplicates|TracePropagationGroupToGroup|ProposalThatOvertakesTheCommit' ./internal/core/ ./internal/gcs/
+go test -count=10 -run 'RMCrashAtEveryPipelineStage|Joiner|LostDirectReply|LostAnswer|RouteByRole|OpenCallCosts|RMCrashMidCollect|SessionReadsOwnWrites|OneEventPerFact|BindingsCostNoGoroutine|LateConsumer|ClientCrashReleases|GroupToGroupFiltersDuplicates|TracePropagationGroupToGroup|ProposalThatOvertakesTheCommit|EarlyTrafficIsHeld|JoinReturnsWhenItsViewInstalls|BindReturnsAtItsViewInstall' ./internal/core/ ./internal/gcs/
+# The two that a join returning at its install exposed: a joiner's
+# exactly-once at the join cut, and a read pool taken from a contact that
+# has just joined. Fifty runs each.
+go test -count=50 -run 'TestJoinerNeverReexecutesWhatItsSnapshotCovers|TestSessionReadsOwnWritesUnderConcurrentManagers' ./internal/core/
 
 # Every group is consumed on the dispatch stage, so the handoffs between
 # an ordering decision, its worker and the invocation layer cross

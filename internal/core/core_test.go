@@ -320,3 +320,25 @@ func TestProxyRebindsAfterRMFailure(t *testing.T) {
 		t.Fatalf("reply from the crashed manager %s", rm)
 	}
 }
+
+// TestBindReturnsAtItsViewInstall pins bind latency. A bind is one group
+// join — the request manager joins the client's binding group (open), or
+// the client joins the server group (closed) — behind one control call, and
+// a join returns when its view installs, so on memnet a bind takes well
+// under ten ticks of the group timer.
+func TestBindReturnsAtItsViewInstall(t *testing.T) {
+	w := newWorld(t, 3, 1)
+	for _, style := range []core.Style{core.Open, core.Closed} {
+		cfg := w.bindCfg(style)
+		start := time.Now()
+		b, err := w.clients[0].Bind(ctxT(t, 10*time.Second), cfg)
+		took := time.Since(start)
+		if err != nil {
+			t.Fatalf("%v bind: %v", style, err)
+		}
+		defer b.Close()
+		if bound := 10 * cfg.GCS.Tick; took > bound && !core.RaceEnabled {
+			t.Errorf("%v bind took %v, want within %v", style, took, bound)
+		}
+	}
+}

@@ -44,3 +44,6 @@ func (s *Service) ExecutedPrefix(group ids.GroupID) (view gcs.View, senders []id
 	}
 	return srv.view.Clone(), ids.SortProcesses(senders), true
 }
+
+// RaceEnabled exposes raceEnabled to the external tests.
+const RaceEnabled = raceEnabled

@@ -538,6 +538,67 @@ func TestJoinerNeverReexecutesWhatItsSnapshotCovers(t *testing.T) {
 	}
 }
 
+// The write's copy to the joiner is lost, so the joiner delivers it only
+// from the request manager's resend, after its state transfer has ended:
+// the fetch is not held here, the loss alone puts the delivery after it.
+// The snapshot covers the write (both founders executed it before the donor
+// cut it), so the joiner must answer from the cover, not execute it on top
+// of the restored state. The heard-past rule does not make this
+// unreachable: the founders deliver the write once the joiner has spoken
+// past it, and it does, on a heartbeat stamped after a founder's
+// acknowledgement of the write that it did receive.
+func TestJoinerNeverExecutesACoveredWriteThatArrivesAfterTheTransfer(t *testing.T) {
+	w := newJoinWorld(t, 33)
+	var transferred atomic.Bool
+	var dropped atomic.Int64
+	w.r0.tap.set(func(to ids.ProcessID, frame []byte) bool {
+		if to == "r9" && !transferred.Load() && len(frame) > 0 && frame[0] == transport.ProtoGCS &&
+			strings.Contains(string(frame), "k=v") {
+			dropped.Add(1)
+			return true
+		}
+		return false
+	})
+	// Hold the joiner's state fetch until the write has executed at both
+	// founding replicas, as in TestJoinerNeverReexecutesWhatItsSnapshotCovers.
+	held, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	w.r9.tap.set(func(_ ids.ProcessID, frame []byte) bool {
+		if orbFrame(frame, orbRequest) {
+			once.Do(func() { close(held) })
+			<-release
+		}
+		return false
+	})
+	joined := w.join(t)
+	<-held
+	replies := w.put(t, w.client.DebugNewCall(), w.r0, w.r1)
+	close(release)
+	if err := <-joined; err != nil {
+		t.Fatalf("join: %v", err)
+	}
+	transferred.Store(true) // from here on the resend reaches the joiner
+	if dropped.Load() == 0 {
+		t.Fatal("the write's copy to the joiner was never dropped")
+	}
+
+	got := <-replies
+	if names := repliers(got); names != "r0,r1,r9" {
+		t.Fatalf("wait-for-all answered by %q, want all three members of the view", names)
+	}
+	for _, r := range got {
+		if covered := r.Err != nil && strings.Contains(r.Err.Error(), "state transfer"); covered != (r.Server == "r9") {
+			t.Errorf("%s: payload %q, err %v", r.Server, r.Payload, r.Err)
+		}
+	}
+	if v := w.r9.state.dump()["k"]; v != "v" {
+		t.Errorf("joiner has k=%q, want v from the snapshot", v)
+	}
+	if a, b, c := w.r0.execs.Load(), w.r1.execs.Load(), w.r9.execs.Load(); a != 1 || b != 1 || c != 0 {
+		t.Errorf("executions r0=%d r1=%d r9=%d, want 1, 1 and 0: the joiner got the write inside its snapshot", a, b, c)
+	}
+}
+
 // A joiner is a member of the server group — its lease can be granted, its
 // server answers read calls — from before its snapshot is in. It must refuse
 // every read until then, or a sessionless leased or stale read returns the

@@ -96,7 +96,7 @@ func TestReadFallsOffTheLoopWhileExecMuIsHeld(t *testing.T) {
 	wrote := make(chan struct{})
 	go func() {
 		defer close(wrote)
-		srv.executeOnce(ids.CallID{Client: "z00", Number: 1}, "put", nil, vclock.Stamp{Time: 1 << 40, Sender: "solo"}, 0)
+		srv.executeDelivered(&invRequest{Call: ids.CallID{Client: "z00", Number: 1}, Method: "put"}, vclock.Stamp{Time: 1 << 40, Sender: "solo"})
 	}()
 	for srv.execMu.TryLock() { // until the write holds the mutex
 		srv.execMu.Unlock()

@@ -70,6 +70,10 @@ type Server struct {
 	lastExec vclock.Stamp
 	view     gcs.View
 	advanced chan struct{}
+	// cover is what the snapshot a joined replica started from holds, as
+	// applied holds it, per sender until that sender's deliveries here
+	// have passed it (see snapshotCoversLocked); nil for a founding member.
+	cover map[ids.ProcessID]uint64
 
 	mu         sync.Mutex
 	roster     map[ids.ProcessID]bool // fellow servers (hello ∩ view)
@@ -176,6 +180,9 @@ func (s *Service) serve(ctx context.Context, cfg ServeConfig, replica bool) (*Se
 	// Announce ourselves so the existing members add us to the server
 	// roster (and, via their re-announcements, we learn them).
 	_ = group.Multicast(ctx, encodeHello()) //lint:ok errdrop best-effort: roster repair re-announces on every membership change
+	if !cfg.Contact.Nil() {
+		srv.seedRoster(ctx)
+	}
 	if replica {
 		if err := srv.transferState(ctx); err != nil {
 			_ = srv.Close()
@@ -183,6 +190,29 @@ func (s *Service) serve(ctx context.Context, cfg ServeConfig, replica bool) (*Se
 		}
 	}
 	return srv, nil
+}
+
+// seedRoster adds to a joining server's roster the servers its contact
+// knows of that are in its view, as a binding client learns them. Join
+// returns as soon as the view installs, before the fellow servers'
+// re-announcements have been delivered here, and a client may bind through
+// this server at once: its read pool and its quorums come from this roster.
+// Best effort: the re-announcements fill in whatever the call misses.
+func (srv *Server) seedRoster(ctx context.Context) {
+	ctx, cancel := context.WithTimeout(ctx, rmWait)
+	defer cancel()
+	members, err := srv.svc.ServerGroupMembers(ctx, srv.cfg.Contact, srv.cfg.Group)
+	if err != nil {
+		return
+	}
+	v := srv.group.View()
+	srv.mu.Lock()
+	for _, p := range members {
+		if v.Contains(p) {
+			srv.roster[p] = true
+		}
+	}
+	srv.mu.Unlock()
 }
 
 // emitServerStats emits one group's stats as core_server_* gauges labeled
@@ -285,7 +315,7 @@ func (srv *Server) handleGroupEvent(ev gcs.Event) {
 			}
 		}
 		// Every delivered position is applied once handled: requests by
-		// executeOnce (the return above), everything else (roster hellos,
+		// executeDelivered (the return above), everything else (roster hellos,
 		// unparseable payloads) vacuously. Reads wait on delivery stamps (session
 		// floors, read-index frontiers), so the executed frontier must
 		// cover non-request traffic too or a read could stall on a stamp
@@ -309,7 +339,7 @@ func (srv *Server) execute(req *invRequest, sender ids.ProcessID, stamp vclock.S
 	if !req.executes() {
 		return false
 	}
-	rep, _ := srv.executeOnce(req.Call, req.Method, req.Args, stamp, req.Trace)
+	rep := srv.executeDelivered(req, stamp)
 	switch {
 	case req.AsyncFwd || req.Mode == OneWay: // nobody gathers replies
 	case !req.Forwarded:
@@ -369,15 +399,45 @@ func (srv *Server) coversLocked(s vclock.Stamp) bool {
 	return !srv.view.Contains(s.Sender)
 }
 
-// executeOnce runs the handler for a call exactly once; retries get the
-// retained reply (the paper's standard retry/dedup technique, §4.1).
-func (srv *Server) executeOnce(call ids.CallID, method string, args []byte, stamp vclock.Stamp, trace uint64) (invReply, bool) {
+// executeDelivered runs the handler for a request delivered in the server
+// group exactly once; retries get the retained reply (the paper's standard
+// retry/dedup technique, §4.1). A request inside the snapshot this member
+// started from took effect at the donor, whose result this member does not
+// have: it retains and answers that fact instead, so that neither the
+// original nor a retry runs a second time on top of the restored state.
+func (srv *Server) executeDelivered(req *invRequest, stamp vclock.Stamp) invReply {
 	srv.execMu.Lock()
 	defer srv.execMu.Unlock()
-	return srv.executeLocked(call, method, args, stamp, trace)
+	if srv.snapshotCoversLocked(stamp) {
+		if _, ok := srv.replies.get(req.Call); !ok {
+			srv.replies.put(req.Call, invReply{Call: req.Call, Server: srv.svc.ID(), Stamp: stamp,
+				Err: "executed before this replica's state transfer; its result stayed with the donor"})
+		}
+	}
+	rep, _ := srv.executeLocked(req.Call, req.Method, req.Args, stamp, req.Trace)
+	return rep
 }
 
-// executeLocked is executeOnce for a caller that holds execMu.
+// snapshotCoversLocked reports whether the snapshot this member started
+// from covers the delivery stamped s. Every delivery the snapshot covers
+// counts, not only those buffered while it was fetched: one that reached
+// this member late (lost, then resent) is delivered after the transfer
+// ended. A sender's deliveries arrive with growing times, so its cover is
+// forgotten at the first one past it.
+func (srv *Server) snapshotCoversLocked(s vclock.Stamp) bool {
+	t, ok := srv.cover[s.Sender]
+	if !ok {
+		return false
+	}
+	if s.Time <= t {
+		return true
+	}
+	delete(srv.cover, s.Sender)
+	return false
+}
+
+// executeLocked runs the handler for a call exactly once, or returns the
+// retained reply (execMu held); it reports whether the handler ran.
 func (srv *Server) executeLocked(call ids.CallID, method string, args []byte, stamp vclock.Stamp, trace uint64) (invReply, bool) {
 	srv.applyLocked(stamp) // a retry's delivery is a position too
 	if rep, ok := srv.replies.get(call); ok {

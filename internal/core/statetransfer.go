@@ -16,7 +16,9 @@ import (
 // new replicas into a running group: the joiner parks the execution
 // requests delivered to it, pulls a snapshot from an existing member,
 // discards the parked requests the snapshot already covers, replays the
-// rest, and only then starts serving — reads included.
+// rest, and only then starts serving — reads included. A covered request
+// delivered after that (one whose copy to the joiner was lost and resent)
+// is discarded the same way.
 //
 // The splice is the donor's executed prefix, the per-sender Applied vector
 // (see Server.coversLocked): one sender's deliveries reach every member in
@@ -93,29 +95,30 @@ func (srv *Server) takeSnapshot() (*stateSnapshot, error) {
 	return snap, nil
 }
 
-// catchUp pulls a snapshot from the donor and installs it, returning what
-// the snapshot covers: per sender, the time of its newest delivery executed
-// into it. Only state-neutral deliveries have been applied here so far.
-func (srv *Server) catchUp(ctx context.Context, donor ids.ProcessID) (map[ids.ProcessID]uint64, error) {
+// catchUp pulls a snapshot from the donor, installs it and records what it
+// covers (Server.cover): per sender, the time of its newest delivery
+// executed into it. Only state-neutral deliveries have been applied here so
+// far.
+func (srv *Server) catchUp(ctx context.Context, donor ids.ProcessID) error {
 	raw, err := srv.svc.invokeControl(ctx, donor, "state", []byte(srv.cfg.Group))
 	if err != nil {
-		return nil, fmt.Errorf("core: fetch state from %s: %w", donor, err)
+		return fmt.Errorf("core: fetch state from %s: %w", donor, err)
 	}
 	snap, err := decodeStateSnapshot(raw)
 	if err != nil {
-		return nil, fmt.Errorf("core: decode state: %w", err)
+		return fmt.Errorf("core: decode state: %w", err)
 	}
 	if !snap.HasState {
-		return nil, errors.New("core: donor has no snapshot support")
+		return errors.New("core: donor has no snapshot support")
 	}
 	srv.execMu.Lock() // a read runs the handler under it too
 	defer srv.execMu.Unlock()
 	if err := srv.cfg.Restore(snap.Data); err != nil {
-		return nil, fmt.Errorf("core: restore: %w", err)
+		return fmt.Errorf("core: restore: %w", err)
 	}
-	cover := make(map[ids.ProcessID]uint64, len(snap.Applied))
+	srv.cover = make(map[ids.ProcessID]uint64, len(snap.Applied))
 	for _, a := range snap.Applied {
-		cover[a.Sender] = a.Time
+		srv.cover[a.Sender] = a.Time
 		// A sender seen leaving stays out: coversLocked's not-in-view rule
 		// covers it, and an entry would outlive it until a later view.
 		if srv.view.Contains(a.Sender) {
@@ -123,7 +126,7 @@ func (srv *Server) catchUp(ctx context.Context, donor ids.ProcessID) (map[ids.Pr
 		}
 	}
 	srv.lastExec = snap.Stamp
-	return cover, nil
+	return nil
 }
 
 // ServeReplica joins a running server group with state transfer: the
@@ -173,26 +176,18 @@ func (srv *Server) bufferForCatchup(req *invRequest, sender ids.ProcessID, stamp
 // through. Each was delivered in a view that has this member in it, so its
 // request manager (or closed client) may be counting on this member's
 // answer: a request the snapshot does not cover executes here and is
-// answered as if it had just been delivered; one the snapshot covers took
-// effect at the donor, whose result this member does not have — it retains
-// and answers that fact, so that neither the original nor a retry can
-// execute it a second time on top of the restored state.
+// answered as if it had just been delivered; one the snapshot covers is
+// answered from the cover (executeDelivered), as is a covered request
+// delivered after the transfer.
 func (srv *Server) transferState(ctx context.Context) error {
 	ctx, cancel := context.WithTimeout(ctx, rmWait)
 	defer cancel()
-	cover, err := srv.catchUp(ctx, srv.cfg.Contact)
-	if err != nil {
+	if err := srv.catchUp(ctx, srv.cfg.Contact); err != nil {
 		return err
 	}
 	srv.catchMu.Lock()
 	defer srv.catchMu.Unlock()
 	for _, e := range srv.catchBuf {
-		if cover[e.stamp.Sender] >= e.stamp.Time { // already inside the snapshot
-			srv.execMu.Lock()
-			srv.replies.put(e.req.Call, invReply{Call: e.req.Call, Server: srv.svc.ID(), Stamp: e.stamp,
-				Err: "executed before this replica's state transfer; its result stayed with the donor"})
-			srv.execMu.Unlock()
-		}
 		srv.execute(&e.req, e.sender, e.stamp)
 	}
 	srv.catchBuf = nil

@@ -193,6 +193,7 @@ func (g *Group) handlePropose(p *proposeMsg) {
 	// proposals are arbitrated by the (seq, proposer) preference below.
 	if g.state != stateJoining {
 		if !g.view.Contains(p.Proposer) {
+			g.holdEarlyProposalLocked(p)
 			return
 		}
 		if p.NewSeq <= g.view.Seq {
@@ -329,6 +330,69 @@ func (g *Group) applyCommitLocked(c *commitMsg) {
 		g.deliverCutLocked(c.Cut, c.Assigns)
 	}
 	g.installViewLocked(View{Seq: c.NewSeq, Installer: c.Proposer, Members: c.Members})
+}
+
+// earlyHoldLimit bounds the data messages a member holds for a view it has
+// not installed yet. The hold only has to bridge the gap between a view's
+// first traffic and its commit reaching this member, a few frames in
+// practice; past the bound, messages are dropped and the sender's resend
+// delivers them, as it did before there was a hold.
+const earlyHoldLimit = 256
+
+// holdEarlyLocked keeps a data message stamped with a later view than the
+// installed one, which a joining or flushing member receives when a member
+// that has already installed the next view (its coordinator, say) sends in
+// it before this member's commit has arrived. Dropping it would cost a full
+// Resend before the sender repairs the gap. Old-view traffic is not held:
+// after a flush ack the cut is the authority on it.
+func (g *Group) holdEarlyLocked(m *dataMsg) {
+	if m.ViewSeq > g.view.Seq && len(g.early) < earlyHoldLimit {
+		g.early = append(g.early, m)
+	}
+}
+
+// holdEarlyProposalLocked keeps a proposal from outside the view of a
+// flushing member: its proposer installed the view this member is about to
+// install, and proposed the next one before this member's commit arrived.
+// Once the commit puts the proposer in the view, the proposal is handled as
+// if it had just arrived, so the coordinator's resend (reproposeLocked) is
+// needed only when the proposal or the commit is lost.
+func (g *Group) holdEarlyProposalLocked(p *proposeMsg) {
+	if g.state == stateFlushing && p.NewSeq > g.view.Seq+1 &&
+		(g.earlyProp == nil || g.earlyProp.NewSeq <= p.NewSeq) {
+		g.earlyProp = p
+	}
+}
+
+// releaseEarlyDataLocked ingests the held messages of the view just
+// installed and drops the rest, which belonged to a view that did not
+// install here. Arrival order is each sender's send order up to loss, and
+// acceptDataLocked stashes whatever a loss put out of order, so the
+// replay keeps per-sender order.
+func (g *Group) releaseEarlyDataLocked() {
+	if len(g.early) == 0 {
+		return
+	}
+	early := g.early
+	g.early = nil
+	accepted := false
+	for _, m := range early {
+		if m.ViewSeq == g.view.Seq && m.ViewInstaller == g.view.Installer && g.acceptDataLocked(m, false) {
+			accepted = true
+		}
+	}
+	if accepted {
+		g.postIngestLocked()
+	}
+}
+
+// releaseEarlyProposalLocked hands a held proposal to handlePropose, which
+// drops it if it is no longer ahead of the installed view.
+func (g *Group) releaseEarlyProposalLocked() {
+	if p := g.earlyProp; p != nil {
+		g.earlyProp = nil
+		g.handlePropose(p)
+	}
 }
 
 // deliverCutLocked force-delivers the undelivered messages of the cut in a

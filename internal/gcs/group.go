@@ -136,6 +136,16 @@ type Group struct {
 	fl            *flushCoord // coordinator side, nil unless proposing
 	maxViewSeq    ids.ViewSeq // highest view sequence ever seen/proposed
 
+	// Traffic that arrived before the view it belongs to installed here
+	// (see holdEarlyLocked): data of the view a joining or flushing member
+	// is about to install, and a next-view proposal that overtook the
+	// commit this member is waiting for. installViewLocked releases both.
+	early     []*dataMsg
+	earlyProp *proposeMsg
+	// joined is closed at the first view installation, or when the handle
+	// closes first (a rejected or abandoned join); Join waits on it.
+	joined chan struct{}
+
 	// attention counts outstanding application-level interests (e.g.
 	// invocations awaiting replies): while positive, an event-driven
 	// group keeps its time-silence and failure-suspicion machinery
@@ -688,13 +698,10 @@ func (g *Group) handleBatch(b *batchMsg) {
 // envelope, and the caller owes a post-ingest tail if anything was
 // accepted.
 func (g *Group) acceptBatchLocked(b *batchMsg) bool {
-	if len(b.Msgs) == 0 {
+	if len(b.Msgs) == 0 || g.state == stateLeft {
 		return false
 	}
-	if g.state != stateNormal && g.state != stateFlushing {
-		return false
-	}
-	if g.cfg.ProcessingCost > 0 {
+	if g.cfg.ProcessingCost > 0 && g.state != stateJoining {
 		time.Sleep(g.cfg.ProcessingCost) //lint:ok lockblock simulated per-envelope processing cost (amortised across the batch); zero in production configs
 	}
 	accepted := false
@@ -757,15 +764,17 @@ func (g *Group) noteDepthsLocked() {
 // anything still in flight from the old view is recovered through the
 // commit's cut (or counts as lost with its sender), never ingested
 // directly — that is what keeps the cut the authoritative "all or none"
-// message set.
+// message set. Traffic of a view not installed here yet is held instead
+// (holdEarlyLocked) and accepted once that view installs.
 func (g *Group) acceptDataLocked(m *dataMsg, charge bool) bool {
-	if g.state != stateNormal && g.state != stateFlushing {
+	if g.state == stateLeft {
 		return false
 	}
 	if g.view.Contains(m.Sender) {
 		g.lastHeard[m.Sender] = time.Now() //lint:ok detclock failure-detector liveness bookkeeping
 	}
 	if g.state != stateNormal {
+		g.holdEarlyLocked(m)
 		return false
 	}
 	if m.ViewSeq != g.view.Seq || m.ViewInstaller != g.view.Installer {
@@ -1352,6 +1361,11 @@ func (g *Group) installViewLocked(v View) {
 	g.updateActivityLocked()
 	g.unparkLocked()
 	g.cond.Broadcast()
+	if g.joined != nil {
+		close(g.joined)
+		g.joined = nil
+	}
+	g.releaseEarlyDataLocked()
 
 	// Coordinatorship may have moved with this view (e.g. the configured
 	// leader just joined): hand any still-pending membership requests to
@@ -1369,6 +1383,7 @@ func (g *Group) installViewLocked(v View) {
 	} else if len(g.pendingJoins)+len(g.pendingLeaves) > 0 {
 		g.maybeStartFlushLocked()
 	}
+	g.releaseEarlyProposalLocked()
 }
 
 // Leave departs the group: the coordinator is informed so the remaining
@@ -1410,6 +1425,11 @@ func (g *Group) closeLocked(err error) {
 		g.domain.unregister(g.id)
 	}
 	g.joinErr = err
+	g.early, g.earlyProp = nil, nil
+	if g.joined != nil {
+		close(g.joined)
+		g.joined = nil
+	}
 	if !g.parked {
 		g.parked = true
 		g.node.wheel.cancel(&g.wentry)

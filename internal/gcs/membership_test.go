@@ -369,3 +369,41 @@ func TestManualSuspect(t *testing.T) {
 		t.Fatalf("no-op suspicions changed the view: %d members", got)
 	}
 }
+
+// TestJoinReturnsWhenItsViewInstalls pins join latency: a join is one round
+// trip through the coordinator (request, proposal, ack, commit) and Join
+// returns at the installation of its view, not at the next beat of its
+// resend timer. On memnet that is well inside ten ticks.
+func TestJoinReturnsWhenItsViewInstalls(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		order gcs.OrderMode
+		live  gcs.Liveness
+	}{
+		{"lively-symmetric", gcs.OrderSymmetric, gcs.Lively},
+		{"eventdriven-sequencer", gcs.OrderSequencer, gcs.EventDriven},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := newHarness(t, 4)
+			cfg := testConfig(tc.order)
+			cfg.Liveness = tc.live
+			if _, err := h.nodes[0].Create("g", cfg); err != nil {
+				t.Fatal(err)
+			}
+			for _, n := range h.nodes[1:] {
+				start := time.Now()
+				g, err := n.Join(ctxT(t, 10*time.Second), "g", h.nodes[0].ID(), cfg)
+				took := time.Since(start)
+				if err != nil {
+					t.Fatalf("%s: join: %v", n.ID(), err)
+				}
+				if v := g.View(); !v.Contains(n.ID()) {
+					t.Fatalf("%s: Join returned with view %v", n.ID(), v)
+				}
+				if bound := 10 * cfg.Tick; took > bound && !raceEnabled {
+					t.Errorf("%s: Join took %v, want within %v", n.ID(), took, bound)
+				}
+			}
+		})
+	}
+}

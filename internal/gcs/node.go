@@ -130,8 +130,8 @@ func (n *Node) Create(id ids.GroupID, cfg GroupConfig) (*Group, error) {
 }
 
 // Join enters an existing group through any current member (the contact).
-// It blocks until a view containing this node is installed, the
-// configuration is found to mismatch, or ctx expires. The configuration
+// It returns as soon as a view containing this node is installed, or when
+// the configuration is found to mismatch or ctx expires. The configuration
 // must equal the one the group was created with.
 func (n *Node) Join(ctx context.Context, id ids.GroupID, contact ids.ProcessID, cfg GroupConfig) (*Group, error) {
 	cfg = cfg.withDefaults()
@@ -148,13 +148,16 @@ func (n *Node) Join(ctx context.Context, id ids.GroupID, contact ids.ProcessID, 
 		return nil, fmt.Errorf("gcs: already a member of group %q", id)
 	}
 	g := newGroup(n, id, cfg, stateJoining)
+	joined := make(chan struct{})
+	g.joined = joined
 	n.groups[id] = g
 	n.mu.Unlock()
 
 	join := n.encode(&joinMsg{Group: id, Joiner: n.ID()})
 	defer wire.PutWriter(join)
-	// Join requests are idempotent, so retry briskly: a request can race a
-	// concurrent view change and be parked or dropped.
+	// Join requests are idempotent, so a request that got no view is resent
+	// briskly: it can race a concurrent view change and be parked or
+	// dropped. The installation itself ends the wait, not the timer.
 	retry := cfg.FlushTimeout / 2
 	if cap := 10 * cfg.Tick; retry > cap {
 		retry = cap
@@ -162,39 +165,41 @@ func (n *Node) Join(ctx context.Context, id ids.GroupID, contact ids.ProcessID, 
 	if retry <= 0 {
 		retry = 50 * time.Millisecond
 	}
+	resend := time.NewTimer(retry)
+	defer resend.Stop()
 	for {
 		_ = n.out.SendFrame(contact, join.Bytes()) //lint:ok errdrop best-effort: this loop resends the join until accepted or the context ends
 
-		deadline := time.NewTimer(retry)
 		select {
 		case <-ctx.Done():
-			deadline.Stop()
 			n.abandonJoin(g)
 			return nil, ctx.Err()
-		case <-deadline.C:
-		}
-
-		g.mu.Lock()
-		switch g.state {
-		case stateNormal:
-			g.mu.Unlock()
-			return g, nil
-		case stateLeft:
-			err := g.joinErr
-			g.mu.Unlock()
-			n.dropGroup(id)
-			// Full teardown, as in abandonJoin: a rejected join (config
-			// mismatch, remote shutdown) must also quiesce the dispatch
-			// queue, or every failed join leaks state.
-			g.closeDispatch()
-			if err == nil {
-				err = ErrLeft
-			}
-			return nil, err
-		default:
-			g.mu.Unlock()
+		case <-joined:
+			return n.joinOutcome(g)
+		case <-resend.C:
+			resend.Reset(retry)
 		}
 	}
+}
+
+// joinOutcome settles a join whose wait ended: the view installed, or the
+// handle closed first (a configuration mismatch, a remote shutdown, the
+// node closing).
+func (n *Node) joinOutcome(g *Group) (*Group, error) {
+	g.mu.Lock()
+	left, err := g.state == stateLeft, g.joinErr
+	g.mu.Unlock()
+	if !left {
+		return g, nil
+	}
+	n.dropGroup(g.id)
+	// Full teardown, as in abandonJoin: a rejected join must also quiesce
+	// the dispatch queue, or every failed join leaks state.
+	g.closeDispatch()
+	if err == nil {
+		err = ErrLeft
+	}
+	return nil, err
 }
 
 // abandonJoin tears down a half-joined group handle.

@@ -12,8 +12,9 @@ import (
 // time.AfterFunc reintroduces exactly the per-group timer goroutine the
 // wheel exists to eliminate — invisible in the wheel's depth gauge, and a
 // goroutine-per-group regression at 10k-group scale. One-shot
-// time.NewTimer waits (join retries, the wheel's own sleep) are fine; the
-// rule targets the recurring/background forms only. Legitimate exceptions
+// time.NewTimer uses (the resend of a join request that got no view, the
+// wheel's own sleep) are fine; the rule targets the recurring/background
+// forms only. Legitimate exceptions
 // carry //lint:ok timerwheel <reason>.
 func TimerWheel() *Analyzer {
 	return &Analyzer{
