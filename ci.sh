@@ -56,13 +56,14 @@ go test ./...
 # cycle, wire encode/decode, the pooled writer, the TCP transport's
 # enqueue/flush and pooled-read paths, the flight recorder (which must
 # journal an event with zero allocations), the leased local read and its
-# whole round trip, the ORB's inline two-way call, and memnet's idle-link
-# send (so the memnet-based guards measure the product, not the simulator).
+# whole round trip, the ORB's inline two-way call, memnet's idle-link
+# send (so the memnet-based guards measure the product, not the simulator)
+# and the KV servant's overwrite of an existing key.
 # A regression back to per-message maps, per-attempt sorting, per-encode
 # buffers, per-frame read buffers or a channel and goroutine per call fails
 # here long before it would show up in a benchmark.
 echo "== alloc budgets =="
-go test -run AllocGuard ./internal/gcs/ ./internal/core/ ./internal/orb/ ./internal/wire/ ./internal/transport/tcpnet/ ./internal/transport/memnet/ ./internal/obs/flight/
+go test -run AllocGuard ./internal/gcs/ ./internal/core/ ./internal/orb/ ./internal/wire/ ./internal/transport/tcpnet/ ./internal/transport/memnet/ ./internal/obs/flight/ ./internal/shard/
 # The two structural guards of the sequence windows ride along: the
 # sequencer's ordering table stays bounded by the in-flight window, and
 # stability collection costs what it collects, not what is retained.
@@ -104,9 +105,10 @@ go test -count=50 -run 'TestJoinerNeverReexecutesWhatItsSnapshotCovers|TestSessi
 # that kept the caller's buffer instead. So does the ORB's: a read answered
 # on the receive loop, one handed back to a goroutine while the execution
 # mutex is held, and the pending-call slots that calls reuse, late replies
-# and Close racing them.
+# and Close racing them; and the window slots a binding's synchronous calls
+# wait on, with a caller that gives up before its answer arrives.
 echo "== dispatch handoffs under -race =="
-go test -race -count=5 -run 'DispatchPool|LateConsumer|BindingsCostNoGoroutine|InvokerConformance|RMCrashAtEveryPipelineStage|InternTable|SendCopiesPayload|MulticastCopiesPayload|LeasedReadsSpawnNoGoroutine|ReadFallsOffTheLoop' ./internal/gcs/ ./internal/core/ ./internal/transport/
+go test -race -count=5 -run 'DispatchPool|LateConsumer|BindingsCostNoGoroutine|InvokerConformance|RMCrashAtEveryPipelineStage|InternTable|SendCopiesPayload|MulticastCopiesPayload|LeasedReadsSpawnNoGoroutine|ReadFallsOffTheLoop|SyncCallSlot' ./internal/gcs/ ./internal/core/ ./internal/transport/
 go test -race -count=5 ./internal/orb/
 
 if [ "${CI_SHORT:-0}" = "1" ]; then

@@ -17,7 +17,9 @@ import (
 // result is immutable afterwards.
 //
 // The future is also the entry of its attachment's table of outstanding
-// calls: whatever ends the call calls finish, and there is no other waiter.
+// calls: whatever ends the call calls finish, and nothing beside the
+// future tracks it. Its replies live in the future itself while they fit (inline), and the
+// slice Replies hands out aliases it, so a Call is never recycled.
 type Call struct {
 	id   ids.CallID
 	mode ReplyMode
@@ -28,23 +30,43 @@ type Call struct {
 	eng   *engine
 	trace obs.TraceID
 	start time.Time
+	// slot is the window slot the call occupies. A synchronous call
+	// (engine.call) waits on the slot's signal, which finish sends, and its
+	// caller returns the slot once it has taken the signal; any other
+	// call's epilogue returns it (retire).
+	slot *winSlot
+	sync bool
 	// gather collects the servers' direct replies (closed style).
 	gather collector
+	// claimed is set, under the engine's mu, by the first reply set to
+	// reach the call: only that one decodes into inline.
+	claimed bool
 	// stop releases what the future holds outside the table: the hook on
 	// the launching context, or a Proxy's retry loop.
 	stop func() bool
 
-	done chan struct{}
-
-	mu       sync.Mutex
+	mu sync.Mutex
+	// done is made by the first Done or Await, and closed by finish.
+	done     chan struct{}
 	finished bool
 	replies  []Reply
 	err      error
+	// inline holds the replies while they fit: an open call's reply set
+	// decodes into it and a closed call's gathered replies convert into it.
+	inline [inlineReplies]Reply
 }
+
+// closedDone is what Done returns for a call that completed before anyone
+// asked.
+var closedDone = func() chan struct{} {
+	ch := make(chan struct{})
+	close(ch)
+	return ch
+}()
 
 // newCallFuture builds a pending future.
 func newCallFuture(id ids.CallID, mode ReplyMode) *Call {
-	return &Call{id: id, mode: mode, done: make(chan struct{})}
+	return &Call{id: id, mode: mode}
 }
 
 // finish completes the call with its terminal result, runs the epilogue
@@ -58,6 +80,7 @@ func (c *Call) finish(replies []Reply, err error) {
 	}
 	c.finished = true
 	c.replies, c.err = replies, err
+	done := c.done
 	c.mu.Unlock()
 	if c.eng != nil {
 		c.eng.retire(c, err)
@@ -65,7 +88,12 @@ func (c *Call) finish(replies []Reply, err error) {
 	if c.stop != nil {
 		c.stop()
 	}
-	close(c.done)
+	if done != nil {
+		close(done)
+	}
+	if c.sync {
+		c.slot.sig <- struct{}{}
+	}
 }
 
 // ID returns the invocation's call identifier.
@@ -76,7 +104,17 @@ func (c *Call) Mode() ReplyMode { return c.mode }
 
 // Done is closed when the call has completed (replies gathered, binding
 // broken, or cancelled). Select on it to multiplex many futures.
-func (c *Call) Done() <-chan struct{} { return c.done }
+func (c *Call) Done() <-chan struct{} {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.done == nil {
+		if c.finished {
+			return closedDone
+		}
+		c.done = make(chan struct{})
+	}
+	return c.done
+}
 
 // Cancel abandons the call mid-flight: the future completes with
 // context.Canceled (unless it already completed). The request may still
@@ -87,7 +125,7 @@ func (c *Call) Cancel() { c.finish(nil, context.Canceled) }
 // Await blocks until the call completes or ctx expires.
 func (c *Call) Await(ctx context.Context) ([]Reply, error) {
 	select {
-	case <-c.done:
+	case <-c.Done():
 		return c.Replies()
 	case <-ctx.Done():
 		return nil, ctx.Err()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -73,7 +74,7 @@ type engine struct {
 	// answers the first copy of a call it sees, so the answer can overtake a
 	// slower member's own launch — whose copy is then filtered as a
 	// duplicate and never answered again.
-	early *bounded[ids.CallID, answer]
+	early *bounded[ids.CallID, decodedSet]
 	// sessStamp is the session token: the newest applied stamp observed in
 	// any reply (writes and reads both advance it). Reads default their
 	// session floor to it — that is read-your-writes across replicas.
@@ -83,9 +84,10 @@ type engine struct {
 	readIdx    int
 	readPickAt time.Time
 
-	// window is the outstanding-call semaphore: one slot per call in the
-	// table, capacity BindConfig.Window.
-	window chan struct{}
+	// window holds the free slots of the outstanding-call window, capacity
+	// BindConfig.Window: a call takes one at launch and holds it until it
+	// is out of the table (see Call.slot).
+	window chan *winSlot
 	// formed is closed by the handler at the view that forms the attachment
 	// (see onEvent); isFormed is the handler's own record of it.
 	formed   chan struct{}
@@ -121,9 +123,28 @@ func (s *Service) newEngine(group *gcs.Group, cfg BindConfig, style Style, rm id
 		servers:     servers,
 		brokenCh:    make(chan struct{}),
 		calls:       make(map[ids.CallID]*Call),
-		window:      make(chan struct{}, cfg.Window),
+		window:      newWindow(cfg.Window),
 		formed:      make(chan struct{}),
 	}
+}
+
+// winSlot is one slot of an attachment's outstanding-call window. sig is the
+// signal a synchronous call holding the slot waits on (engine.wait), made
+// by the first such call; the call's finish sends it once, and its caller
+// takes it before the slot goes back, so a completion can never wake a
+// later call.
+type winSlot struct {
+	sig chan struct{}
+}
+
+// newWindow builds a window of n free slots.
+func newWindow(n int) chan *winSlot {
+	w := make(chan *winSlot, n)
+	slots := make([]winSlot, n)
+	for i := range slots {
+		w <- &slots[i]
+	}
+	return w
 }
 
 // pullRM has the request manager join the group — the control bind of paper
@@ -240,7 +261,7 @@ func (e *engine) onEvent(ev gcs.Event) {
 		}
 		var p payload
 		if decodePayload(ev.Deliver.Payload, &e.svc.strs, &p) == nil && p.Kind == payloadReplySet {
-			e.onReplySet(p.Set)
+			e.onAnswer(p.Set)
 		}
 	case gcs.EventView:
 		// The stream replays history from the founding singleton view:
@@ -258,21 +279,40 @@ func (e *engine) onEvent(ev gcs.Event) {
 	}
 }
 
-// onReplySet completes the call a reply set answers or, group-to-group,
+// onAnswer completes the call a reply set answers or, group-to-group,
 // keeps the set for a call this member has yet to issue. e.mu makes
 // route-or-retain atomic against launch, which files the call and claims a
 // retained set in one critical section: whichever goes first, the set
-// reaches the call.
-func (e *engine) onReplySet(set answer) {
+// reaches the call. The first set to reach a call claims it, and only that
+// one decodes, straight into the call's own storage; a retained set is
+// decoded into its own. A set that does not decode is dropped.
+func (e *engine) onAnswer(a answer) {
 	e.mu.Lock()
-	c := e.calls[set.Call]
-	if c == nil && e.early != nil {
-		e.early.put(set.Call, set)
+	c := e.calls[a.Call]
+	switch {
+	case c == nil:
+		if e.early != nil {
+			if replies, rmErr, err := decodeAnswer(a.Body, &e.svc.strs, nil); err == nil {
+				e.early.put(a.Call, decodedSet{replies, rmErr})
+			}
+		}
+	case c.claimed:
+		c = nil
+	default:
+		c.claimed = true
 	}
 	e.mu.Unlock()
-	if c != nil {
-		e.deliver(c, set.Replies, set.Err)
+	if c == nil {
+		return
 	}
+	replies, rmErr, err := decodeAnswer(a.Body, &e.svc.strs, c.inline[:0])
+	if err != nil {
+		e.mu.Lock()
+		c.claimed = false // a later copy may still complete the call
+		e.mu.Unlock()
+		return
+	}
+	e.deliver(c, replies, rmErr)
 }
 
 // onView reacts to a membership change of the group. The cached view and
@@ -299,7 +339,7 @@ func (e *engine) onView(v *gcs.View) {
 	}
 	e.mu.Unlock()
 	for _, c := range settled {
-		e.deliver(c, replyValues(c.gather.replies), "")
+		e.deliver(c, appendReplies(c.inline[:0], c.gather.replies), "")
 	}
 	failAll(doomed)
 }
@@ -331,7 +371,7 @@ func (e *engine) onDirectReply(rep invReply) {
 	c, servers := e.calls[rep.Call], e.live
 	e.mu.Unlock()
 	if c != nil && c.gather.add(rep, servers) {
-		e.deliver(c, replyValues(c.gather.replies), "")
+		e.deliver(c, appendReplies(c.inline[:0], c.gather.replies), "")
 	}
 }
 
@@ -365,11 +405,24 @@ func (e *engine) call(ctx context.Context, method string, args []byte, o callOpt
 	if err != nil {
 		return nil, err
 	}
-	replies, err := c.Await(ctx)
-	if err != nil {
-		c.finish(nil, err) // ctx gave out first: nobody is left to wait
+	return e.wait(ctx, c)
+}
+
+// wait blocks a synchronous call until it completes or ctx expires, then
+// returns its window slot and its result. If ctx gives out first, the call
+// is finished with ctx's error — unless a completion wins the race — and
+// the one signal the winning finish sends is taken all the same: the slot
+// goes back empty, so that no late completion can wake the call that takes
+// the slot next.
+func (e *engine) wait(ctx context.Context, c *Call) ([]Reply, error) {
+	select {
+	case <-c.slot.sig:
+	case <-ctx.Done():
+		c.finish(nil, ctx.Err())
+		<-c.slot.sig
 	}
-	return replies, err
+	e.window <- c.slot
+	return c.Replies()
 }
 
 // InvokeAsync launches one invocation and returns its future (Invoker
@@ -385,7 +438,8 @@ func (e *engine) InvokeAsync(ctx context.Context, method string, args []byte, op
 // launch admits one call — identity, window slot, the group's attention, a
 // place in the table — and multicasts its request. detached says nobody is
 // bound to await the future under ctx (InvokeAsync), so ctx's expiry must
-// complete it.
+// complete it; otherwise the call is synchronous, and its caller awaits it
+// with wait.
 func (e *engine) launch(ctx context.Context, method string, args []byte, o callOpts, detached bool) (*Call, error) {
 	switch {
 	case e.groupClient == "":
@@ -408,8 +462,9 @@ func (e *engine) launch(ctx context.Context, method string, args []byte, o callO
 		}
 	}
 
+	var slot *winSlot
 	select {
-	case e.window <- struct{}{}:
+	case slot = <-e.window:
 	case <-e.brokenCh:
 		e.mu.Lock()
 		defer e.mu.Unlock()
@@ -424,19 +479,26 @@ func (e *engine) launch(ctx context.Context, method string, args []byte, o callO
 	e.group.Attend()
 
 	c := newCallFuture(o.call, o.mode)
-	c.eng, c.trace, c.start = e, o.trace, time.Now()
+	c.eng, c.slot, c.trace, c.start = e, slot, o.trace, time.Now()
+	if !detached {
+		c.sync = true
+		if slot.sig == nil {
+			slot.sig = make(chan struct{}, 1) //lint:ok allocflow one per window slot, by the first synchronous call to hold it
+		}
+	}
 	if e.style == Closed {
 		c.gather.mode = o.mode
 		c.gather.replies = make([]invReply, 0, len(e.servers))
 	}
 	e.mu.Lock()
 	err := e.stateLocked()
-	var early answer
+	var early decodedSet
 	var isEarly bool
 	if err == nil {
 		e.calls[c.id] = c
 		if e.early != nil {
 			early, isEarly = e.early.take(c.id)
+			c.claimed = isEarly
 		}
 		if detached && ctx.Done() != nil {
 			// Set under e.mu, which every completion takes (the table
@@ -446,11 +508,12 @@ func (e *engine) launch(ctx context.Context, method string, args []byte, o callO
 	}
 	e.mu.Unlock()
 	if err != nil {
-		e.release()
+		e.group.Unattend()
+		e.window <- slot
 		return nil, err
 	}
 	e.svc.metrics.asyncCalls.Inc()
-	e.svc.metrics.asyncInflightHigh.SetMax(int64(len(e.window)))
+	e.svc.metrics.asyncInflightHigh.SetMax(int64(cap(e.window) - len(e.window)))
 	e.svc.frRecord(flight.EvCallStart, uint64(c.trace), uint64(c.mode), 0)
 
 	w := wire.GetWriter()
@@ -471,6 +534,12 @@ func (e *engine) launch(ctx context.Context, method string, args []byte, o callO
 			err = ErrBindingBroken
 		}
 		c.finish(nil, err)
+		if c.sync {
+			// Nobody will wait: take the one signal the winning finish
+			// sent, and return the slot empty (see wait).
+			<-c.slot.sig
+			e.window <- c.slot
+		}
 		return nil, err
 	case isEarly:
 		e.deliver(c, early.Replies, early.Err)
@@ -478,13 +547,6 @@ func (e *engine) launch(ctx context.Context, method string, args []byte, o callO
 		c.finish(nil, nil)
 	}
 	return c, nil
-}
-
-// release returns what admission took: the group's attention and the
-// window slot.
-func (e *engine) release() {
-	e.group.Unattend()
-	<-e.window
 }
 
 // deliver completes c with the servers' replies — the request manager's
@@ -509,27 +571,30 @@ func (e *engine) deliver(c *Call, replies []Reply, rmErr string) {
 	c.finish(replies, nil)
 }
 
-// replyValues converts a closed call's gathered direct replies into the
-// Reply values it hands out.
-func replyValues(reps []invReply) []Reply {
-	out := make([]Reply, len(reps))
-	for i, rep := range reps {
-		out[i] = rep.toReply()
+// appendReplies converts a closed call's gathered direct replies into the
+// Reply values it hands out, appended to dst.
+func appendReplies(dst []Reply, reps []invReply) []Reply {
+	dst = slices.Grow(dst, len(reps))
+	for _, rep := range reps {
+		dst = append(dst, rep.toReply())
 	}
-	return out
+	return dst
 }
 
 // retire is the epilogue of every call that was admitted, run once by the
 // finish that completes it: out of the table — unless a retry under the same
-// call identifier has taken the entry since — then the slot, the group's
-// attention and the records.
+// call identifier has taken the entry since — then the group's attention,
+// the slot (a synchronous call's caller returns its own) and the records.
 func (e *engine) retire(c *Call, err error) {
 	e.mu.Lock()
 	if e.calls[c.id] == c {
 		delete(e.calls, c.id)
 	}
 	e.mu.Unlock()
-	e.release()
+	e.group.Unattend()
+	if !c.sync {
+		e.window <- c.slot
+	}
 	if errors.Is(err, context.Canceled) {
 		e.svc.metrics.asyncCancelled.Inc()
 	}

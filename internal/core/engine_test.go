@@ -18,7 +18,7 @@ import (
 // soloEngine builds an engine whose group has this process as its only
 // member, with every protocol timer parked (see TestAllocGuardLeasedRead),
 // and whose peers are the test: it plays the request manager by handing
-// reply sets to onReplySet and the servers by handing replies to the
+// reply sets to onAnswer and the servers by handing replies to the
 // service's routeReply. The group's events are drained, not handed to the
 // engine — the founding view holds no server, which it would call broken.
 func soloEngine(t *testing.T, style Style, servers ...ids.ProcessID) *engine {
@@ -98,7 +98,7 @@ func TestRetireLeavesTheRetrysTableEntry(t *testing.T) {
 		t.Fatalf("first call ended with %v, want context.Canceled", err)
 	}
 
-	e.onReplySet(asAnswer(&invReplySet{Call: o.call, Replies: []invReply{{Call: o.call, Server: "s00"}}}))
+	e.onAnswer(asAnswer(&invReplySet{Call: o.call, Replies: []invReply{{Call: o.call, Server: "s00"}}}))
 	select {
 	case <-retry.Done():
 	default:
@@ -107,8 +107,8 @@ func TestRetireLeavesTheRetrysTableEntry(t *testing.T) {
 	if replies, err := retry.Replies(); err != nil || len(replies) != 1 {
 		t.Fatalf("retry: %d replies, err %v", len(replies), err)
 	}
-	if len(e.calls) != 0 || len(e.window) != 0 {
-		t.Fatalf("%d calls outstanding, %d window slots held after both completed", len(e.calls), len(e.window))
+	if held := cap(e.window) - len(e.window); len(e.calls) != 0 || held != 0 {
+		t.Fatalf("%d calls outstanding, %d window slots held after both completed", len(e.calls), held)
 	}
 }
 
@@ -120,12 +120,12 @@ func TestRetireLeavesTheRetrysTableEntry(t *testing.T) {
 func TestEngineRetainsReplySetThatOvertakesTheLaunch(t *testing.T) {
 	e := soloEngine(t, Open, "s00")
 	e.groupClient = "g2g/gz"
-	e.early = newBounded[ids.CallID, answer](earlyCap)
+	e.early = newBounded[ids.CallID, decodedSet](earlyCap)
 	id := ids.CallID{Client: "g2g/gz", Number: 1}
 	set := &invReplySet{Call: id, Replies: []invReply{{Call: id, Server: "s00", Payload: []byte("early")}}}
 	o := callOpts{mode: First, call: ids.CallID{Number: 1}, hasCall: true}
 
-	e.onReplySet(asAnswer(set)) // nobody has launched the call yet
+	e.onAnswer(asAnswer(set)) // nobody has launched the call yet
 	c, err := e.launch(context.Background(), "m", nil, o, true)
 	if err != nil {
 		t.Fatal(err)
@@ -149,14 +149,14 @@ func TestEngineRetainsReplySetThatOvertakesTheLaunch(t *testing.T) {
 		t.Fatal(err)
 	}
 	id.Number = 2
-	e.onReplySet(asAnswer(&invReplySet{Call: id, Replies: set.Replies}))
+	e.onAnswer(asAnswer(&invReplySet{Call: id, Replies: set.Replies}))
 	if _, err := c.Replies(); err != nil || len(e.early.m) != 0 {
 		t.Fatalf("err %v, %d sets retained; want nil and 0", err, len(e.early.m))
 	}
 
 	// Retention is bounded.
 	for n := uint64(10); n < 10+2*earlyCap; n++ {
-		e.onReplySet(answer{Call: ids.CallID{Client: "g2g/gz", Number: n}})
+		e.onAnswer(asAnswer(&invReplySet{Call: ids.CallID{Client: "g2g/gz", Number: n}}))
 	}
 	if len(e.early.m) > earlyCap {
 		t.Fatalf("%d sets retained, cap %d", len(e.early.m), earlyCap)
@@ -166,25 +166,32 @@ func TestEngineRetainsReplySetThatOvertakesTheLaunch(t *testing.T) {
 // TestAllocGuardInvoke budgets the client's half of an invocation, launch
 // to completion, against stub peers (run by ci.sh's AllocGuard stage;
 // internal/lint/allocbudget.go pins launch and finish statically): an open
-// wait-for-first call as Call runs it — launched, answered by one reply set
-// through the ORB sink, awaited — and a closed wait-for-all call as
-// InvokeAsync runs it under a cancellable context, answered by three direct
-// replies through the ORB sink. The call identifier is pinned so the peers'
-// frames are built once; what is counted is the engine's own: the future and
-// its done channel, the request's encoding and multicast, the answer's
-// decoding (its identifiers interned, its replies straight into the Reply
-// values the call hands out) or the reply conversion and, for the detached
-// call, the hook on its context. The two stage records (EvCallStart, the
-// client.invoke stage event) allocate nothing.
+// wait-for-first call launched as InvokeAsync launches it, answered by one
+// reply set through the ORB sink and awaited (its Done asked for before the
+// answer, as a pipelining client's reaper does); the same call through Call,
+// answered when the group delivers its request; and a closed wait-for-all
+// call as InvokeAsync runs it under a cancellable context, answered by three
+// direct replies through the ORB sink. The call identifier is pinned so the
+// peers' frames are built once; what is counted is the engine's own: the
+// future (its replies inline), the done channel of the awaited future, the
+// request's encoding and multicast, the answer's decoding (its identifiers
+// interned, its replies straight into the call) or the reply conversion
+// and, for the detached closed call, the hook on its context and its gather
+// buffer (it is never awaited, so it makes no done channel). A synchronous
+// call waits on its window slot, which costs nothing.
+// The two stage records (EvCallStart, the client.invoke stage event)
+// allocate nothing.
 //
 // With the waiter table beside the future (callWaiter and its channel, a
 // goroutine per call, the record/release closures, a child context per
-// future) the same two sequences measured 19.0 and 27.0 allocs/op; with the
-// span tracer's store and note strings beside the journal, 9.0 and 20.0;
-// decoding into a heap reply set and fresh identifier strings, then copying
-// into the Reply values, 11.0 and 17.0; with the request and its frame each
-// detached from their pooled writers, 5.0 and 10.0; with InvokeAsync's
-// options folded through a pointer, 3.0 and 8.0.
+// future) the open and closed sequences measured 19.0 and 27.0 allocs/op;
+// with the span tracer's store and note strings beside the journal, 9.0 and
+// 20.0; decoding into a heap reply set and fresh identifier strings, then
+// copying into the Reply values, 11.0 and 17.0; with the request and its
+// frame each detached from their pooled writers, 5.0 and 10.0; with
+// InvokeAsync's options folded through a pointer, 3.0 and 8.0;
+// with the replies in a slice of their own and a done channel made for
+// every future, 3.0 (also through Call) and 7.0.
 func TestAllocGuardInvoke(t *testing.T) {
 	payload := make([]byte, 100)
 	args := []byte("k=v")
@@ -207,14 +214,26 @@ func TestAllocGuardInvoke(t *testing.T) {
 		set := &invReplySet{Call: id, Replies: []invReply{{Call: id, Server: "s00", Payload: payload}}}
 		frame := encodeReplyMsg(replyMsg{To: toOpen, Group: []byte(e.group.ID()), Set: set})
 		o := resolveCallOpts([]CallOption{WithMode(First), WithCallID(id)})
-		check(t, "open First", 3, func() { // measured 3.0
-			c, err := e.launch(ctx, "put", args, o, false)
+		check(t, "open First, awaited", 2, func() { // measured 2.0
+			c, err := e.launch(context.Background(), "put", args, o, true)
 			if err != nil {
 				t.Fatal(err)
 			}
+			done := c.Done()
 			e.svc.routeReply(frame)
-			if _, err := c.Await(ctx); err != nil {
-				t.Fatal(err)
+			<-done
+			if replies, err := c.Await(ctx); err != nil || len(replies) != 1 {
+				t.Fatalf("%d replies, err %v", len(replies), err)
+			}
+		})
+		e.group.SetHandler(func(ev gcs.Event) {
+			if ev.Type == gcs.EventDeliver {
+				e.svc.routeReply(frame)
+			}
+		})
+		check(t, "open First, Call", 1, func() { // measured 1.0
+			if replies, err := e.call(ctx, "put", args, o); err != nil || len(replies) != 1 {
+				t.Fatalf("%d replies, err %v", len(replies), err)
 			}
 		})
 	})
@@ -225,7 +244,7 @@ func TestAllocGuardInvoke(t *testing.T) {
 			frames = append(frames, encodeReplyMsg(replyMsg{To: toClosed, Group: []byte(e.group.ID()), Reply: invReply{Call: id, Server: s, Payload: payload}}))
 		}
 		opts := []CallOption{WithMode(All), WithCallID(id)}
-		check(t, "closed All", 7, func() { // measured 7.0 (8.0 with the options resolved on the heap)
+		check(t, "closed All", 5, func() { // measured 5.0
 			c, err := e.InvokeAsync(ctx, "put", args, opts...)
 			if err != nil {
 				t.Fatal(err)
@@ -238,6 +257,67 @@ func TestAllocGuardInvoke(t *testing.T) {
 			}
 		})
 	})
+}
+
+// A synchronous call waits on a signal of the window slot it holds, and the
+// slot is reused by the next call. A caller that gives up on its context
+// must leave the slot with no signal pending — neither its own finish's nor
+// a late completion's — or the next call on the slot would return at once,
+// with no result. With a window of one, every call here takes the same slot.
+func TestSyncCallSlotCarriesNoStaleSignal(t *testing.T) {
+	e := soloEngine(t, Open, "s00")
+	e.window = newWindow(1)
+	answer := func(n uint64, payload string) []byte {
+		id := ids.CallID{Client: "z00", Number: n}
+		set := &invReplySet{Call: id, Replies: []invReply{{Call: id, Server: "s00", Payload: []byte(payload)}}}
+		return encodeReplyMsg(replyMsg{To: toOpen, Group: []byte(e.group.ID()), Set: set})
+	}
+	opts := func(n uint64) callOpts {
+		return resolveCallOpts([]CallOption{WithMode(First), WithCallID(ids.CallID{Client: "z00", Number: n})})
+	}
+
+	// Call 1's request reaches the group and its caller gives up.
+	gaveUp, cancel := context.WithCancel(context.Background())
+	delivered := make(chan struct{}, 4)
+	e.group.SetHandler(func(ev gcs.Event) {
+		if ev.Type == gcs.EventDeliver {
+			delivered <- struct{}{}
+		}
+	})
+	go func() {
+		<-delivered
+		cancel()
+	}()
+	if _, err := e.call(gaveUp, "put", nil, opts(1)); !errors.Is(err, context.Canceled) {
+		t.Fatalf("abandoned call returned %v, want context.Canceled", err)
+	}
+	slot := <-e.window
+	if n := len(slot.sig); n != 0 {
+		t.Fatalf("the abandoned call returned its slot with %d signal(s) pending", n)
+	}
+	e.window <- slot
+
+	// Its answer arrives late, while call 2 holds the slot: it completes
+	// nothing, and call 2 returns its own reply.
+	late, second := answer(1, "late"), answer(2, "second")
+	e.group.SetHandler(func(ev gcs.Event) {
+		if ev.Type == gcs.EventDeliver {
+			e.svc.routeReply(late)
+			e.svc.routeReply(second)
+		}
+	})
+	replies, err := e.call(context.Background(), "put", nil, opts(2))
+	if err != nil || len(replies) != 1 || string(replies[0].Payload) != "second" {
+		t.Fatalf("call 2 returned %v, err %v; want its own reply", replies, err)
+	}
+	if held := cap(e.window) - len(e.window); held != 0 || len(e.calls) != 0 {
+		t.Fatalf("%d slots held, %d calls outstanding after both returned", held, len(e.calls))
+	}
+	slot = <-e.window
+	if n := len(slot.sig); n != 0 {
+		t.Fatalf("call 2 returned its slot with %d signal(s) pending", n)
+	}
+	e.window <- slot
 }
 
 // A read escalates from Leased to Linearizable on every refusal a stronger

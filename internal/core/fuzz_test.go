@@ -51,6 +51,8 @@ func FuzzDecodePayload(f *testing.F) {
 		var m inboundReply
 		_ = decodePayload(data, &in, &p)
 		_ = decodeReplyMsg(data, &in, &m)
+		_, _, _ = decodeAnswer(p.Set.Body, &in, nil)
+		_, _, _ = decodeAnswer(m.Answer.Body, &in, nil)
 		var req readRequest
 		var rep readReply
 		_ = decodeReadRequest(data, &in, &req)

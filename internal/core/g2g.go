@@ -61,7 +61,7 @@ func (s *Service) BindGroupToGroup(ctx context.Context, clientGroup *gcs.Group, 
 	}
 	g := &G2G{s.newEngine(gz, cfg, Open, rm, []ids.ProcessID{rm})}
 	g.groupClient = ids.ProcessID("g2g/" + string(gzID))
-	g.early = newBounded[ids.CallID, answer](earlyCap)
+	g.early = newBounded[ids.CallID, decodedSet](earlyCap)
 	if s.ID() == leader {
 		err = g.pullRM(ctx, &bindRequest{Group: gzID, Style: Open, Monitor: true, AsyncFwd: cfg.AsyncForward, Config: cfg.GCS})
 	} else {

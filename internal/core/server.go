@@ -21,6 +21,13 @@ import (
 // a time, so deterministic handlers keep replicas consistent. A read runs
 // between them, usually on the ORB's receive loop, so a read method must
 // not block: the process's other ORB traffic waits while it runs.
+//
+// args is valid for the call only: a handler copies what it keeps. The
+// returned slice is retained — the reply cache answers a retried call from
+// it — and handed to the client, so it must never be mutated afterwards; a
+// servant that rewrites its state in place (shard.Store) returns copies of
+// that state, never slices of it, and may share one read-only reply
+// between calls.
 type Handler func(method string, args []byte) ([]byte, error)
 
 // ServeConfig configures one member of a server group.

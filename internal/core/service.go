@@ -199,7 +199,7 @@ func (s *Service) routeReply(args []byte) {
 		srv.collectReply(m.Reply)
 	case e == nil:
 	case m.To == toOpen:
-		e.onReplySet(m.Answer)
+		e.onAnswer(m.Answer)
 	default:
 		e.onDirectReply(m.Reply)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"newtop/internal/gcs"
@@ -75,12 +76,13 @@ type invReplySet struct {
 	Err string
 }
 
-// answer is a reply set as its client decodes it: the replies go straight
-// into the Reply values the call hands out, with no invReplySet between.
+// answer is a reply set as its client receives it: the call it answers,
+// and the rest of the set undecoded, a slice of the frame. The replies are
+// decoded once the call is found, straight into the Reply values it hands
+// out (decodeAnswer), with no invReplySet between.
 type answer struct {
-	Call    ids.CallID
-	Replies []Reply
-	Err     string
+	Call ids.CallID
+	Body []byte
 }
 
 func (r invReply) toReply() Reply {
@@ -163,9 +165,10 @@ type replyMsg struct {
 }
 
 // inboundReply is a "reply" one-way as its addressee decodes it, into a
-// value the caller owns: a reply set arrives as the answer its client hands
-// out. Group aliases the frame, so that routing looks it up in place
-// (map[ids.GroupID(Group)]) and allocates no string for it.
+// value the caller owns: a reply set arrives as an answer, to be decoded
+// into the call it completes. Group aliases the frame, so that routing
+// looks it up in place (map[ids.GroupID(Group)]) and allocates no string
+// for it.
 type inboundReply struct {
 	To     byte
 	Group  []byte
@@ -191,7 +194,7 @@ func decodeReplyMsg(b []byte, in *interner, m *inboundReply) error {
 	case toRM, toClosed:
 		m.Reply = getReply(r, in)
 	case toOpen:
-		getAnswer(r, in, &m.Answer)
+		m.Answer = getAnswer(r, in)
 	default:
 		return fmt.Errorf("core: unknown reply addressee %d", m.To)
 	}
@@ -217,17 +220,29 @@ func putReplySet(w *wire.Writer, m *invReplySet) {
 	w.String(m.Err)
 }
 
-// getAnswer decodes a reply set into a, each reply straight into the Reply
-// its call hands out.
-func getAnswer(r *wire.Reader, in *interner, a *answer) {
-	a.Call = getCallID(r, in)
-	if n := r.Count(minReplySize); n > 0 {
-		a.Replies = make([]Reply, n)
-		for i := range a.Replies {
-			a.Replies[i] = getReply(r, in).toReply()
-		}
+// decodedSet is the body of a reply set as its client decodes it.
+type decodedSet struct {
+	Replies []Reply
+	Err     string
+}
+
+// getAnswer reads the call a reply set answers and leaves the rest to
+// decodeAnswer.
+func getAnswer(r *wire.Reader, in *interner) answer {
+	return answer{Call: getCallID(r, in), Body: r.Rest()}
+}
+
+// decodeAnswer decodes an answer's body: its replies, appended to dst — the
+// storage of the call they complete — and the request manager's error.
+func decodeAnswer(body []byte, in *interner, dst []Reply) (replies []Reply, rmErr string, err error) {
+	r := wire.NewReader(body)
+	n := r.Count(minReplySize)
+	dst = slices.Grow(dst, n)
+	for i := 0; i < n; i++ {
+		dst = append(dst, getReply(r, in).toReply())
 	}
-	a.Err = r.String()
+	rmErr = r.String()
+	return dst, rmErr, r.Done()
 }
 
 // payload is one invocation-layer multicast payload, decoded into storage
@@ -257,7 +272,7 @@ func decodePayload(b []byte, in *interner, p *payload) error {
 		m.Trace = r.Uvarint()
 	case payloadHello:
 	case payloadReplySet:
-		getAnswer(r, in, &p.Set)
+		p.Set = getAnswer(r, in)
 	default:
 		return fmt.Errorf("core: unknown payload kind %d", p.Kind)
 	}

@@ -73,7 +73,7 @@ func TestReplyAndSetRoundTrip(t *testing.T) {
 		if err := decodeReplyMsg(encodeReplyMsg(replyMsg{To: to, Group: []byte("sg"), Reply: rep}), nil, &got); err != nil {
 			t.Fatal(err)
 		}
-		if got.To != to || string(got.Group) != "sg" || got.Answer.Replies != nil || !reflect.DeepEqual(got.Reply, rep) {
+		if got.To != to || string(got.Group) != "sg" || got.Answer.Body != nil || !reflect.DeepEqual(got.Reply, rep) {
 			t.Fatalf("reply to %d mismatch: %+v", to, got)
 		}
 	}
@@ -87,8 +87,8 @@ func TestReplyAndSetRoundTrip(t *testing.T) {
 	if err := decodePayload(encodeReplySet(set), nil, &p); err != nil || p.Kind != payloadReplySet {
 		t.Fatalf("kind %d, err %v", p.Kind, err)
 	}
-	gotSet := p.Set
-	if gotSet.Call != set.Call || len(gotSet.Replies) != 2 || gotSet.Replies[1].Server != "s2" ||
+	gotSet := decodeSet(t, p.Set)
+	if p.Set.Call != set.Call || len(gotSet.Replies) != 2 || gotSet.Replies[1].Server != "s2" ||
 		!reflect.DeepEqual(gotSet.Replies[0], rep.toReply()) {
 		t.Fatalf("set mismatch: %+v", gotSet)
 	}
@@ -96,7 +96,8 @@ func TestReplyAndSetRoundTrip(t *testing.T) {
 	if err := decodeReplyMsg(encodeReplyMsg(replyMsg{To: toOpen, Group: []byte("cs/sg/c/1"), Set: set}), nil, &answer); err != nil {
 		t.Fatal(err)
 	}
-	if answer.To != toOpen || string(answer.Group) != "cs/sg/c/1" || !reflect.DeepEqual(answer.Answer, gotSet) {
+	if answer.To != toOpen || string(answer.Group) != "cs/sg/c/1" || answer.Answer.Call != set.Call ||
+		!reflect.DeepEqual(decodeSet(t, answer.Answer), gotSet) {
 		t.Fatalf("answer mismatch: %+v", answer)
 	}
 	if err := decodeReplyMsg(encodeReplyMsg(replyMsg{To: 9, Group: []byte("sg")}), nil, &answer); err == nil {
@@ -104,13 +105,26 @@ func TestReplyAndSetRoundTrip(t *testing.T) {
 	}
 }
 
-// asAnswer is set as its client decodes it.
+// asAnswer is set as its client receives it.
 func asAnswer(set *invReplySet) answer {
-	a := answer{Call: set.Call, Err: set.Err}
-	if len(set.Replies) > 0 {
-		a.Replies = replyValues(set.Replies)
+	w := wire.NewWriter()
+	putReplySet(w, set)
+	return getAnswer(wire.NewReader(w.Bytes()), nil)
+}
+
+// decodeSet decodes a's body as the call it answers does.
+func decodeSet(t *testing.T, a answer) decodedSet {
+	t.Helper()
+	replies, rmErr, err := decodeAnswer(a.Body, nil, nil)
+	if err != nil {
+		t.Fatalf("decode the answer to %v: %v", a.Call, err)
 	}
-	return a
+	return decodedSet{replies, rmErr}
+}
+
+// wantSet is what set decodes to at its client.
+func wantSet(set *invReplySet) decodedSet {
+	return decodedSet{appendReplies(nil, set.Replies), set.Err}
 }
 
 // encodeReplyMsg is a "reply" one-way's args as its ORB frame carries them.
@@ -206,7 +220,7 @@ func TestReflectionRoundTrips(t *testing.T) {
 		if z := wiretest.Unfilled(set); len(z) != 0 {
 			t.Fatalf("filler left fields zero: %v", z)
 		}
-		want := asAnswer(set)
+		want := wantSet(set)
 		var p payload
 		if err := decodePayload(encodeReplySet(set), nil, &p); err != nil {
 			t.Fatal(err)
@@ -214,15 +228,15 @@ func TestReflectionRoundTrips(t *testing.T) {
 		if p.Kind != payloadReplySet {
 			t.Fatalf("decoded as kind %d", p.Kind)
 		}
-		if !reflect.DeepEqual(p.Set, want) {
-			t.Fatalf("encode/decode asymmetry:\n%s", wiretest.Diff(want, p.Set))
+		if got := decodeSet(t, p.Set); p.Set.Call != set.Call || !reflect.DeepEqual(got, want) {
+			t.Fatalf("encode/decode asymmetry (call %v):\n%s", p.Set.Call, wiretest.Diff(want, got))
 		}
-		var got inboundReply
-		if err := decodeReplyMsg(encodeReplyMsg(replyMsg{To: toOpen, Group: []byte("cs"), Set: set}), nil, &got); err != nil {
+		var m inboundReply
+		if err := decodeReplyMsg(encodeReplyMsg(replyMsg{To: toOpen, Group: []byte("cs"), Set: set}), nil, &m); err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got.Answer, want) {
-			t.Fatalf("answer encode/decode asymmetry:\n%s", wiretest.Diff(want, got.Answer))
+		if got := decodeSet(t, m.Answer); m.Answer.Call != set.Call || !reflect.DeepEqual(got, want) {
+			t.Fatalf("answer encode/decode asymmetry (call %v):\n%s", m.Answer.Call, wiretest.Diff(want, got))
 		}
 	})
 	t.Run("bind", func(t *testing.T) {
@@ -278,6 +292,7 @@ func TestPayloadDecodeGarbageNeverPanics(t *testing.T) {
 		_, _ = decodeBindRequest(b)
 		_, _ = decodeProcs(b)
 		_ = decodeReplyMsg(b, &in, &m)
+		_, _, _ = decodeAnswer(b, &in, nil)
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 3000}); err != nil {
@@ -383,13 +398,22 @@ func impossibleCountFrames() []namedFrame {
 	snap := w.Detach()
 
 	return []namedFrame{
+		// A reply set's replies are decoded into the call it answers.
 		{"reply set of 1000 replies", replySet, func(b []byte) error {
 			var p payload
-			return decodePayload(b, nil, &p)
+			if err := decodePayload(b, nil, &p); err != nil {
+				return err
+			}
+			_, _, err := decodeAnswer(p.Set.Body, nil, nil)
+			return err
 		}},
 		{"answer of 1000 replies", answer, func(b []byte) error {
 			var m inboundReply
-			return decodeReplyMsg(b, nil, &m)
+			if err := decodeReplyMsg(b, nil, &m); err != nil {
+				return err
+			}
+			_, _, err := decodeAnswer(m.Answer.Body, nil, nil)
+			return err
 		}},
 		{"group ref of 1000 members", ref, func(b []byte) error {
 			_, err := DecodeGroupRef(b)

@@ -271,15 +271,22 @@ func (g *Group) drainDispatch() {
 		g.publishFrontierLocked()
 		g.mu.Unlock()
 	}
+	// The journal clock is read once before the batch and once after each
+	// handler: one handler's end is the next one's start.
+	journal := g.fr.Enabled()
+	var t int64
+	if journal {
+		t = flight.Now()
+	}
 	for i := range batch {
 		it := &batch[i]
-		deliver := it.ev.Type == EventDeliver
-		if deliver {
-			g.frDispatch(flight.EvDispatchStart, it)
-		}
 		h(it.ev)
-		if deliver {
-			g.frDispatch(flight.EvDispatchDone, it)
+		if journal {
+			end := flight.Now()
+			if it.ev.Type == EventDeliver {
+				g.frDispatch(end, end-t, it)
+			}
+			t = end
 		}
 		batch[i] = dispItem{}
 	}
@@ -299,15 +306,17 @@ func (g *Group) drainDispatch() {
 	}
 }
 
-// frDispatch journals a dispatch-stage edge for one delivered message.
-func (g *Group) frDispatch(t flight.Type, it *dispItem) {
-	g.fr.Record(flight.Event{
-		Type:   t,
+// frDispatch journals the fan-out of one delivered message, which ended at
+// end after running for d nanoseconds.
+func (g *Group) frDispatch(end, d int64, it *dispItem) {
+	g.fr.RecordAt(end, flight.Event{
+		Type:   flight.EvDispatch,
 		Proc:   g.frProc,
 		Group:  g.frGroup,
 		Sender: it.sender,
 		View:   it.view,
 		MsgSeq: it.seq,
+		B:      uint64(d),
 	})
 }
 

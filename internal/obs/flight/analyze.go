@@ -32,9 +32,10 @@ type Timeline struct {
 	// self-ingest and delivery are included.
 	Ingest  map[uint16]int64
 	Deliver map[uint16]int64
-	// DispStart and DispDone map proc ID → dispatch-stage event times: when
-	// a worker picked the delivered message up for fan-out and when the
-	// servant/consumer returned. Empty for journals predating the stage.
+	// DispStart and DispDone map proc ID → dispatch-stage times: when a
+	// worker picked the delivered message up for fan-out and when the
+	// servant/consumer returned (an EvDispatch's At−B and At). Empty for
+	// journals predating the stage.
 	DispStart map[uint16]int64
 	DispDone  map[uint16]int64
 	// Cut marks a message force-delivered by a view-change cut somewhere.
@@ -101,14 +102,10 @@ func Timelines(events []Event) map[MsgKey]*Timeline {
 			if _, ok := tl.Deliver[e.Proc]; !ok {
 				tl.Deliver[e.Proc] = e.At
 			}
-		case EvDispatchStart:
-			tl := get(e)
-			if _, ok := tl.DispStart[e.Proc]; !ok {
-				tl.DispStart[e.Proc] = e.At
-			}
-		case EvDispatchDone:
+		case EvDispatch:
 			tl := get(e)
 			if _, ok := tl.DispDone[e.Proc]; !ok {
+				tl.DispStart[e.Proc] = e.At - int64(e.B)
 				tl.DispDone[e.Proc] = e.At
 			}
 		}

@@ -120,47 +120,45 @@ const (
 	// A=target global sequence, B=delivered global at arrival. Symmetric:
 	// MsgSeq=marker sequence, A=marker Lamport time.
 	EvFrontierWait
-	// EvDispatchStart: a dispatch worker picked up a delivered message for
-	// fan-out (handler call or Events() push). Sender/MsgSeq/View identify
-	// the message as in EvDeliver; the deliver→dispatch-start gap is the
-	// ordering-to-execution queueing delay.
-	EvDispatchStart
-	// EvDispatchDone: the fan-out for that message returned; the
-	// dispatch-start→dispatch-done gap is pure servant-execution time.
-	EvDispatchDone
+	// EvDispatch: the fan-out of a delivered message (handler call or
+	// Events() push) returned, at the event's time; B=how long it ran, in
+	// nanoseconds. Sender/MsgSeq/View identify the message as in
+	// EvDeliver. The fan-out began at At−B, so the deliver→start gap is the
+	// ordering-to-execution queueing delay and B is pure servant-execution
+	// time.
+	EvDispatch
 
 	evMax // sentinel, keep last
 )
 
 var typeNames = [evMax]string{
-	EvNone:          "none",
-	EvMulticast:     "multicast",
-	EvBatchFlush:    "batch-flush",
-	EvIngest:        "ingest",
-	EvStash:         "stash",
-	EvDupDrop:       "dup-drop",
-	EvStaleDrop:     "stale-drop",
-	EvAssign:        "assign",
-	EvDeliver:       "deliver",
-	EvCutDeliver:    "cut-deliver",
-	EvStable:        "stable",
-	EvResend:        "resend",
-	EvFlushPropose:  "flush-propose",
-	EvFlushAck:      "flush-ack",
-	EvFlushCommit:   "flush-commit",
-	EvViewInstall:   "view-install",
-	EvTCPFlush:      "tcp-flush",
-	EvTCPDropFull:   "tcp-drop-full",
-	EvTCPDropConn:   "tcp-drop-conn",
-	EvTCPConnect:    "tcp-connect",
-	EvCallStart:     "call-start",
-	EvStage:         "stage",
-	EvLeaseGrant:    "lease-grant",
-	EvLeaseExpire:   "lease-expire",
-	EvLocalRead:     "local-read",
-	EvFrontierWait:  "frontier-wait",
-	EvDispatchStart: "dispatch-start",
-	EvDispatchDone:  "dispatch-done",
+	EvNone:         "none",
+	EvMulticast:    "multicast",
+	EvBatchFlush:   "batch-flush",
+	EvIngest:       "ingest",
+	EvStash:        "stash",
+	EvDupDrop:      "dup-drop",
+	EvStaleDrop:    "stale-drop",
+	EvAssign:       "assign",
+	EvDeliver:      "deliver",
+	EvCutDeliver:   "cut-deliver",
+	EvStable:       "stable",
+	EvResend:       "resend",
+	EvFlushPropose: "flush-propose",
+	EvFlushAck:     "flush-ack",
+	EvFlushCommit:  "flush-commit",
+	EvViewInstall:  "view-install",
+	EvTCPFlush:     "tcp-flush",
+	EvTCPDropFull:  "tcp-drop-full",
+	EvTCPDropConn:  "tcp-drop-conn",
+	EvTCPConnect:   "tcp-connect",
+	EvCallStart:    "call-start",
+	EvStage:        "stage",
+	EvLeaseGrant:   "lease-grant",
+	EvLeaseExpire:  "lease-expire",
+	EvLocalRead:    "local-read",
+	EvFrontierWait: "frontier-wait",
+	EvDispatch:     "dispatch",
 }
 
 // String returns the event type's journal name.
@@ -298,7 +296,17 @@ func (r *Recorder) Record(e Event) {
 	if r == nil || len(r.slots) == 0 {
 		return
 	}
-	at := int64(time.Since(epoch))
+	r.RecordAt(int64(time.Since(epoch)), e)
+}
+
+// RecordAt journals one event stamped at, a journal timestamp (Now) the
+// caller has already read: a recorder that times a stage with the clock
+// reads it once for both. Like Record, it allocates nothing and is a
+// no-op on a nil or disabled recorder.
+func (r *Recorder) RecordAt(at int64, e Event) {
+	if r == nil || len(r.slots) == 0 {
+		return
+	}
 	i := r.ctr.Add(1)
 	s := &r.slots[i&r.mask]
 	s.mark.Store(0)

@@ -123,6 +123,17 @@ func TestAllocGuardRecord(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("a stage event allocates %.1f, budget is 0", allocs)
 	}
+	// A dispatch event is stamped with a time its recorder already read.
+	at := Now()
+	allocs = testing.AllocsPerRun(2000, func() {
+		r.RecordAt(at, Event{Type: EvDispatch, Proc: 3, Group: 1, Sender: 2, View: 4, MsgSeq: 99, B: 1500})
+	})
+	if allocs != 0 {
+		t.Fatalf("RecordAt allocates %.1f per event, budget is 0", allocs)
+	}
+	if events, _ := r.Since(r.Cursor() - 1); len(events) != 1 || events[0].At != at {
+		t.Fatalf("RecordAt journalled %+v, want one event at %d", events, at)
+	}
 }
 
 func TestFormatIncludesNames(t *testing.T) {
@@ -131,11 +142,12 @@ func TestFormatIncludesNames(t *testing.T) {
 	g := r.Group("grp")
 	r.SetView(g, 1, []string{"nodeA", "nodeB"})
 	r.Record(Event{Type: EvDeliver, Proc: p, Group: g, Sender: 1, View: 1, MsgSeq: 5, A: 9})
+	r.Record(Event{Type: EvDispatch, Proc: p, Group: g, Sender: 1, View: 1, MsgSeq: 5, B: 1500})
 	events, _ := r.Since(0)
 	var sb strings.Builder
 	WriteText(&sb, events, r.Meta())
 	out := sb.String()
-	for _, want := range []string{"deliver", "nodeA", "grp/v1", "nodeB", "seq=5"} {
+	for _, want := range []string{"deliver", "nodeA", "grp/v1", "nodeB", "seq=5", "dispatch", "dur="} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("formatted journal missing %q:\n%s", want, out)
 		}
@@ -157,6 +169,9 @@ func TestTimelinesAndDecompose(t *testing.T) {
 		{Type: EvIngest, At: us(300), Proc: peer, Group: grp, Sender: 0, View: 1, MsgSeq: 1, A: 5},
 		{Type: EvDeliver, At: us(200), Proc: sender, Group: grp, Sender: 0, View: 1, MsgSeq: 1, A: 5},
 		{Type: EvDeliver, At: us(400), Proc: peer, Group: grp, Sender: 0, View: 1, MsgSeq: 1, A: 5},
+		// One event per fan-out, stamped at its end with its duration.
+		{Type: EvDispatch, At: us(260), Proc: sender, Group: grp, Sender: 0, View: 1, MsgSeq: 1, B: uint64(us(30))},
+		{Type: EvDispatch, At: us(700), Proc: peer, Group: grp, Sender: 0, View: 1, MsgSeq: 1, B: uint64(us(250))},
 	}
 	tls := Timelines(events)
 	if len(tls) != 1 {
@@ -172,6 +187,10 @@ func TestTimelinesAndDecompose(t *testing.T) {
 	if tl.Ingest[peer] != us(300) || tl.Deliver[peer] != us(400) {
 		t.Fatalf("peer ingest/deliver = %d/%d", tl.Ingest[peer], tl.Deliver[peer])
 	}
+	if tl.DispStart[peer] != us(450) || tl.DispDone[peer] != us(700) {
+		t.Fatalf("peer dispatch start/done = %d/%d, want %d/%d (start = end − duration)",
+			tl.DispStart[peer], tl.DispDone[peer], us(450), us(700))
+	}
 
 	d := Decompose(tls)
 	if d.Queue.Count != 1 || d.Queue.Max != 100*time.Microsecond {
@@ -185,6 +204,12 @@ func TestTimelinesAndDecompose(t *testing.T) {
 	}
 	if d.Spread.Count != 1 || d.Spread.Max != 200*time.Microsecond {
 		t.Fatalf("spread stage = %+v, want 1 sample of 200µs", d.Spread)
+	}
+	if d.Dispatch.Count != 2 || d.Dispatch.Max != 50*time.Microsecond {
+		t.Fatalf("dispatch-wait stage = %+v, want 2 samples max 50µs", d.Dispatch)
+	}
+	if d.Exec.Count != 2 || d.Exec.Max != 250*time.Microsecond {
+		t.Fatalf("servant-exec stage = %+v, want 2 samples max 250µs", d.Exec)
 	}
 }
 

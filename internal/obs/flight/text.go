@@ -86,6 +86,8 @@ func (e Event) detail(m *Meta) string {
 			return fmt.Sprintf("peer=%s dialed", peer())
 		}
 		return fmt.Sprintf("peer=%s accepted", peer())
+	case EvDispatch:
+		return fmt.Sprintf("sender=%s seq=%d dur=%s", member(), e.MsgSeq, rd(time.Duration(e.B)))
 	case EvCallStart:
 		return fmt.Sprintf("trace=%016x", e.MsgSeq)
 	case EvStage:

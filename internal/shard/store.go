@@ -1,8 +1,8 @@
 package shard
 
 import (
+	"bytes"
 	"fmt"
-	"strings"
 	"sync"
 
 	"newtop/internal/wire"
@@ -21,17 +21,31 @@ import (
 // computes the same moved key set from the same spec and the replicas
 // never diverge. Snapshot/Restore make the store usable with
 // ServeReplica's flush-cut state transfer.
+//
+// Every replica executes every write, so a put allocates only what the
+// store keeps: a put to an existing key overwrites its value in place
+// when the new one has the same length. The store's buffers therefore
+// change under it, and nothing it hands out aliases them: get, Snapshot
+// and shard.export copy out under mu, and the replies it shares (ok,
+// miss) are never mutated.
 type Store struct {
 	shard string // this group's shard name on the ring ("" = unsharded)
 	mu    sync.Mutex
-	m     map[string]string
+	m     map[string][]byte
 }
+
+// The shared replies. The invocation layer's reply cache retains a reply
+// for retries, so one read-only slice serves every call.
+var (
+	replyOK   = []byte("ok")
+	replyMiss = []byte("miss")
+)
 
 // NewStore creates a servant for the named shard. The name must match the
 // shard's name on the router's ring; an empty name disables ownership
 // checks (plain replicated KV).
 func NewStore(shard string) *Store {
-	return &Store{shard: shard, m: make(map[string]string)}
+	return &Store{shard: shard, m: make(map[string][]byte)}
 }
 
 // Len returns the number of keys currently held.
@@ -47,21 +61,28 @@ func (st *Store) Handle(method string, args []byte) ([]byte, error) {
 	defer st.mu.Unlock()
 	switch method {
 	case "put": // args: "key=value"
-		k, v, ok := strings.Cut(string(args), "=")
-		if !ok {
+		i := bytes.IndexByte(args, '=')
+		if i < 0 {
 			return nil, fmt.Errorf("shard %s: bad put %q", st.shard, args)
 		}
-		st.m[k] = v
-		return []byte("ok"), nil
-	case "get":
-		return []byte(st.m[string(args)]), nil
-	case "del":
-		k := string(args)
-		if _, ok := st.m[k]; !ok {
-			return []byte("miss"), nil
+		k, v := args[:i], args[i+1:]
+		// m[string(k)] looks up without converting; assigning through it
+		// allocates the key even when it is present, so only a value of a
+		// new length is assigned (into its old buffer while that has room).
+		if old, ok := st.m[string(k)]; ok && len(old) == len(v) {
+			copy(old, v)
+		} else {
+			st.m[string(k)] = append(old[:0], v...)
 		}
-		delete(st.m, k)
-		return []byte("ok"), nil
+		return replyOK, nil
+	case "get":
+		return append([]byte{}, st.m[string(args)]...), nil
+	case "del":
+		if _, ok := st.m[string(args)]; !ok {
+			return replyMiss, nil
+		}
+		delete(st.m, string(args))
+		return replyOK, nil
 	case "len":
 		return []byte(fmt.Sprint(len(st.m))), nil
 	case "shard.export":
@@ -88,7 +109,7 @@ func (st *Store) exportMoved(specArgs []byte) ([]byte, error) {
 	moved := make(map[string]string)
 	for k, v := range st.m {
 		if ring.Owner(k) != st.shard {
-			moved[k] = v
+			moved[k] = string(v)
 		}
 	}
 	return EncodePairs(moved), nil
@@ -105,7 +126,7 @@ func (st *Store) install(pairArgs []byte) ([]byte, error) {
 	n := 0
 	for k, v := range pairs {
 		if _, exists := st.m[k]; !exists {
-			st.m[k] = v
+			st.m[k] = []byte(v)
 			n++
 		}
 	}
@@ -135,7 +156,14 @@ func (st *Store) dropMoved(specArgs []byte) ([]byte, error) {
 func (st *Store) Snapshot() ([]byte, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return EncodePairs(st.m), nil
+	w := wire.GetWriter()
+	defer wire.PutWriter(w)
+	w.Uvarint(uint64(len(st.m)))
+	for k, v := range st.m {
+		w.String(k)
+		w.Blob(v) // the same bytes as EncodePairs' String
+	}
+	return w.Detach(), nil
 }
 
 // Restore replaces the map with a snapshot taken by another replica
@@ -145,9 +173,13 @@ func (st *Store) Restore(b []byte) error {
 	if err != nil {
 		return err
 	}
+	m := make(map[string][]byte, len(pairs))
+	for k, v := range pairs {
+		m[k] = []byte(v)
+	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	st.m = pairs
+	st.m = m
 	return nil
 }
 
