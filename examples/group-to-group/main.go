@@ -14,7 +14,9 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -23,6 +25,7 @@ import (
 	"newtop/internal/gcs"
 	"newtop/internal/ids"
 	"newtop/internal/netsim"
+	"newtop/internal/obs"
 	"newtop/internal/transport/memnet"
 )
 
@@ -37,16 +40,21 @@ func timers() gcs.GroupConfig {
 }
 
 func main() {
-	if err := run(); err != nil {
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	if err := run(ctx, os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run() error {
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-
+// run builds the three groups on an in-memory network, runs the jobs and
+// prints what happened to out; it fails if any claim the output makes does
+// not hold.
+func run(ctx context.Context, out io.Writer) error {
 	net := memnet.New(netsim.New(netsim.FastProfile(), 1))
+	// One observability domain for the run: the request manager's duplicate
+	// filter counts into it.
+	o := obs.New()
 
 	// --- the server group gy: a replicated audit log ---
 	var auditExecutions atomic.Int64
@@ -57,7 +65,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		svc := core.NewService(ep)
+		svc := core.NewServiceObs(ep, o)
 		defer svc.Close()
 		if _, err := svc.Serve(ctx, core.ServeConfig{
 			Group:   "gy-audit",
@@ -85,7 +93,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		services[i] = core.NewService(ep)
+		services[i] = core.NewServiceObs(ep, o)
 		defer services[i].Close()
 
 		cfg := timers()
@@ -106,7 +114,7 @@ func run() error {
 			time.Sleep(2 * time.Millisecond)
 		}
 	}
-	fmt.Printf("client group gx: %v\n", gxGroups[0].View().Members)
+	fmt.Fprintf(out, "client group gx: %v\n", gxGroups[0].View().Members)
 
 	// --- every worker attaches gx to gy through the monitor group gz ---
 	g2gs := make([]*core.G2G, workers)
@@ -142,12 +150,13 @@ func run() error {
 			}
 		}
 	}()
-	fmt.Printf("monitor group gz formed; request manager: %s\n\n", g2gs[0].RequestManager())
+	fmt.Fprintf(out, "monitor group gz formed; request manager: %s\n\n", g2gs[0].RequestManager())
 
 	// --- the jobs: every worker issues every call; gy executes each once ---
 	jobs := []string{"payment#1", "payment#2", "refund#3"}
 	for n, job := range jobs {
 		results := make([]string, workers)
+		var answered atomic.Int64
 		for i := 0; i < workers; i++ {
 			i, job := i, job
 			wg.Add(1)
@@ -163,6 +172,7 @@ func run() error {
 					return
 				}
 				results[i] = string(replies[0].Payload)
+				answered.Add(1)
 			}()
 		}
 		wg.Wait()
@@ -171,21 +181,32 @@ func run() error {
 			return err
 		default:
 		}
-		fmt.Printf("job %-10s -> every worker got %q\n", job, results[0])
 		for i := 1; i < workers; i++ {
 			if results[i] != results[0] {
 				return fmt.Errorf("workers disagree: %q vs %q", results[0], results[i])
 			}
 		}
+		fmt.Fprintf(out, "job %-10s -> %d of %d workers answered, each once, with %q\n", job, answered.Load(), workers, results[0])
 	}
 
 	perJob := int64(2) // two gy replicas execute each forwarded call once
 	want := int64(len(jobs)) * perJob
 	got := auditExecutions.Load()
-	fmt.Printf("\naudit executions: %d (want %d = %d jobs x %d replicas; %d duplicate client requests were filtered by the request manager)\n",
-		got, want, len(jobs), perJob, len(jobs)*(workers-1))
+	fmt.Fprintf(out, "\naudit executions: %d (want %d = %d jobs x %d replicas)\n", got, want, len(jobs), perJob)
 	if got != want {
 		return fmt.Errorf("exactly-once violated: %d executions, want %d", got, want)
+	}
+	// A worker may hold its answer before the request manager has seen its
+	// own copy of the call (the answer overtook it): wait for every copy.
+	dups := o.Reg.Counter("core_monitor_dup_filtered")
+	wantDups := uint64(len(jobs) * (workers - 1))
+	for dups.Value() < wantDups && ctx.Err() == nil {
+		time.Sleep(time.Millisecond)
+	}
+	fmt.Fprintf(out, "duplicate requests filtered by the request manager: %d (want %d = %d jobs x %d extra copies)\n",
+		dups.Value(), wantDups, len(jobs), workers-1)
+	if dups.Value() != wantDups {
+		return fmt.Errorf("duplicate filter: %d copies filtered, want %d", dups.Value(), wantDups)
 	}
 	return nil
 }

@@ -87,7 +87,7 @@ func (s *Service) Bind(ctx context.Context, cfg BindConfig) (*Binding, error) {
 	if !ids.ContainsProcess(members, rm) || cfg.Restricted {
 		rm = ids.MinProcess(members)
 	}
-	gid := ids.GroupID(fmt.Sprintf("cs/%s/%s/%d", cfg.ServerGroup, s.ID(), s.newCall().Number))
+	gid := ids.GroupID(fmt.Sprintf("cs/%s/%s/%d", cfg.ServerGroup, s.ID(), s.binds.Add(1)))
 	cfg.GCS.Leader = rm
 	group, err := s.node.Create(gid, cfg.GCS)
 	if err != nil {

@@ -36,6 +36,12 @@ type Call struct {
 	// call's epilogue returns it (retire).
 	slot *winSlot
 	sync bool
+	// owned says the call holds its number at the service (Service.calls):
+	// retire releases it, or passes it to the engine's held or unsure list
+	// when the call's relay may not be ordered yet. seq is its place in its
+	// engine's launches (engine.launched).
+	owned bool
+	seq   uint64
 	// gather collects the servers' direct replies (closed style).
 	gather collector
 	// claimed is set, under the engine's mu, by the first reply set to
@@ -94,6 +100,13 @@ func (c *Call) finish(replies []Reply, err error) {
 	if c.sync {
 		c.slot.sig <- struct{}{}
 	}
+}
+
+// ended reports whether the call has completed.
+func (c *Call) ended() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.finished
 }
 
 // ID returns the invocation's call identifier.

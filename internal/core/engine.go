@@ -75,6 +75,25 @@ type engine struct {
 	// slower member's own launch — whose copy is then filtered as a
 	// duplicate and never answered again.
 	early *bounded[ids.CallID, decodedSet]
+	// held lists the answered calls a primary executed ahead of the server
+	// group's order (rmPrimary), oldest first, with the relay that orders
+	// each: their numbers stay held at the service — the floor stays at
+	// them — until the request manager's watermark, ordered, reaches it.
+	// A backup could otherwise meet a later request whose floor had passed
+	// one of them before its relay, and refuse it.
+	held     []heldCall
+	heldFrom int // held[:heldFrom] are released already
+	ordered  uint64
+	// unsure lists the async-forward calls that ended without an answer —
+	// abandoned, or failed — which the primary may have run and relayed all
+	// the same; they stay held too. An answer to a call launched after one
+	// of them ended (its launch number past after) reports a relay count at
+	// or past that call's relay, the manager serving this group's requests
+	// in order: the call then joins held under that count. launched numbers
+	// the calls as they are filed.
+	unsure   []unsureCall
+	launched uint64
+	asyncFwd bool // an open binding whose wait-for-first calls its manager answers first (rmPrimary)
 	// sessStamp is the session token: the newest applied stamp observed in
 	// any reply (writes and reads both advance it). Reads default their
 	// session floor to it — that is read-your-writes across replicas.
@@ -93,6 +112,13 @@ type engine struct {
 	formed   chan struct{}
 	isFormed bool
 }
+
+// heldCall is an answered async-forward call awaiting its relay's order.
+type heldCall struct{ number, relay uint64 }
+
+// unsureCall is an async-forward call that ended without an answer, and
+// the launches filed by then.
+type unsureCall struct{ number, after uint64 }
 
 // defaultWindow is the pipelining depth when BindConfig.Window is unset.
 const defaultWindow = 16
@@ -120,6 +146,7 @@ func (s *Service) newEngine(group *gcs.Group, cfg BindConfig, style Style, rm id
 		rm:          rm,
 		readRenew:   cfg.ReadRenew,
 		style:       style,
+		asyncFwd:    cfg.AsyncForward && style == Open,
 		servers:     servers,
 		brokenCh:    make(chan struct{}),
 		calls:       make(map[ids.CallID]*Call),
@@ -236,6 +263,14 @@ func (e *engine) breakLocked() (doomed map[ids.CallID]*Call) {
 		e.broken = true
 		close(e.brokenCh)
 		doomed, e.calls = e.calls, nil
+		// Nothing will report these relays ordered any more: give them up.
+		for _, h := range e.held[e.heldFrom:] {
+			e.svc.release(h.number)
+		}
+		for _, u := range e.unsure {
+			e.svc.release(u.number)
+		}
+		e.held, e.heldFrom, e.unsure = nil, 0, nil
 	}
 	return doomed
 }
@@ -288,9 +323,13 @@ func (e *engine) onEvent(ev gcs.Event) {
 // decoded into its own. A set that does not decode is dropped.
 func (e *engine) onAnswer(a answer) {
 	e.mu.Lock()
+	e.noteOrderLocked(a.Ordered)
 	c := e.calls[a.Call]
 	switch {
 	case c == nil:
+		if len(e.unsure) > 0 && a.Call.Client == e.svc.ID() {
+			e.settleUnsureLocked(a.Call.Number, 0, a.Relay) // a late answer to an abandoned call
+		}
 		if e.early != nil {
 			if replies, rmErr, err := decodeAnswer(a.Body, &e.svc.strs, nil); err == nil {
 				e.early.put(a.Call, decodedSet{replies, rmErr})
@@ -300,6 +339,16 @@ func (e *engine) onAnswer(a answer) {
 		c = nil
 	default:
 		c.claimed = true
+		if len(e.unsure) > 0 && c.mode == First {
+			e.settleUnsureLocked(0, c.seq, a.Relay)
+		}
+		if c.owned && a.Relay > e.ordered {
+			// Answered ahead of its relay: the call's hold passes to the
+			// held list, which keeps the floor at it until the relay is
+			// reported ordered.
+			c.owned = false
+			e.held = append(e.held, heldCall{c.id.Number, a.Relay})
+		}
 	}
 	e.mu.Unlock()
 	if c == nil {
@@ -315,6 +364,51 @@ func (e *engine) onAnswer(a answer) {
 	e.deliver(c, replies, rmErr)
 }
 
+// settleUnsureLocked passes on the unsure calls an answer covers: the call
+// it answers (number), and those that ended before the launch of the call
+// it answers (seq). The answer's relay count is at or past any relay of
+// theirs, so they wait for it in held — or are released, if it is ordered.
+func (e *engine) settleUnsureLocked(number, seq, relay uint64) {
+	k := 0
+	for _, u := range e.unsure {
+		switch {
+		case u.number != number && u.after >= seq:
+			e.unsure[k] = u
+			k++
+		case relay > e.ordered:
+			e.held = append(e.held, heldCall{u.number, relay})
+		default:
+			e.svc.release(u.number)
+		}
+	}
+	clear(e.unsure[k:])
+	e.unsure = e.unsure[:k]
+}
+
+// noteOrderLocked advances the request manager's watermark and releases
+// the held calls whose relays it now covers.
+func (e *engine) noteOrderLocked(ordered uint64) {
+	if ordered <= e.ordered {
+		return
+	}
+	e.ordered = ordered
+	k := e.heldFrom
+	for k < len(e.held) && e.held[k].relay <= ordered {
+		e.svc.release(e.held[k].number)
+		k++
+	}
+	switch {
+	case k == len(e.held):
+		e.held, e.heldFrom = e.held[:0], 0
+	case k > len(e.held)/2:
+		// Slide the rest down once the released front is the larger part,
+		// so a long queue costs amortised O(1) per release.
+		e.held, e.heldFrom = e.held[:copy(e.held, e.held[k:])], 0
+	default:
+		e.heldFrom = k
+	}
+}
+
 // onView reacts to a membership change of the group. The cached view and
 // the broken judgement change in the same critical section, so Servers and
 // Broken can never contradict each other mid-transition. A closed
@@ -328,7 +422,7 @@ func (e *engine) onView(v *gcs.View) {
 	if e.style == Closed {
 		gone = e.live == 0
 		for _, c := range e.calls {
-			if c.gather.settle(e.live, false) {
+			if c.gather.settle(c.id, e.live, false) {
 				settled = append(settled, c)
 			}
 		}
@@ -441,18 +535,28 @@ func (e *engine) InvokeAsync(ctx context.Context, method string, args []byte, op
 // complete it; otherwise the call is synchronous, and its caller awaits it
 // with wait.
 func (e *engine) launch(ctx context.Context, method string, args []byte, o callOpts, detached bool) (*Call, error) {
-	switch {
-	case e.groupClient == "":
-		if !o.hasCall {
-			o.call = e.svc.newCall()
-		}
-		if o.trace == 0 {
-			o.trace = obs.NewTraceID()
-		}
-	case !o.hasCall:
+	if e.groupClient != "" && !o.hasCall {
 		return nil, ErrNeedCallNumber
-	default:
-		o.call.Client = e.groupClient
+	}
+	var slot *winSlot
+	select {
+	case slot = <-e.window:
+	case <-e.brokenCh:
+		e.mu.Lock()
+		err := e.stateLocked()
+		e.mu.Unlock()
+		return nil, err
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+	// Identity last, once the call is sure to go out: a number this engine
+	// allocates is held until the call is over (retire), and its floor goes
+	// with the request.
+	var floor uint64
+	owned := false
+	switch {
+	case e.groupClient != "":
+		o.call.Client = e.groupClient // shared by the client group, no floor
 		if o.trace == 0 {
 			// Every client-group member derives the same trace identifier
 			// from the call's coordinates, so all duplicate copies of the
@@ -460,17 +564,18 @@ func (e *engine) launch(ctx context.Context, method string, args []byte, o callO
 			// surviving one — share one trace.
 			o.trace = obs.DeriveTraceID(string(e.groupClient), o.call.Number)
 		}
+	case !o.hasCall:
+		o.call, floor = e.svc.newCall()
+		owned = true
+	default:
+		var err error
+		if floor, owned, err = e.svc.holdNamed(o.call); err != nil {
+			e.window <- slot
+			return nil, err
+		}
 	}
-
-	var slot *winSlot
-	select {
-	case slot = <-e.window:
-	case <-e.brokenCh:
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		return nil, e.stateLocked()
-	case <-ctx.Done():
-		return nil, ctx.Err()
+	if o.trace == 0 {
+		o.trace = obs.NewTraceID()
 	}
 	// Keep the group's failure detection alive while the call is
 	// outstanding: an idle event-driven group would otherwise never notice
@@ -479,7 +584,7 @@ func (e *engine) launch(ctx context.Context, method string, args []byte, o callO
 	e.group.Attend()
 
 	c := newCallFuture(o.call, o.mode)
-	c.eng, c.slot, c.trace, c.start = e, slot, o.trace, time.Now()
+	c.eng, c.slot, c.trace, c.start, c.owned = e, slot, o.trace, time.Now(), owned
 	if !detached {
 		c.sync = true
 		if slot.sig == nil {
@@ -487,7 +592,7 @@ func (e *engine) launch(ctx context.Context, method string, args []byte, o callO
 		}
 	}
 	if e.style == Closed {
-		c.gather.mode = o.mode
+		c.gather.mode, c.gather.call = o.mode, c.id
 		c.gather.replies = make([]invReply, 0, len(e.servers))
 	}
 	e.mu.Lock()
@@ -496,6 +601,8 @@ func (e *engine) launch(ctx context.Context, method string, args []byte, o callO
 	var isEarly bool
 	if err == nil {
 		e.calls[c.id] = c
+		e.launched++
+		c.seq = e.launched
 		if e.early != nil {
 			early, isEarly = e.early.take(c.id)
 			c.claimed = isEarly
@@ -508,6 +615,9 @@ func (e *engine) launch(ctx context.Context, method string, args []byte, o callO
 	}
 	e.mu.Unlock()
 	if err != nil {
+		if owned {
+			e.svc.release(c.id.Number)
+		}
 		e.group.Unattend()
 		e.window <- slot
 		return nil, err
@@ -525,6 +635,7 @@ func (e *engine) launch(ctx context.Context, method string, args []byte, o callO
 		Client: e.svc.ID(),
 		Style:  e.style,
 		Trace:  uint64(c.trace),
+		Floor:  floor,
 	})
 	err = e.group.Multicast(ctx, w.Bytes())
 	wire.PutWriter(w)
@@ -545,8 +656,23 @@ func (e *engine) launch(ctx context.Context, method string, args []byte, o callO
 		e.deliver(c, early.Replies, early.Err)
 	case c.mode == OneWay:
 		c.finish(nil, nil)
+	case c.stop != nil && e.asyncFwd && c.mode == First && c.ended():
+		e.sentLate(c.id.Number)
 	}
 	return c, nil
+}
+
+// sentLate handles an async-forward call that its context ended while its
+// request was still being sent: it counts as unsure from the end of the
+// send, so only the answers to calls launched after that cover its relay.
+func (e *engine) sentLate(number uint64) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for i := range e.unsure {
+		if e.unsure[i].number == number {
+			e.unsure[i].after = e.launched
+		}
+	}
 }
 
 // deliver completes c with the servers' replies — the request manager's
@@ -590,7 +716,17 @@ func (e *engine) retire(c *Call, err error) {
 	if e.calls[c.id] == c {
 		delete(e.calls, c.id)
 	}
+	release := c.owned
+	if release && !c.claimed && e.asyncFwd && c.mode == First && !e.broken {
+		// Over without an answer, yet the primary may have run it and
+		// relayed it: it stays held until an answer covers its relay.
+		e.unsure = append(e.unsure, unsureCall{c.id.Number, e.launched}) //lint:ok allocflow grows to the most calls ever abandoned at once, then is reused
+		release = false
+	}
 	e.mu.Unlock()
+	if release {
+		e.svc.release(c.id.Number)
+	}
 	e.group.Unattend()
 	if !c.sync {
 		e.window <- c.slot

@@ -47,3 +47,28 @@ func (s *Service) ExecutedPrefix(group ids.GroupID) (view gcs.View, senders []id
 
 // RaceEnabled exposes raceEnabled to the external tests.
 const RaceEnabled = raceEnabled
+
+// DebugFloor returns the floor this process's requests carry and the last
+// call number it allocated.
+func (s *Service) DebugFloor() (floor, next uint64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.calls.Floor() + 1, s.nextCall
+}
+
+// DebugRetained returns what this service's server of group retains for
+// client: the client's floor there and how many of its calls it holds.
+func (s *Service) DebugRetained(group ids.GroupID, client ids.ProcessID) (floor uint64, held int) {
+	srv := s.serverFor(group)
+	if srv == nil {
+		return 0, 0
+	}
+	srv.mu.Lock()
+	defer srv.mu.Unlock()
+	l := srv.clients[client]
+	if l == nil {
+		return 0, 0
+	}
+	l.win.Each(func(uint64, *retained) { held++ })
+	return l.win.Floor() + 1, held
+}

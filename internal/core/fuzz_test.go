@@ -17,6 +17,7 @@ func FuzzDecodePayload(f *testing.F) {
 	f.Add(encodeReplyMsg(replyMsg{To: toOpen, Group: []byte("cs"), Set: &invReplySet{Call: callIDSeed()}}))
 	f.Add(encodeReplySet(&invReplySet{Call: callIDSeed()}))
 	f.Add(encodeHello())
+	f.Add(encodeForget("z"))
 	f.Add([]byte{})
 
 	// Fully-populated envelopes, so mutation starts from inputs where

@@ -65,6 +65,14 @@ var (
 // duplicate copies (§4.3).
 var ErrNeedCallNumber = errors.New("core: group-to-group calls need WithCallID (a deterministic per-call number shared by the client group)")
 
+// ErrStaleRetry is returned by a call that names, with WithCallID, one of
+// this process's own call numbers that its floor has passed: the servers
+// retain a call only until then, so a retry of it could not be answered
+// from what they kept. Nothing is sent. A call number is good for a retry
+// while a call under it is outstanding — the smart proxy holds its number
+// across all its attempts.
+var ErrStaleRetry = errors.New("core: stale retry: the call under this number is over, and its client's floor has passed it")
+
 // Consistency selects what a Read is allowed to return; it is the read
 // axis of the paper's per-invocation flexibility. The zero value means
 // the default, Leased.
@@ -133,7 +141,10 @@ func WithMode(m ReplyMode) CallOption {
 // WithCallID pins the invocation's call identifier instead of allocating
 // a fresh one. Reusing an identifier after a rebind never re-executes at
 // the servers (§4.1's retained replies) — the smart proxy relies on
-// this. For G2G the identifier's Number is the deterministic per-call
+// this — as long as a call under it is outstanding: naming one of this
+// process's own numbers that its floor has passed (the calls under it and
+// under every lower number are over) fails with ErrStaleRetry.
+// For G2G the identifier's Number is the deterministic per-call
 // number every client-group member must share; the Client component is
 // overridden with the monitor group's identity.
 func WithCallID(id ids.CallID) CallOption {

@@ -64,7 +64,11 @@ func (p *Proxy) Close() error {
 // with the same call number whenever the binding breaks under it — the
 // retained replies at the servers make the retry idempotent.
 func (p *Proxy) Call(ctx context.Context, method string, args []byte, opts ...CallOption) ([]Reply, error) {
-	return p.call(ctx, method, args, p.resolve(opts))
+	o, owned := p.resolve(opts)
+	if owned {
+		defer p.svc.release(o.call.Number)
+	}
+	return p.call(ctx, method, args, o)
 }
 
 // call is Call with the options resolved.
@@ -81,19 +85,22 @@ func (p *Proxy) call(ctx context.Context, method string, args []byte, o callOpts
 // of its own — each attempt occupies a slot of the current underlying
 // binding's window.
 func (p *Proxy) InvokeAsync(ctx context.Context, method string, args []byte, opts ...CallOption) (*Call, error) {
-	o := p.resolve(opts)
 	p.mu.Lock()
 	closed := p.closed
 	p.mu.Unlock()
 	if closed {
 		return nil, ErrClosed
 	}
+	o, owned := p.resolve(opts)
 	p.svc.metrics.asyncCalls.Inc()
 	ctx, cancel := context.WithCancel(ctx)
 	c := newCallFuture(o.call, o.mode)
 	c.stop = func() bool { cancel(); return true } // Cancel ends the loop
 	go func() {
 		replies, err := p.call(ctx, method, args, o)
+		if owned {
+			p.svc.release(o.call.Number)
+		}
 		if errors.Is(err, context.Canceled) {
 			p.svc.metrics.asyncCancelled.Inc()
 		}
@@ -104,17 +111,18 @@ func (p *Proxy) InvokeAsync(ctx context.Context, method string, args []byte, opt
 
 // resolve fills the options a retry loop must keep stable: the call
 // identifier (idempotent retries) and the trace (every attempt of one
-// logical call lands in one trace).
-func (p *Proxy) resolve(opts []CallOption) callOpts {
-	o := resolveCallOpts(opts)
+// logical call lands in one trace). A number it allocates (owned) stays held
+// across the whole rebind-and-retry loop, until its caller releases it.
+func (p *Proxy) resolve(opts []CallOption) (o callOpts, owned bool) {
+	o = resolveCallOpts(opts)
 	if !o.hasCall {
-		o.call = p.svc.newCall()
-		o.hasCall = true
+		o.call, _ = p.svc.newCall()
+		o.hasCall, owned = true, true
 	}
 	if o.trace == 0 {
 		o.trace = obs.NewTraceID()
 	}
-	return o
+	return o, owned
 }
 
 // Read serves one read-only invocation through the current binding

@@ -23,11 +23,11 @@ import (
 // not block: the process's other ORB traffic waits while it runs.
 //
 // args is valid for the call only: a handler copies what it keeps. The
-// returned slice is retained — the reply cache answers a retried call from
-// it — and handed to the client, so it must never be mutated afterwards; a
-// servant that rewrites its state in place (shard.Store) returns copies of
-// that state, never slices of it, and may share one read-only reply
-// between calls.
+// returned slice is retained — the server answers a retried call from it
+// until its client's floor passes the call — and handed to the client, so
+// it must never be mutated afterwards; a servant that rewrites its state in
+// place (shard.Store) returns copies of that state, never slices of it, and
+// may share one read-only reply between calls.
 type Handler func(method string, args []byte) ([]byte, error)
 
 // ServeConfig configures one member of a server group.
@@ -66,8 +66,14 @@ type Server struct {
 
 	// execMu serializes handler executions (and the forwards that must
 	// mirror their order) so replica state evolves deterministically.
-	execMu  sync.Mutex
-	replies *bounded[ids.CallID, invReply] // executed calls: exactly-once across retries
+	execMu sync.Mutex
+	// relayed counts the requests this member relayed after executing them
+	// first (rmPrimary), and ordered how many of those it has since delivered
+	// in the server group's order; one member's relays are delivered in its
+	// send order, so relay r is ordered once ordered reaches r. Answers carry
+	// both: the async-forward watermark (invReplySet.Relay/Ordered).
+	relayed uint64 // under execMu
+	ordered atomic.Uint64
 	// The executed prefix. applied is, per sender, the Lamport time of its
 	// newest delivery applied here; lastExec is the newest applied delivery
 	// of all, which names this member's position in the total order; view is
@@ -82,14 +88,21 @@ type Server struct {
 	// have passed it (see snapshotCoversLocked); nil for a founding member.
 	cover map[ids.ProcessID]uint64
 
-	mu         sync.Mutex
-	roster     map[ids.ProcessID]bool // fellow servers (hello ∩ view)
-	lastView   int                    // size of the previously observed view
-	collectors map[ids.CallID]*collection
-	sets       *bounded[ids.CallID, *invReplySet] // request-manager answers, for retries
-	bindings   map[ids.GroupID]*gcs.Group
-	seen       *bounded[ids.CallID, struct{}] // monitor-group duplicate filter
-	closed     bool
+	mu       sync.Mutex
+	roster   map[ids.ProcessID]bool // fellow servers (hello ∩ view)
+	lastView int                    // size of the previously observed view
+	// clients is what this member retains per client for exactly-once
+	// (retain.go): executed replies and, as request manager, the
+	// collections that gathered reply sets. Its floors move only under
+	// execMu as well, so an execution's entry outlives a release of mu.
+	clients map[ids.ProcessID]*clientLog
+	// open holds the collections still gathering: the work list of a view
+	// change and of the deadline sweep. free holds the collections whose
+	// calls their clients' floors have passed, for reuse.
+	open     []*collection
+	free     []*collection
+	bindings map[ids.GroupID]*gcs.Group
+	closed   bool
 
 	// A replica's state-transfer prologue (statetransfer.go): while
 	// catching is set, execution requests park in catchBuf (under catchMu)
@@ -107,10 +120,6 @@ type Server struct {
 
 // defaultClientProbe is ServeConfig.ClientProbe's default.
 const defaultClientProbe = 30 * time.Second
-
-// cacheCap bounds the retained-reply, reply-set and duplicate-filter
-// caches.
-const cacheCap = 4096
 
 // rmWait bounds what a server waits for on a peer's behalf: a request
 // manager gathering replies before it answers with what it has, a
@@ -146,16 +155,13 @@ func (s *Service) serve(ctx context.Context, cfg ServeConfig, replica bool) (*Se
 	}
 
 	srv := &Server{
-		svc:        s,
-		cfg:        cfg,
-		group:      group,
-		replies:    newBounded[ids.CallID, invReply](cacheCap),
-		applied:    make(map[ids.ProcessID]uint64),
-		roster:     map[ids.ProcessID]bool{s.ID(): true},
-		collectors: make(map[ids.CallID]*collection),
-		sets:       newBounded[ids.CallID, *invReplySet](cacheCap),
-		bindings:   make(map[ids.GroupID]*gcs.Group),
-		seen:       newBounded[ids.CallID, struct{}](cacheCap),
+		svc:      s,
+		cfg:      cfg,
+		group:    group,
+		applied:  make(map[ids.ProcessID]uint64),
+		roster:   map[ids.ProcessID]bool{s.ID(): true},
+		clients:  make(map[ids.ProcessID]*clientLog),
+		bindings: make(map[ids.GroupID]*gcs.Group),
 	}
 	srv.ctx, srv.cancel = context.WithCancel(s.ctx)
 	srv.catching.Store(replica)
@@ -284,8 +290,8 @@ func (srv *Server) Close() error {
 		return nil
 	}
 	srv.closed = true // from here on detachBinding leaves the bindings to us
-	for _, c := range srv.collectors {
-		c.settle(0, true) // nobody is left to answer
+	for _, c := range srv.open {
+		c.settle(c.call, 0, true) // nobody is left to answer
 	}
 	srv.mu.Unlock()
 
@@ -319,6 +325,8 @@ func (srv *Server) handleGroupEvent(ev gcs.Event) {
 				srv.mu.Lock()
 				srv.roster[ev.Deliver.Sender] = true
 				srv.mu.Unlock()
+			case payloadForget:
+				srv.forget(p.Forget)
 			}
 		}
 		// Every delivered position is applied once handled: requests by
@@ -347,6 +355,9 @@ func (srv *Server) execute(req *invRequest, sender ids.ProcessID, stamp vclock.S
 		return false
 	}
 	rep := srv.executeDelivered(req, stamp)
+	if req.AsyncFwd && sender == srv.svc.ID() {
+		srv.ordered.Add(1) // our own relay: see relayed
+	}
 	switch {
 	case req.AsyncFwd || req.Mode == OneWay: // nobody gathers replies
 	case !req.Forwarded:
@@ -408,20 +419,15 @@ func (srv *Server) coversLocked(s vclock.Stamp) bool {
 
 // executeDelivered runs the handler for a request delivered in the server
 // group exactly once; retries get the retained reply (the paper's standard
-// retry/dedup technique, §4.1). A request inside the snapshot this member
+// retry/dedup technique, §4.1), and a stale retry — below its client's floor,
+// no longer retained — an error. A request inside the snapshot this member
 // started from took effect at the donor, whose result this member does not
 // have: it retains and answers that fact instead, so that neither the
 // original nor a retry runs a second time on top of the restored state.
 func (srv *Server) executeDelivered(req *invRequest, stamp vclock.Stamp) invReply {
 	srv.execMu.Lock()
 	defer srv.execMu.Unlock()
-	if srv.snapshotCoversLocked(stamp) {
-		if _, ok := srv.replies.get(req.Call); !ok {
-			srv.replies.put(req.Call, invReply{Call: req.Call, Server: srv.svc.ID(), Stamp: stamp,
-				Err: "executed before this replica's state transfer; its result stayed with the donor"})
-		}
-	}
-	rep, _ := srv.executeLocked(req.Call, req.Method, req.Args, stamp, req.Trace)
+	rep, _ := srv.executeLocked(req, stamp, true, srv.snapshotCoversLocked(stamp))
 	return rep
 }
 
@@ -444,22 +450,47 @@ func (srv *Server) snapshotCoversLocked(s vclock.Stamp) bool {
 }
 
 // executeLocked runs the handler for a call exactly once, or returns the
-// retained reply (execMu held); it reports whether the handler ran.
-func (srv *Server) executeLocked(call ids.CallID, method string, args []byte, stamp vclock.Stamp, trace uint64) (invReply, bool) {
+// retained reply, or refuses a stale retry (execMu held); it reports whether
+// the handler ran. ordered says the request was delivered in the server
+// group's order, where alone its floor applies (orderLocked); covered, that
+// the snapshot this member started from holds its effect.
+func (srv *Server) executeLocked(req *invRequest, stamp vclock.Stamp, ordered, covered bool) (invReply, bool) {
 	srv.applyLocked(stamp) // a retry's delivery is a position too
-	if rep, ok := srv.replies.get(call); ok {
+	srv.mu.Lock()
+	if ordered {
+		srv.orderLocked(req)
+	}
+	e, stale := srv.entryLocked(req.Call, req.Floor)
+	switch {
+	case stale:
+		srv.mu.Unlock()
+		return invReply{Call: req.Call, Server: srv.svc.ID(), Err: staleErr}, false
+	case e.rep.Server == "" && covered:
+		e.rep = invReply{Call: req.Call, Server: srv.svc.ID(), Stamp: stamp,
+			Err: "executed before this replica's state transfer; its result stayed with the donor"}
+		fallthrough
+	case e.rep.Server != "":
+		rep := e.rep
+		srv.mu.Unlock()
 		return rep, false
 	}
+	srv.mu.Unlock()
 	start := time.Now()
-	payload, err := srv.cfg.Handler(method, args)
+	payload, err := srv.cfg.Handler(req.Method, req.Args)
 	d := time.Since(start)
-	rep := invReply{Call: call, Server: srv.svc.ID(), Payload: payload, Stamp: stamp}
+	rep := invReply{Call: req.Call, Server: srv.svc.ID(), Payload: payload, Stamp: stamp}
 	if err != nil {
 		rep.Err = err.Error()
 	}
-	srv.replies.put(call, rep)
+	// Floors move under execMu alone, so the entry is still there; the
+	// request manager may have grown the log meanwhile, so find it again.
+	srv.mu.Lock()
+	if e, _ := srv.entryLocked(req.Call, req.Floor); e != nil {
+		e.rep = rep
+	}
+	srv.mu.Unlock()
 	srv.svc.metrics.execLatency.Observe(d)
-	srv.svc.span(trace, flight.StReplicaExecute, 0, d)
+	srv.svc.span(req.Trace, flight.StReplicaExecute, 0, d)
 	return rep, true
 }
 
@@ -469,7 +500,10 @@ func (srv *Server) executeLocked(call ids.CallID, method string, args []byte, st
 // never reply).
 func (srv *Server) collectReply(rep invReply) {
 	srv.mu.Lock()
-	c := srv.collectors[rep.Call]
+	var c *collection
+	if e := srv.findLocked(rep.Call); e != nil {
+		c = e.coll
+	}
 	servers := len(srv.roster)
 	srv.mu.Unlock()
 	if c != nil && c.add(rep, servers) {
@@ -489,6 +523,13 @@ func (srv *Server) onGroupView(v *gcs.View) {
 		}
 	}
 	srv.advanceLocked() // a departed sender's deliveries are all covered now
+	srv.mu.Lock()
+	for client, l := range srv.clients {
+		if l.closed && !v.Contains(client) {
+			srv.forgetLocked(l) // a closed client left: at the same point at every member
+		}
+	}
+	srv.mu.Unlock()
 	srv.execMu.Unlock()
 	srv.mu.Lock()
 	for p := range srv.roster {
@@ -499,19 +540,15 @@ func (srv *Server) onGroupView(v *gcs.View) {
 	grew := len(v.Members) > srv.lastView
 	srv.lastView = len(v.Members)
 	servers := len(srv.roster)
-	cs := make([]*collection, 0, len(srv.collectors))
-	for _, c := range srv.collectors {
-		cs = append(cs, c)
-	}
 	closed := srv.closed
 	srv.mu.Unlock()
 
 	if grew && !closed {
 		_ = srv.group.Multicast(context.Background(), encodeHello()) //lint:ok errdrop best-effort: roster repair re-announces on every membership change
 	}
-	for _, c := range cs {
-		if c.settle(servers, false) {
-			srv.conclude(c)
+	for _, g := range srv.openCalls() {
+		if g.c.settle(g.call, servers, false) {
+			srv.conclude(g.c)
 		}
 	}
 }
@@ -553,10 +590,12 @@ func (srv *Server) joinBindingGroup(req *bindRequest) error {
 // bindingHandler returns the consumer of one client/server (or client
 // monitor) group, run off the dispatch stage like the server group's: the
 // request manager serves each client request on the worker that delivers
-// it, and the view that shows every client gone detaches the binding.
+// it, a client that leaves is forgotten if it is gone for good, and the
+// view that shows every client gone detaches the binding.
 func (srv *Server) bindingHandler(b *gcs.Group, bind *bindRequest) func(gcs.Event) {
 	me := srv.svc.ID()
 	detached := false // handler calls are serialised
+	var clients []ids.ProcessID
 	return func(ev gcs.Event) {
 		switch {
 		case detached:
@@ -569,12 +608,44 @@ func (srv *Server) bindingHandler(b *gcs.Group, bind *bindRequest) func(gcs.Even
 				p.Kind == payloadRequest && !p.Req.Forwarded && bind.Style == Open {
 				srv.serveAsRM(b, bind, &p.Req)
 			}
-		case ev.Type == gcs.EventView && srv.clientsGone(ev.View):
-			// Every client has gone: the group has served its purpose.
-			detached = true
-			srv.detachBinding(bind.Group, b)
+		case ev.Type == gcs.EventView:
+			for _, c := range clients {
+				if !ev.View.Contains(c) {
+					srv.forgetIfGone(c)
+				}
+			}
+			clients = srv.clientsOf(ev.View, clients[:0])
+			if len(clients) == 0 {
+				// Every client has gone: the group has served its purpose.
+				detached = true
+				srv.detachBinding(bind.Group, b)
+			}
 		}
 	}
+}
+
+// forgetIfGone has the server group forget a client that left one of this
+// request manager's binding groups, if the client is gone for good: one that
+// still answers a ping may retry its calls through another binding, and its
+// next request's floor garbage-collects them anyway. The forget is relayed
+// in the server group's order, so every replica drops the client's calls at
+// the same point (forgetLocked).
+func (srv *Server) forgetIfGone(client ids.ProcessID) {
+	srv.mu.Lock()
+	defer srv.mu.Unlock()
+	if srv.closed {
+		return
+	}
+	srv.wg.Add(1)
+	go func() {
+		defer srv.wg.Done()
+		ctx, cancel := context.WithTimeout(srv.ctx, srv.cfg.ClientProbe/2)
+		_, err := srv.svc.invokeControl(ctx, client, "ping", nil)
+		cancel()
+		if err != nil && srv.ctx.Err() == nil {
+			_ = srv.group.Multicast(srv.ctx, encodeForget(client)) //lint:ok errdrop best-effort: a client not forgotten costs the few calls it left retained
+		}
+	}()
 }
 
 // probeClients pings the client members of every binding group this server
@@ -605,19 +676,16 @@ func (srv *Server) probeClients() {
 	round.Wait()
 }
 
-// clientsGone reports whether a binding view contains no process besides
-// local server members of the served group.
-func (srv *Server) clientsGone(v *gcs.View) bool {
+// clientsOf appends to dst the clients of a binding view: its members
+// besides local server members of the served group.
+func (srv *Server) clientsOf(v *gcs.View, dst []ids.ProcessID) []ids.ProcessID {
 	sg := srv.group.View()
 	for _, m := range v.Members {
-		if m == srv.svc.ID() {
-			continue
-		}
-		if !sg.Contains(m) {
-			return false // a client (non-server) is still present
+		if m != srv.svc.ID() && !sg.Contains(m) {
+			dst = append(dst, m)
 		}
 	}
-	return true
+	return dst
 }
 
 // detachBinding forgets a binding group and leaves it. It runs in the
@@ -659,42 +727,73 @@ func rmPolicyOf(bind *bindRequest, req *invRequest) rmPolicy {
 }
 
 // serveAsRM is the request manager (paper fig. 4): the one path of every
-// request delivered in an open client/server or client monitor group.
+// request delivered in an open client/server or client monitor group. What
+// it retains for the call lives in the call's entry of its client's log.
 func (srv *Server) serveAsRM(b *gcs.Group, bind *bindRequest, req *invRequest) {
+	client := req.Client
+	if bind.Monitor {
+		client = "" // every member of the client group must see the set: multicast it
+	}
+	pol := rmPolicyOf(bind, req)
 	srv.mu.Lock()
-	if bind.Monitor && !srv.seen.put(req.Call, struct{}{}) {
+	if srv.closed {
+		srv.mu.Unlock()
+		return
+	}
+	e, stale := srv.entryLocked(req.Call, req.Floor)
+	var c *collection
+	switch {
+	case stale:
+		// A retry of a call its client's floor has passed: its client has
+		// completed it, or given it up, and nothing of it is retained.
+		srv.mu.Unlock()
+		if req.Mode != OneWay {
+			srv.answer(b, client, &invReplySet{Call: req.Call, Err: staleErr}, 0) //lint:ok allocflow a stale retry is a cold path
+		}
+		return
+	case bind.Monitor && e.dup:
 		// Filter the duplicate requests that every client-group member
 		// issues (paper §4.3): first copy wins.
 		srv.mu.Unlock()
 		srv.svc.metrics.monitorDups.Inc()
 		return
-	}
-	set, answered := srv.sets.get(req.Call)
-	_, gathering := srv.collectors[req.Call]
-	srv.mu.Unlock()
-	client := req.Client
-	if bind.Monitor {
-		client = "" // every member of the client group must see the set: multicast it
-	}
-	switch {
-	case answered:
+	case e.coll != nil && e.coll.answered:
 		// Retried call: resend the retained aggregated reply (§4.1). This is
-		// also what repairs a lost or late answer.
+		// also what repairs a lost or late answer. The pin keeps the
+		// collection from reuse while its set is sent.
+		c = e.coll
+		c.pins++
+		set := c.set
+		srv.mu.Unlock()
 		if req.Mode != OneWay {
-			srv.answer(b, client, set, 0)
+			set.Ordered = srv.ordered.Load()
+			srv.answer(b, client, &set, 0)
 		}
+		srv.mu.Lock()
+		srv.unpinLocked(c)
+		srv.mu.Unlock()
 		return
-	case gathering:
+	case e.coll != nil:
 		// Retried while still gathering: a direct reply may have been lost
 		// (it rides no reliable multicast). Forward again — every replica
 		// answers a call it has executed from its retained reply, so the
 		// missing one arrives and nothing executes twice.
+		srv.mu.Unlock()
 		srv.relay(req, false)
 		return
 	}
+	e.dup = bind.Monitor
 	srv.svc.span(req.Trace, flight.StRMReceive, uint64(req.Mode), 0)
+	if pol == rmCollect {
+		c = srv.newCollectionLocked(req.Call, req.Mode)
+		c.trace, c.b, c.client, c.start = req.Trace, b, client, time.Now()
+		if need := c.mode.need(len(srv.roster)); need > len(c.inline) {
+			c.replies = make([]invReply, 0, need)
+		}
+		e.coll = c
+	}
+	srv.mu.Unlock()
 
-	pol := rmPolicyOf(bind, req)
 	if pol == rmOneWay {
 		srv.relay(req, false)
 		return
@@ -704,17 +803,7 @@ func (srv *Server) serveAsRM(b *gcs.Group, bind *bindRequest, req *invRequest) {
 	// manager whose reply is delayed by server-group work.
 	b.Attend()
 	if pol == rmPrimary {
-		// The reply carries the newest stamp applied so far. It leaves before
-		// the forward, which is what must stay off the critical path (§4.2);
-		// the forward stays under execMu so the backups apply requests in
-		// exactly the primary's execution order.
-		srv.execMu.Lock()
-		rep, fresh := srv.executeLocked(req.Call, req.Method, req.Args, srv.lastExec, req.Trace)
-		srv.answer(b, client, primaryAnswer(rep), req.Trace)
-		if fresh {
-			srv.relay(req, true)
-		}
-		srv.execMu.Unlock()
+		srv.servePrimary(b, client, req)
 		b.Unattend()
 		return
 	}
@@ -722,34 +811,40 @@ func (srv *Server) serveAsRM(b *gcs.Group, bind *bindRequest, req *invRequest) {
 	// shrinks the quorum or the deadline concludes. Hold the server group's
 	// attention meanwhile: a replica that dies before replying must be
 	// suspected so the quorum shrinks.
-	c := &collection{trace: req.Trace, b: b, client: client, start: time.Now()}
-	c.set.Call, c.mode = req.Call, req.Mode
 	srv.group.Attend()
-	srv.mu.Lock()
-	if srv.closed {
-		srv.mu.Unlock()
-		return
-	}
-	c.replies = c.inline[:0]
-	if need := c.mode.need(len(srv.roster)); need > len(c.inline) {
-		c.replies = make([]invReply, 0, need)
-	}
-	srv.collectors[req.Call] = c
-	srv.mu.Unlock()
 	srv.relay(req, false)
 }
 
-// primarySet is the reply set of a primary's answer (rmPrimary): its one
-// reply rides inline, so the answer is one allocation.
-type primarySet struct {
-	invReplySet
-	one [1]invReply
-}
-
-func primaryAnswer(rep invReply) *invReplySet {
-	p := &primarySet{one: [1]invReply{rep}}
-	p.Call, p.Replies = rep.Call, p.one[:]
-	return &p.invReplySet
+// servePrimary executes a call at once, outside the group order, answers
+// it, and only then relays it into the order (rmPrimary, §4.2). The answer
+// carries the newest stamp applied so far, and the watermark that tells the
+// client when the relay is ordered. The forward stays under execMu so the
+// backups apply requests in exactly the primary's execution order; when the
+// relay comes back in order, this member finds the call's entry and runs
+// nothing.
+func (srv *Server) servePrimary(b *gcs.Group, client ids.ProcessID, req *invRequest) {
+	srv.execMu.Lock()
+	defer srv.execMu.Unlock()
+	rep, fresh := srv.executeLocked(req, srv.lastExec, false, false)
+	// A retried call's relay, if it was ours, is among those sent so far:
+	// the client waits for all of them.
+	var one [1]invReply
+	set := invReplySet{Call: req.Call, Relay: srv.relayed, Ordered: srv.ordered.Load()}
+	switch {
+	case rep.Err == staleErr:
+		set.Err = staleErr
+	case fresh:
+		set.Relay++
+		fallthrough
+	default:
+		one[0] = rep
+		set.Replies = one[:]
+	}
+	srv.answer(b, client, &set, req.Trace)
+	if fresh {
+		srv.relayed++
+		srv.relay(req, true)
+	}
 }
 
 // relay forwards a client's request into the server group (fig. 4(ii)),
@@ -767,10 +862,14 @@ func (srv *Server) relay(req *invRequest, primary bool) {
 	srv.svc.span(req.Trace, flight.StRMForward, 0, time.Since(start))
 }
 
-// collection is one call this request manager is gathering replies for, in
-// one allocation: the replies ride inline while the mode's quorum fits, and
-// the reply set that answers the call (set, whose Call names it) is part of
-// it. The service's sweep (sweepCollections) is its deadline.
+// collection is one call this request manager is gathering replies for,
+// and then the reply set that answers it, retained in the call's entry of
+// its client's log for retries (set, whose Call names it). The replies ride
+// inline while the mode's quorum fits. The service's sweep
+// (sweepCollections) is its deadline. Once the client's floor has passed
+// the call and nobody holds it, it goes back to its server's free list and
+// serves another call: the collector's call, checked under its lock, keeps a
+// late reply or a stale settle from touching the next one.
 type collection struct {
 	collector
 	set    invReplySet
@@ -779,6 +878,15 @@ type collection struct {
 	client ids.ProcessID // whom the answer goes to (see answer)
 	start  time.Time
 	inline [inlineReplies]invReply
+
+	// Under the server's mu: openIdx is its place among the open
+	// collections while it gathers; answered says its set has gone out;
+	// pins counts who holds it outside mu — the gathering until its answer
+	// is sent, a retry's resend; dropped says its call's entry is gone.
+	openIdx  int
+	answered bool
+	pins     int
+	dropped  bool
 }
 
 // inlineReplies is how many replies a collection holds without a separate
@@ -789,46 +897,40 @@ const inlineReplies = 3
 // conclude answers a settled collection with the replies it gathered.
 func (srv *Server) conclude(c *collection) {
 	srv.svc.span(c.trace, flight.StRMCollect, uint64(len(c.replies)), time.Since(c.start))
-	c.set.Replies = c.replies
+	c.set.Call, c.set.Replies = c.call, c.replies
 	if len(c.replies) == 0 {
 		c.set.Err = "request manager: no replies before deadline"
 	}
+	c.set.Ordered = srv.ordered.Load()
+	srv.mu.Lock()
+	srv.closeLocked(c)
+	srv.mu.Unlock()
 	srv.answer(c.b, c.client, &c.set, c.trace)
 	srv.group.Unattend()
 	c.b.Unattend()
+	srv.mu.Lock()
+	srv.unpinLocked(c)
+	srv.mu.Unlock()
 }
 
 // concludeOlder concludes, with whatever has arrived, the collections begun
 // before cutoff: the request manager's deadline, run by the service's sweep.
 func (srv *Server) concludeOlder(cutoff time.Time) {
-	srv.mu.Lock()
-	var due []*collection
-	for _, c := range srv.collectors {
-		if c.start.Before(cutoff) {
-			due = append(due, c)
-		}
-	}
-	srv.mu.Unlock()
-	for _, c := range due {
-		if c.settle(0, true) {
-			srv.conclude(c)
+	for _, g := range srv.openCalls() {
+		if g.start.Before(cutoff) && g.c.settle(g.call, 0, true) {
+			srv.conclude(g.c)
 		}
 	}
 }
 
-// answer retains a call's reply set for retries and returns it to the
-// client of b (a resend passes trace zero: no journal). An open binding's
-// client gets it point-to-point, with one ORB one-way (fig. 4(iv)): b stays
-// where its request is ordered and its request manager's failure detected,
-// and a lost or late answer is repaired by the retry's resend of the
-// retained set. In a client monitor group (client empty) every member of the
-// client group must see the set, so it is multicast in b.
+// answer returns a call's reply set to the client of b (a resend passes
+// trace zero: no journal). An open binding's client gets it point-to-point,
+// with one ORB one-way (fig. 4(iv)): b stays where its request is ordered
+// and its request manager's failure detected, and a lost or late answer is
+// repaired by the retry's resend of the retained set. In a client monitor
+// group (client empty) every member of the client group must see the set,
+// so it is multicast in b.
 func (srv *Server) answer(b *gcs.Group, client ids.ProcessID, set *invReplySet, trace uint64) {
-	srv.mu.Lock()
-	delete(srv.collectors, set.Call)
-	srv.sets.put(set.Call, set)
-	srv.mu.Unlock()
-
 	start := time.Now()
 	if client != "" {
 		srv.svc.sendReply(client, b.ID(), replyMsg{To: toOpen, Set: set})
@@ -870,11 +972,13 @@ var spentCtx = func() context.Context {
 // the request manager of an open call, at the client of a closed one —
 // until the reply mode's quorum over the live servers is met. Whoever
 // settles it (add and settle report true exactly once between them) owns
-// the replies from then on; later arrivals are dropped.
+// the replies from then on; later arrivals are dropped, and so is anything
+// for another call than the one it gathers for.
 type collector struct {
 	mode ReplyMode
 
 	mu      sync.Mutex
+	call    ids.CallID
 	replies []invReply // ordered by server
 	settled bool
 }
@@ -884,7 +988,7 @@ type collector struct {
 func (c *collector) add(rep invReply, servers int) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.settled {
+	if c.settled || rep.Call != c.call {
 		return false
 	}
 	i := 0
@@ -900,13 +1004,14 @@ func (c *collector) add(rep invReply, servers int) bool {
 	return c.settled
 }
 
-// settle ends the collection if the replies already in meet the quorum over
-// servers — a membership change shrank it: wait-for-all with a crashed
-// member — or, with force, whatever has arrived (the deadline).
-func (c *collector) settle(servers int, force bool) bool {
+// settle ends the collection of call's replies if those already in meet
+// the quorum over servers — a membership change shrank it: wait-for-all
+// with a crashed member — or, with force, whatever has arrived (the
+// deadline).
+func (c *collector) settle(call ids.CallID, servers int, force bool) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.settled || !force && len(c.replies) < c.mode.need(servers) {
+	if c.settled || call != c.call || !force && len(c.replies) < c.mode.need(servers) {
 		return false
 	}
 	c.settled = true

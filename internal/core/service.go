@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"newtop/internal/gcs"
@@ -11,6 +12,7 @@ import (
 	"newtop/internal/obs"
 	"newtop/internal/obs/flight"
 	"newtop/internal/orb"
+	"newtop/internal/seqring"
 	"newtop/internal/transport"
 	"newtop/internal/wire"
 )
@@ -42,8 +44,17 @@ type Service struct {
 	// — which is what a "reply" one-way for them names (routeReply).
 	attached map[ids.GroupID]*engine
 	nextCall uint64
-	closed   bool
-	probing  bool // probeClients and sweepCollections are running
+	// calls counts the holds on each call number above the floor: one per
+	// call outstanding under it (its allocator's, a Proxy's across all its
+	// attempts, a WithCallID retry's), which an async-forward call keeps
+	// past its end until its relay is ordered (engine.held, engine.unsure).
+	// The floor every request carries — the lowest number this process may
+	// still retry — is calls.Floor()+1: every number below it is done.
+	calls  seqring.Ring[uint32]
+	closed bool
+	// binds numbers this process's client/server groups.
+	binds   atomic.Uint64
+	probing bool // probeClients and sweepCollections are running
 
 	// ctx is cancelled by Close; it ends the client prober and the
 	// collection sweep and parents the servers' contexts.
@@ -163,12 +174,52 @@ func (s *Service) Close() error {
 	return s.mux.Close()
 }
 
-// newCall allocates a fresh call identifier.
-func (s *Service) newCall() ids.CallID {
+// newCall allocates a fresh call identifier, held by its caller until it
+// releases it, and returns it with the floor: the lowest number not done.
+func (s *Service) newCall() (ids.CallID, uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.nextCall++
-	return ids.CallID{Client: s.ID(), Number: s.nextCall}
+	*s.calls.Ensure(s.nextCall) = 1
+	return ids.CallID{Client: s.ID(), Number: s.nextCall}, s.calls.Floor() + 1
+}
+
+// holdNamed takes a hold on a call a request names (WithCallID) for as long
+// as the call is outstanding, and returns the floor the request carries:
+// none for another client's call. One of this process's own numbers that
+// is done is a stale retry, refused before anything is sent — so a request
+// never carries a floor past its own call. A number this process never
+// allocated is not held.
+func (s *Service) holdNamed(call ids.CallID) (floor uint64, held bool, err error) {
+	if call.Client != s.ID() {
+		return 0, false, nil
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	switch {
+	case call.Number <= s.calls.Floor():
+		return 0, false, ErrStaleRetry
+	case call.Number <= s.nextCall:
+		*s.calls.At(call.Number)++
+		held = true
+	}
+	return s.calls.Floor() + 1, held, nil
+}
+
+// release drops one hold on n; the floor rises past every number left with
+// none.
+func (s *Service) release(n uint64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if h := s.calls.At(n); h != nil && *h > 0 {
+		*h--
+	}
+	for s.calls.Floor() < s.nextCall {
+		if h := s.calls.At(s.calls.Floor() + 1); h != nil && *h > 0 {
+			break
+		}
+		s.calls.PopFront()
+	}
 }
 
 // routeReply is the sink of the "reply" one-way, the single fan-in of
@@ -397,5 +448,10 @@ func requestReplyDefaults(cfg gcs.GroupConfig) gcs.GroupConfig {
 	return cfg
 }
 
-// DebugNewCall exposes call allocation for white-box tests.
-func (s *Service) DebugNewCall() ids.CallID { return s.newCall() }
+// DebugNewCall allocates a call identifier for a test to issue, and retry,
+// by hand (WithCallID). Nothing releases it: the process's floor stays at
+// it, so the servers retain every call from it on.
+func (s *Service) DebugNewCall() ids.CallID {
+	id, _ := s.newCall()
+	return id
+}

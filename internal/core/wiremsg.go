@@ -17,6 +17,7 @@ const (
 	payloadRequest byte = iota + 1
 	payloadReplySet
 	payloadHello
+	payloadForget
 )
 
 // encodeHello announces "I am a server" inside the server group; closed
@@ -24,6 +25,18 @@ const (
 // membership answered by the "info" control call) is maintained by these
 // announcements intersected with the group view.
 func encodeHello() []byte { return []byte{payloadHello} }
+
+// encodeForget is a request manager's notice, relayed in the server group's
+// order, that a client it served is gone: every replica drops the client's
+// retained calls at the same point in the order (Server.forgetLocked).
+func encodeForget(client ids.ProcessID) []byte {
+	w := wire.GetWriter()
+	w.Byte(payloadForget)
+	w.String(string(client))
+	out := w.Detach()
+	wire.PutWriter(w)
+	return out
+}
 
 // invRequest is a client request travelling through the invocation layer:
 // multicast by the client in its client/server group, and re-issued by the
@@ -48,13 +61,19 @@ type invRequest struct {
 	// client (zero = untraced); every process touched by the call journals
 	// the stages it ran under it.
 	Trace uint64
+	// Floor is the client's floor when it sent the request: the lowest of
+	// its call numbers it may still retry. Servers drop what they retain
+	// for the calls below it and refuse those calls (see clientLog). Zero
+	// says the number is the caller's own choice — group-to-group — and
+	// carries no floor.
+	Floor uint64
 }
 
 // invReply is one server's reply, sent point-to-point to whoever gathers
 // the call's replies: the request manager (open style) or the client
-// (closed style). Servers retain one per executed call in a map whose values
-// Go stores inline only up to 128 bytes; a field more costs every execution
-// an allocation (TestReplyCacheHoldsRepliesInline).
+// (closed style). Servers retain one per executed call, inline in the
+// call's slot of its client's log, so its size is what every retained call
+// costs (TestReplyCacheHoldsRepliesInline).
 type invReply struct {
 	Call    ids.CallID
 	Server  ids.ProcessID
@@ -70,8 +89,16 @@ type invReply struct {
 // client of an open binding with one ORB one-way, or multicast in a client
 // monitor group. The client decodes it as an answer.
 type invReplySet struct {
-	Call    ids.CallID
-	Replies []invReply
+	Call ids.CallID
+	// Relay and Ordered are the request manager's async-forward watermark.
+	// Relay is the sequence number of the relay that puts an answered-first
+	// call (rmPrimary) into the server group's order — zero when the call is
+	// ordered already — and Ordered how many of its relays the manager has
+	// delivered in that order. Relays from one member are delivered in its
+	// send order, so a call's relay is ordered once Ordered reaches its
+	// Relay; until then its client holds its floor at the call.
+	Relay, Ordered uint64
+	Replies        []invReply
 	// Err reports a request-manager-level failure (e.g. no servers).
 	Err string
 }
@@ -81,8 +108,9 @@ type invReplySet struct {
 // decoded once the call is found, straight into the Reply values it hands
 // out (decodeAnswer), with no invReplySet between.
 type answer struct {
-	Call ids.CallID
-	Body []byte
+	Call           ids.CallID
+	Relay, Ordered uint64 // the async-forward watermark, see invReplySet
+	Body           []byte
 }
 
 func (r invReply) toReply() Reply {
@@ -107,6 +135,7 @@ func putRequest(w *wire.Writer, m *invRequest) {
 	w.Bool(m.Forwarded)
 	w.Bool(m.AsyncFwd)
 	w.Uvarint(m.Trace)
+	w.Uvarint(m.Floor)
 }
 
 func putReply(w *wire.Writer, m invReply) {
@@ -213,6 +242,8 @@ func encodeReplySet(m *invReplySet) []byte {
 func putReplySet(w *wire.Writer, m *invReplySet) {
 	w.String(string(m.Call.Client))
 	w.Uvarint(m.Call.Number)
+	w.Uvarint(m.Relay)
+	w.Uvarint(m.Ordered)
 	w.Uvarint(uint64(len(m.Replies)))
 	for _, rep := range m.Replies {
 		putReply(w, rep)
@@ -226,10 +257,10 @@ type decodedSet struct {
 	Err     string
 }
 
-// getAnswer reads the call a reply set answers and leaves the rest to
-// decodeAnswer.
+// getAnswer reads the call a reply set answers and the watermark it
+// carries, and leaves the rest to decodeAnswer.
 func getAnswer(r *wire.Reader, in *interner) answer {
-	return answer{Call: getCallID(r, in), Body: r.Rest()}
+	return answer{Call: getCallID(r, in), Relay: r.Uvarint(), Ordered: r.Uvarint(), Body: r.Rest()}
 }
 
 // decodeAnswer decodes an answer's body: its replies, appended to dst — the
@@ -249,9 +280,10 @@ func decodeAnswer(body []byte, in *interner, dst []Reply) (replies []Reply, rmEr
 // its receiver owns: Kind says which field holds it (a hello is its kind
 // alone). Whatever keeps a request past the handler copies it.
 type payload struct {
-	Kind byte
-	Req  invRequest // payloadRequest
-	Set  answer     // payloadReplySet
+	Kind   byte
+	Req    invRequest    // payloadRequest
+	Set    answer        // payloadReplySet
+	Forget ids.ProcessID // payloadForget
 }
 
 // decodePayload parses one invocation-layer multicast payload into p.
@@ -270,7 +302,10 @@ func decodePayload(b []byte, in *interner, p *payload) error {
 		m.Forwarded = r.Bool()
 		m.AsyncFwd = r.Bool()
 		m.Trace = r.Uvarint()
+		m.Floor = r.Uvarint()
 	case payloadHello:
+	case payloadForget:
+		p.Forget = in.proc(r)
 	case payloadReplySet:
 		p.Set = getAnswer(r, in)
 	default:

@@ -46,6 +46,7 @@ func TestRequestRoundTrip(t *testing.T) {
 		Forwarded: true,
 		AsyncFwd:  true,
 		Trace:     0xdeadbeefcafe,
+		Floor:     40,
 	}
 	var p payload
 	if err := decodePayload(encodeRequest(req), nil, &p); err != nil || p.Kind != payloadRequest {
@@ -55,7 +56,7 @@ func TestRequestRoundTrip(t *testing.T) {
 	if got.Call != req.Call || got.Mode != req.Mode || got.Method != req.Method ||
 		string(got.Args) != string(req.Args) || got.Client != req.Client ||
 		got.Style != req.Style || got.Forwarded != req.Forwarded || got.AsyncFwd != req.AsyncFwd ||
-		got.Trace != req.Trace {
+		got.Trace != req.Trace || got.Floor != req.Floor {
 		t.Fatalf("mismatch:\n%+v\n%+v", got, req)
 	}
 }
@@ -80,6 +81,8 @@ func TestReplyAndSetRoundTrip(t *testing.T) {
 
 	set := &invReplySet{
 		Call:    rep.Call,
+		Relay:   9,
+		Ordered: 8,
 		Replies: []invReply{rep, {Call: rep.Call, Server: "s2", Payload: []byte("x")}},
 		Err:     "",
 	}
@@ -88,7 +91,7 @@ func TestReplyAndSetRoundTrip(t *testing.T) {
 		t.Fatalf("kind %d, err %v", p.Kind, err)
 	}
 	gotSet := decodeSet(t, p.Set)
-	if p.Set.Call != set.Call || len(gotSet.Replies) != 2 || gotSet.Replies[1].Server != "s2" ||
+	if p.Set.Call != set.Call || p.Set.Relay != 9 || p.Set.Ordered != 8 || len(gotSet.Replies) != 2 || gotSet.Replies[1].Server != "s2" ||
 		!reflect.DeepEqual(gotSet.Replies[0], rep.toReply()) {
 		t.Fatalf("set mismatch: %+v", gotSet)
 	}
@@ -141,6 +144,16 @@ func TestHelloRoundTrip(t *testing.T) {
 	}
 	if p.Kind != payloadHello {
 		t.Fatalf("hello decoded as kind %d", p.Kind)
+	}
+}
+
+func TestForgetRoundTrip(t *testing.T) {
+	var p payload
+	if err := decodePayload(encodeForget("z07"), nil, &p); err != nil {
+		t.Fatal(err)
+	}
+	if p.Kind != payloadForget || p.Forget != "z07" {
+		t.Fatalf("forget decoded as kind %d naming %q", p.Kind, p.Forget)
 	}
 }
 
@@ -352,13 +365,16 @@ func TestReplyCacheEviction(t *testing.T) {
 	}
 }
 
-// The retained-reply cache is a map keyed by call; Go keeps a map value
-// inline only up to 128 bytes and allocates every larger one separately.
-// invReply sits just under that line: this pins it there (one more string
-// field cost pipeline_async three allocations per call, one per replica).
+// A server retains each executed reply inline in its client's log, one
+// ring slot per call outstanding, so the reply's size is what every retained
+// call costs. It sat under 128 bytes when the retained replies were a map
+// keyed by call, which allocates every larger value separately (one more
+// string field cost pipeline_async three allocations per call, one per
+// replica); the log allocates nothing per call at any size, but keeps the
+// pin: a larger reply is a larger window for every client.
 func TestReplyCacheHoldsRepliesInline(t *testing.T) {
 	if size := unsafe.Sizeof(invReply{}); size > 128 {
-		t.Fatalf("invReply is %d bytes: over 128 the reply cache allocates per execution", size)
+		t.Fatalf("invReply is %d bytes: over 128 every retained call costs more", size)
 	}
 }
 
@@ -370,6 +386,8 @@ func impossibleCountFrames() []namedFrame {
 	set := func(w *wire.Writer) {
 		w.String("c")
 		w.Uvarint(1) // call number
+		w.Uvarint(0) // relay
+		w.Uvarint(0) // ordered
 		w.Uvarint(1000)
 		w.String("") // the set's error
 	}

@@ -171,7 +171,7 @@ func (g *Group) makeFlushAckLocked(p *proposeMsg) *flushAckMsg {
 	ack.Unstable = make([]*dataMsg, 0, g.nstore)
 	for s := range g.win {
 		for seq := g.win[s].rel + 1; seq <= g.recvContig[s]; seq++ {
-			ack.Unstable = append(ack.Unstable, g.win[s].get(seq).m)
+			ack.Unstable = append(ack.Unstable, g.win[s].Get(seq).m)
 		}
 	}
 	ack.Assigns = g.assignSnapshotLocked()
@@ -416,7 +416,7 @@ func (g *Group) deliverCutLocked(cut []*dataMsg, assigns []assign) {
 			if m.Seq <= g.delivered[c.pos] {
 				continue
 			}
-			c.global = g.win[c.pos].get(m.Seq).global
+			c.global = g.win[c.pos].Get(m.Seq).global
 		} else if i := slices.IndexFunc(assigns, func(a assign) bool { return a.Sender == m.Sender && a.Seq == m.Seq }); i >= 0 {
 			c.global = assigns[i].Global
 		}

@@ -618,7 +618,7 @@ func (g *Group) ackSnapshotLocked(m *dataMsg) []uint64 {
 // (sequencer only). The slot may be created here, ahead of the message.
 func (g *Group) assignLocked(pos int, seq uint64) {
 	g.assignHigh++
-	g.win[pos].ensure(seq).global = g.assignHigh
+	g.win[pos].Ensure(seq).global = g.assignHigh
 	g.ring.set(g.assignHigh, msgRef{pos: pos, seq: seq})
 	g.frRecord(flight.EvAssign, pos, seq, g.assignHigh, 0)
 }
@@ -629,7 +629,7 @@ func (g *Group) assignLocked(pos int, seq uint64) {
 // member can place the unstable messages, however little each one heard.
 func (g *Group) assignSnapshotLocked() []assign {
 	out := make([]assign, 0, g.ring.live)
-	g.ring.each(func(global uint64, ref *msgRef) {
+	g.ring.Each(func(global uint64, ref *msgRef) {
 		if ref.seq != 0 {
 			out = append(out, assign{Sender: g.midx.members[ref.pos], Seq: ref.seq, Global: global})
 		}
@@ -660,12 +660,12 @@ func (g *Group) assignDeltaLocked(m *dataMsg) []assign {
 		out = make([]assign, 0, n)
 	}
 	for global := g.announcedHigh + 1; global <= g.assignHigh; global++ {
-		ref := g.ring.get(global)
+		ref := g.ring.Get(global)
 		if ref.seq == 0 {
 			continue
 		}
 		out = append(out, assign{Sender: g.midx.members[ref.pos], Seq: ref.seq, Global: global})
-		if sl := g.win[ref.pos].at(ref.seq); sl.aseq == 0 {
+		if sl := g.win[ref.pos].At(ref.seq); sl.aseq == 0 {
 			sl.aseq = seq
 		}
 	}
@@ -815,13 +815,13 @@ func (g *Group) acceptDataLocked(m *dataMsg, charge bool) bool {
 	case m.Seq == g.recvContig[si]+1:
 		g.ingestContiguousLocked(m)
 		// Drain any stashed successors.
-		for next := g.win[si].get(m.Seq + 1).m; next != nil; next = g.win[si].get(next.Seq + 1).m {
+		for next := g.win[si].Get(m.Seq + 1).m; next != nil; next = g.win[si].Get(next.Seq + 1).m {
 			g.ingestContiguousLocked(next)
 		}
 	default:
 		// Out of order: the slot ahead of recvContig is the stash.
 		g.frRecord(flight.EvStash, si, m.Seq, m.Lamport, 0)
-		g.win[si].ensure(m.Seq).m = m
+		g.win[si].Ensure(m.Seq).m = m
 	}
 	return true
 }
@@ -871,7 +871,7 @@ func (g *Group) ingestContiguousLocked(m *dataMsg) {
 	}
 	g.frRecord(flight.EvIngest, si, m.Seq, m.Lamport, isNull)
 	g.recvContig[si] = m.Seq
-	g.win[si].ensure(m.Seq).m = m
+	g.win[si].Ensure(m.Seq).m = m
 	g.npending++
 	g.nstore++
 	if !m.Null {
@@ -912,10 +912,10 @@ func (g *Group) mergeAcksLocked(from int, acks []uint64) {
 func (g *Group) mergeAssignsLocked(as []assign) {
 	for _, a := range as {
 		pos := g.midx.posOf(a.Sender)
-		if pos < 0 || a.Seq <= g.win[pos].floor || a.Global == 0 {
+		if pos < 0 || a.Seq <= g.win[pos].Floor() || a.Global == 0 {
 			continue
 		}
-		if sl := g.win[pos].ensure(a.Seq); sl.global == 0 {
+		if sl := g.win[pos].Ensure(a.Seq); sl.global == 0 {
 			sl.global = a.Global
 			g.ring.set(a.Global, msgRef{pos: pos, seq: a.Seq})
 		}
@@ -949,22 +949,22 @@ func (g *Group) compactStableLocked() {
 		for w.rel < lo {
 			g.collectVisits++
 			w.rel++
-			sl := w.at(w.rel)
+			sl := w.At(w.rel)
 			g.nstore--
 			if !sl.m.Null {
 				g.nappStore--
 			}
 			sl.m = nil
 		}
-		for w.floor < w.rel {
+		for w.Floor() < w.rel {
 			g.collectVisits++
-			if sl := w.at(w.floor + 1); sl.global != 0 {
+			if sl := w.At(w.Floor() + 1); sl.global != 0 {
 				if g.seqLeader && (sl.aseq == 0 || sl.aseq > stableMe) {
 					break
 				}
 				g.ring.del(sl.global)
 			}
-			w.popFront()
+			w.PopFront()
 		}
 	}
 	g.ring.compact(g.delGlobal)
@@ -1036,7 +1036,7 @@ func (g *Group) sequenceLocked() {
 	// and the blocked rest go back on the queue for the next pass.
 	for g.assignQ.len() > 0 {
 		m := g.assignQ.pop()
-		if g.win[m.senderIdx].get(m.Seq).global != 0 {
+		if g.win[m.senderIdx].Get(m.Seq).global != 0 {
 			continue // assigned while queued (own send, or a merged decision)
 		}
 		if g.causalOKLocked(m) {
@@ -1116,10 +1116,10 @@ func (g *Group) popSymmetricLocked() *dataMsg {
 // re-sorted the whole pending set to find both.
 func (g *Group) popSequencerLocked() *dataMsg {
 	var next *dataMsg
-	if ref := g.ring.get(g.delGlobal + 1); ref.seq != 0 {
+	if ref := g.ring.Get(g.delGlobal + 1); ref.seq != 0 {
 		// Causal readiness implies pending: the sender's next undelivered
 		// sequence number cannot sit in the stash past a gap.
-		if m := g.win[ref.pos].get(ref.seq).m; m != nil && g.causalOKLocked(m) && g.allHeardPastLocked(m) {
+		if m := g.win[ref.pos].Get(ref.seq).m; m != nil && g.causalOKLocked(m) && g.allHeardPastLocked(m) {
 			// NewTop is block-based: besides the sequencer's ordering
 			// decision, delivery requires traffic from every member past
 			// the message, which is what keeps all functioning members
@@ -1156,7 +1156,7 @@ func (g *Group) popSequencerLocked() *dataMsg {
 func (g *Group) pendingAppFloorLocked(bound vclock.Stamp) vclock.Stamp {
 	for s := range g.win {
 		for seq := g.delivered[s] + 1; seq <= g.recvContig[s]; seq++ {
-			if m := g.win[s].get(seq).m; !m.Null && m.stamp().Less(bound) {
+			if m := g.win[s].Get(seq).m; !m.Null && m.stamp().Less(bound) {
 				bound = m.stamp()
 			}
 		}
@@ -1196,7 +1196,7 @@ func (g *Group) allHeardPastLocked(m *dataMsg) bool {
 func (g *Group) deliverLocked(m *dataMsg) {
 	g.npending--
 	g.delivered[m.senderIdx] = m.Seq
-	global := g.win[m.senderIdx].get(m.Seq).global
+	global := g.win[m.senderIdx].Get(m.Seq).global
 	if !m.Null {
 		if global > g.delGlobal {
 			g.delGlobal = global
@@ -1480,7 +1480,7 @@ func (g *Group) DebugDump() string {
 	}
 	stash := make([]int, len(g.win)) // messages held out of order, per position
 	for q := range g.win {
-		g.win[q].each(func(seq uint64, sl *seqSlot) {
+		g.win[q].Each(func(seq uint64, sl *seqSlot) {
 			if sl.m != nil && seq > g.recvContig[q] {
 				stash[q]++
 			}
@@ -1489,13 +1489,13 @@ func (g *Group) DebugDump() string {
 	s += fmt.Sprintf("  delivered=%v\n  recvContig=%v\n  stash=%v\n", g.delivered, g.recvContig, stash)
 	byG := make([]string, 0, 8)
 	for global := g.delGlobal + 1; global <= g.delGlobal+4; global++ {
-		ref := g.ring.get(global)
+		ref := g.ring.Get(global)
 		if ref.seq == 0 {
 			byG = append(byG, fmt.Sprintf("g%d=?", global))
 			continue
 		}
 		id := ids.MsgID{Sender: g.midx.members[ref.pos], Seq: ref.seq}
-		m := g.win[ref.pos].get(ref.seq).m
+		m := g.win[ref.pos].Get(ref.seq).m
 		if m == nil || ref.seq <= g.delivered[ref.pos] {
 			byG = append(byG, fmt.Sprintf("g%d=%v(not-pending,del=%d)", global, id, g.delivered[ref.pos]))
 			continue

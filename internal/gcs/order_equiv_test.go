@@ -63,7 +63,7 @@ func oraclePending(g *Group) []*dataMsg {
 	out := make([]*dataMsg, 0, g.npending)
 	for s := range g.win {
 		for seq := g.delivered[s] + 1; seq <= g.recvContig[s]; seq++ {
-			out = append(out, g.win[s].get(seq).m)
+			out = append(out, g.win[s].Get(seq).m)
 		}
 	}
 	return out
@@ -75,14 +75,14 @@ func oracleGlobal(g *Group, id ids.MsgID) (uint64, bool) {
 	if pos < 0 {
 		return 0, false
 	}
-	global := g.win[pos].get(id.Seq).global
+	global := g.win[pos].Get(id.Seq).global
 	return global, global != 0
 }
 
 // oracleIsPending reports whether m itself is in the pending set.
 func oracleIsPending(g *Group, m *dataMsg) bool {
 	si := m.senderIdx
-	return m.Seq > g.delivered[si] && m.Seq <= g.recvContig[si] && g.win[si].get(m.Seq).m == m
+	return m.Seq > g.delivered[si] && m.Seq <= g.recvContig[si] && g.win[si].Get(m.Seq).m == m
 }
 
 func (m *dataMsg) msgID() ids.MsgID { return ids.MsgID{Sender: m.Sender, Seq: m.Seq} }
@@ -230,12 +230,12 @@ func (o *orderOracle) checkQueuesLocked(g *Group) {
 		}
 	}
 	live := 0
-	g.ring.each(func(global uint64, ref *msgRef) {
+	g.ring.Each(func(global uint64, ref *msgRef) {
 		if ref.seq == 0 {
 			return
 		}
 		live++
-		if got := g.win[ref.pos].get(ref.seq).global; got != global {
+		if got := g.win[ref.pos].Get(ref.seq).global; got != global {
 			o.violatef("%s: ring slot g%d=%d#%d disagrees with its window slot (%d)", g.me, global, ref.pos, ref.seq, got)
 		}
 	})

@@ -240,7 +240,7 @@ func (g *Group) resendLocked(now time.Time) {
 		for seq := known + 1; seq <= end; seq++ {
 			g.stats.Resent++
 			g.metrics.resent.Inc()
-			if m := g.win[g.midx.me].get(seq).m; m != nil {
+			if m := g.win[g.midx.me].Get(seq).m; m != nil {
 				g.sendMsgLocked(q, m)
 			}
 		}

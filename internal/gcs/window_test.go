@@ -11,6 +11,7 @@ import (
 	"newtop/internal/ids"
 	"newtop/internal/netsim"
 	"newtop/internal/obs"
+	"newtop/internal/seqring"
 	"newtop/internal/transport/memnet"
 )
 
@@ -45,15 +46,15 @@ func TestWindowMatchesMapModel(t *testing.T) {
 		recvContig, nextGlobal, delGlobal := uint64(0), uint64(1), uint64(0)
 		ahead := func() uint64 { // a sequence number past recvContig, sometimes past the dense bound
 			if r.Intn(200) == 0 {
-				return w.floor + 1 + maxSpan + uint64(r.Intn(2048))
+				return w.Floor() + 1 + seqring.MaxSpan + uint64(r.Intn(2048))
 			}
 			return recvContig + 2 + uint64(r.Intn(40))
 		}
 		decide := func(seq uint64) {
-			if seq <= w.floor {
+			if seq <= w.Floor() {
 				return // collected: a duplicate of a decision already used
 			}
-			sl := w.ensure(seq)
+			sl := w.Ensure(seq)
 			if _, dup := model.assigns[seq]; dup != (sl.global != 0) {
 				t.Fatalf("seed %d: slot %d decided=%v, model %v", seed, seq, sl.global != 0, dup)
 			} else if dup {
@@ -70,14 +71,14 @@ func TestWindowMatchesMapModel(t *testing.T) {
 			case op < 4: // in-order push, then the stashed successors become contiguous
 				recvContig++
 				m := &dataMsg{Seq: recvContig}
-				w.ensure(recvContig).m = m
+				w.Ensure(recvContig).m = m
 				model.msgs[recvContig] = m
 				for model.msgs[recvContig+1] != nil {
 					recvContig++
 				}
 			case op == 4: // out-of-order insert; a resend overwrites the stashed copy
 				m := &dataMsg{Seq: ahead()}
-				w.ensure(m.Seq).m = m
+				w.Ensure(m.Seq).m = m
 				model.msgs[m.Seq] = m
 			case op == 5: // decision ahead of its message
 				decide(ahead())
@@ -93,12 +94,12 @@ func TestWindowMatchesMapModel(t *testing.T) {
 					}
 					delGlobal++
 				}
-				upTo := min(w.floor+uint64(r.Intn(8)), recvContig)
+				upTo := min(w.Floor()+uint64(r.Intn(8)), recvContig)
 				if r.Intn(50) == 0 {
 					upTo = recvContig // an acknowledgement burst collects everything
 				}
-				for w.floor < upTo {
-					front := w.floor + 1
+				for w.Floor() < upTo {
+					front := w.Floor() + 1
 					if g := model.assigns[front]; g > delGlobal {
 						break // not delivered yet
 					} else if g != 0 {
@@ -107,7 +108,7 @@ func TestWindowMatchesMapModel(t *testing.T) {
 					}
 					delete(model.msgs, front)
 					delete(model.assigns, front)
-					w.popFront()
+					w.PopFront()
 				}
 				ring.compact(delGlobal)
 			}
@@ -116,11 +117,11 @@ func TestWindowMatchesMapModel(t *testing.T) {
 			}
 		}
 		checkWindowAgainstModel(t, seed, steps, &w, &ring, &model)
-		if w.floor < maxSpan && !testing.Short() {
-			t.Fatalf("seed %d: the run never filled and drained the dense span (floor at %d)", seed, w.floor)
+		if w.Floor() < seqring.MaxSpan && !testing.Short() {
+			t.Fatalf("seed %d: the run never filled and drained the dense span (floor at %d)", seed, w.Floor())
 		}
-		if len(w.slots) > maxSpan || len(ring.slots) > maxSpan {
-			t.Fatalf("seed %d: dense span exceeded its bound: window %d, ring %d slots", seed, len(w.slots), len(ring.slots))
+		if w.Cap() > seqring.MaxSpan || ring.Cap() > seqring.MaxSpan {
+			t.Fatalf("seed %d: dense span exceeded its bound: window %d, ring %d slots", seed, w.Cap(), ring.Cap())
 		}
 	}
 }
@@ -130,28 +131,28 @@ func TestWindowMatchesMapModel(t *testing.T) {
 // the dense span and on through the spill.
 func TestWindowSpillDrains(t *testing.T) {
 	var w seqWindow
-	const total = maxSpan + 100
+	const total = seqring.MaxSpan + 100
 	for seq := uint64(1); seq <= total; seq++ {
-		w.ensure(seq).m = &dataMsg{Seq: seq}
+		w.Ensure(seq).m = &dataMsg{Seq: seq}
 	}
-	if w.n != maxSpan || len(w.far) != 100 {
-		t.Fatalf("dense span %d, spill %d; want %d and 100", w.n, len(w.far), maxSpan)
+	if w.Span() != seqring.MaxSpan || w.FarLen() != 100 {
+		t.Fatalf("dense span %d, spill %d; want %d and 100", w.Span(), w.FarLen(), seqring.MaxSpan)
 	}
 	for seq := uint64(1); seq <= total; seq++ {
-		if m := w.get(seq).m; m == nil || m.Seq != seq {
+		if m := w.Get(seq).m; m == nil || m.Seq != seq {
 			t.Fatalf("msg(%d) = %v", seq, m)
 		}
-		w.popFront()
+		w.PopFront()
 	}
-	if w.n != 0 || len(w.far) != 0 || w.floor != total {
-		t.Fatalf("after draining: span %d, spill %d, floor %d", w.n, len(w.far), w.floor)
+	if w.Span() != 0 || w.FarLen() != 0 || w.Floor() != total {
+		t.Fatalf("after draining: span %d, spill %d, floor %d", w.Span(), w.FarLen(), w.Floor())
 	}
 }
 
 func checkWindowAgainstModel(t *testing.T, seed int64, step int, w *seqWindow, ring *globalRing, model *mapModel) {
 	t.Helper()
 	msgs, decided := 0, 0
-	w.each(func(seq uint64, sl *seqSlot) {
+	w.Each(func(seq uint64, sl *seqSlot) {
 		if sl.m != model.msgs[seq] || sl.global != model.assigns[seq] {
 			t.Fatalf("seed %d step %d: slot %d holds (%p, g%d), model (%p, g%d)",
 				seed, step, seq, sl.m, sl.global, model.msgs[seq], model.assigns[seq])
@@ -168,16 +169,16 @@ func checkWindowAgainstModel(t *testing.T, seed int64, step int, w *seqWindow, r
 			seed, step, msgs, decided, len(model.msgs), len(model.assigns))
 	}
 	for seq, m := range model.msgs {
-		if w.get(seq).m != m {
-			t.Fatalf("seed %d step %d: get(%d).m = %p, model %p", seed, step, seq, w.get(seq).m, m)
+		if w.Get(seq).m != m {
+			t.Fatalf("seed %d step %d: get(%d).m = %p, model %p", seed, step, seq, w.Get(seq).m, m)
 		}
 	}
 	if ring.live != len(model.globals) {
 		t.Fatalf("seed %d step %d: ring counts %d live decisions, model %d", seed, step, ring.live, len(model.globals))
 	}
 	for global, seq := range model.globals {
-		if ref := ring.get(global); ref.seq != seq {
-			t.Fatalf("seed %d step %d: ring.get(%d) = %v, model seq %d", seed, step, global, ref, seq)
+		if ref := ring.Get(global); ref.seq != seq {
+			t.Fatalf("seed %d step %d: ring.Get(%d) = %v, model seq %d", seed, step, global, ref, seq)
 		}
 	}
 }
@@ -212,12 +213,12 @@ func checkWindowsBounded(t testing.TB, g *Group) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	for s := range g.win {
-		if len(g.win[s].slots) > maxSpan {
-			t.Fatalf("window %d grew to %d slots", s, len(g.win[s].slots))
+		if g.win[s].Cap() > seqring.MaxSpan {
+			t.Fatalf("window %d grew to %d slots", s, g.win[s].Cap())
 		}
 	}
-	if len(g.ring.slots) > maxSpan {
-		t.Fatalf("ring grew to %d slots", len(g.ring.slots))
+	if g.ring.Cap() > seqring.MaxSpan {
+		t.Fatalf("ring grew to %d slots", g.ring.Cap())
 	}
 }
 
@@ -230,10 +231,10 @@ func TestFarAheadAssignBounded(t *testing.T) {
 	g.handle("a/p", farAheadFrame(), 0)
 	checkWindowsBounded(t, g)
 	g.mu.Lock()
-	if got := g.win[2].get(1 << 40).global; got != 1<<40 {
+	if got := g.win[2].Get(1 << 40).global; got != 1<<40 {
 		t.Errorf("far-ahead decision dropped: global of c/q#2^40 = %d", got)
 	}
-	if ref := g.ring.get(1 << 40); ref != (msgRef{pos: 2, seq: 1 << 40}) {
+	if ref := g.ring.Get(1 << 40); ref != (msgRef{pos: 2, seq: 1 << 40}) {
 		t.Errorf("far-ahead decision missing from the ring: %v", ref)
 	}
 	g.mu.Unlock()
@@ -433,7 +434,7 @@ func TestSequencerOrderTableBounded(t *testing.T) {
 		case <-time.After(time.Millisecond):
 		}
 		leader.mu.Lock()
-		live, span := leader.ring.live, leader.ring.n+len(leader.ring.far)
+		live, span := leader.ring.live, leader.ring.Span()+leader.ring.FarLen()
 		leader.mu.Unlock()
 		highLive, highSpan = max(highLive, live), max(highSpan, span)
 	}

@@ -43,8 +43,8 @@ func DefaultAllocBudgets() []AllocBudget {
 		{Entry: "newtop/internal/orb.(*ORB).Invoke", Max: 9, Note: "two-way call: a pending slot from the free list, the request encoded into a pooled frame, the wait (a channel per call before)"},
 		{Entry: "newtop/internal/orb.(*ORB).dispatch", Max: 20, Note: "receive loop: one-way sinks and two-way handlers inline, a servant's goroutine only as the fallback, replies into their callers' slots"},
 		{Entry: "newtop/internal/core.(*Server).execute", Max: 51, Note: "replica's half of the reply fan-in: execute once, answer the request manager with one ORB one-way (51 before the collection became one allocation); +2 for the two chunk refills of the payload arena Multicast copies into, reached through a monitor group's reply-set multicast, while TestAllocGuardForwardedReply fell 1.0 → 0.0 allocs/op with the frames sent from pooled writers"},
-		{Entry: "newtop/internal/core.(*Server).collectReply", Max: 47, Note: "request manager's half: file one direct reply; the one that completes the quorum builds the reply set and answers it, one-way to an open binding's client or multicast in a monitor group (44 with the multicast alone: +3 for the one-way branch's group-name bytes, frame send and args writer); the reply set is the collection's own (47 with it allocated at conclude); +2 for the payload arena's chunk refills behind Multicast, while TestAllocGuardCollectReply fell 2.0 → 1.0 allocs/op"},
-		{Entry: "newtop/internal/core.(*Server).serveAsRM", Max: 55, Note: "request manager, every policy: retry filters, receive, relay into the server group, gather or execute first, answer one-way or, in a monitor group, by multicast (56 with the multicast alone: +3 for the one-way branch, as collectReply); one allocation per collection, no deadline timer or closure, a primary's set with its reply inline (58 before); +2 for the payload arena's chunk refills behind Multicast, while TestAllocGuardRequestManager fell 5.0 → 2.0 allocs/op with the relayed request and every frame sent from pooled writers"},
+		{Entry: "newtop/internal/core.(*Server).collectReply", Max: 45, Note: "request manager's half: file one direct reply; the one that completes the quorum builds the reply set and answers it, one-way to an open binding's client or multicast in a monitor group (44 with the multicast alone: +3 for the one-way branch's group-name bytes, frame send and args writer); the reply set is the collection's own (47 with it allocated at conclude); +2 for the payload arena's chunk refills behind Multicast, while TestAllocGuardCollectReply fell 2.0 → 1.0 allocs/op; −2 with the collection found in its call's entry of the client's log instead of a CallID-keyed map (47 before), while TestAllocGuardCollectReply stayed at 0.0 allocs/op"},
+		{Entry: "newtop/internal/core.(*Server).serveAsRM", Max: 52, Note: "request manager, every policy: retry filters, receive, relay into the server group, gather or execute first, answer one-way or, in a monitor group, by multicast (56 with the multicast alone: +3 for the one-way branch, as collectReply); one allocation per collection, no deadline timer or closure, a primary's set with its reply inline (58 before); +2 for the payload arena's chunk refills behind Multicast, while TestAllocGuardRequestManager fell 5.0 → 2.0 allocs/op with the relayed request and every frame sent from pooled writers; −3 with the three count-bounded caches replaced by per-client logs whose collections are reused once the client's floor passes them, and a primary's reply set built on the stack (55 before), while TestAllocGuardRequestManager fell 1.0 → 0.0 allocs/op and its rmPrimary twin TestAllocGuardPrimary measures 0.0"},
 		{Entry: "newtop/internal/core.(*engine).launch", Max: 59, Note: "client's half of a call, every shape: admit, file in the table, encode and multicast the request (with the completions it can run itself); was 73 with the span tracer's store and note strings behind every completion, 62 with reply sets converted to Reply values after decoding; +1: the payload arena's two chunk refills behind Multicast, less the request's Detach, while TestAllocGuardInvoke fell 5.0 → 3.0 (open First) and 10.0 → 8.0 (closed All) allocs/op; −1: the future's done channel is made by its first Done, not at launch, while TestAllocGuardInvoke fell 3.0 → 2.0 (open First, awaited), 3.0 → 1.0 (through Call) and 7.0 → 5.0 (closed All) with the replies inline in the future"},
 		{Entry: "newtop/internal/core.(*Call).finish", Max: 2, Note: "completing a call: the one epilogue (table, window slot, attention, histogram, the client.invoke stage event); was 14 with the span tracer"},
 		{Entry: "newtop/internal/shard.(*Ring).OwnerBytes", Max: 0, Note: "sharded routing: per-invocation key->shard lookup must not allocate"},
