@@ -86,16 +86,19 @@ go test -run '^$' -fuzz '^FuzzDecodePayload$' -fuzztime=10s ./internal/core/
 # group-to-group invocation rides on (a proposal that overtakes the
 # previous view's commit is held, or resent, not lost), the joins and binds
 # that return when their view installs, and the traffic of a new view held
-# until it installs. So do exactly-once's pins: a primary whose own relays
-# come back more than 4,096 calls late runs none of them again, a later
-# call's floor never overtakes an earlier async-forward relay — answered or
+# until it installs. So do exactly-once's pins: an async-forward primary
+# is the server group's sequencer and relays before it runs and answers
+# (a relay sent only at the sequencer, a non-sequencer request manager
+# serving the call as a collected one), a primary whose own relays come
+# back more than 4,096 calls late runs none of them again, a later call's
+# floor never overtakes an earlier async-forward relay — answered or
 # abandoned — a retry below its client's floor is refused, by the client
 # and wherever a late copy is served, a request's floor never refuses its
 # own call, and a reused collection takes no late reply for the call it
 # served before. A test here that fails one run in ten is a protocol bug
 # until shown otherwise.
 echo "== server path repeats =="
-go test -count=10 -run 'RMCrashAtEveryPipelineStage|Joiner|LostDirectReply|LostAnswer|RouteByRole|OpenCallCosts|RMCrashMidCollect|SessionReadsOwnWrites|OneEventPerFact|BindingsCostNoGoroutine|LateConsumer|ClientCrashReleases|GroupToGroupFiltersDuplicates|TracePropagationGroupToGroup|ProposalThatOvertakesTheCommit|EarlyTrafficIsHeld|JoinReturnsWhenItsViewInstalls|BindReturnsAtItsViewInstall|PrimaryRunsNothingWhenItsRelaysComeBackLate|AsyncForwardFloorWaitsFor|StaleRetry|StaleRequestIsRefusedWhereItIsServed|RequestFloorNeverPassesItsOwnCall|EngineHoldsAnAbandonedAsyncCall|ReusedCollectionRefusesTheOldCallsReplies' ./internal/core/ ./internal/gcs/
+go test -count=10 -run 'RMCrashAtEveryPipelineStage|Joiner|LostDirectReply|LostAnswer|RouteByRole|OpenCallCosts|RMCrashMidCollect|SessionReadsOwnWrites|OneEventPerFact|BindingsCostNoGoroutine|LateConsumer|ClientCrashReleases|GroupToGroupFiltersDuplicates|TracePropagationGroupToGroup|ProposalThatOvertakesTheCommit|EarlyTrafficIsHeld|JoinReturnsWhenItsViewInstalls|BindReturnsAtItsViewInstall|PrimaryRunsNothingWhenItsRelaysComeBackLate|AsyncForwardForwardsBeforeItAnswers|AsyncForwardThroughANonSequencerIsCollected|MulticastAsSequencerSendsOnlyAtTheSequencer|AsyncForwardFloorWaitsFor|StaleRetry|StaleRequestIsRefusedWhereItIsServed|RequestFloorNeverPassesItsOwnCall|EngineHoldsAnAbandonedAsyncCall|ReusedCollectionRefusesTheOldCallsReplies' ./internal/core/ ./internal/gcs/
 # The two that a join returning at its install exposed: a joiner's
 # exactly-once at the join cut, and a read pool taken from a contact that
 # has just joined. Fifty runs each.

@@ -24,8 +24,11 @@ type BindConfig struct {
 	Restricted bool
 	// AsyncForward additionally enables the asynchronous-message-
 	// forwarding optimisation for wait-for-first calls (§4.2): the
-	// request manager replies from its own execution and forwards
-	// one-way. Combined with Restricted this is the paper's
+	// request manager forwards the call one-way, executes it and replies
+	// from its own execution. Only the server group's sequencer serves a
+	// call so; any other request manager gathers its replies from the
+	// order instead. Combined with Restricted, and a sequencer-ordered
+	// server group led by its lowest member, this is the paper's
 	// passive-replication configuration.
 	AsyncForward bool
 	// GCS is the configuration template for the client/server group

@@ -37,9 +37,9 @@ type Call struct {
 	slot *winSlot
 	sync bool
 	// owned says the call holds its number at the service (Service.calls):
-	// retire releases it, or passes it to the engine's held or unsure list
-	// when the call's relay may not be ordered yet. seq is its place in its
-	// engine's launches (engine.launched).
+	// retire releases it, or passes it to the engine's unsure list when the
+	// call ended unanswered and its relay may not be ordered yet. seq is its
+	// place in its engine's launches (engine.launched).
 	owned bool
 	seq   uint64
 	// gather collects the servers' direct replies (closed style).

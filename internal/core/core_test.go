@@ -238,8 +238,13 @@ func TestOneWayExecutesEverywhere(t *testing.T) {
 	}
 }
 
+// Under asynchronous forwarding the server group's sequencer is the primary
+// (paper §4.2: RM = primary = sequencer): a restricted binding pins the
+// request manager to it, and the answer is the primary's own reply.
 func TestAsyncForwardOptimisation(t *testing.T) {
-	w := newWorld(t, 3, 1)
+	timers := testTimers()
+	timers.Order = gcs.OrderSequencer
+	w := newWorldTimers(t, 3, 1, timers)
 	cfg := w.bindCfg(core.Open)
 	cfg.Restricted = true
 	cfg.AsyncForward = true
@@ -261,11 +266,11 @@ func TestAsyncForwardOptimisation(t *testing.T) {
 	}
 }
 
-// Under asynchronous forwarding the primary answers before it forwards, and
-// collects nothing: its journal holds rm.reply ahead of rm.forward and no
-// rm.collect.
-func TestAsyncForwardAnswersBeforeItForwards(t *testing.T) {
-	w := newTracedWorld(t, 3, 1, nil)
+// Under asynchronous forwarding the primary relays the call into the order
+// before it executes it and answers, and collects nothing: its journal holds
+// rm.forward ahead of replica.execute and rm.reply, and no rm.collect.
+func TestAsyncForwardForwardsBeforeItAnswers(t *testing.T) {
+	w := newTracedWorld(t, 3, 1, nil) // its server group is sequencer-ordered, led by s00
 	b, err := w.clients[0].Bind(ctxT(t, 10*time.Second), core.BindConfig{
 		ServerGroup: "sg", Contact: w.servers[0].ID(), Style: core.Open,
 		Restricted: true, AsyncForward: true, GCS: testTimers(),
@@ -279,7 +284,7 @@ func TestAsyncForwardAnswersBeforeItForwards(t *testing.T) {
 		t.Fatal(err)
 	}
 	rm := w.serverByID(b.RequestManager())
-	wantJournal(t, "the primary", rm.Obs(), tid, "rm.receive", "replica.execute", "rm.reply", "rm.forward")
+	wantJournal(t, "the primary", rm.Obs(), tid, "rm.receive", "rm.forward", "replica.execute", "rm.reply")
 	events, _ := rm.Obs().Flight.Since(0)
 	var order []string
 	for _, ev := range events {
@@ -287,9 +292,51 @@ func TestAsyncForwardAnswersBeforeItForwards(t *testing.T) {
 			order = append(order, st.String())
 		}
 	}
-	if want := []string{"rm.receive", "replica.execute", "rm.reply", "rm.forward"}; !slices.Equal(order, want) {
+	if want := []string{"rm.receive", "rm.forward", "replica.execute", "rm.reply"}; !slices.Equal(order, want) {
 		t.Fatalf("the primary journalled %v, want %v", order, want)
 	}
+}
+
+// An async-forward binding whose request manager does not sequence the
+// server group is served as a collected call: the manager runs nothing
+// outside the order, and every replica runs every call once. Here s01
+// hears nothing from the sequencer s00 until the end, so it delivers
+// nothing in order meanwhile; s02 answers the calls.
+func TestAsyncForwardThroughANonSequencerIsCollected(t *testing.T) {
+	timers := testTimers()
+	timers.SuspectTimeout = time.Minute // s01 hears nothing from s00 for a while
+	timers.Order = gcs.OrderSequencer
+	w := newWorldTimers(t, 3, 1, timers)
+	cfg := w.bindCfg(core.Open)
+	cfg.Contact, cfg.AsyncForward = "s01", true
+	b, err := w.clients[0].Bind(ctxT(t, 10*time.Second), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	if b.RequestManager() != "s01" {
+		t.Fatalf("bound to %s, want s01", b.RequestManager())
+	}
+	hold := w.holdGroupTraffic("s01", "s00")
+	const calls = 4
+	ctx := ctxT(t, 20*time.Second)
+	for i := 0; i < calls; i++ {
+		replies, err := b.Call(ctx, "put", []byte("k=v"), core.WithMode(core.First))
+		if err != nil {
+			t.Fatalf("call %d: %v", i, err)
+		}
+		if replies[0].Server == "s01" {
+			t.Fatalf("call %d was answered by s01's execution outside the order", i)
+		}
+	}
+	if n := w.calls["s01"].Load(); n != 0 {
+		t.Fatalf("s01 ran %d executions before it delivered anything in order; want none", n)
+	}
+	hold.release()
+	if _, err := b.Call(ctx, "put", []byte("k=v"), core.WithMode(core.All)); err != nil {
+		t.Fatalf("barrier call: %v", err)
+	}
+	w.expectExecs(calls + 1)
 }
 
 func TestProxyRebindsAfterRMFailure(t *testing.T) {

@@ -75,22 +75,16 @@ type engine struct {
 	// slower member's own launch — whose copy is then filtered as a
 	// duplicate and never answered again.
 	early *bounded[ids.CallID, decodedSet]
-	// held lists the answered calls a primary executed ahead of the server
-	// group's order (rmPrimary), oldest first, with the relay that orders
-	// each: their numbers stay held at the service — the floor stays at
-	// them — until the request manager's watermark, ordered, reaches it.
-	// A backup could otherwise meet a later request whose floor had passed
-	// one of them before its relay, and refuse it.
-	held     []heldCall
-	heldFrom int // held[:heldFrom] are released already
-	ordered  uint64
 	// unsure lists the async-forward calls that ended without an answer —
-	// abandoned, or failed — which the primary may have run and relayed all
-	// the same; they stay held too. An answer to a call launched after one
-	// of them ended (its launch number past after) reports a relay count at
-	// or past that call's relay, the manager serving this group's requests
-	// in order: the call then joins held under that count. launched numbers
-	// the calls as they are filed.
+	// abandoned, or failed — which the primary may have run all the same:
+	// their numbers stay held at the service, the floor at them, until
+	// their relays are known to be ordered. A backup could otherwise meet a
+	// later request whose floor had passed one of them before its relay,
+	// and refuse it. The request manager serves this group's requests in
+	// order and relays each before it answers, so any answer to a call
+	// launched after one of them ended (its launch number past after), or
+	// the call's own late answer, releases it. launched numbers the calls
+	// as they are filed.
 	unsure   []unsureCall
 	launched uint64
 	asyncFwd bool // an open binding whose wait-for-first calls its manager answers first (rmPrimary)
@@ -112,9 +106,6 @@ type engine struct {
 	formed   chan struct{}
 	isFormed bool
 }
-
-// heldCall is an answered async-forward call awaiting its relay's order.
-type heldCall struct{ number, relay uint64 }
 
 // unsureCall is an async-forward call that ended without an answer, and
 // the launches filed by then.
@@ -263,14 +254,11 @@ func (e *engine) breakLocked() (doomed map[ids.CallID]*Call) {
 		e.broken = true
 		close(e.brokenCh)
 		doomed, e.calls = e.calls, nil
-		// Nothing will report these relays ordered any more: give them up.
-		for _, h := range e.held[e.heldFrom:] {
-			e.svc.release(h.number)
-		}
+		// Nothing will answer through this group any more: give them up.
 		for _, u := range e.unsure {
 			e.svc.release(u.number)
 		}
-		e.held, e.heldFrom, e.unsure = nil, 0, nil
+		e.unsure = nil
 	}
 	return doomed
 }
@@ -323,12 +311,11 @@ func (e *engine) onEvent(ev gcs.Event) {
 // decoded into its own. A set that does not decode is dropped.
 func (e *engine) onAnswer(a answer) {
 	e.mu.Lock()
-	e.noteOrderLocked(a.Ordered)
 	c := e.calls[a.Call]
 	switch {
 	case c == nil:
 		if len(e.unsure) > 0 && a.Call.Client == e.svc.ID() {
-			e.settleUnsureLocked(a.Call.Number, 0, a.Relay) // a late answer to an abandoned call
+			e.settleUnsureLocked(a.Call.Number, 0) // a late answer to an abandoned call
 		}
 		if e.early != nil {
 			if replies, rmErr, err := decodeAnswer(a.Body, &e.svc.strs, nil); err == nil {
@@ -339,15 +326,8 @@ func (e *engine) onAnswer(a answer) {
 		c = nil
 	default:
 		c.claimed = true
-		if len(e.unsure) > 0 && c.mode == First {
-			e.settleUnsureLocked(0, c.seq, a.Relay)
-		}
-		if c.owned && a.Relay > e.ordered {
-			// Answered ahead of its relay: the call's hold passes to the
-			// held list, which keeps the floor at it until the relay is
-			// reported ordered.
-			c.owned = false
-			e.held = append(e.held, heldCall{c.id.Number, a.Relay})
+		if len(e.unsure) > 0 {
+			e.settleUnsureLocked(0, c.seq)
 		}
 	}
 	e.mu.Unlock()
@@ -364,49 +344,21 @@ func (e *engine) onAnswer(a answer) {
 	e.deliver(c, replies, rmErr)
 }
 
-// settleUnsureLocked passes on the unsure calls an answer covers: the call
+// settleUnsureLocked releases the unsure calls an answer covers: the call
 // it answers (number), and those that ended before the launch of the call
-// it answers (seq). The answer's relay count is at or past any relay of
-// theirs, so they wait for it in held — or are released, if it is ordered.
-func (e *engine) settleUnsureLocked(number, seq, relay uint64) {
+// it answers (seq), whose relays went out before its answer.
+func (e *engine) settleUnsureLocked(number, seq uint64) {
 	k := 0
 	for _, u := range e.unsure {
-		switch {
-		case u.number != number && u.after >= seq:
+		if u.number != number && u.after >= seq {
 			e.unsure[k] = u
 			k++
-		case relay > e.ordered:
-			e.held = append(e.held, heldCall{u.number, relay})
-		default:
+		} else {
 			e.svc.release(u.number)
 		}
 	}
 	clear(e.unsure[k:])
 	e.unsure = e.unsure[:k]
-}
-
-// noteOrderLocked advances the request manager's watermark and releases
-// the held calls whose relays it now covers.
-func (e *engine) noteOrderLocked(ordered uint64) {
-	if ordered <= e.ordered {
-		return
-	}
-	e.ordered = ordered
-	k := e.heldFrom
-	for k < len(e.held) && e.held[k].relay <= ordered {
-		e.svc.release(e.held[k].number)
-		k++
-	}
-	switch {
-	case k == len(e.held):
-		e.held, e.heldFrom = e.held[:0], 0
-	case k > len(e.held)/2:
-		// Slide the rest down once the released front is the larger part,
-		// so a long queue costs amortised O(1) per release.
-		e.held, e.heldFrom = e.held[:copy(e.held, e.held[k:])], 0
-	default:
-		e.heldFrom = k
-	}
 }
 
 // onView reacts to a membership change of the group. The cached view and
@@ -664,7 +616,7 @@ func (e *engine) launch(ctx context.Context, method string, args []byte, o callO
 
 // sentLate handles an async-forward call that its context ended while its
 // request was still being sent: it counts as unsure from the end of the
-// send, so only the answers to calls launched after that cover its relay.
+// send, so only the answers to calls launched after that release it.
 func (e *engine) sentLate(number uint64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -718,8 +670,8 @@ func (e *engine) retire(c *Call, err error) {
 	}
 	release := c.owned
 	if release && !c.claimed && e.asyncFwd && c.mode == First && !e.broken {
-		// Over without an answer, yet the primary may have run it and
-		// relayed it: it stays held until an answer covers its relay.
+		// Over without an answer, yet the primary may have run it: it
+		// stays held until an answer shows its relay ordered.
 		e.unsure = append(e.unsure, unsureCall{c.id.Number, e.launched}) //lint:ok allocflow grows to the most calls ever abandoned at once, then is reused
 		release = false
 	}

@@ -184,7 +184,11 @@ func TestRMCrashAtEveryPipelineStage(t *testing.T) {
 					continue
 				}
 				t.Run(pol.name, func(t *testing.T) {
-					w := newWorld(t, 3, 2)
+					// The server group is sequencer-ordered and led by s00:
+					// the restricted binding's primary is its sequencer.
+					timers := testTimers()
+					timers.Order = gcs.OrderSequencer
+					w := newWorldTimers(t, 3, 2, timers)
 					inv := pol.attach(t, w)
 					// Warm call so the pipeline is steady.
 					if err := inv.call(ctxT(t, 10*time.Second), 1, core.All); err != nil {

@@ -210,8 +210,8 @@ func TestAllocGuardRequestManager(t *testing.T) {
 
 // TestAllocGuardPrimary is TestAllocGuardRequestManager's twin for an
 // async-forward wait-for-first call (rmPrimary, pipeline_async's path):
-// execute at once, answer the stub client with the reply set built on the
-// stack, relay into the server group, and — the operation ends there —
+// relay into the server group, execute at once, answer the stub client with
+// the reply set built on the stack, and — the operation ends there —
 // deliver the relay back in order, where the call's entry makes it run
 // nothing. The floor each request carries drops the call before.
 func TestAllocGuardPrimary(t *testing.T) {
@@ -236,7 +236,7 @@ func TestAllocGuardPrimary(t *testing.T) {
 		req.Call, req.Floor = ids.CallID{Client: "z00", Number: next}, next
 		srv.serveAsRM(cs, bind, req)
 		awaitAnswers(answered, next)
-		for srv.ordered.Load() < next {
+		for srv.seenOf("z00") < next {
 			runtime.Gosched()
 		}
 	}

@@ -99,17 +99,18 @@ func (w *world) expectExecs(n int64) {
 	}
 }
 
-// An async-forward primary executes a call at once and relays it into the
-// server group afterwards; when its own relay comes back in order, it must
-// find the call already executed and run nothing. Here its relays come back
-// only after more than 4,096 further calls — a server that retains replies by
-// count has forgotten them by then and runs every one of them again. The
-// primary (the sequencer, restricted binding) delivers a server-group
-// message only once it has heard every other member past it, so holding the
-// backups' group traffic to it holds all its deliveries.
+// An async-forward primary relays a call into the server group and executes
+// it at once, outside the order; when its own relay comes back in order, it
+// must find the call already executed and run nothing. Here its relays come
+// back only after more than 4,096 further calls — a server that retains
+// replies by count has forgotten them by then and runs every one of them
+// again. The primary (the sequencer, restricted binding) delivers a
+// server-group message only once it has heard every other member past it,
+// so holding the backups' group traffic to it holds all its deliveries.
 func TestPrimaryRunsNothingWhenItsRelaysComeBackLate(t *testing.T) {
 	timers := testTimers()
 	timers.SuspectTimeout = time.Minute // the backups, held, must not be suspected
+	timers.Order = gcs.OrderSequencer
 	w := newWorldTimers(t, 3, 1, timers)
 	cfg := w.bindCfg(core.Open)
 	cfg.Restricted, cfg.AsyncForward, cfg.Window = true, true, 64
@@ -157,20 +158,18 @@ func TestPrimaryRunsNothingWhenItsRelaysComeBackLate(t *testing.T) {
 
 // A client reaching one server group by two paths must not let a later
 // call's floor overtake an earlier call's async-forward relay. The primary
-// s01 answers call N at once, but its relay is held from the sequencer; the
-// client's next call, N+1 through s02, is ordered first. Were N+1's floor past
-// N — the client has N's answer — the backups would refuse N's relay when it
-// arrived, and only the primary would have executed it. The primary's answer
-// carries its relay watermark instead, and the client holds its floor at N
-// until a later answer reports the relay ordered.
+// s00, the server group's sequencer, relays call N into the order before it
+// answers, so the client's floor passes N at N's answer, and the client's
+// next call, N+1 through s02, carries that floor. s02 hears nothing from s00
+// meanwhile — neither N's relay nor the slot N+1 takes — and still N is
+// ordered ahead of N+1 everywhere, so no backup refuses N's relay.
 func TestAsyncForwardFloorWaitsForTheRelay(t *testing.T) {
 	timers := testTimers()
-	timers.SuspectTimeout = time.Minute // s01 is silent to the sequencer for a while
-	// The sequencer s00 orders what it has: N+1's forward, not N's held relay.
+	timers.SuspectTimeout = time.Minute // s02 hears nothing from the sequencer for a while
 	timers.Order = gcs.OrderSequencer
 	w := newWorldTimers(t, 3, 1, timers)
 	cfgA := w.bindCfg(core.Open)
-	cfgA.Contact, cfgA.AsyncForward = "s01", true
+	cfgA.Contact, cfgA.AsyncForward = "s00", true
 	a, err := w.clients[0].Bind(ctxT(t, 10*time.Second), cfgA)
 	if err != nil {
 		t.Fatal(err)
@@ -184,18 +183,26 @@ func TestAsyncForwardFloorWaitsForTheRelay(t *testing.T) {
 	}
 	defer b.Close()
 
-	hold := w.holdGroupTraffic("s00", "s01")
+	hold := w.holdGroupTraffic("s02", "s00")
 	ctx := ctxT(t, 20*time.Second)
-	if _, err := a.Call(ctx, "put", []byte("k=1"), core.WithMode(core.First)); err != nil {
+	first, err := a.InvokeAsync(ctx, "put", []byte("k=1"), core.WithMode(core.First))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := first.Await(ctx); err != nil {
 		t.Fatalf("async-forward call: %v", err)
+	}
+	if floor, _ := w.clients[0].DebugFloor(); floor <= first.ID().Number {
+		t.Fatalf("floor %d once call %d was answered; its relay is ordered, so want it past the call", floor, first.ID().Number)
 	}
 	later, err := b.InvokeAsync(ctx, "put", []byte("k=2"), core.WithMode(core.Majority))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// s02 executes N+1 before N's relay can be ordered: N+1 is ahead of it.
-	w.awaitExecs(1, "s02")
-	w.awaitExecs(2, "s01")
+	w.awaitExecs(2, "s01") // N, then N+1
+	if n := w.calls["s02"].Load(); n != 0 {
+		t.Fatalf("s02 ran %d executions while it heard nothing from the sequencer", n)
+	}
 	hold.release()
 	if _, err := later.Await(ctx); err != nil {
 		t.Fatalf("the later call: %v", err)
@@ -207,20 +214,20 @@ func TestAsyncForwardFloorWaitsForTheRelay(t *testing.T) {
 }
 
 // The same two paths, but the client gives up on call N before the
-// primary's answer reaches it: the call ends knowing nothing of N's relay,
-// which the primary has sent all the same. Its number must stay held — were
-// it released, N+1's floor would pass N and the backups would refuse N's
-// relay, which only the primary would then have run — until an answer to a
-// later call through the same primary reports the relay ordered.
+// primary's answer reaches it: the call ends knowing nothing of whether the
+// primary relayed it, which it has. Its number must stay held — were it
+// released before N's relay was sent, N+1's floor could pass N ahead of the
+// relay, and the backups would refuse the relay that the primary ran —
+// until an answer to a later call through the same primary shows the relay
+// went out before it.
 func TestAsyncForwardFloorWaitsForAnAbandonedCallsRelay(t *testing.T) {
 	timers := testTimers()
-	timers.SuspectTimeout = time.Minute // s01 is silent to the sequencer for a while
-	// The sequencer s00 orders what it has: N+1's forward, not N's held relay.
+	timers.SuspectTimeout = time.Minute // s02 hears nothing from the sequencer for a while
 	timers.Order = gcs.OrderSequencer
 	w := newWorldTimers(t, 3, 1, timers)
 	cfgA := w.bindCfg(core.Open)
-	cfgA.Contact, cfgA.AsyncForward = "s01", true
-	cfgA.GCS.SuspectTimeout = time.Minute // the call waits out its context on s01's silence
+	cfgA.Contact, cfgA.AsyncForward = "s00", true
+	cfgA.GCS.SuspectTimeout = time.Minute // the call waits out its context on s00's silence
 	a, err := w.clients[0].Bind(ctxT(t, 10*time.Second), cfgA)
 	if err != nil {
 		t.Fatal(err)
@@ -234,7 +241,7 @@ func TestAsyncForwardFloorWaitsForAnAbandonedCallsRelay(t *testing.T) {
 	}
 	defer b.Close()
 
-	hold := w.holdGroupTraffic("s00", "s01")
+	hold := w.holdGroupTraffic("s02", "s00")
 	hold.dropAnswersTo(w.clients[0].ID())
 	short, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
 	_, err = a.Call(short, "put", []byte("k=1"), core.WithMode(core.First))
@@ -242,7 +249,7 @@ func TestAsyncForwardFloorWaitsForAnAbandonedCallsRelay(t *testing.T) {
 	if err == nil {
 		t.Fatal("a call whose answer was dropped completed")
 	}
-	w.awaitExecs(1, "s01") // the primary ran N, and its relay is held
+	w.awaitExecs(1, "s00") // the primary relayed N and ran it
 	floor, next := w.clients[0].DebugFloor()
 	if floor != next {
 		t.Fatalf("floor %d once call %d was abandoned; want it held at the call", floor, next)
@@ -253,7 +260,6 @@ func TestAsyncForwardFloorWaitsForAnAbandonedCallsRelay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.awaitExecs(1, "s02")
 	w.awaitExecs(2, "s01")
 	hold.release()
 	if _, err := later.Await(ctx); err != nil {
@@ -264,16 +270,12 @@ func TestAsyncForwardFloorWaitsForAnAbandonedCallsRelay(t *testing.T) {
 	}
 	w.expectExecs(3)
 
-	// Answers through the same primary report N's relay ordered.
-	deadline := time.Now().Add(10 * time.Second)
-	for floor <= abandoned {
-		if time.Now().After(deadline) {
-			t.Fatalf("floor %d: the abandoned call %d is still held", floor, abandoned)
-		}
-		if _, err := a.Call(ctx, "put", []byte("k=4"), core.WithMode(core.First)); err != nil {
-			t.Fatal(err)
-		}
-		floor, _ = w.clients[0].DebugFloor()
+	// An answer through the same primary shows N's relay went out.
+	if _, err := a.Call(ctx, "put", []byte("k=4"), core.WithMode(core.First)); err != nil {
+		t.Fatal(err)
+	}
+	if floor, _ = w.clients[0].DebugFloor(); floor <= abandoned {
+		t.Fatalf("floor %d: the abandoned call %d is still held after a later answer", floor, abandoned)
 	}
 }
 

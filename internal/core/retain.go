@@ -21,11 +21,12 @@ import (
 // Only requests delivered in the server group's order raise a floor, so
 // every replica drops, and refuses, the same calls at the same point in the
 // order. A client's floor passes call N only once N's request is ordered:
-// for a call answered from the order (collected, closed, or forwarded
-// synchronously) its answer says so; for one a primary answered first
-// (rmPrimary), the answer's watermark does (invReplySet.Relay/Ordered), and
-// for one that ended unanswered, a later answer's (engine.unsure). And it
-// never passes the call of the request that carries it.
+// its answer says so, for a call answered from the order (collected,
+// closed) and for one a primary answered first (rmPrimary), which relays a
+// call into the order before it runs it and answers; for one that ended
+// unanswered, a later answer through the same request manager does
+// (engine.unsure). And it never passes the call of the request that
+// carries it.
 
 // clientLog is what a server retains for one client.
 type clientLog struct {

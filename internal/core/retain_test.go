@@ -62,35 +62,12 @@ func TestReusedCollectionRefusesTheOldCallsReplies(t *testing.T) {
 	}
 }
 
-// A client's floor passes call N only once N is done: its call is over, and
-// — answered by a primary ahead of the order — its relay has been reported
-// ordered by a later answer's watermark.
-func TestEngineHoldsTheFloorUntilTheRelayIsOrdered(t *testing.T) {
-	e := soloEngine(t, Open, "s00")
-	c, err := e.launch(context.Background(), "m", nil, callOpts{mode: First}, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := c.ID().Number
-	e.onAnswer(asAnswer(&invReplySet{Call: c.ID(), Relay: 5, Ordered: 4, Replies: []invReply{{Call: c.ID(), Server: "s00"}}}))
-	if _, err := c.Replies(); err != nil {
-		t.Fatal(err)
-	}
-	if floor, _ := e.svc.DebugFloor(); floor != n {
-		t.Fatalf("floor %d once call %d was answered ahead of its relay; want it held at %d", floor, n, n)
-	}
-	// An answer to another call reports relay 5 ordered.
-	e.onAnswer(asAnswer(&invReplySet{Call: ids.CallID{Client: "z00", Number: n + 100}, Ordered: 5}))
-	if floor, _ := e.svc.DebugFloor(); floor != n+1 {
-		t.Fatalf("floor %d once call %d's relay was reported ordered; want %d", floor, n, n+1)
-	}
-}
-
 // An async-forward call that ends without an answer — given up, or failed —
-// may have been run and relayed by the primary all the same, so its number
-// stays held. An answer to a call launched after it ended reports a relay
-// count at or past its relay, and it is released once that is ordered; a
-// late answer to the call itself settles it the same way.
+// may have been run by the primary all the same, so its number stays held
+// until its relay is known to be ordered. The request manager relays each
+// call before it answers, and serves the binding's requests in order: an
+// answer to a call launched after it ended releases it, one to a call
+// launched before does not, and a late answer to the call itself does.
 func TestEngineHoldsAnAbandonedAsyncCall(t *testing.T) {
 	e := soloEngine(t, Open, "s00")
 	e.asyncFwd = true
@@ -102,31 +79,39 @@ func TestEngineHoldsAnAbandonedAsyncCall(t *testing.T) {
 		}
 		return c
 	}
-	answer := func(c ids.CallID, relay, ordered uint64) {
-		e.onAnswer(asAnswer(&invReplySet{Call: c, Relay: relay, Ordered: ordered, Replies: []invReply{{Call: c, Server: "s00"}}}))
+	answer := func(c ids.CallID) {
+		e.onAnswer(asAnswer(&invReplySet{Call: c, Replies: []invReply{{Call: c, Server: "s00"}}}))
 	}
+	earlier := launch()
 	abandoned := launch()
 	n := abandoned.ID().Number
 	abandoned.Cancel()
+	answer(earlier.ID()) // launched before the abandoned call ended
 	if f := floor(); f != n {
 		t.Fatalf("floor %d once call %d was abandoned; want it held at %d", f, n, n)
 	}
 	next := launch()
-	answer(next.ID(), 7, 6) // covers the abandoned call's relay, not yet ordered
-	if f := floor(); f != n {
-		t.Fatalf("floor %d before relay 7 is ordered; want it held at %d", f, n)
-	}
-	answer(ids.CallID{Client: "z00", Number: n + 100}, 0, 7)
+	answer(next.ID())
 	if f := floor(); f != next.ID().Number+1 {
-		t.Fatalf("floor %d once relay 7 was reported ordered; want %d", f, next.ID().Number+1)
+		t.Fatalf("floor %d once a later call was answered; want %d", f, next.ID().Number+1)
 	}
 
 	late := launch()
 	late.Cancel()
-	answer(late.ID(), 8, 8) // its own answer, after the call ended: relay 8 is ordered
-	if f := floor(); f != late.ID().Number+1 {
-		t.Fatalf("floor %d once the abandoned call's own answer reported its relay ordered; want %d", f, late.ID().Number+1)
+	if f := floor(); f != late.ID().Number {
+		t.Fatalf("floor %d once call %d was abandoned; want it held at it", f, late.ID().Number)
 	}
+	answer(late.ID()) // its own answer, after the call ended
+	if f := floor(); f != late.ID().Number+1 {
+		t.Fatalf("floor %d once the abandoned call's own answer arrived; want %d", f, late.ID().Number+1)
+	}
+}
+
+// seenOf is the highest call of client this member has delivered in order.
+func (srv *Server) seenOf(client ids.ProcessID) uint64 {
+	srv.mu.Lock()
+	defer srv.mu.Unlock()
+	return srv.logLocked(client).seen
 }
 
 // A request never carries a floor past its own call — a client refuses
@@ -156,7 +141,7 @@ func TestRequestFloorNeverPassesItsOwnCall(t *testing.T) {
 	}
 	req.Forwarded = false
 	primary.serveAsRM(cs, &bindRequest{Group: "cs", Style: Open, AsyncFwd: true}, req)
-	for primary.ordered.Load() < 1 {
+	for primary.seenOf("z00") < 5 {
 		time.Sleep(time.Millisecond)
 	}
 	if got := runs.Load(); got != 1 {

@@ -67,13 +67,6 @@ type Server struct {
 	// execMu serializes handler executions (and the forwards that must
 	// mirror their order) so replica state evolves deterministically.
 	execMu sync.Mutex
-	// relayed counts the requests this member relayed after executing them
-	// first (rmPrimary), and ordered how many of those it has since delivered
-	// in the server group's order; one member's relays are delivered in its
-	// send order, so relay r is ordered once ordered reaches r. Answers carry
-	// both: the async-forward watermark (invReplySet.Relay/Ordered).
-	relayed uint64 // under execMu
-	ordered atomic.Uint64
 	// The executed prefix. applied is, per sender, the Lamport time of its
 	// newest delivery applied here; lastExec is the newest applied delivery
 	// of all, which names this member's position in the total order; view is
@@ -355,9 +348,6 @@ func (srv *Server) execute(req *invRequest, sender ids.ProcessID, stamp vclock.S
 		return false
 	}
 	rep := srv.executeDelivered(req, stamp)
-	if req.AsyncFwd && sender == srv.svc.ID() {
-		srv.ordered.Add(1) // our own relay: see relayed
-	}
 	switch {
 	case req.AsyncFwd || req.Mode == OneWay: // nobody gathers replies
 	case !req.Forwarded:
@@ -712,7 +702,7 @@ type rmPolicy uint8
 
 const (
 	rmCollect rmPolicy = iota // group order first; answer on the mode's quorum over the roster
-	rmPrimary                 // this member first, outside the order; answer at once, then forward (§4.2)
+	rmPrimary                 // the sequencer relays, runs first, outside the order, and answers at once (§4.2)
 	rmOneWay                  // group order; nobody answered or waited for
 )
 
@@ -766,7 +756,6 @@ func (srv *Server) serveAsRM(b *gcs.Group, bind *bindRequest, req *invRequest) {
 		set := c.set
 		srv.mu.Unlock()
 		if req.Mode != OneWay {
-			set.Ordered = srv.ordered.Load()
 			srv.answer(b, client, &set, 0)
 		}
 		srv.mu.Lock()
@@ -785,12 +774,7 @@ func (srv *Server) serveAsRM(b *gcs.Group, bind *bindRequest, req *invRequest) {
 	e.dup = bind.Monitor
 	srv.svc.span(req.Trace, flight.StRMReceive, uint64(req.Mode), 0)
 	if pol == rmCollect {
-		c = srv.newCollectionLocked(req.Call, req.Mode)
-		c.trace, c.b, c.client, c.start = req.Trace, b, client, time.Now()
-		if need := c.mode.need(len(srv.roster)); need > len(c.inline) {
-			c.replies = make([]invReply, 0, need)
-		}
-		e.coll = c
+		srv.openLocked(e, b, client, req)
 	}
 	srv.mu.Unlock()
 
@@ -803,9 +787,23 @@ func (srv *Server) serveAsRM(b *gcs.Group, bind *bindRequest, req *invRequest) {
 	// manager whose reply is delayed by server-group work.
 	b.Attend()
 	if pol == rmPrimary {
-		srv.servePrimary(b, client, req)
-		b.Unattend()
-		return
+		if srv.servePrimary(b, client, req) {
+			b.Unattend()
+			return
+		}
+		// Not the server group's sequencer: nothing has run and nothing has
+		// been sent, so the call is gathered from the order instead.
+		srv.mu.Lock()
+		e, stale := srv.entryLocked(req.Call, req.Floor)
+		open := !srv.closed && !stale && e.coll == nil
+		if open {
+			srv.openLocked(e, b, client, req)
+		}
+		srv.mu.Unlock()
+		if !open { // closed, or a concurrent copy of the call is gathering it
+			b.Unattend()
+			return
+		}
 	}
 	// Gather the direct replies: the completing one, a view change that
 	// shrinks the quorum or the deadline concludes. Hold the server group's
@@ -815,51 +813,73 @@ func (srv *Server) serveAsRM(b *gcs.Group, bind *bindRequest, req *invRequest) {
 	srv.relay(req, false)
 }
 
-// servePrimary executes a call at once, outside the group order, answers
-// it, and only then relays it into the order (rmPrimary, §4.2). The answer
-// carries the newest stamp applied so far, and the watermark that tells the
-// client when the relay is ordered. The forward stays under execMu so the
-// backups apply requests in exactly the primary's execution order; when the
-// relay comes back in order, this member finds the call's entry and runs
-// nothing.
-func (srv *Server) servePrimary(b *gcs.Group, client ids.ProcessID, req *invRequest) {
+// openLocked opens the collection that gathers a call's replies into its
+// entry e (mu held).
+func (srv *Server) openLocked(e *retained, b *gcs.Group, client ids.ProcessID, req *invRequest) {
+	c := srv.newCollectionLocked(req.Call, req.Mode)
+	c.trace, c.b, c.client, c.start = req.Trace, b, client, time.Now()
+	if need := c.mode.need(len(srv.roster)); need > len(c.inline) {
+		c.replies = make([]invReply, 0, need)
+	}
+	e.coll = c
+}
+
+// servePrimary serves a call as the paper's primary (rmPrimary, §4.2): the
+// server group's sequencer relays it into the order, executes it at once,
+// outside the order, and answers. The relay is ordered as it is sent
+// (MulticastAsSequencer), so the answer says the call is ordered, and the
+// backups apply requests in exactly the primary's execution order: both
+// happen under execMu. When the relay comes back in order, this member
+// finds the call's entry and runs nothing. A retried call is answered from
+// its entry, and a stale one refused, with nothing sent. It reports false,
+// having run and sent nothing, when this member is not the sequencer.
+func (srv *Server) servePrimary(b *gcs.Group, client ids.ProcessID, req *invRequest) bool {
 	srv.execMu.Lock()
 	defer srv.execMu.Unlock()
-	rep, fresh := srv.executeLocked(req, srv.lastExec, false, false)
-	// A retried call's relay, if it was ours, is among those sent so far:
-	// the client waits for all of them.
+	srv.mu.Lock()
+	e, stale := srv.entryLocked(req.Call, req.Floor)
+	fresh := !stale && e.rep.Server == ""
+	srv.mu.Unlock()
+	if fresh && !srv.relay(req, true) {
+		return false
+	}
+	rep, _ := srv.executeLocked(req, srv.lastExec, false, false)
+	set := invReplySet{Call: req.Call}
 	var one [1]invReply
-	set := invReplySet{Call: req.Call, Relay: srv.relayed, Ordered: srv.ordered.Load()}
-	switch {
-	case rep.Err == staleErr:
+	if rep.Err == staleErr {
 		set.Err = staleErr
-	case fresh:
-		set.Relay++
-		fallthrough
-	default:
+	} else {
 		one[0] = rep
 		set.Replies = one[:]
 	}
 	srv.answer(b, client, &set, req.Trace)
-	if fresh {
-		srv.relayed++
-		srv.relay(req, true)
-	}
+	return true
 }
 
-// relay forwards a client's request into the server group (fig. 4(ii)),
-// marked as the primary's when it executed first.
-func (srv *Server) relay(req *invRequest, primary bool) {
+// relay forwards a client's request into the server group (fig. 4(ii)). A
+// primary's relay goes out only if this member sequences the server group,
+// and relay reports whether it went.
+func (srv *Server) relay(req *invRequest, primary bool) bool {
 	fwd := *req
 	fwd.Forwarded, fwd.AsyncFwd = true, primary
-	srv.svc.metrics.rmRelays.Inc()
 	start := time.Now()
 	w := wire.GetWriter()
 	putRequest(w, &fwd)
-	//lint:ok lockblock deliberate: the primary forwards under execMu so backups see its execution order (§4.2)
-	_ = srv.group.Multicast(srv.ctx, w.Bytes()) //lint:ok errdrop best-effort: a collection answers with what arrives by its deadline, a primary's client has its reply, one-way promises nothing
+	var err error
+	if primary {
+		//lint:ok lockblock deliberate: the primary relays under execMu so backups see its execution order (§4.2)
+		err = srv.group.MulticastAsSequencer(srv.ctx, w.Bytes())
+	} else {
+		//lint:ok lockblock only a primary's relay runs under execMu (servePrimary)
+		_ = srv.group.Multicast(srv.ctx, w.Bytes()) //lint:ok errdrop best-effort: a collection answers with what arrives by its deadline, one-way promises nothing
+	}
 	wire.PutWriter(w)
+	if err != nil {
+		return false
+	}
+	srv.svc.metrics.rmRelays.Inc()
 	srv.svc.span(req.Trace, flight.StRMForward, 0, time.Since(start))
+	return true
 }
 
 // collection is one call this request manager is gathering replies for,
@@ -901,7 +921,6 @@ func (srv *Server) conclude(c *collection) {
 	if len(c.replies) == 0 {
 		c.set.Err = "request manager: no replies before deadline"
 	}
-	c.set.Ordered = srv.ordered.Load()
 	srv.mu.Lock()
 	srv.closeLocked(c)
 	srv.mu.Unlock()

@@ -46,8 +46,9 @@ type Service struct {
 	nextCall uint64
 	// calls counts the holds on each call number above the floor: one per
 	// call outstanding under it (its allocator's, a Proxy's across all its
-	// attempts, a WithCallID retry's), which an async-forward call keeps
-	// past its end until its relay is ordered (engine.held, engine.unsure).
+	// attempts, a WithCallID retry's), which an async-forward call that ended
+	// unanswered keeps past its end until its relay is known to be ordered
+	// (engine.unsure).
 	// The floor every request carries — the lowest number this process may
 	// still retry — is calls.Floor()+1: every number below it is done.
 	calls  seqring.Ring[uint32]

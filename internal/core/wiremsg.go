@@ -89,16 +89,8 @@ type invReply struct {
 // client of an open binding with one ORB one-way, or multicast in a client
 // monitor group. The client decodes it as an answer.
 type invReplySet struct {
-	Call ids.CallID
-	// Relay and Ordered are the request manager's async-forward watermark.
-	// Relay is the sequence number of the relay that puts an answered-first
-	// call (rmPrimary) into the server group's order — zero when the call is
-	// ordered already — and Ordered how many of its relays the manager has
-	// delivered in that order. Relays from one member are delivered in its
-	// send order, so a call's relay is ordered once Ordered reaches its
-	// Relay; until then its client holds its floor at the call.
-	Relay, Ordered uint64
-	Replies        []invReply
+	Call    ids.CallID
+	Replies []invReply
 	// Err reports a request-manager-level failure (e.g. no servers).
 	Err string
 }
@@ -108,9 +100,8 @@ type invReplySet struct {
 // decoded once the call is found, straight into the Reply values it hands
 // out (decodeAnswer), with no invReplySet between.
 type answer struct {
-	Call           ids.CallID
-	Relay, Ordered uint64 // the async-forward watermark, see invReplySet
-	Body           []byte
+	Call ids.CallID
+	Body []byte
 }
 
 func (r invReply) toReply() Reply {
@@ -242,8 +233,6 @@ func encodeReplySet(m *invReplySet) []byte {
 func putReplySet(w *wire.Writer, m *invReplySet) {
 	w.String(string(m.Call.Client))
 	w.Uvarint(m.Call.Number)
-	w.Uvarint(m.Relay)
-	w.Uvarint(m.Ordered)
 	w.Uvarint(uint64(len(m.Replies)))
 	for _, rep := range m.Replies {
 		putReply(w, rep)
@@ -257,10 +246,10 @@ type decodedSet struct {
 	Err     string
 }
 
-// getAnswer reads the call a reply set answers and the watermark it
-// carries, and leaves the rest to decodeAnswer.
+// getAnswer reads the call a reply set answers, and leaves the rest to
+// decodeAnswer.
 func getAnswer(r *wire.Reader, in *interner) answer {
-	return answer{Call: getCallID(r, in), Relay: r.Uvarint(), Ordered: r.Uvarint(), Body: r.Rest()}
+	return answer{Call: getCallID(r, in), Body: r.Rest()}
 }
 
 // decodeAnswer decodes an answer's body: its replies, appended to dst — the

@@ -81,8 +81,6 @@ func TestReplyAndSetRoundTrip(t *testing.T) {
 
 	set := &invReplySet{
 		Call:    rep.Call,
-		Relay:   9,
-		Ordered: 8,
 		Replies: []invReply{rep, {Call: rep.Call, Server: "s2", Payload: []byte("x")}},
 		Err:     "",
 	}
@@ -91,7 +89,7 @@ func TestReplyAndSetRoundTrip(t *testing.T) {
 		t.Fatalf("kind %d, err %v", p.Kind, err)
 	}
 	gotSet := decodeSet(t, p.Set)
-	if p.Set.Call != set.Call || p.Set.Relay != 9 || p.Set.Ordered != 8 || len(gotSet.Replies) != 2 || gotSet.Replies[1].Server != "s2" ||
+	if p.Set.Call != set.Call || len(gotSet.Replies) != 2 || gotSet.Replies[1].Server != "s2" ||
 		!reflect.DeepEqual(gotSet.Replies[0], rep.toReply()) {
 		t.Fatalf("set mismatch: %+v", gotSet)
 	}

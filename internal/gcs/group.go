@@ -377,6 +377,25 @@ func (g *Group) Multicast(ctx context.Context, payload []byte) error {
 	return nil
 }
 
+// MulticastAsSequencer is Multicast for the view's sequencer alone: once the
+// group is normal it sends only if this member sequences the view, and
+// returns ErrNotSequencer, having sent nothing, if not. The test and the
+// send share one critical section, and a sequencer assigns its own message
+// its global slot as it emits it (emitDataLocked), so on a nil return the
+// message is ordered ahead of anything any member sends later.
+func (g *Group) MulticastAsSequencer(ctx context.Context, payload []byte) error {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if err := g.waitNormalLocked(ctx); err != nil {
+		return err
+	}
+	if !g.seqLeader {
+		return ErrNotSequencer
+	}
+	g.sendDataLocked(false, g.payArena.Copy(payload))
+	return nil
+}
+
 // waitNormalLocked blocks until the group is in the normal state, the
 // member has left, or ctx is done. The normal-state fast path stays free
 // of the slow half's context and watch-channel machinery, so the

@@ -40,9 +40,9 @@ var (
 	// ErrLeaseExpired is returned when the member's read lease has
 	// expired (grantor silent past the bound, or a flush in progress).
 	ErrLeaseExpired = errors.New("gcs: read lease expired")
-	// ErrNotSequencer is returned by ReadIndex on a sequencer-ordered
-	// group member that is not the sequencer; linearizable reads must be
-	// served by the ordering authority.
+	// ErrNotSequencer is returned by ReadIndex and MulticastAsSequencer
+	// on a member that is not the view's sequencer: linearizable reads,
+	// and multicasts ordered at their send, need the ordering authority.
 	ErrNotSequencer = errors.New("gcs: not the sequencer")
 )
 

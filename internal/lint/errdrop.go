@@ -8,7 +8,7 @@ import (
 
 // ErrDrop flags discarded error returns on the send paths: calls to
 // transport.Endpoint.Send, transport.FrameSender.SendFrame and
-// gcs.Group.Multicast whose error result is
+// gcs.Group.Multicast/MulticastAsSequencer whose error result is
 // thrown away, either by a bare expression statement or by assigning
 // every result to the blank identifier. The
 // protocol tolerates lost messages (the resend machinery recovers), so
@@ -98,8 +98,8 @@ func sendPathCallee(fn *types.Func) string {
 	switch {
 	case hasPathSuffix(rpkg, "internal/transport") && (fn.Name() == "Send" || fn.Name() == "SendFrame"):
 		return "(" + rname + ")." + fn.Name()
-	case hasPathSuffix(rpkg, "internal/gcs") && rname == "Group" && fn.Name() == "Multicast":
-		return "(gcs.Group).Multicast"
+	case hasPathSuffix(rpkg, "internal/gcs") && rname == "Group" && (fn.Name() == "Multicast" || fn.Name() == "MulticastAsSequencer"):
+		return "(gcs.Group)." + fn.Name()
 	}
 	return ""
 }

@@ -12,8 +12,8 @@ import (
 // may be held: channel sends and receives, selects without a default,
 // ranging over a channel, time.Sleep, sync.Cond/WaitGroup waits, network
 // I/O (transport.Endpoint.Send, package net), the blocking batch pulls
-// (queue.FIFO.PopBatch, Endpoint.Recv), the blocking gcs
-// entry points (Group.Multicast/Leave, Node.Join/Close) and the blocking core
+// (queue.FIFO.PopBatch, Endpoint.Recv), the blocking gcs entry points
+// (Group.Multicast/MulticastAsSequencer/Leave, Node.Join/Close) and the blocking core
 // invocation surface (Binding/Proxy/G2G Call/Read/Invoke/InvokeCall wait for
 // replies, InvokeAsync blocks on a full call window, Call.Await parks
 // until the future completes). Every gcs event-loop method runs under the
@@ -448,7 +448,7 @@ func blockingCallee(fn *types.Func, through types.Type) string {
 	if hasPathSuffix(rpkg, "internal/gcs") {
 		n := namedOrigin(rt).Obj().Name()
 		switch {
-		case n == "Group" && (fn.Name() == "Multicast" || fn.Name() == "Leave"):
+		case n == "Group" && (fn.Name() == "Multicast" || fn.Name() == "MulticastAsSequencer" || fn.Name() == "Leave"):
 			return "gcs.Group." + fn.Name() + " (blocks on view change/teardown)"
 		case n == "Node" && (fn.Name() == "Join" || fn.Name() == "Close"):
 			return "gcs.Node." + fn.Name() + " (blocks on membership/teardown)"
