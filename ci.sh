@@ -8,10 +8,12 @@
 # stack is concurrent (transport pumps, gcs event loops, the ORB's receive
 # loop and its fallback goroutines, the metrics registry) and plain tests will happily miss an
 # unsynchronised counter. newtop-lint is the protocol-aware static pass:
-# wire encode/decode symmetry, no blocking under event-loop mutexes, no
-# wall clock in ordering decisions, no orphaned goroutines, no silently
-# dropped send errors, and static per-entry-point allocation budgets over
-# the hot-path call graph (see README "Static analysis").
+# wire encode/decode symmetry, no pooled writer used after it is recycled,
+# no blocking under event-loop mutexes, no wall clock in ordering
+# decisions, recurring timers only on the shared wheel, no orphaned
+# goroutines and no silently dropped send errors (see README "Static
+# analysis"). Allocation budgets are runtime guards, the "alloc budgets"
+# stage below.
 set -eu
 
 cd "$(dirname "$0")"
@@ -27,24 +29,8 @@ fi
 echo "== go vet =="
 go vet ./...
 
-if [ "${CI_SHORT:-0}" = "1" ]; then
-	# One combined invocation: every rule (allocflow included) shares the
-	# loader's type-checked package cache, so the quick loop pays the
-	# standard-library source-import cost exactly once.
-	echo "== newtop-lint (all rules, combined) =="
-	go run ./cmd/newtop-lint ./...
-else
-	echo "== newtop-lint =="
-	go run ./cmd/newtop-lint -rules wiresym,wirepool,lockblock,detclock,timerwheel,goorphan,errdrop ./...
-
-	# Static allocation budgets: every hot-path entry point in the
-	# internal/lint manifest must keep its reachable allocation-site count
-	# under its ceiling (see DESIGN.md §13). A new composite literal,
-	# boxing conversion or growing append anywhere in an entry point's
-	# call closure fails here with the offending sites listed.
-	echo "== static alloc budgets =="
-	go run ./cmd/newtop-lint -rules allocflow ./...
-fi
+echo "== newtop-lint =="
+go run ./cmd/newtop-lint ./...
 
 echo "== go build =="
 go build ./...
@@ -57,8 +43,10 @@ go test ./...
 # enqueue/flush and pooled-read paths, the flight recorder (which must
 # journal an event with zero allocations), the leased local read and its
 # whole round trip, the ORB's inline two-way call, memnet's idle-link
-# send (so the memnet-based guards measure the product, not the simulator)
-# and the KV servant's overwrite of an existing key.
+# send (so the memnet-based guards measure the product, not the simulator),
+# the KV servant's overwrite of an existing key and the shard router's
+# key lookup. These are the repo's only allocation guard: DESIGN.md §13
+# records which of them fires for each known regression.
 # A regression back to per-message maps, per-attempt sorting, per-encode
 # buffers, per-frame read buffers or a channel and goroutine per call fails
 # here long before it would show up in a benchmark.

@@ -1,26 +1,25 @@
 // Command newtop-lint runs the protocol-aware static analysis suite over
-// the module: wiresym (wire envelope encode/decode symmetry), lockblock
-// (no blocking operations under event-loop mutexes), detclock (no wall
-// clock or randomness in protocol decisions), goorphan (every unbounded
-// goroutine has a stop signal), errdrop (send-path errors dropped only
-// with an annotated reason) and allocflow (static per-entry-point
-// allocation budgets over the hot-path call graph). It is a ci.sh stage:
-// any finding that is not suppressed with an inline `//lint:ok <rule>
-// <reason>` directive fails the build, and a directive that suppresses
-// nothing is itself a finding.
+// the module: wiresym (wire envelope encode/decode symmetry), wirepool (no
+// use of a pooled writer after it is recycled), lockblock (no blocking
+// operations under event-loop mutexes), detclock (no wall clock or
+// randomness in protocol decisions), timerwheel (recurring timers only on
+// the shared wheel), goorphan (every unbounded goroutine has a stop
+// signal) and errdrop (send-path errors dropped only with an annotated
+// reason). It is a ci.sh stage: any finding that is not suppressed with an
+// inline `//lint:ok <rule> <reason>` directive fails the build, and a
+// directive that suppresses nothing, or names a rule the suite does not
+// have, is itself a finding.
 //
 // Usage:
 //
 //	newtop-lint [-rules wiresym,errdrop] [-json] [packages]
 //
 // Packages default to ./... and support the go tool's /... suffix. All
-// selected packages are loaded first and checked as one module-level set:
-// per-package rules are scoped by their Applies gate, module-level rules
-// (allocflow) see every package at once, and the loader cache is shared
-// across all rules, so one invocation pays the standard-library
-// type-check exactly once. Diagnostics print in stable (file, line,
-// column, rule) order; -json emits the same list as a JSON array for CI
-// diffing and editor tooling.
+// selected packages are loaded first, each rule runs on the packages its
+// Applies gate admits, and the loader cache is shared across all rules, so
+// one invocation pays the standard-library type-check exactly once.
+// Diagnostics print in stable (file, line, column, rule) order; -json
+// emits the same list as a JSON array for CI diffing and editor tooling.
 package main
 
 import (

@@ -29,7 +29,7 @@ func (b *bounded[K, V]) put(k K, v V) (evicted V, ok bool) {
 		return evicted, false
 	}
 	if len(b.order) < cap(b.order) {
-		b.order = append(b.order, k) //lint:ok allocflow fills the capacity newBounded gave it; it never grows past it
+		b.order = append(b.order, k) // fills the capacity newBounded gave it; it never grows past it
 	} else {
 		old := b.order[b.next]
 		if evicted, ok = b.m[old]; ok {
@@ -38,7 +38,7 @@ func (b *bounded[K, V]) put(k K, v V) (evicted V, ok bool) {
 		b.order[b.next] = k
 		b.next = (b.next + 1) % len(b.order)
 	}
-	b.m[k] = v //lint:ok allocflow the map holds at most cap keys, the size it was made with
+	b.m[k] = v // the map holds at most cap keys, the size it was made with
 	return evicted, ok
 }
 

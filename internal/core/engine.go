@@ -540,7 +540,7 @@ func (e *engine) launch(ctx context.Context, method string, args []byte, o callO
 	if !detached {
 		c.sync = true
 		if slot.sig == nil {
-			slot.sig = make(chan struct{}, 1) //lint:ok allocflow one per window slot, by the first synchronous call to hold it
+			slot.sig = make(chan struct{}, 1) // one per window slot, by the first synchronous call to hold it
 		}
 	}
 	if e.style == Closed {
@@ -672,7 +672,7 @@ func (e *engine) retire(c *Call, err error) {
 	if release && !c.claimed && e.asyncFwd && c.mode == First && !e.broken {
 		// Over without an answer, yet the primary may have run it: it
 		// stays held until an answer shows its relay ordered.
-		e.unsure = append(e.unsure, unsureCall{c.id.Number, e.launched}) //lint:ok allocflow grows to the most calls ever abandoned at once, then is reused
+		e.unsure = append(e.unsure, unsureCall{c.id.Number, e.launched}) // grows to the most calls ever abandoned at once, then is reused
 		release = false
 	}
 	e.mu.Unlock()

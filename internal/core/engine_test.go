@@ -10,6 +10,7 @@ import (
 
 	"newtop/internal/gcs"
 	"newtop/internal/ids"
+	"newtop/internal/lint/allocs"
 	"newtop/internal/netsim"
 	"newtop/internal/obs/flight"
 	"newtop/internal/transport/memnet"
@@ -164,8 +165,7 @@ func TestEngineRetainsReplySetThatOvertakesTheLaunch(t *testing.T) {
 }
 
 // TestAllocGuardInvoke budgets the client's half of an invocation, launch
-// to completion, against stub peers (run by ci.sh's AllocGuard stage;
-// internal/lint/allocbudget.go pins launch and finish statically): an open
+// to completion, against stub peers (run by ci.sh's AllocGuard stage): an open
 // wait-for-first call launched as InvokeAsync launches it, answered by one
 // reply set through the ORB sink and awaited (its Done asked for before the
 // answer, as a pipelining client's reaper does); the same call through Call,
@@ -202,10 +202,10 @@ func TestAllocGuardInvoke(t *testing.T) {
 		for i := 0; i < 64; i++ {
 			invoke()
 		}
-		avg := testing.AllocsPerRun(500, invoke)
-		t.Logf("%s, launch→completion: %.1f allocs/op", what, avg)
+		avg := allocs.PerOp(500, invoke)
+		t.Logf("%s, launch→completion: %.3f allocs/op", what, avg)
 		if avg > budget && !raceEnabled {
-			t.Fatalf("%s allocates %.1f/op, budget %.0f", what, avg, budget)
+			t.Fatalf("%s allocates %.3f/op, budget %.2f", what, avg, budget)
 		}
 	}
 
@@ -214,7 +214,7 @@ func TestAllocGuardInvoke(t *testing.T) {
 		set := &invReplySet{Call: id, Replies: []invReply{{Call: id, Server: "s00", Payload: payload}}}
 		frame := encodeReplyMsg(replyMsg{To: toOpen, Group: []byte(e.group.ID()), Set: set})
 		o := resolveCallOpts([]CallOption{WithMode(First), WithCallID(id)})
-		check(t, "open First, awaited", 2, func() { // measured 2.0
+		check(t, "open First, awaited", 2.1, func() { // measured 2.038–2.050: the future and its done channel, and the arenas' chunk refills
 			c, err := e.launch(context.Background(), "put", args, o, true)
 			if err != nil {
 				t.Fatal(err)
@@ -231,7 +231,7 @@ func TestAllocGuardInvoke(t *testing.T) {
 				e.svc.routeReply(frame)
 			}
 		})
-		check(t, "open First, Call", 1, func() { // measured 1.0
+		check(t, "open First, Call", 1.1, func() { // measured 1.036: the future alone, and the arenas' chunk refills
 			if replies, err := e.call(ctx, "put", args, o); err != nil || len(replies) != 1 {
 				t.Fatalf("%d replies, err %v", len(replies), err)
 			}
@@ -244,7 +244,7 @@ func TestAllocGuardInvoke(t *testing.T) {
 			frames = append(frames, encodeReplyMsg(replyMsg{To: toClosed, Group: []byte(e.group.ID()), Reply: invReply{Call: id, Server: s, Payload: payload}}))
 		}
 		opts := []CallOption{WithMode(All), WithCallID(id)}
-		check(t, "closed All", 5, func() { // measured 5.0
+		check(t, "closed All", 5.1, func() { // measured 5.040–5.060, the arenas' chunk refills included
 			c, err := e.InvokeAsync(ctx, "put", args, opts...)
 			if err != nil {
 				t.Fatal(err)

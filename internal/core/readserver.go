@@ -102,8 +102,8 @@ func (srv *Server) readServed(req *readRequest, rep *readReply, start time.Time)
 // the execution mutex only if it is free, needs the session floor already
 // covered, and checks the lease under the mutex. It reports false, having
 // answered nothing, when the read would have to wait. Nearly every read
-// takes this path; the static allocation budget pins it (allocbudget.go)
-// through the NSO's inline handler.
+// takes this path; TestAllocGuardReadRoundTrip pins it at zero
+// allocations through the NSO's inline handler.
 func (srv *Server) serveReadNow(req *readRequest, rep *readReply) bool {
 	if !srv.execMu.TryLock() {
 		return false
@@ -130,7 +130,7 @@ func (srv *Server) serveReadNow(req *readRequest, rep *readReply) bool {
 // serveReadLocal is the leased read: the replica's lease is its authority
 // to answer from the local executed prefix with bounded staleness — a
 // lease check, the session-floor wait and one handler run, with no
-// protocol traffic. The static allocation budget pins it (allocbudget.go).
+// protocol traffic. TestAllocGuardLeasedRead pins it at zero allocations.
 func (srv *Server) serveReadLocal(req *readRequest, rep *readReply) {
 	age, bound, err := srv.group.LeaseRead(srv.staleTicks(req.MaxStale))
 	switch {

@@ -63,8 +63,8 @@ const staleErr = "stale retry: the call is below its client's floor and is not r
 func (srv *Server) logLocked(client ids.ProcessID) *clientLog {
 	l := srv.clients[client]
 	if l == nil {
-		l = &clientLog{}        //lint:ok allocflow once per client process served
-		srv.clients[client] = l //lint:ok allocflow once per client process served
+		l = &clientLog{} // once per client process served
+		srv.clients[client] = l
 	}
 	return l
 }
@@ -92,12 +92,12 @@ func (srv *Server) entryLocked(call ids.CallID, floor uint64) (e *retained, stal
 	l := srv.logLocked(call.Client)
 	if floor == 0 {
 		if l.named == nil {
-			l.named = newBounded[uint64, *retained](namedCap) //lint:ok allocflow once per group-to-group client
+			l.named = newBounded[uint64, *retained](namedCap) // once per group-to-group client
 		}
 		if e, ok := l.named.get(call.Number); ok {
 			return e, false
 		}
-		e = new(retained) //lint:ok allocflow group-to-group calls are retained by count, one entry each
+		e = new(retained) // group-to-group calls are retained by count, one entry each
 		if old, evicted := l.named.put(call.Number, e); evicted {
 			srv.dropEntry(0, old)
 		}
@@ -133,7 +133,7 @@ func (srv *Server) dropEntry(_ uint64, e *retained) {
 	if c := e.coll; c != nil {
 		c.dropped = true
 		if c.pins == 0 {
-			srv.free = append(srv.free, c) //lint:ok allocflow the free list grows to the most collections ever retained at once, then is reused
+			srv.free = append(srv.free, c) // the free list grows to the most collections ever retained at once, then is reused
 		}
 	}
 }
@@ -174,7 +174,7 @@ func (srv *Server) newCollectionLocked(call ids.CallID, mode ReplyMode) *collect
 		srv.free[n-1] = nil
 		srv.free = srv.free[:n-1]
 	} else {
-		c = new(collection) //lint:ok allocflow one per call retained at once; reused once its client's floor passes it
+		c = new(collection) // one per call retained at once; reused once its client's floor passes it
 	}
 	c.dropped, c.answered, c.pins = false, false, 1
 	c.set = invReplySet{}
@@ -184,7 +184,7 @@ func (srv *Server) newCollectionLocked(call ids.CallID, mode ReplyMode) *collect
 	c.replies = c.inline[:0]
 	c.mu.Unlock()
 	c.openIdx = len(srv.open)
-	srv.open = append(srv.open, c) //lint:ok allocflow the open list grows to the most calls ever gathered at once, then is reused
+	srv.open = append(srv.open, c) // the open list grows to the most calls ever gathered at once, then is reused
 	return c
 }
 
@@ -193,7 +193,7 @@ func (srv *Server) newCollectionLocked(call ids.CallID, mode ReplyMode) *collect
 func (srv *Server) unpinLocked(c *collection) {
 	c.pins--
 	if c.pins == 0 && c.dropped {
-		srv.free = append(srv.free, c) //lint:ok allocflow as dropEntry's
+		srv.free = append(srv.free, c)
 	}
 }
 

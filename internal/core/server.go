@@ -738,7 +738,7 @@ func (srv *Server) serveAsRM(b *gcs.Group, bind *bindRequest, req *invRequest) {
 		// completed it, or given it up, and nothing of it is retained.
 		srv.mu.Unlock()
 		if req.Mode != OneWay {
-			srv.answer(b, client, &invReplySet{Call: req.Call, Err: staleErr}, 0) //lint:ok allocflow a stale retry is a cold path
+			srv.answer(b, client, &invReplySet{Call: req.Call, Err: staleErr}, 0)
 		}
 		return
 	case bind.Monitor && e.dup:

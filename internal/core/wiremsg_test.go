@@ -384,8 +384,6 @@ func impossibleCountFrames() []namedFrame {
 	set := func(w *wire.Writer) {
 		w.String("c")
 		w.Uvarint(1) // call number
-		w.Uvarint(0) // relay
-		w.Uvarint(0) // ordered
 		w.Uvarint(1000)
 		w.String("") // the set's error
 	}

@@ -3,17 +3,15 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
-// This file builds the interprocedural call graph the module-level
-// analyzers walk. The graph is deliberately static: an edge exists only
-// when the callee is resolvable at type-check time — a named function, a
-// method called on a concrete receiver, or a function value whose binding
-// is unambiguous within its package. Interface dispatch and escaping
-// function values stay *dynamic* edges; analyzers must attribute them
-// (allocflow counts each one as an allocation-relevant site) rather than
-// silently treating them as leaves.
+// This file builds the interprocedural call graph lockblock walks. The
+// graph is deliberately static: an edge exists only when the callee is
+// resolvable at type-check time — a named function, a method called on a
+// concrete receiver, or a function value whose binding is unambiguous
+// within its package. Interface dispatch and escaping function values
+// stay *dynamic* edges (a nil Callee), which an analyzer must treat as
+// unknown rather than as leaves.
 
 // CallEdge is one call expression inside a function body.
 type CallEdge struct {
@@ -28,13 +26,11 @@ type CallEdge struct {
 type CallNode struct {
 	Fn   *types.Func
 	Decl *ast.FuncDecl
-	Pkg  *Package
 	Out  []CallEdge // call sites in body order
 }
 
 // CallGraph indexes every function declared in a set of packages.
 type CallGraph struct {
-	nodes map[*types.Func]*CallNode
 	order []*CallNode // deterministic: package load order, then file/decl order
 	// fnVals maps package-scoped variables that are bound to exactly one
 	// statically known function across the whole package ("f := helper"
@@ -49,10 +45,7 @@ type CallGraph struct {
 // of the enclosing function, so its calls are edges (marked InLit unless
 // the literal is invoked immediately).
 func BuildCallGraph(pkgs []*Package) *CallGraph {
-	cg := &CallGraph{
-		nodes:  make(map[*types.Func]*CallNode),
-		fnVals: make(map[*types.Var]*types.Func),
-	}
+	cg := &CallGraph{fnVals: make(map[*types.Var]*types.Func)}
 	for _, p := range pkgs {
 		cg.collectFnVals(p)
 	}
@@ -67,9 +60,8 @@ func BuildCallGraph(pkgs []*Package) *CallGraph {
 				if !ok {
 					continue
 				}
-				node := &CallNode{Fn: obj, Decl: fd, Pkg: p}
+				node := &CallNode{Fn: obj, Decl: fd}
 				cg.walkBody(p, node, fd.Body, false)
-				cg.nodes[obj] = node
 				cg.order = append(cg.order, node)
 			}
 		}
@@ -231,109 +223,5 @@ func (cg *CallGraph) ResolveCall(p *Package, call *ast.CallExpr) *types.Func {
 	return nil
 }
 
-// Node returns the graph node for fn, or nil when fn has no body in the
-// analyzed set.
-func (cg *CallGraph) Node(fn *types.Func) *CallNode { return cg.nodes[fn] }
-
 // Nodes returns every node in deterministic order.
 func (cg *CallGraph) Nodes() []*CallNode { return cg.order }
-
-// Reachable computes the static call closure from roots: every function
-// with a body in the analyzed set that some chain of resolved edges (plain
-// calls, go statements, deferred calls and calls inside function literals
-// all count — that code runs as a consequence of the root) reaches.
-func (cg *CallGraph) Reachable(roots ...*types.Func) map[*types.Func]bool {
-	seen := make(map[*types.Func]bool)
-	var stack []*types.Func
-	for _, r := range roots {
-		if r != nil && !seen[r] {
-			seen[r] = true
-			stack = append(stack, r)
-		}
-	}
-	for len(stack) > 0 {
-		fn := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		node := cg.nodes[fn]
-		if node == nil {
-			continue
-		}
-		for _, e := range node.Out {
-			if e.Callee != nil && !seen[e.Callee] {
-				seen[e.Callee] = true
-				stack = append(stack, e.Callee)
-			}
-		}
-	}
-	return seen
-}
-
-// FuncNamed resolves an entry-point spec of the form
-//
-//	path/to/pkg.FuncName
-//	path/to/pkg.(*Recv).Method
-//	path/to/pkg.Recv.Method
-//
-// against the loaded packages (package paths match on suffix so synthetic
-// fixture paths resolve too). It returns nil when nothing matches.
-func FuncNamed(pkgs []*Package, spec string) *types.Func {
-	pkgPath, recv, name := splitEntrySpec(spec)
-	if name == "" {
-		return nil
-	}
-	for _, p := range pkgs {
-		if !hasPathSuffix(p.Path, pkgPath) && p.Path != pkgPath {
-			continue
-		}
-		scope := p.Types.Scope()
-		if recv == "" {
-			if fn, ok := scope.Lookup(name).(*types.Func); ok {
-				return fn
-			}
-			continue
-		}
-		tn, ok := scope.Lookup(recv).(*types.TypeName)
-		if !ok {
-			continue
-		}
-		named, ok := tn.Type().(*types.Named)
-		if !ok {
-			continue
-		}
-		for i := 0; i < named.NumMethods(); i++ {
-			if m := named.Method(i); m.Name() == name {
-				return m
-			}
-		}
-	}
-	return nil
-}
-
-// splitEntrySpec parses "pkg.(*T).M" / "pkg.T.M" / "pkg.F".
-func splitEntrySpec(spec string) (pkgPath, recv, name string) {
-	if i := strings.Index(spec, ".(*"); i >= 0 {
-		pkgPath = spec[:i]
-		rest := spec[i+3:]
-		j := strings.Index(rest, ").")
-		if j < 0 {
-			return "", "", ""
-		}
-		return pkgPath, rest[:j], rest[j+2:]
-	}
-	// No pointer receiver marker: the name is the last segment; the one
-	// before it is either the receiver type or the package's last path
-	// element. Disambiguate by trying receiver form first only when there
-	// are at least two dots after the final slash.
-	slash := strings.LastIndex(spec, "/")
-	tail := spec[slash+1:]
-	parts := strings.Split(tail, ".")
-	switch len(parts) {
-	case 2: // pkg.F
-		return spec[:len(spec)-len(parts[1])-1], "", parts[1]
-	case 3: // pkg.T.M
-		name = parts[2]
-		recv = parts[1]
-		return spec[:len(spec)-len(name)-len(recv)-2], recv, name
-	}
-	return "", "", ""
-}

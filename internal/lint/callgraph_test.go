@@ -6,17 +6,16 @@ import (
 	"testing"
 )
 
-// callgraphDebug is a test-only module analyzer that reports, at every
-// call edge, the builder's static resolution and edge flags — the golden
+// callgraphDebug is a test-only analyzer that reports, at every call
+// edge, the builder's static resolution and edge flags — the golden
 // fixture pins the call graph's semantics with want comments.
 func callgraphDebug() *Analyzer {
 	return &Analyzer{
 		Name: "callgraph",
 		Doc:  "test-only: report every call edge's static resolution",
-		RunModule: func(pkgs []*Package, _ *Suppressor) []Diagnostic {
-			cg := BuildCallGraph(pkgs)
+		Run: func(p *Package) []Diagnostic {
 			var out []Diagnostic
-			for _, n := range cg.Nodes() {
+			for _, n := range BuildCallGraph([]*Package{p}).Nodes() {
 				for _, e := range n.Out {
 					msg := "dynamic"
 					if e.Callee != nil {
@@ -32,7 +31,7 @@ func callgraphDebug() *Analyzer {
 					}
 					out = append(out, Diagnostic{
 						Rule: "callgraph",
-						Pos:  n.Pkg.Fset.Position(e.Call.Pos()),
+						Pos:  p.Fset.Position(e.Call.Pos()),
 						Msg:  msg,
 					})
 				}
@@ -43,47 +42,6 @@ func callgraphDebug() *Analyzer {
 }
 
 func TestCallGraph(t *testing.T) { runFixture(t, "callgraph", callgraphDebug()) }
-
-// TestCallGraphReachable pins the closure semantics: go statements and
-// literal-deferred calls are reachable, and unreferenced functions are
-// not.
-func TestCallGraphReachable(t *testing.T) {
-	ld := fixtureLoader(t)
-	pkg, err := ld.LoadDir("testdata/callgraph")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cg := BuildCallGraph([]*Package{pkg})
-	entry := FuncNamed([]*Package{pkg}, "testdata/callgraph.values")
-	if entry == nil {
-		t.Fatal("entry values not found")
-	}
-	reach := cg.Reachable(entry)
-	names := map[string]bool{}
-	for fn := range reach {
-		names[fn.Name()] = true
-	}
-	for _, want := range []string{"values", "a", "b", "m", "n"} {
-		if !names[want] {
-			t.Errorf("expected %s reachable from values; reach = %v", want, names)
-		}
-	}
-	if entry2 := FuncNamed([]*Package{pkg}, "testdata/callgraph.(*T).m"); entry2 == nil {
-		t.Error("FuncNamed failed to resolve pointer-receiver method spec")
-	} else if r := cg.Reachable(entry2); len(r) != 2 { // m and n
-		t.Errorf("Reachable(m) = %d functions, want 2", len(r))
-	}
-
-	// One declared body per graph node, every node resolvable back.
-	for _, n := range cg.Nodes() {
-		if n.Decl == nil || n.Decl.Body == nil {
-			t.Errorf("node %s has no body", n.Fn.Name())
-		}
-		if cg.Node(n.Fn) != n {
-			t.Errorf("Node(%s) does not round-trip", n.Fn.Name())
-		}
-	}
-}
 
 // TestStaleSuppression checks CheckModule's escape-hatch inventory: a
 // //lint:ok directive whose rule ran but matched nothing is reported.

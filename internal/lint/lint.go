@@ -50,20 +50,15 @@ type Package struct {
 	Info  *types.Info
 }
 
-// Analyzer is one protocol-invariant check. Per-package analyzers set Run;
-// module-level analyzers (allocflow, which walks an interprocedural call
-// graph) set RunModule and receive every loaded package at once plus the
-// suppression table, so suppressed sites can be discounted before any
-// budget arithmetic instead of filtered afterwards.
+// Analyzer is one protocol-invariant check, run on one package at a time.
 type Analyzer struct {
 	Name string
 	Doc  string
 	// Applies gates which module packages the analyzer runs on when
 	// driving from cmd/newtop-lint; Check itself runs every analyzer it is
 	// given (fixture tests rely on that).
-	Applies   func(importPath string) bool
-	Run       func(p *Package) []Diagnostic
-	RunModule func(pkgs []*Package, sup *Suppressor) []Diagnostic
+	Applies func(importPath string) bool
+	Run     func(p *Package) []Diagnostic
 }
 
 // internalOnly scopes an analyzer to the module's internal packages (the
@@ -92,7 +87,6 @@ func Analyzers() []*Analyzer {
 		TimerWheel(),
 		GoOrphan(),
 		ErrDrop(),
-		AllocFlow(),
 	}
 }
 
@@ -188,11 +182,11 @@ func collectDirectives(p *Package) ([]directive, []Diagnostic) {
 	return ds, diags
 }
 
-// Suppressor holds every //lint:ok directive collected from the checked
+// suppressor holds every //lint:ok directive collected from the checked
 // packages and records which of them actually suppressed something, so a
 // stale directive — one whose rule ran but matched no finding — can be
 // reported instead of rotting silently.
-type Suppressor struct {
+type suppressor struct {
 	ds []*trackedDirective
 }
 
@@ -202,23 +196,39 @@ type trackedDirective struct {
 	used    bool
 }
 
-func newSuppressor(pkgs []*Package) (*Suppressor, []Diagnostic) {
-	sup := &Suppressor{}
+// newSuppressor collects the packages' directives. One that names a rule
+// neither in the suite nor among the analyzers being run is reported
+// whatever rules are selected: a directive left behind by a deleted or
+// misspelt rule suppresses nothing, and no later run would call it stale.
+func newSuppressor(pkgs []*Package, analyzers []*Analyzer) (*suppressor, []Diagnostic) {
+	known := make(map[string]bool)
+	for _, a := range append(Analyzers(), analyzers...) {
+		known[a.Name] = true
+	}
+	sup := &suppressor{}
 	var bad []Diagnostic
 	for _, p := range pkgs {
 		ds, diags := collectDirectives(p)
 		bad = append(bad, diags...)
 		for _, d := range ds {
+			if !known[d.rule] {
+				bad = append(bad, Diagnostic{
+					Rule: "directive",
+					Pos:  token.Position{Filename: d.file, Line: d.line, Column: 1},
+					Msg:  fmt.Sprintf("//lint:ok names unknown rule %q (have %s)", d.rule, ruleNames(Analyzers())),
+				})
+				continue
+			}
 			sup.ds = append(sup.ds, &trackedDirective{directive: d, pkgPath: p.Path})
 		}
 	}
 	return sup, bad
 }
 
-// Suppressed reports whether a directive covers (rule, pos): same rule,
+// suppressed reports whether a directive covers (rule, pos): same rule,
 // same file, and either inline on the position's line or alone on the line
 // immediately above it. A match marks the directive used.
-func (s *Suppressor) Suppressed(rule string, pos token.Position) bool {
+func (s *suppressor) suppressed(rule string, pos token.Position) bool {
 	hit := false
 	for _, dir := range s.ds {
 		if dir.rule != rule || dir.file != pos.Filename {
@@ -237,7 +247,7 @@ func (s *Suppressor) Suppressed(rule string, pos token.Position) bool {
 // to the rule names executed there). A directive for a rule that was not
 // selected, or that is gated off the package, is not stale — it may be
 // doing its job on a fuller run.
-func (s *Suppressor) stale(ran map[string]map[string]bool) []Diagnostic {
+func (s *suppressor) stale(ran map[string]map[string]bool) []Diagnostic {
 	var out []Diagnostic
 	for _, dir := range s.ds {
 		if dir.used || !ran[dir.pkgPath][dir.rule] {
@@ -262,46 +272,25 @@ func Check(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 }
 
 // CheckModule is the cmd/newtop-lint entry point: Applies gating is
-// honoured, module-level analyzers run once over the whole package set,
-// and //lint:ok directives that suppressed nothing are reported.
+// honoured, and //lint:ok directives that suppressed nothing are reported.
 func CheckModule(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	return check(pkgs, analyzers, true, true)
 }
 
 func check(pkgs []*Package, analyzers []*Analyzer, gate, staleCheck bool) []Diagnostic {
-	sup, out := newSuppressor(pkgs)
+	sup, out := newSuppressor(pkgs, analyzers)
 	ran := make(map[string]map[string]bool, len(pkgs))
-	mark := func(p *Package, rule string) {
-		if ran[p.Path] == nil {
-			ran[p.Path] = make(map[string]bool)
-		}
-		ran[p.Path][rule] = true
-	}
 	for _, p := range pkgs {
+		ran[p.Path] = make(map[string]bool)
 		for _, a := range analyzers {
-			if a.Run == nil || (gate && a.Applies != nil && !a.Applies(p.Path)) {
+			if gate && a.Applies != nil && !a.Applies(p.Path) {
 				continue
 			}
-			mark(p, a.Name)
+			ran[p.Path][a.Name] = true
 			for _, d := range a.Run(p) {
-				if !sup.Suppressed(d.Rule, d.Pos) {
+				if !sup.suppressed(d.Rule, d.Pos) {
 					out = append(out, d)
 				}
-			}
-		}
-	}
-	for _, a := range analyzers {
-		if a.RunModule == nil {
-			continue
-		}
-		// A module analyzer sees every package, so its directives are
-		// checkable everywhere.
-		for _, p := range pkgs {
-			mark(p, a.Name)
-		}
-		for _, d := range a.RunModule(pkgs, sup) {
-			if !sup.Suppressed(d.Rule, d.Pos) {
-				out = append(out, d)
 			}
 		}
 	}

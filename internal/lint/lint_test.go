@@ -107,21 +107,32 @@ func TestGoOrphan(t *testing.T)   { runFixture(t, "goorphan", GoOrphan()) }
 func TestErrDrop(t *testing.T)    { runFixture(t, "errdrop", ErrDrop()) }
 
 // TestDirectiveMalformed checks that broken //lint:ok comments are
-// reported even when no analyzer runs: a directive that parses wrong
-// silently suppresses nothing, which must be loud.
+// reported even when no analyzer runs: a directive that parses wrong, or
+// names a rule the suite does not have, silently suppresses nothing, which
+// must be loud.
 func TestDirectiveMalformed(t *testing.T) {
 	ld := fixtureLoader(t)
 	pkg, err := ld.LoadDir(filepath.Join("testdata", "directive"))
 	if err != nil {
 		t.Fatalf("loading fixture: %v", err)
 	}
-	diags := Check([]*Package{pkg}, nil)
-	if len(diags) != 2 {
-		t.Fatalf("got %d diagnostics, want 2 malformed-directive findings: %v", len(diags), diags)
-	}
-	for _, d := range diags {
-		if d.Rule != "directive" || !strings.Contains(d.Msg, "malformed") {
-			t.Errorf("unexpected diagnostic: %s", d)
+	for _, check := range []func([]*Package, []*Analyzer) []Diagnostic{Check, CheckModule} {
+		diags := check([]*Package{pkg}, nil)
+		var malformed, unknown int
+		for _, d := range diags {
+			switch {
+			case d.Rule != "directive":
+				t.Errorf("unexpected diagnostic: %s", d)
+			case strings.Contains(d.Msg, "malformed"):
+				malformed++
+			case strings.Contains(d.Msg, `unknown rule "retired"`):
+				unknown++
+			default:
+				t.Errorf("unexpected diagnostic: %s", d)
+			}
+		}
+		if malformed != 2 || unknown != 1 {
+			t.Fatalf("got %d malformed and %d unknown-rule findings, want 2 and 1: %v", malformed, unknown, diags)
 		}
 	}
 }
@@ -129,8 +140,8 @@ func TestDirectiveMalformed(t *testing.T) {
 // TestAnalyzersNamed checks rule-subset selection and its error path.
 func TestAnalyzersNamed(t *testing.T) {
 	all, err := AnalyzersNamed("")
-	if err != nil || len(all) != 8 {
-		t.Fatalf("AnalyzersNamed(\"\") = %d analyzers, err %v; want 8, nil", len(all), err)
+	if err != nil || len(all) != 7 {
+		t.Fatalf("AnalyzersNamed(\"\") = %d analyzers, err %v; want 7, nil", len(all), err)
 	}
 	two, err := AnalyzersNamed("wiresym,errdrop")
 	if err != nil || len(two) != 2 {

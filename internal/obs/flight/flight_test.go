@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"newtop/internal/lint/allocs"
 )
 
 func TestRecorderRoundtrip(t *testing.T) {
@@ -111,25 +113,25 @@ func TestViewMeta(t *testing.T) {
 func TestAllocGuardRecord(t *testing.T) {
 	r := New(1024)
 	e := Event{Type: EvDeliver, Proc: 3, Group: 1, Sender: 2, View: 4, MsgSeq: 99, A: 7, B: 8}
-	allocs := testing.AllocsPerRun(2000, func() { r.Record(e) })
-	if allocs != 0 {
-		t.Fatalf("Record allocates %.1f per event, budget is 0", allocs)
+	avg := allocs.PerOp(2000, func() { r.Record(e) })
+	if avg != 0 {
+		t.Fatalf("Record allocates %.3f per event, budget is 0", avg)
 	}
 	// An invocation stage is one more such event: packing it allocates
 	// nothing either.
-	allocs = testing.AllocsPerRun(2000, func() {
+	avg = allocs.PerOp(2000, func() {
 		r.Record(Event{Type: EvStage, Proc: 3, Sender: NoSender, MsgSeq: 99, A: StageWord(StRMCollect, 3), B: 1500})
 	})
-	if allocs != 0 {
-		t.Fatalf("a stage event allocates %.1f, budget is 0", allocs)
+	if avg != 0 {
+		t.Fatalf("a stage event allocates %.3f, budget is 0", avg)
 	}
 	// A dispatch event is stamped with a time its recorder already read.
 	at := Now()
-	allocs = testing.AllocsPerRun(2000, func() {
+	avg = allocs.PerOp(2000, func() {
 		r.RecordAt(at, Event{Type: EvDispatch, Proc: 3, Group: 1, Sender: 2, View: 4, MsgSeq: 99, B: 1500})
 	})
-	if allocs != 0 {
-		t.Fatalf("RecordAt allocates %.1f per event, budget is 0", allocs)
+	if avg != 0 {
+		t.Fatalf("RecordAt allocates %.3f per event, budget is 0", avg)
 	}
 	if events, _ := r.Since(r.Cursor() - 1); len(events) != 1 || events[0].At != at {
 		t.Fatalf("RecordAt journalled %+v, want one event at %d", events, at)

@@ -230,7 +230,7 @@ func (o *ORB) Invoke(ctx context.Context, ref Ref, method string, args []byte) (
 		o.free[n-1] = nil
 		o.free = o.free[:n-1]
 	} else {
-		slot = make(chan response, 1) //lint:ok allocflow one per call outstanding at the high-water mark: every later call reuses one
+		slot = make(chan response, 1) // one per call outstanding at the high-water mark: every later call reuses one
 	}
 	o.calls[reqID] = slot
 	o.inflightHigh.SetMax(int64(len(o.calls)))
@@ -248,7 +248,7 @@ func (o *ORB) Invoke(ctx context.Context, ref Ref, method string, args []byte) (
 		if o.abandon(reqID) {
 			return nil, ErrClosed // the send lost a race with Close
 		}
-		return nil, fmt.Errorf("invoke %s: %w", ref, err) //lint:ok allocflow cold: only a failed send gets here
+		return nil, fmt.Errorf("invoke %s: %w", ref, err)
 	}
 
 	select {
@@ -297,7 +297,7 @@ func (o *ORB) InvokeOneWay(ref Ref, method string, put func(w *wire.Writer)) err
 	err := o.out.SendFrame(ref.Target, w.Bytes())
 	wire.PutWriter(w)
 	if err != nil {
-		return fmt.Errorf("invoke oneway %s: %w", ref, err) //lint:ok allocflow cold: only a failed send gets here
+		return fmt.Errorf("invoke oneway %s: %w", ref, err)
 	}
 	return nil
 }
@@ -403,7 +403,7 @@ func (o *ORB) dispatch(in transport.Inbound) {
 		if status == statusOK {
 			slot <- response{payload: rest}
 		} else {
-			slot <- response{err: &RemoteError{Msg: string(rest)}} //lint:ok allocflow cold: only a raised error gets here
+			slot <- response{err: &RemoteError{Msg: string(rest)}}
 		}
 	}
 }
@@ -438,7 +438,7 @@ func (o *ORB) serve(from ids.ProcessID, kind byte, reqID uint64, object string, 
 	var payload []byte
 	var err error
 	if h == nil {
-		err = fmt.Errorf("%w: %q", ErrNoObject, object) //lint:ok allocflow cold: only a call to an unknown object gets here
+		err = fmt.Errorf("%w: %q", ErrNoObject, object)
 	} else {
 		start := time.Now()
 		payload, err = h(method, args)
@@ -457,7 +457,7 @@ func (o *ORB) reply(to ids.ProcessID, reqID uint64, payload []byte, err error) {
 	w.Uvarint(reqID)
 	if err != nil {
 		w.Byte(statusError)
-		w.Raw([]byte(err.Error())) //lint:ok allocflow cold: only a raised error gets here
+		w.Raw([]byte(err.Error()))
 	} else {
 		w.Byte(statusOK)
 		w.Raw(payload)

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"newtop/internal/ids"
+	"newtop/internal/lint/allocs"
 	"newtop/internal/netsim"
 	"newtop/internal/obs"
 	"newtop/internal/orb"
@@ -507,10 +508,10 @@ func TestAllocGuardInlineInvoke(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		call()
 	}
-	avg := testing.AllocsPerRun(1000, call)
-	t.Logf("inline two-way call: %.1f allocs/op", avg)
-	const budget = 0 // measured 0.0
+	avg := allocs.PerOp(1000, call)
+	t.Logf("inline two-way call: %.3f allocs/op", avg)
+	const budget = 0.05 // measured 0.002
 	if avg > budget && !raceEnabled {
-		t.Fatalf("an inline two-way call allocates %.1f/op, budget %d", avg, budget)
+		t.Fatalf("an inline two-way call allocates %.3f/op, budget %.2f", avg, budget)
 	}
 }

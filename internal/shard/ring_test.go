@@ -3,6 +3,8 @@ package shard
 import (
 	"fmt"
 	"testing"
+
+	"newtop/internal/lint/allocs"
 )
 
 // shardNames returns n shard names in the fabric's canonical style
@@ -186,6 +188,21 @@ func TestEmptyRing(t *testing.T) {
 	one := r.With("solo")
 	if one.Owner("anything") != "solo" {
 		t.Fatal("single-shard ring must own every key")
+	}
+}
+
+// TestAllocGuardOwnerBytes pins the router's per-invocation lookup: a
+// byte-slice key is hashed in place and the owner found by binary search
+// over the continuum, so routing a call allocates nothing. Each key is
+// measured on its own: AllocsPerRun truncates its average, so a key
+// that allocates would hide among keys that do not.
+func TestAllocGuardOwnerBytes(t *testing.T) {
+	r := NewRing(0, 0, shardNames(16)...)
+	for _, key := range []string{"user:123456789", "tenant-0042/bucket-0007/object-000000123"} {
+		k := []byte(key)
+		if avg := allocs.PerOp(1000, func() { r.OwnerBytes(k) }); avg > 0 {
+			t.Fatalf("OwnerBytes(%q) allocates %.3f/op, budget 0", key, avg)
+		}
 	}
 }
 

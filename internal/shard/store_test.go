@@ -3,6 +3,8 @@ package shard
 import (
 	"fmt"
 	"testing"
+
+	"newtop/internal/lint/allocs"
 )
 
 func put(t *testing.T, st *Store, k, v string) {
@@ -245,7 +247,7 @@ func TestAllocGuardStorePut(t *testing.T) {
 		}
 	}
 	put()
-	if avg := testing.AllocsPerRun(1000, put); avg > 0 {
-		t.Fatalf("a put to an existing key allocates %.1f/op, budget 0", avg)
+	if avg := allocs.PerOp(1000, put); avg > 0 {
+		t.Fatalf("a put to an existing key allocates %.3f/op, budget 0", avg)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"newtop/internal/lint/allocs"
 	"newtop/internal/obs"
 	"newtop/internal/transport"
 )
@@ -66,9 +67,9 @@ func TestMuxCountsDrops(t *testing.T) {
 	}
 }
 
-// TestMuxSendAllocs pins the send-path allocation count: one allocation
-// for the protocol framing copy and nothing from the metrics layer after
-// the first contact with a peer.
+// TestMuxSendAllocs pins the send-path allocation count: the test pipe's
+// copy of the frame, and nothing from the mux or its metrics after the
+// first contact with a peer.
 func TestMuxSendAllocs(t *testing.T) {
 	a, b := newPipe("a", "b")
 	ma, mb := transport.NewMuxObs(a, obs.New()), transport.NewMuxObs(b, obs.New())
@@ -86,14 +87,14 @@ func TestMuxSendAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The pipe endpoint itself copies the payload (1 alloc) and the mux
-	// frames it (1 alloc); metrics must add zero.
-	allocs := testing.AllocsPerRun(200, func() {
+	// The test's pipe endpoint keeps a copy of each frame (1 alloc); the
+	// mux frames into a pooled writer and its metrics add nothing.
+	avg := allocs.PerOp(200, func() {
 		if err := ca.Send("b", payload); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 2 {
-		t.Fatalf("send path allocates %.1f times per op, want <= 2 (framing + pipe copy)", allocs)
+	if avg > 1.1 && !allocs.Race { // measured 1.035
+		t.Fatalf("send path allocates %.3f times per op, want <= 1.1 (the pipe's copy)", avg)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"newtop/internal/lint/allocs"
 	"newtop/internal/wire"
 )
 
@@ -116,8 +117,8 @@ func TestAllocGuardWire(t *testing.T) {
 		enc = w.Detach()
 		wire.PutWriter(w)
 	}
-	if avg := testing.AllocsPerRun(500, encode); avg > 1 {
-		t.Errorf("pooled encode allocates %.1f/op, budget 1", avg)
+	if avg := allocs.PerOp(500, encode); avg > 1 && !allocs.Race { // the race detector's sync.Pool drops writers at random
+		t.Errorf("pooled encode allocates %.3f/op, budget 1", avg)
 	}
 	decode := func() {
 		r := wire.NewReader(enc)
@@ -129,7 +130,7 @@ func TestAllocGuardWire(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if avg := testing.AllocsPerRun(500, decode); avg > 0 {
-		t.Errorf("zero-copy decode allocates %.1f/op, budget 0", avg)
+	if avg := allocs.PerOp(500, decode); avg > 0 {
+		t.Errorf("zero-copy decode allocates %.3f/op, budget 0", avg)
 	}
 }
