@@ -102,10 +102,15 @@ go test -count=50 -run 'TestJoinerNeverReexecutesWhatItsSnapshotCovers|TestSessi
 # that kept the caller's buffer instead. So does the ORB's: a read answered
 # on the receive loop, one handed back to a goroutine while the execution
 # mutex is held, and the pending-call slots that calls reuse, late replies
-# and Close racing them; and the window slots a binding's synchronous calls
-# wait on, with a caller that gives up before its answer arrives.
+# and Close racing them; and the window slots a binding's calls reuse — the
+# signal its synchronous calls wait on, with a caller that gives up before
+# its answer arrives, and the storage its closed calls gather in, with a
+# reply that comes too late. So do a binding's hooks on its callers'
+# contexts, one per context, shared by that context's calls, ended by it,
+# by Close or by the last call's end, and the pooled signals an Await parks
+# on, with a waiter that gives up as its call completes.
 echo "== dispatch handoffs under -race =="
-go test -race -count=5 -run 'DispatchPool|LateConsumer|BindingsCostNoGoroutine|InvokerConformance|RMCrashAtEveryPipelineStage|InternTable|SendCopiesPayload|MulticastCopiesPayload|LeasedReadsSpawnNoGoroutine|ReadFallsOffTheLoop|SyncCallSlot' ./internal/gcs/ ./internal/core/ ./internal/transport/
+go test -race -count=5 -run 'DispatchPool|LateConsumer|BindingsCostNoGoroutine|InvokerConformance|RMCrashAtEveryPipelineStage|InternTable|SendCopiesPayload|MulticastCopiesPayload|LeasedReadsSpawnNoGoroutine|ReadFallsOffTheLoop|SyncCallSlot|ClosedCallSlot|ContextHook|Await' ./internal/gcs/ ./internal/core/ ./internal/transport/
 go test -race -count=5 ./internal/orb/
 
 if [ "${CI_SHORT:-0}" = "1" ]; then

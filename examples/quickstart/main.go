@@ -3,9 +3,10 @@
 //
 // Three server processes form a server group ("counter"); a client binds
 // to it with an open client/server group and invokes it with each of the
-// reply modes. Everything runs inside one OS process on the in-memory
-// simulated network, but the code is identical for real deployments over
-// TCP (see examples/wan-client and cmd/newtop-node).
+// reply modes, then pipelines calls through InvokeAsync under a deadline.
+// Everything runs inside one OS process on the in-memory simulated network,
+// but the code is identical for real deployments over TCP (see
+// examples/wan-client and cmd/newtop-node).
 //
 //	go run ./examples/quickstart
 package main
@@ -14,7 +15,9 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"sync/atomic"
 	"time"
 
@@ -26,7 +29,9 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := run(ctx, os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
@@ -42,14 +47,36 @@ func timers() gcs.GroupConfig {
 	}
 }
 
-func run() error {
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
+// counterOf decodes a counter value.
+func counterOf(payload []byte) uint64 { return binary.BigEndian.Uint64(payload) }
 
+// agree checks that replies come from want replicas and report the counter
+// value n.
+func agree(what string, replies []core.Reply, want int, n uint64) error {
+	if len(replies) != want {
+		return fmt.Errorf("%s: %d replies, want %d", what, len(replies), want)
+	}
+	for _, r := range replies {
+		if r.Err != nil {
+			return fmt.Errorf("%s: %s: %w", what, r.Server, r.Err)
+		}
+		if got := counterOf(r.Payload); got != n {
+			return fmt.Errorf("%s: %s reports %d, want %d", what, r.Server, got, n)
+		}
+	}
+	return nil
+}
+
+// run builds the server group and the client on an in-memory network,
+// invokes it and prints what happened to out; it fails if any claim the
+// output makes does not hold.
+func run(ctx context.Context, out io.Writer) error {
 	net := memnet.New(netsim.New(netsim.FastProfile(), 1))
 
 	// --- three replicas form the server group ---
 	var contact ids.ProcessID
+	var counters [3]atomic.Int64
+	var servers []*core.Server
 	for i := 0; i < 3; i++ {
 		id := ids.ProcessID(fmt.Sprintf("server-%d", i))
 		ep, err := net.Endpoint(id, netsim.SiteLAN)
@@ -61,7 +88,7 @@ func run() error {
 
 		// Each replica applies invocations in the group's total order, so
 		// the counters stay identical without any extra coordination.
-		var counter atomic.Int64
+		counter := &counters[i]
 		handler := func(method string, args []byte) ([]byte, error) {
 			switch method {
 			case "increment":
@@ -77,18 +104,31 @@ func run() error {
 				return nil, fmt.Errorf("unknown method %q", method)
 			}
 		}
-		if _, err := svc.Serve(ctx, core.ServeConfig{
+		srv, err := svc.Serve(ctx, core.ServeConfig{
 			Group:   "counter",
 			Contact: contact,
 			Handler: handler,
 			GCS:     timers(),
-		}); err != nil {
+		})
+		if err != nil {
 			return err
 		}
+		servers = append(servers, srv)
 		if i == 0 {
 			contact = id
 		}
-		fmt.Printf("replica %s joined the server group\n", id)
+		fmt.Fprintf(out, "replica %s joined the server group\n", id)
+	}
+
+	// A wait-for-all call waits for the replicas its request manager
+	// knows of: let every replica learn of all three first.
+	for _, srv := range servers {
+		for len(srv.ServerRoster()) != 3 {
+			if err := ctx.Err(); err != nil {
+				return fmt.Errorf("server group formation: %w", err)
+			}
+			time.Sleep(time.Millisecond)
+		}
 	}
 
 	// --- a client binds and invokes ---
@@ -109,59 +149,81 @@ func run() error {
 		return err
 	}
 	defer binding.Close()
-	fmt.Printf("client bound; request manager is %s\n\n", binding.RequestManager())
+	fmt.Fprintf(out, "client bound; request manager is %s\n\n", binding.RequestManager())
 
-	for i := 0; i < 3; i++ {
+	for i := 1; i <= 3; i++ {
 		replies, err := binding.Call(ctx, "increment", nil, core.WithMode(core.All))
 		if err != nil {
 			return err
 		}
-		fmt.Printf("increment #%d (wait-for-all):\n", i+1)
-		for _, r := range replies {
-			fmt.Printf("  %s -> %d\n", r.Server, binary.BigEndian.Uint64(r.Payload))
+		what := fmt.Sprintf("increment #%d (wait-for-all)", i)
+		if err := agree(what, replies, 3, uint64(i)); err != nil {
+			return err
 		}
+		fmt.Fprintf(out, "%s: all 3 replicas -> %d\n", what, i)
 	}
 
 	replies, err := binding.Call(ctx, "read", nil, core.WithMode(core.Majority))
 	if err != nil {
 		return err
 	}
-	fmt.Println("\nread (wait-for-majority):")
-	for _, r := range replies {
-		fmt.Printf("  %s -> %d\n", r.Server, binary.BigEndian.Uint64(r.Payload))
+	if len(replies) < 2 {
+		return fmt.Errorf("read (wait-for-majority): %d replies, want at least 2", len(replies))
 	}
+	if err := agree("read (wait-for-majority)", replies, len(replies), 3); err != nil {
+		return err
+	}
+	fmt.Fprintf(out, "\nread (wait-for-majority): %d replicas -> 3\n", len(replies))
 
 	if _, err := binding.Call(ctx, "increment", nil, core.WithMode(core.OneWay)); err != nil {
 		return err
 	}
-	fmt.Println("\none-way increment issued (no reply expected)")
+	fmt.Fprintln(out, "\none-way increment issued (no reply expected)")
 
-	time.Sleep(100 * time.Millisecond)
+	// The read is ordered after the one-way increment, its own client's
+	// earlier call, at every replica.
 	replies, err = binding.Call(ctx, "read", nil) // wait-for-first is the default mode
 	if err != nil {
 		return err
 	}
-	fmt.Printf("\nread (wait-for-first): %s -> %d\n",
-		replies[0].Server, binary.BigEndian.Uint64(replies[0].Payload))
+	if err := agree("read (wait-for-first)", replies, 1, 4); err != nil {
+		return err
+	}
+	fmt.Fprintf(out, "read (wait-for-first): %s -> 4\n", replies[0].Server)
 
 	// --- pipelined asynchronous invocation ---
 	// InvokeAsync returns a future immediately, so a window of calls can
 	// be in flight at once instead of one blocking round trip at a time
-	// (see README "Pipelined invocation").
+	// (see README "Pipelined invocation"). The futures complete in issue
+	// order, each within the deadline of the context it was launched under.
+	pipeCtx, cancel := context.WithTimeout(ctx, 5*time.Second)
+	defer cancel()
 	calls := make([]*core.Call, 0, 3)
 	for i := 0; i < 3; i++ {
-		c, err := binding.InvokeAsync(ctx, "increment", nil, core.WithMode(core.All))
+		c, err := binding.InvokeAsync(pipeCtx, "increment", nil, core.WithMode(core.All))
 		if err != nil {
 			return err
 		}
 		calls = append(calls, c)
 	}
-	for _, c := range calls {
-		if _, err := c.Await(ctx); err != nil {
+	for i, c := range calls {
+		replies, err := c.Await(pipeCtx)
+		if err != nil {
+			return err
+		}
+		if err := agree(fmt.Sprintf("pipelined increment #%d", i+1), replies, 3, uint64(5+i)); err != nil {
 			return err
 		}
 	}
-	fmt.Println("\npipelined 3 increments through one outstanding-call window")
-	fmt.Println("\nall three replicas hold the same counter: total-order delivery at work")
+	fmt.Fprintln(out, "\npipelined 3 increments through one outstanding-call window: all 3 replicas -> 5, 6, 7")
+
+	// Every replica has answered the last wait-for-all call, so each has
+	// applied everything before it.
+	for i := range counters {
+		if n := counters[i].Load(); n != 7 {
+			return fmt.Errorf("replica server-%d holds %d, want 7", i, n)
+		}
+	}
+	fmt.Fprintln(out, "\nall three replicas hold the same counter, 7: total-order delivery at work")
 	return nil
 }

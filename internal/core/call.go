@@ -47,13 +47,21 @@ type Call struct {
 	// claimed is set, under the engine's mu, by the first reply set to
 	// reach the call: only that one decodes into inline.
 	claimed bool
-	// stop releases what the future holds outside the table: the hook on
-	// the launching context, or a Proxy's retry loop.
+	// hooked says the call was launched detached under a cancellable
+	// context. While the context's hook (ctxHook) holds the call, hook
+	// names it and prev/next link the hook's calls; all three change under
+	// the engine's mu.
+	hooked     bool
+	hook       *ctxHook
+	prev, next *Call
+	// stop ends a Proxy's retry loop.
 	stop func() bool
 
 	mu sync.Mutex
-	// done is made by the first Done or Await, and closed by finish.
+	// done is made by the first Done, and closed by finish. wake is the
+	// pooled signal an Await is parked on, which finish takes and sends.
 	done     chan struct{}
+	wake     chan struct{}
 	finished bool
 	replies  []Reply
 	err      error
@@ -86,7 +94,8 @@ func (c *Call) finish(replies []Reply, err error) {
 	}
 	c.finished = true
 	c.replies, c.err = replies, err
-	done := c.done
+	done, wake := c.done, c.wake
+	c.wake = nil
 	c.mu.Unlock()
 	if c.eng != nil {
 		c.eng.retire(c, err)
@@ -96,6 +105,9 @@ func (c *Call) finish(replies []Reply, err error) {
 	}
 	if done != nil {
 		close(done)
+	}
+	if wake != nil {
+		wake <- struct{}{}
 	}
 	if c.sync {
 		c.slot.sig <- struct{}{}
@@ -137,13 +149,48 @@ func (c *Call) Cancel() { c.finish(nil, context.Canceled) }
 
 // Await blocks until the call completes or ctx expires.
 func (c *Call) Await(ctx context.Context) ([]Reply, error) {
+	c.mu.Lock()
+	if c.finished {
+		defer c.mu.Unlock()
+		return c.replies, c.err
+	}
+	if c.wake != nil {
+		// Another Await is parked on the signal: wait on Done instead.
+		c.mu.Unlock()
+		select {
+		case <-c.Done():
+			return c.Replies()
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
+	sig := signals.Get().(chan struct{})
+	c.wake = sig
+	c.mu.Unlock()
 	select {
-	case <-c.Done():
+	case <-sig:
+		signals.Put(sig)
 		return c.Replies()
 	case <-ctx.Done():
-		return nil, ctx.Err()
 	}
+	c.mu.Lock()
+	taken := c.wake != sig
+	if !taken {
+		c.wake = nil
+	}
+	c.mu.Unlock()
+	if taken {
+		// finish took the signal and sends it: drain it, or the pool would
+		// hand it to the next waiter already sent.
+		<-sig
+	}
+	signals.Put(sig)
+	return nil, ctx.Err()
 }
+
+// signals pools the one-shot signals Await parks on (Call.wake), each
+// buffered for finish's one send.
+var signals = sync.Pool{New: func() any { return make(chan struct{}, 1) }}
 
 // Replies returns the call's result: the gathered replies after
 // completion, or (nil, nil) while still in flight. Use Done or Await to

@@ -29,7 +29,9 @@ import (
 // its finish, which runs retire, the one epilogue. Nothing parks a
 // goroutine per call, and none runs per attachment: answers complete calls
 // on the ORB's receive loop, and group-to-group reply sets on the dispatch
-// worker that delivers them to the engine's handler (onEvent).
+// worker that delivers them to the engine's handler (onEvent). Nor is
+// anything registered per call: the detached calls launched under one
+// context share one hook on its end (ctxHook).
 type engine struct {
 	svc         *Service
 	group       *gcs.Group // the client/server group, or the client monitor group
@@ -97,6 +99,13 @@ type engine struct {
 	readIdx    int
 	readPickAt time.Time
 
+	// hooks are the live hooks on the ends of the contexts detached calls
+	// were launched under, one per context (see ctxHook); last is that of
+	// the most recent such launch, and spare holds hooks to reuse.
+	hooks []*ctxHook
+	last  *ctxHook
+	spare []*ctxHook
+
 	// window holds the free slots of the outstanding-call window, capacity
 	// BindConfig.Window: a call takes one at launch and holds it until it
 	// is out of the table (see Call.slot).
@@ -150,9 +159,13 @@ func (s *Service) newEngine(group *gcs.Group, cfg BindConfig, style Style, rm id
 // signal a synchronous call holding the slot waits on (engine.wait), made
 // by the first such call; the call's finish sends it once, and its caller
 // takes it before the slot goes back, so a completion can never wake a
-// later call.
+// later call. replies is the storage a closed call holding the slot gathers
+// its direct replies in, made by the first such call: retire ends the
+// collection (collector.drop) before the slot goes back, so a late reply
+// never reaches the next call's.
 type winSlot struct {
-	sig chan struct{}
+	sig     chan struct{}
+	replies []invReply
 }
 
 // newWindow builds a window of n free slots.
@@ -259,6 +272,14 @@ func (e *engine) breakLocked() (doomed map[ids.CallID]*Call) {
 			e.svc.release(u.number)
 		}
 		e.unsure = nil
+		// No call is launched any more: the most recent context's hook
+		// goes now, or with its last call, as every other hook does.
+		if h := e.last; h != nil {
+			e.last = nil
+			if h.calls == nil {
+				e.dropHookLocked(h)
+			}
+		}
 	}
 	return doomed
 }
@@ -385,7 +406,7 @@ func (e *engine) onView(v *gcs.View) {
 	}
 	e.mu.Unlock()
 	for _, c := range settled {
-		e.deliver(c, appendReplies(c.inline[:0], c.gather.replies), "")
+		e.deliverGathered(c)
 	}
 	failAll(doomed)
 }
@@ -417,7 +438,24 @@ func (e *engine) onDirectReply(rep invReply) {
 	c, servers := e.calls[rep.Call], e.live
 	e.mu.Unlock()
 	if c != nil && c.gather.add(rep, servers) {
-		e.deliver(c, appendReplies(c.inline[:0], c.gather.replies), "")
+		e.deliverGathered(c)
+	}
+}
+
+// deliverGathered completes a closed call whose collector has settled with
+// the replies it gathered, converted into the call's own storage under the
+// collector's lock — unless the call was retired meanwhile, and the slot's
+// storage may serve another call already.
+func (e *engine) deliverGathered(c *Call) {
+	c.gather.mu.Lock()
+	live := c.gather.call == c.id
+	var replies []Reply
+	if live {
+		replies = appendReplies(c.inline[:0], c.gather.replies)
+	}
+	c.gather.mu.Unlock()
+	if live {
+		e.deliver(c, replies, "")
 	}
 }
 
@@ -544,8 +582,10 @@ func (e *engine) launch(ctx context.Context, method string, args []byte, o callO
 		}
 	}
 	if e.style == Closed {
-		c.gather.mode, c.gather.call = o.mode, c.id
-		c.gather.replies = make([]invReply, 0, len(e.servers))
+		if slot.replies == nil {
+			slot.replies = make([]invReply, 0, len(e.servers)) // one per window slot, by the first closed call to hold it
+		}
+		c.gather.mode, c.gather.call, c.gather.replies = o.mode, c.id, slot.replies[:0]
 	}
 	e.mu.Lock()
 	err := e.stateLocked()
@@ -560,9 +600,8 @@ func (e *engine) launch(ctx context.Context, method string, args []byte, o callO
 			c.claimed = isEarly
 		}
 		if detached && ctx.Done() != nil {
-			// Set under e.mu, which every completion takes (the table
-			// lookup, retire) before it reads c.stop.
-			c.stop = context.AfterFunc(ctx, func() { c.finish(nil, ctx.Err()) })
+			c.hooked = true
+			e.hookLocked(c, ctx)
 		}
 	}
 	e.mu.Unlock()
@@ -608,7 +647,7 @@ func (e *engine) launch(ctx context.Context, method string, args []byte, o callO
 		e.deliver(c, early.Replies, early.Err)
 	case c.mode == OneWay:
 		c.finish(nil, nil)
-	case c.stop != nil && e.asyncFwd && c.mode == First && c.ended():
+	case c.hooked && e.asyncFwd && c.mode == First && c.ended():
 		e.sentLate(c.id.Number)
 	}
 	return c, nil
@@ -624,6 +663,138 @@ func (e *engine) sentLate(number uint64) {
 		if e.unsure[i].number == number {
 			e.unsure[i].after = e.launched
 		}
+	}
+}
+
+// ctxHook finishes, with its context's error, the detached calls still
+// outstanding under a caller's context when that context ends. An engine
+// registers one context.AfterFunc per context, not one per call; contexts
+// that share a Done channel (a value context and its parent) end together
+// and share a hook. The hook lists its calls (Call.prev/next). When the last
+// of them is over it is stopped, unless it is the engine's most recent
+// (engine.last), kept for the calls its context launches next, so that a
+// long-lived context costs one hook for the attachment's life; once the
+// attachment breaks, no hook is the most recent, and its failed calls take
+// the hooks with them. A stopped hook is reused with its fire func.
+type ctxHook struct {
+	ctx   context.Context
+	done  <-chan struct{}
+	stop  func() bool
+	fire  func() // runs ctxEnded for this hook
+	calls *Call
+	live  bool // among engine.hooks, and so holding its calls
+}
+
+// hookLocked files c with the hook on ctx's end, registering one if ctx has
+// none, and makes that hook the engine's most recent; the previous most
+// recent is stopped if it holds no call.
+func (e *engine) hookLocked(c *Call, ctx context.Context) {
+	done := ctx.Done()
+	h := e.last
+	if h == nil || h.done != done {
+		h = nil
+		for _, o := range e.hooks {
+			if o.done == done {
+				h = o
+				break
+			}
+		}
+		if h == nil {
+			h = e.newHookLocked(ctx, done)
+		}
+		if old := e.last; old != nil && old.calls == nil {
+			e.dropHookLocked(old)
+		}
+		e.last = h
+	}
+	c.hook, c.next = h, h.calls
+	if h.calls != nil {
+		h.calls.prev = c
+	}
+	h.calls = c
+}
+
+// newHookLocked registers a hook on the end of ctx, whose Done is done.
+func (e *engine) newHookLocked(ctx context.Context, done <-chan struct{}) *ctxHook {
+	var h *ctxHook
+	if n := len(e.spare); n > 0 {
+		h, e.spare = e.spare[n-1], e.spare[:n-1]
+	} else {
+		h = new(ctxHook)
+		h.fire = func() { e.ctxEnded(h) }
+	}
+	h.ctx, h.done, h.live = ctx, done, true
+	h.stop = context.AfterFunc(ctx, h.fire)
+	e.hooks = append(e.hooks, h)
+	return h
+}
+
+// unhookLocked takes a call that is over off its hook, and stops the hook
+// if that was its last call and it is not the engine's most recent.
+func (e *engine) unhookLocked(c *Call) {
+	h := c.hook
+	if c.prev != nil {
+		c.prev.next = c.next
+	} else {
+		h.calls = c.next
+	}
+	if c.next != nil {
+		c.next.prev = c.prev
+	}
+	c.hook, c.prev, c.next = nil, nil, nil
+	if h.calls == nil && h != e.last {
+		e.dropHookLocked(h)
+	}
+}
+
+// dropHookLocked takes h, which holds no call, out of the engine's hooks
+// and stops it. A hook that has fired all the same is ctxEnded's to reclaim.
+func (e *engine) dropHookLocked(h *ctxHook) {
+	e.removeHookLocked(h)
+	if h.stop() {
+		e.spareLocked(h)
+	}
+}
+
+// removeHookLocked takes h out of the engine's hooks.
+func (e *engine) removeHookLocked(h *ctxHook) {
+	i, n := slices.Index(e.hooks, h), len(e.hooks)-1
+	e.hooks[i], e.hooks[n] = e.hooks[n], nil
+	e.hooks = e.hooks[:n]
+	h.live = false
+	if e.last == h {
+		e.last = nil
+	}
+}
+
+// spareLocked keeps a hook that will not fire again for reuse.
+func (e *engine) spareLocked(h *ctxHook) {
+	h.ctx, h.done, h.stop = nil, nil, nil
+	e.spare = append(e.spare, h)
+}
+
+// ctxEnded is a hook firing: its context has ended, and the calls it holds
+// finish with the context's error. A hook stopped too late to keep it from
+// firing holds nothing, and is only reclaimed.
+func (e *engine) ctxEnded(h *ctxHook) {
+	e.mu.Lock()
+	var ended []*Call
+	var err error
+	if h.live {
+		err = h.ctx.Err()
+		for c := h.calls; c != nil; {
+			next := c.next
+			ended = append(ended, c)
+			c.hook, c.prev, c.next = nil, nil, nil
+			c = next
+		}
+		h.calls = nil
+		e.removeHookLocked(h)
+	}
+	e.spareLocked(h)
+	e.mu.Unlock()
+	for _, c := range ended {
+		c.finish(nil, err)
 	}
 }
 
@@ -660,13 +831,20 @@ func appendReplies(dst []Reply, reps []invReply) []Reply {
 }
 
 // retire is the epilogue of every call that was admitted, run once by the
-// finish that completes it: out of the table — unless a retry under the same
-// call identifier has taken the entry since — then the group's attention,
-// the slot (a synchronous call's caller returns its own) and the records.
+// finish that completes it: the end of a closed call's collection, out of
+// the table — unless a retry under the same call identifier has taken the
+// entry since — and its context's hook, then the group's attention, the
+// slot (a synchronous call's caller returns its own) and the records.
 func (e *engine) retire(c *Call, err error) {
+	if e.style == Closed {
+		c.gather.drop()
+	}
 	e.mu.Lock()
 	if e.calls[c.id] == c {
 		delete(e.calls, c.id)
+	}
+	if c.hook != nil {
+		e.unhookLocked(c)
 	}
 	release := c.owned
 	if release && !c.claimed && e.asyncFwd && c.mode == First && !e.broken {

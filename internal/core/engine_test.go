@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -166,19 +167,20 @@ func TestEngineRetainsReplySetThatOvertakesTheLaunch(t *testing.T) {
 
 // TestAllocGuardInvoke budgets the client's half of an invocation, launch
 // to completion, against stub peers (run by ci.sh's AllocGuard stage): an open
-// wait-for-first call launched as InvokeAsync launches it, answered by one
-// reply set through the ORB sink and awaited (its Done asked for before the
-// answer, as a pipelining client's reaper does); the same call through Call,
-// answered when the group delivers its request; and a closed wait-for-all
-// call as InvokeAsync runs it under a cancellable context, answered by three
-// direct replies through the ORB sink. The call identifier is pinned so the
-// peers' frames are built once; what is counted is the engine's own: the
-// future (its replies inline), the done channel of the awaited future, the
-// request's encoding and multicast, the answer's decoding (its identifiers
-// interned, its replies straight into the call) or the reply conversion
-// and, for the detached closed call, the hook on its context and its gather
-// buffer (it is never awaited, so it makes no done channel). A synchronous
-// call waits on its window slot, which costs nothing.
+// wait-for-first call launched by InvokeAsync under a cancellable context,
+// as a pipelining client launches it, and awaited while it is in flight,
+// answered by one reply set through the ORB sink once its Await is parked;
+// the same call through Call, answered when the group delivers its request;
+// and a closed wait-for-all call as InvokeAsync runs it under a cancellable
+// context, answered by three direct replies through the ORB sink. The call
+// identifier is pinned so the peers' frames are built once; what is counted
+// is the engine's own: the future (its replies inline), the request's
+// encoding and multicast, the answer's decoding (its identifiers interned,
+// its replies straight into the call) or the reply conversion. The hook on
+// the launching context is the binding's one for that context, made by the
+// warm-up; an Await parks on a pooled signal, a synchronous call on its
+// window slot's, and a closed call gathers into its window slot's storage,
+// none of which costs a call anything.
 // The two stage records (EvCallStart, the client.invoke stage event)
 // allocate nothing.
 //
@@ -191,7 +193,9 @@ func TestEngineRetainsReplySetThatOvertakesTheLaunch(t *testing.T) {
 // frame each detached from their pooled writers, 5.0 and 10.0; with
 // InvokeAsync's options folded through a pointer, 3.0 and 8.0;
 // with the replies in a slice of their own and a done channel made for
-// every future, 3.0 (also through Call) and 7.0.
+// every future, 3.0 (also through Call) and 7.0; with a context.AfterFunc
+// per detached call, a done channel per awaited future and a gather slice
+// per closed call, 5.0 (awaited) and 5.0.
 func TestAllocGuardInvoke(t *testing.T) {
 	payload := make([]byte, 100)
 	args := []byte("k=v")
@@ -213,15 +217,24 @@ func TestAllocGuardInvoke(t *testing.T) {
 		e := soloEngine(t, Open, "s00")
 		set := &invReplySet{Call: id, Replies: []invReply{{Call: id, Server: "s00", Payload: payload}}}
 		frame := encodeReplyMsg(replyMsg{To: toOpen, Group: []byte(e.group.ID()), Set: set})
-		o := resolveCallOpts([]CallOption{WithMode(First), WithCallID(id)})
-		check(t, "open First, awaited", 2.1, func() { // measured 2.038–2.050: the future and its done channel, and the arenas' chunk refills
-			c, err := e.launch(context.Background(), "put", args, o, true)
+		opts := []CallOption{WithMode(First), WithCallID(id)}
+		// The answerer routes the reply set once the call's Await is parked.
+		inFlight := make(chan *Call)
+		defer close(inFlight)
+		go func() {
+			for c := range inFlight {
+				for !parked(c) {
+					runtime.Gosched()
+				}
+				e.svc.routeReply(frame)
+			}
+		}()
+		check(t, "open First, awaited", 1.1, func() { // measured 1.042: the future alone, and the arenas' chunk refills
+			c, err := e.InvokeAsync(ctx, "put", args, opts...)
 			if err != nil {
 				t.Fatal(err)
 			}
-			done := c.Done()
-			e.svc.routeReply(frame)
-			<-done
+			inFlight <- c
 			if replies, err := c.Await(ctx); err != nil || len(replies) != 1 {
 				t.Fatalf("%d replies, err %v", len(replies), err)
 			}
@@ -231,6 +244,7 @@ func TestAllocGuardInvoke(t *testing.T) {
 				e.svc.routeReply(frame)
 			}
 		})
+		o := resolveCallOpts(opts)
 		check(t, "open First, Call", 1.1, func() { // measured 1.036: the future alone, and the arenas' chunk refills
 			if replies, err := e.call(ctx, "put", args, o); err != nil || len(replies) != 1 {
 				t.Fatalf("%d replies, err %v", len(replies), err)
@@ -244,7 +258,7 @@ func TestAllocGuardInvoke(t *testing.T) {
 			frames = append(frames, encodeReplyMsg(replyMsg{To: toClosed, Group: []byte(e.group.ID()), Reply: invReply{Call: id, Server: s, Payload: payload}}))
 		}
 		opts := []CallOption{WithMode(All), WithCallID(id)}
-		check(t, "closed All", 5.1, func() { // measured 5.040–5.060, the arenas' chunk refills included
+		check(t, "closed All", 1.1, func() { // measured 1.042, the arenas' chunk refills included
 			c, err := e.InvokeAsync(ctx, "put", args, opts...)
 			if err != nil {
 				t.Fatal(err)
@@ -257,6 +271,53 @@ func TestAllocGuardInvoke(t *testing.T) {
 			}
 		})
 	})
+}
+
+// A closed call gathers its direct replies in its window slot's storage,
+// which the next call on the slot reuses. A reply to a call that is over —
+// one the reply fan-in looked up before the call ended — must reach
+// nothing, or it would land in the next call's replies. With a window of
+// one, both calls here take the same slot.
+func TestClosedCallSlotTakesNoLateReply(t *testing.T) {
+	e := soloEngine(t, Closed, "s00", "s01", "s02")
+	e.window = newWindow(1)
+	reply := func(c *Call, s ids.ProcessID) invReply {
+		return invReply{Call: c.ID(), Server: s, Payload: []byte(fmt.Sprint(c.ID().Number))}
+	}
+	first, err := e.InvokeAsync(context.Background(), "put", nil, WithMode(All))
+	if err != nil {
+		t.Fatal(err)
+	}
+	first.Cancel()
+	second, err := e.InvokeAsync(context.Background(), "put", nil, WithMode(All))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.onDirectReply(reply(second, "s02"))
+	if first.gather.add(reply(first, "s00"), 3) {
+		t.Fatal("a reply to the cancelled call completed its collection")
+	}
+	e.onDirectReply(reply(second, "s00"))
+	e.onDirectReply(reply(second, "s01"))
+	if !second.ended() {
+		t.Fatal("the second call's three replies did not complete it")
+	}
+	replies, err := second.Replies()
+	if err != nil || len(replies) != 3 {
+		t.Fatalf("second call: %d replies, err %v; want 3", len(replies), err)
+	}
+	for _, r := range replies {
+		if string(r.Payload) != fmt.Sprint(second.ID().Number) {
+			t.Fatalf("second call got %s's reply %q", r.Server, r.Payload)
+		}
+	}
+}
+
+// parked reports whether an Await is parked on c's signal.
+func parked(c *Call) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.wake != nil
 }
 
 // A synchronous call waits on a signal of the window slot it holds, and the

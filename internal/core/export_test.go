@@ -72,3 +72,11 @@ func (s *Service) DebugRetained(group ids.GroupID, client ids.ProcessID) (floor 
 	l.win.Each(func(uint64, *retained) { held++ })
 	return l.win.Floor() + 1, held
 }
+
+// hookCounts returns how many hooks on caller contexts the engine holds
+// live, and how many it keeps to reuse.
+func (e *engine) hookCounts() (live, spare int) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return len(e.hooks), len(e.spare)
+}

@@ -1037,5 +1037,15 @@ func (c *collector) settle(call ids.CallID, servers int, force bool) bool {
 	return true
 }
 
+// drop ends the collection for good, settled or not: nothing reaches it
+// any more, and it lets go of the storage it gathered in, which is its
+// call's window slot's (a closed call's collector at the client).
+func (c *collector) drop() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	clear(c.replies)
+	c.call, c.replies, c.settled = ids.CallID{}, nil, true
+}
+
 // DebugGroup exposes the server group for white-box diagnostics.
 func (srv *Server) DebugGroup() *gcs.Group { return srv.group }

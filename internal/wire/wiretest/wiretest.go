@@ -127,6 +127,15 @@ func collectZero(v reflect.Value, path string, skip map[string]bool, out *[]stri
 	}
 }
 
+// Equal reports whether two values of the same type agree in every
+// exported field, at any depth: the comparison for envelopes whose
+// unexported fields are the receiver's own and never cross the wire.
+func Equal(want, got any) bool {
+	var lines []string
+	diffValue(reflect.ValueOf(want), reflect.ValueOf(got), "", &lines)
+	return len(lines) == 0
+}
+
 // Diff renders the first differing field paths between two filled values
 // of the same type, for readable round-trip failures.
 func Diff(want, got any) string {
@@ -164,6 +173,16 @@ func diffValue(w, g reflect.Value, path string, out *[]string) {
 				fp = path + "." + fp
 			}
 			diffValue(w.Field(i), g.Field(i), fp, out)
+		}
+		return
+	}
+	if w.Kind() == reflect.Slice && w.Type().Elem().Kind() != reflect.Uint8 {
+		if w.Len() != g.Len() {
+			*out = append(*out, fmt.Sprintf("%s: encoded %d elements, decoded %d", path, w.Len(), g.Len()))
+			return
+		}
+		for i := 0; i < w.Len(); i++ {
+			diffValue(w.Index(i), g.Index(i), fmt.Sprintf("%s[%d]", path, i), out)
 		}
 		return
 	}
