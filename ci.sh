@@ -108,9 +108,11 @@ go test -count=50 -run 'TestJoinerNeverReexecutesWhatItsSnapshotCovers|TestSessi
 # reply that comes too late. So do a binding's hooks on its callers'
 # contexts, one per context, shared by that context's calls, ended by it,
 # by Close or by the last call's end, and the pooled signals an Await parks
-# on, with a waiter that gives up as its call completes.
+# on, with a waiter that gives up as its call completes. So does the flight
+# journal every stage above records into: more writers than Ps, each on its
+# P's segment, against a reader merging the segments.
 echo "== dispatch handoffs under -race =="
-go test -race -count=5 -run 'DispatchPool|LateConsumer|BindingsCostNoGoroutine|InvokerConformance|RMCrashAtEveryPipelineStage|InternTable|SendCopiesPayload|MulticastCopiesPayload|LeasedReadsSpawnNoGoroutine|ReadFallsOffTheLoop|SyncCallSlot|ClosedCallSlot|ContextHook|Await' ./internal/gcs/ ./internal/core/ ./internal/transport/
+go test -race -count=5 -run 'DispatchPool|LateConsumer|BindingsCostNoGoroutine|InvokerConformance|RMCrashAtEveryPipelineStage|InternTable|SendCopiesPayload|MulticastCopiesPayload|LeasedReadsSpawnNoGoroutine|ReadFallsOffTheLoop|SyncCallSlot|ClosedCallSlot|ContextHook|Await|RecordConcurrent' ./internal/gcs/ ./internal/core/ ./internal/transport/ ./internal/obs/flight/
 go test -race -count=5 ./internal/orb/
 
 if [ "${CI_SHORT:-0}" = "1" ]; then

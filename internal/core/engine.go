@@ -615,7 +615,8 @@ func (e *engine) launch(ctx context.Context, method string, args []byte, o callO
 	}
 	e.svc.metrics.asyncCalls.Inc()
 	e.svc.metrics.asyncInflightHigh.SetMax(int64(cap(e.window) - len(e.window)))
-	e.svc.frRecord(flight.EvCallStart, uint64(c.trace), uint64(c.mode), 0)
+	e.svc.fr.RecordAt(flight.Stamp(c.start), flight.Event{Type: flight.EvCallStart, Proc: e.svc.frProc,
+		Sender: flight.NoSender, MsgSeq: uint64(c.trace), A: uint64(c.mode)})
 
 	w := wire.GetWriter()
 	putRequest(w, &invRequest{
@@ -874,7 +875,7 @@ func (e *engine) retire(c *Call, err error) {
 	}
 	d := time.Since(c.start)
 	e.svc.metrics.invokeHist(c.mode).Observe(d)
-	e.svc.span(uint64(c.trace), flight.StClientInvoke, detail, d)
+	e.svc.span(uint64(c.trace), flight.StClientInvoke, detail, c.start, d)
 }
 
 // Read serves one read-only invocation outside the ordering layer (Invoker
@@ -915,7 +916,7 @@ func (e *engine) read(ctx context.Context, method string, args []byte, o callOpt
 	if err != nil && !final && cons == Leased {
 		payload, _, err = e.readOnce(ctx, Linearizable, method, args, min, 0, uint64(o.trace))
 	}
-	e.svc.span(uint64(o.trace), flight.StClientRead, uint64(cons), time.Since(start))
+	e.svc.span(uint64(o.trace), flight.StClientRead, uint64(cons), start, time.Since(start))
 	return payload, err
 }
 

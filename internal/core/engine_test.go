@@ -65,8 +65,8 @@ func soloService(t *testing.T, net *memnet.Net, id ids.ProcessID) *Service {
 func TestSpanDropsZeroTrace(t *testing.T) {
 	svc := soloService(t, memnet.New(netsim.New(netsim.FastProfile(), 1)), "z00")
 	cursor := svc.fr.Cursor()
-	svc.span(0, flight.StReplicaExecute, 0, time.Millisecond)
-	svc.span(9, flight.StReplicaExecute, 0, time.Millisecond)
+	svc.span(0, flight.StReplicaExecute, 0, time.Now(), time.Millisecond)
+	svc.span(9, flight.StReplicaExecute, 0, time.Now(), time.Millisecond)
 	events, _ := svc.fr.Since(cursor)
 	var traces []uint64
 	for _, ev := range events {

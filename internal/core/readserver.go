@@ -91,7 +91,7 @@ func (srv *Server) readServed(req *readRequest, rep *readReply, start time.Time)
 	case readOK:
 		d := time.Since(start)
 		srv.svc.metrics.readLatency.Observe(d)
-		srv.svc.span(req.Trace, flight.StReplicaRead, uint64(req.Consistency), d)
+		srv.svc.span(req.Trace, flight.StReplicaRead, uint64(req.Consistency), start, d)
 	case readErrDisabled: // not a refusal: the group has no read path to refuse from
 	default:
 		srv.svc.metrics.readRefused.Inc()

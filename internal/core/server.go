@@ -480,7 +480,7 @@ func (srv *Server) executeLocked(req *invRequest, stamp vclock.Stamp, ordered, c
 	}
 	srv.mu.Unlock()
 	srv.svc.metrics.execLatency.Observe(d)
-	srv.svc.span(req.Trace, flight.StReplicaExecute, 0, d)
+	srv.svc.span(req.Trace, flight.StReplicaExecute, 0, start, d)
 	return rep, true
 }
 
@@ -772,9 +772,10 @@ func (srv *Server) serveAsRM(b *gcs.Group, bind *bindRequest, req *invRequest) {
 		return
 	}
 	e.dup = bind.Monitor
-	srv.svc.span(req.Trace, flight.StRMReceive, uint64(req.Mode), 0)
+	now := time.Now()
+	srv.svc.span(req.Trace, flight.StRMReceive, uint64(req.Mode), now, 0)
 	if pol == rmCollect {
-		srv.openLocked(e, b, client, req)
+		srv.openLocked(e, b, client, req, now)
 	}
 	srv.mu.Unlock()
 
@@ -797,7 +798,7 @@ func (srv *Server) serveAsRM(b *gcs.Group, bind *bindRequest, req *invRequest) {
 		e, stale := srv.entryLocked(req.Call, req.Floor)
 		open := !srv.closed && !stale && e.coll == nil
 		if open {
-			srv.openLocked(e, b, client, req)
+			srv.openLocked(e, b, client, req, time.Now())
 		}
 		srv.mu.Unlock()
 		if !open { // closed, or a concurrent copy of the call is gathering it
@@ -814,10 +815,10 @@ func (srv *Server) serveAsRM(b *gcs.Group, bind *bindRequest, req *invRequest) {
 }
 
 // openLocked opens the collection that gathers a call's replies into its
-// entry e (mu held).
-func (srv *Server) openLocked(e *retained, b *gcs.Group, client ids.ProcessID, req *invRequest) {
+// entry e (mu held), received at now.
+func (srv *Server) openLocked(e *retained, b *gcs.Group, client ids.ProcessID, req *invRequest, now time.Time) {
 	c := srv.newCollectionLocked(req.Call, req.Mode)
-	c.trace, c.b, c.client, c.start = req.Trace, b, client, time.Now()
+	c.trace, c.b, c.client, c.start = req.Trace, b, client, now
 	if need := c.mode.need(len(srv.roster)); need > len(c.inline) {
 		c.replies = make([]invReply, 0, need)
 	}
@@ -878,7 +879,7 @@ func (srv *Server) relay(req *invRequest, primary bool) bool {
 		return false
 	}
 	srv.svc.metrics.rmRelays.Inc()
-	srv.svc.span(req.Trace, flight.StRMForward, 0, time.Since(start))
+	srv.svc.span(req.Trace, flight.StRMForward, 0, start, time.Since(start))
 	return true
 }
 
@@ -916,7 +917,7 @@ const inlineReplies = 3
 
 // conclude answers a settled collection with the replies it gathered.
 func (srv *Server) conclude(c *collection) {
-	srv.svc.span(c.trace, flight.StRMCollect, uint64(len(c.replies)), time.Since(c.start))
+	srv.svc.span(c.trace, flight.StRMCollect, uint64(len(c.replies)), c.start, time.Since(c.start))
 	c.set.Call, c.set.Replies = c.call, c.replies
 	if len(c.replies) == 0 {
 		c.set.Err = "request manager: no replies before deadline"
@@ -956,7 +957,7 @@ func (srv *Server) answer(b *gcs.Group, client ids.ProcessID, set *invReplySet, 
 	} else {
 		srv.multicastSet(b, set)
 	}
-	srv.svc.span(trace, flight.StRMReply, 0, time.Since(start))
+	srv.svc.span(trace, flight.StRMReply, 0, start, time.Since(start))
 }
 
 // multicastSet multicasts a reply set in a client monitor group. It runs on

@@ -117,17 +117,15 @@ func (s *Service) StatsTotal() gcs.Stats {
 // Obs returns the service's observability domain (registry + journal).
 func (s *Service) Obs() *obs.Obs { return s.obs }
 
-// frRecord journals an invocation-layer event under its call's trace ID.
-func (s *Service) frRecord(t flight.Type, trace, a, b uint64) {
-	s.fr.Record(flight.Event{Type: t, Proc: s.frProc, Sender: flight.NoSender, MsgSeq: trace, A: a, B: b})
-}
-
-// span journals one stage this process ran in an invocation's trace, ended
-// just now after d. Each process journals its own stages; the call's tree is
-// the merge of the journals (flight.Traces).
-func (s *Service) span(trace uint64, stage flight.CallStage, detail uint64, d time.Duration) {
+// span journals one stage this process ran in an invocation's trace: begun
+// at start, a clock reading, and run for d. The event is stamped at the
+// stage's end, start+d, so the clock read that timed the stage also stamps
+// it. Each process journals its own stages; the call's tree is the merge of
+// the journals (flight.Traces).
+func (s *Service) span(trace uint64, stage flight.CallStage, detail uint64, start time.Time, d time.Duration) {
 	if trace != 0 {
-		s.frRecord(flight.EvStage, trace, flight.StageWord(stage, detail), uint64(d))
+		s.fr.RecordAt(flight.Stamp(start)+int64(d), flight.Event{Type: flight.EvStage, Proc: s.frProc,
+			Sender: flight.NoSender, MsgSeq: trace, A: flight.StageWord(stage, detail), B: uint64(d)})
 	}
 }
 

@@ -267,6 +267,7 @@ func (g *Group) drainDispatch() {
 
 	if kick {
 		g.mu.Lock()
+		g.readClockLocked()
 		g.tryDeliverLocked()
 		g.publishFrontierLocked()
 		g.mu.Unlock()

@@ -124,13 +124,13 @@ func (g *Group) maybeStartFlushLocked() {
 		members:   target,
 		prop:      prop,
 		acks:      make(map[ids.ProcessID]*flushAckMsg, len(target)),
-		startedAt: time.Now(), //lint:ok detclock observability: view-change latency timer, no ordering decision
+		startedAt: g.clk.t,
 	}
 	g.fl.sentAt = g.fl.startedAt
 	g.state = stateFlushing
 	g.curProposal = prop
 	g.proposalAt = g.fl.startedAt
-	g.fr.Record(flight.Event{Type: flight.EvFlushPropose, Proc: g.frProc, Group: g.frGroup,
+	g.fr.RecordAt(g.clk.at, flight.Event{Type: flight.EvFlushPropose, Proc: g.frProc, Group: g.frGroup,
 		Sender: flight.NoSender, View: uint32(newSeq), A: uint64(len(target))})
 
 	g.sendToLocked(target, g.node.encode(prop))
@@ -175,7 +175,7 @@ func (g *Group) makeFlushAckLocked(p *proposeMsg) *flushAckMsg {
 		}
 	}
 	ack.Assigns = g.assignSnapshotLocked()
-	g.fr.Record(flight.Event{Type: flight.EvFlushAck, Proc: g.frProc, Group: g.frGroup,
+	g.fr.RecordAt(g.clk.at, flight.Event{Type: flight.EvFlushAck, Proc: g.frProc, Group: g.frGroup,
 		Sender: flight.NoSender, View: uint32(p.NewSeq), A: uint64(len(ack.Unstable))})
 	return ack
 }
@@ -217,9 +217,9 @@ func (g *Group) handlePropose(p *proposeMsg) {
 	if g.fl != nil && (p.NewSeq > g.fl.seq || (p.NewSeq == g.fl.seq && p.Proposer.Less(g.me))) {
 		g.fl = nil
 	}
-	g.lastHeard[p.Proposer] = time.Now() //lint:ok detclock failure-detector liveness bookkeeping
+	g.lastHeard[p.Proposer] = g.clk.t
 	g.curProposal = p
-	g.proposalAt = time.Now() //lint:ok detclock liveness: flush-timeout arming and view-change latency observation
+	g.proposalAt = g.clk.t
 	if g.state == stateNormal {
 		g.state = stateFlushing
 	}
@@ -240,7 +240,7 @@ func (g *Group) handleFlushAck(a *flushAckMsg) {
 	if !ids.ContainsProcess(g.fl.members, a.From) {
 		return
 	}
-	g.lastHeard[a.From] = time.Now() //lint:ok detclock failure-detector liveness bookkeeping
+	g.lastHeard[a.From] = g.clk.t
 	g.acceptFlushAckLocked(a)
 }
 
@@ -315,7 +315,7 @@ func (g *Group) handleCommit(c *commitMsg) {
 	} else if c.NewSeq <= g.view.Seq {
 		return
 	}
-	g.lastHeard[c.Proposer] = time.Now() //lint:ok detclock failure-detector liveness bookkeeping
+	g.lastHeard[c.Proposer] = g.clk.t
 	g.applyCommitLocked(c)
 }
 
@@ -323,7 +323,7 @@ func (g *Group) handleCommit(c *commitMsg) {
 // the new view. Joiners skip the cut: old-view messages belong to members
 // of the old view only.
 func (g *Group) applyCommitLocked(c *commitMsg) {
-	g.fr.Record(flight.Event{Type: flight.EvFlushCommit, Proc: g.frProc, Group: g.frGroup,
+	g.fr.RecordAt(g.clk.at, flight.Event{Type: flight.EvFlushCommit, Proc: g.frProc, Group: g.frGroup,
 		Sender: flight.NoSender, View: uint32(c.NewSeq), A: uint64(len(c.Cut))})
 	if g.state != stateJoining {
 		g.mergeAssignsLocked(c.Assigns)

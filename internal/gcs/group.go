@@ -121,6 +121,10 @@ type Group struct {
 	// coordScratch is the reusable live-member buffer of actingCoordinator.
 	coordScratch []ids.ProcessID
 
+	// clk is the clock reading of the current critical section (see
+	// Node.now): every stamp taken under g.mu uses it.
+	clk instant
+
 	// Liveness machinery.
 	lastSentAt time.Time
 	lastHeard  map[ids.ProcessID]time.Time
@@ -231,6 +235,7 @@ func newGroup(n *Node, id ids.GroupID, cfg GroupConfig, st groupState) *Group {
 		frProc:        n.frProc,
 		frGroup:       n.fr.Group(string(id)),
 		state:         st,
+		clk:           n.now(),
 		lastHeard:     make(map[ids.ProcessID]time.Time),
 		suspects:      make(map[ids.ProcessID]bool),
 		pendingJoins:  make(map[ids.ProcessID]bool),
@@ -253,10 +258,11 @@ func newGroup(n *Node, id ids.GroupID, cfg GroupConfig, st groupState) *Group {
 }
 
 // frRecord journals one protocol event scoped to the group's current
-// view. sender is a member position (or flight.NoSender); the recorder
-// itself is lock-free and allocation-free, so callers may hold g.mu.
+// view, stamped with the section's clock (mu held). sender is a member
+// position (or flight.NoSender); the recorder is lock-free and
+// allocation-free.
 func (g *Group) frRecord(t flight.Type, sender int, msgSeq, a, b uint64) {
-	g.fr.Record(flight.Event{
+	g.fr.RecordAt(g.clk.at, flight.Event{
 		Type:   t,
 		Proc:   g.frProc,
 		Group:  g.frGroup,
@@ -323,6 +329,7 @@ func (g *Group) actingCoordinator() ids.ProcessID {
 func (g *Group) Attend() {
 	g.mu.Lock()
 	defer g.mu.Unlock()
+	g.readClockLocked()
 	g.attention++
 	g.unparkLocked()
 	g.updateActivityLocked()
@@ -353,6 +360,7 @@ func (g *Group) Suspect(p ids.ProcessID) {
 	if p == g.me || !g.view.Contains(p) || g.suspects[p] {
 		return
 	}
+	g.readClockLocked()
 	g.unparkLocked()
 	g.suspects[p] = true
 	if coord := g.actingCoordinator(); coord != g.me {
@@ -373,6 +381,7 @@ func (g *Group) Multicast(ctx context.Context, payload []byte) error {
 	if err := g.waitNormalLocked(ctx); err != nil {
 		return err
 	}
+	g.readClockLocked()
 	g.sendDataLocked(false, g.payArena.Copy(payload))
 	return nil
 }
@@ -392,6 +401,7 @@ func (g *Group) MulticastAsSequencer(ctx context.Context, payload []byte) error 
 	if !g.seqLeader {
 		return ErrNotSequencer
 	}
+	g.readClockLocked()
 	g.sendDataLocked(false, g.payArena.Copy(payload))
 	return nil
 }
@@ -468,7 +478,7 @@ func (g *Group) emitDataLocked(null bool, payload []byte) {
 	}
 	m := &g.msgArena[0]
 	g.msgArena = g.msgArena[1:]
-	m.bornAt = time.Now() //lint:ok detclock observability: local latency timestamp, never crosses the wire
+	m.bornAt = g.clk.t
 	m.Group = g.id
 	m.ViewSeq = g.view.Seq
 	m.ViewInstaller = g.view.Installer
@@ -500,7 +510,7 @@ func (g *Group) emitDataLocked(null bool, payload []byte) {
 	if g.cfg.ProcessingCost > 0 && !g.batchingLocked() {
 		time.Sleep(g.cfg.ProcessingCost) //lint:ok lockblock simulated per-message processing cost (paper's overload experiments); zero in production configs
 	}
-	g.lastSentAt = time.Now() //lint:ok detclock liveness: time-silence pacing, not an ordering input
+	g.lastSentAt = g.clk.t
 	g.ingestContiguousLocked(m)
 	// Snapshot the acknowledgement vector after self-ingestion so the
 	// message advertises its own receipt; without that, a sender's first
@@ -746,6 +756,7 @@ func (g *Group) acceptBatchLocked(b *batchMsg) bool {
 func (g *Group) handleBurst(msgs []any, bytes int) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
+	g.readClockLocked()
 	g.unparkLocked()
 	g.stats.BytesReceived += uint64(bytes)
 	g.metrics.bytesRecv.Add(uint64(bytes))
@@ -790,7 +801,7 @@ func (g *Group) acceptDataLocked(m *dataMsg, charge bool) bool {
 		return false
 	}
 	if g.view.Contains(m.Sender) {
-		g.lastHeard[m.Sender] = time.Now() //lint:ok detclock failure-detector liveness bookkeeping
+		g.lastHeard[m.Sender] = g.clk.t
 	}
 	if g.state != stateNormal {
 		g.holdEarlyLocked(m)
@@ -1245,7 +1256,7 @@ func (g *Group) deliverLocked(m *dataMsg) {
 		// The ordering cost of our own multicasts is measurable without
 		// clock skew: bornAt is only set on locally-built messages.
 		if !m.bornAt.IsZero() {
-			g.metrics.deliveryLatency.Observe(time.Since(m.bornAt)) //lint:ok detclock observability: latency histogram sample, no ordering decision
+			g.metrics.deliveryLatency.Observe(g.clk.t.Sub(m.bornAt))
 		}
 		if g.lastDelivStamp.Less(d.Stamp) {
 			g.lastDelivStamp = d.Stamp
@@ -1263,9 +1274,8 @@ func (g *Group) deliverLocked(m *dataMsg) {
 func (g *Group) updateActivityLocked() {
 	active := g.activeLocked()
 	if active && !g.wasActive {
-		now := time.Now() //lint:ok detclock failure-detector liveness bookkeeping (suspicion reset on idle-to-active)
 		for _, p := range g.view.Members {
-			g.lastHeard[p] = now
+			g.lastHeard[p] = g.clk.t
 		}
 	}
 	g.wasActive = active
@@ -1343,7 +1353,7 @@ func (g *Group) installViewLocked(v View) {
 	// view; they are already in that view's store, so the flush protocol
 	// recovered (or declared lost) every one of them through the cut.
 	g.batchBuf = nil
-	now := time.Now() //lint:ok detclock liveness: seeds time-silence pacing and failure-detector clocks for the new view
+	now := g.clk.t
 	g.lastSentAt = now
 	g.lastHeard = make(map[ids.ProcessID]time.Time, len(v.Members))
 	g.ackMark = make(map[ids.ProcessID]ackProgress, len(v.Members))
@@ -1366,7 +1376,7 @@ func (g *Group) installViewLocked(v View) {
 	// proposalAt is non-zero iff this installation concludes a membership
 	// round this member took part in (founding views install directly).
 	if !g.proposalAt.IsZero() {
-		g.metrics.viewChange.Observe(time.Since(g.proposalAt)) //lint:ok detclock observability: view-change latency histogram sample
+		g.metrics.viewChange.Observe(g.clk.t.Sub(g.proposalAt))
 		g.proposalAt = time.Time{}
 	}
 	g.curProposal = nil
@@ -1414,6 +1424,7 @@ func (g *Group) Leave() error {
 		g.mu.Unlock()
 		return nil
 	}
+	g.readClockLocked()
 	coord := g.actingCoordinator()
 	me := g.me
 	// Push any batched messages onto the wire before departing; the
@@ -1464,6 +1475,7 @@ func (g *Group) closeLocked(err error) {
 func (g *Group) handle(from ids.ProcessID, msg any, size int) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
+	g.readClockLocked()
 	g.unparkLocked()
 	g.stats.BytesReceived += uint64(size)
 	g.metrics.bytesRecv.Add(uint64(size))

@@ -97,6 +97,7 @@ func (g *Group) LeaseRead(maxStale uint64) (age, bound uint64, err error) {
 		return age, bound, ErrLeaseExpired
 	}
 	g.metrics.localReads.Inc()
+	g.readClockLocked()
 	g.frRecord(flight.EvLocalRead, g.midx.me, 0, age, bound)
 	return age, bound, nil
 }
@@ -204,6 +205,7 @@ func (g *Group) ReadIndex(ctx context.Context) (vclock.Stamp, error) {
 		if g.cfg.LeaseTicks <= 0 {
 			return vclock.Stamp{}, ErrNoLease
 		}
+		g.readClockLocked()
 		view := g.view.Seq
 		var err error
 		if g.cfg.Order == OrderSequencer {

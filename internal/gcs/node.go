@@ -124,6 +124,7 @@ func (n *Node) Create(id ids.GroupID, cfg GroupConfig) (*Group, error) {
 	n.groups[id] = g
 
 	g.mu.Lock()
+	g.readClockLocked()
 	g.installViewLocked(View{Seq: 1, Installer: n.ID(), Members: []ids.ProcessID{n.ID()}})
 	g.mu.Unlock()
 	return g, nil

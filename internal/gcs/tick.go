@@ -16,13 +16,41 @@ import (
 // zero scheduled work until the next inbound frame, local send, or
 // Attend/Suspect call unparks it.
 
+// instant is one reading of the node's clock in the two forms a group
+// stamps with: a time.Time for the liveness bookkeeping (lastHeard,
+// lastSentAt, bornAt) and latency samples, and a journal timestamp.
+type instant struct {
+	t  time.Time
+	at int64
+}
+
+// now reads the node's clock. A group reads it once as it enters its
+// critical section for a received batch, an API call or a domain kick
+// (readClockLocked), and everything the section stamps — its journal
+// events, lastHeard, bornAt and lastSentAt, the latency samples — shares
+// that reading. The reading is taken after the section's cause (a popped
+// batch, a caller's call), so no stamp runs ahead of its cause, and it is
+// at most the section's length early: a lastHeard that errs early makes
+// a member suspected sooner, never later.
+func (n *Node) now() instant {
+	at := flight.Now()
+	return instant{t: flight.Time(at), at: at}
+}
+
+// readClockLocked takes the current critical section's clock reading.
+func (g *Group) readClockLocked() { g.clk = g.node.now() }
+
 // tick runs one beat of the timer machinery and re-arms (or parks) the
 // group's wheel entry. It is called by the wheel goroutine with the
 // sweep's shared wall-clock reading — the clock is read once per sweep,
-// not once per group per tick.
+// not once per group per tick — and that reading is the section's clock
+// unless an earlier section's is later: a group's stamps never go back.
 func (g *Group) tick(now time.Time) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
+	if at := flight.Stamp(now); at > g.clk.at {
+		g.clk = instant{t: now, at: at}
+	}
 	// The tick count is the group's deterministic clock: every read-lease
 	// expiry decision is a comparison of tick counts (see lease.go), so it
 	// advances unconditionally, before any early return. (It freezes while

@@ -1,5 +1,5 @@
-// Package flight is the protocol flight recorder: a fixed-capacity,
-// mutex-free ring journal of typed protocol events, recorded with zero
+// Package flight is the protocol flight recorder: a fixed-capacity ring
+// journal of typed protocol events, recorded with no lock and zero
 // allocations on the hot path. Where the obs registry answers "how many /
 // how fast on average", the journal answers "what happened to message X":
 // every protocol transition — multicast enqueue, batch flush, transport
@@ -8,13 +8,21 @@
 // it saw it — is one fixed-size timestamped slot keyed by small integer IDs
 // instead of strings.
 //
-// Writers claim a slot with one atomic add and publish it seqlock-style:
-// the slot's mark is zeroed, the payload words are stored, then the mark
-// is set to the event's sequence number. Every slot word is an atomic, so
-// recording is safe from any goroutine without a lock and clean under the
-// race detector; readers detect torn or overwritten slots by re-checking
-// the mark and simply skip them. Name registration (process, group and
-// per-view member names) is the cold path and takes a mutex.
+// The ring is split into one segment per P (the runtime's scheduling
+// context). A writer pins its goroutine to its P for the length of one
+// event, so it is its segment's only writer and the slots it fills are
+// lines no other core wrote last. It takes the event's journal sequence
+// number with one atomic add on the shared counter, stores the slot's
+// words, the sequence number first, and then moves the segment's head.
+// Every slot word is an atomic, so recording is clean under the race
+// detector. A reader copies each segment from its newest event down and
+// stops at the first slot overwritten meanwhile (its sequence number is
+// not below the one copied before it, or changes while it is copied), so a
+// torn event is never returned; it merges the segments by sequence number
+// into one contiguous suffix of the journal. A P beyond the segments
+// (GOMAXPROCS grew after New) and every writer of a ring too small to
+// split share one more segment under a mutex. Name registration (process,
+// group and per-view member names) is the cold path and takes a mutex.
 //
 // On top of the raw journal sit the lifecycle analyzer (analyze.go),
 // which joins events by (group, view, sender, seq) into per-message
@@ -25,6 +33,7 @@
 package flight
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -204,17 +213,15 @@ var epoch = time.Now()
 // Now returns the current journal timestamp.
 func Now() int64 { return int64(time.Since(epoch)) }
 
-// slot is one ring entry. All words are atomics so concurrent record and
-// snapshot race cleanly; mark holds the journal seq, published last.
-type slot struct {
-	mark atomic.Uint64
-	at   atomic.Int64
-	meta atomic.Uint64 // Type | Proc<<8 | Group<<24 | uint16(Sender)<<40
-	view atomic.Uint64
-	msg  atomic.Uint64
-	a    atomic.Uint64
-	b    atomic.Uint64
-}
+// Stamp returns the journal timestamp of t, a clock reading that carries
+// its monotonic part (time.Now's or Time's). It reads no clock.
+func Stamp(t time.Time) int64 { return int64(t.Sub(epoch)) }
+
+// Time returns journal timestamp at as a time.Time, so one reading of Now
+// serves both as a journal stamp and as a time to compare with other
+// monotonic readings. Its wall-clock part is the epoch's plus the elapsed
+// monotonic time.
+func Time(at int64) time.Time { return epoch.Add(time.Duration(at)) }
 
 // viewKey identifies one installed view of one group.
 type viewKey struct {
@@ -242,9 +249,16 @@ const DefaultCap = 4096
 // Recorder is the journal. The zero value and nil are both valid,
 // disabled recorders: Record is a no-op.
 type Recorder struct {
-	mask  uint64
-	ctr   atomic.Uint64
-	slots []slot
+	ctr  atomic.Uint64 // the newest journal seq claimed
+	size int           // slots made at New; 0 disables the recorder
+	// own holds one segment of segCap slots per P at New. A P beyond
+	// them, and every writer of a ring too small to split, writes shared
+	// under smu; shared is made at New for an unsplit ring, and at the
+	// first such write otherwise.
+	own    []segment
+	segCap int
+	smu    sync.Mutex
+	shared atomic.Pointer[segment]
 
 	// Name tables, cold path. Index 0 of procs/groups is reserved for
 	// "unset" so a zero ID never aliases a real name.
@@ -257,8 +271,14 @@ type Recorder struct {
 	viewOrder []viewKey // insertion order, for FIFO eviction at maxViews
 }
 
+// minSegment is the shortest per-P segment. A ring that cannot give every
+// P this many slots stays one segment, shared by all writers.
+const minSegment = 32
+
 // New returns a recorder holding the last capacity events (rounded up to
-// a power of two). capacity <= 0 returns a disabled recorder.
+// a power of two) in one segment per P, each holding capacity/P rounded
+// down to a power of two; a ring too small to give each P minSegment slots
+// is one segment. capacity <= 0 returns a disabled recorder.
 func New(capacity int) *Recorder {
 	r := &Recorder{
 		procs:    []string{"-"},
@@ -267,112 +287,43 @@ func New(capacity int) *Recorder {
 		groupIdx: make(map[string]uint16),
 		views:    make(map[viewKey][]string),
 	}
-	if capacity > 0 {
-		n := 1
-		for n < capacity {
-			n <<= 1
-		}
-		r.slots = make([]slot, n)
-		r.mask = uint64(n - 1)
+	if capacity <= 0 {
+		return r
 	}
+	n := 1
+	for n < capacity {
+		n <<= 1
+	}
+	p := runtime.GOMAXPROCS(0)
+	per := 1
+	for per*2 <= n/p {
+		per <<= 1
+	}
+	if per < minSegment {
+		r.shared.Store(newSegment(n))
+		r.size = n
+		return r
+	}
+	r.own = make([]segment, p)
+	for i := range r.own {
+		r.own[i].init(per)
+	}
+	r.segCap, r.size = per, p*per
 	return r
 }
 
 // Enabled reports whether Record stores events.
-func (r *Recorder) Enabled() bool { return r != nil && len(r.slots) > 0 }
+func (r *Recorder) Enabled() bool { return r != nil && r.size > 0 }
 
-// Cap returns the ring capacity.
+// Cap returns the ring capacity: the slots of every segment.
 func (r *Recorder) Cap() int {
 	if r == nil {
 		return 0
 	}
-	return len(r.slots)
-}
-
-// Record journals one event, stamping it with the journal clock. It
-// performs no allocation and takes no lock; on a nil or disabled
-// recorder it is a no-op.
-func (r *Recorder) Record(e Event) {
-	if r == nil || len(r.slots) == 0 {
-		return
+	if s := r.shared.Load(); s != nil && len(r.own) > 0 {
+		return r.size + len(s.slots)
 	}
-	r.RecordAt(int64(time.Since(epoch)), e)
-}
-
-// RecordAt journals one event stamped at, a journal timestamp (Now) the
-// caller has already read: a recorder that times a stage with the clock
-// reads it once for both. Like Record, it allocates nothing and is a
-// no-op on a nil or disabled recorder.
-func (r *Recorder) RecordAt(at int64, e Event) {
-	if r == nil || len(r.slots) == 0 {
-		return
-	}
-	i := r.ctr.Add(1)
-	s := &r.slots[i&r.mask]
-	s.mark.Store(0)
-	s.at.Store(at)
-	s.meta.Store(uint64(e.Type) | uint64(e.Proc)<<8 | uint64(e.Group)<<24 | uint64(uint16(e.Sender))<<40)
-	s.view.Store(uint64(e.View))
-	s.msg.Store(e.MsgSeq)
-	s.a.Store(e.A)
-	s.b.Store(e.B)
-	s.mark.Store(i)
-}
-
-// Cursor returns the journal sequence of the most recently claimed event;
-// pass it to Since to read only newer events.
-func (r *Recorder) Cursor() uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.ctr.Load()
-}
-
-// Since returns the events with journal seq > cursor, oldest first, and
-// the number of requested events already overwritten by the ring.
-// In-flight or overwritten slots are skipped, never misread.
-func (r *Recorder) Since(cursor uint64) (events []Event, dropped uint64) {
-	if r == nil || len(r.slots) == 0 {
-		return nil, 0
-	}
-	hi := r.ctr.Load()
-	lo := cursor + 1
-	if hi >= uint64(len(r.slots)) {
-		if oldest := hi - uint64(len(r.slots)) + 1; lo < oldest {
-			dropped = oldest - lo
-			lo = oldest
-		}
-	}
-	if lo > hi {
-		return nil, dropped
-	}
-	events = make([]Event, 0, hi-lo+1)
-	for i := lo; i <= hi; i++ {
-		s := &r.slots[i&r.mask]
-		if s.mark.Load() != i {
-			continue
-		}
-		e := Event{
-			Seq:    i,
-			At:     s.at.Load(),
-			View:   uint32(s.view.Load()),
-			MsgSeq: s.msg.Load(),
-			A:      s.a.Load(),
-			B:      s.b.Load(),
-		}
-		meta := s.meta.Load()
-		e.Type = Type(meta & 0xff)
-		e.Proc = uint16(meta >> 8)
-		e.Group = uint16(meta >> 24)
-		e.Sender = int16(uint16(meta >> 40))
-		// A writer may have started reusing the slot while we copied it;
-		// the mark was zeroed first, so re-checking rejects torn reads.
-		if s.mark.Load() != i {
-			continue
-		}
-		events = append(events, e)
-	}
-	return events, dropped
+	return r.size
 }
 
 // Proc interns a process name and returns its ID. IDs are stable for the

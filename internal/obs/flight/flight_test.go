@@ -2,7 +2,9 @@ package flight
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -364,31 +366,144 @@ func TestCheckOrderTotalDisagreement(t *testing.T) {
 	}
 }
 
+// TestRecordConcurrent: more writers than Ps journal into a ring while a
+// reader polls it, on a split ring and on one too small to split. Every
+// read is a run of strictly increasing seqs, and no event is torn: each
+// carries A == sig(writer, MsgSeq) and B == ^A. Once the writers are done,
+// Since(0) is exactly the journal's suffix after the dropped prefix.
 func TestRecordConcurrent(t *testing.T) {
-	r := New(64)
-	done := make(chan struct{})
-	for w := 0; w < 4; w++ {
-		go func(w int) {
-			for i := 0; i < 500; i++ {
-				r.Record(Event{Type: EvIngest, Proc: uint16(w), MsgSeq: uint64(i)})
+	sig := func(w uint16, i uint64) uint64 { return i*0x9e3779b97f4a7c15 ^ uint64(w)<<48 }
+	for _, capacity := range []int{16, 1 << 10} {
+		r := New(capacity)
+		writers := 2*runtime.GOMAXPROCS(0) + 1
+		const per = 4000
+		var wg sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func(w uint16) {
+				defer wg.Done()
+				for i := uint64(1); i <= per; i++ {
+					a := sig(w, i)
+					r.Record(Event{Type: EvIngest, Proc: w, MsgSeq: i, A: a, B: ^a})
+				}
+			}(uint16(w))
+		}
+		check := func(events []Event) {
+			t.Helper()
+			for i, e := range events {
+				if e.Type != EvIngest || e.A != sig(e.Proc, e.MsgSeq) || e.B != ^e.A {
+					t.Fatalf("cap %d: torn read: %+v", capacity, e)
+				}
+				if i > 0 && e.Seq <= events[i-1].Seq {
+					t.Fatalf("cap %d: seq %d after %d", capacity, e.Seq, events[i-1].Seq)
+				}
 			}
-			done <- struct{}{}
-		}(w)
+		}
+		done := make(chan struct{})
+		go func() { wg.Wait(); close(done) }()
+		reads := 0
+		for polling := true; polling; reads++ {
+			select {
+			case <-done:
+				polling = false
+			default:
+			}
+			cursor := r.Cursor()
+			if reads%2 == 0 && cursor > 100 {
+				cursor -= 100
+			} else {
+				cursor = 0
+			}
+			events, _ := r.Since(cursor)
+			check(events)
+		}
+		total := uint64(writers * per)
+		if got := r.Cursor(); got != total {
+			t.Fatalf("cap %d: cursor = %d, want %d", capacity, got, total)
+		}
+		events, dropped := r.Since(0)
+		check(events)
+		if dropped+uint64(len(events)) != total || len(events) == 0 || events[0].Seq != dropped+1 {
+			t.Fatalf("cap %d: %d events after %d dropped, want the suffix of %d", capacity, len(events), dropped, total)
+		}
+		t.Logf("cap %d: %d writers, %d reads, %d events kept", capacity, writers, reads, len(events))
 	}
-	for i := 0; i < 2; i++ {
-		events, _ := r.Since(0)
-		for _, e := range events {
-			if e.Type != EvIngest {
-				t.Errorf("torn read: %+v", e)
+}
+
+// newSplit is a recorder of nseg segments of per slots each, whatever the
+// P count, for tests that place events in segments by hand (put).
+func newSplit(nseg, per int) *Recorder {
+	r := New(0)
+	r.own = make([]segment, nseg)
+	for i := range r.own {
+		r.own[i].init(per)
+	}
+	r.segCap, r.size = per, nseg*per
+	return r
+}
+
+// TestSinceWhenOneSegmentWraps: one segment laps its slots while another
+// stays idle. Since still returns a contiguous suffix: every seq at or
+// below the newest one overwritten counts as dropped — the idle segment's
+// older events too — and the rest merge in seq order.
+func TestSinceWhenOneSegmentWraps(t *testing.T) {
+	r := newSplit(2, 8)
+	put := func(seg, n int) {
+		for i := 0; i < n; i++ {
+			r.own[seg].put(&r.ctr, Now(), &Event{Type: EvIngest, MsgSeq: uint64(seg)})
+		}
+	}
+	expect := func(cursor, first, last, dropped uint64) {
+		t.Helper()
+		events, d := r.Since(cursor)
+		if d != dropped || uint64(len(events)) != last-first+1 {
+			t.Fatalf("Since(%d): %d events, %d dropped; want %d..%d, %d dropped", cursor, len(events), d, first, last, dropped)
+		}
+		for i, e := range events {
+			if e.Seq != first+uint64(i) {
+				t.Fatalf("Since(%d): event %d has seq %d, want %d", cursor, i, e.Seq, first+uint64(i))
 			}
 		}
 	}
-	for w := 0; w < 4; w++ {
-		<-done
+	put(1, 3) // seqs 1..3 in segment 1
+	put(0, 4) // 4..7 in segment 0
+	put(1, 2) // 8..9
+	expect(0, 1, 9, 0)
+	put(0, 16) // 10..25: segment 0 holds 18..25, the newest it overwrote is 17
+	expect(0, 18, 25, 17)
+	expect(17, 18, 25, 0)
+	expect(20, 21, 25, 0)
+	put(1, 1) // 26 in the idle segment, which still holds 1..3 and 8..9
+	expect(0, 18, 26, 17)
+	expect(26, 1, 0, 0)
+	if events, _ := r.Since(0); events[len(events)-1].MsgSeq != 1 {
+		t.Fatalf("newest event came from segment %d, want 1", events[len(events)-1].MsgSeq)
 	}
-	if got := r.Cursor(); got != 2000 {
-		t.Fatalf("cursor = %d, want 2000", got)
+}
+
+// BenchmarkRecord is the journal's cost per event at one writer, stamped
+// with a time the caller already read (the clock is not part of it).
+func BenchmarkRecord(b *testing.B) {
+	r := New(DefaultCap)
+	e := Event{Type: EvDeliver, Proc: 3, Group: 1, Sender: 2, View: 4, MsgSeq: 99, A: 7, B: 8}
+	at := Now()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		r.RecordAt(at, e)
 	}
+}
+
+// BenchmarkRecordParallel is BenchmarkRecord with GOMAXPROCS writers.
+func BenchmarkRecordParallel(b *testing.B) {
+	r := New(DefaultCap)
+	e := Event{Type: EvDeliver, Proc: 3, Group: 1, Sender: 2, View: 4, MsgSeq: 99, A: 7, B: 8}
+	at := Now()
+	b.ReportAllocs()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			r.RecordAt(at, e)
+		}
+	})
 }
 
 // TestInternCaps: the name tables must stay bounded — a sharded fabric
