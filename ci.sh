@@ -1,7 +1,7 @@
 #!/bin/sh
 # ci.sh — the checks a change must pass before merging.
 #
-#   ./ci.sh              # gofmt, vet, lint, build, tests, then the same tests under -race
+#   ./ci.sh              # gofmt, vet, lint, build, unreached packages, tests, then the same tests under -race
 #   CI_SHORT=1 ./ci.sh   # skip the race pass (quick pre-push loop)
 #
 # The race pass is the slow half; it exists because every layer of this
@@ -34,6 +34,33 @@ go run ./cmd/newtop-lint ./...
 
 echo "== go build =="
 go build ./...
+
+# Every internal package is reached by something that runs: a command, an
+# example or the benchmark imports it, directly or not. The one exception
+# is a test helper, which other packages' tests import and no non-test
+# file does. A package that is neither runs only under its own tests, so
+# nothing tells when it stops being right; give it a user or delete it.
+echo "== unreached packages =="
+reached=$(go list -deps ./cmd/... ./examples/... ./benchmark/...)
+nontest=$(go list -f '{{join .Imports "\n"}}' ./...)
+fortests=$(go list -f '{{$p := .ImportPath}}{{range .TestImports}}{{$p}} {{.}}
+{{end}}{{range .XTestImports}}{{$p}} {{.}}
+{{end}}' ./... | awk '$1 != $2 {print $2}')
+unreached=""
+for p in $(go list ./internal/...); do
+	if printf '%s\n' "$reached" | grep -qxF "$p"; then
+		continue
+	fi
+	if printf '%s\n' "$fortests" | grep -qxF "$p" && ! printf '%s\n' "$nontest" | grep -qxF "$p"; then
+		continue
+	fi
+	unreached="$unreached $p"
+done
+if [ -n "$unreached" ]; then
+	echo "unreached: no command, example or benchmark imports these, and no other package's tests use them as a helper:"
+	for p in $unreached; do echo "  $p"; done
+	exit 1
+fi
 
 echo "== go test =="
 go test ./...

@@ -12,7 +12,9 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"strings"
 	"sync"
 	"time"
@@ -30,15 +32,17 @@ const (
 )
 
 func main() {
-	if err := run(); err != nil {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := run(ctx, os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run() error {
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-
+// run forms the conference on an in-memory network, lets every member
+// talk at once and prints the delivered transcript to out; it fails if
+// the members' transcripts differ.
+func run(ctx context.Context, out io.Writer) error {
 	net := memnet.New(netsim.New(netsim.FastProfile(), 1))
 	cfg := gcs.GroupConfig{
 		Order:          gcs.OrderSymmetric,
@@ -79,10 +83,21 @@ func run() error {
 	// Wait for the full view everywhere.
 	for _, g := range groups {
 		for len(g.View().Members) != members {
+			if err := ctx.Err(); err != nil {
+				return fmt.Errorf("conference formation: %w", err)
+			}
 			time.Sleep(2 * time.Millisecond)
 		}
 	}
-	fmt.Printf("conference formed: %v\n\n", groups[0].View().Members)
+	fmt.Fprintf(out, "conference formed: %v\n\n", groups[0].View().Members)
+
+	// A member that never delivers everything would keep its consumer
+	// waiting: when ctx ends, closing the nodes closes their streams.
+	defer context.AfterFunc(ctx, func() {
+		for _, n := range nodes {
+			_ = n.Close()
+		}
+	})()
 
 	// Each member collects its transcript.
 	transcripts := make([][]string, members)
@@ -123,10 +138,13 @@ func run() error {
 	}
 	speakers.Wait()
 	consumers.Wait()
+	if err := ctx.Err(); err != nil {
+		return fmt.Errorf("transcripts: %w", err)
+	}
 
-	fmt.Println("transcript as delivered at peer-0:")
+	fmt.Fprintln(out, "transcript as delivered at peer-0:")
 	for _, line := range transcripts[0] {
-		fmt.Println("  " + line)
+		fmt.Fprintln(out, "  "+line)
 	}
 	for i := 1; i < members; i++ {
 		for j := range transcripts[0] {
@@ -136,6 +154,6 @@ func run() error {
 			}
 		}
 	}
-	fmt.Printf("\nall %d transcripts are identical — symmetric total order, no sequencer\n", members)
+	fmt.Fprintf(out, "\nall %d transcripts are identical — symmetric total order, no sequencer\n", members)
 	return nil
 }

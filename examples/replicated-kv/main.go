@@ -20,8 +20,11 @@ package main
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"strings"
 	"sync"
 	"time"
@@ -77,27 +80,30 @@ func timers() gcs.GroupConfig {
 }
 
 func main() {
-	if err := run(); err != nil {
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+	if err := run(ctx, os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run() error {
-	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
-	defer cancel()
+// run plays the three acts on an in-memory network and prints what
+// happened to out; it fails if any claim the output makes does not hold.
+func run(ctx context.Context, out io.Writer) error {
 	net := memnet.New(netsim.New(netsim.FastProfile(), 1))
 
-	if err := closedGroupAct(ctx, net); err != nil {
+	if err := closedGroupAct(ctx, net, out); err != nil {
 		return err
 	}
-	return shardedActs(ctx, net)
+	return shardedActs(ctx, net, out)
 }
 
 // closedGroupAct is the original demo: active replication through one
 // closed group, with a crash masked mid-run.
-func closedGroupAct(ctx context.Context, net *memnet.Net) error {
-	fmt.Println("=== act 1: one closed group, crash masked ===")
+func closedGroupAct(ctx context.Context, net *memnet.Net, out io.Writer) error {
+	fmt.Fprintln(out, "=== act 1: one closed group, crash masked ===")
 	var contact ids.ProcessID
+	var servers []*core.Server
 	for i := 0; i < 3; i++ {
 		id := ids.ProcessID(fmt.Sprintf("replica-%d", i))
 		ep, err := net.Endpoint(id, netsim.SiteLAN)
@@ -107,16 +113,29 @@ func closedGroupAct(ctx context.Context, net *memnet.Net) error {
 		svc := core.NewService(ep)
 		defer svc.Close()
 		store := &kvStore{m: make(map[string]string)}
-		if _, err := svc.Serve(ctx, core.ServeConfig{
+		srv, err := svc.Serve(ctx, core.ServeConfig{
 			Group:   "kv",
 			Contact: contact,
 			Handler: store.handle,
 			GCS:     timers(),
-		}); err != nil {
+		})
+		if err != nil {
 			return err
 		}
+		servers = append(servers, srv)
 		if i == 0 {
 			contact = id
+		}
+	}
+	// A closed binding takes its servers from the contact's roster, which
+	// may not hold the last replica yet when its Serve returns: let every
+	// replica learn of all three first.
+	for _, srv := range servers {
+		for len(srv.ServerRoster()) != 3 {
+			if err := ctx.Err(); err != nil {
+				return fmt.Errorf("server group formation: %w", err)
+			}
+			time.Sleep(time.Millisecond)
 		}
 	}
 
@@ -137,7 +156,10 @@ func closedGroupAct(ctx context.Context, net *memnet.Net) error {
 		return err
 	}
 	defer binding.Close()
-	fmt.Printf("closed binding formed with replicas %v\n", binding.Servers())
+	if n := len(binding.Servers()); n != 3 {
+		return fmt.Errorf("closed binding formed with %d replicas, want 3", n)
+	}
+	fmt.Fprintf(out, "closed binding formed with replicas %v\n", binding.Servers())
 
 	if _, err := binding.Call(ctx, "put", []byte("colour=teal"), core.WithMode(core.All)); err != nil {
 		return err
@@ -146,15 +168,24 @@ func closedGroupAct(ctx context.Context, net *memnet.Net) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("put colour=teal; leased read -> %q (session %v)\n", v, binding.SessionStamp())
+	if string(v) != "teal" {
+		return fmt.Errorf("leased read -> %q, want %q", v, "teal")
+	}
+	fmt.Fprintf(out, "put colour=teal; leased read -> %q (session %v)\n", v, binding.SessionStamp())
 
 	victim := binding.Servers()[len(binding.Servers())-1]
-	fmt.Printf("*** crashing %s ***\n", victim)
+	fmt.Fprintf(out, "*** crashing %s ***\n", victim)
 	net.Sim().Crash(victim)
-	if _, err := binding.Call(ctx, "put", []byte("after-crash=still-works"), core.WithMode(core.All)); err != nil {
+	replies, err := binding.Call(ctx, "put", []byte("after-crash=still-works"), core.WithMode(core.All))
+	if err != nil {
 		return err
 	}
-	fmt.Printf("write after crash acknowledged; membership now %v\n\n", binding.Servers())
+	// A wait-for-all call counts the live servers, so it returns only once
+	// the view without the victim is installed.
+	if len(replies) != 2 {
+		return fmt.Errorf("write after crash: %d replies, want 2", len(replies))
+	}
+	fmt.Fprintf(out, "write after crash acknowledged by %d replicas; membership now %v\n\n", len(replies), binding.Servers())
 	return nil
 }
 
@@ -191,8 +222,8 @@ func startShard(ctx context.Context, net *memnet.Net, name string, nReplicas int
 
 // shardedActs runs the fabric: 3 shards x 3 replicas, a mixed workload,
 // then live expansion to 4 shards and an independent per-shard crash.
-func shardedActs(ctx context.Context, net *memnet.Net) error {
-	fmt.Println("=== act 2: sharded fabric, 3 shards x 3 replicas ===")
+func shardedActs(ctx context.Context, net *memnet.Net, out io.Writer) error {
+	fmt.Fprintln(out, "=== act 2: sharded fabric, 3 shards x 3 replicas ===")
 	var closers []*core.Service
 	defer func() {
 		for _, c := range closers {
@@ -225,7 +256,7 @@ func shardedActs(ctx context.Context, net *memnet.Net) error {
 		return err
 	}
 	defer router.Close()
-	fmt.Printf("router bound to shards %v\n", router.Shards())
+	fmt.Fprintf(out, "router bound to shards %v\n", router.Shards())
 
 	// Mixed workload over a large keyspace: async write pipeline (each
 	// write routes to its key's owner and is totally ordered only against
@@ -260,15 +291,18 @@ func shardedActs(ctx context.Context, net *memnet.Net) error {
 		}
 		reads++
 	}
-	fmt.Printf("%d writes in %s, %d leased reads verified (read-your-writes per shard)\n", keys, wrote.Round(time.Millisecond), reads)
+	fmt.Fprintf(out, "%d writes in %s, %d leased reads verified (read-your-writes per shard)\n", keys, wrote.Round(time.Millisecond), reads)
 
 	counts, err := shardLens(ctx, router)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("placement: %v\n\n", counts)
+	if n := sum(counts); n != keys {
+		return fmt.Errorf("placement holds %d keys, want %d", n, keys)
+	}
+	fmt.Fprintf(out, "placement: %v\n\n", counts)
 
-	fmt.Println("=== act 3: live expansion to 4 shards + per-shard crash ===")
+	fmt.Fprintln(out, "=== act 3: live expansion to 4 shards + per-shard crash ===")
 	newName := "kv/s3"
 	contact, err := startShard(ctx, net, newName, 3, &closers)
 	if err != nil {
@@ -282,14 +316,10 @@ func shardedActs(ctx context.Context, net *memnet.Net) error {
 	if err != nil {
 		return err
 	}
-	total := 0
-	for _, n := range after {
-		total += n
-	}
-	if total != keys {
+	if total := sum(after); total != keys {
 		return fmt.Errorf("keys lost in migration: %d != %d", total, keys)
 	}
-	fmt.Printf("AddShard migrated ~1/4 of the keyspace in %s; placement now %v\n", time.Since(t0).Round(time.Millisecond), after)
+	fmt.Fprintf(out, "AddShard migrated ~1/4 of the keyspace in %s; placement now %v\n", time.Since(t0).Round(time.Millisecond), after)
 
 	for i := 0; i < keys; i += 101 { // spot-check values across the new ring
 		k := fmt.Sprintf("user:%04d", i)
@@ -298,24 +328,52 @@ func shardedActs(ctx context.Context, net *memnet.Net) error {
 			return fmt.Errorf("post-migration read %s -> %q, %v", k, v, err)
 		}
 	}
-	fmt.Println("post-migration spot reads all correct")
+	fmt.Fprintln(out, "post-migration spot reads all correct")
 
 	// Crash one replica of s1: only that group reconfigures; the fabric
 	// keeps serving and the shard itself masks the failure.
 	victimKey := "user:0000"
 	owner := router.Ring().Owner(victimKey)
 	victim := ids.ProcessID(strings.TrimPrefix(owner, "kv/") + "-r2")
-	fmt.Printf("*** crashing %s (a replica of %s) ***\n", victim, owner)
+	fmt.Fprintf(out, "*** crashing %s (a replica of %s) ***\n", victim, owner)
 	net.Sim().Crash(victim)
 	if _, err := router.Call(ctx, "put", []byte(victimKey+"=rewritten"), core.WithMode(core.Majority)); err != nil {
 		return err
 	}
-	v, err := router.Read(ctx, "get", []byte(victimKey))
+	// A read goes to one replica at a time. Right after the crash the first
+	// may refuse (its lease lapsed), and the read moves on through the pool
+	// its binding took at bind time, the crashed replica included. A read
+	// sent there is never answered and waits out its deadline, so each
+	// attempt gets a short one.
+	v, err := readRetrying(ctx, out, router, victimKey)
 	if err != nil || string(v) != "rewritten" {
 		return fmt.Errorf("post-crash read -> %q, %v", v, err)
 	}
-	fmt.Printf("write+read through %s succeeded with a replica down — failures stay shard-local\n", owner)
+	fmt.Fprintf(out, "write+read through %s succeeded with a replica down — failures stay shard-local\n", owner)
 	return nil
+}
+
+// readRetrying reads key with a deadline per attempt, and retries an
+// attempt that ran out of time, saying so on out.
+func readRetrying(ctx context.Context, out io.Writer, router *core.ShardedBinding, key string) ([]byte, error) {
+	for attempt := 1; ; attempt++ {
+		actx, cancel := context.WithTimeout(ctx, 250*time.Millisecond)
+		v, err := router.Read(actx, "get", []byte(key))
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) || ctx.Err() != nil {
+			return v, err
+		}
+		fmt.Fprintf(out, "read attempt %d went unanswered for 250ms (sent to the crashed replica); retrying\n", attempt)
+	}
+}
+
+// sum adds up a placement's key counts.
+func sum(counts map[string]int) int {
+	n := 0
+	for _, c := range counts {
+		n += c
+	}
+	return n
 }
 
 // shardLens asks every shard group for its key count.

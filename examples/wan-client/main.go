@@ -14,7 +14,9 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"sync/atomic"
 	"time"
 
@@ -36,15 +38,17 @@ func timers() gcs.GroupConfig {
 }
 
 func main() {
-	if err := run(); err != nil {
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+	if err := run(ctx, os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run() error {
-	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
-	defer cancel()
-
+// run builds the WAN world, invokes through the proxy across a request
+// manager's crash and prints what happened to out; it fails if any claim
+// the output makes does not hold.
+func run(ctx context.Context, out io.Writer) error {
 	// The evaluation profile: ~ms LAN, tens-of-ms Internet paths.
 	net := memnet.New(netsim.New(netsim.EvalProfile(), 1))
 
@@ -93,7 +97,7 @@ func run() error {
 	}
 	defer proxy.Close()
 	rm := proxy.Binding().RequestManager()
-	fmt.Printf("client in Pisa bound over the WAN; request manager: %s\n\n", rm)
+	fmt.Fprintf(out, "client in Pisa bound over the WAN; request manager: %s\n\n", rm)
 
 	invoke := func(label string) error {
 		t0 := time.Now()
@@ -101,38 +105,59 @@ func run() error {
 		if err != nil {
 			return fmt.Errorf("invoke %s: %w", label, err)
 		}
-		fmt.Printf("%-12s -> %-35q  (%.1f ms, via %s)\n",
+		fmt.Fprintf(out, "%-12s -> %-35q  (%.1f ms, via %s)\n",
 			label, string(replies[0].Payload),
 			float64(time.Since(t0))/float64(time.Millisecond), replies[0].Server)
 		return nil
 	}
 
-	for _, l := range []string{"ACME", "GLOBEX", "INITECH"} {
+	before := []string{"ACME", "GLOBEX", "INITECH"}
+	for _, l := range before {
 		if err := invoke(l); err != nil {
 			return err
 		}
 	}
 
-	fmt.Printf("\n*** crashing the request manager %s ***\n", rm)
+	fmt.Fprintf(out, "\n*** crashing the request manager %s ***\n", rm)
 	net.Sim().Crash(rm)
 
 	// The next call finds the binding broken, rebinds to a survivor and
 	// retries with the same call number — served exactly once.
-	if err := invoke("AFTER-CRASH"); err != nil {
+	after := []string{"AFTER-CRASH", "HOOLI", "PIEDPIPER"}
+	if err := invoke(after[0]); err != nil {
 		return err
 	}
-	fmt.Printf("rebound to request manager: %s\n", proxy.Binding().RequestManager())
-
-	for _, l := range []string{"HOOLI", "PIEDPIPER"} {
+	fmt.Fprintf(out, "rebound to request manager: %s\n", proxy.Binding().RequestManager())
+	for _, l := range after[1:] {
 		if err := invoke(l); err != nil {
 			return err
 		}
 	}
 
-	total := int64(0)
-	for i := range executions {
-		total += executions[i].Load()
+	// Open-group distribution runs every call at every live replica: the
+	// calls before the crash at all three, the rest at the two survivors.
+	// A wait-for-first call returns at its first reply, so the other
+	// replicas may still be running the last one: wait for the count to
+	// arrive, then check that nothing ran twice.
+	want := int64(len(before)*3 + len(after)*2)
+	total := func() int64 {
+		n := int64(0)
+		for i := range executions {
+			n += executions[i].Load()
+		}
+		return n
 	}
-	fmt.Printf("\ntotal executions across replicas: %d (6 calls x 3 replicas via open-group distribution = 18; no duplicates from the retry)\n", total)
+	for total() < want {
+		if err := ctx.Err(); err != nil {
+			return fmt.Errorf("executions: %d of %d (srv-0/1/2 ran %d/%d/%d): %w", total(), want,
+				executions[0].Load(), executions[1].Load(), executions[2].Load(), err)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if n := total(); n != want {
+		return fmt.Errorf("executions: %d, want %d: a call ran twice", n, want)
+	}
+	fmt.Fprintf(out, "\ntotal executions across replicas: %d (%d calls x 3 replicas before the crash + %d calls x 2 survivors after it = %d; the retry ran once)\n",
+		total(), len(before), len(after), want)
 	return nil
 }

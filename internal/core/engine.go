@@ -882,12 +882,12 @@ func (e *engine) retire(c *Call, err error) {
 // surface): a point-to-point control call on one replica's NSO, never an
 // ordered multicast, and no call number — a read executes nowhere but the
 // serving replica, so there is nothing to retain or filter. Consistency
-// resolves per call (WithConsistency) over Leased; the session floor
-// defaults to the session stamp except for Stale reads (WithMinStamp
-// overrides either way). When every replica refuses a leased read — expired
-// leases during a partition or view change — the read escalates once to
-// Linearizable at the ordering authority, which is at least as fresh as
-// what the caller asked for.
+// resolves per call (WithConsistency) over Leased; the session floor is
+// the session stamp, except for Stale reads, which send the zero floor.
+// When every replica refuses a leased read — expired leases during a
+// partition or view change — the read escalates once to Linearizable at
+// the ordering authority, which is at least as fresh as what the caller
+// asked for.
 func (e *engine) Read(ctx context.Context, method string, args []byte, opts ...CallOption) ([]byte, error) {
 	return e.read(ctx, method, args, resolveCallOpts(opts))
 }
@@ -907,8 +907,8 @@ func (e *engine) read(ctx context.Context, method string, args []byte, o callOpt
 	if err != nil {
 		return nil, err
 	}
-	if o.hasMin || cons == Stale {
-		min = o.minStamp
+	if cons == Stale {
+		min = vclock.Stamp{}
 	}
 
 	start := time.Now()

@@ -39,9 +39,6 @@ func FuzzDecodePayload(f *testing.F) {
 	fullSnap := &stateSnapshot{}
 	wiretest.Fill(fullSnap)
 	f.Add(encodeStateSnapshot(fullSnap))
-	fullRef := GroupRef{}
-	wiretest.Fill(&fullRef)
-	f.Add(fullRef.Encode())
 	for _, bad := range impossibleCountFrames() {
 		f.Add(bad.frame)
 	}
@@ -60,6 +57,5 @@ func FuzzDecodePayload(f *testing.F) {
 		_ = decodeReadReply(data, &in, &rep)
 		_, _ = decodeBindRequest(data)
 		_, _ = decodeStateSnapshot(data)
-		_, _ = DecodeGroupRef(data)
 	})
 }

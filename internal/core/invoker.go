@@ -8,7 +8,6 @@ import (
 
 	"newtop/internal/ids"
 	"newtop/internal/obs"
-	"newtop/internal/vclock"
 )
 
 // Invoker is the single invocation surface of the layer's four client-side
@@ -118,8 +117,6 @@ type callOpts struct {
 	// Read-path options (ignored by Call/InvokeAsync).
 	consistency Consistency
 	maxStale    time.Duration
-	minStamp    vclock.Stamp
-	hasMin      bool
 
 	// Routing options (consumed by ShardedBinding; ignored by single-group
 	// invokers).
@@ -177,16 +174,6 @@ func WithMaxStaleness(d time.Duration) CallOption {
 // (Binding, Proxy, G2G) ignore it.
 func WithKey(key string) CallOption {
 	return func(o callOpts) callOpts { o.key = key; o.hasKey = true; return o }
-}
-
-// WithMinStamp overrides the read's session floor: the serving replica
-// waits until its executed prefix covers stamp s before answering. The
-// default floor is the binding's own session stamp (the newest write
-// this binding has seen applied), which is what gives a session
-// read-your-writes across replicas; passing an explicit stamp threads a
-// token between bindings or processes. The zero stamp waives the floor.
-func WithMinStamp(s vclock.Stamp) CallOption {
-	return func(o callOpts) callOpts { o.minStamp = s; o.hasMin = true; return o }
 }
 
 // resolveCallOpts folds the options over the defaults.

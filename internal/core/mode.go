@@ -119,7 +119,7 @@ var (
 	// ErrReadDisabled is returned by Read when the server group has no
 	// read path (the server group's gcs configuration has LeaseTicks
 	// zero); callers that must work either way fall back to an ordered
-	// Call (internal/rsm does this).
+	// Call.
 	ErrReadDisabled = errors.New("core: read path disabled (server group has no LeaseTicks)")
 	// ErrLeaseExpired is returned when every contacted replica refused a
 	// leased read because its lease evidence was older than the staleness

@@ -201,7 +201,7 @@ func TestStaleReadServes(t *testing.T) {
 
 // TestReadDisabledWithoutLeases: a server group configured without
 // LeaseTicks has no read path, and Read says so with ErrReadDisabled (the
-// signal rsm.Query uses to fall back to an ordered call).
+// signal a caller uses to fall back to an ordered call).
 func TestReadDisabledWithoutLeases(t *testing.T) {
 	w := newWorld(t, 2, 1)
 	b, err := w.clients[0].Bind(ctxT(t, 10*time.Second), w.bindCfg(core.Open))

@@ -278,20 +278,6 @@ func TestReflectionRoundTrips(t *testing.T) {
 			t.Fatalf("encode/decode asymmetry:\n%s", wiretest.Diff(*snap, *got))
 		}
 	})
-	t.Run("groupref", func(t *testing.T) {
-		ref := GroupRef{}
-		wiretest.Fill(&ref)
-		if z := wiretest.Unfilled(&ref); len(z) != 0 {
-			t.Fatalf("filler left fields zero: %v", z)
-		}
-		got, err := DecodeGroupRef(ref.Encode())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, ref) {
-			t.Fatalf("encode/decode asymmetry:\n%s", wiretest.Diff(ref, got))
-		}
-	})
 }
 
 func TestPayloadDecodeGarbageNeverPanics(t *testing.T) {
@@ -399,11 +385,6 @@ func impossibleCountFrames() []namedFrame {
 	answer := w.Detach()
 
 	w.Reset()
-	w.String("sg")
-	w.Uvarint(1000)
-	ref := w.Detach()
-
-	w.Reset()
 	w.Bool(true)
 	w.Uvarint(5)
 	w.String("s")
@@ -427,10 +408,6 @@ func impossibleCountFrames() []namedFrame {
 				return err
 			}
 			_, _, err := decodeAnswer(m.Answer.Body, nil, nil)
-			return err
-		}},
-		{"group ref of 1000 members", ref, func(b []byte) error {
-			_, err := DecodeGroupRef(b)
 			return err
 		}},
 		{"snapshot of 1000 applied stamps", snap, func(b []byte) error {

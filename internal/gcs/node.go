@@ -101,10 +101,6 @@ func (n *Node) Obs() *obs.Obs { return n.obs }
 // ID returns the process identifier of the node's endpoint.
 func (n *Node) ID() ids.ProcessID { return n.ep.ID() }
 
-// Clock exposes the node-wide Lamport clock (read-mostly; used by tests
-// and the invocation layer for audit stamps).
-func (n *Node) Clock() *vclock.Lamport { return n.clock }
-
 // Create founds a new group with this node as its only member; the
 // founding view installs immediately.
 func (n *Node) Create(id ids.GroupID, cfg GroupConfig) (*Group, error) {

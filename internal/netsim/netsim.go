@@ -150,13 +150,6 @@ func (n *Network) Place(p ids.ProcessID, site string) {
 	n.sites[p] = site
 }
 
-// SiteOf returns the site a process was placed at ("" if never placed).
-func (n *Network) SiteOf(p ids.ProcessID) string {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.sites[p]
-}
-
 // SetPartition puts a process into a numbered partition; processes in
 // different partitions cannot exchange messages. All processes start in
 // partition 0. Heal by setting everything back to the same number.

@@ -3,7 +3,6 @@ package vclock_test
 import (
 	"testing"
 
-	"newtop/internal/ids"
 	"newtop/internal/vclock"
 )
 
@@ -11,23 +10,5 @@ func BenchmarkLamportNext(b *testing.B) {
 	l := vclock.NewLamport()
 	for i := 0; i < b.N; i++ {
 		_ = l.Next()
-	}
-}
-
-func BenchmarkVCMerge(b *testing.B) {
-	a := vclock.VC{"p1": 10, "p2": 20, "p3": 30, "p4": 40}
-	c := vclock.VC{"p1": 15, "p2": 18, "p3": 35, "p5": 1}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		v := a.Copy()
-		v.Merge(c)
-	}
-}
-
-func BenchmarkCausallyDeliverable(b *testing.B) {
-	recv := vclock.VC{"p": 100, "q": 200, "r": 300}
-	send := vclock.VC{"p": 101, "q": 150, "r": 250}
-	for i := 0; i < b.N; i++ {
-		_ = recv.CausallyDeliverable(send, ids.ProcessID("p"))
 	}
 }

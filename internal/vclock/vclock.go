@@ -1,6 +1,8 @@
-// Package vclock provides the logical clocks used by the group
-// communication service: vector clocks for causal-order delivery and
-// Lamport clocks for the symmetric (decentralised) total-order protocol.
+// Package vclock provides the Lamport clocks and stamps used by the group
+// communication service's symmetric (decentralised) total-order protocol
+// and by the invocation layer's session and applied stamps. Causal order
+// does not use this package: gcs carries each message's causal context as
+// a vector keyed by member position in the view (dataMsg.VC).
 //
 // A node shares one Lamport clock across every group it belongs to; that is
 // what makes the symmetric total order causality-preserving even for
@@ -9,101 +11,10 @@ package vclock
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 	"sync"
 
 	"newtop/internal/ids"
 )
-
-// VC is a vector clock: a map from process to the number of events observed
-// from that process. The zero value is not usable; create with New.
-type VC map[ids.ProcessID]uint64
-
-// New returns an empty vector clock.
-func New() VC { return make(VC) }
-
-// Copy returns an independent copy of the clock.
-func (v VC) Copy() VC {
-	c := make(VC, len(v))
-	for k, n := range v {
-		c[k] = n
-	}
-	return c
-}
-
-// Get returns the component for p (zero when absent).
-func (v VC) Get(p ids.ProcessID) uint64 { return v[p] }
-
-// Tick increments the component for p and returns the new value.
-func (v VC) Tick(p ids.ProcessID) uint64 {
-	v[p]++
-	return v[p]
-}
-
-// Merge sets every component of v to the maximum of v and o.
-func (v VC) Merge(o VC) {
-	for k, n := range o {
-		if n > v[k] {
-			v[k] = n
-		}
-	}
-}
-
-// LE reports whether v ≤ o component-wise (v happened-before-or-equal o).
-func (v VC) LE(o VC) bool {
-	for k, n := range v {
-		if n > o[k] {
-			return false
-		}
-	}
-	return true
-}
-
-// Equal reports whether the clocks are identical (treating absent
-// components as zero).
-func (v VC) Equal(o VC) bool { return v.LE(o) && o.LE(v) }
-
-// Concurrent reports whether neither clock happened before the other.
-func (v VC) Concurrent(o VC) bool { return !v.LE(o) && !o.LE(v) }
-
-// CausallyDeliverable reports whether a message stamped send (the sender's
-// clock *after* ticking its own component) from sender can be delivered at
-// a receiver whose current clock is v: the message must be the next event
-// from the sender and everything the sender had seen must be delivered.
-func (v VC) CausallyDeliverable(send VC, sender ids.ProcessID) bool {
-	if send.Get(sender) != v.Get(sender)+1 {
-		return false
-	}
-	for k, n := range send {
-		if k == sender {
-			continue
-		}
-		if n > v[k] {
-			return false
-		}
-	}
-	return true
-}
-
-// String renders the clock deterministically for logs and tests.
-func (v VC) String() string {
-	keys := make([]string, 0, len(v))
-	for k := range v {
-		keys = append(keys, string(k))
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	b.WriteByte('{')
-	for i, k := range keys {
-		if i > 0 {
-			b.WriteByte(' ')
-		}
-		fmt.Fprintf(&b, "%s:%d", k, v[ids.ProcessID(k)])
-	}
-	b.WriteByte('}')
-	return b.String()
-}
 
 // Stamp is a Lamport timestamp extended with the sender identity so that
 // the happens-before partial order extends to a strict total order:

@@ -10,112 +10,6 @@ import (
 	"newtop/internal/vclock"
 )
 
-// genVC builds a random small vector clock from quick-generated data.
-func genVC(vals map[uint8]uint16) vclock.VC {
-	v := vclock.New()
-	for k, n := range vals {
-		if n > 0 {
-			v[ids.ProcessID(string(rune('a'+k%8)))] = uint64(n)
-		}
-	}
-	return v
-}
-
-func TestVCBasics(t *testing.T) {
-	v := vclock.New()
-	if v.Tick("a") != 1 || v.Tick("a") != 2 {
-		t.Fatal("Tick should count up")
-	}
-	if v.Get("a") != 2 || v.Get("b") != 0 {
-		t.Fatal("Get mismatch")
-	}
-	c := v.Copy()
-	c.Tick("a")
-	if v.Get("a") != 2 {
-		t.Fatal("Copy must be independent")
-	}
-}
-
-func TestVCOrdering(t *testing.T) {
-	a := vclock.VC{"p": 1, "q": 2}
-	b := vclock.VC{"p": 2, "q": 2}
-	if !a.LE(b) || b.LE(a) {
-		t.Fatal("a < b expected")
-	}
-	c := vclock.VC{"p": 0, "q": 3}
-	if !a.Concurrent(c) || !c.Concurrent(a) {
-		t.Fatal("a || c expected")
-	}
-	if !a.Equal(a.Copy()) {
-		t.Fatal("a == copy(a)")
-	}
-}
-
-func TestVCMergeProperties(t *testing.T) {
-	// Merge is commutative, idempotent, and an upper bound.
-	f := func(m1, m2 map[uint8]uint16) bool {
-		a, b := genVC(m1), genVC(m2)
-
-		ab := a.Copy()
-		ab.Merge(b)
-		ba := b.Copy()
-		ba.Merge(a)
-		if !ab.Equal(ba) {
-			return false
-		}
-		aa := a.Copy()
-		aa.Merge(a)
-		if !aa.Equal(a) {
-			return false
-		}
-		return a.LE(ab) && b.LE(ab)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestVCLEPartialOrder(t *testing.T) {
-	// LE is reflexive and transitive; antisymmetry implies Equal.
-	f := func(m1, m2, m3 map[uint8]uint16) bool {
-		a, b, c := genVC(m1), genVC(m2), genVC(m3)
-		if !a.LE(a) {
-			return false
-		}
-		if a.LE(b) && b.LE(c) && !a.LE(c) {
-			return false
-		}
-		if a.LE(b) && b.LE(a) && !a.Equal(b) {
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCausallyDeliverable(t *testing.T) {
-	// Receiver has delivered 2 messages from p and 1 from q.
-	recv := vclock.VC{"p": 2, "q": 1}
-
-	// Next message from p (its third), which saw one message from q.
-	send := vclock.VC{"p": 3, "q": 1}
-	if !recv.CausallyDeliverable(send, "p") {
-		t.Fatal("in-order message should be deliverable")
-	}
-	// A message from p that skipped one (fourth) is not deliverable.
-	send = vclock.VC{"p": 4, "q": 1}
-	if recv.CausallyDeliverable(send, "p") {
-		t.Fatal("gapped message must not be deliverable")
-	}
-	// A message depending on unseen traffic from q is not deliverable.
-	send = vclock.VC{"p": 3, "q": 2}
-	if recv.CausallyDeliverable(send, "p") {
-		t.Fatal("message with unsatisfied dependency must wait")
-	}
-}
-
 func TestStampTotalOrder(t *testing.T) {
 	// (time, sender) is a strict total order: irreflexive, antisymmetric,
 	// transitive, and total on distinct stamps.
