@@ -11,9 +11,9 @@
 # wire encode/decode symmetry, no pooled writer used after it is recycled,
 # no blocking under event-loop mutexes, no wall clock in ordering
 # decisions, recurring timers only on the shared wheel, no orphaned
-# goroutines and no silently dropped send errors (see README "Static
-# analysis"). Allocation budgets are runtime guards, the "alloc budgets"
-# stage below.
+# goroutines, no silently dropped send errors and no internal function
+# that no binary links (see README "Static analysis"). Allocation budgets
+# are runtime guards, the "alloc budgets" stage below.
 set -eu
 
 cd "$(dirname "$0")"

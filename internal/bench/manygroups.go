@@ -73,9 +73,9 @@ func runManyGroups(ctx context.Context, sc Scale) (*Result, error) {
 	runtime.ReadMemStats(&before)
 	baseGoroutines := runtime.NumGoroutine()
 
-	// The idle population: single-member, event-driven, no leases, no
-	// domain — each group ticks once after creation, finds itself
-	// quiescent and parks off the wheel entirely.
+	// The idle population: single-member, event-driven, no leases — each
+	// group ticks once after creation, finds itself quiescent and parks
+	// off the wheel entirely.
 	idleCfg := gcs.GroupConfig{
 		Liveness: gcs.EventDriven,
 		Tick:     2 * time.Millisecond,

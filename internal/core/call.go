@@ -121,12 +121,6 @@ func (c *Call) ended() bool {
 	return c.finished
 }
 
-// ID returns the invocation's call identifier.
-func (c *Call) ID() ids.CallID { return c.id }
-
-// Mode returns the invocation's reply mode.
-func (c *Call) Mode() ReplyMode { return c.mode }
-
 // Done is closed when the call has completed (replies gathered, binding
 // broken, or cancelled). Select on it to multiplex many futures.
 func (c *Call) Done() <-chan struct{} {

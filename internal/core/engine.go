@@ -912,9 +912,9 @@ func (e *engine) read(ctx context.Context, method string, args []byte, o callOpt
 	}
 
 	start := time.Now()
-	payload, final, err := e.readOnce(ctx, cons, method, args, min, o.maxStale, uint64(o.trace))
+	payload, final, err := e.readOnce(ctx, cons, method, args, min, uint64(o.trace))
 	if err != nil && !final && cons == Leased {
-		payload, _, err = e.readOnce(ctx, Linearizable, method, args, min, 0, uint64(o.trace))
+		payload, _, err = e.readOnce(ctx, Linearizable, method, args, min, uint64(o.trace))
 	}
 	e.svc.span(uint64(o.trace), flight.StClientRead, uint64(cons), start, time.Since(start))
 	return payload, err
@@ -925,7 +925,7 @@ func (e *engine) read(ctx context.Context, method string, args []byte, o callOpt
 // consistency (an application error, a disabled read path, a spent
 // context); everything else — lease refusals, session floors out of
 // reach, transport failures — leaves escalation open to the caller.
-func (e *engine) readOnce(ctx context.Context, cons Consistency, method string, args []byte, min vclock.Stamp, maxStale time.Duration, trace uint64) (payload []byte, final bool, err error) {
+func (e *engine) readOnce(ctx context.Context, cons Consistency, method string, args []byte, min vclock.Stamp, trace uint64) (payload []byte, final bool, err error) {
 	w := wire.GetWriter()
 	defer wire.PutWriter(w)
 	putReadRequest(w, &readRequest{
@@ -933,7 +933,6 @@ func (e *engine) readOnce(ctx context.Context, cons Consistency, method string, 
 		Method:      method,
 		Args:        args,
 		Consistency: cons,
-		MaxStale:    int64(maxStale),
 		MinStamp:    min,
 		Trace:       trace,
 	})

@@ -80,3 +80,28 @@ func (e *engine) hookCounts() (live, spare int) {
 	defer e.mu.Unlock()
 	return len(e.hooks), len(e.spare)
 }
+
+// ID returns the invocation's call identifier.
+func (c *Call) ID() ids.CallID { return c.id }
+
+// Mode returns the invocation's reply mode.
+func (c *Call) Mode() ReplyMode { return c.mode }
+
+// DebugGroup exposes the server group for white-box diagnostics.
+func (srv *Server) DebugGroup() *gcs.Group { return srv.group }
+
+// DebugNewCall allocates a call identifier for a test to issue, and retry,
+// by hand (WithCallID). Nothing releases it: the process's floor stays at
+// it, so the servers retain every call from it on.
+func (s *Service) DebugNewCall() ids.CallID {
+	id, _ := s.newCall()
+	return id
+}
+
+// Shard returns the live binding of one shard (nil if unknown) — for
+// diagnostics and cross-shard administration.
+func (sb *ShardedBinding) Shard(name string) *Binding {
+	sb.mu.Lock()
+	defer sb.mu.Unlock()
+	return sb.bindings[name]
+}

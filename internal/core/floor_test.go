@@ -318,6 +318,15 @@ func TestStaleRetryThroughAnotherPrimarySendsNothing(t *testing.T) {
 		}
 		calls++
 	}
+	// A wait-for-first call returns at its first reply: the other replicas
+	// may still be running the calls made so far, and a count that is
+	// still moving is not an execution of the stale retry.
+	for w.totalCalls() != 3*calls {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d executions of %d calls at 3 replicas, want %d", w.totalCalls(), calls, 3*calls)
+		}
+		time.Sleep(time.Millisecond)
+	}
 	before := w.totalCalls()
 	_, err = c.Call(ctx, "put", []byte("k=1"), core.WithCallID(first.ID()), core.WithMode(core.First))
 	if !errors.Is(err, core.ErrStaleRetry) {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"newtop/internal/ids"
 	"newtop/internal/obs"
@@ -85,8 +84,8 @@ const (
 	Linearizable Consistency = iota + 1
 	// Leased reads are served from any replica's delivered prefix while
 	// that replica holds a read lease: staleness is bounded by the lease
-	// (LeaseTicks × Tick, tightened per-call by WithMaxStaleness), and
-	// the session token still guarantees read-your-writes.
+	// (LeaseTicks × Tick), and the session token still guarantees
+	// read-your-writes.
 	Leased
 	// Stale reads are served from any replica's delivered prefix with no
 	// lease check at all: best-effort freshness, maximum availability.
@@ -114,14 +113,9 @@ type callOpts struct {
 	hasCall bool
 	trace   obs.TraceID
 
-	// Read-path options (ignored by Call/InvokeAsync).
+	// consistency is the one read-path option (ignored by
+	// Call/InvokeAsync).
 	consistency Consistency
-	maxStale    time.Duration
-
-	// Routing options (consumed by ShardedBinding; ignored by single-group
-	// invokers).
-	key    string
-	hasKey bool
 }
 
 // CallOption configures one invocation (see WithMode, WithCallID,
@@ -150,6 +144,8 @@ func WithCallID(id ids.CallID) CallOption {
 
 // WithTrace threads an explicit trace identifier through the invocation
 // instead of allocating (Binding/Proxy) or deriving (G2G) one.
+//
+//lint:ok unlinked joins a call to a trace its caller already holds; the trace and conformance tests read the stage journal through it
 func WithTrace(t obs.TraceID) CallOption {
 	return func(o callOpts) callOpts { o.trace = t; return o }
 }
@@ -158,22 +154,6 @@ func WithTrace(t obs.TraceID) CallOption {
 // Leased or Stale) instead of the default, Leased.
 func WithConsistency(c Consistency) CallOption {
 	return func(o callOpts) callOpts { o.consistency = c; return o }
-}
-
-// WithMaxStaleness tightens a Leased read's staleness bound for this call
-// only: the serving replica refuses unless its lease evidence is fresher
-// than d (it can never loosen the configured lease bound). Ignored by
-// Linearizable and Stale reads.
-func WithMaxStaleness(d time.Duration) CallOption {
-	return func(o callOpts) callOpts { o.maxStale = d; return o }
-}
-
-// WithKey pins the routing key of one invocation on a sharded binding:
-// the call goes to the group owning key on the consistent-hash ring,
-// bypassing the binding's configured key extractor. Single-group invokers
-// (Binding, Proxy, G2G) ignore it.
-func WithKey(key string) CallOption {
-	return func(o callOpts) callOpts { o.key = key; o.hasKey = true; return o }
 }
 
 // resolveCallOpts folds the options over the defaults.

@@ -84,6 +84,8 @@ func (p *Proxy) call(ctx context.Context, method string, args []byte, o callOpts
 // rebind-and-retry loop runs in the background. The proxy has no window
 // of its own — each attempt occupies a slot of the current underlying
 // binding's window.
+//
+//lint:ok unlinked the Invoker assertion in invoker.go needs it until the proxy folds into the binding (ROADMAP item 18)
 func (p *Proxy) InvokeAsync(ctx context.Context, method string, args []byte, opts ...CallOption) (*Call, error) {
 	p.mu.Lock()
 	closed := p.closed
@@ -131,6 +133,8 @@ func (p *Proxy) resolve(opts []CallOption) (o callOpts, owned bool) {
 // there is nothing to retain — but the session token survives the rebind:
 // the replacement binding inherits the old one's stamp, so read-your-writes
 // holds across a request manager failure.
+//
+//lint:ok unlinked the Invoker assertion in invoker.go needs it until the proxy folds into the binding (ROADMAP item 18)
 func (p *Proxy) Read(ctx context.Context, method string, args []byte, opts ...CallOption) (payload []byte, err error) {
 	o := resolveCallOpts(opts)
 	err = p.withBinding(ctx, func(b *Binding) (err error) {
@@ -173,6 +177,8 @@ func (p *Proxy) withBinding(ctx context.Context, fn func(*Binding) error) error 
 
 // SessionStamp returns the current binding's session token (zero when the
 // proxy is between bindings).
+//
+//lint:ok unlinked the Invoker assertion in invoker.go needs it until the proxy folds into the binding (ROADMAP item 18)
 func (p *Proxy) SessionStamp() vclock.Stamp {
 	p.mu.Lock()
 	b := p.binding

@@ -168,14 +168,14 @@ func TestAllocGuardReadRoundTrip(t *testing.T) {
 // a pointer the resolved set escaped: 1 allocation per Call, InvokeAsync
 // and Read.)
 func TestAllocGuardResolveCallOpts(t *testing.T) {
-	four := []CallOption{WithMode(All), WithCallID(ids.CallID{Client: "z00", Number: 7}), WithConsistency(Stale), WithKey("k")}
+	four := []CallOption{WithMode(All), WithCallID(ids.CallID{Client: "z00", Number: 7}), WithConsistency(Stale), WithTrace(9)}
 	for _, tc := range []struct {
 		name string
 		opts []CallOption
 		want callOpts
 	}{
 		{"no", nil, callOpts{mode: First}},
-		{"four", four, callOpts{mode: All, call: ids.CallID{Client: "z00", Number: 7}, hasCall: true, consistency: Stale, key: "k", hasKey: true}},
+		{"four", four, callOpts{mode: All, call: ids.CallID{Client: "z00", Number: 7}, hasCall: true, trace: 9, consistency: Stale}},
 	} {
 		var got callOpts
 		avg := allocs.PerOp(500, func() { got = resolveCallOpts(tc.opts) })

@@ -115,7 +115,7 @@ func (srv *Server) serveReadNow(req *readRequest, rep *readReply) bool {
 	var age, bound uint64
 	if req.Consistency != Stale {
 		var err error
-		age, bound, err = srv.group.LeaseRead(srv.staleTicks(req.MaxStale))
+		age, bound, err = srv.group.LeaseRead(0)
 		if err != nil {
 			srv.execMu.Unlock()
 			readRefusal(err, age, bound, rep)
@@ -132,7 +132,7 @@ func (srv *Server) serveReadNow(req *readRequest, rep *readReply) bool {
 // lease check, the session-floor wait and one handler run, with no
 // protocol traffic. TestAllocGuardLeasedRead pins it at zero allocations.
 func (srv *Server) serveReadLocal(req *readRequest, rep *readReply) {
-	age, bound, err := srv.group.LeaseRead(srv.staleTicks(req.MaxStale))
+	age, bound, err := srv.group.LeaseRead(0)
 	switch {
 	case err != nil:
 		readRefusal(err, age, bound, rep)
@@ -189,21 +189,6 @@ func (srv *Server) execReadLocked(req *readRequest, age, bound uint64, rep *read
 		return
 	}
 	*rep = readReply{Code: readOK, Payload: payload, Stamp: stamp, AgeTicks: age, BoundTicks: bound}
-}
-
-// staleTicks converts the client's wall-clock staleness budget to ticks
-// of this server group's timer, rounding up (the client cannot know the
-// group's tick period; zero means "use the configured lease bound").
-func (srv *Server) staleTicks(maxStale int64) uint64 {
-	if maxStale <= 0 {
-		return 0
-	}
-	tick := srv.group.Config().Tick
-	n := (time.Duration(maxStale) + tick - 1) / tick
-	if n < 1 {
-		n = 1
-	}
-	return uint64(n)
 }
 
 // readRefusal maps a gcs read-path error to its wire code.

@@ -1047,6 +1047,3 @@ func (c *collector) drop() {
 	clear(c.replies)
 	c.call, c.replies, c.settled = ids.CallID{}, nil, true
 }
-
-// DebugGroup exposes the server group for white-box diagnostics.
-func (srv *Server) DebugGroup() *gcs.Group { return srv.group }

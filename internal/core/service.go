@@ -446,11 +446,3 @@ func requestReplyDefaults(cfg gcs.GroupConfig) gcs.GroupConfig {
 	}
 	return cfg
 }
-
-// DebugNewCall allocates a call identifier for a test to issue, and retry,
-// by hand (WithCallID). Nothing releases it: the process's floor stays at
-// it, so the servers retain every call from it on.
-func (s *Service) DebugNewCall() ids.CallID {
-	id, _ := s.newCall()
-	return id
-}

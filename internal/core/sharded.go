@@ -13,8 +13,7 @@ import (
 )
 
 // ErrNoShard is returned when an invocation's key resolves to a shard the
-// binding holds no live attachment for (an empty ring, or a shard closed
-// by RemoveShard racing the call).
+// binding holds no live attachment for.
 var ErrNoShard = errors.New("core: no shard owns this key")
 
 // ShardSpec names one shard of a sharded fabric: its name on the
@@ -40,9 +39,9 @@ type ShardConfig struct {
 	RingSeed uint64
 	// VNodes is the virtual-node count per shard (0 = shard.DefaultVNodes).
 	VNodes int
-	// KeyOf extracts the routing key of an invocation that carries no
-	// WithKey option. The default takes args up to the first '=' (so the
-	// Store's "put k=v" / "get k" argument conventions route on the key).
+	// KeyOf extracts the routing key of an invocation. The default takes
+	// args up to the first '=' (so the Store's "put k=v" / "get k"
+	// argument conventions route on the key).
 	KeyOf func(method string, args []byte) []byte
 	// Bind is the per-shard binding template; ServerGroup and Contact are
 	// filled from each ShardSpec.
@@ -158,28 +157,15 @@ func (sb *ShardedBinding) Shards() []string {
 	return sb.Ring().Shards()
 }
 
-// Shard returns the live binding of one shard (nil if unknown) — for
-// diagnostics and cross-shard administration.
-func (sb *ShardedBinding) Shard(name string) *Binding {
-	sb.mu.Lock()
-	defer sb.mu.Unlock()
-	return sb.bindings[name]
-}
-
 // route resolves one invocation's options and the owning shard's binding.
 func (sb *ShardedBinding) route(method string, args []byte, opts []CallOption) (*Binding, callOpts, error) {
 	o := resolveCallOpts(opts)
-	var owner string
 	sb.mu.Lock()
 	if sb.closed {
 		sb.mu.Unlock()
 		return nil, o, ErrClosed
 	}
-	if o.hasKey {
-		owner = sb.ring.Owner(o.key)
-	} else {
-		owner = sb.ring.OwnerBytes(sb.cfg.KeyOf(method, args))
-	}
+	owner := sb.ring.OwnerBytes(sb.cfg.KeyOf(method, args))
 	b := sb.bindings[owner]
 	sb.mu.Unlock()
 	if b == nil {
@@ -293,8 +279,7 @@ func (sb *ShardedBinding) SessionStamps() map[string]vclock.Stamp {
 // (return the empty value): the migration window is eventually
 // consistent, the price of never blocking writes. Keys that do not move
 // are entirely unaffected. Export before drop means a failure mid-way
-// leaves every key present somewhere; rerunning AddShard (or calling
-// MigrateTo with the same ring) is idempotent repair.
+// leaves every key present somewhere.
 func (sb *ShardedBinding) AddShard(ctx context.Context, sp ShardSpec) error {
 	sb.mu.Lock()
 	if sb.closed {
@@ -318,107 +303,50 @@ func (sb *ShardedBinding) AddShard(ctx context.Context, sp ShardSpec) error {
 	sb.bindings[sp.Name] = b
 	sb.specs[sp.Name] = sp
 	sb.ring = grown
-	donors := make([]string, 0, len(sb.bindings)-1)
-	for name := range sb.bindings {
+	donors := make([]*Binding, 0, len(sb.bindings)-1)
+	for name, d := range sb.bindings {
 		if name != sp.Name {
-			donors = append(donors, name)
+			donors = append(donors, d)
 		}
 	}
 	sb.mu.Unlock()
 
-	return sb.migrate(ctx, grown, donors, []string{sp.Name})
-}
-
-// RemoveShard shrinks the fabric by one shard: routing switches to the
-// shrunk ring, the departing shard exports everything it held, the pairs
-// install at their new owners (partitioned by the shrunk ring), the
-// departing shard drops them, and its binding closes. The same
-// switch→export→install→drop window as AddShard applies.
-func (sb *ShardedBinding) RemoveShard(ctx context.Context, name string) error {
-	sb.mu.Lock()
-	if sb.closed {
-		sb.mu.Unlock()
-		return ErrClosed
-	}
-	if _, ok := sb.specs[name]; !ok {
-		sb.mu.Unlock()
-		return fmt.Errorf("core: remove shard: %q not present", name)
-	}
-	if len(sb.specs) == 1 {
-		sb.mu.Unlock()
-		return errors.New("core: remove shard: cannot remove the last shard")
-	}
-	shrunk := sb.ring.Without(name)
-	sb.ring = shrunk
-	departing := sb.bindings[name]
-	sb.mu.Unlock()
-
-	if err := sb.migrate(ctx, shrunk, []string{name}, shrunk.Shards()); err != nil {
-		return err
-	}
-
-	sb.mu.Lock()
-	delete(sb.bindings, name)
-	delete(sb.specs, name)
-	sb.mu.Unlock()
-	return departing.Close()
+	return migrate(ctx, grown, donors, sp.Name, b)
 }
 
 // migrate runs the export→install→drop phases against an already-switched
-// ring: donors export pairs the ring no longer assigns them, the pairs
-// are partitioned by new owner and installed (restricted to recipients,
-// normally the set that can have gained ranges), and the donors drop.
-func (sb *ShardedBinding) migrate(ctx context.Context, ring *shard.Ring, donors, recipients []string) error {
+// ring: each donor exports the pairs the ring no longer assigns it, all of
+// which it now assigns to the new shard to, b (to's binding) installs
+// them, and the donors drop them.
+func migrate(ctx context.Context, ring *shard.Ring, donors []*Binding, to string, b *Binding) error {
 	spec := shard.EncodeSpec(ring.Spec())
-	incoming := make(map[string]map[string]string, len(recipients))
-	for _, r := range recipients {
-		incoming[r] = make(map[string]string)
-	}
-
-	for _, donor := range donors {
-		b := sb.Shard(donor)
-		if b == nil {
-			return fmt.Errorf("core: migrate: shard %q has no binding", donor)
-		}
-		replies, err := b.Call(ctx, "shard.export", spec)
+	incoming := make(map[string]string)
+	for _, d := range donors {
+		replies, err := d.Call(ctx, "shard.export", spec)
 		if err != nil {
-			return fmt.Errorf("core: migrate: export from %q: %w", donor, err)
+			return fmt.Errorf("core: migrate: export from %q: %w", d.serverGroup, err)
 		}
 		pairs, err := shard.DecodePairs(replies[0].Payload)
 		if err != nil {
-			return fmt.Errorf("core: migrate: export from %q: %w", donor, err)
+			return fmt.Errorf("core: migrate: export from %q: %w", d.serverGroup, err)
 		}
 		for k, v := range pairs {
-			owner := ring.Owner(k)
-			dst, ok := incoming[owner]
-			if !ok {
-				return fmt.Errorf("core: migrate: key %q moved to %q, not a recipient", k, owner)
+			if owner := ring.Owner(k); owner != to {
+				return fmt.Errorf("core: migrate: key %q moved to %q, not to %q", k, owner, to)
 			}
-			dst[k] = v
+			incoming[k] = v
 		}
 	}
 
-	for _, r := range recipients {
-		pairs := incoming[r]
-		if len(pairs) == 0 {
-			continue
-		}
-		b := sb.Shard(r)
-		if b == nil {
-			return fmt.Errorf("core: migrate: shard %q has no binding", r)
-		}
-		if _, err := b.Call(ctx, "shard.install", shard.EncodePairs(pairs)); err != nil {
-			return fmt.Errorf("core: migrate: install at %q: %w", r, err)
+	if len(incoming) > 0 {
+		if _, err := b.Call(ctx, "shard.install", shard.EncodePairs(incoming)); err != nil {
+			return fmt.Errorf("core: migrate: install at %q: %w", to, err)
 		}
 	}
 
-	for _, donor := range donors {
-		b := sb.Shard(donor)
-		if b == nil {
-			continue
-		}
-		if _, err := b.Call(ctx, "shard.drop", spec); err != nil {
-			return fmt.Errorf("core: migrate: drop at %q: %w", donor, err)
+	for _, d := range donors {
+		if _, err := d.Call(ctx, "shard.drop", spec); err != nil {
+			return fmt.Errorf("core: migrate: drop at %q: %w", d.serverGroup, err)
 		}
 	}
 	return nil

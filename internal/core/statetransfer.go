@@ -134,6 +134,8 @@ func (srv *Server) catchUp(ctx context.Context, donor ids.ProcessID) error {
 // the donor member. The returned server is fully caught up — its state
 // equals what a founding member's would be at the same point in the
 // group's total order.
+//
+//lint:ok unlinked the state-transfer join that exactly-once across a membership change (ROADMAP items 5 and 1(1)) builds on; its tests drive it
 func (s *Service) ServeReplica(ctx context.Context, cfg ServeConfig) (*Server, error) {
 	if cfg.Snapshot == nil || cfg.Restore == nil {
 		return nil, errors.New("core: ServeReplica needs Snapshot and Restore hooks")

@@ -342,7 +342,6 @@ func encodeBindRequest(m *bindRequest) []byte {
 	w.Varint(int64(m.Config.FlushTimeout))
 	w.Varint(int64(m.Config.Tick))
 	w.Bool(m.Config.Batch)
-	w.Varint(int64(m.Config.BatchLimit))
 	w.Varint(int64(m.Config.LeaseTicks))
 	out := w.Detach()
 	wire.PutWriter(w)
@@ -368,7 +367,6 @@ func decodeBindRequest(b []byte) (*bindRequest, error) {
 	m.Config.FlushTimeout = durationFromVarint(r)
 	m.Config.Tick = durationFromVarint(r)
 	m.Config.Batch = r.Bool()
-	m.Config.BatchLimit = int(r.Varint())
 	m.Config.LeaseTicks = int(r.Varint())
 	if err := r.Done(); err != nil {
 		return nil, err
@@ -390,11 +388,6 @@ type readRequest struct {
 	// Consistency is the read's consistency (never zero on the wire; the
 	// binding resolves its default before encoding).
 	Consistency Consistency
-	// MaxStale tightens a leased read's staleness bound, in nanoseconds
-	// (zero = use the group's configured lease bound). Sent as a duration
-	// because the client does not know the server group's tick period;
-	// the serving replica converts it to ticks of its own timer.
-	MaxStale int64
 	// MinStamp is the session floor: the replica waits until its
 	// executed prefix covers this stamp before answering (read-your-
 	// writes). Zero stamp = no floor.
@@ -447,7 +440,6 @@ func putReadRequest(w *wire.Writer, m *readRequest) {
 	w.String(m.Method)
 	w.Blob(m.Args)
 	w.Uvarint(uint64(m.Consistency))
-	w.Varint(m.MaxStale)
 	putStamp(w, m.MinStamp)
 	w.Uvarint(m.Trace)
 }
@@ -458,7 +450,6 @@ func decodeReadRequest(b []byte, in *interner, m *readRequest) error {
 	m.Method = in.str(r)
 	m.Args = r.BlobRef()
 	m.Consistency = Consistency(r.Uvarint())
-	m.MaxStale = r.Varint()
 	m.MinStamp = getStamp(r, in)
 	m.Trace = r.Uvarint()
 	return r.Done()

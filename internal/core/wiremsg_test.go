@@ -184,9 +184,9 @@ func TestBindRequestRoundTrip(t *testing.T) {
 }
 
 // bindLocalFields are bindRequest.Config fields that deliberately do not
-// cross the wire: Domain is a node-local delivery-domain name and
-// ProcessingCost a node-local simulation knob (see encodeBindRequest).
-var bindLocalFields = []string{"Config.Domain", "Config.ProcessingCost"}
+// cross the wire: ProcessingCost is a node-local simulation knob (see
+// encodeBindRequest).
+var bindLocalFields = []string{"Config.ProcessingCost"}
 
 // TestReflectionRoundTrips fills every exported field of each invocation
 // envelope with a distinct non-zero value and round-trips it. Unlike the

@@ -7,6 +7,7 @@ import (
 
 	"newtop/internal/ids"
 	"newtop/internal/lint/allocs"
+	"newtop/internal/obs"
 	"newtop/internal/transport"
 	"newtop/internal/wire"
 )
@@ -226,7 +227,7 @@ func TestAllocGuardDecode(t *testing.T) {
 // channel copied the frame once per destination to prepend its protocol
 // byte, and later the frame was detached from the writer once.)
 func TestAllocGuardMuxedBroadcast(t *testing.T) {
-	mux := transport.NewMux(newNullEP("b/me"))
+	mux := transport.NewMuxObs(newNullEP("b/me"), obs.Default())
 	defer mux.Close()
 	n := NewNode(mux.Channel(transport.ProtoGCS))
 	defer n.Close()

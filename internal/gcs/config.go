@@ -103,13 +103,6 @@ type GroupConfig struct {
 	// Tick is the period of the group's internal timer; it bounds the
 	// granularity of all the durations above.
 	Tick time.Duration
-	// Domain, when non-empty, places the group in a node-local total-order
-	// domain: the node delivers the union of the application messages of
-	// all its groups sharing the Domain name in one global (stamp) order —
-	// NewTop's multi-group total ordering for overlapping groups. Requires
-	// OrderSymmetric and works best with Lively groups (frontier progress
-	// rides on time-silence traffic). See internal/gcs/domain.go.
-	Domain string
 	// ProcessingCost models the NewTop service object's per-message
 	// processing (queue management, ordering checks, the per-reply thread
 	// creation the paper describes in fig. 9) as simulated CPU time
@@ -122,17 +115,14 @@ type GroupConfig struct {
 	ProcessingCost time.Duration
 	// Batch enables sender-side multicast batching: application messages
 	// queued within the same tick window are coalesced into one batch
-	// envelope on the wire. Batches are unpacked at the receiver before
-	// ordering, so every delivery guarantee (causal, symmetric,
-	// asymmetric, view synchrony) is untouched; protocol nulls flush the
-	// buffer immediately so liveness and acknowledgement timing keep
-	// their unbatched promptness. Batching is sender-local: members of
-	// one group may disagree on it.
+	// envelope on the wire, of at most batchLimit messages (a full buffer
+	// flushes without waiting for the tick). Batches are unpacked at the
+	// receiver before ordering, so every delivery guarantee (causal,
+	// symmetric, asymmetric, view synchrony) is untouched; protocol nulls
+	// flush the buffer immediately so liveness and acknowledgement timing
+	// keep their unbatched promptness. Batching is sender-local: members
+	// of one group may disagree on it.
 	Batch bool
-	// BatchLimit caps how many data messages one batch envelope may
-	// carry; a full buffer flushes without waiting for the tick. The
-	// default is 64.
-	BatchLimit int
 	// LeaseTicks enables time-bounded read leases: while a member holds a
 	// valid lease it may serve reads from its delivered prefix without
 	// entering the ordering layer, and a partitioned member's lease
@@ -183,20 +173,14 @@ func (c GroupConfig) withDefaults() GroupConfig {
 	if c.Tick <= 0 {
 		c.Tick = defaultTick
 	}
-	if c.BatchLimit <= 0 {
-		c.BatchLimit = defaultBatchLimit
-	}
 	return c
 }
 
-// defaultBatchLimit bounds one batch envelope when Batch is enabled.
-const defaultBatchLimit = 64
+// batchLimit bounds one batch envelope when Batch is enabled.
+const batchLimit = 64
 
-// validateDomain checks the domain/order combination.
-func (c GroupConfig) validateDomain() error {
-	if c.Domain != "" && c.Order != OrderSymmetric {
-		return fmt.Errorf("gcs: total-order domains require OrderSymmetric, not %v", c.Order)
-	}
+// validate checks the lease/order combination.
+func (c GroupConfig) validate() error {
 	if c.LeaseTicks > 0 && !c.Order.Total() {
 		return fmt.Errorf("gcs: read leases require a total-order protocol, not %v", c.Order)
 	}

@@ -209,35 +209,12 @@ func (g *Group) pushEventLocked(ev Event, sender int, seq uint64, view uint32) {
 	}
 }
 
-// kickDispatch schedules a coalesced domain kick: a sibling group's
-// frontier advanced, so this group must re-run its delivery check. The
-// check runs on a dispatch worker (under g.mu there), replacing the old
-// per-group kick channel + tick-loop select.
-func (g *Group) kickDispatch() {
-	g.evmu.Lock()
-	if g.evClosed {
-		g.evmu.Unlock()
-		return
-	}
-	g.evKick = true
-	sched := !g.evActive
-	if sched {
-		g.evActive = true
-	}
-	g.evmu.Unlock()
-	if sched {
-		g.node.disp.ready(g)
-	}
-}
-
 // drainDispatch is the worker-side drain: swap out the queued batch, run
 // it, and either go idle or re-queue behind the other ready groups. Only
-// one worker runs this per group at a time (evActive handoff). Without a
-// handler only a domain kick runs; the events stay queued for the handler.
+// one worker runs this per group at a time (evActive handoff). It never
+// takes g.mu. Without a handler the events stay queued for the handler.
 func (g *Group) drainDispatch() {
 	g.evmu.Lock()
-	kick := g.evKick
-	g.evKick = false
 	h := g.handler
 	var batch []dispItem
 	if h != nil {
@@ -257,7 +234,7 @@ func (g *Group) drainDispatch() {
 		}
 		g.evScratch = batch[:0]
 	}
-	if len(batch) == 0 && !kick {
+	if len(batch) == 0 {
 		g.evActive = false
 		g.evmu.Unlock()
 		return
@@ -265,13 +242,6 @@ func (g *Group) drainDispatch() {
 	g.evDraining = true
 	g.evmu.Unlock()
 
-	if kick {
-		g.mu.Lock()
-		g.readClockLocked()
-		g.tryDeliverLocked()
-		g.publishFrontierLocked()
-		g.mu.Unlock()
-	}
 	// The journal clock is read once before the batch and once after each
 	// handler: one handler's end is the next one's start.
 	journal := g.fr.Enabled()
@@ -297,7 +267,7 @@ func (g *Group) drainDispatch() {
 	if g.evClosed {
 		g.evCond.Broadcast() // closeDispatch may be waiting out this drain
 	}
-	more := g.evKick || g.handler != nil && len(g.evq) > 0
+	more := g.handler != nil && len(g.evq) > 0
 	if !more {
 		g.evActive = false
 	}
@@ -325,12 +295,12 @@ func (g *Group) frDispatch(end, d int64, it *dispItem) {
 // refuses new ones, waits out an in-flight drain so no handler call
 // survives the close, and closes the Events channel if there is one. Must
 // not be called from inside the group's own handler (the drain cannot wait
-// for itself).
+// for itself), nor with g.mu held: a drain never takes g.mu, but the
+// handler it is running may call into the group.
 func (g *Group) closeDispatch() {
 	g.evmu.Lock()
 	g.evClosed = true
 	g.evq = nil
-	g.evKick = false
 	for g.evDraining {
 		g.evCond.Wait() //lint:ok lockblock Cond.Wait atomically releases g.evmu while waiting out the in-flight drain; the worker re-takes it to finish
 	}

@@ -29,10 +29,6 @@ type Delivery struct {
 	Stamp vclock.Stamp
 	// ViewSeq is the view the message was delivered in.
 	ViewSeq ids.ViewSeq
-	// DomainSeq is the node-local position in the group's total-order
-	// domain (zero when the group is not in a domain). Contiguous across
-	// the domain's groups; see gcs.MergeDomain.
-	DomainSeq uint64
 }
 
 // Event is one entry of a group's ordered delivery stream.

@@ -11,7 +11,7 @@ import (
 	"newtop/internal/lint/leakcheck"
 	"newtop/internal/netsim"
 	"newtop/internal/obs"
-	"newtop/internal/obs/flight"
+	"newtop/internal/obs/flight/flighttest"
 	"newtop/internal/transport/memnet"
 )
 
@@ -28,7 +28,7 @@ func newHarness(t *testing.T, n int) *harness {
 	// (cleanups are LIFO): Close must reap every pump the nodes started.
 	leakcheck.Check(t)
 	// On failure, log the protocol journal tail recorded during the test.
-	flight.DumpOnFailure(t, obs.Default().Flight, 0)
+	flighttest.DumpOnFailure(t, obs.Default().Flight, 0)
 	h := &harness{t: t, net: memnet.New(netsim.New(netsim.FastProfile(), 1))}
 	for i := 0; i < n; i++ {
 		id := ids.ProcessID(fmt.Sprintf("n%02d", i))

@@ -3,7 +3,6 @@ package gcs
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"time"
 
@@ -170,10 +169,6 @@ type Group struct {
 	frProc  uint16
 	frGroup uint16
 
-	// domain is the node-local total-order domain (nil when not in one);
-	// sibling frontier advances arrive as coalesced dispatch kicks.
-	domain *domainState
-
 	// wentry is the group's deadline on the node's shared timer wheel
 	// (wheel.go); parked (guarded by mu) is true while the group holds no
 	// scheduled tick at all — the idle event-driven state of paper §3.
@@ -188,7 +183,6 @@ type Group struct {
 	evScratch  []dispItem
 	evActive   bool // queued on, or being drained by, the worker pool
 	evDraining bool // a worker is mid-batch
-	evKick     bool // coalesced domain kick pending
 	evClosed   bool
 	handler    func(Event)
 	events     *queue.FIFO[Event] // the Events() adaptor's buffer, if it was called
@@ -244,10 +238,6 @@ func newGroup(n *Node, id ids.GroupID, cfg GroupConfig, st groupState) *Group {
 	}
 	g.cond = sync.NewCond(&g.mu)
 	g.evCond = sync.NewCond(&g.evmu)
-	if cfg.Domain != "" {
-		g.domain = n.dom.state(cfg.Domain)
-		g.domain.register(id, g)
-	}
 	// Register the tick deadline on the node's shared wheel: one wheel
 	// goroutine drives every group, so a new group costs a list link, not
 	// a ticker goroutine.
@@ -299,16 +289,6 @@ func (g *Group) leaderOf(members []ids.ProcessID) ids.ProcessID {
 	}
 	return ids.MinProcess(members)
 }
-
-// Coordinator returns the current view's membership coordinator.
-func (g *Group) Coordinator() ids.ProcessID {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.leaderOf(g.view.Members)
-}
-
-// Sequencer returns the member ordering messages under OrderSequencer.
-func (g *Group) Sequencer() ids.ProcessID { return g.Coordinator() }
 
 // actingCoordinator is the leader among non-suspected members (mu held).
 func (g *Group) actingCoordinator() ids.ProcessID {
@@ -538,7 +518,7 @@ func (g *Group) batchingLocked() bool {
 // per sender is preserved — the buffer flushes in emit order).
 func (g *Group) queueBatchLocked(m *dataMsg) {
 	g.batchBuf = append(g.batchBuf, m)
-	if m.Null || len(g.batchBuf) >= g.cfg.BatchLimit {
+	if m.Null || len(g.batchBuf) >= batchLimit {
 		g.flushBatchLocked()
 	}
 }
@@ -748,11 +728,11 @@ func (g *Group) acceptBatchLocked(b *batchMsg) bool {
 // twin of handleBatch's amortisation, applied across frames instead of
 // within one envelope: when the transport delivers faster than the
 // event loop drains — exactly the regime a loaded real-network group
-// lives in — one stability compaction, one delivery pass, one frontier
-// publication and at most one prompt-ack (or sequencer announce) null
-// cover the backlog instead of one of each per frame. Acceptance still
-// happens message by message, before any ordering decision, so delivery
-// semantics are identical to handling each frame alone.
+// lives in — one stability compaction, one delivery pass and at most one
+// prompt-ack (or sequencer announce) null cover the backlog instead of
+// one of each per frame. Acceptance still happens message by message,
+// before any ordering decision, so delivery semantics are identical to
+// handling each frame alone.
 func (g *Group) handleBurst(msgs []any, bytes int) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -857,12 +837,10 @@ func (g *Group) acceptDataLocked(m *dataMsg, charge bool) bool {
 }
 
 // postIngestLocked is the once-per-frame tail of data handling: stability
-// compaction, the delivery loop, frontier publication and the prompt
-// acknowledgement.
+// compaction, the delivery loop and the prompt acknowledgement.
 func (g *Group) postIngestLocked() {
 	g.compactStableLocked()
 	g.tryDeliverLocked()
-	g.publishFrontierLocked()
 	// Prompt acknowledgement: under the total-order protocols, messages
 	// still pending after the delivery pass need traffic from us before
 	// anyone can deliver them; if our latest send does not already cover
@@ -1123,13 +1101,8 @@ func (g *Group) popSymmetricLocked() *dataMsg {
 			// predecessor that must arrive first.
 			break
 		}
-		if !m.Null {
-			if !g.allHeardPastLocked(m) {
-				break // total order blocked until everyone spoke
-			}
-			if g.domain != nil && !g.domain.clear(g.id, m.stamp()) {
-				break // a sibling group may still deliver earlier
-			}
+		if !m.Null && !g.allHeardPastLocked(m) {
+			break // total order blocked until everyone spoke
 		}
 		chosen = m
 		g.scratch = g.scratch[:len(g.scratch)-1] // keep it popped
@@ -1247,9 +1220,6 @@ func (g *Group) deliverLocked(m *dataMsg) {
 			Payload: m.Payload,
 			Stamp:   m.stamp(),
 			ViewSeq: m.ViewSeq,
-		}
-		if g.domain != nil {
-			d.DomainSeq = g.domain.nextSeq()
 		}
 		g.stats.AppDelivered++
 		g.metrics.appDelivered.Inc()
@@ -1382,9 +1352,6 @@ func (g *Group) installViewLocked(v View) {
 	g.curProposal = nil
 	g.fl = nil
 	g.state = stateNormal
-	// The per-view ordering state just reset: the domain frontier
-	// regresses until the new view's members have spoken.
-	g.publishFrontierLocked()
 	view := v.Clone()
 	g.pushEventLocked(Event{Type: EventView, View: &view}, int(flight.NoSender), 0, uint32(v.Seq))
 	g.updateActivityLocked()
@@ -1445,15 +1412,12 @@ func (g *Group) Leave() error {
 // closeLocked transitions to the terminal state and deregisters the
 // group's wheel deadline. The dispatch queue is shut separately
 // (closeDispatch), outside g.mu: it may have to wait out an in-flight
-// drain, and drains take g.mu for domain kicks.
+// drain, and the handler that drain runs may call into the group.
 func (g *Group) closeLocked(err error) {
 	if g.state == stateLeft {
 		return
 	}
 	g.state = stateLeft
-	if g.domain != nil {
-		g.domain.unregister(g.id)
-	}
 	g.joinErr = err
 	g.early, g.earlyProp = nil, nil
 	if g.joined != nil {
@@ -1498,44 +1462,4 @@ func (g *Group) handle(from ids.ProcessID, msg any, size int) {
 	case *commitMsg:
 		g.handleCommit(m)
 	}
-}
-
-// DebugDump renders the group's internal delivery state for diagnostics.
-func (g *Group) DebugDump() string {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	s := fmt.Sprintf("%s@%s state=%d view=%v delGlobal=%d assignHigh=%d pending=%d store=%d order=%d\n",
-		g.id, g.me, g.state, g.view.Members, g.delGlobal, g.assignHigh, g.npending, g.nstore, g.ring.live)
-	if g.midx == nil {
-		return s // joining: no per-view state yet
-	}
-	stash := make([]int, len(g.win)) // messages held out of order, per position
-	for q := range g.win {
-		g.win[q].Each(func(seq uint64, sl *seqSlot) {
-			if sl.m != nil && seq > g.recvContig[q] {
-				stash[q]++
-			}
-		})
-	}
-	s += fmt.Sprintf("  delivered=%v\n  recvContig=%v\n  stash=%v\n", g.delivered, g.recvContig, stash)
-	byG := make([]string, 0, 8)
-	for global := g.delGlobal + 1; global <= g.delGlobal+4; global++ {
-		ref := g.ring.Get(global)
-		if ref.seq == 0 {
-			byG = append(byG, fmt.Sprintf("g%d=?", global))
-			continue
-		}
-		id := ids.MsgID{Sender: g.midx.members[ref.pos], Seq: ref.seq}
-		m := g.win[ref.pos].Get(ref.seq).m
-		if m == nil || ref.seq <= g.delivered[ref.pos] {
-			byG = append(byG, fmt.Sprintf("g%d=%v(not-pending,del=%d)", global, id, g.delivered[ref.pos]))
-			continue
-		}
-		byG = append(byG, fmt.Sprintf("g%d=%v causal=%v heard=%v vc=%v", global, id, g.causalOKLocked(m), g.allHeardPastLocked(m), m.VC))
-	}
-	s += "  next globals: " + fmt.Sprint(byG) + "\n"
-	for q, st := range g.lastStamp {
-		s += fmt.Sprintf("  lastStamp[%s]=%v\n", g.midx.members[q], st)
-	}
-	return s
 }

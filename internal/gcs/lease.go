@@ -46,31 +46,6 @@ var (
 	ErrNotSequencer = errors.New("gcs: not the sequencer")
 )
 
-// LeaseStatus is a diagnostic snapshot of the local read lease.
-type LeaseStatus struct {
-	Valid bool
-	// AgeTicks is how many ticks ago the lease was last renewed (for the
-	// sequencer itself and under the symmetric protocol: the age of the
-	// oldest contact the validity rests on).
-	AgeTicks uint64
-	// BoundTicks is the configured lease duration.
-	BoundTicks uint64
-	// ViewSeq is the view the lease belongs to.
-	ViewSeq ids.ViewSeq
-}
-
-// LeaseStatus reports the current lease without journalling a read.
-func (g *Group) LeaseStatus() LeaseStatus {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return LeaseStatus{
-		Valid:      g.leaseValidLocked(),
-		AgeTicks:   g.leaseAgeLocked(),
-		BoundTicks: uint64(g.cfg.LeaseTicks),
-		ViewSeq:    g.view.Seq,
-	}
-}
-
 // LeaseRead validates the local read lease for one leased read and
 // journals it. maxStale, when non-zero, tightens the configured bound for
 // this read only. On success it returns the lease age and the effective

@@ -454,14 +454,6 @@ func encodeFramed(hdr []byte, msg any) *wire.Writer {
 	return w
 }
 
-// decodeMessage parses one GCS payload, returning one of the message
-// struct pointers. One-shot entry point: interning and reader reuse need
-// a long-lived decoder (the node's receive loop owns one).
-func decodeMessage(payload []byte) (any, error) {
-	var d decoder
-	return d.decode(payload)
-}
-
 // decode parses one GCS payload with this decoder's reusable reader and
 // intern tables. Not safe for concurrent use; each receive loop owns its
 // decoder.

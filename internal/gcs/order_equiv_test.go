@@ -271,9 +271,6 @@ func oracleNextDeliverable(g *Group) *dataMsg {
 			if !g.allHeardPastLocked(m) {
 				return nil
 			}
-			if g.domain != nil && !g.domain.clear(g.id, m.stamp()) {
-				return nil
-			}
 			return m
 		}
 	case OrderSequencer:

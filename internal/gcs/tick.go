@@ -25,10 +25,9 @@ type instant struct {
 }
 
 // now reads the node's clock. A group reads it once as it enters its
-// critical section for a received batch, an API call or a domain kick
-// (readClockLocked), and everything the section stamps — its journal
-// events, lastHeard, bornAt and lastSentAt, the latency samples — shares
-// that reading. The reading is taken after the section's cause (a popped
+// critical section for a received batch or an API call (readClockLocked),
+// and everything the section stamps — its journal events, lastHeard,
+// bornAt and lastSentAt, the latency samples — shares that reading. The reading is taken after the section's cause (a popped
 // batch, a caller's call), so no stamp runs ahead of its cause, and it is
 // at most the section's length early: a lastHeard that errs early makes
 // a member suspected sooner, never later.
@@ -54,8 +53,8 @@ func (g *Group) tick(now time.Time) {
 	// The tick count is the group's deterministic clock: every read-lease
 	// expiry decision is a comparison of tick counts (see lease.go), so it
 	// advances unconditionally, before any early return. (It freezes while
-	// parked, but only groups without leases, domains or lively liveness
-	// ever park.)
+	// parked, but only groups without leases or lively liveness ever
+	// park.)
 	g.tickCount++
 	if g.state == stateLeft {
 		return // closeLocked already canceled the entry; do not re-arm
@@ -91,7 +90,6 @@ func (g *Group) tick(now time.Time) {
 			g.sendDataLocked(true, nil)
 		}
 	}
-	g.publishFrontierLocked()
 
 	// Retransmission of unacknowledged messages (only while the group is
 	// active: an idle event-driven group neither resends nor expects
@@ -183,10 +181,10 @@ func (g *Group) rearmLocked() {
 // canParkLocked reports whether an event-driven group has nothing left
 // for the timer machinery to do: no undelivered or unstable messages, no
 // membership round, batch residue, read-barrier waiter or outstanding
-// attention — and no configuration (lease, domain, lively liveness) that
-// needs a continuous beat. Parked groups hold no wheel entry at all.
+// attention — and no configuration (lease, lively liveness) that needs a
+// continuous beat. Parked groups hold no wheel entry at all.
 func (g *Group) canParkLocked() bool {
-	if g.cfg.Liveness != EventDriven || g.cfg.LeaseTicks > 0 || g.domain != nil {
+	if g.cfg.Liveness != EventDriven || g.cfg.LeaseTicks > 0 {
 		return false
 	}
 	if g.state != stateNormal || g.activeLocked() {

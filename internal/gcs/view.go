@@ -20,16 +20,6 @@ type View struct {
 	Members []ids.ProcessID
 }
 
-// Coordinator returns the member responsible for membership changes: the
-// lowest process identifier in the view.
-func (v View) Coordinator() ids.ProcessID { return ids.MinProcess(v.Members) }
-
-// Sequencer returns the member that orders messages under OrderSequencer:
-// like the coordinator, the lowest identifier, which lets the roles of
-// sequencer, request manager and primary coincide as in the paper's
-// optimised passive-replication configuration (§4.2).
-func (v View) Sequencer() ids.ProcessID { return ids.MinProcess(v.Members) }
-
 // Contains reports whether p is a member of the view.
 func (v View) Contains(p ids.ProcessID) bool { return ids.ContainsProcess(v.Members, p) }
 
@@ -50,9 +40,6 @@ func (v View) Clone() View {
 	copy(members, v.Members)
 	return View{Seq: v.Seq, Installer: v.Installer, Members: members}
 }
-
-// SameIdentity reports whether two views are the same installed view.
-func (v View) SameIdentity(o View) bool { return v.Seq == o.Seq && v.Installer == o.Installer }
 
 // String implements fmt.Stringer.
 func (v View) String() string {

@@ -56,6 +56,8 @@ func (p ProcessID) Site() string {
 func (p ProcessID) Less(q ProcessID) bool { return p < q }
 
 // String implements fmt.Stringer.
+//
+//lint:ok unlinked the fmt.Stringer gcs's tests and DebugDump print message IDs with
 func (m MsgID) String() string { return fmt.Sprintf("%s#%d", m.Sender, m.Seq) }
 
 // String implements fmt.Stringer.

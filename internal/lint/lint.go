@@ -4,9 +4,10 @@
 // decode symmetrically, event-loop code that never blocks while a group
 // mutex is held, protocol decisions that stay deterministic (no wall
 // clock, no math/rand) so netsim runs replay, goroutines that have a stop
-// signal, and send-path errors that are dropped only on purpose. This
-// package turns each of those invariants into an analyzer that CI runs
-// over the whole module (see cmd/newtop-lint).
+// signal, send-path errors that are dropped only on purpose, and no code
+// that only its own tests run (no binary links it). This package turns
+// each of those invariants into an analyzer that CI runs over the whole
+// module (see cmd/newtop-lint).
 //
 // The engine is stdlib-only: go/parser + go/types + go/importer, no
 // golang.org/x/tools dependency. Packages are loaded from source (see
@@ -87,6 +88,7 @@ func Analyzers() []*Analyzer {
 		TimerWheel(),
 		GoOrphan(),
 		ErrDrop(),
+		Unlinked(),
 	}
 }
 
@@ -260,15 +262,6 @@ func (s *suppressor) stale(ran map[string]map[string]bool) []Diagnostic {
 		})
 	}
 	return out
-}
-
-// Check runs every analyzer over every package, applies //lint:ok
-// suppression, and returns the surviving diagnostics in position order.
-// Scoping via Analyzer.Applies and stale-directive detection are
-// CheckModule's concern (cmd/newtop-lint goes through it; fixture tests
-// call Check and bypass both).
-func Check(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	return check(pkgs, analyzers, false, false)
 }
 
 // CheckModule is the cmd/newtop-lint entry point: Applies gating is

@@ -28,7 +28,8 @@ func fixtureLoader(t *testing.T) *Loader {
 }
 
 // A want is one expected diagnostic, parsed from a fixture comment of the
-// form `// want <rule> "<substring>"` (several pairs may share a comment).
+// form `// want <rule> "<substring>"` (several pairs may share a comment;
+// a /* want … */ comment can share a line with a //lint:ok directive).
 // The expectation is anchored to the comment's line.
 type want struct {
 	rule    string
@@ -45,7 +46,8 @@ func parseWants(p *Package) map[string][]*want {
 	for _, f := range p.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
+				text := strings.TrimSuffix(strings.TrimPrefix(strings.TrimPrefix(c.Text, "//"), "/*"), "*/")
+				text = strings.TrimSpace(text)
 				rest, ok := strings.CutPrefix(text, "want ")
 				if !ok {
 					continue
@@ -64,7 +66,11 @@ func parseWants(p *Package) map[string][]*want {
 // runFixture checks one analyzer against its golden fixture package: every
 // `// want` expectation must be produced at its line, and nothing else may
 // be reported.
-func runFixture(t *testing.T, name string, a *Analyzer) {
+func runFixture(t *testing.T, name string, a *Analyzer) { runFixtureWith(t, name, Check, a) }
+
+// runFixtureWith is runFixture through check (CheckModule where a fixture
+// pins stale-directive reports too).
+func runFixtureWith(t *testing.T, name string, check func([]*Package, []*Analyzer) []Diagnostic, a *Analyzer) {
 	t.Helper()
 	ld := fixtureLoader(t)
 	pkg, err := ld.LoadDir(filepath.Join("testdata", name))
@@ -75,7 +81,7 @@ func runFixture(t *testing.T, name string, a *Analyzer) {
 	if len(wants) == 0 {
 		t.Fatalf("fixture %s has no // want expectations", name)
 	}
-	for _, d := range Check([]*Package{pkg}, []*Analyzer{a}) {
+	for _, d := range check([]*Package{pkg}, []*Analyzer{a}) {
 		key := fmt.Sprintf("%s:%d", filepath.Base(d.Pos.Filename), d.Pos.Line)
 		found := false
 		for _, w := range wants[key] {
@@ -105,6 +111,31 @@ func TestDetClock(t *testing.T)   { runFixture(t, "detclock", DetClock()) }
 func TestTimerWheel(t *testing.T) { runFixture(t, "timerwheel", TimerWheel()) }
 func TestGoOrphan(t *testing.T)   { runFixture(t, "goorphan", GoOrphan()) }
 func TestErrDrop(t *testing.T)    { runFixture(t, "errdrop", ErrDrop()) }
+
+// TestUnlinked runs the unlinked rule over its fixture with the linker's
+// symbols injected, spelt as -dumpdep spells them: a closure, generic
+// instantiations and a method value each mark the function they come
+// from, and a function's data marks nothing. An unlinked function and
+// method are reported, an escaped one is not, an escape on a linked
+// function is stale, and a bodiless declaration is skipped.
+func TestUnlinked(t *testing.T) {
+	const pkg = "newtop/internal/lint/testdata/unlinked"
+	syms := []string{
+		"main.main", pkg + ".Linked",
+		pkg + ".Linked", pkg + ".Linked.func1",
+		pkg + ".Linked.func1", pkg + ".Linked.func1.argliveinfo",
+		"main.main", pkg + ".(*Box[go.shape.int]).Get",
+		"main.main", pkg + ".(*Box[go.shape.struct { X []int }]).Put-fm",
+		"main.main", pkg + ".Stale",
+		// Identical data is kept once, under one function's name: it
+		// marks no function.
+		"main.main", pkg + ".Dead.opendefer",
+		"main.main", pkg + ".(*Box[go.shape.int]).Drop.stkobj",
+		"main.main", "type:" + pkg + ".Box[int]",
+	}
+	source := func(string) ([]string, error) { return syms, nil }
+	runFixtureWith(t, "unlinked", CheckModule, unlinkedFrom(source))
+}
 
 // TestDirectiveMalformed checks that broken //lint:ok comments are
 // reported even when no analyzer runs: a directive that parses wrong, or
@@ -140,8 +171,8 @@ func TestDirectiveMalformed(t *testing.T) {
 // TestAnalyzersNamed checks rule-subset selection and its error path.
 func TestAnalyzersNamed(t *testing.T) {
 	all, err := AnalyzersNamed("")
-	if err != nil || len(all) != 7 {
-		t.Fatalf("AnalyzersNamed(\"\") = %d analyzers, err %v; want 7, nil", len(all), err)
+	if err != nil || len(all) != 8 {
+		t.Fatalf("AnalyzersNamed(\"\") = %d analyzers, err %v; want 8, nil", len(all), err)
 	}
 	two, err := AnalyzersNamed("wiresym,errdrop")
 	if err != nil || len(two) != 2 {
@@ -171,4 +202,36 @@ func TestExpand(t *testing.T) {
 			t.Errorf("Expand(./...) missing %s (got %d packages)", need, len(paths))
 		}
 	}
+}
+
+// Check runs every analyzer over every package, applies //lint:ok
+// suppression, and returns the surviving diagnostics in position order.
+// Scoping via Analyzer.Applies and stale-directive detection are
+// CheckModule's concern (cmd/newtop-lint goes through it; fixture tests
+// call Check and bypass both).
+func Check(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
+	return check(pkgs, analyzers, false, false)
+}
+
+// LoadDir type-checks the package in an explicit directory (lint fixture
+// packages under testdata, which pattern expansion deliberately skips).
+// The package is registered under a synthetic module-internal import path
+// so analyzers see ordinary-looking paths.
+func (l *Loader) LoadDir(dir string) (*Package, error) {
+	abs, err := filepath.Abs(dir)
+	if err != nil {
+		return nil, err
+	}
+	rel, err := filepath.Rel(l.Root, abs)
+	if err != nil || strings.HasPrefix(rel, "..") {
+		return nil, fmt.Errorf("lint: %s is outside module %s", dir, l.Root)
+	}
+	path := l.Module + "/" + filepath.ToSlash(rel)
+	if e, ok := l.pkgs[path]; ok {
+		return e.pkg, e.err
+	}
+	e := &loadEntry{}
+	e.pkg, e.tpkg, e.err = l.loadDir(abs, path)
+	l.pkgs[path] = e
+	return e.pkg, e.err
 }

@@ -119,29 +119,6 @@ func (l *Loader) load(path string) *loadEntry {
 	return e
 }
 
-// LoadDir type-checks the package in an explicit directory (lint fixture
-// packages under testdata, which pattern expansion deliberately skips).
-// The package is registered under a synthetic module-internal import path
-// so analyzers see ordinary-looking paths.
-func (l *Loader) LoadDir(dir string) (*Package, error) {
-	abs, err := filepath.Abs(dir)
-	if err != nil {
-		return nil, err
-	}
-	rel, err := filepath.Rel(l.Root, abs)
-	if err != nil || strings.HasPrefix(rel, "..") {
-		return nil, fmt.Errorf("lint: %s is outside module %s", dir, l.Root)
-	}
-	path := l.Module + "/" + filepath.ToSlash(rel)
-	if e, ok := l.pkgs[path]; ok {
-		return e.pkg, e.err
-	}
-	e := &loadEntry{}
-	e.pkg, e.tpkg, e.err = l.loadDir(abs, path)
-	l.pkgs[path] = e
-	return e.pkg, e.err
-}
-
 // loadDir parses and type-checks the non-test Go files of one directory.
 func (l *Loader) loadDir(dir, path string) (*Package, *types.Package, error) {
 	bp, err := l.ctx.ImportDir(dir, 0)

@@ -140,9 +140,6 @@ func New(profile Profile, seed int64) *Network {
 	}
 }
 
-// Profile returns the timing profile of the network.
-func (n *Network) Profile() Profile { return n.profile }
-
 // Place assigns a process to a site. Calling Place again moves the process.
 func (n *Network) Place(p ids.ProcessID, site string) {
 	n.mu.Lock()
@@ -153,6 +150,8 @@ func (n *Network) Place(p ids.ProcessID, site string) {
 // SetPartition puts a process into a numbered partition; processes in
 // different partitions cannot exchange messages. All processes start in
 // partition 0. Heal by setting everything back to the same number.
+//
+//lint:ok unlinked a simulator fault control: the partition tests of gcs and memnet drive it
 func (n *Network) SetPartition(p ids.ProcessID, part int) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -174,6 +173,8 @@ func (n *Network) Crashed(p ids.ProcessID) bool {
 }
 
 // SetLoss sets the probability in [0, 1] that any given message is dropped.
+//
+//lint:ok unlinked a simulator fault control: the loss tests of gcs drive it
 func (n *Network) SetLoss(prob float64) {
 	n.mu.Lock()
 	defer n.mu.Unlock()

@@ -1,9 +1,13 @@
-package flight
+// Package flighttest holds the flight recorder's test helper: a failed
+// protocol test logs the journal it recorded.
+package flighttest
 
 import (
 	"strings"
 	"testing"
 	"time"
+
+	"newtop/internal/obs/flight"
 )
 
 // DumpOnFailure registers a cleanup that, if the test fails, logs the
@@ -11,8 +15,8 @@ import (
 // twin of leakcheck.Check. max bounds the dumped event count (0 means
 // 200). Usage, first line of a protocol test:
 //
-//	flight.DumpOnFailure(t, obs.Default().Flight, 0)
-func DumpOnFailure(t testing.TB, r *Recorder, max int) {
+//	flighttest.DumpOnFailure(t, obs.Default().Flight, 0)
+func DumpOnFailure(t testing.TB, r *flight.Recorder, max int) {
 	t.Helper()
 	if !r.Enabled() {
 		return
@@ -36,9 +40,9 @@ func DumpOnFailure(t testing.TB, r *Recorder, max int) {
 		}
 		m := r.Meta()
 		var sb strings.Builder
-		WriteText(&sb, events, m)
+		flight.WriteText(&sb, events, m)
 		t.Logf("flight journal (%d events, %d older dropped):\n%s", len(events), dropped, sb.String())
-		if stalls := DetectStalls(events, m, StallConfig{MinAge: 250 * time.Millisecond}); len(stalls) > 0 {
+		if stalls := flight.DetectStalls(events, m, flight.StallConfig{MinAge: 250 * time.Millisecond}); len(stalls) > 0 {
 			for _, s := range stalls {
 				t.Logf("flight stall: %s", s)
 			}

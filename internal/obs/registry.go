@@ -94,14 +94,6 @@ type HistSnapshot struct {
 	P50, P95, P99 time.Duration
 }
 
-// Mean returns the average observation, or zero when empty.
-func (s HistSnapshot) Mean() time.Duration {
-	if s.Count == 0 {
-		return 0
-	}
-	return s.Sum / time.Duration(s.Count)
-}
-
 // Snapshot computes count, sum, max and p50/p95/p99.
 func (h *Histogram) Snapshot() HistSnapshot {
 	var counts [histBuckets + 1]uint64

@@ -212,3 +212,11 @@ func TestLabeledSeries(t *testing.T) {
 		}
 	}
 }
+
+// Mean returns the average observation, or zero when empty.
+func (s HistSnapshot) Mean() time.Duration {
+	if s.Count == 0 {
+		return 0
+	}
+	return s.Sum / time.Duration(s.Count)
+}

@@ -7,3 +7,10 @@ func (o *ORB) PendingCalls() int {
 	defer o.mu.Unlock()
 	return len(o.calls)
 }
+
+// Unregister removes a servant.
+func (o *ORB) Unregister(object string) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	delete(o.servants, object)
+}

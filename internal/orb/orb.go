@@ -204,13 +204,6 @@ func (o *ORB) HandleTwoWay(object, method string, h TwoWayHandler) {
 	o.twoWays[methodKey{object, method}] = h
 }
 
-// Unregister removes a servant.
-func (o *ORB) Unregister(object string) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	delete(o.servants, object)
-}
-
 // Invoke performs a synchronous invocation on a remote object and returns
 // its reply, a slice of the inbound frame. It fails with ctx's error on
 // timeout/cancellation (the transport is best-effort; a crashed or

@@ -34,6 +34,8 @@ func (r *Ring[T]) Span() int { return r.n }
 func (r *Ring[T]) FarLen() int { return len(r.far) }
 
 // Cap is the dense buffer's capacity in slots.
+//
+//lint:ok unlinked gcs's order-table and window guards (ci.sh runs them by name) read the windows' capacity through it
 func (r *Ring[T]) Cap() int { return len(r.slots) }
 
 // Reset empties the ring and returns its floor to zero, keeping its

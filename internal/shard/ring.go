@@ -24,9 +24,9 @@ import (
 const DefaultVNodes = 2048
 
 // Ring is an immutable consistent-hash ring. Construct with NewRing;
-// derive changed rings with With/Without. Placement is deterministic
-// across processes: two rings built from the same seed, vnode count and
-// shard set agree on every key's owner.
+// derive a grown ring with With. Placement is deterministic across
+// processes: two rings built from the same seed, vnode count and shard
+// set agree on every key's owner.
 type Ring struct {
 	seed   uint64
 	vnodes int
@@ -77,12 +77,6 @@ func NewRing(seed uint64, vnodes int, shards ...string) *Ring {
 	})
 	return r
 }
-
-// Seed returns the ring's placement seed.
-func (r *Ring) Seed() uint64 { return r.seed }
-
-// VNodes returns the virtual-node count per shard.
-func (r *Ring) VNodes() int { return r.vnodes }
 
 // Shards returns the shard names, sorted. The slice is shared; do not
 // mutate.
@@ -145,20 +139,6 @@ func (r *Ring) With(name string) *Ring {
 		return r
 	}
 	return NewRing(r.seed, r.vnodes, append(append([]string{}, r.shards...), name)...)
-}
-
-// Without returns a ring with name removed (r itself if absent).
-func (r *Ring) Without(name string) *Ring {
-	if !r.Contains(name) {
-		return r
-	}
-	out := make([]string, 0, len(r.shards)-1)
-	for _, s := range r.shards {
-		if s != name {
-			out = append(out, s)
-		}
-	}
-	return NewRing(r.seed, r.vnodes, out...)
 }
 
 // Spec returns the ring's wire-portable description. Rebuilding from a

@@ -133,7 +133,7 @@ func TestMinimalMovement(t *testing.T) {
 	const keys = 4000
 	base := NewRing(3, 0, shardNames(8)...)
 	grown := base.With("kv/s8")
-	shrunk := base.Without("kv/s7")
+	shrunk := NewRing(3, 0, shardNames(7)...) // base without kv/s7
 
 	movedAdd, movedRem := 0, 0
 	for i := 0; i < keys; i++ {
@@ -162,20 +162,27 @@ func TestMinimalMovement(t *testing.T) {
 	}
 }
 
-// TestWithWithoutIdentity checks the no-op fast paths.
+// TestWithWithoutIdentity checks With's no-op fast path, and that a ring
+// grown with a shard places keys exactly as one built with it from the
+// start, and as one built without it once it is gone.
 func TestWithWithoutIdentity(t *testing.T) {
 	r := NewRing(9, 64, "a", "b")
 	if r.With("a") != r {
 		t.Fatal("With(existing) should return the same ring")
 	}
-	if r.Without("zzz") != r {
-		t.Fatal("Without(absent) should return the same ring")
-	}
-	if got := r.Without("a").Shards(); len(got) != 1 || got[0] != "b" {
-		t.Fatalf("Without left %v", got)
-	}
-	if !r.With("c").Contains("c") {
+	grown := r.With("c")
+	if !grown.Contains("c") {
 		t.Fatal("With(c) lost c")
+	}
+	built := NewRing(9, 64, "a", "b", "c")
+	for i := 0; i < 256; i++ {
+		k := fmt.Sprintf("k%d", i)
+		if grown.Owner(k) != built.Owner(k) {
+			t.Fatalf("key %q: grown ring places it at %s, built ring at %s", k, grown.Owner(k), built.Owner(k))
+		}
+		if o := grown.Owner(k); o != "c" && o != r.Owner(k) {
+			t.Fatalf("key %q moved %s->%s without involving c", k, r.Owner(k), o)
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"newtop/internal/netsim"
+	"newtop/internal/obs"
 	"newtop/internal/transport"
 	"newtop/internal/transport/memnet"
 	"newtop/internal/transport/tcpnet"
@@ -56,7 +57,7 @@ func tcpnetLink(t *testing.T) (transport.Endpoint, transport.Endpoint) {
 
 func muxLink(t *testing.T) (transport.Endpoint, transport.Endpoint) {
 	pa, pb := newPipe("a", "b")
-	ma, mb := transport.NewMux(pa), transport.NewMux(pb)
+	ma, mb := transport.NewMuxObs(pa, obs.Default()), transport.NewMuxObs(pb, obs.Default())
 	t.Cleanup(func() { _ = ma.Close(); _ = mb.Close() })
 	return ma.Channel(transport.ProtoGCS), mb.Channel(transport.ProtoGCS)
 }

@@ -58,12 +58,8 @@ type Mux struct {
 	done   chan struct{}
 }
 
-// NewMux wraps ep and starts the demultiplexing pump. The caller must not
-// use ep directly afterwards. Instruments register in the process-wide
-// observability domain; use NewMuxObs to direct them elsewhere.
-func NewMux(ep Endpoint) *Mux { return NewMuxObs(ep, obs.Default()) }
-
-// NewMuxObs is NewMux with an explicit observability domain (the bench
+// NewMuxObs wraps ep and starts the demultiplexing pump. The caller must
+// not use ep directly afterwards. Instruments register in o (the bench
 // harness gives each experiment world its own).
 func NewMuxObs(ep Endpoint, o *obs.Obs) *Mux {
 	m := &Mux{

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"newtop/internal/ids"
+	"newtop/internal/obs"
 	"newtop/internal/transport"
 )
 
@@ -82,7 +83,7 @@ func recvOne(t *testing.T, ch <-chan transport.Inbound) transport.Inbound {
 
 func TestMuxRoutesByProtocol(t *testing.T) {
 	a, b := newPipe("a", "b")
-	ma, mb := transport.NewMux(a), transport.NewMux(b)
+	ma, mb := transport.NewMuxObs(a, obs.Default()), transport.NewMuxObs(b, obs.Default())
 	defer ma.Close()
 	defer mb.Close()
 
@@ -112,7 +113,7 @@ func TestMuxRoutesByProtocol(t *testing.T) {
 
 func TestMuxChannelIdentity(t *testing.T) {
 	a, _ := newPipe("a", "b")
-	m := transport.NewMux(a)
+	m := transport.NewMuxObs(a, obs.Default())
 	defer m.Close()
 	if m.Channel(1) != m.Channel(1) {
 		t.Fatal("Channel must be idempotent")
@@ -127,7 +128,7 @@ func TestMuxChannelIdentity(t *testing.T) {
 
 func TestMuxDropsUnknownProtocolAndEmpty(t *testing.T) {
 	a, b := newPipe("a", "b")
-	ma, mb := transport.NewMux(a), transport.NewMux(b)
+	ma, mb := transport.NewMuxObs(a, obs.Default()), transport.NewMuxObs(b, obs.Default())
 	defer ma.Close()
 	defer mb.Close()
 
@@ -149,7 +150,7 @@ func TestMuxDropsUnknownProtocolAndEmpty(t *testing.T) {
 
 func TestMuxPreservesOrderPerChannel(t *testing.T) {
 	a, b := newPipe("a", "b")
-	ma, mb := transport.NewMux(a), transport.NewMux(b)
+	ma, mb := transport.NewMuxObs(a, obs.Default()), transport.NewMuxObs(b, obs.Default())
 	defer ma.Close()
 	defer mb.Close()
 
@@ -170,7 +171,7 @@ func TestMuxPreservesOrderPerChannel(t *testing.T) {
 
 func TestMuxCloseIsClean(t *testing.T) {
 	a, b := newPipe("a", "b")
-	ma, mb := transport.NewMux(a), transport.NewMux(b)
+	ma, mb := transport.NewMuxObs(a, obs.Default()), transport.NewMuxObs(b, obs.Default())
 	ch := mb.Channel(transport.ProtoGCS)
 	if err := ma.Close(); err != nil {
 		t.Fatal(err)

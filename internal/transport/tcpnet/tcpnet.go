@@ -195,24 +195,11 @@ func defaultAdvertise(addr string) string {
 // Addr returns the listener's bound address.
 func (e *Endpoint) Addr() string { return e.lis.Addr().String() }
 
-// AdvertiseAddr returns the address the endpoint hands to peers in its
-// handshake, "" when it has none worth advertising.
-func (e *Endpoint) AdvertiseAddr() string { return e.adv }
-
 // AddPeer registers (or updates) the address of a peer process.
 func (e *Endpoint) AddPeer(id ids.ProcessID, addr string) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.peers[id] = addr
-}
-
-// PeerAddr returns the known address of a peer (configured or learned
-// from its handshake).
-func (e *Endpoint) PeerAddr(id ids.ProcessID) (string, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	addr, ok := e.peers[id]
-	return addr, ok
 }
 
 // ID implements transport.Endpoint.

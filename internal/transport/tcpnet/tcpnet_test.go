@@ -8,7 +8,7 @@ import (
 
 	"newtop/internal/ids"
 	"newtop/internal/obs"
-	"newtop/internal/obs/flight"
+	"newtop/internal/obs/flight/flighttest"
 	"newtop/internal/transport"
 	"newtop/internal/transport/tcpnet"
 )
@@ -20,7 +20,7 @@ var dumpRegistered sync.Map
 func listen(t *testing.T, id ids.ProcessID) *tcpnet.Endpoint {
 	t.Helper()
 	if _, loaded := dumpRegistered.LoadOrStore(t, true); !loaded {
-		flight.DumpOnFailure(t, obs.Default().Flight, 0)
+		flighttest.DumpOnFailure(t, obs.Default().Flight, 0)
 		t.Cleanup(func() { dumpRegistered.Delete(t) })
 	}
 	ep, err := tcpnet.Listen(id, "127.0.0.1:0")

@@ -64,10 +64,3 @@ func (l *Lamport) Witness(remote uint64) uint64 {
 	l.time++
 	return l.time
 }
-
-// Now returns the current time without advancing it.
-func (l *Lamport) Now() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.time
-}

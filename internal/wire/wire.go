@@ -29,6 +29,8 @@ type Writer struct {
 }
 
 // NewWriter returns a writer with a small pre-allocated buffer.
+//
+//lint:ok unlinked the unpooled writer the codec tests and fuzzers of wire, gcs and core encode into, and that wiresym and wirepool recognise as a fresh writer
 func NewWriter() *Writer {
 	return &Writer{buf: make([]byte, 0, 128)}
 }
