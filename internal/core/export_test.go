@@ -6,6 +6,7 @@ import (
 
 	"newtop/internal/gcs"
 	"newtop/internal/ids"
+	"newtop/internal/obs"
 	"newtop/internal/vclock"
 )
 
@@ -104,4 +105,11 @@ func (sb *ShardedBinding) Shard(name string) *Binding {
 	sb.mu.Lock()
 	defer sb.mu.Unlock()
 	return sb.bindings[name]
+}
+
+// WithTrace threads an explicit trace identifier through the invocation
+// instead of allocating (Binding/Proxy) or deriving (G2G) one, so a test
+// can find the call's stages in the journal.
+func WithTrace(t obs.TraceID) CallOption {
+	return func(o callOpts) callOpts { o.trace = t; return o }
 }

@@ -119,7 +119,7 @@ type callOpts struct {
 }
 
 // CallOption configures one invocation (see WithMode, WithCallID,
-// WithTrace). Options fold by value, so the resolved set stays on the
+// WithConsistency). Options fold by value, so the resolved set stays on the
 // caller's stack.
 type CallOption func(callOpts) callOpts
 
@@ -140,14 +140,6 @@ func WithMode(m ReplyMode) CallOption {
 // overridden with the monitor group's identity.
 func WithCallID(id ids.CallID) CallOption {
 	return func(o callOpts) callOpts { o.call = id; o.hasCall = true; return o }
-}
-
-// WithTrace threads an explicit trace identifier through the invocation
-// instead of allocating (Binding/Proxy) or deriving (G2G) one.
-//
-//lint:ok unlinked joins a call to a trace its caller already holds; the trace and conformance tests read the stage journal through it
-func WithTrace(t obs.TraceID) CallOption {
-	return func(o callOpts) callOpts { o.trace = t; return o }
 }
 
 // WithConsistency selects the consistency of one Read (Linearizable,

@@ -139,16 +139,27 @@ func (g *Group) leaseAgeLocked() uint64 {
 // authority to grant and to serve: a deposed minority sequencer loses it
 // within one bound of the partition.
 func (g *Group) quorumHeardLocked(bound uint64) bool {
+	return g.quorumHeardSinceLocked(g.ticksAgoLocked(bound))
+}
+
+// quorumHeardSinceLocked reports whether a majority of the view (this
+// member included) has been heard from at or after tick since.
+func (g *Group) quorumHeardSinceLocked(since uint64) bool {
 	heard := 1 // self
 	for pos := range g.lastHeardTick {
-		if pos == g.midx.me {
-			continue
-		}
-		if g.tickCount-g.lastHeardTick[pos] <= bound {
+		if pos != g.midx.me && g.lastHeardTick[pos] >= since {
 			heard++
 		}
 	}
 	return heard >= ids.Majority(len(g.view.Members))
+}
+
+// ticksAgoLocked is the tick n ticks before now, floored at zero.
+func (g *Group) ticksAgoLocked(n uint64) uint64 {
+	if n >= g.tickCount {
+		return 0
+	}
+	return g.tickCount - n
 }
 
 // ReadIndex is the linearizable read barrier: it returns once every
@@ -160,7 +171,8 @@ func (g *Group) quorumHeardLocked(bound uint64) bool {
 //
 //   - Sequencer protocol (sequencer only): capture the highest assigned
 //     global sequence and wait for the delivered frontier to reach it,
-//     under the sequencer's own quorum lease.
+//     under the sequencer's own quorum lease or a fresh round of contact
+//     from a majority.
 //   - Symmetric protocol: multicast one null marker and wait for it to
 //     clear the total order; everything stamped before the marker has
 //     then been delivered here.
@@ -200,18 +212,25 @@ func (g *Group) ReadIndex(ctx context.Context) (vclock.Stamp, error) {
 }
 
 // readIndexSequencerLocked runs the sequencer-side frontier wait for one
-// view; the caller retries on a view change.
+// view; the caller retries on a view change. The target is every sequence
+// assigned before the read began; it covers every write completed by then
+// as long as this member was still the view's authority at some moment
+// since. That is so when a majority has been heard within LeaseTicks of
+// the barrier's start — the sequencer's own lease — or, failing that, once
+// a fresh round of contact arrives from a majority. The barrier waits for
+// that round rather than refusing, so a read refused under every
+// replica's lease is still served here; a sequencer cut off from the
+// majority waits until the view change deposes it or ctx ends.
 func (g *Group) readIndexSequencerLocked(ctx context.Context, view ids.ViewSeq) error {
 	if !g.seqLeader {
 		return ErrNotSequencer
 	}
-	if !g.quorumHeardLocked(uint64(g.cfg.LeaseTicks)) {
-		g.metrics.leaseRejects.Inc()
-		return ErrLeaseExpired
-	}
+	since := g.ticksAgoLocked(uint64(g.cfg.LeaseTicks))
 	target := g.assignHigh
 	g.frRecord(flight.EvFrontierWait, g.midx.me, 0, target, g.delGlobal)
-	return g.waitFrontierLocked(ctx, view, func() bool { return g.delGlobal >= target })
+	return g.waitFrontierLocked(ctx, view, func() bool {
+		return g.delGlobal >= target && g.quorumHeardSinceLocked(since)
+	})
 }
 
 // readIndexSymmetricLocked emits a null marker and waits for the
@@ -221,12 +240,11 @@ func (g *Group) readIndexSequencerLocked(ctx context.Context, view ids.ViewSeq) 
 // contiguously past it and nothing earlier-stamped is still pending,
 // every application message ordered before the read has been delivered
 // here — contiguous ingestion means no earlier-stamped message can still
-// be in flight from a member already heard past the stamp.
+// be in flight from a member already heard past the stamp. Hearing every
+// member past the marker is itself a fresh round of contact, so the
+// barrier needs no lease: where the lease has lapsed it waits for that
+// round rather than refusing.
 func (g *Group) readIndexSymmetricLocked(ctx context.Context, view ids.ViewSeq) error {
-	if !g.leaseValidLocked() {
-		g.metrics.leaseRejects.Inc()
-		return ErrLeaseExpired
-	}
 	g.emitDataLocked(true, nil)
 	st := g.lastStamp[g.midx.me] // the marker's stamp
 	g.frRecord(flight.EvFrontierWait, g.midx.me, g.sendSeq, st.Time, 0)

@@ -24,8 +24,9 @@ import (
 //
 // Bodiless declarations (implemented in assembly or pulled in with
 // go:linkname) have no code of their own to link and are skipped, and so
-// are packages no binary links at all: those are test helpers (ci.sh's
-// unreached-packages stage fails a package that is neither).
+// are packages no binary links at all. Whether such a package may exist is
+// ci.sh's unreached-packages stage's question: only as a test helper, which
+// it tells from go list's test imports, files this loader never reads.
 func Unlinked() *Analyzer { return unlinkedFrom(dumpDeps) }
 
 // unlinkedFrom is Unlinked over a linked-symbol source: the source is
