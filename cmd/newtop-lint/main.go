@@ -6,9 +6,10 @@
 // the shared wheel), goorphan (every unbounded goroutine has a stop
 // signal), errdrop (send-path errors dropped only with an annotated
 // reason) and unlinked (every internal function is linked by some
-// command, example or benchmark binary; the rule builds them, so it needs
-// the go command). It is a ci.sh stage: any finding that is not suppressed with an
-// inline `//lint:ok <rule> <reason>` directive fails the build, and a
+// command, example or benchmark binary, and so is every internal package
+// but a test helper; the rule builds them and lists test imports, so it
+// needs the go command). It is a ci.sh stage: any finding that is not
+// suppressed with an inline `//lint:ok <rule> <reason>` directive fails the build, and a
 // directive that suppresses nothing, or names a rule the suite does not
 // have, is itself a finding.
 //

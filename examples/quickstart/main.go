@@ -76,7 +76,6 @@ func run(ctx context.Context, out io.Writer) error {
 	// --- three replicas form the server group ---
 	var contact ids.ProcessID
 	var counters [3]atomic.Int64
-	var servers []*core.Server
 	for i := 0; i < 3; i++ {
 		id := ids.ProcessID(fmt.Sprintf("server-%d", i))
 		ep, err := net.Endpoint(id, netsim.SiteLAN)
@@ -104,31 +103,18 @@ func run(ctx context.Context, out io.Writer) error {
 				return nil, fmt.Errorf("unknown method %q", method)
 			}
 		}
-		srv, err := svc.Serve(ctx, core.ServeConfig{
+		if _, err := svc.Serve(ctx, core.ServeConfig{
 			Group:   "counter",
 			Contact: contact,
 			Handler: handler,
 			GCS:     timers(),
-		})
-		if err != nil {
+		}); err != nil {
 			return err
 		}
-		servers = append(servers, srv)
 		if i == 0 {
 			contact = id
 		}
 		fmt.Fprintf(out, "replica %s joined the server group\n", id)
-	}
-
-	// A wait-for-all call waits for the replicas its request manager
-	// knows of: let every replica learn of all three first.
-	for _, srv := range servers {
-		for len(srv.ServerRoster()) != 3 {
-			if err := ctx.Err(); err != nil {
-				return fmt.Errorf("server group formation: %w", err)
-			}
-			time.Sleep(time.Millisecond)
-		}
 	}
 
 	// --- a client binds and invokes ---

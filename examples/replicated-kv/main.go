@@ -20,7 +20,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"log"
@@ -103,7 +102,6 @@ func run(ctx context.Context, out io.Writer) error {
 func closedGroupAct(ctx context.Context, net *memnet.Net, out io.Writer) error {
 	fmt.Fprintln(out, "=== act 1: one closed group, crash masked ===")
 	var contact ids.ProcessID
-	var servers []*core.Server
 	for i := 0; i < 3; i++ {
 		id := ids.ProcessID(fmt.Sprintf("replica-%d", i))
 		ep, err := net.Endpoint(id, netsim.SiteLAN)
@@ -113,29 +111,16 @@ func closedGroupAct(ctx context.Context, net *memnet.Net, out io.Writer) error {
 		svc := core.NewService(ep)
 		defer svc.Close()
 		store := &kvStore{m: make(map[string]string)}
-		srv, err := svc.Serve(ctx, core.ServeConfig{
+		if _, err := svc.Serve(ctx, core.ServeConfig{
 			Group:   "kv",
 			Contact: contact,
 			Handler: store.handle,
 			GCS:     timers(),
-		})
-		if err != nil {
+		}); err != nil {
 			return err
 		}
-		servers = append(servers, srv)
 		if i == 0 {
 			contact = id
-		}
-	}
-	// A closed binding takes its servers from the contact's roster, which
-	// may not hold the last replica yet when its Serve returns: let every
-	// replica learn of all three first.
-	for _, srv := range servers {
-		for len(srv.ServerRoster()) != 3 {
-			if err := ctx.Err(); err != nil {
-				return fmt.Errorf("server group formation: %w", err)
-			}
-			time.Sleep(time.Millisecond)
 		}
 	}
 
@@ -342,29 +327,15 @@ func shardedActs(ctx context.Context, net *memnet.Net, out io.Writer) error {
 	}
 	// A read goes to one replica at a time. Right after the crash the first
 	// may refuse (its lease lapsed), and the read moves on through the pool
-	// its binding took at bind time, the crashed replica included. A read
-	// sent there is never answered and waits out its deadline, so each
-	// attempt gets a short one.
-	v, err := readRetrying(ctx, out, router, victimKey)
+	// its binding took at bind time, the crashed replica included: that one
+	// never answers, and the binding passes it over after its group's
+	// SuspectTimeout.
+	v, err := router.Read(ctx, "get", []byte(victimKey))
 	if err != nil || string(v) != "rewritten" {
 		return fmt.Errorf("post-crash read -> %q, %v", v, err)
 	}
 	fmt.Fprintf(out, "write+read through %s succeeded with a replica down — failures stay shard-local\n", owner)
 	return nil
-}
-
-// readRetrying reads key with a deadline per attempt, and retries an
-// attempt that ran out of time, saying so on out.
-func readRetrying(ctx context.Context, out io.Writer, router *core.ShardedBinding, key string) ([]byte, error) {
-	for attempt := 1; ; attempt++ {
-		actx, cancel := context.WithTimeout(ctx, 250*time.Millisecond)
-		v, err := router.Read(actx, "get", []byte(key))
-		cancel()
-		if !errors.Is(err, context.DeadlineExceeded) || ctx.Err() != nil {
-			return v, err
-		}
-		fmt.Fprintf(out, "read attempt %d went unanswered for 250ms (sent to the crashed replica); retrying\n", attempt)
-	}
 }
 
 // sum adds up a placement's key counts.

@@ -182,19 +182,6 @@ func NewEnv(ctx context.Context, cfg EnvConfig) (*Env, error) {
 			contact = id
 		}
 	}
-	// Wait for every server's roster to converge before admitting clients:
-	// a binding learns the membership from whichever server it binds
-	// through, and the newest joiner's roster is the last to fill.
-	for _, srv := range env.Srvs {
-		for len(srv.ServerRoster()) != cfg.NServers {
-			select {
-			case <-ctx.Done():
-				env.Close()
-				return nil, fmt.Errorf("bench: roster: %w", ctx.Err())
-			case <-time.After(2 * time.Millisecond):
-			}
-		}
-	}
 	for i := 0; i < cfg.NClients; i++ {
 		id := ids.ProcessID(fmt.Sprintf("z%02d.%s", i, cfg.Place.ClientSite(i)))
 		ep, err := env.Net.Endpoint(id, cfg.Place.ClientSite(i))

@@ -168,7 +168,6 @@ func runShardsPoint(ctx context.Context, sc Scale, nShards, opsPerShard int) (pt
 	// Shard groups: disjoint replica trios, each serving a shard.Store.
 	specs := make([]core.ShardSpec, 0, nShards)
 	serverTimers := shardsServerTimers()
-	var srvs []*core.Server
 	for s := 0; s < nShards; s++ {
 		name := fmt.Sprintf("kv/s%d", s)
 		var contact ids.ProcessID
@@ -176,7 +175,7 @@ func runShardsPoint(ctx context.Context, sc Scale, nShards, opsPerShard int) (pt
 			svc := core.NewService(eps[s*shardReplicas+r])
 			svcs = append(svcs, svc)
 			st := shard.NewStore(name)
-			srv, serr := svc.Serve(ctx, core.ServeConfig{
+			_, serr := svc.Serve(ctx, core.ServeConfig{
 				Group:    ids.GroupID(name),
 				Contact:  contact,
 				Handler:  st.Handle,
@@ -187,25 +186,12 @@ func runShardsPoint(ctx context.Context, sc Scale, nShards, opsPerShard int) (pt
 			if serr != nil {
 				return pt, fmt.Errorf("serve %s replica %d: %w", name, r, serr)
 			}
-			srvs = append(srvs, srv)
 			if r == 0 {
 				contact = svc.ID()
 			}
 		}
 		specs = append(specs, core.ShardSpec{Name: name, Group: ids.GroupID(name), Contact: contact})
 	}
-	// Every replica's roster, not just each shard's founder's: a binding
-	// learns the membership from whichever replica it binds through.
-	for _, srv := range srvs {
-		for len(srv.ServerRoster()) != shardReplicas {
-			select {
-			case <-ctx.Done():
-				return pt, fmt.Errorf("shard roster: %w", ctx.Err())
-			case <-time.After(2 * time.Millisecond):
-			}
-		}
-	}
-
 	// Client routers: one ShardedBinding per client process, pipelining
 	// window 32 per shard.
 	shardCfg := func() core.ShardConfig {

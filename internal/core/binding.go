@@ -58,9 +58,9 @@ type BindConfig struct {
 type Binding struct{ *engine }
 
 // Bind forms a client/server group with the configured style and returns
-// the binding (paper fig. 3). The client learns the server group's
+// the binding (paper fig. 3). An open client learns the server group's
 // membership from the contact, creates the group, and pulls the chosen
-// server in.
+// server in; a closed one joins the server group itself.
 func (s *Service) Bind(ctx context.Context, cfg BindConfig) (*Binding, error) {
 	if cfg.Style == 0 {
 		cfg.Style = Open
@@ -72,6 +72,9 @@ func (s *Service) Bind(ctx context.Context, cfg BindConfig) (*Binding, error) {
 	ctx, cancel := context.WithTimeout(ctx, cfg.BindTimeout)
 	defer cancel()
 
+	if cfg.Style == Closed {
+		return s.bindClosed(ctx, cfg)
+	}
 	members, err := s.ServerGroupMembers(ctx, cfg.Contact, cfg.ServerGroup)
 	if err != nil {
 		return nil, fmt.Errorf("core: bind %q: %w", cfg.ServerGroup, err)
@@ -80,9 +83,6 @@ func (s *Service) Bind(ctx context.Context, cfg BindConfig) (*Binding, error) {
 		return nil, ErrNoServers
 	}
 	members = ids.SortProcesses(members)
-	if cfg.Style == Closed {
-		return s.bindClosed(ctx, cfg, members)
-	}
 
 	// Choose the request manager: the restricted optimisation pins it to
 	// the server group's leader.
@@ -110,37 +110,44 @@ func (s *Service) Bind(ctx context.Context, cfg BindConfig) (*Binding, error) {
 // traffic like any member. That participation is exactly what the paper
 // identifies as the closed approach's cost on high-latency paths and at
 // high client counts, and its benefit: server failures are masked by the
-// membership service with no rebinding.
+// membership service with no rebinding. The client joins in the role of a
+// client, so every view tells it from the servers, and its servers, the
+// base of its quorums and its read pool, are its own view's.
 //
 // The client's cfg.GCS must match the configuration the server group was
 // created with (ordering protocol and liveness), as for any group join.
-func (s *Service) bindClosed(ctx context.Context, cfg BindConfig, members []ids.ProcessID) (*Binding, error) {
-	group, err := s.node.Join(ctx, cfg.ServerGroup, cfg.Contact, cfg.GCS)
+func (s *Service) bindClosed(ctx context.Context, cfg BindConfig) (*Binding, error) {
+	group, err := s.node.JoinClient(ctx, cfg.ServerGroup, cfg.Contact, cfg.GCS)
 	if err != nil {
 		return nil, fmt.Errorf("core: closed bind %q: %w", cfg.ServerGroup, err)
 	}
-	b := &Binding{s.newEngine(group, cfg, Closed, ids.MinProcess(members), members)}
+	servers, _ := group.Servers()
+	b := &Binding{s.newEngine(group, cfg, Closed, ids.MinProcess(servers), nil)}
 	if err := b.start(ctx); err != nil {
 		return nil, err
 	}
 	return b, nil
 }
 
-// KnownServers returns the server group membership observed at bind time.
+// KnownServers returns the server group's membership as the binding knows
+// it: an open binding's, learned from its contact at bind time; a closed
+// binding's, its view's servers.
 func (b *Binding) KnownServers() []ids.ProcessID {
+	b.mu.Lock()
+	defer b.mu.Unlock()
 	return append([]ids.ProcessID(nil), b.servers...)
 }
 
 // Servers returns the live servers reachable through the binding: for an
 // open binding, the members of the client/server group besides the client;
-// for a closed binding, the known servers still present in the (shared)
-// group view — the view also contains this client and possibly other
-// closed clients, which must not count towards reply quorums.
+// for a closed binding, the servers of the (shared) group view — the view
+// also holds this client and possibly other closed clients, which are no
+// servers.
 func (b *Binding) Servers() []ids.ProcessID {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.style == Closed {
-		return b.liveLocked(nil)
+		return append([]ids.ProcessID(nil), b.servers...)
 	}
 	return b.view.Others(b.svc.ID())
 }

@@ -77,7 +77,6 @@ func newConfWorld(t *testing.T, contact ids.ProcessID, suspect time.Duration, le
 		}
 		through = "s00"
 	}
-	awaitRosters(t, srvs)
 	t.Cleanup(w.close)
 	return w
 }

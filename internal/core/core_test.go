@@ -109,7 +109,6 @@ func newWorldTimers(t *testing.T, nServers, nClients int, timers gcs.GroupConfig
 			contact = id
 		}
 	}
-	awaitRosters(t, w.srvs)
 	for i := 0; i < nClients; i++ {
 		id := ids.ProcessID(fmt.Sprintf("z%02d", i))
 		w.clients = append(w.clients, core.NewService(w.endpoint(id)))
@@ -123,24 +122,6 @@ func newWorldTimers(t *testing.T, nServers, nClients int, timers gcs.GroupConfig
 		}
 	})
 	return w
-}
-
-// awaitRosters waits until every server's roster lists all of srvs. The
-// roster converges via hello announcements, and a binding learns the
-// membership from whichever server it binds through — the newest joiner
-// included, whose roster is the last to fill — so waiting on one server
-// is not enough.
-func awaitRosters(t *testing.T, srvs []*core.Server) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for _, srv := range srvs {
-		for len(srv.ServerRoster()) != len(srvs) {
-			if time.Now().After(deadline) {
-				t.Fatalf("roster never converged: %v", srv.ServerRoster())
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
-	}
 }
 
 func (w *world) bindCfg(style core.Style) core.BindConfig {

@@ -12,6 +12,7 @@ import (
 	"newtop/internal/ids"
 	"newtop/internal/obs"
 	"newtop/internal/obs/flight"
+	"newtop/internal/orb"
 	"newtop/internal/vclock"
 	"newtop/internal/wire"
 )
@@ -38,13 +39,17 @@ type engine struct {
 	serverGroup ids.GroupID
 	rm          ids.ProcessID // request manager (open) or group leader (closed, informational)
 	readRenew   time.Duration
+	// readBound is how long a read waits for one replica before it tries the
+	// next: the group's SuspectTimeout, the silence after which the group
+	// itself would suspect a member.
+	readBound time.Duration
 
 	// style says who gathers a call's replies and what breaks the
 	// attachment. Open: the request manager answers with one reply set, and
 	// the attachment is broken once it leaves the group. Closed: this
-	// client gathers the servers' direct replies over the live ones of
-	// servers, failures among them are masked, and the attachment is broken
-	// once all of them are gone.
+	// client, a member of the server group, gathers the servers' direct
+	// replies over the servers of its own view, failures among them are
+	// masked, and the attachment is broken once all of them are gone.
 	style Style
 	// groupClient is set for a group-to-group attachment: the identity
 	// ("g2g/<gz>") every member of the client group issues its calls under,
@@ -52,21 +57,19 @@ type engine struct {
 	// are answers then (the siblings' are copies of the request), and an
 	// answer may overtake this member's own launch (early).
 	groupClient ids.ProcessID
-	// servers is the pool reads are tried at, sorted: the server group's
-	// membership learned at bind time, or, group-to-group, the request
-	// manager alone.
+	mu          sync.Mutex
+	// servers is the read pool, sorted: an open attachment's is the server
+	// group's membership learned from the contact at bind time or,
+	// group-to-group, the request manager alone; a closed attachment's is its
+	// view's servers, renewed at every view, and the base of its calls'
+	// quorums.
 	servers []ids.ProcessID
-
-	mu sync.Mutex
 	// view is the group's view as the handler last observed it, cached so
 	// that Servers and Broken answer from the same instant: onView installs
 	// the new view and the broken judgement in one critical section, where
 	// reading the group's live view would race the membership callback
 	// during a rebind.
-	view gcs.View
-	// live counts the known servers present in view: what a closed call's
-	// quorum is taken over.
-	live     int
+	view     gcs.View
 	broken   bool
 	brokenCh chan struct{}
 	closed   bool
@@ -145,6 +148,7 @@ func (s *Service) newEngine(group *gcs.Group, cfg BindConfig, style Style, rm id
 		serverGroup: cfg.ServerGroup,
 		rm:          rm,
 		readRenew:   cfg.ReadRenew,
+		readBound:   group.Config().SuspectTimeout,
 		style:       style,
 		asyncFwd:    cfg.AsyncForward && style == Open,
 		servers:     servers,
@@ -384,21 +388,24 @@ func (e *engine) settleUnsureLocked(number, seq uint64) {
 
 // onView reacts to a membership change of the group. The cached view and
 // the broken judgement change in the same critical section, so Servers and
-// Broken can never contradict each other mid-transition. A closed
-// attachment's quorums are over the live servers, so its outstanding calls
+// Broken can never contradict each other mid-transition. A closed call's
+// quorum is over the servers the view still holds, so the outstanding calls
 // are settled again (wait-for-all with a crashed server).
 func (e *engine) onView(v *gcs.View) {
 	e.mu.Lock()
-	e.setViewLocked(v.Clone())
-	gone := !v.Contains(e.rm) // disbanded: the client must rebind (paper §2.1)
+	e.view = v.Clone()
+	var gone bool
 	var settled []*Call
 	if e.style == Closed {
-		gone = e.live == 0
+		e.servers = v.Servers(nil)
+		gone = len(e.servers) == 0
 		for _, c := range e.calls {
-			if c.gather.settle(c.id, e.live, false) {
+			if c.gather.settle(c.id, v, false) {
 				settled = append(settled, c)
 			}
 		}
+	} else {
+		gone = !v.Contains(e.rm) // disbanded: the client must rebind (paper §2.1)
 	}
 	var doomed map[ids.CallID]*Call
 	if gone {
@@ -411,33 +418,14 @@ func (e *engine) onView(v *gcs.View) {
 	failAll(doomed)
 }
 
-// setViewLocked installs v as the cached view.
-func (e *engine) setViewLocked(v gcs.View) {
-	e.view = v
-	e.live = len(e.liveLocked(nil))
-}
-
-// liveLocked appends to dst the known servers present in the view. A closed
-// attachment's view also holds this client and possibly other closed
-// clients, which are no servers and never reply.
-func (e *engine) liveLocked(dst []ids.ProcessID) []ids.ProcessID {
-	me := e.svc.ID()
-	for _, m := range e.servers {
-		if m != me && e.view.Contains(m) {
-			dst = append(dst, m)
-		}
-	}
-	return dst
-}
-
 // onDirectReply files one server's reply with the closed call it answers, if
 // that is still outstanding, and completes the call if the reply meets its
-// quorum over the live servers.
+// quorum (see collector).
 func (e *engine) onDirectReply(rep invReply) {
 	e.mu.Lock()
-	c, servers := e.calls[rep.Call], e.live
+	c := e.calls[rep.Call]
 	e.mu.Unlock()
-	if c != nil && c.gather.add(rep, servers) {
+	if c != nil && c.gather.add(rep) {
 		e.deliverGathered(c)
 	}
 }
@@ -581,13 +569,15 @@ func (e *engine) launch(ctx context.Context, method string, args []byte, o callO
 			slot.sig = make(chan struct{}, 1) // one per window slot, by the first synchronous call to hold it
 		}
 	}
+	e.mu.Lock()
 	if e.style == Closed {
+		c.gather.mode = o.mode
+		c.gather.begin(c.id, e.servers, e.view.Seq)
 		if slot.replies == nil {
 			slot.replies = make([]invReply, 0, len(e.servers)) // one per window slot, by the first closed call to hold it
 		}
-		c.gather.mode, c.gather.call, c.gather.replies = o.mode, c.id, slot.replies[:0]
+		c.gather.replies = slot.replies[:0]
 	}
-	e.mu.Lock()
 	err := e.stateLocked()
 	var early decodedSet
 	var isEarly bool
@@ -921,10 +911,12 @@ func (e *engine) read(ctx context.Context, method string, args []byte, o callOpt
 }
 
 // readOnce encodes the request once and tries each candidate replica in
-// turn. final reports that the error is not improvable by escalating the
-// consistency (an application error, a disabled read path, a spent
-// context); everything else — lease refusals, session floors out of
-// reach, transport failures — leaves escalation open to the caller.
+// turn, each for readBound at most: a replica that does not answer in time
+// is passed over like one that refuses. final reports that the error is not
+// improvable by escalating the consistency (an application error, a
+// disabled read path, a spent context); everything else — lease refusals,
+// session floors out of reach, silent replicas, transport failures — leaves
+// escalation open to the caller.
 func (e *engine) readOnce(ctx context.Context, cons Consistency, method string, args []byte, min vclock.Stamp, trace uint64) (payload []byte, final bool, err error) {
 	w := wire.GetWriter()
 	defer wire.PutWriter(w)
@@ -944,7 +936,7 @@ func (e *engine) readOnce(ctx context.Context, cons Consistency, method string, 
 	lastErr := error(ErrNoServers)
 	var targets [readTargetsInline]ids.ProcessID
 	for _, t := range e.readTargets(cons, targets[:0]) {
-		raw, cerr := e.svc.invokeControl(ctx, t, "read", req)
+		raw, cerr := e.svc.orb.InvokeWithin(ctx, orb.Ref{Target: t, Object: controlObject}, "read", req, e.readBound)
 		if cerr != nil {
 			if ctx.Err() != nil {
 				return nil, true, ctx.Err()
@@ -984,23 +976,16 @@ func (e *engine) readOnce(ctx context.Context, cons Consistency, method string, 
 
 // readTargets orders the candidate replicas for one read. Reads are
 // point-to-point, so the pool is the server group — not the client/server
-// group, which for an open binding holds only the request manager — less,
-// closed style, the servers the view has lost. Linearizable reads go
-// lowest-identifier first (that member is the sequencer, the only replica
-// that can serve them without a redirect); leased and stale reads rotate,
-// advancing the favourite every readRenew. The order is built in dst's
-// spare capacity, which allocates nothing while it holds the pool twice
-// over (see readTargetsInline).
+// group, which for an open binding holds only the request manager.
+// Linearizable reads go lowest-identifier first (that member is the
+// sequencer, the only replica that can serve them without a redirect);
+// leased and stale reads rotate, advancing the favourite every readRenew.
+// The order is built in dst's spare capacity, which allocates nothing while
+// it holds the pool twice over (see readTargetsInline).
 func (e *engine) readTargets(cons Consistency, dst []ids.ProcessID) []ids.ProcessID {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	pool := dst
-	if e.style == Closed {
-		pool = e.liveLocked(pool)
-	}
-	if len(pool) == 0 {
-		pool = append(pool, e.servers...)
-	}
+	pool := append(dst, e.servers...)
 	if cons == Linearizable || len(pool) < 2 {
 		return pool
 	}

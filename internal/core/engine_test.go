@@ -44,7 +44,8 @@ func soloEngineOn(t *testing.T, net *memnet.Net, style Style, servers ...ids.Pro
 	}
 	group.SetHandler(func(gcs.Event) {})
 	e := svc.newEngine(group, BindConfig{ServerGroup: "sg"}, style, servers[0], servers)
-	e.setViewLocked(gcs.View{Seq: 1, Members: append([]ids.ProcessID{"z00"}, servers...)})
+	// z00 is a member as a closed client would be: a client among servers.
+	e.onView(&gcs.View{Seq: 1, Members: ids.SortProcesses(append([]ids.ProcessID{"z00"}, servers...)), Clients: []ids.ProcessID{"z00"}})
 	svc.attached[group.ID()] = e
 	return e
 }
@@ -294,7 +295,7 @@ func TestClosedCallSlotTakesNoLateReply(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.onDirectReply(reply(second, "s02"))
-	if first.gather.add(reply(first, "s00"), 3) {
+	if first.gather.add(reply(first, "s00")) {
 		t.Fatal("a reply to the cancelled call completed its collection")
 	}
 	e.onDirectReply(reply(second, "s00"))

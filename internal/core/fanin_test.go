@@ -378,11 +378,9 @@ func newJoinWorld(t *testing.T, seed int64) *joinWorld {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv1, err := w.r1.svc.Serve(ctx, w.r1.config("r0"))
-	if err != nil {
+	if _, err := w.r1.svc.Serve(ctx, w.r1.config("r0")); err != nil {
 		t.Fatal(err)
 	}
-	awaitRosters(t, []*core.Server{srv0, srv1})
 	w.srv0 = srv0
 	ep, err := net.Endpoint("z-client", netsim.SiteLAN)
 	if err != nil {
@@ -712,9 +710,12 @@ func TestDirectRepliesRouteByRole(t *testing.T) {
 		return srv
 	}
 	a0, a1, p, b1, c0, c1, z := mk("a0"), mk("a1"), mk("p"), mk("b1"), mk("c0"), mk("c1"), mk("z")
-	awaitRosters(t, []*core.Server{serve(a0, "a", ""), serve(a1, "a", "a0")})
-	awaitRosters(t, []*core.Server{serve(b1, "b", ""), serve(p, "b", "b1")})
-	awaitRosters(t, []*core.Server{serve(c0, "c", ""), serve(c1, "c", "c0")})
+	serve(a0, "a", "")
+	serve(a1, "a", "a0")
+	serve(b1, "b", "")
+	serve(p, "b", "b1")
+	serve(c0, "c", "")
+	serve(c1, "c", "c0")
 
 	closed, err := p.Bind(ctx, core.BindConfig{ServerGroup: "a", Contact: "a0", Style: core.Closed, GCS: testTimers()})
 	if err != nil {

@@ -106,16 +106,17 @@ func TestAllocGuardCollectReply(t *testing.T) {
 		t.Fatalf("create: %v", err)
 	}
 	const runs = 500
+	three := []ids.ProcessID{"rm", "s01", "s02"} // each call's view: a majority is two
 	srv.mu.Lock()
 	for n := uint64(1); n <= runs+65; n++ {
 		call := ids.CallID{Client: "z00", Number: n}
 		e, _ := srv.entryLocked(call, 1)
 		e.coll = srv.newCollectionLocked(call, Majority)
+		e.coll.begin(call, three, 2)
 		e.coll.b, e.coll.client, e.coll.start = cs, "z00", time.Now()
 		srv.group.Attend() // conclude releases the server group and the client group
 		cs.Attend()
 	}
-	srv.roster["s01"], srv.roster["s02"] = true, true
 	srv.mu.Unlock()
 
 	payload := make([]byte, 100)
@@ -152,9 +153,10 @@ func TestAllocGuardCollectReply(t *testing.T) {
 
 // TestAllocGuardRequestManager budgets the request manager's whole part in
 // an open wait-for-majority call (run by ci.sh's AllocGuard stage): receive the
-// request, forward it into the server group, execute it there as one of
-// the replicas, file that and a stub replica's direct reply, answer the
-// stub client with one ORB one-way. The operation waits for the answer's
+// request, forward it into the server group, execute it there as the one
+// replica of the server group's view, file that reply, answer the stub
+// client with one ORB one-way (filing other replicas' direct replies is
+// TestAllocGuardCollectReply's). The operation waits for the answer's
 // arrival at the client's sink, so the asynchronous half — the forward's
 // delivery, decoding and execution on a dispatch worker — falls inside the
 // measurement.
@@ -175,19 +177,14 @@ func TestAllocGuardRequestManager(t *testing.T) {
 	if err != nil {
 		t.Fatalf("create: %v", err)
 	}
-	srv.mu.Lock()
-	srv.roster["s01"] = true // the stub; the manager's own execution is the majority's other half
-	srv.mu.Unlock()
 
 	bind := &bindRequest{Group: "cs", Style: Open}
 	req := &invRequest{Mode: Majority, Method: "put", Args: []byte("k=v"), Client: "z00", Style: Open, Trace: 7}
-	payload := make([]byte, 100)
 	next := uint64(0)
 	call := func() {
 		next++
 		req.Call, req.Floor = ids.CallID{Client: "z00", Number: next}, next
 		srv.serveAsRM(cs, bind, req)
-		srv.collectReply(invReply{Call: req.Call, Server: "s01", Payload: payload})
 		awaitAnswers(answered, next)
 	}
 	for i := 0; i < 64; i++ {
@@ -198,8 +195,8 @@ func TestAllocGuardRequestManager(t *testing.T) {
 	srv.mu.Lock()
 	e := srv.findLocked(req.Call)
 	srv.mu.Unlock()
-	if e == nil || e.coll == nil || len(e.coll.set.Replies) != 2 {
-		t.Fatalf("last call's entry %+v; want its reply set with the manager's and the stub's replies", e)
+	if e == nil || e.coll == nil || len(e.coll.set.Replies) != 1 {
+		t.Fatalf("last call's entry %+v; want its reply set with the manager's reply", e)
 	}
 	const budget = 0.1 // measured 0.040–0.042, the arenas' chunk refills (1.0 with a collection per call, 2.0 with memnet's link queue re-sliced per frame, 5.0 with the relayed request and the frames detached too)
 	if avg > budget && !raceEnabled {

@@ -16,7 +16,6 @@ func FuzzDecodePayload(f *testing.F) {
 	f.Add(encodeReplyMsg(replyMsg{To: toRM, Group: []byte("sg"), Reply: invReply{Call: callIDSeed(), Server: "s", Payload: []byte("p")}}))
 	f.Add(encodeReplyMsg(replyMsg{To: toOpen, Group: []byte("cs"), Set: &invReplySet{Call: callIDSeed()}}))
 	f.Add(encodeReplySet(&invReplySet{Call: callIDSeed()}))
-	f.Add(encodeHello())
 	f.Add(encodeForget("z"))
 	f.Add([]byte{})
 

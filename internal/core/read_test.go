@@ -33,6 +33,7 @@ type kvWorld struct {
 	t       *testing.T
 	net     *memnet.Net
 	servers []*core.Service
+	srvs    []*core.Server
 	clients []*core.Service
 }
 
@@ -71,14 +72,16 @@ func newKVWorld(t *testing.T, nServers, nClients int) *kvWorld {
 				return nil, fmt.Errorf("unknown method %q", method)
 			}
 		}
-		if _, err := svc.Serve(ctx, core.ServeConfig{
+		srv, err := svc.Serve(ctx, core.ServeConfig{
 			Group:   "kv",
 			Contact: contact,
 			Handler: handler,
 			GCS:     leaseTimers(),
-		}); err != nil {
+		})
+		if err != nil {
 			t.Fatalf("serve %s: %v", id, err)
 		}
+		w.srvs = append(w.srvs, srv)
 		if i == 0 {
 			contact = id
 		}
@@ -196,6 +199,39 @@ func TestStaleReadServes(t *testing.T) {
 	}
 	if string(got) != "1" {
 		t.Fatalf("stale read: got %q, want %q", got, "1")
+	}
+}
+
+// A read attempt is bounded by the binding, not by its caller's context: a
+// replica that has not answered within the binding group's SuspectTimeout
+// is passed over like one that refuses, and escalation stays open. The
+// first leased read of an open binding tries s01, s02 and s00 in turn: s01
+// has left the group and refuses, s02 has crashed and never answers, and
+// s00 serves the read, leased or, its lease lapsed with s02, escalated.
+func TestReadPassesOverASilentReplica(t *testing.T) {
+	w := newKVWorld(t, 3, 1)
+	b, err := w.clients[0].Bind(ctxT(t, 10*time.Second), w.bindCfg(core.Open))
+	if err != nil {
+		t.Fatalf("bind: %v", err)
+	}
+	defer b.Close()
+	if _, err := b.Call(ctxT(t, 10*time.Second), "put", []byte("k=v"), core.WithMode(core.All)); err != nil {
+		t.Fatalf("put: %v", err)
+	}
+	if err := w.srvs[1].Close(); err != nil {
+		t.Fatal(err)
+	}
+	w.net.Sim().Crash("s02")
+	start := time.Now()
+	got, err := b.Read(ctxT(t, 5*time.Second), "get", []byte("k"))
+	took := time.Since(start)
+	if err != nil || string(got) != "v" {
+		t.Fatalf("read after %v: %q, %v; want \"v\"", took, got, err)
+	}
+	// One bound at s02, then the escalation, which may wait out s02's
+	// suspicion (the same timeout) and the view change.
+	if bound := leaseTimers().SuspectTimeout; took > 2*bound+time.Second {
+		t.Fatalf("read took %v, want within %v", took, 2*bound+time.Second)
 	}
 }
 

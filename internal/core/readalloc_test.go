@@ -53,12 +53,12 @@ func soloServe(t *testing.T, svc *Service, handler Handler) *Server {
 	if err != nil {
 		t.Fatalf("serve: %v", err)
 	}
-	// The founding view and the member's own hello reach the server off the
-	// dispatch stage, after Serve returns: wait them out, so a test's own
-	// view or roster entries are not overwritten behind its back.
-	for applied := false; !applied; runtime.Gosched() {
+	// The founding view reaches the server off the dispatch stage, after
+	// Serve returns: wait it out, so a test's own view is not overwritten
+	// behind its back.
+	for seen := false; !seen; runtime.Gosched() {
 		srv.execMu.Lock()
-		_, applied = srv.applied[svc.ID()]
+		seen = srv.view.Seq != 0
 		srv.execMu.Unlock()
 	}
 	return srv

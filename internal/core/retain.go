@@ -164,9 +164,10 @@ func (srv *Server) forget(client ids.ProcessID) {
 	srv.execMu.Unlock()
 }
 
-// newCollectionLocked returns a collection for call, gathering: one the
-// floor has freed, or a fresh one (mu held). It is pinned, and filed among
-// the open collections, until its conclusion has sent the answer.
+// newCollectionLocked returns a collection for call, gathering over the
+// servers of the server group's installed view: one the floor has freed, or
+// a fresh one (mu held). It is pinned, and filed among the open
+// collections, until its conclusion has sent the answer.
 func (srv *Server) newCollectionLocked(call ids.CallID, mode ReplyMode) *collection {
 	var c *collection
 	if n := len(srv.free); n > 0 {
@@ -180,7 +181,9 @@ func (srv *Server) newCollectionLocked(call ids.CallID, mode ReplyMode) *collect
 	c.set = invReplySet{}
 	c.mu.Lock()
 	clear(c.inline[:])
-	c.call, c.mode, c.settled = call, mode, false
+	c.mode = mode
+	servers, seq := srv.group.Servers()
+	c.begin(call, servers, seq)
 	c.replies = c.inline[:0]
 	c.mu.Unlock()
 	c.openIdx = len(srv.open)

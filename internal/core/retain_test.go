@@ -18,24 +18,35 @@ import (
 // collectReply found the collection under mu, and files it after releasing
 // mu — must not land in the new call's set, and a settle listed for the old
 // call must not end the new one.
+//
+// Each collection is given the view of three servers — a majority is two —
+// before the manager runs its call: the manager's own execution waits at a
+// gate until then.
 func TestReusedCollectionRefusesTheOldCallsReplies(t *testing.T) {
 	net := memnet.New(netsim.New(netsim.FastProfile(), 1))
-	svc, srv := soloServerOn(t, net, "rm")
+	svc := soloService(t, net, "rm")
+	gate := make(chan struct{})
+	srv := soloServe(t, svc, func(string, []byte) ([]byte, error) {
+		<-gate
+		return []byte("ok"), nil
+	})
 	answered := answerSink(t, net, "z00")
 	cs, err := svc.node.Create("cs", srv.group.Config())
 	if err != nil {
 		t.Fatalf("create: %v", err)
 	}
-	srv.mu.Lock()
-	srv.roster["s01"], srv.roster["s02"] = true, true // a majority is two of three
-	srv.mu.Unlock()
 	bind := &bindRequest{Group: "cs", Style: Open}
 	call := func(n uint64) ids.CallID { return ids.CallID{Client: "z00", Number: n} }
 	serve := func(n uint64) *collection {
 		srv.serveAsRM(cs, bind, &invRequest{Call: call(n), Floor: n, Mode: Majority, Method: "put", Client: "z00", Style: Open})
 		srv.mu.Lock()
-		defer srv.mu.Unlock()
-		return srv.findLocked(call(n)).coll
+		c := srv.findLocked(call(n)).coll
+		srv.mu.Unlock()
+		c.mu.Lock()
+		c.base, c.live = []ids.ProcessID{"rm", "s01", "s02"}, 3
+		c.mu.Unlock()
+		gate <- struct{}{}
+		return c
 	}
 	// Calls 1 and 2 complete on the manager's own reply and s01's; call 2's
 	// forward carries floor 2, which passes call 1 where it is delivered.
@@ -50,10 +61,10 @@ func TestReusedCollectionRefusesTheOldCallsReplies(t *testing.T) {
 	if third != first {
 		t.Fatal("call 3 did not reuse call 1's collection, which the floor had passed")
 	}
-	if first.add(invReply{Call: call(1), Server: "s02"}, 3) {
+	if first.add(invReply{Call: call(1), Server: "s02"}) {
 		t.Fatal("call 1's late reply completed call 3")
 	}
-	if first.settle(call(1), 3, true) {
+	if first.settle(call(1), nil, true) {
 		t.Fatal("a settle listed for call 1 ended call 3")
 	}
 	srv.collectReply(invReply{Call: call(3), Server: "s01"})

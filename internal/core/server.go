@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -81,9 +82,7 @@ type Server struct {
 	// have passed it (see snapshotCoversLocked); nil for a founding member.
 	cover map[ids.ProcessID]uint64
 
-	mu       sync.Mutex
-	roster   map[ids.ProcessID]bool // fellow servers (hello ∩ view)
-	lastView int                    // size of the previously observed view
+	mu sync.Mutex
 	// clients is what this member retains per client for exactly-once
 	// (retain.go): executed replies and, as request manager, the
 	// collections that gathered reply sets. Its floors move only under
@@ -152,7 +151,6 @@ func (s *Service) serve(ctx context.Context, cfg ServeConfig, replica bool) (*Se
 		cfg:      cfg,
 		group:    group,
 		applied:  make(map[ids.ProcessID]uint64),
-		roster:   map[ids.ProcessID]bool{s.ID(): true},
 		clients:  make(map[ids.ProcessID]*clientLog),
 		bindings: make(map[ids.GroupID]*gcs.Group),
 	}
@@ -183,12 +181,6 @@ func (s *Service) serve(ctx context.Context, cfg ServeConfig, replica bool) (*Se
 	// in delivery order, with no consumer goroutine or channel hop. Leave()
 	// quiesces the dispatch queue, so no handler call survives Close.
 	srv.group.SetHandler(srv.handleGroupEvent)
-	// Announce ourselves so the existing members add us to the server
-	// roster (and, via their re-announcements, we learn them).
-	_ = group.Multicast(ctx, encodeHello()) //lint:ok errdrop best-effort: roster repair re-announces on every membership change
-	if !cfg.Contact.Nil() {
-		srv.seedRoster(ctx)
-	}
 	if replica {
 		if err := srv.transferState(ctx); err != nil {
 			_ = srv.Close()
@@ -196,29 +188,6 @@ func (s *Service) serve(ctx context.Context, cfg ServeConfig, replica bool) (*Se
 		}
 	}
 	return srv, nil
-}
-
-// seedRoster adds to a joining server's roster the servers its contact
-// knows of that are in its view, as a binding client learns them. Join
-// returns as soon as the view installs, before the fellow servers'
-// re-announcements have been delivered here, and a client may bind through
-// this server at once: its read pool and its quorums come from this roster.
-// Best effort: the re-announcements fill in whatever the call misses.
-func (srv *Server) seedRoster(ctx context.Context) {
-	ctx, cancel := context.WithTimeout(ctx, rmWait)
-	defer cancel()
-	members, err := srv.svc.ServerGroupMembers(ctx, srv.cfg.Contact, srv.cfg.Group)
-	if err != nil {
-		return
-	}
-	v := srv.group.View()
-	srv.mu.Lock()
-	for _, p := range members {
-		if v.Contains(p) {
-			srv.roster[p] = true
-		}
-	}
-	srv.mu.Unlock()
 }
 
 // emitServerStats emits one group's stats as core_server_* gauges labeled
@@ -237,16 +206,14 @@ func emitServerStats(emit func(name string, v int64), group string, st gcs.Stats
 	emit(l("members"), int64(st.Members))
 }
 
-// ServerRoster returns the current server membership (excluding any
-// closed-bound clients sharing the group).
+// ServerRoster returns the servers of the server group's installed view: its
+// members less the closed-bound clients sharing the group. A joining server
+// is in it at every member once its Serve returns — at the coordinator,
+// which installs a view as it commits it, and at the others as the commit
+// reaches them.
 func (srv *Server) ServerRoster() []ids.ProcessID {
-	srv.mu.Lock()
-	defer srv.mu.Unlock()
-	out := make([]ids.ProcessID, 0, len(srv.roster))
-	for p := range srv.roster {
-		out = append(out, p)
-	}
-	return ids.SortProcesses(out)
+	servers, _ := srv.group.Servers()
+	return slices.Clone(servers)
 }
 
 // GroupView returns the server group's current view.
@@ -284,7 +251,7 @@ func (srv *Server) Close() error {
 	}
 	srv.closed = true // from here on detachBinding leaves the bindings to us
 	for _, c := range srv.open {
-		c.settle(c.call, 0, true) // nobody is left to answer
+		c.settle(c.call, nil, true) // nobody is left to answer
 	}
 	srv.mu.Unlock()
 
@@ -314,16 +281,12 @@ func (srv *Server) handleGroupEvent(ev gcs.Event) {
 					srv.execute(&p.Req, ev.Deliver.Sender, ev.Deliver.Stamp) {
 					return
 				}
-			case payloadHello:
-				srv.mu.Lock()
-				srv.roster[ev.Deliver.Sender] = true
-				srv.mu.Unlock()
 			case payloadForget:
 				srv.forget(p.Forget)
 			}
 		}
 		// Every delivered position is applied once handled: requests by
-		// executeDelivered (the return above), everything else (roster hellos,
+		// executeDelivered (the return above), everything else (forgets,
 		// unparseable payloads) vacuously. Reads wait on delivery stamps (session
 		// floors, read-index frontiers), so the executed frontier must
 		// cover non-request traffic too or a read could stall on a stamp
@@ -486,24 +449,22 @@ func (srv *Server) executeLocked(req *invRequest, stamp vclock.Stamp, ordered, c
 
 // collectReply files one replica's reply with the call's collection, if
 // this member is still gathering for it, and answers the client when it
-// completes the quorum (the live server roster; closed clients in the view
-// never reply).
+// completes the quorum (see collector).
 func (srv *Server) collectReply(rep invReply) {
 	srv.mu.Lock()
 	var c *collection
 	if e := srv.findLocked(rep.Call); e != nil {
 		c = e.coll
 	}
-	servers := len(srv.roster)
 	srv.mu.Unlock()
-	if c != nil && c.add(rep, servers) {
+	if c != nil && c.add(rep) {
 		srv.conclude(c)
 	}
 }
 
-// onGroupView intersects the roster with the new view, re-announces when
-// newcomers appear (so late joiners learn the roster), and re-evaluates
-// pending collectors (e.g. wait-for-all with a crashed member).
+// onGroupView records the new view for the executed prefix and the closed
+// clients' logs, and re-evaluates the open collections (e.g. wait-for-all
+// with a crashed member).
 func (srv *Server) onGroupView(v *gcs.View) {
 	srv.execMu.Lock()
 	srv.view = v.Clone()
@@ -521,23 +482,8 @@ func (srv *Server) onGroupView(v *gcs.View) {
 	}
 	srv.mu.Unlock()
 	srv.execMu.Unlock()
-	srv.mu.Lock()
-	for p := range srv.roster {
-		if !v.Contains(p) {
-			delete(srv.roster, p)
-		}
-	}
-	grew := len(v.Members) > srv.lastView
-	srv.lastView = len(v.Members)
-	servers := len(srv.roster)
-	closed := srv.closed
-	srv.mu.Unlock()
-
-	if grew && !closed {
-		_ = srv.group.Multicast(context.Background(), encodeHello()) //lint:ok errdrop best-effort: roster repair re-announces on every membership change
-	}
 	for _, g := range srv.openCalls() {
-		if g.c.settle(g.call, servers, false) {
+		if g.c.settle(g.call, v, false) {
 			srv.conclude(g.c)
 		}
 	}
@@ -701,7 +647,7 @@ func (srv *Server) detachBinding(gid ids.GroupID, b *gcs.Group) {
 type rmPolicy uint8
 
 const (
-	rmCollect rmPolicy = iota // group order first; answer on the mode's quorum over the roster
+	rmCollect rmPolicy = iota // group order first; answer on the mode's quorum over the servers of the call's view
 	rmPrimary                 // the sequencer relays, runs first, outside the order, and answers at once (§4.2)
 	rmOneWay                  // group order; nobody answered or waited for
 )
@@ -819,7 +765,7 @@ func (srv *Server) serveAsRM(b *gcs.Group, bind *bindRequest, req *invRequest) {
 func (srv *Server) openLocked(e *retained, b *gcs.Group, client ids.ProcessID, req *invRequest, now time.Time) {
 	c := srv.newCollectionLocked(req.Call, req.Mode)
 	c.trace, c.b, c.client, c.start = req.Trace, b, client, now
-	if need := c.mode.need(len(srv.roster)); need > len(c.inline) {
+	if need := c.mode.need(c.live); need > len(c.inline) {
 		c.replies = make([]invReply, 0, need)
 	}
 	e.coll = c
@@ -937,7 +883,7 @@ func (srv *Server) conclude(c *collection) {
 // before cutoff: the request manager's deadline, run by the service's sweep.
 func (srv *Server) concludeOlder(cutoff time.Time) {
 	for _, g := range srv.openCalls() {
-		if g.start.Before(cutoff) && g.c.settle(g.call, 0, true) {
+		if g.start.Before(cutoff) && g.c.settle(g.call, nil, true) {
 			srv.conclude(g.c)
 		}
 	}
@@ -990,25 +936,43 @@ var spentCtx = func() context.Context {
 
 // collector gathers the servers' point-to-point replies to one call — at
 // the request manager of an open call, at the client of a closed one —
-// until the reply mode's quorum over the live servers is met. Whoever
+// until the reply mode's quorum over the call's servers is met. Whoever
 // settles it (add and settle report true exactly once between them) owns
 // the replies from then on; later arrivals are dropped, and so is anything
 // for another call than the one it gathers for.
+//
+// The call's servers (base) are those of a view installed at its gatherer
+// when the call arrived (seq), less those a later view lost (live counts the
+// rest): at a request manager, the server group's view installed then; at a
+// closed client, its own view as its handler last saw it. The request is
+// ordered in that view or a later one, so every server still counted
+// delivers and answers it; a server that joined since — after the call was
+// ordered, or while it was on its way — may answer too, but it is not
+// waited for and its reply is not counted.
 type collector struct {
 	mode ReplyMode
 
 	mu      sync.Mutex
 	call    ids.CallID
+	base    []ids.ProcessID // shared with the view's other calls: never modified
+	seq     ids.ViewSeq
+	live    int
 	replies []invReply // ordered by server
 	settled bool
 }
 
+// begin starts the collection of call's replies over the servers of view
+// seq (c.mu held, or c not yet shared).
+func (c *collector) begin(call ids.CallID, servers []ids.ProcessID, seq ids.ViewSeq) {
+	c.call, c.base, c.seq, c.live, c.settled = call, servers, seq, len(servers), false
+}
+
 // add files one server's reply — a retry's copy replaces the original —
-// and reports whether it completed the quorum of mode over servers.
-func (c *collector) add(rep invReply, servers int) bool {
+// and reports whether it completed the quorum.
+func (c *collector) add(rep invReply) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.settled || rep.Call != c.call {
+	if c.settled || rep.Call != c.call || !ids.ContainsProcess(c.base, rep.Server) {
 		return false
 	}
 	i := 0
@@ -1020,18 +984,29 @@ func (c *collector) add(rep invReply, servers int) bool {
 		copy(c.replies[i+1:], c.replies[i:])
 	}
 	c.replies[i] = rep
-	c.settled = len(c.replies) >= c.mode.need(servers)
+	c.settled = len(c.replies) >= c.mode.need(c.live)
 	return c.settled
 }
 
 // settle ends the collection of call's replies if those already in meet
-// the quorum over servers — a membership change shrank it: wait-for-all
-// with a crashed member — or, with force, whatever has arrived (the
-// deadline).
-func (c *collector) settle(call ids.CallID, servers int, force bool) bool {
+// the quorum — a view v that lost some of the call's servers shrank it:
+// wait-for-all with a crashed member — or, with force, whatever has
+// arrived (the deadline). A view no later than the call's changes nothing.
+func (c *collector) settle(call ids.CallID, v *gcs.View, force bool) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.settled || call != c.call || !force && len(c.replies) < c.mode.need(servers) {
+	if c.settled || call != c.call {
+		return false
+	}
+	if v != nil && v.Seq > c.seq {
+		c.live = 0
+		for _, p := range c.base {
+			if v.Contains(p) {
+				c.live++
+			}
+		}
+	}
+	if !force && len(c.replies) < c.mode.need(c.live) {
 		return false
 	}
 	c.settled = true
@@ -1045,5 +1020,5 @@ func (c *collector) drop() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	clear(c.replies)
-	c.call, c.replies, c.settled = ids.CallID{}, nil, true
+	c.call, c.replies, c.base, c.settled = ids.CallID{}, nil, nil, true
 }

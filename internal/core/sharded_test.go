@@ -93,7 +93,6 @@ func (w *shardWorld) addShardGroup(name string, nReplicas int) core.ShardSpec {
 			contact = id
 		}
 	}
-	awaitRosters(w.t, srvs)
 	return core.ShardSpec{Name: name, Group: gid, Contact: contact}
 }
 

@@ -68,7 +68,6 @@ func newTracedWorld(t *testing.T, nServers, nClients int, shared *obs.Obs) *trac
 			contact = id
 		}
 	}
-	awaitRosters(t, w.srvs)
 	for i := 0; i < nClients; i++ {
 		id := ids.ProcessID(fmt.Sprintf("z%02d", i))
 		ep, err := w.net.Endpoint(id, netsim.SiteLAN)

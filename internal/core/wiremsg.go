@@ -16,15 +16,8 @@ import (
 const (
 	payloadRequest byte = iota + 1
 	payloadReplySet
-	payloadHello
 	payloadForget
 )
-
-// encodeHello announces "I am a server" inside the server group; closed
-// clients share that group, so the server roster (reply quorums, the
-// membership answered by the "info" control call) is maintained by these
-// announcements intersected with the group view.
-func encodeHello() []byte { return []byte{payloadHello} }
 
 // encodeForget is a request manager's notice, relayed in the server group's
 // order, that a client it served is gone: every replica drops the client's
@@ -292,7 +285,6 @@ func decodePayload(b []byte, in *interner, p *payload) error {
 		m.AsyncFwd = r.Bool()
 		m.Trace = r.Uvarint()
 		m.Floor = r.Uvarint()
-	case payloadHello:
 	case payloadForget:
 		p.Forget = in.proc(r)
 	case payloadReplySet:

@@ -135,16 +135,6 @@ func encodeReplyMsg(m replyMsg) []byte {
 	return w.Bytes()
 }
 
-func TestHelloRoundTrip(t *testing.T) {
-	var p payload
-	if err := decodePayload(encodeHello(), nil, &p); err != nil {
-		t.Fatal(err)
-	}
-	if p.Kind != payloadHello {
-		t.Fatalf("hello decoded as kind %d", p.Kind)
-	}
-}
-
 func TestForgetRoundTrip(t *testing.T) {
 	var p payload
 	if err := decodePayload(encodeForget("z07"), nil, &p); err != nil {

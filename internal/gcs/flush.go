@@ -20,7 +20,8 @@ import (
 // members deliver a message, or none do.
 
 // handleJoin processes a join request (mu held). Non-coordinators forward
-// it; the acting coordinator queues the joiner for the next view.
+// it; the acting coordinator queues the joiner, with its role, for the next
+// view.
 func (g *Group) handleJoin(m *joinMsg) {
 	if g.state == stateLeft {
 		return
@@ -28,7 +29,7 @@ func (g *Group) handleJoin(m *joinMsg) {
 	if g.state == stateJoining {
 		// We are not installed yet; park the request — view installation
 		// forwards parked requests to the acting coordinator.
-		g.pendingJoins[m.Joiner] = true
+		g.pendingJoins[m.Joiner] = m.Client
 		return
 	}
 	coord := g.actingCoordinator()
@@ -36,10 +37,10 @@ func (g *Group) handleJoin(m *joinMsg) {
 		g.sendMsgLocked(coord, m)
 		return
 	}
-	if g.view.Contains(m.Joiner) || g.pendingJoins[m.Joiner] {
+	if _, pending := g.pendingJoins[m.Joiner]; pending || g.view.Contains(m.Joiner) {
 		return
 	}
-	g.pendingJoins[m.Joiner] = true
+	g.pendingJoins[m.Joiner] = m.Client
 	g.maybeStartFlushLocked()
 }
 
@@ -91,13 +92,20 @@ func (g *Group) maybeStartFlushLocked() {
 		return
 	}
 	target := make([]ids.ProcessID, 0, len(g.view.Members)+len(g.pendingJoins))
+	var clients []ids.ProcessID
 	for _, p := range g.view.Members {
 		if !g.suspects[p] && !g.pendingLeaves[p] {
 			target = append(target, p)
+			if ids.ContainsProcess(g.view.Clients, p) {
+				clients = append(clients, p)
+			}
 		}
 	}
-	for p := range g.pendingJoins {
+	for p, client := range g.pendingJoins {
 		target = append(target, p)
+		if client {
+			clients = append(clients, p)
+		}
 	}
 	target = ids.SortProcesses(target)
 	if !ids.ContainsProcess(target, g.me) {
@@ -122,6 +130,7 @@ func (g *Group) maybeStartFlushLocked() {
 	g.fl = &flushCoord{
 		seq:       newSeq,
 		members:   target,
+		clients:   ids.SortProcesses(clients),
 		prop:      prop,
 		acks:      make(map[ids.ProcessID]*flushAckMsg, len(target)),
 		startedAt: g.clk.t,
@@ -288,6 +297,7 @@ func (g *Group) commitFlushLocked() {
 		Order:    g.cfg.Order,
 		Liveness: g.cfg.Liveness,
 		Leader:   g.cfg.Leader,
+		Clients:  fl.clients,
 		Cut:      cut,
 		Assigns:  slices.Compact(assigns),
 	}
@@ -329,7 +339,7 @@ func (g *Group) applyCommitLocked(c *commitMsg) {
 		g.mergeAssignsLocked(c.Assigns)
 		g.deliverCutLocked(c.Cut, c.Assigns)
 	}
-	g.installViewLocked(View{Seq: c.NewSeq, Installer: c.Proposer, Members: c.Members})
+	g.installViewLocked(View{Seq: c.NewSeq, Installer: c.Proposer, Members: c.Members, Clients: c.Clients})
 }
 
 // earlyHoldLimit bounds the data messages a member holds for a view it has

@@ -46,6 +46,9 @@ type Group struct {
 
 	state groupState
 	view  View
+	// servers is view's members less its clients (View.Servers), built at
+	// each install and shared, never modified, by Servers' callers.
+	servers []ids.ProcessID
 
 	// Per-view messaging state (reset at every view installation). The
 	// per-member counters are dense slices keyed by the view's member
@@ -132,7 +135,7 @@ type Group struct {
 
 	// Membership machinery.
 	suspects      map[ids.ProcessID]bool
-	pendingJoins  map[ids.ProcessID]bool
+	pendingJoins  map[ids.ProcessID]bool // joiner → joins as a client
 	pendingLeaves map[ids.ProcessID]bool
 	curProposal   *proposeMsg // proposal we last acked (participant side)
 	proposalAt    time.Time
@@ -211,7 +214,8 @@ const payChunk = 8 << 10
 type flushCoord struct {
 	seq       ids.ViewSeq
 	members   []ids.ProcessID
-	prop      *proposeMsg // resent to the members yet to ack (reproposeLocked)
+	clients   []ids.ProcessID // the members that joined as clients
+	prop      *proposeMsg     // resent to the members yet to ack (reproposeLocked)
 	acks      map[ids.ProcessID]*flushAckMsg
 	startedAt time.Time
 	sentAt    time.Time // when the proposal was last sent
@@ -278,6 +282,16 @@ func (g *Group) View() View {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.view.Clone()
+}
+
+// Servers returns the servers of the installed view (View.Servers) and the
+// view's sequence number. It is current from the moment the view installs,
+// ahead of the view event's dispatch. The slice is shared: the caller must
+// not modify it.
+func (g *Group) Servers() ([]ids.ProcessID, ids.ViewSeq) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.servers, g.view.Seq
 }
 
 // leaderOf returns the deterministic leader (coordinator and sequencer) of
@@ -1275,6 +1289,7 @@ func (g *Group) activeLocked() bool {
 // installViewLocked resets all per-view state and emits the view event.
 func (g *Group) installViewLocked(v View) {
 	g.view = v.Clone()
+	g.servers = v.Servers(nil)
 	if v.Seq > g.maxViewSeq {
 		g.maxViewSeq = v.Seq
 	}
@@ -1368,8 +1383,8 @@ func (g *Group) installViewLocked(v View) {
 	// the new coordinator instead of stranding them here until the
 	// requesters retry.
 	if coord := g.actingCoordinator(); coord != g.me {
-		for p := range g.pendingJoins {
-			g.sendMsgLocked(coord, &joinMsg{Group: g.id, Joiner: p})
+		for p, client := range g.pendingJoins {
+			g.sendMsgLocked(coord, &joinMsg{Group: g.id, Joiner: p, Client: client})
 		}
 		g.pendingJoins = make(map[ids.ProcessID]bool)
 		for p := range g.pendingLeaves {

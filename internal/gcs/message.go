@@ -106,9 +106,12 @@ type batchMsg struct {
 	Msgs  []*dataMsg
 }
 
+// joinMsg asks for Joiner's admission. Client is its role, which the view
+// that admits it records (View.Clients) and nothing else reads.
 type joinMsg struct {
 	Group  ids.GroupID
 	Joiner ids.ProcessID
+	Client bool
 }
 
 type leaveMsg struct {
@@ -146,6 +149,7 @@ type commitMsg struct {
 	Order    OrderMode
 	Liveness Liveness
 	Leader   ids.ProcessID
+	Clients  []ids.ProcessID
 	Cut      []*dataMsg
 	Assigns  []assign
 }
@@ -413,6 +417,7 @@ func encodeFramed(hdr []byte, msg any) *wire.Writer {
 		w.Byte(kindJoin)
 		w.String(string(m.Group))
 		w.String(string(m.Joiner))
+		w.Bool(m.Client)
 	case *leaveMsg:
 		w.Byte(kindLeave)
 		w.String(string(m.Group))
@@ -445,6 +450,7 @@ func encodeFramed(hdr []byte, msg any) *wire.Writer {
 		w.Uvarint(uint64(m.Order))
 		w.Uvarint(uint64(m.Liveness))
 		w.String(string(m.Leader))
+		putProcs(w, m.Clients)
 		putDataList(w, m.Cut)
 		putAssigns(w, m.Assigns)
 	default:
@@ -471,7 +477,7 @@ func (d *decoder) decode(payload []byte) (any, error) {
 			Msgs:  d.getDataList(r),
 		}
 	case kindJoin:
-		msg = &joinMsg{Group: d.group(r), Joiner: d.proc(r)}
+		msg = &joinMsg{Group: d.group(r), Joiner: d.proc(r), Client: r.Bool()}
 	case kindLeave:
 		msg = &leaveMsg{Group: d.group(r), Leaver: d.proc(r)}
 	case kindSuspect:
@@ -502,6 +508,7 @@ func (d *decoder) decode(payload []byte) (any, error) {
 			Order:    OrderMode(r.Uvarint()),
 			Liveness: Liveness(r.Uvarint()),
 			Leader:   d.proc(r),
+			Clients:  d.getProcs(r),
 			Cut:      d.getDataList(r),
 			Assigns:  d.getAssigns(r, nil),
 		}

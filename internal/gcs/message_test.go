@@ -142,7 +142,7 @@ func TestReflectionRoundTrips(t *testing.T) {
 func TestControlMsgRoundTrips(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	msgs := []any{
-		&joinMsg{Group: "g", Joiner: "p"},
+		&joinMsg{Group: "g", Joiner: "p", Client: true},
 		&leaveMsg{Group: "g", Leaver: "q"},
 		&suspectMsg{Group: "g", Accused: "r"},
 		&proposeMsg{Group: "g", NewSeq: 9, Proposer: "a", Members: []ids.ProcessID{"a", "b"}},

@@ -126,6 +126,16 @@ func (n *Node) Create(id ids.GroupID, cfg GroupConfig) (*Group, error) {
 // the configuration is found to mismatch or ctx expires. The configuration
 // must equal the one the group was created with.
 func (n *Node) Join(ctx context.Context, id ids.GroupID, contact ids.ProcessID, cfg GroupConfig) (*Group, error) {
+	return n.join(ctx, id, contact, cfg, false)
+}
+
+// JoinClient is Join in the role of a client: every view that holds this
+// node lists it among its Clients.
+func (n *Node) JoinClient(ctx context.Context, id ids.GroupID, contact ids.ProcessID, cfg GroupConfig) (*Group, error) {
+	return n.join(ctx, id, contact, cfg, true)
+}
+
+func (n *Node) join(ctx context.Context, id ids.GroupID, contact ids.ProcessID, cfg GroupConfig, client bool) (*Group, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -145,7 +155,7 @@ func (n *Node) Join(ctx context.Context, id ids.GroupID, contact ids.ProcessID, 
 	n.groups[id] = g
 	n.mu.Unlock()
 
-	join := n.encode(&joinMsg{Group: id, Joiner: n.ID()})
+	join := n.encode(&joinMsg{Group: id, Joiner: n.ID(), Client: client})
 	defer wire.PutWriter(join)
 	// Join requests are idempotent, so a request that got no view is resent
 	// briskly: it can race a concurrent view change and be parked or

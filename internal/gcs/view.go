@@ -2,6 +2,7 @@ package gcs
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"newtop/internal/ids"
@@ -18,10 +19,25 @@ type View struct {
 	Installer ids.ProcessID
 	// Members is the sorted membership.
 	Members []ids.ProcessID
+	// Clients is the sorted subset of Members that joined as clients
+	// (Node.JoinClient); the rest are servers. The role is a label the
+	// membership carries: nothing in the group protocol reads it. The
+	// founding view has none.
+	Clients []ids.ProcessID
 }
 
 // Contains reports whether p is a member of the view.
 func (v View) Contains(p ids.ProcessID) bool { return ids.ContainsProcess(v.Members, p) }
+
+// Servers appends to dst the members that did not join as clients.
+func (v View) Servers(dst []ids.ProcessID) []ids.ProcessID {
+	for _, m := range v.Members {
+		if !ids.ContainsProcess(v.Clients, m) {
+			dst = append(dst, m)
+		}
+	}
+	return dst
+}
 
 // Others returns the members excluding p, preserving order.
 func (v View) Others(p ids.ProcessID) []ids.ProcessID {
@@ -36,9 +52,7 @@ func (v View) Others(p ids.ProcessID) []ids.ProcessID {
 
 // Clone returns a deep copy of the view.
 func (v View) Clone() View {
-	members := make([]ids.ProcessID, len(v.Members))
-	copy(members, v.Members)
-	return View{Seq: v.Seq, Installer: v.Installer, Members: members}
+	return View{Seq: v.Seq, Installer: v.Installer, Members: slices.Clone(v.Members), Clients: slices.Clone(v.Clients)}
 }
 
 // String implements fmt.Stringer.

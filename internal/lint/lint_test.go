@@ -117,7 +117,8 @@ func TestErrDrop(t *testing.T)    { runFixture(t, "errdrop", ErrDrop()) }
 // instantiations and a method value each mark the function they come
 // from, and a function's data marks nothing. An unlinked function and
 // method are reported, an escaped one is not, an escape on a linked
-// function is stale, and a bodiless declaration is skipped.
+// function is stale, and a bodiless declaration is skipped. A package no
+// binary links is reported, unless it is a test helper.
 func TestUnlinked(t *testing.T) {
 	const pkg = "newtop/internal/lint/testdata/unlinked"
 	syms := []string{
@@ -134,7 +135,19 @@ func TestUnlinked(t *testing.T) {
 		"main.main", "type:" + pkg + ".Box[int]",
 	}
 	source := func(string) ([]string, error) { return syms, nil }
-	runFixtureWith(t, "unlinked", CheckModule, unlinkedFrom(source))
+	helpers := func(string) ([]string, error) { return []string{pkg + "/helper"}, nil }
+	a := unlinkedFrom(source, helpers)
+	runFixtureWith(t, "unlinked", CheckModule, a)
+	// A package no binary links is reported once, unless it is a test
+	// helper.
+	runFixtureWith(t, filepath.Join("unlinked", "unreached"), CheckModule, a)
+	helper, err := fixtureLoader(t).LoadDir(filepath.Join("testdata", "unlinked", "helper"))
+	if err != nil {
+		t.Fatalf("loading fixture unlinked/helper: %v", err)
+	}
+	if diags := CheckModule([]*Package{helper}, []*Analyzer{a}); len(diags) != 0 {
+		t.Fatalf("a test helper was reported: %v", diags)
+	}
 }
 
 // TestDirectiveMalformed checks that broken //lint:ok comments are

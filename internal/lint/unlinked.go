@@ -23,20 +23,23 @@ import (
 // //lint:ok unlinked <reason>.
 //
 // Bodiless declarations (implemented in assembly or pulled in with
-// go:linkname) have no code of their own to link and are skipped, and so
-// are packages no binary links at all. Whether such a package may exist is
-// ci.sh's unreached-packages stage's question: only as a test helper, which
-// it tells from go list's test imports, files this loader never reads.
-func Unlinked() *Analyzer { return unlinkedFrom(dumpDeps) }
+// go:linkname) have no code of their own to link and are skipped. A package
+// no binary links at all is reported once, unless it is a test helper:
+// another package's tests import it, and no non-test file does. Which
+// packages are test helpers is read from go list's test imports, files
+// this loader never reads.
+func Unlinked() *Analyzer { return unlinkedFrom(dumpDeps, testHelpers) }
 
-// unlinkedFrom is Unlinked over a linked-symbol source: the source is
-// called once, with the module root, and returns the raw symbol names the
-// linker kept (the fixture test injects them; the suite builds them).
-func unlinkedFrom(source func(root string) ([]string, error)) *Analyzer {
+// unlinkedFrom is Unlinked over a linked-symbol source and a test-helper
+// source: each is called once, with the module root; the first returns
+// the raw symbol names the linker kept, the second the import paths of the
+// test helpers (the fixture test injects both; the suite computes them).
+func unlinkedFrom(source, helperSource func(root string) ([]string, error)) *Analyzer {
 	var (
-		once   sync.Once
-		linked map[string]bool
-		err    error
+		once    sync.Once
+		linked  map[string]bool
+		helpers map[string]bool
+		err     error
 	)
 	return &Analyzer{
 		Name:    "unlinked",
@@ -46,23 +49,35 @@ func unlinkedFrom(source func(root string) ([]string, error)) *Analyzer {
 			once.Do(func() {
 				var root string
 				var syms []string
+				var paths []string
 				if root, _, err = findModule(p.Dir); err == nil {
 					syms, err = source(root)
 				}
+				if err == nil {
+					paths, err = helperSource(root)
+				}
 				linked = linkedSet(syms)
+				helpers = make(map[string]bool, len(paths))
+				for _, h := range paths {
+					helpers[h] = true
+				}
 			})
 			if err != nil {
 				return []Diagnostic{{Rule: "unlinked", Pos: p.Fset.Position(p.Files[0].Package),
 					Msg: fmt.Sprintf("cannot compute the linked set: %v", err)}}
 			}
-			return runUnlinked(p, linked)
+			return runUnlinked(p, linked, helpers)
 		},
 	}
 }
 
-func runUnlinked(p *Package, linked map[string]bool) []Diagnostic {
+func runUnlinked(p *Package, linked, helpers map[string]bool) []Diagnostic {
 	if !linked[p.Path] {
-		return nil // no binary links the package: a test helper
+		if helpers[p.Path] {
+			return nil
+		}
+		return []Diagnostic{{Rule: "unlinked", Pos: p.Fset.Position(p.Files[0].Package),
+			Msg: fmt.Sprintf("package %s: no command, example or benchmark links it, and it is no other package's test helper (give it a user or delete it)", p.Types.Name())}}
 	}
 	var diags []Diagnostic
 	for _, f := range p.Files {
@@ -172,6 +187,39 @@ func stripTypeArgs(s string) string {
 		}
 	}
 	return b.String()
+}
+
+// testHelpers lists the test helpers of the module at root: the packages
+// that another package's tests import and no non-test file does.
+func testHelpers(root string) ([]string, error) {
+	list := exec.Command("go", "list", "-f", `{{.ImportPath}}|{{join .Imports ","}}|{{join .TestImports ","}},{{join .XTestImports ","}}`, "./...")
+	list.Dir = root
+	out, err := list.Output()
+	if err != nil {
+		return nil, fmt.Errorf("go list: %w", err)
+	}
+	imported, forTests := make(map[string]bool), make(map[string]bool)
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		fields := strings.Split(line, "|")
+		if len(fields) != 3 {
+			continue
+		}
+		for _, q := range strings.Split(fields[1], ",") {
+			imported[q] = true
+		}
+		for _, q := range strings.Split(fields[2], ",") {
+			if q != "" && q != fields[0] {
+				forTests[q] = true
+			}
+		}
+	}
+	var helpers []string
+	for q := range forTests {
+		if !imported[q] {
+			helpers = append(helpers, q)
+		}
+	}
+	return helpers, nil
 }
 
 // dumpDeps builds every package main of the module at root, inlining off

@@ -124,8 +124,11 @@ type ORB struct {
 	// calls holds each outstanding Invoke's slot by request identifier;
 	// free holds the slots their callers have received from, for the next
 	// calls to reuse (as many as were ever outstanding at once).
-	calls   map[uint64]chan response
-	free    []chan response
+	calls map[uint64]chan response
+	free  []chan response
+	// timers are the stopped timers of bounded calls (InvokeWithin), for the
+	// next such calls to reuse.
+	timers  []*time.Timer
 	nextReq uint64
 	closed  bool
 
@@ -210,6 +213,22 @@ func (o *ORB) HandleTwoWay(object, method string, h TwoWayHandler) {
 // partitioned target simply never replies) and with *RemoteError when the
 // target raised one.
 func (o *ORB) Invoke(ctx context.Context, ref Ref, method string, args []byte) ([]byte, error) {
+	return o.invoke(ctx, ref, method, args, 0)
+}
+
+// InvokeWithin is Invoke bounded by bound as well as by ctx: a target that
+// has not replied within bound fails the call with ErrNoReply. The bound's
+// timer is reused from call to call, so a bounded call costs no allocation
+// more than Invoke.
+func (o *ORB) InvokeWithin(ctx context.Context, ref Ref, method string, args []byte, bound time.Duration) ([]byte, error) {
+	return o.invoke(ctx, ref, method, args, bound)
+}
+
+// ErrNoReply is InvokeWithin's failure when the target did not reply within
+// the bound.
+var ErrNoReply = errors.New("orb: no reply within the bound")
+
+func (o *ORB) invoke(ctx context.Context, ref Ref, method string, args []byte, bound time.Duration) ([]byte, error) {
 	o.mu.Lock()
 	if o.closed {
 		o.mu.Unlock()
@@ -227,6 +246,19 @@ func (o *ORB) Invoke(ctx context.Context, ref Ref, method string, args []byte) (
 	}
 	o.calls[reqID] = slot
 	o.inflightHigh.SetMax(int64(len(o.calls)))
+	var timer *time.Timer
+	var expired <-chan time.Time // nil, never ready, for an unbounded call
+	if bound > 0 {
+		if n := len(o.timers); n > 0 {
+			timer = o.timers[n-1]
+			o.timers[n-1] = nil
+			o.timers = o.timers[:n-1]
+			timer.Reset(bound)
+		} else {
+			timer = time.NewTimer(bound) // one per bounded call outstanding at the high-water mark
+		}
+		expired = timer.C
+	}
 	o.mu.Unlock()
 
 	w := o.newFrame(kindRequest)
@@ -238,7 +270,7 @@ func (o *ORB) Invoke(ctx context.Context, ref Ref, method string, args []byte) (
 	err := o.out.SendFrame(ref.Target, w.Bytes())
 	wire.PutWriter(w)
 	if err != nil {
-		if o.abandon(reqID) {
+		if o.abandon(reqID, timer) {
 			return nil, ErrClosed // the send lost a race with Close
 		}
 		return nil, fmt.Errorf("invoke %s: %w", ref, err)
@@ -250,22 +282,47 @@ func (o *ORB) Invoke(ctx context.Context, ref Ref, method string, args []byte) (
 		// slot is empty, and the next call may have it.
 		o.mu.Lock()
 		o.free = append(o.free, slot)
+		o.stopLocked(timer)
 		o.mu.Unlock()
 		return resp.payload, resp.err
 	case <-ctx.Done():
-		o.abandon(reqID)
+		o.abandon(reqID, timer)
 		return nil, ctx.Err()
+	case <-expired:
+		o.abandon(reqID, nil)
+		o.mu.Lock()
+		o.timers = append(o.timers, timer) // fired and drained
+		o.mu.Unlock()
+		return nil, fmt.Errorf("invoke %s: %w", ref, ErrNoReply)
 	}
 }
 
-// abandon withdraws a call its caller gave up on, and reports whether the
-// ORB has closed. The slot is dropped, not recycled: a reply (or Close's
-// ErrClosed) that took it from the table first may still be on its way into
-// it, and must not complete a later call.
-func (o *ORB) abandon(reqID uint64) (closed bool) {
+// stopLocked stops a bounded call's timer, drains a fire that raced the
+// stop, and keeps the timer for reuse (o.mu held); a nil timer is an
+// unbounded call's.
+func (o *ORB) stopLocked(t *time.Timer) {
+	if t == nil {
+		return
+	}
+	if !t.Stop() {
+		select {
+		case <-t.C:
+		default:
+		}
+	}
+	o.timers = append(o.timers, t)
+}
+
+// abandon withdraws a call its caller gave up on, stops its timer, if any,
+// and reports whether the ORB has closed. The slot is dropped, not
+// recycled: a reply (or Close's ErrClosed) that took it from the table
+// first may still be on its way into it, and must not complete a later
+// call.
+func (o *ORB) abandon(reqID uint64, timer *time.Timer) (closed bool) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	delete(o.calls, reqID)
+	o.stopLocked(timer)
 	return o.closed
 }
 
