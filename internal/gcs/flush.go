@@ -92,20 +92,13 @@ func (g *Group) maybeStartFlushLocked() {
 		return
 	}
 	target := make([]ids.ProcessID, 0, len(g.view.Members)+len(g.pendingJoins))
-	var clients []ids.ProcessID
 	for _, p := range g.view.Members {
 		if !g.suspects[p] && !g.pendingLeaves[p] {
 			target = append(target, p)
-			if ids.ContainsProcess(g.view.Clients, p) {
-				clients = append(clients, p)
-			}
 		}
 	}
-	for p, client := range g.pendingJoins {
+	for p := range g.pendingJoins {
 		target = append(target, p)
-		if client {
-			clients = append(clients, p)
-		}
 	}
 	target = ids.SortProcesses(target)
 	if !ids.ContainsProcess(target, g.me) {
@@ -124,13 +117,19 @@ func (g *Group) maybeStartFlushLocked() {
 		return
 	}
 
+	var clients []ids.ProcessID // sorted, as target is
+	for _, p := range target {
+		if g.pendingJoins[p] || ids.ContainsProcess(g.view.Clients, p) {
+			clients = append(clients, p)
+		}
+	}
 	newSeq := g.maxViewSeq + 1
 	g.maxViewSeq = newSeq
 	prop := &proposeMsg{Group: g.id, NewSeq: newSeq, Proposer: g.me, Members: target}
 	g.fl = &flushCoord{
 		seq:       newSeq,
 		members:   target,
-		clients:   ids.SortProcesses(clients),
+		clients:   clients,
 		prop:      prop,
 		acks:      make(map[ids.ProcessID]*flushAckMsg, len(target)),
 		startedAt: g.clk.t,

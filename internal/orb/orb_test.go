@@ -103,6 +103,15 @@ func TestInvokeTimesOutOnSilentTarget(t *testing.T) {
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want deadline, got %v", err)
 	}
+	// A bounded call ends at its bound, well inside its context, and twice:
+	// the second reuses the first's fired timer.
+	for i := 0; i < 2; i++ {
+		start := time.Now()
+		_, err = a.InvokeWithin(ctxT(t, 5*time.Second), orb.Ref{Target: "zz", Object: "o"}, "m", nil, 50*time.Millisecond)
+		if !errors.Is(err, orb.ErrNoReply) || time.Since(start) > 2*time.Second {
+			t.Fatalf("bounded call %d: %v after %v, want ErrNoReply after 50ms", i, err, time.Since(start))
+		}
+	}
 }
 
 func TestOneWayFireAndForget(t *testing.T) {
@@ -500,18 +509,22 @@ func TestAllocGuardInlineInvoke(t *testing.T) {
 	ctx := ctxT(t, time.Minute)
 	ref := orb.Ref{Target: "b", Object: "o"}
 	args := []byte("0123456789")
-	call := func() {
-		if got, err := a.Invoke(ctx, ref, "get", args); err != nil || len(got) != len(args) {
-			t.Fatalf("inline call: %q, %v", got, err)
+	// An answered call costs the same bounded (its timer is reused) as not.
+	for _, bound := range []time.Duration{0, time.Minute} {
+		call := func() {
+			got, err := a.InvokeWithin(ctx, ref, "get", args, bound)
+			if err != nil || len(got) != len(args) {
+				t.Fatalf("inline call: %q, %v", got, err)
+			}
 		}
-	}
-	for i := 0; i < 64; i++ {
-		call()
-	}
-	avg := allocs.PerOp(1000, call)
-	t.Logf("inline two-way call: %.3f allocs/op", avg)
-	const budget = 0.05 // measured 0.002
-	if avg > budget && !raceEnabled {
-		t.Fatalf("an inline two-way call allocates %.3f/op, budget %.2f", avg, budget)
+		for i := 0; i < 64; i++ {
+			call()
+		}
+		avg := allocs.PerOp(1000, call)
+		t.Logf("inline two-way call, bound %v: %.3f allocs/op", bound, avg)
+		const budget = 0.05 // measured 0.002
+		if avg > budget && !raceEnabled {
+			t.Fatalf("an inline two-way call with bound %v allocates %.3f/op, budget %.2f", bound, avg, budget)
+		}
 	}
 }
