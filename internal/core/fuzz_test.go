@@ -16,6 +16,8 @@ func FuzzDecodePayload(f *testing.F) {
 	f.Add(encodeReplyMsg(replyMsg{To: toRM, Group: []byte("sg"), Reply: invReply{Call: callIDSeed(), Server: "s", Payload: []byte("p")}}))
 	f.Add(encodeReplyMsg(replyMsg{To: toOpen, Group: []byte("cs"), Set: &invReplySet{Call: callIDSeed()}}))
 	f.Add(encodeReplySet(&invReplySet{Call: callIDSeed()}))
+	// A bare kind byte no sender writes, which the decoder must refuse.
+	f.Add([]byte{payloadForget + 1})
 	f.Add(encodeForget("z"))
 	f.Add([]byte{})
 
